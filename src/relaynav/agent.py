@@ -32,6 +32,7 @@ from .world import (
     SceneGraph,
     bfs_distance_field,
     bfs_shortest_path,
+    fov_mask,
     wrap_angle,
 )
 
@@ -120,11 +121,6 @@ def make_agent(
 # --- sensing --------------------------------------------------------------
 
 
-def _fov_mask(vis, heading: float, fov_deg: float) -> np.ndarray:
-    err = (vis.bearing_deg - heading + 180.0) % 360.0 - 180.0
-    return np.abs(err) <= fov_deg / 2.0 + _EPS
-
-
 def observe(
     scene: SceneGraph, state: AgentState, sensor: SensorConfig
 ) -> tuple[AgentState, tuple[Observation, ...]]:
@@ -132,12 +128,17 @@ def observe(
 
     Sensed cells become known in the belief (walls included — occlusion is
     interior to the ray, so a blocked cell at its end is itself seen), and
-    visible objects yield scored observations. Deterministic and, from a
+    visible objects (on the robot's cell, or at an offset whose row of the
+    field's offset table is sensed) yield scored observations. Ray geometry
+    and FOV masks are per process, visibility masks per scene (see
+    :class:`~relaynav.world.VisibilityField`). Deterministic and, from a
     fixed pose on a fixed world, idempotent on the belief.
     """
     vis = scene.visibility(sensor.range_m)
     cell = state.cell
-    mask = vis.visible_offsets(cell) & _fov_mask(vis, state.pose.heading, sensor.fov_deg)
+    mask = vis.visible_offsets(cell) & fov_mask(
+        scene.grid.resolution, sensor.range_m, state.pose.heading, sensor.fov_deg
+    )
     cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
 
     belief = state.belief.copy()
@@ -145,20 +146,16 @@ def observe(
     truth = scene.grid.blocked[cells[:, 1], cells[:, 0]]
     belief[cells[:, 1], cells[:, 0]] = np.where(truth, BLOCKED, FREE)
 
-    newly_blocked: list[tuple[Cell, Cell]] = []
     was = state.belief[cells[:, 1], cells[:, 0]]
     flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
-    for bx, by in cells[flipped]:
-        newly_blocked.append((cell, (int(bx), int(by))))
-    newly_blocked.sort()
+    newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
 
-    visible_cells = {(int(x), int(y)) for x, y in cells}
-    visible_cells.add(cell)
     scorer = DistanceFalloffScorer(sensor.range_m)
     sightings = []
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
-        if obj.cell in visible_cells:
+        row = vis.offset_row(obj.cell[0] - cell[0], obj.cell[1] - cell[1])
+        if obj.cell == cell or (row >= 0 and mask[row]):
             score = scorer.score(scene, state.pose, obj)
             if score > 0.0:
                 sightings.append(Observation(obj.category, obj.cell, round(score, 6)))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
+from .world import FORWARD_M
+
 
 @dataclass(frozen=True)
 class SceneParams:
@@ -36,8 +38,8 @@ class SceneParams:
     def validate(self) -> None:
         if not (8 <= self.grid_width <= 256 and 8 <= self.grid_height <= 256):
             raise ValueError("grid dimensions must be within [8, 256]")
-        if self.resolution <= 0:
-            raise ValueError("resolution must be positive")
+        if self.resolution != FORWARD_M:
+            raise ValueError(f"resolution must be {FORWARD_M} m, one forward step per cell")
         rooms = self.room_rows * self.room_cols
         if rooms < self.min_regions:
             raise ValueError(

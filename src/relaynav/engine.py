@@ -291,6 +291,8 @@ def _initial_setup(scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig):
     if target is None:
         raise RolloutError(f"episode target {episode.target_object_id} not in scene")
     grid = scene.grid
+    if grid.resolution != FORWARD_M:
+        raise RolloutError(f"scene resolution {grid.resolution} m, rollouts need {FORWARD_M} m")
     handoff_cell = grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y)
     delivery_cell = grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y)
     chains = build_chains(

@@ -16,6 +16,7 @@ Coordinate conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -413,70 +414,100 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
-class VisibilityField:
-    """Vectorized per-cell line-of-sight within a fixed sensing range.
+@functools.cache
+def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...]:
+    """Supercover rays to every offset within range, built once per process.
 
-    Supercover rays from the origin to every offset within range are
-    precomputed once; a query gathers the padded occupancy along all rays for
-    one observer cell in a handful of numpy operations and caches the result.
-    Visibility of an offset requires every strictly interior ray cell to be
-    free, matching :func:`line_of_sight`.
+    Returns read-only ``(offsets, index, ray_rows, ray_starts, ray_cells)``:
+    the ``(dx, dy)`` offsets in range (origin excluded, row-major), a dense
+    ``[dy + r, dx + r] -> row`` table (-1 out of range), and the ragged rays:
+    the strictly interior cells of the rays of rows ``ray_rows``, back to
+    back in ``ray_cells``, each run starting at ``ray_starts``.
+    """
+    r = int(math.floor(max_range_m / resolution + _EPS))
+    index = np.full((2 * r + 1, 2 * r + 1), -1, dtype=np.int32)
+    offsets: list[Cell] = []
+    rows: list[int] = []
+    starts: list[int] = []
+    cells: list[Cell] = []
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            if (dx or dy) and math.hypot(dx, dy) * resolution <= max_range_m + _EPS:
+                interior = supercover_line((0, 0), (dx, dy))[1:-1]
+                if interior:
+                    rows.append(len(offsets))
+                    starts.append(len(cells))
+                    cells.extend(interior)
+                index[dy + r, dx + r] = len(offsets)
+                offsets.append((dx, dy))
+    geometry = (
+        np.array(offsets, dtype=np.int32).reshape(-1, 2),
+        index,
+        np.array(rows, dtype=np.intp),
+        np.array(starts, dtype=np.intp),
+        np.array(cells, dtype=np.int32).reshape(-1, 2),
+    )
+    for arr in geometry:
+        arr.setflags(write=False)
+    return geometry
+
+
+@functools.cache
+def fov_mask(
+    resolution: float, max_range_m: float, heading: float, fov_deg: float
+) -> np.ndarray:
+    """Read-only mask over :func:`ray_geometry`'s offsets inside the field of
+    view, memoized per process like the geometry."""
+    offsets = ray_geometry(resolution, max_range_m)[0]
+    bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
+    mask = np.abs((bearing - heading + 180.0) % 360.0 - 180.0) <= fov_deg / 2.0 + _EPS
+    mask.setflags(write=False)
+    return mask
+
+
+class VisibilityField:
+    """Vectorized per-cell line of sight within a fixed sensing range.
+
+    The ray geometry (:func:`ray_geometry`) and FOV masks (:func:`fov_mask`)
+    are per process. The padded occupancy and the mask cached per observer
+    cell are per scene: a field belongs to one ``SceneGraph``, so a blockage,
+    which makes a new scene, starts cold. The ragged ray interiors become one
+    flat index array into the raveled padded occupancy, relative to the
+    observer; a miss gathers them and ORs each ray's run. An offset is
+    visible iff every strictly interior cell of its ray is free, as in
+    :func:`line_of_sight`; cells outside the grid count as blocked.
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
-        self.grid = grid
-        self.max_range_m = max_range_m
-        self.range_cells = int(math.floor(max_range_m / grid.resolution + _EPS))
-        offsets: list[Cell] = []
-        interiors: list[list[Cell]] = []
-        r = self.range_cells
-        for dy in range(-r, r + 1):
-            for dx in range(-r, r + 1):
-                if dx == 0 and dy == 0:
-                    continue
-                if math.hypot(dx, dy) * grid.resolution > max_range_m + _EPS:
-                    continue
-                offsets.append((dx, dy))
-                interiors.append(supercover_line((0, 0), (dx, dy))[1:-1])
-        self.offsets = np.array(offsets, dtype=np.int32).reshape(-1, 2)
-        max_len = max((len(i) for i in interiors), default=0)
-        self._interior = np.zeros((len(offsets), max_len, 2), dtype=np.int32)
-        self._interior_mask = np.zeros((len(offsets), max_len), dtype=bool)
-        for i, cells in enumerate(interiors):
-            for j, c in enumerate(cells):
-                self._interior[i, j] = c
-                self._interior_mask[i, j] = True
-        res = grid.resolution
-        self.dist_m = np.hypot(self.offsets[:, 0], self.offsets[:, 1]) * res
-        self.bearing_deg = np.degrees(
-            np.arctan2(self.offsets[:, 1], self.offsets[:, 0])
-        ) % 360.0
-        pad = r if r > 0 else 1
-        self._pad = pad
-        self._occ = np.pad(grid.blocked, pad, mode="constant", constant_values=True)
+        geometry = ray_geometry(grid.resolution, max_range_m)
+        self.offsets, self._index, self._ray_rows, self._ray_starts, cells = geometry
+        self.range_cells = r = (len(self._index) - 1) // 2
+        occ = np.pad(grid.blocked, r, mode="constant", constant_values=True)
+        self._stride = occ.shape[1]
+        self._occ = occ.ravel()
+        cells = cells.astype(np.intp) + r
+        self._rays = cells[:, 1] * self._stride + cells[:, 0]
         self._cache: dict[Cell, np.ndarray] = {}
 
     def visible_offsets(self, cell: Cell) -> np.ndarray:
-        """Boolean mask over ``self.offsets`` visible from ``cell`` (360 deg)."""
+        """Read-only boolean mask over ``self.offsets`` visible from ``cell`` (360 deg)."""
         cached = self._cache.get(cell)
         if cached is not None:
             return cached
-        pad = self._pad
-        ix = self._interior[:, :, 0] + cell[0] + pad
-        iy = self._interior[:, :, 1] + cell[1] + pad
-        blocked_interior = (self._occ[iy, ix] & self._interior_mask).any(axis=1)
-        visible = ~blocked_interior
+        base = cell[1] * self._stride + cell[0]
+        blocked = np.logical_or.reduceat(self._occ[base + self._rays], self._ray_starts)
+        visible = np.ones(len(self.offsets), dtype=bool)
+        visible[self._ray_rows] = ~blocked
+        visible.setflags(write=False)
         self._cache[cell] = visible
         return visible
 
-    def is_visible(self, cell: Cell, target: Cell) -> bool:
-        if cell == target:
-            return True
-        dx, dy = target[0] - cell[0], target[1] - cell[1]
-        idx = np.nonzero((self.offsets[:, 0] == dx) & (self.offsets[:, 1] == dy))[0]
-        if len(idx) == 0:
-            return False
-        return bool(self.visible_offsets(cell)[idx[0]])
+    def offset_row(self, dx: int, dy: int) -> int:
+        """Row of ``(dx, dy)`` in ``self.offsets``; -1 if out of range or (0, 0)."""
+        r = self.range_cells
+        if abs(dx) > r or abs(dy) > r:
+            return -1
+        return int(self._index[dy + r, dx + r])
 
 
 def bearing_deg(from_xy: tuple[float, float], to_xy: tuple[float, float]) -> float:

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynav.agent import (
     BLOCKED,
@@ -24,7 +26,9 @@ from relaynav.agent import (
     on_blocked,
     plan_to,
 )
+from relaynav.bus import Observation
 from relaynav.config import SensorConfig
+from relaynav.gates import DistanceFalloffScorer
 from relaynav.replan import PolicyContext, identity_priorities
 from relaynav.tasks import GOTO_PICKUP, PICK_UP, STOP, Subtask
 from relaynav.world import (
@@ -35,7 +39,7 @@ from relaynav.world import (
     bfs_shortest_path,
 )
 
-from support import center_pose, walled_lab
+from support import center_pose, lab_scene, walled_lab
 
 
 def ctx_with(chain):
@@ -50,6 +54,29 @@ def ctx_with(chain):
 def agent_at(scene, cell, heading=0, chain=None, knowledge="known"):
     chain = chain if chain is not None else (Subtask(GOTO_PICKUP, (13, 4)), Subtask(STOP, None))
     return make_agent(scene, "FH", center_pose(cell, heading), ctx_with(chain), knowledge)
+
+
+def set_rule_sightings(scene, state, sensor):
+    """Reference sightings: gather every sensed cell into a set, then test
+    each object's cell for membership."""
+    vis = scene.visibility(sensor.range_m)
+    cell = state.cell
+    offsets = vis.offsets
+    bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
+    err = (bearing - state.pose.heading + 180.0) % 360.0 - 180.0
+    mask = vis.visible_offsets(cell) & (np.abs(err) <= sensor.fov_deg / 2.0 + 1e-9)
+    visible_cells = {(int(x), int(y)) for x, y in offsets[mask] + np.array(cell)}
+    visible_cells.add(cell)
+    scorer = DistanceFalloffScorer(sensor.range_m)
+    sightings = []
+    for oid in sorted(scene.objects):
+        obj = scene.objects[oid]
+        if obj.cell in visible_cells:
+            score = scorer.score(scene, state.pose, obj)
+            if score > 0.0:
+                sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
+    sightings.sort(key=lambda o: (o.category, o.cell))
+    return tuple(sightings)
 
 
 class TestBelief:
@@ -71,6 +98,32 @@ class TestBelief:
 
 
 class TestObserve:
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 16),
+        st.integers(3, 16),
+        st.floats(0.25, 3.0),
+        st.sampled_from(range(0, 360, 15)),
+        st.sampled_from((60.0, 90.0, 120.0, 180.0, 360.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_sightings_match_set_membership_rule(self, seed, w, h, range_m, heading, fov):
+        rng = np.random.default_rng(seed)
+        blocked = np.ones((h, w), dtype=bool)
+        blocked[1:-1, 1:-1] = rng.random((h - 2, w - 2)) < 0.3
+        # objects anywhere, walls and the observer's own cell included
+        categories = ("cup", "bed", "sink")
+        objects = [
+            (f"o{i}", categories[i % 3], (int(rng.integers(w)), int(rng.integers(h))))
+            for i in range(8)
+        ]
+        scene = lab_scene(blocked, objects)
+        sensor = SensorConfig(range_m=range_m, fov_deg=fov)
+        for oy, ox in np.argwhere(~blocked):
+            state = agent_at(scene, (int(ox), int(oy)), heading)
+            _, sightings = observe(scene, state, sensor)
+            assert sightings == set_rule_sightings(scene, state, sensor)
+
     def make(self, **kw):
         objects = kw.pop("objects", (("o1", "bottle", (6, 4)), ("o2", "tv", (12, 6))))
         scene = walled_lab(objects=objects)

@@ -22,7 +22,7 @@ from relaynav.engine import (
 )
 from relaynav.replan import PolicyContext, identity_priorities
 from relaynav.tasks import DELIVER, DEPOSIT, PICK_UP, RECEIVE, STOP, Subtask
-from relaynav.world import ACTION_STOP, FORWARD_M
+from relaynav.world import ACTION_STOP, FORWARD_M, scene_from_dict, scene_to_dict
 
 from support import center_pose, walled_lab
 
@@ -256,6 +256,13 @@ class TestResultAndErrors:
         (scene_a, _), (_, episode_b) = batch10[0], batch10[1]
         with pytest.raises(RolloutError):
             run_lockstep(scene_a, episode_b, RolloutConfig())
+
+    def test_scene_with_other_resolution_raises(self, batch10):
+        scene, episode = batch10[0]
+        data = scene_to_dict(scene)
+        data["meta"]["resolution"] = 0.5
+        with pytest.raises(RolloutError, match="resolution"):
+            run_lockstep(scene_from_dict(data), episode, RolloutConfig())
 
     def test_invalid_config_rejected(self, batch10):
         scene, episode = batch10[0]

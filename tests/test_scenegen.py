@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from relaynav.config import SceneParams
 from relaynav.scenegen import generate_scene
 from relaynav.world import (
     PROVENANCE_GENERATOR,
@@ -76,3 +78,11 @@ def test_objects_sit_on_free_cells_inside_their_region():
     for obj in scene.objects.values():
         assert not scene.grid.is_blocked(obj.cell)
         assert obj.cell in scene.regions[obj.region_id].cells
+
+
+def test_non_default_resolution_rejected_by_name():
+    # robots step 0.25 m per forward move, one cell only at this resolution
+    with pytest.raises(ValueError, match="resolution"):
+        SceneParams(resolution=0.5).validate()
+    with pytest.raises(ValueError, match="resolution"):
+        generate_scene(1, SceneParams(resolution=0.5))

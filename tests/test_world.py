@@ -36,6 +36,8 @@ from relaynav.world import (
     wrap_angle,
 )
 
+from support import center_pose, lab_scene
+
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
 
 
@@ -226,6 +228,32 @@ class TestVisibility:
             if not grid.in_bounds(target):
                 continue
             assert bool(mask[i]) == line_of_sight(scene, pose, target, 3.0, 360.0)
+
+    @given(st.integers(0, 10_000), st.integers(3, 9), st.integers(3, 9), st.floats(0.25, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_field_agrees_with_ray_check_from_every_cell(self, seed, w, h, range_m):
+        # bordered grid with random interior walls; observers next to the
+        # border have rays that leave the grid
+        rng = np.random.default_rng(seed)
+        blocked = np.ones((h, w), dtype=bool)
+        blocked[1:-1, 1:-1] = rng.random((h - 2, w - 2)) < 0.3
+        scene = lab_scene(blocked)
+        vis = scene.visibility(range_m)
+        for oy, ox in np.argwhere(~blocked):
+            observer = (int(ox), int(oy))
+            mask = vis.visible_offsets(observer)
+            pose = center_pose(observer)
+            for ty, tx in np.ndindex(h, w):
+                dx, dy = tx - observer[0], ty - observer[1]
+                if dx == 0 and dy == 0:
+                    continue
+                seen = line_of_sight(scene, pose, (tx, ty), range_m, 360.0)
+                row = vis.offset_row(dx, dy)
+                if row < 0:
+                    assert not seen  # out of range
+                else:
+                    assert tuple(vis.offsets[row]) == (dx, dy)
+                    assert bool(mask[row]) == seen
 
 
 class TestBlockage:
