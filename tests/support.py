@@ -80,6 +80,13 @@ def lab_scene(blocked, objects=(), resolution=0.25, scene_id="lab"):
     return SceneGraph(scene_id, 0, grid, {"r0": region}, objs, {})
 
 
+def random_bordered_grid(seed, w, h, wall_p=0.3):
+    """Occupancy with a blocked border and interior walls drawn with ``wall_p``."""
+    blocked = np.ones((h, w), dtype=bool)
+    blocked[1:-1, 1:-1] = np.random.default_rng(seed).random((h - 2, w - 2)) < wall_p
+    return blocked
+
+
 def walled_lab(gap=True, objects=()):
     """9x16 room split by a wall at x=8, optionally pierced at (8, 4)."""
     blocked = np.ones((9, 16), dtype=bool)

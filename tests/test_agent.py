@@ -39,7 +39,7 @@ from relaynav.world import (
     bfs_shortest_path,
 )
 
-from support import center_pose, lab_scene, walled_lab
+from support import center_pose, lab_scene, random_bordered_grid, walled_lab
 
 
 def ctx_with(chain):
@@ -108,10 +108,9 @@ class TestObserve:
     )
     @settings(max_examples=40, deadline=None)
     def test_sightings_match_set_membership_rule(self, seed, w, h, range_m, heading, fov):
-        rng = np.random.default_rng(seed)
-        blocked = np.ones((h, w), dtype=bool)
-        blocked[1:-1, 1:-1] = rng.random((h - 2, w - 2)) < 0.3
+        blocked = random_bordered_grid(seed, w, h)
         # objects anywhere, walls and the observer's own cell included
+        rng = np.random.default_rng(seed + 1)
         categories = ("cup", "bed", "sink")
         objects = [
             (f"o{i}", categories[i % 3], (int(rng.integers(w)), int(rng.integers(h))))

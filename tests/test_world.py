@@ -36,7 +36,7 @@ from relaynav.world import (
     wrap_angle,
 )
 
-from support import center_pose, lab_scene
+from support import center_pose, lab_scene, random_bordered_grid
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
 
@@ -232,11 +232,8 @@ class TestVisibility:
     @given(st.integers(0, 10_000), st.integers(3, 9), st.integers(3, 9), st.floats(0.25, 3.0))
     @settings(max_examples=40, deadline=None)
     def test_field_agrees_with_ray_check_from_every_cell(self, seed, w, h, range_m):
-        # bordered grid with random interior walls; observers next to the
-        # border have rays that leave the grid
-        rng = np.random.default_rng(seed)
-        blocked = np.ones((h, w), dtype=bool)
-        blocked[1:-1, 1:-1] = rng.random((h - 2, w - 2)) < 0.3
+        # observers next to the border have rays that leave the grid
+        blocked = random_bordered_grid(seed, w, h)
         scene = lab_scene(blocked)
         vis = scene.visibility(range_m)
         for oy, ox in np.argwhere(~blocked):
