@@ -5,8 +5,10 @@ digest here unchanged. A change meant to alter output bytes re-pins them and
 gives the reason in CHANGES.md.
 
 The matrix covers the sensing, planning and replanning paths that every
-rollout takes, plus the transport (latency, jitter and drops) and a
-scheduled blockage, which rebuilds the scene and its visibility caches.
+rollout takes, plus the transport (latency, jitter and drops), a scheduled
+blockage, which rebuilds the scene and its visibility caches, discover mode
+(the belief, and so the planner's occupancy, changes on most ticks) and the
+static policy (coordination muted).
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from relaynav.serialize import write_canonical
 from relaynav.world import save_scene
 
 BLOCKAGE_TICK = 5
+# long enough for both discover-mode episodes to finish
+DISCOVER_T_MAX = 3000
 
 # file name -> sha256, per run of the matrix
 GOLDENS: dict[str, dict[str, str]] = {
@@ -54,6 +58,28 @@ GOLDENS: dict[str, dict[str, str]] = {
         ),
         "results.jsonl": (
             "c3cfbac17b49ce14da89a92f3dcd6c595f0e494142e468852adf96f60443abfe"
+        ),
+    },
+    "discover": {
+        "trace_s12294096317224395796-e4057778747611743522.jsonl": (
+            "dca9d0984b2e4da6653a298d542ba6bd56f98afc15892737373355a66c269263"
+        ),
+        "trace_s9622083055483119285-e9462582283155814529.jsonl": (
+            "01bb764aa16707ef739269a1c5930f8d946d03845f43f1dcd9bdfc0f9a6249ea"
+        ),
+        "results.jsonl": (
+            "f544308a279506fb74d265c1b4da2edd0d122d81f019d18f91ae94cc5e5403eb"
+        ),
+    },
+    "static": {
+        "trace_s12294096317224395796-e4057778747611743522.jsonl": (
+            "0a8f6d7bf584caf69e80bd1315c10f43a0169af9a424a2beb1e6502d2e1f6c57"
+        ),
+        "trace_s9622083055483119285-e9462582283155814529.jsonl": (
+            "f5461285d764fd81e940d89364962a60815f74ad0f1cf7f9afb2808923ae2a43"
+        ),
+        "results.jsonl": (
+            "9c4ee7c101719ce97efb0228b948bbeb8b14d422f150202f558e6aeb93682d23"
         ),
     },
 }
@@ -99,11 +125,19 @@ def _run(inputs, name: str) -> dict[str, str]:
     elif name == "distributed":
         transport = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
         do_run(episodes, scenes, out, RolloutConfig(mode="distributed", seed=5), transport)
+    elif name == "discover":
+        transport = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
+        cfg = RolloutConfig(
+            mode="distributed", knowledge="discover", t_max=DISCOVER_T_MAX, seed=5
+        )
+        do_run(episodes, scenes, out, cfg, transport)
+    elif name == "static":
+        do_run(episodes, scenes, out, RolloutConfig(policy="static", seed=5), None)
     else:
         do_run(blocked_episodes, scenes, out, RolloutConfig(seed=5), None, overrides)
     return _digests(out)
 
 
-@pytest.mark.parametrize("name", ["lockstep", "distributed", "blockage"])
+@pytest.mark.parametrize("name", ["lockstep", "distributed", "blockage", "discover", "static"])
 def test_run_outputs_match_pinned_digests(inputs, name):
     assert _run(inputs, name) == GOLDENS[name]
