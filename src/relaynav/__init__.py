@@ -106,6 +106,7 @@ from .tasks import FH_CHAIN, SH_CHAIN, Subtask, build_chains
 from .trace import Trace, emit_trace, load_trace
 from .transport import Transport
 from .world import (
+    Geodesics,
     Pose,
     SceneGraph,
     apply_blockage,
@@ -113,6 +114,5 @@ from .world import (
     geodesic_distance,
     load_scene,
     save_scene,
-    shortest_path,
     validate_scene,
 )

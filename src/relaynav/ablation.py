@@ -26,13 +26,7 @@ from .engine import RolloutResult, run_lockstep
 from .episodes import EpisodeSpec, generate_episode
 from .scenegen import generate_scene
 from .seeds import derive_seed
-from .world import (
-    Cell,
-    SceneGraph,
-    apply_blockage,
-    bfs_distance_field,
-    geodesic_distance,
-)
+from .world import Geodesics, SceneGraph, apply_blockage
 
 KIND_DETOUR = "detour"
 KIND_CUT = "cut"
@@ -106,17 +100,6 @@ class BlockageSuite:
         }
 
 
-def _dist_from(scene: SceneGraph, src: Cell):
-    field_ = bfs_distance_field(scene.grid.blocked, src)
-    res = scene.grid.resolution
-
-    def dist(dst: Cell) -> float:
-        steps = field_[dst[1], dst[0]]
-        return math.inf if steps < 0 else float(steps) * res
-
-    return dist
-
-
 def pick_route_blockage(
     scene: SceneGraph,
     episode: EpisodeSpec,
@@ -136,8 +119,14 @@ def pick_route_blockage(
     FH's own access to the handoff is essentially unharmed, so the swapped
     assignment stays cheap. Among qualifying corridors the one costing FH
     the most is returned, with the closure scheduled halfway to the gate.
+
+    Distances come from one geodesic memo for the open map and one per
+    closed corridor, each oriented to end at the target or the handoff, so
+    each map needs at most those two fields (and the delivery leg reads the
+    handoff's).
     """
     grid = scene.grid
+    res = grid.resolution
     target_cell = scene.objects[episode.target_object_id].cell
     path = list(episode.gt_path_fh)
     if target_cell not in path:
@@ -149,7 +138,8 @@ def pick_route_blockage(
     delivery = grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y)
     keep_free = {start_fh, start_sh, target_cell, handoff, delivery}
 
-    d_direct = geodesic_distance(scene, start_fh, target_cell)
+    open_geo = Geodesics(~grid.blocked)
+    d_direct = open_geo.meters(start_fh, target_cell, res)
     best: tuple[float, BlockagePlan] | None = None
     tally = stats if stats is not None else {}
     for cid in sorted(scene.corridors):
@@ -162,8 +152,8 @@ def pick_route_blockage(
         if steps_to is None or steps_to < 2:
             continue
         tally["on_route"] = tally.get("on_route", 0) + 1
-        blocked = apply_blockage(scene, cid)
-        d_post = geodesic_distance(blocked, start_fh, target_cell)
+        closed = Geodesics(~apply_blockage(scene, cid).grid.blocked)
+        d_post = closed.meters(start_fh, target_cell, res)
         if math.isinf(d_post):
             kind, extra = KIND_CUT, math.inf
         elif d_post >= d_direct + params.min_detour_extra_m:
@@ -171,50 +161,38 @@ def pick_route_blockage(
         else:
             tally["detour_too_short"] = tally.get("detour_too_short", 0) + 1
             continue
-        from_sh = _dist_from(blocked, start_sh)
-        from_target = _dist_from(blocked, target_cell)
-        from_handoff = _dist_from(blocked, handoff)
-        partner_ok = all(
-            math.isfinite(d)
-            for d in (
-                from_sh(target_cell),
-                from_target(handoff),
-                from_handoff(delivery),
-                from_sh(handoff),
-            )
-        )
-        if not partner_ok:
+        sh_target = closed.meters(start_sh, target_cell, res)
+        carry = closed.meters(target_cell, handoff, res)
+        onward = closed.meters(delivery, handoff, res)
+        sh_handoff = closed.meters(start_sh, handoff, res)
+        if not all(math.isfinite(d) for d in (sh_target, carry, onward, sh_handoff)):
             tally["partner_cut_off"] = tally.get("partner_cut_off", 0) + 1
             continue
         tick = max(1, steps_to // 2)
-        res = grid.resolution
         # the partner must stay the cheaper taker for the pickup even after
         # walking away from its start for up to `tick` steps
         drift = tick * res
-        if from_sh(target_cell) + drift + res > d_post:
+        if sh_target + drift + res > d_post:
             tally["taker_not_cheaper"] = tally.get("taker_not_cheaper", 0) + 1
             continue
-        if from_sh(target_cell) > d_direct + params.taker_slack_m:
+        if sh_target > d_direct + params.taker_slack_m:
             tally["taker_too_far"] = tally.get("taker_too_far", 0) + 1
             continue
         # the partner's natural route to the pickup must not run through the
         # closed gate: a blocked-map taker trip much longer than the open-map
         # one means it would discover the closure mid-route and pay for it
-        d_sh_tgt_pre = geodesic_distance(scene, start_sh, target_cell)
-        if from_sh(target_cell) > d_sh_tgt_pre + params.carry_slack_m:
+        if sh_target > open_geo.meters(start_sh, target_cell, res) + params.carry_slack_m:
             tally["taker_route_hit"] = tally.get("taker_route_hit", 0) + 1
             continue
         # the carry leg itself must survive the closure: whoever holds the
         # item still has to walk pickup -> handoff, so the gate must not sit
         # on that route either
-        d_carry_pre = geodesic_distance(scene, target_cell, handoff)
-        if from_target(handoff) > d_carry_pre + params.carry_slack_m:
+        if carry > open_geo.meters(target_cell, handoff, res) + params.carry_slack_m:
             tally["carry_leg_hit"] = tally.get("carry_leg_hit", 0) + 1
             continue
         # FH's post-swap leg to the handoff must dodge the closed gate cheaply
-        d_fh_handoff_pre = geodesic_distance(scene, start_fh, handoff)
-        d_fh_handoff_post = geodesic_distance(blocked, start_fh, handoff)
-        if d_fh_handoff_post > d_fh_handoff_pre + params.handoff_slack_m:
+        d_fh_handoff_post = closed.meters(start_fh, handoff, res)
+        if d_fh_handoff_post > open_geo.meters(start_fh, handoff, res) + params.handoff_slack_m:
             tally["handoff_leg_hit"] = tally.get("handoff_leg_hit", 0) + 1
             continue
         # post-swap repositioning overhead: FH's trip to the handoff replaces
@@ -222,7 +200,7 @@ def pick_route_blockage(
         # up to `tick` cells walking the wrong way before the closure fires;
         # that combined overhead must stay well under the detour savings or
         # the realized-path comparison degenerates into a coin flip
-        reposition = d_fh_handoff_post - from_sh(handoff) + 4.0 * drift
+        reposition = d_fh_handoff_post - sh_handoff + 4.0 * drift
         if reposition > params.reposition_slack_m:
             tally["reposition_cost"] = tally.get("reposition_cost", 0) + 1
             continue
@@ -232,9 +210,9 @@ def pick_route_blockage(
         critical = (
             max(
                 d_fh_handoff_post,
-                2.0 * drift + from_sh(target_cell) + from_target(handoff),
+                2.0 * drift + sh_target + carry,
             )
-            + from_handoff(delivery)
+            + onward
         )
         tally["qualified"] = tally.get("qualified", 0) + 1
         score = extra if math.isfinite(extra) else 1e9

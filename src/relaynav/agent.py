@@ -11,7 +11,7 @@ no hidden randomness, which is what makes rollouts replayable.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,6 +27,7 @@ from .world import (
     ACTION_STOP,
     FORWARD_M,
     Cell,
+    Geodesics,
     NEIGHBORS_4,
     Pose,
     SceneGraph,
@@ -56,6 +57,15 @@ class Plan:
     version: int
     goal: Cell | None
     frontier: bool = False
+    _rows_cols: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        xy = np.array(self.path, dtype=np.intp).reshape(-1, 2)
+        object.__setattr__(self, "_rows_cols", (xy[:, 1], xy[:, 0]))
+
+    def crosses_blocked(self, belief: np.ndarray) -> bool:
+        """True iff any cell of the path is believed blocked."""
+        return bool((belief[self._rows_cols] == BLOCKED).any())
 
     def steps_remaining_from(self, cell: Cell) -> int | None:
         try:
@@ -70,6 +80,7 @@ class AgentState:
     robot_id: str
     pose: Pose
     belief: np.ndarray  # int8 grid [cy, cx]: UNKNOWN / FREE / BLOCKED
+    geodesics: Geodesics  # over the belief's passable cells (not BLOCKED)
     policy_ctx: PolicyContext
     carrying: bool = False
     stopped: bool = False
@@ -115,7 +126,8 @@ def make_agent(
     belief = initial_belief(scene, knowledge)
     cell = scene.grid.cell_of(pose.x, pose.y)
     belief[cell[1], cell[0]] = FREE
-    return AgentState(robot_id=robot_id, pose=pose, belief=belief, policy_ctx=policy_ctx)
+    geodesics = Geodesics(_passable(belief))
+    return AgentState(robot_id, pose, belief, geodesics, policy_ctx)
 
 
 # --- sensing --------------------------------------------------------------
@@ -131,8 +143,9 @@ def observe(
     visible objects (on the robot's cell, or at an offset whose row of the
     field's offset table is sensed) yield scored observations. Ray geometry
     and FOV masks are per process, visibility masks per scene (see
-    :class:`~relaynav.world.VisibilityField`). Deterministic and, from a
-    fixed pose on a fixed world, idempotent on the belief.
+    :class:`~relaynav.world.VisibilityField`). The geodesic memo is replaced
+    only when a cell's passability flips. Deterministic and, from a fixed
+    pose on a fixed world, idempotent on the belief.
     """
     vis = scene.visibility(sensor.range_m)
     cell = state.cell
@@ -142,11 +155,15 @@ def observe(
     cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
 
     belief = state.belief.copy()
-    belief[cell[1], cell[0]] = BLOCKED if scene.grid.blocked[cell[1], cell[0]] else FREE
+    here = scene.grid.blocked[cell[1], cell[0]]
+    belief[cell[1], cell[0]] = BLOCKED if here else FREE
     truth = scene.grid.blocked[cells[:, 1], cells[:, 0]]
     belief[cells[:, 1], cells[:, 0]] = np.where(truth, BLOCKED, FREE)
 
     was = state.belief[cells[:, 1], cells[:, 0]]
+    geodesics = state.geodesics
+    if here != (state.belief[cell[1], cell[0]] == BLOCKED) or (truth != (was == BLOCKED)).any():
+        geodesics = Geodesics(_passable(belief))
     flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
     newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
 
@@ -164,6 +181,7 @@ def observe(
     new_state = replace(
         state,
         belief=belief,
+        geodesics=geodesics,
         pending_blocked_edges=state.pending_blocked_edges + tuple(newly_blocked),
     )
     if newly_blocked and state.plan is not None:
@@ -216,13 +234,14 @@ def plan_to(state: AgentState, goal: Cell | None, now: int) -> Plan:
     plan tells the caller the agent is stuck.
     """
     start = state.cell
+    geo = state.geodesics
     if goal is not None:
-        path = bfs_shortest_path(_passable(state.belief), start, goal)
+        path = bfs_shortest_path(geo.passable, start, goal, geo)
         if path is not None:
             return Plan(tuple(path), now, goal)
     frontier = _nearest_frontier(state.belief, start)
     if frontier is not None:
-        path = bfs_shortest_path(_passable(state.belief), start, frontier)
+        path = bfs_shortest_path(geo.passable, start, frontier, geo)
         if path is not None:
             return Plan(tuple(path), now, frontier, frontier=True)
     return Plan((), now, None)
@@ -262,7 +281,7 @@ def ensure_plan(state: AgentState, now: int) -> AgentState:
         plan is not None
         and plan.path
         and plan.steps_remaining_from(state.cell) is not None
-        and all(state.belief[cy, cx] != BLOCKED for cx, cy in plan.path)
+        and not plan.crosses_blocked(state.belief)
     ):
         if not plan.frontier and plan.goal == goal:
             return state
@@ -274,7 +293,8 @@ def ensure_plan(state: AgentState, now: int) -> AgentState:
 # --- action selection -----------------------------------------------------
 
 
-def _within(pose: Pose, cell: Cell, radius_m: float, resolution: float) -> bool:
+def within(pose: Pose, cell: Cell, radius_m: float, resolution: float) -> bool:
+    """True iff the cell's center lies within ``radius_m`` of the pose."""
     cx, cy = (cell[0] + 0.5) * resolution, (cell[1] + 0.5) * resolution
     return math.hypot(cx - pose.x, cy - pose.y) <= radius_m + _EPS
 
@@ -292,14 +312,14 @@ def next_action(state: AgentState, r_succ: float, r_int: float, resolution: floa
     active = state.active_subtask()
     if active is None or active.kind == TASK_STOP:
         return ACTION_STOP
-    if active.is_goto() and active.waypoint is not None and _within(
+    if active.is_goto() and active.waypoint is not None and within(
         state.pose, active.waypoint, r_succ, resolution
     ):
         return ACTION_STOP
-    if active.is_interaction():
-        anchor = active.waypoint if active.waypoint is not None else None
-        if anchor is not None and _within(state.pose, anchor, r_int, resolution):
-            return ACTION_STOP
+    if active.is_interaction() and active.waypoint is not None and within(
+        state.pose, active.waypoint, r_int, resolution
+    ):
+        return ACTION_STOP
     plan = state.plan
     if plan is None or not plan.path:
         return ACTION_STOP
@@ -333,6 +353,7 @@ def on_blocked(state: AgentState, edge: tuple[Cell, Cell], now: int) -> AgentSta
     return replace(
         state,
         belief=belief,
+        geodesics=Geodesics(_passable(belief)),
         plan=None,
         pending_blocked_edges=state.pending_blocked_edges + (edge,),
     )

@@ -211,8 +211,3 @@ def record_dialogue(bus: BusState, record: DialogueRecord) -> BusState:
     if bus.dialogue and record.tick < bus.dialogue[-1].tick:
         raise ValueError("dialogue ticks must be non-decreasing")
     return replace(bus, dialogue=bus.dialogue + (record,))
-
-
-def snapshot(bus: BusState) -> BusState:
-    """The bus is immutable-by-construction, so a snapshot is the value itself."""
-    return bus

@@ -94,14 +94,20 @@ class RejectionOnly(RuntimeError):
 # --- config resolution ----------------------------------------------------
 
 
+CONFIG_SECTIONS = frozenset({"rollout", "sensor", "trigger", "transport"})
+
+
+def _check_sections(cfg: dict) -> None:
+    unknown = set(cfg) - CONFIG_SECTIONS
+    if unknown:
+        raise UsageError(f"unknown config sections: {', '.join(sorted(unknown))}")
+
+
 def load_config_file(path: str | Path) -> dict:
     data = read_json(path)
     if not isinstance(data, dict):
         raise UsageError(f"config file {path} must hold a JSON object")
-    known = {"rollout", "sensor", "trigger", "transport", "scene"}
-    unknown = set(data) - known
-    if unknown:
-        raise UsageError(f"unknown config sections: {', '.join(sorted(unknown))}")
+    _check_sections(data)
     return data
 
 
@@ -118,17 +124,17 @@ def _build_section(cls, file_section: dict, overrides: dict):
 def resolve_run_config(
     file_cfg: dict, rollout_overrides: dict, transport_overrides: dict
 ) -> tuple[RolloutConfig, TransportConfig | None]:
+    _check_sections(file_cfg)
+    rollout_file = file_cfg.get("rollout", {})
+    nested = [f"rollout.{k}" for k in ("sensor", "trigger", "blockage_schedule") if k in rollout_file]
+    if nested:
+        raise UsageError(
+            f"config keys not read: {', '.join(nested)} (sensor and trigger are "
+            "top-level sections; blockages come per episode from --overrides)"
+        )
     sensor = _build_section(SensorConfig, file_cfg.get("sensor", {}), {})
     trigger = _build_section(TriggerConfig, file_cfg.get("trigger", {}), {})
-    rollout = _build_section(
-        RolloutConfig,
-        {
-            k: v
-            for k, v in file_cfg.get("rollout", {}).items()
-            if k not in ("sensor", "trigger", "blockage_schedule")
-        },
-        rollout_overrides,
-    )
+    rollout = _build_section(RolloutConfig, rollout_file, rollout_overrides)
     rollout = replace(rollout, sensor=sensor, trigger=trigger)
     rollout.validate()
     transport: TransportConfig | None = None

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .agent import (
     AgentState,
-    BLOCKED,
     advance_subtask,
     ensure_plan,
     drain_signals,
@@ -25,6 +26,7 @@ from .agent import (
     note_progress,
     observe,
     on_blocked,
+    within,
 )
 from .bus import (
     BusState,
@@ -60,10 +62,10 @@ from .world import (
     ACTION_STOP,
     Cell,
     FORWARD_M,
+    Geodesics,
     HEADING_VECTORS,
     SceneGraph,
     apply_blockage,
-    geodesic_distance,
     step_kinematics,
 )
 
@@ -72,6 +74,9 @@ AT_HANDOFF = "AtHandoff"
 DELIVERED = "Delivered"
 STATIC_PHASES = frozenset({AT_PICKUP, AT_HANDOFF, DELIVERED})
 PHASES = (AT_PICKUP, "CarriedByFH", AT_HANDOFF, "CarriedBySH", DELIVERED)
+# interactions that take the item from where it rests / set it down at the waypoint
+_TAKES = {"PickUp": AT_PICKUP, "Receive": AT_HANDOFF}
+_PUTS = {"Deposit": AT_HANDOFF, "Deliver": DELIVERED}
 
 
 def carried_by(robot_id: str) -> str:
@@ -165,11 +170,6 @@ class RolloutResult:
         )
 
 
-def _within(pose, cell: Cell, radius_m: float, resolution: float) -> bool:
-    cx, cy = (cell[0] + 0.5) * resolution, (cell[1] + 0.5) * resolution
-    return math.hypot(cx - pose.x, cy - pose.y) <= radius_m + 1e-9
-
-
 def commit_actions(
     scene: SceneGraph,
     item: ItemState,
@@ -231,38 +231,20 @@ def _resolve_interaction(
     res: float,
 ) -> tuple[bool, ItemState]:
     kind = active.kind
-    if kind == "PickUp":
+    if kind in _TAKES:
         if (
-            item_start.phase == AT_PICKUP
-            and item_cur.phase == AT_PICKUP
-            and _within(st.pose, item_start.cell, cfg.r_int, res)
+            item_start.phase == _TAKES[kind]
+            and item_cur.phase == _TAKES[kind]
+            and within(st.pose, item_start.cell, cfg.r_int, res)
         ):
             return True, ItemState(carried_by(rid), None, rid)
-        return False, item_cur
-    if kind == "Deposit":
+    elif kind in _PUTS:
         if (
             item_start.carrier == rid
             and active.waypoint is not None
-            and _within(st.pose, active.waypoint, cfg.r_int, res)
+            and within(st.pose, active.waypoint, cfg.r_int, res)
         ):
-            return True, ItemState(AT_HANDOFF, active.waypoint, None)
-        return False, item_cur
-    if kind == "Receive":
-        if (
-            item_start.phase == AT_HANDOFF
-            and item_cur.phase == AT_HANDOFF
-            and _within(st.pose, item_start.cell, cfg.r_int, res)
-        ):
-            return True, ItemState(carried_by(rid), None, rid)
-        return False, item_cur
-    if kind == "Deliver":
-        if (
-            item_start.carrier == rid
-            and active.waypoint is not None
-            and _within(st.pose, active.waypoint, cfg.r_int, res)
-        ):
-            return True, ItemState(DELIVERED, active.waypoint, None)
-        return False, item_cur
+            return True, ItemState(_PUTS[kind], active.waypoint, None)
     return False, item_cur
 
 
@@ -375,13 +357,6 @@ def _run(
     def bus_for(rid: str) -> BusState:
         return shared_bus if replicas is None else replicas[rid]
 
-    def set_bus(rid: str, value: BusState) -> None:
-        nonlocal shared_bus
-        if replicas is None:
-            shared_bus = value
-        else:
-            replicas[rid] = value
-
     def everywhere(fn) -> None:
         """Apply a bus update engine-side: on the shared bus or all replicas."""
         nonlocal shared_bus
@@ -474,7 +449,7 @@ def _run(
                 and chains_bound
             ):
                 swap_inputs = SwapInputs(
-                    passable={r: states[r].belief != BLOCKED for r in ROBOTS},
+                    geodesics={r: states[r].geodesics for r in ROBOTS},
                     positions={r: states[r].cell for r in ROBOTS},
                     chains={r: states[r].policy_ctx.chain for r in ROBOTS},
                     item_static=True,
@@ -493,7 +468,8 @@ def _run(
                 decision.kind == SWAP_SUBTASKS
                 and new_pctx.chain != st.policy_ctx.chain
             )
-            st = replace(st, policy_ctx=new_pctx)
+            if new_pctx is not st.policy_ctx:
+                st = replace(st, policy_ctx=new_pctx)
             if swapped:
                 st = replace(st, plan=None, best_steps=math.inf)
                 other = partner_of(rid)
@@ -517,10 +493,12 @@ def _run(
                 everywhere(lambda b, rec=rec: record_dialogue(b, rec))
                 tick_dialogue.append(rec.to_dict())
                 dialogue_total += 1
-            st = replace(
-                st,
-                policy_ctx=replace(st.policy_ctx, anchors=dict(composed[rid].anchors)),
-            )
+            # readers look anchors up by key, so an equal dict is left in place
+            if st.policy_ctx.anchors != composed[rid].anchors:
+                st = replace(
+                    st,
+                    policy_ctx=replace(st.policy_ctx, anchors=dict(composed[rid].anchors)),
+                )
             states[rid] = st
 
         # 7. action selection
@@ -550,7 +528,7 @@ def _run(
                     if (
                         active.is_goto()
                         and active.waypoint is not None
-                        and _within(st.pose, active.waypoint, cfg.r_succ, res)
+                        and within(st.pose, active.waypoint, cfg.r_succ, res)
                     ):
                         st = advance_subtask(st, now)
                     elif active.kind == STOP:
@@ -602,6 +580,8 @@ def _run(
 
 
 def replace_roles(bus: BusState, roles: dict) -> BusState:
+    if bus.roles == roles:
+        return bus
     return replace(bus, roles=dict(roles))
 
 
@@ -618,13 +598,18 @@ def _score_rollout(
 ) -> RolloutResult:
     ne = {}
     success = {}
+    passable = ~base_scene.grid.blocked
     for rid in ROBOTS:
         st = states[rid]
         goal = final_goals[rid]
         if goal is None:
             ne[rid] = math.inf
         else:
-            ne[rid] = geodesic_distance(base_scene, st.cell, goal)
+            # a robot that believes the true map may already hold the field
+            geo = st.geodesics
+            if not np.array_equal(geo.passable, passable):
+                geo = Geodesics(passable)
+            ne[rid] = geo.meters(st.cell, goal, base_scene.grid.resolution)
         chain_done = st.stopped and not st.policy_ctx.chain
         success[rid] = bool(chain_done and ne[rid] <= cfg.r_succ)
     return RolloutResult(

@@ -20,13 +20,14 @@ from .gates import GateReport, trigate_check
 from .seeds import derive_seed
 from .world import (
     Cell,
+    Geodesics,
     Pose,
     SceneGraph,
     SceneObject,
     TURN_DEG,
     UNKNOWN_LABEL,
+    bfs_shortest_path,
     path_length_m,
-    shortest_path,
 )
 
 FH = "FH"
@@ -142,14 +143,8 @@ def render_instruction(episode: EpisodeSpec, scene: SceneGraph | None = None) ->
         if scene is not None
         else episode.instruction.split(" in the ")[0].removeprefix("Take the ")
     )
-    rooms = (episode.pickup_room, episode.handoff_room, episode.delivery_room)
-    if UNKNOWN_LABEL in rooms:
-        raise ValueError("cannot render an instruction over Unknown room labels")
-    return INSTRUCTION_TEMPLATE.format(
-        target=target_category,
-        pickup_room=episode.pickup_room,
-        delivery_room=episode.delivery_room,
-        handoff_room=episode.handoff_room,
+    return _render(
+        target_category, episode.pickup_room, episode.handoff_room, episode.delivery_room
     )
 
 
@@ -292,13 +287,14 @@ def generate_episode(
     start_sh = _sample_start(scene, rng)
 
     grid = scene.grid
-    leg1 = shortest_path(scene, grid.cell_of(start_fh.x, start_fh.y), target.cell)
-    leg2 = shortest_path(scene, target.cell, grid.cell_of(handoff_wp.x, handoff_wp.y))
-    leg3 = shortest_path(
-        scene, grid.cell_of(start_sh.x, start_sh.y), grid.cell_of(handoff_wp.x, handoff_wp.y)
+    fh0, sh0, handoff, drop = (
+        grid.cell_of(p.x, p.y) for p in (start_fh, start_sh, handoff_wp, delivery_wp)
     )
-    leg4 = shortest_path(
-        scene, grid.cell_of(handoff_wp.x, handoff_wp.y), grid.cell_of(delivery_wp.x, delivery_wp.y)
+    # one memo for the four legs: legs 2 and 3 share the field to the handoff
+    geo = Geodesics(~grid.blocked)
+    leg1, leg2, leg3, leg4 = (
+        bfs_shortest_path(geo.passable, a, b, geo)
+        for a, b in ((fh0, target.cell), (target.cell, handoff), (sh0, handoff), (handoff, drop))
     )
     if any(leg is None for leg in (leg1, leg2, leg3, leg4)):
         return EpisodeRejection(scene.scene_id, seed, "routing", _tally_dict(tallies))

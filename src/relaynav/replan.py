@@ -15,12 +15,10 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping
 
-import numpy as np
-
 from .bus import AnchorEntry, BusState, ComposedContext, DialogueRecord, Observation, partner_of
 from .config import TriggerConfig
 from .tasks import Subtask, rebind_target
-from .world import Cell, NEIGHBORS_4, bfs_distance_field
+from .world import Cell, Geodesics, NEIGHBORS_4
 
 STAGE_COMPLETE = "StageComplete"
 TARGET_DISCOVERED = "TargetDiscovered"
@@ -246,11 +244,11 @@ def filter_events(events: list[Event], history: list[Event], cfg: TriggerConfig)
 
 @dataclass(frozen=True)
 class SwapInputs:
-    """The symmetric reassignment rule's inputs: per-robot traversability
-    (believed or true), positions, the two remaining chains, and whether the
-    item currently rests at a static waypoint."""
+    """The symmetric reassignment rule's inputs: per-robot geodesics over
+    believed (or true) traversability, positions, the two remaining chains,
+    and whether the item currently rests at a static waypoint."""
 
-    passable: Mapping[str, np.ndarray]
+    geodesics: Mapping[str, Geodesics]
     positions: Mapping[str, Cell]
     chains: Mapping[str, tuple[Subtask, ...]]
     item_static: bool
@@ -258,7 +256,7 @@ class SwapInputs:
 
 
 def _chain_cost(
-    passable: np.ndarray, start: Cell, chain: tuple[Subtask, ...], resolution: float
+    geodesics: Geodesics, start: Cell, chain: tuple[Subtask, ...], resolution: float
 ) -> float:
     """Geodesic sum along the chain's bound waypoints; infinite when any leg
     is unreachable. Unbound waypoints contribute nothing."""
@@ -267,10 +265,10 @@ def _chain_cost(
     for st in chain:
         if st.waypoint is None or st.waypoint == cur:
             continue
-        steps = bfs_distance_field(~passable, cur)[st.waypoint[1], st.waypoint[0]]
+        steps = geodesics.steps(cur, st.waypoint)
         if steps < 0:
             return math.inf
-        total_steps += int(steps)
+        total_steps += steps
         cur = st.waypoint
     return total_steps * resolution
 
@@ -289,13 +287,11 @@ def evaluate_swap(inputs: SwapInputs, cfg: TriggerConfig) -> ReplanDecision:
     if len(robots) != 2:
         raise ValueError("swap evaluation needs exactly two robots")
     a, b = robots
-    keep = {
-        r: _chain_cost(inputs.passable[r], inputs.positions[r], inputs.chains[r], inputs.resolution)
-        for r in robots
-    }
+    geo, pos, res = inputs.geodesics, inputs.positions, inputs.resolution
+    keep = {r: _chain_cost(geo[r], pos[r], inputs.chains[r], res) for r in robots}
     swap = {
-        a: _chain_cost(inputs.passable[a], inputs.positions[a], inputs.chains[b], inputs.resolution),
-        b: _chain_cost(inputs.passable[b], inputs.positions[b], inputs.chains[a], inputs.resolution),
+        a: _chain_cost(geo[a], pos[a], inputs.chains[b], res),
+        b: _chain_cost(geo[b], pos[b], inputs.chains[a], res),
     }
     max_keep, max_swap = max(keep.values()), max(swap.values())
     take = False

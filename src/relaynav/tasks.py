@@ -71,7 +71,3 @@ def rebind_target(chain: tuple[Subtask, ...], cell: Cell) -> tuple[Subtask, ...]
         Subtask(st.kind, cell) if st.kind in (GOTO_PICKUP, PICK_UP) else st
         for st in chain
     )
-
-
-def chain_names(chain: tuple[Subtask, ...]) -> tuple[str, ...]:
-    return tuple(st.kind for st in chain)

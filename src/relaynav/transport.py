@@ -34,14 +34,12 @@ class Transport:
     _last_sched: dict = field(default_factory=dict)
     sent: int = 0
     dropped: int = 0
-    delivered_ts: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         self._rng = {r: make_rng(self.cfg.seed, "transport", r) for r in ROBOTS}
         for r in ROBOTS:
             self._seq.setdefault(r, 0)
             self._last_sched.setdefault(r, 0)
-            self.delivered_ts.setdefault(r, [])
 
     def send(self, sender: str, packet: SemanticPacket, now: int) -> None:
         """Schedule (or drop) one packet. Both random draws always happen so
@@ -65,6 +63,5 @@ class Transport:
         out: list[Delivery] = []
         while self._heap and self._heap[0][0] <= now:
             deliver_at, sender, seq, packet = heapq.heappop(self._heap)
-            self.delivered_ts[sender].append(packet.ts)
             out.append(Delivery(deliver_at, sender, seq, packet))
         return out

@@ -329,50 +329,83 @@ def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
     return dist
 
 
+class Geodesics:
+    """Distance fields over one passable mask, each built once per target.
+
+    A 4-connected grid is symmetric, so ``field(b)`` serves every query
+    ending (or starting) at ``b``: ``steps(a, b)`` reads it at ``a`` and
+    :func:`bfs_shortest_path` descends it from ``a``. A memo never sees a
+    later change to its mask, so its holder keeps one per occupancy: a robot
+    one per believed passability (``observe`` and ``on_blocked`` replace
+    it), ``generate_episode`` one per call, ``pick_route_blockage`` one per
+    map. Nothing is kept at module level.
+    """
+
+    def __init__(self, passable: np.ndarray):
+        self.passable = passable
+        self._fields: dict[Cell, np.ndarray] = {}
+
+    def field(self, target: Cell) -> np.ndarray:
+        """Read-only step counts to ``target``; -1 marks unreachable."""
+        field_ = self._fields.get(target)
+        if field_ is None:
+            field_ = bfs_distance_field(~self.passable, target)
+            field_.setflags(write=False)
+            self._fields[target] = field_
+        return field_
+
+    def steps(self, a: Cell, b: Cell) -> int:
+        """4-connected step count from ``a`` to ``b``; -1 when unreachable."""
+        return int(self.field(b)[a[1], a[0]])
+
+    def meters(self, a: Cell, b: Cell, resolution: float) -> float:
+        """Geodesic length in meters; 0 when ``a == b``, ``inf`` when unreachable."""
+        if a == b:
+            return 0.0
+        steps = self.steps(a, b)
+        return math.inf if steps < 0 else float(steps) * resolution
+
+
 def geodesic_distance(scene: SceneGraph, a: Cell, b: Cell) -> float:
     """Shortest 4-connected path length in meters; ``inf`` when unreachable."""
     grid = scene.grid
     if not grid.in_bounds(a) or not grid.in_bounds(b):
         raise ValueError("geodesic endpoints must lie inside the grid")
-    if a == b:
-        return 0.0
-    steps = bfs_distance_field(grid.blocked, a)[b[1], b[0]]
-    return math.inf if steps < 0 else float(steps) * grid.resolution
+    return Geodesics(~grid.blocked).meters(a, b, grid.resolution)
 
 
-def bfs_shortest_path(passable: np.ndarray, a: Cell, b: Cell) -> list[Cell] | None:
-    """Deterministic BFS path over a boolean traversability mask."""
-    h, w = passable.shape
-    if not passable[a[1], a[0]] or not passable[b[1], b[0]]:
+def bfs_shortest_path(
+    passable: np.ndarray, a: Cell, b: Cell, geodesics: Geodesics | None = None
+) -> list[Cell] | None:
+    """Lexicographically smallest shortest path from ``a`` to ``b`` (step
+    directions ranked in ``NEIGHBORS_4`` order); ``None`` if unreachable.
+
+    A queue BFS from ``a`` expanding in ``NEIGHBORS_4`` order dequeues each
+    layer in the order of its cells' tree-path direction strings, so each
+    parent is the predecessor with the smallest tree path and the parent
+    chain to ``b`` is this path. Greedy descent over the distance field to
+    ``b`` finds it too: from ``a``, step to the first neighbour in
+    ``NEIGHBORS_4`` order one step closer. ``geodesics``, a memo over this
+    same mask, supplies the field and keeps it for later queries.
+    """
+    if geodesics is None:
+        geodesics = Geodesics(passable)
+    field_ = geodesics.field(b)
+    h, w = field_.shape
+    x, y = a
+    d = int(field_[y, x])
+    if d < 0:
         return None
-    if a == b:
-        return [a]
-    parent: dict[Cell, Cell] = {a: a}
-    queue: list[Cell] = [a]
-    qi = 0
-    while qi < len(queue):
-        cur = queue[qi]
-        qi += 1
-        if cur == b:
-            break
-        cx, cy = cur
+    path = [a]
+    while d > 0:
+        d -= 1
         for dx, dy in NEIGHBORS_4:
-            nxt = (cx + dx, cy + dy)
-            nx, ny = nxt
-            if 0 <= nx < w and 0 <= ny < h and passable[ny, nx] and nxt not in parent:
-                parent[nxt] = cur
-                queue.append(nxt)
-    if b not in parent:
-        return None
-    path = [b]
-    while path[-1] != a:
-        path.append(parent[path[-1]])
-    path.reverse()
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < w and 0 <= ny < h and field_[ny, nx] == d:
+                break
+        x, y = nx, ny
+        path.append((x, y))
     return path
-
-
-def shortest_path(scene: SceneGraph, a: Cell, b: Cell) -> list[Cell] | None:
-    return bfs_shortest_path(~scene.grid.blocked, a, b)
 
 
 def path_length_m(path: list[Cell], resolution: float) -> float:

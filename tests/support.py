@@ -9,6 +9,7 @@ from relaynav.scenegen import generate_scene
 from relaynav.tasks import build_chains
 from relaynav.world import (
     PROVENANCE_GENERATOR,
+    Geodesics,
     GridMap,
     Pose,
     Region,
@@ -32,7 +33,7 @@ def random_swap_config(seed: int, n_scenes: int = 4):
     Draws a scene (sometimes with a corridor blocked, so unreachable legs
     occur), random free-cell positions and relay waypoints, random chain
     truncations, and a random carried/at-rest item flag. Returns
-    ``(scene, SwapInputs)`` where the per-robot traversability is the scene's
+    ``(scene, SwapInputs)`` whose per-robot geodesics run over the scene's
     true free space.
     """
     rng = np.random.default_rng(seed)
@@ -52,7 +53,7 @@ def random_swap_config(seed: int, n_scenes: int = 4):
         "SH": full["SH"][int(rng.integers(len(full["SH"]))):],
     }
     inputs = SwapInputs(
-        passable={r: ~scene.grid.blocked for r in chains},
+        geodesics={r: Geodesics(~scene.grid.blocked) for r in chains},
         positions={"FH": pick(), "SH": pick()},
         chains=chains,
         item_static=bool(rng.integers(2)),

@@ -36,7 +36,9 @@ from relaynav.world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
+    bfs_distance_field,
     bfs_shortest_path,
+    step_kinematics,
 )
 
 from support import center_pose, lab_scene, random_bordered_grid, walled_lab
@@ -163,6 +165,16 @@ class TestObserve:
         assert 0.0 < sightings[0].score <= 1.0
         assert sightings[0].cell == (6, 4)
 
+    def test_memo_follows_a_believed_wall_sensed_free(self):
+        # a bump can mark a free cell blocked; sensing it free again must
+        # give the robot geodesics that pass through it
+        scene = walled_lab()
+        state = on_blocked(agent_at(scene, (7, 4)), ((7, 4), (8, 4)), now=0)
+        assert state.geodesics.steps((7, 4), (9, 4)) == -1
+        state, _ = observe(scene, state, SensorConfig())
+        assert state.belief[4, 8] == FREE
+        assert state.geodesics.steps((7, 4), (9, 4)) == 2
+
     def test_newly_blocked_edge_on_flipped_cell_and_plan_drop(self):
         open_scene = walled_lab()
         closed_scene = walled_lab(gap=False)
@@ -224,6 +236,49 @@ class TestPlanning:
         replanned = ensure_plan(bumped, now=1)
         assert replanned.plan is not None
         assert ire[1] not in replanned.plan.path
+
+    def test_replans_around_a_bumped_cell_mid_plan(self):
+        # the first plan leaves the field to the goal in the robot's memo;
+        # a bump on a later cell of that plan must not be planned through
+        scene = walled_lab()
+        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        old_memo = state.geodesics
+        cut = state.plan.path[4]
+        bumped = on_blocked(state, (state.plan.path[3], cut), now=1)
+        assert bumped.geodesics is not old_memo
+        replanned = ensure_plan(bumped, now=1)
+        assert cut not in replanned.plan.path
+        want = bfs_shortest_path(bumped.belief != BLOCKED, (2, 4), (13, 4))
+        assert replanned.plan.path == tuple(want)
+
+    def test_memo_holds_fields_of_the_current_belief_only(self):
+        # a discover-mode walk through the doorway: the belief gains walls on
+        # most ticks; the memo must follow every change of passability, keep
+        # its fields otherwise, and never serve a field of an older belief
+        scene = walled_lab()
+        state = agent_at(scene, (2, 4), knowledge="discover")
+        kept = replaced = 0
+        for now in range(60):
+            before = state.geodesics
+            state, _ = observe(scene, state, SensorConfig())
+            state = ensure_plan(state, now)
+            action = next_action(state, 0.05, 0.05)
+            pose, bumped = step_kinematics(scene, state.pose, action)
+            if bumped:
+                state = on_blocked(state, (state.cell, state.plan.path[1]), now)
+            else:
+                state = replace(state, pose=pose)
+            geo = state.geodesics
+            assert np.array_equal(geo.passable, state.belief != BLOCKED)
+            for target in ((13, 4), state.plan.goal if state.plan else None):
+                if target is not None:
+                    fresh = bfs_distance_field(state.belief == BLOCKED, target)
+                    assert np.array_equal(geo.field(target), fresh)
+            if geo is before:
+                kept += 1
+            else:
+                replaced += 1
+        assert kept and replaced
 
     def test_ensure_plan_for_terminal_stop(self):
         scene = walled_lab()

@@ -219,6 +219,22 @@ class TestConfigResolution:
         with pytest.raises(UsageError):
             load_config_file(path)
 
+    def test_scene_section_rejected_by_name(self):
+        with pytest.raises(UsageError, match="scene"):
+            resolve_run_config({"scene": {"grid_width": 9999}}, {}, {})
+
+    def test_unknown_section_rejected_by_resolution(self):
+        with pytest.raises(UsageError, match="bogus"):
+            resolve_run_config({"bogus": 1}, {}, {})
+
+    def test_rollout_blockage_schedule_rejected_by_name(self):
+        with pytest.raises(UsageError, match="rollout.blockage_schedule"):
+            resolve_run_config({"rollout": {"blockage_schedule": [[5, "c0"]]}}, {}, {})
+
+    def test_nested_rollout_sensor_rejected_by_name(self):
+        with pytest.raises(UsageError, match="rollout.sensor"):
+            resolve_run_config({"rollout": {"sensor": {"range_m": 9}}}, {}, {})
+
     def test_config_env_var_is_read(self, pipeline, monkeypatch, tmp_path):
         root, scenes, episodes = pipeline
         path = tmp_path / "cfg.json"

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
-from relaynav.agent import make_agent
+from relaynav.agent import make_agent, on_blocked
 from relaynav.config import RolloutConfig, TransportConfig
 from relaynav.engine import (
     AT_HANDOFF,
@@ -16,6 +17,7 @@ from relaynav.engine import (
     ItemState,
     RolloutError,
     RolloutResult,
+    _score_rollout,
     commit_actions,
     run_distributed,
     run_lockstep,
@@ -251,6 +253,21 @@ class TestResultAndErrors:
             subtasks_remaining_sh=4, ticks=88, swap_count=1, dialogue_count=2,
         )
         assert RolloutResult.from_dict(result.to_dict()) == result
+
+    def test_navigation_error_is_measured_on_the_true_map(self):
+        # FH wrongly believes the doorway blocked; its own geodesics would
+        # call the goal unreachable, the score must not
+        scene = walled_lab()
+        states = {}
+        for rid in ("FH", "SH"):
+            ctx = PolicyContext(rid, "bottle", (), identity_priorities(()))
+            states[rid] = make_agent(scene, rid, center_pose((7, 4)), ctx)
+        states["FH"] = on_blocked(states["FH"], ((7, 4), (8, 4)), now=0)
+        result = _score_rollout(
+            scene, SimpleNamespace(episode_id="ep"), RolloutConfig(), states,
+            {"FH": (13, 4), "SH": (2, 4)}, {"FH": 0.0, "SH": 0.0}, 1, 0, 0,
+        )
+        assert result.ne_fh_m == 6 * FORWARD_M and result.ne_sh_m == 5 * FORWARD_M
 
     def test_scene_episode_mismatch_raises(self, batch10):
         (scene_a, _), (_, episode_b) = batch10[0], batch10[1]

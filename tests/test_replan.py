@@ -33,6 +33,7 @@ from relaynav.replan import (
 )
 from relaynav.seeds import derive_seed
 from relaynav.tasks import GOTO_PICKUP, STOP, Subtask, build_chains
+from relaynav.world import Geodesics
 
 from support import random_swap_config
 
@@ -208,7 +209,7 @@ def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at, item_static=True):
         "SH": (Subtask(GOTO_PICKUP, sh_goal), Subtask(STOP, None)),
     }
     return SwapInputs(
-        passable={r: passable for r in chains},
+        geodesics={r: Geodesics(passable) for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
         item_static=item_static,
@@ -257,7 +258,7 @@ class TestEvaluateSwap:
             "SH": (Subtask(GOTO_PICKUP, (0, 2)), Subtask(STOP, None)),
         }
         inputs = SwapInputs(
-            passable={r: passable for r in chains},
+            geodesics={r: Geodesics(passable) for r in chains},
             positions={"FH": (0, 2), "SH": (20, 2)},
             chains=chains,
             item_static=True,
@@ -279,7 +280,7 @@ class TestEvaluateSwap:
     def test_requires_exactly_two_robots(self):
         passable = np.ones((5, 5), dtype=bool)
         inputs = SwapInputs(
-            passable={"FH": passable},
+            geodesics={"FH": Geodesics(passable)},
             positions={"FH": (0, 0)},
             chains={"FH": (Subtask(STOP, None),)},
             item_static=True,
@@ -295,7 +296,7 @@ class TestHysteresis:
         assert evaluate_swap(first, cfg).kind == SWAP_SUBTASKS
         exchanged = exchange_roles(first.chains)
         second = SwapInputs(
-            passable=first.passable,
+            geodesics=first.geodesics,
             positions=first.positions,
             chains=exchanged,
             item_static=True,

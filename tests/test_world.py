@@ -16,7 +16,9 @@ from relaynav.world import (
     ACTION_STOP,
     FORWARD_M,
     HEADING_VECTORS,
+    NEIGHBORS_4,
     TURN_DEG,
+    Geodesics,
     Pose,
     apply_blockage,
     bfs_distance_field,
@@ -29,7 +31,6 @@ from relaynav.world import (
     save_scene,
     scene_from_dict,
     scene_to_dict,
-    shortest_path,
     step_kinematics,
     supercover_line,
     validate_scene,
@@ -57,6 +58,41 @@ def bfs_oracle(blocked: np.ndarray, start: tuple[int, int]) -> np.ndarray:
                 dist[ny, nx] = dist[y, x] + 1
                 queue.append((nx, ny))
     return dist
+
+
+def queue_bfs_path(passable: np.ndarray, a, b):
+    """Queue BFS from ``a`` in ``NEIGHBORS_4`` order, path read back from the
+    parent links: the reference the distance-field descent must reproduce."""
+    h, w = passable.shape
+    if not passable[a[1], a[0]] or not passable[b[1], b[0]]:
+        return None
+    parent = {a: a}
+    queue = [a]
+    qi = 0
+    while qi < len(queue) and b not in parent:
+        cx, cy = queue[qi]
+        qi += 1
+        for dx, dy in NEIGHBORS_4:
+            nxt = (cx + dx, cy + dy)
+            if 0 <= nxt[0] < w and 0 <= nxt[1] < h and passable[nxt[1], nxt[0]] and nxt not in parent:
+                parent[nxt] = (cx, cy)
+                queue.append(nxt)
+    if b not in parent:
+        return None
+    path = [b]
+    while path[-1] != a:
+        path.append(parent[path[-1]])
+    return path[::-1]
+
+
+# random bordered grids, and obstacle-free ones, which have the most ties
+grids = st.builds(
+    random_bordered_grid,
+    st.integers(0, 10_000),
+    st.integers(3, 13),
+    st.integers(3, 13),
+    st.sampled_from([0.0, 0.15, 0.3, 0.45]),
+)
 
 
 class TestAngles:
@@ -152,6 +188,43 @@ class TestBfs:
             for (x0, y0), (x1, y1) in zip(path, path[1:]):
                 assert abs(x1 - x0) + abs(y1 - y0) == 1
                 assert not blocked[y1, x1]
+
+    @given(grids, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_path_equals_queue_bfs_path(self, blocked, data):
+        """The descent returns the queue BFS's path itself, not only one of
+        the same length, with or without a memo shared across queries."""
+        passable = ~blocked
+        h, w = blocked.shape
+        cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        geo = Geodesics(passable)
+        for _ in range(6):
+            a, b = data.draw(cell), data.draw(cell)
+            want = queue_bfs_path(passable, a, b)
+            assert bfs_shortest_path(passable, a, b) == want
+            assert bfs_shortest_path(passable, a, b, geo) == want
+
+    @given(grids, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_steps_equal_field_from_the_start(self, blocked, data):
+        """``steps(a, b)`` reads the field to ``b``; symmetry makes it the
+        field from ``a``, blocked, unreachable and equal endpoints included."""
+        h, w = blocked.shape
+        cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        geo = Geodesics(~blocked)
+        for _ in range(6):
+            a, b = data.draw(cell), data.draw(cell)
+            assert geo.steps(a, b) == bfs_distance_field(blocked, a)[b[1], b[0]]
+            assert geo.steps(a, a) == (-1 if blocked[a[1], a[0]] else 0)
+
+    def test_fields_are_built_once_and_read_only(self):
+        blocked = random_bordered_grid(7, 9, 9, 0.2)
+        geo = Geodesics(~blocked)
+        field_ = geo.field((4, 4))
+        assert geo.field((4, 4)) is field_
+        assert np.array_equal(field_, bfs_distance_field(blocked, (4, 4)))
+        with pytest.raises(ValueError):
+            field_[1, 1] = 0
 
     def test_path_length_m(self):
         assert path_length_m([(0, 0), (1, 0), (1, 1)], 0.25) == pytest.approx(0.5)
