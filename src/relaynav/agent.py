@@ -97,10 +97,6 @@ class AgentState:
             int(math.floor(self.pose.y / FORWARD_M)),
         )
 
-    @property
-    def last_progress_tick(self) -> int:
-        return self.policy_ctx.last_progress_tick
-
     def active_subtask(self) -> Subtask | None:
         return self.policy_ctx.active_subtask()
 

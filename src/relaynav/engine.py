@@ -293,16 +293,17 @@ def _initial_setup(scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig):
             priorities=identity_priorities(chains[rid]),
         )
         states[rid] = make_agent(scene, rid, starts[rid], pctx, cfg.knowledge)
+    # the robots start out believing one passability: one memo serves both
+    # until either one's belief changes it
+    fh, sh = states["FH"], states["SH"]
+    if np.array_equal(fh.geodesics.passable, sh.geodesics.passable):
+        states["SH"] = replace(sh, geodesics=fh.geodesics)
     item = ItemState(AT_PICKUP, target.cell, None)
     return states, item, chains
 
 
 def _final_goal(chain: tuple[Subtask, ...]) -> Cell | None:
-    goal = None
-    for st in chain:
-        if st.waypoint is not None:
-            goal = st.waypoint
-    return goal
+    return next((st.waypoint for st in reversed(chain) if st.waypoint is not None), None)
 
 
 def _run(

@@ -299,34 +299,37 @@ def _one_component(free: np.ndarray) -> bool:
 
 # --- geodesics ------------------------------------------------------------
 
-def _shift_or(mask: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(mask)
-    out[1:, :] |= mask[:-1, :]
-    out[:-1, :] |= mask[1:, :]
-    out[:, 1:] |= mask[:, :-1]
-    out[:, :-1] |= mask[:, 1:]
-    return out
-
-
 def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
-    """4-connected BFS step counts from ``start``; -1 marks unreachable."""
+    """4-connected BFS step counts from ``start``; -1 marks unreachable.
+
+    Each layer is a set of flat indices into the grid padded with a blocked
+    ring; the next keeps the unreached (-1, blocked is -2) neighbours, each
+    once: stamped with its position, only its last copy keeps the stamp.
+    """
     h, w = blocked.shape
-    dist = np.full((h, w), -1, dtype=np.int32)
     sx, sy = start
     if not (0 <= sx < w and 0 <= sy < h) or blocked[sy, sx]:
-        return dist
-    free = ~blocked
-    frontier = np.zeros((h, w), dtype=bool)
-    frontier[sy, sx] = True
-    reached = frontier.copy()
+        return np.full((h, w), -1, dtype=np.int32)
+    stride = w + 2
+    padded = np.full((h + 2, stride), -2, dtype=np.int32)
+    padded[1:-1, 1:-1][~blocked] = -1
+    dist = padded.ravel()
+    stamp = np.zeros(dist.size, dtype=np.intp)
+    order = np.arange(4 * dist.size, dtype=np.intp)
+    steps = np.array([1, -1, stride, -stride], dtype=np.intp)
+    frontier = np.array([(sy + 1) * stride + sx + 1], dtype=np.intp)
+    dist[frontier] = 0
     d = 0
-    while frontier.any():
-        dist[frontier] = d
-        nxt = _shift_or(frontier) & free & ~reached
-        reached |= nxt
-        frontier = nxt
+    while frontier.size:
         d += 1
-    return dist
+        nxt = (frontier[:, None] + steps).ravel()
+        nxt = nxt[dist[nxt] == -1]
+        k = order[: nxt.size]
+        stamp[nxt] = k
+        frontier = nxt[stamp[nxt] == k]
+        dist[frontier] = d
+    inner = padded[1:-1, 1:-1]
+    return np.where(inner == -2, -1, inner)
 
 
 class Geodesics:
@@ -336,9 +339,10 @@ class Geodesics:
     ending (or starting) at ``b``: ``steps(a, b)`` reads it at ``a`` and
     :func:`bfs_shortest_path` descends it from ``a``. A memo never sees a
     later change to its mask, so its holder keeps one per occupancy: a robot
-    one per believed passability (``observe`` and ``on_blocked`` replace
-    it), ``generate_episode`` one per call, ``pick_route_blockage`` one per
-    map. Nothing is kept at module level.
+    one per believed passability (shared with its partner from the start
+    until ``observe`` or ``on_blocked`` replaces it), ``generate_episode``
+    one per call, ``pick_route_blockage`` one per map. Nothing is kept at
+    module level.
     """
 
     def __init__(self, passable: np.ndarray):
