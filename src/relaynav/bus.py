@@ -35,10 +35,6 @@ class Observation:
     def to_dict(self) -> dict:
         return {"category": self.category, "cell": list(self.cell), "score": self.score}
 
-    @staticmethod
-    def from_dict(d: dict) -> "Observation":
-        return Observation(d["category"], (int(d["cell"][0]), int(d["cell"][1])), float(d["score"]))
-
 
 @dataclass(frozen=True)
 class SemanticPacket:
@@ -68,18 +64,6 @@ class SemanticPacket:
             "carrying": self.carrying,
             "stopped": self.stopped,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "SemanticPacket":
-        return SemanticPacket(
-            robot_id=d["robot_id"],
-            ts=int(d["ts"]),
-            current_room=d["current_room"],
-            observations=tuple(Observation.from_dict(o) for o in d["observations"]),
-            stage=d["stage"],
-            carrying=bool(d["carrying"]),
-            stopped=bool(d["stopped"]),
-        )
 
 
 @dataclass(frozen=True)

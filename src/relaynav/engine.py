@@ -303,7 +303,11 @@ def _initial_setup(scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig):
 
 
 def _final_goal(chain: tuple[Subtask, ...]) -> Cell | None:
-    return next((st.waypoint for st in reversed(chain) if st.waypoint is not None), None)
+    goal = None
+    for st in chain:
+        if st.waypoint is not None:
+            goal = st.waypoint
+    return goal
 
 
 def _run(
