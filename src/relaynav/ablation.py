@@ -26,7 +26,7 @@ from .engine import RolloutResult, run_lockstep
 from .episodes import EpisodeSpec, generate_episode
 from .scenegen import generate_scene
 from .seeds import derive_seed
-from .world import Geodesics, SceneGraph, apply_blockage
+from .world import Geodesics, SceneGraph
 
 KIND_DETOUR = "detour"
 KIND_CUT = "cut"
@@ -139,7 +139,6 @@ def pick_route_blockage(
     keep_free = {start_fh, start_sh, target_cell, handoff, delivery}
 
     open_geo = Geodesics(~grid.blocked)
-    d_direct = open_geo.meters(start_fh, target_cell, res)
     best: tuple[float, BlockagePlan] | None = None
     tally = stats if stats is not None else {}
     for cid in sorted(scene.corridors):
@@ -152,8 +151,12 @@ def pick_route_blockage(
         if steps_to is None or steps_to < 2:
             continue
         tally["on_route"] = tally.get("on_route", 0) + 1
-        closed = Geodesics(~apply_blockage(scene, cid).grid.blocked)
+        passable = ~grid.blocked
+        for cx, cy in gate:
+            passable[cy, cx] = False
+        closed = Geodesics(passable)
         d_post = closed.meters(start_fh, target_cell, res)
+        d_direct = open_geo.meters(start_fh, target_cell, res)
         if math.isinf(d_post):
             kind, extra = KIND_CUT, math.inf
         elif d_post >= d_direct + params.min_detour_extra_m:
