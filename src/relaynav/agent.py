@@ -312,10 +312,10 @@ def next_action(state: AgentState, r_succ: float, r_int: float, resolution: floa
         state.pose, active.waypoint, r_succ, resolution
     ):
         return ACTION_STOP
-    if active.is_interaction() and active.waypoint is not None and within(
-        state.pose, active.waypoint, r_int, resolution
-    ):
-        return ACTION_STOP
+    if active.is_interaction():
+        anchor = active.waypoint if active.waypoint is not None else None
+        if anchor is not None and within(state.pose, anchor, r_int, resolution):
+            return ACTION_STOP
     plan = state.plan
     if plan is None or not plan.path:
         return ACTION_STOP
