@@ -208,13 +208,15 @@ class TestBfs:
     @settings(max_examples=100, deadline=None)
     def test_steps_equal_field_from_the_start(self, blocked, data):
         """``steps(a, b)`` reads the field to ``b``; symmetry makes it the
-        field from ``a``, blocked, unreachable and equal endpoints included."""
+        field from ``a``, blocked, unreachable and equal endpoints included
+        (and the queue BFS's count, on grids that are not square)."""
         h, w = blocked.shape
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
         geo = Geodesics(~blocked)
         for _ in range(6):
             a, b = data.draw(cell), data.draw(cell)
-            assert geo.steps(a, b) == bfs_distance_field(blocked, a)[b[1], b[0]]
+            want = bfs_oracle(blocked, a)[b[1], b[0]]
+            assert geo.steps(a, b) == bfs_distance_field(blocked, a)[b[1], b[0]] == want
             assert geo.steps(a, a) == (-1 if blocked[a[1], a[0]] else 0)
 
     def test_fields_are_built_once_and_read_only(self):
