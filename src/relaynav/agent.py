@@ -25,7 +25,10 @@ from .world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
+    BLOCKED,
     FORWARD_M,
+    FREE,
+    UNKNOWN,
     Cell,
     Geodesics,
     NEIGHBORS_4,
@@ -36,10 +39,6 @@ from .world import (
     fov_mask,
     wrap_angle,
 )
-
-UNKNOWN = np.int8(0)
-FREE = np.int8(1)
-BLOCKED = np.int8(2)
 
 _BEARING_TOL = 7.5
 _EPS = 1e-9
@@ -134,56 +133,67 @@ def observe(
 ) -> tuple[AgentState, tuple[Observation, ...]]:
     """Sense all cells within range, field of view, and line of sight.
 
-    Sensed cells become known in the belief (walls included — occlusion is
-    interior to the ray, so a blocked cell at its end is itself seen), and
-    visible objects (on the robot's cell, or at an offset whose row of the
-    field's offset table is sensed) yield scored observations. Ray geometry
-    and FOV masks are per process, visibility masks per scene (see
-    :class:`~relaynav.world.VisibilityField`). The geodesic memo is replaced
-    only when a cell's passability flips. Deterministic and, from a fixed
-    pose on a fixed world, idempotent on the belief.
+    The sensed cells, the robot's own first, are indices into the raveled
+    grid: the field's per-process ``flat_offsets`` under its per-scene
+    visibility mask and the per-process FOV mask (see
+    :class:`~relaynav.world.VisibilityField`); a scene's blocked border keeps
+    them inside the grid. Sensed cells become known in
+    the belief (walls included — occlusion is interior to the ray, so a
+    blocked cell at its end is itself seen); objects on them, looked up in
+    the scene's :class:`~relaynav.world.CellTable`, yield scored
+    observations. When every sensed cell already holds its true code, the
+    same state object is returned: no copy, and the geodesic memo kept.
+    Otherwise the belief is copied and written, the memo replaced only when
+    a cell's passability flips, newly blocked cells queued as edges and a
+    plan through them dropped. Deterministic and, from a fixed pose on a
+    fixed world, idempotent on the belief.
     """
     vis = scene.visibility(sensor.range_m)
+    table = scene.cell_table()
     cell = state.cell
     mask = vis.visible_offsets(cell) & fov_mask(
         scene.grid.resolution, sensor.range_m, state.pose.heading, sensor.fov_deg
     )
-    cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
+    width = scene.grid.width
+    here = cell[1] * width + cell[0]
+    sensed = np.concatenate(((here,), vis.flat_offsets[mask] + here))
+
+    sightings = []
+    seen = sensed[table.has_object[sensed]].tolist()
+    if seen:
+        scorer = DistanceFalloffScorer(sensor.range_m)
+        for idx in seen:
+            for obj in table.objects_at[idx]:
+                score = scorer.score(scene, state.pose, obj)
+                if score > 0.0:
+                    sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
+        sightings.sort(key=lambda o: (o.category, o.cell))
+
+    was = state.belief.ravel()[sensed]
+    truth = table.occupancy[sensed]
+    if was.tobytes() == truth.tobytes():  # cheaper than a reduction over ~300 cells
+        return state, tuple(sightings)
 
     belief = state.belief.copy()
-    here = scene.grid.blocked[cell[1], cell[0]]
-    belief[cell[1], cell[0]] = BLOCKED if here else FREE
-    truth = scene.grid.blocked[cells[:, 1], cells[:, 0]]
-    belief[cells[:, 1], cells[:, 0]] = np.where(truth, BLOCKED, FREE)
-
-    was = state.belief[cells[:, 1], cells[:, 0]]
+    belief.ravel()[sensed] = truth
     geodesics = state.geodesics
-    if here != (state.belief[cell[1], cell[0]] == BLOCKED) or (truth != (was == BLOCKED)).any():
+    if ((was == BLOCKED) != (truth == BLOCKED)).any():
         geodesics = Geodesics(_passable(belief))
-    flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
-    newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
-
-    scorer = DistanceFalloffScorer(sensor.range_m)
-    sightings = []
-    for oid in sorted(scene.objects):
-        obj = scene.objects[oid]
-        row = vis.offset_row(obj.cell[0] - cell[0], obj.cell[1] - cell[1])
-        if obj.cell == cell or (row >= 0 and mask[row]):
-            score = scorer.score(scene, state.pose, obj)
-            if score > 0.0:
-                sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
-    sightings.sort(key=lambda o: (o.category, o.cell))
-
+    # the own cell is never queued as an edge
+    flipped = sensed[1:][(truth[1:] == BLOCKED) & (was[1:] == FREE)].tolist()
+    newly_blocked = sorted((cell, (idx % width, idx // width)) for idx in flipped)
+    plan = state.plan
+    if newly_blocked and plan is not None:
+        blocked_cells = {e[1] for e in newly_blocked}
+        if any(c in blocked_cells for c in plan.path):
+            plan = None
     new_state = replace(
         state,
         belief=belief,
         geodesics=geodesics,
+        plan=plan,
         pending_blocked_edges=state.pending_blocked_edges + tuple(newly_blocked),
     )
-    if newly_blocked and state.plan is not None:
-        blocked_cells = {e[1] for e in newly_blocked}
-        if any(c in blocked_cells for c in state.plan.path):
-            new_state = replace(new_state, plan=None)
     return new_state, tuple(sightings)
 
 

@@ -224,7 +224,18 @@ def extract_events(
 
 def filter_events(events: list[Event], history: list[Event], cfg: TriggerConfig) -> list[Event]:
     """Drop events whose (kind, payload) matches one admitted within the
-    cooldown window, then order survivors by priority, ties by tick."""
+    cooldown window, then order survivors by priority, ties by tick.
+
+    ``history`` holds the events admitted so far, and no event's tick is
+    below a tick in it (the tick loop never goes back). An entry older than
+    the cooldown window before this call's earliest event can then never
+    match again, so it is deleted from ``history`` in place: the list stays
+    as short as the window.
+    """
+    if not events:
+        return []
+    horizon = min(e.tick for e in events) - cfg.cooldown
+    history[:] = [h for h in history if h.tick >= horizon]
     admitted: list[Event] = []
     for event in events:
         dup = any(

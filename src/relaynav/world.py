@@ -75,6 +75,12 @@ NEIGHBORS_4: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 _EPS = 1e-9
 
+# Occupancy codes of a robot's belief; a scene's CellTable holds the true
+# map in the same codes.
+UNKNOWN = np.int8(0)
+FREE = np.int8(1)
+BLOCKED = np.int8(2)
+
 
 class SceneFormatError(ValueError):
     """Raised when a scene file or scene structure violates its invariants."""
@@ -197,6 +203,18 @@ class GridMap:
         return ((cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution)
 
 
+@dataclass(frozen=True)
+class CellTable:
+    """A scene's cells as indices ``cy * width + cx`` into the raveled grid:
+    the true ``occupancy`` in belief codes (FREE or BLOCKED), a
+    ``has_object`` mask, and the objects on each such cell in object-id
+    order (any number may share one). Both arrays are read-only."""
+
+    occupancy: np.ndarray
+    has_object: np.ndarray
+    objects_at: dict[int, tuple[SceneObject, ...]]
+
+
 @dataclass
 class SceneGraph:
     scene_id: str
@@ -207,6 +225,7 @@ class SceneGraph:
     corridors: dict[str, Corridor]
     _region_by_cell: dict[Cell, str] = field(default_factory=dict, repr=False)
     _vis_fields: dict = field(default_factory=dict, repr=False)
+    _cell_table: CellTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self._region_by_cell:
@@ -231,6 +250,23 @@ class SceneGraph:
         if key not in self._vis_fields:
             self._vis_fields[key] = VisibilityField(self.grid, max_range_m)
         return self._vis_fields[key]
+
+    def cell_table(self) -> CellTable:
+        """The scene's :class:`CellTable`, built on first use."""
+        if self._cell_table is None:
+            width = self.grid.width
+            occupancy = np.where(self.grid.blocked.ravel(), BLOCKED, FREE)
+            has_object = np.zeros(occupancy.size, dtype=bool)
+            objects_at: dict[int, tuple[SceneObject, ...]] = {}
+            for oid in sorted(self.objects):
+                obj = self.objects[oid]
+                idx = obj.cell[1] * width + obj.cell[0]
+                objects_at[idx] = objects_at.get(idx, ()) + (obj,)
+                has_object[idx] = True
+            for arr in (occupancy, has_object):
+                arr.setflags(write=False)
+            self._cell_table = CellTable(occupancy, has_object, objects_at)
+        return self._cell_table
 
 
 def validate_scene(scene: SceneGraph) -> None:
@@ -490,6 +526,29 @@ def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...
 
 
 @functools.cache
+def flat_geometry(
+    resolution: float, max_range_m: float, width: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`ray_geometry` as flat indices for grids ``width`` cells wide,
+    built once per process.
+
+    Returns read-only ``(cells, rays)``: each offset's index into the raveled
+    grid, relative to the observer's (``dy * width + dx``), and the ray
+    interiors' indices into the raveled grid padded by the range ``r`` on
+    every side, relative to ``cy * (width + 2 * r) + cx`` for an observer at
+    ``(cx, cy)``.
+    """
+    offsets, index, _, _, ray_cells = ray_geometry(resolution, max_range_m)
+    r = (len(index) - 1) // 2
+    stride = width + 2 * r
+    cells = offsets[:, 1].astype(np.intp) * width + offsets[:, 0]
+    rays = (ray_cells[:, 1].astype(np.intp) + r) * stride + ray_cells[:, 0] + r
+    for arr in (cells, rays):
+        arr.setflags(write=False)
+    return cells, rays
+
+
+@functools.cache
 def fov_mask(
     resolution: float, max_range_m: float, heading: float, fov_deg: float
 ) -> np.ndarray:
@@ -505,25 +564,27 @@ def fov_mask(
 class VisibilityField:
     """Vectorized per-cell line of sight within a fixed sensing range.
 
-    The ray geometry (:func:`ray_geometry`) and FOV masks (:func:`fov_mask`)
-    are per process. The padded occupancy and the mask cached per observer
-    cell are per scene: a field belongs to one ``SceneGraph``, so a blockage,
-    which makes a new scene, starts cold. The ragged ray interiors become one
-    flat index array into the raveled padded occupancy, relative to the
-    observer; a miss gathers them and ORs each ray's run. An offset is
-    visible iff every strictly interior cell of its ray is free, as in
-    :func:`line_of_sight`; cells outside the grid count as blocked.
+    Per process, shared by every field of a resolution, range and grid
+    width: the ray geometry (:func:`ray_geometry`), its flat indices
+    (:func:`flat_geometry`: ``flat_offsets``, the offsets as indices into
+    the raveled grid, and the ray interiors as indices into the raveled
+    padded occupancy) and the FOV masks (:func:`fov_mask`). Per scene: the
+    padded occupancy and the mask cached per observer cell. A field belongs
+    to one ``SceneGraph``, so a blockage, which makes a new scene, starts
+    cold. A miss gathers the ray interiors from the observer and ORs each
+    ray's run. An offset is visible iff every strictly interior cell of its
+    ray is free, as in :func:`line_of_sight`; cells outside the grid count
+    as blocked.
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
         geometry = ray_geometry(grid.resolution, max_range_m)
-        self.offsets, self._index, self._ray_rows, self._ray_starts, cells = geometry
+        self.offsets, self._index, self._ray_rows, self._ray_starts, _ = geometry
+        self.flat_offsets, self._rays = flat_geometry(grid.resolution, max_range_m, grid.width)
         self.range_cells = r = (len(self._index) - 1) // 2
         occ = np.pad(grid.blocked, r, mode="constant", constant_values=True)
         self._stride = occ.shape[1]
         self._occ = occ.ravel()
-        cells = cells.astype(np.intp) + r
-        self._rays = cells[:, 1] * self._stride + cells[:, 0]
         self._cache: dict[Cell, np.ndarray] = {}
 
     def visible_offsets(self, cell: Cell) -> np.ndarray:

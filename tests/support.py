@@ -9,6 +9,7 @@ from relaynav.scenegen import generate_scene
 from relaynav.tasks import build_chains
 from relaynav.world import (
     PROVENANCE_GENERATOR,
+    Corridor,
     Geodesics,
     GridMap,
     Pose,
@@ -62,11 +63,12 @@ def random_swap_config(seed: int, n_scenes: int = 4):
     return scene, inputs
 
 
-def lab_scene(blocked, objects=(), resolution=0.25, scene_id="lab"):
+def lab_scene(blocked, objects=(), resolution=0.25, scene_id="lab", gates=()):
     """Hand-built single-region scene from an explicit occupancy array.
 
     ``objects`` is an iterable of (object_id, category, cell). All free cells
-    form one Kitchen region; corridors are absent.
+    form one Kitchen region. With ``gates``, corridor ``c0`` holds those
+    cells (open until ``apply_blockage``); otherwise corridors are absent.
     """
     blocked = np.asarray(blocked, dtype=bool)
     h, w = blocked.shape
@@ -77,8 +79,9 @@ def lab_scene(blocked, objects=(), resolution=0.25, scene_id="lab"):
     objs = {
         oid: SceneObject(oid, cat, cell, "r0", 1.0, 0.0) for oid, cat, cell in objects
     }
+    corridors = {"c0": Corridor("c0", frozenset(gates), ("r0", "r0"))} if gates else {}
     grid = GridMap(w, h, resolution, blocked)
-    return SceneGraph(scene_id, 0, grid, {"r0": region}, objs, {})
+    return SceneGraph(scene_id, 0, grid, {"r0": region}, objs, corridors)
 
 
 def random_bordered_grid(seed, w, h, wall_p=0.3):

@@ -14,6 +14,7 @@ from relaynav.agent import (
     BLOCKED,
     FREE,
     UNKNOWN,
+    AgentState,
     Plan,
     advance_subtask,
     drain_signals,
@@ -36,8 +37,11 @@ from relaynav.world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
+    Geodesics,
+    apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
+    fov_mask,
     step_kinematics,
 )
 
@@ -79,6 +83,53 @@ def set_rule_sightings(scene, state, sensor):
                 sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
     sightings.sort(key=lambda o: (o.category, o.cell))
     return tuple(sightings)
+
+
+def oracle_observe(scene, state, sensor):
+    """Reference sensing: copies the belief and writes every sensed cell as
+    an ``(N, 2)`` cell array, and tests every object of the scene."""
+    vis = scene.visibility(sensor.range_m)
+    cell = state.cell
+    mask = vis.visible_offsets(cell) & fov_mask(
+        scene.grid.resolution, sensor.range_m, state.pose.heading, sensor.fov_deg
+    )
+    cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
+
+    belief = state.belief.copy()
+    here = scene.grid.blocked[cell[1], cell[0]]
+    belief[cell[1], cell[0]] = BLOCKED if here else FREE
+    truth = scene.grid.blocked[cells[:, 1], cells[:, 0]]
+    belief[cells[:, 1], cells[:, 0]] = np.where(truth, BLOCKED, FREE)
+
+    was = state.belief[cells[:, 1], cells[:, 0]]
+    geodesics = state.geodesics
+    if here != (state.belief[cell[1], cell[0]] == BLOCKED) or (truth != (was == BLOCKED)).any():
+        geodesics = Geodesics(belief != BLOCKED)
+    flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
+    newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
+
+    scorer = DistanceFalloffScorer(sensor.range_m)
+    sightings = []
+    for oid in sorted(scene.objects):
+        obj = scene.objects[oid]
+        row = vis.offset_row(obj.cell[0] - cell[0], obj.cell[1] - cell[1])
+        if obj.cell == cell or (row >= 0 and mask[row]):
+            score = scorer.score(scene, state.pose, obj)
+            if score > 0.0:
+                sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
+    sightings.sort(key=lambda o: (o.category, o.cell))
+
+    new_state = replace(
+        state,
+        belief=belief,
+        geodesics=geodesics,
+        pending_blocked_edges=state.pending_blocked_edges + tuple(newly_blocked),
+    )
+    if newly_blocked and state.plan is not None:
+        blocked_cells = {e[1] for e in newly_blocked}
+        if any(c in blocked_cells for c in state.plan.path):
+            new_state = replace(new_state, plan=None)
+    return new_state, tuple(sightings)
 
 
 class TestBelief:
@@ -124,6 +175,73 @@ class TestObserve:
             state = agent_at(scene, (int(ox), int(oy)), heading)
             _, sightings = observe(scene, state, sensor)
             assert sightings == set_rule_sightings(scene, state, sensor)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 16),
+        st.integers(3, 16),
+        st.floats(0.25, 3.0),
+        st.sampled_from(range(0, 360, 15)),
+        st.sampled_from((90.0, 120.0, 360.0)),
+        st.sampled_from((0.0, 0.02, 0.3)),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_oracle(self, seed, w, h, range_m, heading, fov, wrong_p, blockage):
+        rng = np.random.default_rng(seed)
+        blocked = random_bordered_grid(seed, w, h)
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked)]
+        if not free:
+            return
+        observer = free[int(rng.integers(len(free)))]
+
+        def anywhere():
+            return (int(rng.integers(w)), int(rng.integers(h)))
+
+        shared = anywhere()
+        objects = [
+            ("o0", "cup", observer),
+            ("o1", "bed", shared),
+            ("o2", "bed", shared),  # ties with o1 on (category, cell)
+            ("o3", "cup", shared),
+        ] + [(f"o{i}", ("cup", "bed", "sink")[i % 3], anywhere()) for i in range(4, 10)]
+        # the gate may hold the observer's own cell: a blockage then closes it
+        gates = {free[int(i)] for i in rng.integers(len(free), size=3)}
+        if rng.random() < 0.3:
+            gates.add(observer)
+        scene = lab_scene(blocked, objects, gates=gates)
+        if blockage:
+            scene = apply_blockage(scene, "c0")
+
+        # a belief with unknown cells, walls believed free and free cells
+        # believed walls; wrong_p 0 leaves it true everywhere
+        truth = np.where(scene.grid.blocked, BLOCKED, FREE).astype(np.int8)
+        draw = rng.random(truth.shape)
+        belief = np.where(draw < wrong_p, np.where(truth == FREE, BLOCKED, FREE), truth)
+        belief = np.where(rng.random(truth.shape) < wrong_p, UNKNOWN, belief).astype(np.int8)
+        # the plan crosses walls believed free, which sensing may reveal
+        hidden = [(int(x), int(y)) for y, x in np.argwhere((belief == FREE) & (truth == BLOCKED))]
+        path = tuple(anywhere() for _ in range(4)) + tuple(
+            hidden[int(i)] for i in rng.permutation(len(hidden))[:4]
+        )
+        state = AgentState(
+            "FH", center_pose(observer, heading), belief, Geodesics(belief != BLOCKED),
+            ctx_with((Subtask(STOP, None),)),
+            plan=Plan(path, 0, path[-1]) if rng.random() < 0.7 else None,
+            pending_blocked_edges=(((1, 1), (1, 2)),) if rng.random() < 0.3 else (),
+        )
+        sensor = SensorConfig(range_m=range_m, fov_deg=fov)
+
+        got, got_sightings = observe(scene, state, sensor)
+        want, want_sightings = oracle_observe(scene, state, sensor)
+        assert got_sightings == want_sightings
+        assert np.array_equal(got.belief, want.belief)
+        assert np.array_equal(got.geodesics.passable, want.geodesics.passable)
+        assert (got.geodesics is state.geodesics) == (want.geodesics is state.geodesics)
+        assert got.pending_blocked_edges == want.pending_blocked_edges
+        assert got.plan == want.plan
+        # nothing sensed differs exactly when the oracle changed nothing
+        assert (got is state) == np.array_equal(want.belief, state.belief)
 
     def make(self, **kw):
         objects = kw.pop("objects", (("o1", "bottle", (6, 4)), ("o2", "tv", (12, 6))))

@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynav.bus import AnchorEntry, ComposedContext, Observation, SemanticPacket, empty_bus
 from relaynav.config import TriggerConfig
 from relaynav.replan import (
     CONFLICT,
+    EVENT_PRIORITY,
     KEEP_ASSIGNMENT,
     PATH_BLOCKED,
     STAGE_COMPLETE,
@@ -169,7 +172,59 @@ class TestExtractEvents:
         assert dict(events[0].payload)["edge"] == ((1, 1), (2, 1))
 
 
+def full_scan_filter(events, history, cfg):
+    """Reference admission rule: scan every event ever admitted."""
+    admitted = []
+    for event in events:
+        dup = any(
+            h.kind == event.kind
+            and h.payload == event.payload
+            and event.tick - h.tick <= cfg.cooldown
+            for h in history
+        ) or any(a.kind == event.kind and a.payload == event.payload for a in admitted)
+        if not dup:
+            admitted.append(event)
+    admitted.sort(key=lambda e: (EVENT_PRIORITY[e.kind], e.tick))
+    return admitted
+
+
+# per call: the step from the last call's latest tick, then (kind, payload
+# number, extra ticks) per event; few payloads make repeats common
+_CALLS = st.lists(
+    st.tuples(
+        st.integers(0, 7),
+        st.lists(
+            st.tuples(st.sampled_from(sorted(EVENT_PRIORITY)), st.integers(0, 2), st.integers(0, 1)),
+            max_size=6,
+        ),
+    ),
+    max_size=30,
+)
+
+
 class TestFilterEvents:
+    @given(st.integers(0, 5), _CALLS)
+    @settings(max_examples=200, deadline=None)
+    def test_pruned_history_admits_as_the_full_scan(self, cooldown, calls):
+        # steps of 0 give same-tick calls; steps around the cooldown hit the
+        # window's boundary; equal kinds with other payloads tie on priority
+        cfg = TriggerConfig(cooldown=cooldown)
+        pruned, full = [], []
+        tick = 0
+        for step, drawn in calls:
+            tick += step
+            events = [
+                Event(kind, tick + extra, "FH", make_payload(n=n)) for kind, n, extra in drawn
+            ]
+            want = full_scan_filter(events, full, cfg)
+            assert filter_events(events, pruned, cfg) == want
+            if events:
+                horizon = min(e.tick for e in events) - cooldown
+                assert pruned == [h for h in full if h.tick >= horizon]
+                tick = max(e.tick for e in events)
+            full.extend(want)
+            pruned.extend(want)
+
     def test_cooldown_suppresses_recent_duplicates(self):
         cfg = TriggerConfig(cooldown=10)
         e1 = Event(PATH_BLOCKED, 5, "FH", make_payload(edge=((1, 1), (2, 1))))
