@@ -487,18 +487,22 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
+def _range_cells(resolution: float, max_range_m: float) -> int:
+    """Largest whole number of cells along an axis within the range."""
+    return int(math.floor(max_range_m / resolution + _EPS))
+
+
 @functools.cache
 def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...]:
     """Supercover rays to every offset within range, built once per process.
 
-    Returns read-only ``(offsets, index, ray_rows, ray_starts, ray_cells)``:
-    the ``(dx, dy)`` offsets in range (origin excluded, row-major), a dense
-    ``[dy + r, dx + r] -> row`` table (-1 out of range), and the ragged rays:
-    the strictly interior cells of the rays of rows ``ray_rows``, back to
-    back in ``ray_cells``, each run starting at ``ray_starts``.
+    Returns read-only ``(offsets, ray_rows, ray_starts, ray_cells)``: the
+    ``(dx, dy)`` offsets in range (origin excluded, row-major) and the
+    ragged rays: the strictly interior cells of the rays of rows
+    ``ray_rows``, back to back in ``ray_cells``, each run starting at
+    ``ray_starts``.
     """
-    r = int(math.floor(max_range_m / resolution + _EPS))
-    index = np.full((2 * r + 1, 2 * r + 1), -1, dtype=np.int32)
+    r = _range_cells(resolution, max_range_m)
     offsets: list[Cell] = []
     rows: list[int] = []
     starts: list[int] = []
@@ -511,11 +515,9 @@ def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...
                     rows.append(len(offsets))
                     starts.append(len(cells))
                     cells.extend(interior)
-                index[dy + r, dx + r] = len(offsets)
                 offsets.append((dx, dy))
     geometry = (
         np.array(offsets, dtype=np.int32).reshape(-1, 2),
-        index,
         np.array(rows, dtype=np.intp),
         np.array(starts, dtype=np.intp),
         np.array(cells, dtype=np.int32).reshape(-1, 2),
@@ -538,8 +540,8 @@ def flat_geometry(
     every side, relative to ``cy * (width + 2 * r) + cx`` for an observer at
     ``(cx, cy)``.
     """
-    offsets, index, _, _, ray_cells = ray_geometry(resolution, max_range_m)
-    r = (len(index) - 1) // 2
+    offsets, _, _, ray_cells = ray_geometry(resolution, max_range_m)
+    r = _range_cells(resolution, max_range_m)
     stride = width + 2 * r
     cells = offsets[:, 1].astype(np.intp) * width + offsets[:, 0]
     rays = (ray_cells[:, 1].astype(np.intp) + r) * stride + ray_cells[:, 0] + r
@@ -578,10 +580,10 @@ class VisibilityField:
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
-        geometry = ray_geometry(grid.resolution, max_range_m)
-        self.offsets, self._index, self._ray_rows, self._ray_starts, _ = geometry
-        self.flat_offsets, self._rays = flat_geometry(grid.resolution, max_range_m, grid.width)
-        self.range_cells = r = (len(self._index) - 1) // 2
+        res = grid.resolution
+        self.offsets, self._ray_rows, self._ray_starts, _ = ray_geometry(res, max_range_m)
+        self.flat_offsets, self._rays = flat_geometry(res, max_range_m, grid.width)
+        r = _range_cells(res, max_range_m)
         occ = np.pad(grid.blocked, r, mode="constant", constant_values=True)
         self._stride = occ.shape[1]
         self._occ = occ.ravel()
@@ -599,13 +601,6 @@ class VisibilityField:
         visible.setflags(write=False)
         self._cache[cell] = visible
         return visible
-
-    def offset_row(self, dx: int, dy: int) -> int:
-        """Row of ``(dx, dy)`` in ``self.offsets``; -1 if out of range or (0, 0)."""
-        r = self.range_cells
-        if abs(dx) > r or abs(dy) > r:
-            return -1
-        return int(self._index[dy + r, dx + r])
 
 
 def bearing_deg(from_xy: tuple[float, float], to_xy: tuple[float, float]) -> float:

@@ -108,12 +108,13 @@ def oracle_observe(scene, state, sensor):
     flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
     newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
 
+    rows = {(int(dx), int(dy)): i for i, (dx, dy) in enumerate(vis.offsets)}
     scorer = DistanceFalloffScorer(sensor.range_m)
     sightings = []
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
-        row = vis.offset_row(obj.cell[0] - cell[0], obj.cell[1] - cell[1])
-        if obj.cell == cell or (row >= 0 and mask[row]):
+        row = rows.get((obj.cell[0] - cell[0], obj.cell[1] - cell[1]))
+        if obj.cell == cell or (row is not None and mask[row]):
             score = scorer.score(scene, state.pose, obj)
             if score > 0.0:
                 sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
