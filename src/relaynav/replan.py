@@ -226,16 +226,17 @@ def filter_events(events: list[Event], history: list[Event], cfg: TriggerConfig)
     """Drop events whose (kind, payload) matches one admitted within the
     cooldown window, then order survivors by priority, ties by tick.
 
-    ``history`` holds the events admitted so far, and no event's tick is
-    below a tick in it (the tick loop never goes back). An entry older than
-    the cooldown window before this call's earliest event can then never
-    match again, so it is deleted from ``history`` in place: the list stays
-    as short as the window.
+    ``history`` holds the events admitted so far in tick order, and no
+    event's tick is below a tick in it (the tick loop never goes back). An
+    entry older than the cooldown window before this call's earliest event
+    can then never match again, so it is deleted from the front of
+    ``history`` in place: the list stays as short as the window.
     """
     if not events:
         return []
     horizon = min(e.tick for e in events) - cfg.cooldown
-    history[:] = [h for h in history if h.tick >= horizon]
+    while history and history[0].tick < horizon:
+        del history[0]
     admitted: list[Event] = []
     for event in events:
         dup = any(

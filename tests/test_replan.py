@@ -188,15 +188,13 @@ def full_scan_filter(events, history, cfg):
     return admitted
 
 
-# per call: the step from the last call's latest tick, then (kind, payload
-# number, extra ticks) per event; few payloads make repeats common
+# per call: the step from the last call's tick, then (kind, payload number)
+# per event, all at the call's tick as in the tick loop; few payloads make
+# repeats common
 _CALLS = st.lists(
     st.tuples(
         st.integers(0, 7),
-        st.lists(
-            st.tuples(st.sampled_from(sorted(EVENT_PRIORITY)), st.integers(0, 2), st.integers(0, 1)),
-            max_size=6,
-        ),
+        st.lists(st.tuples(st.sampled_from(sorted(EVENT_PRIORITY)), st.integers(0, 2)), max_size=6),
     ),
     max_size=30,
 )
@@ -213,15 +211,11 @@ class TestFilterEvents:
         tick = 0
         for step, drawn in calls:
             tick += step
-            events = [
-                Event(kind, tick + extra, "FH", make_payload(n=n)) for kind, n, extra in drawn
-            ]
+            events = [Event(kind, tick, "FH", make_payload(n=n)) for kind, n in drawn]
             want = full_scan_filter(events, full, cfg)
             assert filter_events(events, pruned, cfg) == want
             if events:
-                horizon = min(e.tick for e in events) - cooldown
-                assert pruned == [h for h in full if h.tick >= horizon]
-                tick = max(e.tick for e in events)
+                assert pruned == [h for h in full if h.tick >= tick - cooldown]
             full.extend(want)
             pruned.extend(want)
 
