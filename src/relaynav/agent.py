@@ -104,7 +104,7 @@ def initial_belief(scene: SceneGraph, knowledge: str) -> np.ndarray:
     """Starting occupancy belief: the full map when known a priori, else all
     unknown. Scheduled blockages are never part of prior knowledge."""
     if knowledge == "known":
-        return np.where(scene.grid.blocked, BLOCKED, FREE).astype(np.int8)
+        return scene.cell_table().occupancy.reshape(scene.grid.blocked.shape).copy()
     if knowledge == "discover":
         h, w = scene.grid.blocked.shape
         return np.full((h, w), UNKNOWN, dtype=np.int8)

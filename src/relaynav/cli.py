@@ -55,7 +55,6 @@ from .manifest import (
     load_manifest,
     make_manifest,
     save_manifest,
-    verify_outputs,
 )
 from .metrics import (
     aggregate,
@@ -450,32 +449,17 @@ def rollout_config_from_dict(d: dict) -> RolloutConfig:
     )
 
 
-def _rollout_scene(
-    scene: SceneGraph,
-    episodes: list[EpisodeSpec],
-    rollout: RolloutConfig,
-    transport: TransportConfig | None,
-    overrides: dict,
-) -> list[tuple[str, dict, bytes]]:
-    """Roll out one scene's episodes in order: (episode_id, result, trace bytes)."""
-    produced = []
-    for ep in episodes:
-        cfg = _episode_rollout_config(rollout, overrides, ep.episode_id)
-        result, trace = rollout_episode(scene, ep, cfg, transport)
-        produced.append((ep.episode_id, result.to_dict(), trace.to_bytes()))
-    return produced
-
-
-def _worker(task: tuple) -> list[tuple[str, dict, bytes]]:
-    """One ``--jobs`` task: load a scene once and roll out its episodes."""
-    scene_path, episode_dicts, rollout_dict, transport_dict, overrides = task
-    return _rollout_scene(
-        load_scene(scene_path),
-        [EpisodeSpec.from_dict(d) for d in episode_dicts],
-        rollout_config_from_dict(rollout_dict),
-        TransportConfig(**transport_dict) if transport_dict else None,
-        overrides,
+def _worker(payload: tuple) -> tuple[str, dict, bytes]:
+    scene_path, episode_dict, rollout_dict, transport_dict, override = payload
+    scene = load_scene(scene_path)
+    episode = EpisodeSpec.from_dict(episode_dict)
+    rollout = rollout_config_from_dict(rollout_dict)
+    transport = TransportConfig(**transport_dict) if transport_dict else None
+    cfg = _episode_rollout_config(
+        rollout, {episode.episode_id: override} if override else {}, episode.episode_id
     )
+    result, trace = rollout_episode(scene, episode, cfg, transport)
+    return episode.episode_id, result.to_dict(), trace.to_bytes()
 
 
 def do_run(
@@ -499,25 +483,34 @@ def do_run(
 
     out = _out_dir(out_dir)
     order = sorted(episodes, key=lambda ep: ep.episode_id)
-    by_scene: dict[str, list[EpisodeSpec]] = {}
-    for ep in order:
-        by_scene.setdefault(ep.scene_id, []).append(ep)
+    rollout_dict = config_to_dict(rollout)
+    transport_dict = config_to_dict(transport) if transport is not None else None
 
+    produced: dict[str, tuple[dict, bytes]] = {}
     if jobs > 1:
-        rollout_dict = config_to_dict(rollout)
-        transport_dict = config_to_dict(transport) if transport is not None else None
-        tasks = [
-            (str(scene_paths[sid]), [ep.to_dict() for ep in eps], rollout_dict, transport_dict, overrides)
-            for sid, eps in by_scene.items()
+        payloads = [
+            (
+                str(scene_paths[ep.scene_id]),
+                ep.to_dict(),
+                rollout_dict,
+                transport_dict,
+                overrides.get(ep.episode_id),
+            )
+            for ep in order
         ]
         with Pool(jobs) as pool:
-            groups = list(pool.imap_unordered(_worker, tasks))
+            for eid, result_dict, trace_bytes in pool.imap_unordered(_worker, payloads):
+                produced[eid] = (result_dict, trace_bytes)
     else:
-        groups = [
-            _rollout_scene(load_scene(scene_paths[sid]), eps, rollout, transport, overrides)
-            for sid, eps in by_scene.items()
-        ]
-    produced = {eid: (result, trace) for group in groups for eid, result, trace in group}
+        scene_cache: dict[str, SceneGraph] = {}
+        for ep in order:
+            scene = scene_cache.get(ep.scene_id)
+            if scene is None:
+                scene = load_scene(scene_paths[ep.scene_id])
+                scene_cache[ep.scene_id] = scene
+            cfg = _episode_rollout_config(rollout, overrides, ep.episode_id)
+            result, trace = rollout_episode(scene, ep, cfg, transport)
+            produced[ep.episode_id] = (result.to_dict(), trace.to_bytes())
 
     outputs: dict[str, Path] = {}
     results_rows = []
@@ -632,10 +625,11 @@ def do_replay(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
     else:
         raise RuntimeError(f"manifest command {manifest.command!r} is not replayable")
 
-    # a recorded output the replay did not write counts as mismatched even
-    # when a stale copy in out_dir still matches
-    unwritten = set(manifest.outputs) - set(redone.outputs)
-    mismatched = sorted(set(verify_outputs(manifest, out_dir)) | unwritten)
+    mismatched = [
+        name
+        for name, rec in sorted(manifest.outputs.items())
+        if redone.outputs.get(name, {}).get("sha256") != rec["sha256"]
+    ]
     extra = sorted(set(redone.outputs) - set(manifest.outputs))
     if mismatched or extra:
         raise RuntimeError(

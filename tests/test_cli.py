@@ -16,7 +16,6 @@ from relaynav.cli import (
     EXIT_RUNTIME,
     EXIT_USAGE,
     UsageError,
-    _worker,
     do_replay,
     load_config_file,
     main,
@@ -128,33 +127,6 @@ class TestRunEvalCompare:
         for trace in run_a.glob("trace_*.jsonl"):
             assert (par / trace.name).read_bytes() == trace.read_bytes()
 
-    def test_jobs_task_loads_its_scene_once(self, pipeline, run_dirs, monkeypatch):
-        # a --jobs task rolls out all of one scene's episodes, in id order,
-        # from one load of the scene file
-        _, scenes, episodes = pipeline
-        run_a, _ = run_dirs
-        by_scene = {}
-        for ep in sorted(load_episodes(episodes), key=lambda e: e.episode_id):
-            by_scene.setdefault(ep.scene_id, []).append(ep)
-        sid, eps = max(by_scene.items(), key=lambda item: len(item[1]))
-        assert len(eps) >= 2, "fixture seed gave no scene two episodes"
-        loads = []
-
-        def counting_load(path):
-            loads.append(path)
-            return load_scene(path)
-
-        monkeypatch.setattr("relaynav.cli.load_scene", counting_load)
-        rollout_dict = load_manifest(run_a).config["rollout"]
-        path = str(scenes / f"{sid}.json")
-        done = _worker((path, [ep.to_dict() for ep in eps], rollout_dict, None, {}))
-        assert loads == [path]
-        assert [eid for eid, _, _ in done] == [ep.episode_id for ep in eps]
-        rows = {r["episode_id"]: r for r in read_jsonl(run_a / "results.jsonl")}
-        for eid, result, trace in done:
-            assert result == rows[eid]
-            assert trace == (run_a / f"trace_{eid}.jsonl").read_bytes()
-
     def test_distributed_mode_accepts_transport_flags(self, pipeline):
         root, scenes, episodes = pipeline
         out = root / "run_dist"
@@ -224,7 +196,6 @@ class TestReplay:
             main(["replay", "--manifest", str(bad), "--out", str(root / "replay_bad")])
             == EXIT_RUNTIME
         )
-
 
     def test_replay_names_unwritten_and_unexpected_outputs(self, pipeline, run_dirs):
         # an output the manifest records but the replay never writes is a
