@@ -57,21 +57,25 @@ class Plan:
     goal: Cell | None
     frontier: bool = False
     _rows_cols: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _index: dict[Cell, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xy = np.array(self.path, dtype=np.intp).reshape(-1, 2)
         object.__setattr__(self, "_rows_cols", (xy[:, 1], xy[:, 0]))
+        index: dict[Cell, int] = {}
+        for i, cell in enumerate(self.path):
+            index.setdefault(cell, i)
+        object.__setattr__(self, "_index", index)
 
     def crosses_blocked(self, belief: np.ndarray) -> bool:
         """True iff any cell of the path is believed blocked."""
         return bool((belief[self._rows_cols] == BLOCKED).any())
 
     def steps_remaining_from(self, cell: Cell) -> int | None:
-        try:
-            idx = self.path.index(cell)
-        except ValueError:
-            return None
-        return len(self.path) - 1 - idx
+        """Steps from the first occurrence of ``cell`` to the path's end, or
+        None off the path."""
+        idx = self._index.get(cell)
+        return None if idx is None else len(self.path) - 1 - idx
 
 
 @dataclass(frozen=True, eq=False)

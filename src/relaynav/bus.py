@@ -4,7 +4,10 @@ The bus holds the latest semantic packet per robot, a per-category anchor
 memory of best object evidence, the current role assignment (each
 robot's remaining subtask chain, opaque to the bus), and the dialogue log. All updates are functional:
 ``publish`` and ``record_dialogue`` return new values and never mutate, so any
-previously taken reference doubles as an immutable snapshot.
+previously taken reference doubles as an immutable snapshot. A composed
+context shares the bus's ``anchors`` and ``roles`` dicts rather than copying
+them: an update builds new dicts, and no code mutates one once it is on a
+bus or in a context, so the context is a snapshot too.
 """
 
 from __future__ import annotations
@@ -154,7 +157,7 @@ def publish(bus: BusState, packet: SemanticPacket) -> BusState:
         return bus
     packets = dict(bus.packets)
     packets[packet.robot_id] = packet
-    return replace(bus, packets=packets, anchors=merge_anchors(bus.anchors, packet))
+    return BusState(packets, merge_anchors(bus.anchors, packet), bus.roles, bus.dialogue)
 
 
 def compose_context(bus: BusState, self_id: str, now: int, tau: int) -> ComposedContext:
@@ -171,8 +174,8 @@ def compose_context(bus: BusState, self_id: str, now: int, tau: int) -> Composed
         self_state=self_packet,
         partner_state=partner if fresh else None,
         partner_stale=not fresh,
-        anchors=dict(bus.anchors),
-        roles={k: tuple(v) for k, v in bus.roles.items()},
+        anchors=bus.anchors,
+        roles=bus.roles,
     )
 
 
@@ -187,7 +190,7 @@ def compose_muted(bus: BusState, self_id: str, now: int) -> ComposedContext:
         partner_state=None,
         partner_stale=True,
         anchors={k: v for k, v in bus.anchors.items() if v.source == self_id},
-        roles={k: tuple(v) for k, v in bus.roles.items()},
+        roles=bus.roles,
     )
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Mapping
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .agent import (
     within,
 )
 from .bus import (
+    AnchorEntry,
     BusState,
     ROBOTS,
     SemanticPacket,
@@ -334,6 +336,8 @@ def _run(
         schedule.setdefault(int(tick), []).append(str(corridor_id))
 
     history: dict[str, list] = {rid: [] for rid in ROBOTS}
+    # each robot's anchor view as composed on its previous tick
+    held: dict[str, Mapping[str, AnchorEntry]] = {rid: {} for rid in ROBOTS}
     final_goals: dict[str, Cell | None] = {
         rid: _final_goal(chains[rid]) for rid in ROBOTS
     }
@@ -433,25 +437,24 @@ def _run(
             )
             events = extract_events(
                 st.policy_ctx, composed[rid], signals, now, cfg.trigger,
-                room_of=scene.room_label_of,
+                room_of=scene.room_label_of, held=held[rid],
             )
             admitted = filter_events(events, history[rid], cfg.trigger)
             history[rid].extend(admitted)
             admitted_by[rid] = admitted
 
             swap_inputs = None
-            chains_bound = all(
-                st.waypoint is not None or st.kind == STOP
-                for r in ROBOTS
-                for st in states[r].policy_ctx.chain
-            )
             if (
                 cfg.policy == "deconav"
                 and item.phase in STATIC_PHASES
                 and item.phase != DELIVERED
                 and composed[rid].partner_state is not None
                 and all(states[r].policy_ctx.chain for r in ROBOTS)
-                and chains_bound
+                and all(
+                    sub.waypoint is not None or sub.kind == STOP
+                    for r in ROBOTS
+                    for sub in states[r].policy_ctx.chain
+                )
             ):
                 swap_inputs = SwapInputs(
                     geodesics={r: states[r].geodesics for r in ROBOTS},
@@ -498,12 +501,7 @@ def _run(
                 everywhere(lambda b, rec=rec: record_dialogue(b, rec))
                 tick_dialogue.append(rec.to_dict())
                 dialogue_total += 1
-            # readers look anchors up by key, so an equal dict is left in place
-            if st.policy_ctx.anchors != composed[rid].anchors:
-                st = replace(
-                    st,
-                    policy_ctx=replace(st.policy_ctx, anchors=dict(composed[rid].anchors)),
-                )
+            held[rid] = composed[rid].anchors
             states[rid] = st
 
         # 7. action selection

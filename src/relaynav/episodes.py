@@ -174,6 +174,7 @@ def _sample_waypoint(
     spent where a pass is possible at all; the gates still do the verifying.
     """
     region = scene.regions[anchor.region_id]
+    res = scene.grid.resolution
     ax, ay = scene.grid.center(anchor.cell)
     reach = config.gate.max_range_m
     effective = anchor.salience * (1.0 - anchor.occlusion)
@@ -182,7 +183,7 @@ def _sample_waypoint(
     candidates = [
         c
         for c in sorted(region.cells)
-        if math.hypot(*(v - w for v, w in zip(scene.grid.center(c), (ax, ay)))) <= reach
+        if math.hypot((c[0] + 0.5) * res - ax, (c[1] + 0.5) * res - ay) <= reach
     ]
     rng.shuffle(candidates)
     for cell in candidates[: config.waypoint_attempts]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
 from .bus import AnchorEntry, BusState, ComposedContext, DialogueRecord, Observation, partner_of
@@ -103,7 +103,6 @@ class PolicyContext:
     target_category: str
     chain: tuple[Subtask, ...]
     priorities: tuple[int, ...]
-    anchors: Mapping[str, AnchorEntry] = field(default_factory=dict)
     last_progress_tick: int = 0
     target_found: bool = False
 
@@ -137,13 +136,15 @@ def extract_events(
     now: int,
     cfg: TriggerConfig,
     room_of: Callable[[Cell], str],
+    held: Mapping[str, AnchorEntry],
 ) -> list[Event]:
     """Derive this tick's candidate events for one robot. Pure.
 
     Discovery fires on the first target evidence scoring at least theta_rec,
     whether sensed directly or read from anchor memory; conflict fires when
     the partner's packet places the target in a different room than this
-    robot's held anchor view.
+    robot's held anchor view ``held``, the anchors of the context it
+    composed on its previous tick (empty on the first).
     """
     events: list[Event] = []
     rid = prev.robot_id
@@ -187,7 +188,7 @@ def extract_events(
                 )
 
     if ctx.partner_state is not None:
-        local = prev.anchors.get(cat)
+        local = held.get(cat)
         if local is not None:
             for obs in ctx.partner_state.observations:
                 if obs.category != cat:

@@ -494,33 +494,36 @@ def _range_cells(resolution: float, max_range_m: float) -> int:
 
 @functools.cache
 def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...]:
-    """Supercover rays to every offset within range, built once per process.
+    """The offsets in range and their shadow table, built once per process.
 
-    Returns read-only ``(offsets, ray_rows, ray_starts, ray_cells)``: the
-    ``(dx, dy)`` offsets in range (origin excluded, row-major) and the
-    ragged rays: the strictly interior cells of the rays of rows
-    ``ray_rows``, back to back in ``ray_cells``, each run starting at
-    ``ray_starts``.
+    Returns read-only ``(offsets, shadows, masks)``: the ``(dx, dy)``
+    offsets in range (origin excluded, row-major); the ``(dx, dy)`` cells
+    of the sensing window that lie strictly inside the supercover ray of
+    at least one offset, in row-major order; and one row of ``masks`` per
+    such cell, the offsets whose ray interior holds it as a bitmask packed
+    into ``uint64`` words (offset ``i`` is bit ``i % 8`` of byte ``i // 8``
+    of the row, so a row unpacks with ``bitorder="little"``).
     """
     r = _range_cells(resolution, max_range_m)
+    side = 2 * r + 1
     offsets: list[Cell] = []
-    rows: list[int] = []
-    starts: list[int] = []
-    cells: list[Cell] = []
+    shade: dict[int, int] = {}  # window cell, row-major -> bitmask of offsets
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
             if (dx or dy) and math.hypot(dx, dy) * resolution <= max_range_m + _EPS:
-                interior = supercover_line((0, 0), (dx, dy))[1:-1]
-                if interior:
-                    rows.append(len(offsets))
-                    starts.append(len(cells))
-                    cells.extend(interior)
+                bit = 1 << len(offsets)
+                for x, y in supercover_line((0, 0), (dx, dy))[1:-1]:
+                    key = (y + r) * side + x + r
+                    shade[key] = shade.get(key, 0) | bit
                 offsets.append((dx, dy))
+    window = sorted(shade)
+    n_words = -(-len(offsets) // 64)
+    packed = b"".join(shade[key].to_bytes(8 * n_words, "little") for key in window)
     geometry = (
         np.array(offsets, dtype=np.int32).reshape(-1, 2),
-        np.array(rows, dtype=np.intp),
-        np.array(starts, dtype=np.intp),
-        np.array(cells, dtype=np.int32).reshape(-1, 2),
+        np.array([(key % side - r, key // side - r) for key in window], dtype=np.int32)
+        .reshape(-1, 2),
+        np.frombuffer(packed, dtype=np.uint64).reshape(len(window), n_words),
     )
     for arr in geometry:
         arr.setflags(write=False)
@@ -531,23 +534,23 @@ def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...
 def flat_geometry(
     resolution: float, max_range_m: float, width: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ray_geometry` as flat indices for grids ``width`` cells wide,
-    built once per process.
+    """:func:`ray_geometry`'s cells as flat indices for grids ``width``
+    cells wide, built once per process.
 
-    Returns read-only ``(cells, rays)``: each offset's index into the raveled
-    grid, relative to the observer's (``dy * width + dx``), and the ray
-    interiors' indices into the raveled grid padded by the range ``r`` on
-    every side, relative to ``cy * (width + 2 * r) + cx`` for an observer at
-    ``(cx, cy)``.
+    Returns read-only ``(cells, shadows)``: each offset's index into the
+    raveled grid, relative to the observer's (``dy * width + dx``), and each
+    shadowing cell's index into the raveled grid padded by the range ``r``
+    on every side, relative to ``cy * (width + 2 * r) + cx`` for an observer
+    at ``(cx, cy)``.
     """
-    offsets, _, _, ray_cells = ray_geometry(resolution, max_range_m)
+    offsets, shadows, _ = ray_geometry(resolution, max_range_m)
     r = _range_cells(resolution, max_range_m)
     stride = width + 2 * r
     cells = offsets[:, 1].astype(np.intp) * width + offsets[:, 0]
-    rays = (ray_cells[:, 1].astype(np.intp) + r) * stride + ray_cells[:, 0] + r
-    for arr in (cells, rays):
+    padded = (shadows[:, 1].astype(np.intp) + r) * stride + shadows[:, 0] + r
+    for arr in (cells, padded):
         arr.setflags(write=False)
-    return cells, rays
+    return cells, padded
 
 
 @functools.cache
@@ -567,22 +570,22 @@ class VisibilityField:
     """Vectorized per-cell line of sight within a fixed sensing range.
 
     Per process, shared by every field of a resolution, range and grid
-    width: the ray geometry (:func:`ray_geometry`), its flat indices
-    (:func:`flat_geometry`: ``flat_offsets``, the offsets as indices into
-    the raveled grid, and the ray interiors as indices into the raveled
-    padded occupancy) and the FOV masks (:func:`fov_mask`). Per scene: the
-    padded occupancy and the mask cached per observer cell. A field belongs
-    to one ``SceneGraph``, so a blockage, which makes a new scene, starts
-    cold. A miss gathers the ray interiors from the observer and ORs each
-    ray's run. An offset is visible iff every strictly interior cell of its
-    ray is free, as in :func:`line_of_sight`; cells outside the grid count
-    as blocked.
+    width: the offsets and their shadow table (:func:`ray_geometry`), their
+    flat indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as
+    indices into the raveled grid, and the shadowing cells as indices into
+    the raveled padded occupancy) and the FOV masks (:func:`fov_mask`). Per
+    scene: the padded occupancy and the mask cached per observer cell. A
+    field belongs to one ``SceneGraph``, so a blockage, which makes a new
+    scene, starts cold. A miss gathers the occupancy at the shadowing cells
+    around the observer and ORs the shadow rows of the blocked ones: an
+    offset is visible iff no strictly interior cell of its ray is blocked,
+    as in :func:`line_of_sight`; cells outside the grid count as blocked.
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
         res = grid.resolution
-        self.offsets, self._ray_rows, self._ray_starts, _ = ray_geometry(res, max_range_m)
-        self.flat_offsets, self._rays = flat_geometry(res, max_range_m, grid.width)
+        self.offsets, _, self._masks = ray_geometry(res, max_range_m)
+        self.flat_offsets, self._shadows = flat_geometry(res, max_range_m, grid.width)
         r = _range_cells(res, max_range_m)
         occ = np.pad(grid.blocked, r, mode="constant", constant_values=True)
         self._stride = occ.shape[1]
@@ -594,10 +597,11 @@ class VisibilityField:
         cached = self._cache.get(cell)
         if cached is not None:
             return cached
-        base = cell[1] * self._stride + cell[0]
-        blocked = np.logical_or.reduceat(self._occ[base + self._rays], self._ray_starts)
-        visible = np.ones(len(self.offsets), dtype=bool)
-        visible[self._ray_rows] = ~blocked
+        blocked = self._occ[cell[1] * self._stride + cell[0] + self._shadows]
+        shade = np.bitwise_or.reduce(self._masks.compress(blocked, axis=0), axis=0)
+        visible = np.unpackbits(
+            shade.view(np.uint8), count=len(self.offsets), bitorder="little"
+        ) == 0
         visible.setflags(write=False)
         self._cache[cell] = visible
         return visible

@@ -130,6 +130,19 @@ def test_publish_merges_observations_into_anchors():
     assert bus.anchors["bottle"].cell == (6, 6)
 
 
+def test_publish_leaves_an_earlier_context_unchanged():
+    seen = (Observation("bottle", (3, 4), 0.8),)
+    bus = publish(empty_bus({"FH": ("a",), "SH": ("b",)}), packet("FH", ts=2, obs=seen))
+    ctx = compose_context(bus, "FH", now=2, tau=2)
+    assert ctx.anchors is bus.anchors and ctx.roles is bus.roles  # shared, not copied
+    anchors, roles = dict(ctx.anchors), dict(ctx.roles)
+    better = (Observation("bottle", (6, 6), 0.95), Observation("cup", (1, 1), 0.5))
+    later = publish(bus, packet("SH", ts=3, obs=better))
+    later = record_dialogue(later, DialogueRecord(3, "Conflict", "SH", "", {}))
+    assert later.anchors["bottle"].cell == (6, 6) and "cup" in later.anchors
+    assert ctx.anchors == anchors and ctx.roles == roles
+
+
 def test_record_dialogue_appends():
     bus = empty_bus()
     rec = DialogueRecord(3, "PathBlocked", "FH", "swap proposed", {"kind": "SwapSubtasks"})

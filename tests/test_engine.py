@@ -8,6 +8,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from relaynav import engine
 from relaynav.agent import make_agent, on_blocked
 from relaynav.config import RolloutConfig, TransportConfig
 from relaynav.engine import (
@@ -22,7 +23,7 @@ from relaynav.engine import (
     run_distributed,
     run_lockstep,
 )
-from relaynav.replan import PolicyContext, identity_priorities
+from relaynav.replan import PolicyContext, extract_events, identity_priorities
 from relaynav.tasks import DELIVER, DEPOSIT, PICK_UP, RECEIVE, STOP, Subtask
 from relaynav.world import ACTION_STOP, FORWARD_M, scene_from_dict, scene_to_dict
 
@@ -63,6 +64,25 @@ class TestDeterminismAndEquivalence:
         _, t1 = run_lockstep(scene, episode, cfg)
         _, t2 = run_lockstep(scene, episode, cfg)
         assert t1.to_bytes() == t2.to_bytes()
+
+
+class TestAnchorHandOff:
+    def test_events_read_the_anchors_composed_a_tick_earlier(self, batch10, monkeypatch):
+        calls = {"FH": [], "SH": []}
+
+        def recording(prev, ctx, signals, now, cfg, room_of, held):
+            calls[prev.robot_id].append((now, held, dict(ctx.anchors)))
+            return extract_events(prev, ctx, signals, now, cfg, room_of, held)
+
+        monkeypatch.setattr(engine, "extract_events", recording)
+        scene, episode = batch10[0]
+        run_lockstep(scene, episode, RolloutConfig())
+        for seen in calls.values():
+            assert [now for now, _, _ in seen] == list(range(len(seen)))
+            assert seen[0][1] == {}
+            for (_, _, before), (_, held, _) in zip(seen, seen[1:]):
+                assert held == before
+            assert any(held != anchors for _, held, anchors in seen)
 
 
 class TestRelayCompletion:

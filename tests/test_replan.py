@@ -77,6 +77,7 @@ class TestExtractEvents:
             3,
             TriggerConfig(),
             room_of,
+            {},
         )
         assert [e.kind for e in events] == [STAGE_COMPLETE]
         assert dict(events[0].payload)["subtask"] == "GotoPickup"
@@ -88,7 +89,7 @@ class TestExtractEvents:
                 Observation("bottle", (6, 6), 0.9),
             )
         )
-        events = extract_events(ctx_for(), composed(), signals, 1, TriggerConfig(), room_of)
+        events = extract_events(ctx_for(), composed(), signals, 1, TriggerConfig(), room_of, {})
         assert [e.kind for e in events] == [TARGET_DISCOVERED]
         payload = dict(events[0].payload)
         assert payload["source"] == "self"
@@ -101,12 +102,13 @@ class TestExtractEvents:
                 Observation("cup", (4, 4), 0.99),
             )
         )
-        assert extract_events(ctx_for(), composed(), signals, 1, TriggerConfig(), room_of) == []
+        events = extract_events(ctx_for(), composed(), signals, 1, TriggerConfig(), room_of, {})
+        assert events == []
 
     def test_discovery_falls_back_to_anchor_memory(self):
         anchors = {"bottle": AnchorEntry((6, 6), 0.8, 0, "SH")}
         events = extract_events(
-            ctx_for(), composed(anchors=anchors), AgentSignals(), 1, TriggerConfig(), room_of
+            ctx_for(), composed(anchors=anchors), AgentSignals(), 1, TriggerConfig(), room_of, {}
         )
         assert [e.kind for e in events] == [TARGET_DISCOVERED]
         assert dict(events[0].payload)["source"] == "SH"
@@ -114,7 +116,7 @@ class TestExtractEvents:
     def test_no_rediscovery_after_target_found(self):
         signals = AgentSignals(sightings=(Observation("bottle", (4, 4), 0.9),))
         events = extract_events(
-            ctx_for(target_found=True), composed(), signals, 1, TriggerConfig(), room_of
+            ctx_for(target_found=True), composed(), signals, 1, TriggerConfig(), room_of, {}
         )
         assert events == []
 
@@ -122,22 +124,50 @@ class TestExtractEvents:
         partner = SemanticPacket(
             "SH", 0, "RoomB", (Observation("bottle", (14, 4), 0.9),), "GotoHandoff", False, False
         )
-        ctx = ctx_for(anchors={"bottle": AnchorEntry((4, 4), 0.7, 0, "FH")}, target_found=True)
+        held = {"bottle": AnchorEntry((4, 4), 0.7, 0, "FH")}
         events = extract_events(
-            ctx, composed(partner=partner), AgentSignals(), 2, TriggerConfig(), room_of
+            ctx_for(target_found=True),
+            composed(partner=partner),
+            AgentSignals(),
+            2,
+            TriggerConfig(),
+            room_of,
+            held,
         )
         assert [e.kind for e in events] == [CONFLICT]
         payload = dict(events[0].payload)
         assert payload["local_room"] == "RoomA" and payload["partner_room"] == "RoomB"
         assert payload["partner_cell"] == (14, 4) and payload["partner_score"] == 0.9
 
+    def test_conflict_reads_the_held_view_not_this_ticks_anchors(self):
+        partner = SemanticPacket(
+            "SH", 1, "RoomB", (Observation("bottle", (14, 4), 0.9),), "GotoHandoff", False, False
+        )
+        # this tick's merge already took the partner's sighting; the robot
+        # still holds the view it composed a tick earlier
+        merged = {"bottle": AnchorEntry((14, 4), 0.9, 1, "SH")}
+        held = {"bottle": AnchorEntry((4, 4), 0.7, 0, "FH")}
+        ctx = composed(partner=partner, anchors=merged)
+        args = (ctx_for(target_found=True), ctx, AgentSignals(), 2, TriggerConfig(), room_of)
+        events = extract_events(*args, held)
+        assert [e.kind for e in events] == [CONFLICT]
+        assert dict(events[0].payload)["local_cell"] == (4, 4)
+        assert extract_events(*args, merged) == []
+        assert extract_events(*args, {}) == []
+
     def test_no_conflict_when_rooms_agree(self):
         partner = SemanticPacket(
             "SH", 0, "RoomA", (Observation("bottle", (5, 9), 0.9),), "GotoHandoff", False, False
         )
-        ctx = ctx_for(anchors={"bottle": AnchorEntry((4, 4), 0.7, 0, "FH")}, target_found=True)
+        held = {"bottle": AnchorEntry((4, 4), 0.7, 0, "FH")}
         events = extract_events(
-            ctx, composed(partner=partner), AgentSignals(), 2, TriggerConfig(), room_of
+            ctx_for(target_found=True),
+            composed(partner=partner),
+            AgentSignals(),
+            2,
+            TriggerConfig(),
+            room_of,
+            held,
         )
         assert events == []
 
@@ -152,21 +182,22 @@ class TestExtractEvents:
             2,
             TriggerConfig(),
             room_of,
+            {},
         )
         assert events == []
 
     def test_stagnation_fires_at_exactly_n_stag(self):
         cfg = TriggerConfig(n_stag=5)
         ctx = ctx_for(last_progress_tick=10, target_found=True)
-        assert extract_events(ctx, composed(), AgentSignals(), 14, cfg, room_of) == []
-        events = extract_events(ctx, composed(), AgentSignals(), 15, cfg, room_of)
+        assert extract_events(ctx, composed(), AgentSignals(), 14, cfg, room_of, {}) == []
+        events = extract_events(ctx, composed(), AgentSignals(), 15, cfg, room_of, {})
         assert [e.kind for e in events] == [STAGNATION]
         assert dict(events[0].payload)["since"] == 10
 
     def test_path_blocked_per_edge(self):
         signals = AgentSignals(newly_blocked_edges=(((1, 1), (2, 1)), ((3, 3), (4, 3))))
         events = extract_events(
-            ctx_for(target_found=True), composed(), signals, 1, TriggerConfig(), room_of
+            ctx_for(target_found=True), composed(), signals, 1, TriggerConfig(), room_of, {}
         )
         assert [e.kind for e in events] == [PATH_BLOCKED, PATH_BLOCKED]
         assert dict(events[0].payload)["edge"] == ((1, 1), (2, 1))

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaynav.config import SensorConfig
 from relaynav.world import (
     ACTION_FORWARD,
     ACTION_LEFT,
@@ -24,10 +25,12 @@ from relaynav.world import (
     bfs_distance_field,
     bfs_shortest_path,
     clear_blockage,
+    flat_geometry,
     geodesic_distance,
     line_of_sight,
     load_scene,
     path_length_m,
+    ray_geometry,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -326,6 +329,56 @@ class TestVisibility:
                     assert not seen  # out of range
                 else:
                     assert bool(mask[row]) == seen
+
+    def test_every_offset_at_the_default_range_from_border_observers(self, scene):
+        grid = scene.grid
+        range_m = SensorConfig().range_m
+        vis = scene.visibility(range_m)
+        assert grid.width == 64 and max(np.abs(vis.offsets).max(axis=0)) == 20
+        free = [(int(x), int(y)) for y, x in np.argwhere(~grid.blocked)]
+        edge = grid.width - 2
+        observers = [
+            min(c for c in free if c[0] == 1),
+            max(c for c in free if c[0] == edge),
+            min(c for c in free if c[1] == 1),
+            max(c for c in free if c[1] == edge),
+            free[len(free) // 2],
+        ]
+        for observer in observers:
+            mask = vis.visible_offsets(observer)
+            pose = center_pose(observer)
+            for (dx, dy), seen in zip(vis.offsets.tolist(), mask.tolist()):
+                target = (observer[0] + dx, observer[1] + dy)
+                if grid.in_bounds(target):
+                    assert seen == line_of_sight(scene, pose, target, range_m, 360.0)
+                else:
+                    assert not seen  # its ray crosses the walled border
+
+    def test_grid_widths_share_one_shadow_table(self):
+        scenes = [lab_scene(random_bordered_grid(3, 23, 17)),
+                  lab_scene(random_bordered_grid(4, 31, 12))]
+        fields = [scene.visibility(3.0) for scene in scenes]
+        assert fields[0]._masks is fields[1]._masks is ray_geometry(0.25, 3.0)[2]
+        assert not np.array_equal(fields[0]._shadows, fields[1]._shadows)
+        for scene, vis in zip(scenes, fields):
+            for oy, ox in np.argwhere(~scene.grid.blocked):
+                observer = (int(ox), int(oy))
+                mask = vis.visible_offsets(observer)
+                pose = center_pose(observer)
+                for (dx, dy), seen in zip(vis.offsets.tolist(), mask.tolist()):
+                    target = (observer[0] + dx, observer[1] + dy)
+                    if scene.grid.in_bounds(target):
+                        assert seen == line_of_sight(scene, pose, target, 3.0, 360.0)
+
+    def test_shadow_table_is_built_once_and_read_only(self):
+        geometry = ray_geometry(0.25, 5.0)
+        assert ray_geometry(0.25, 5.0) is geometry
+        assert flat_geometry(0.25, 5.0, 64) is flat_geometry(0.25, 5.0, 64)
+        for arr in geometry + flat_geometry(0.25, 5.0, 64):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        offsets, shadows, masks = geometry
+        assert masks.dtype == np.uint64 and masks.shape == (len(shadows), -(-len(offsets) // 64))
 
 
 class TestBlockage:
