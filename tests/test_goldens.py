@@ -1,8 +1,14 @@
-"""Golden digests of the bytes ``do_run`` writes for a small fixed seed matrix.
+"""Golden digests of the bytes the pipeline writes for a small fixed seed matrix.
 
 A change meant to keep behaviour (a refactor, a speed-up) must leave every
 digest here unchanged. A change meant to alter output bytes re-pins them and
 gives the reason in CHANGES.md.
+
+Besides the ``do_run`` traces and results, the cold outputs are pinned too:
+the episodes file, the ``do_eval`` report and per-episode scores of three
+runs, and the canonical JSON of every persisted record type built from fixed
+values. Generated episodes always end at a reachable waypoint, so no run
+writes an infinite NE; the record pins carry ``"inf"`` instead.
 
 The matrix covers the sensing, planning and replanning paths that every
 rollout takes, plus the transport (latency, jitter and drops), a scheduled
@@ -14,15 +20,21 @@ static policy (coordination muted).
 from __future__ import annotations
 
 import hashlib
+import math
+from dataclasses import replace
 
 import pytest
 
 from conftest import episode_batch
-from relaynav.cli import RESULTS_NAME, do_run
+from relaynav.ablation import BlockagePlan
+from relaynav.cli import EPISODE_RESULTS_NAME, REPORT_NAME, RESULTS_NAME, do_eval, do_run
 from relaynav.config import RolloutConfig, TransportConfig
-from relaynav.episodes import save_episodes
-from relaynav.serialize import write_canonical
-from relaynav.world import save_scene
+from relaynav.engine import RolloutResult
+from relaynav.episodes import EpisodeSpec, save_episodes
+from relaynav.manifest import RunManifest
+from relaynav.metrics import EpisodeResult, MetricsReport
+from relaynav.serialize import canonical_dumps, sha256_file, write_canonical
+from relaynav.world import Pose, save_scene
 
 BLOCKAGE_TICK = 5
 # long enough for both discover-mode episodes to finish
@@ -85,6 +97,26 @@ GOLDENS: dict[str, dict[str, str]] = {
 }
 
 
+EPISODES_SHA256 = "c7a746a754e2fe581a780ed72ab761224b1a08d24b56c7ea2d76cbc169ea313d"
+
+# do_eval outputs per run: report.json and episode_results.jsonl. At the
+# default t_max both discover-mode episodes of "discover-short" fail.
+EVAL_GOLDENS: dict[str, dict[str, str]] = {
+    "discover-short": {
+        REPORT_NAME: "ea3cc0b570183313e375903a40e92a996bf933af32ab1e03077ee60eb6c4cec3",
+        EPISODE_RESULTS_NAME: "3f74f2476bdeccb6c3ed6565a9eee1a433ac7461c01b2117a9b39f4aa273b02a",
+    },
+    "lockstep": {
+        REPORT_NAME: "4607039fc9ba701dc035438b572d70a93583513eaccc4ad21bd7eb44020122ef",
+        EPISODE_RESULTS_NAME: "93733f8ac3566dc09136d8aa77d2233d5b363e66d0408b857cbaabe8ca6b4c27",
+    },
+    "discover": {
+        REPORT_NAME: "3a6d140fb2226dc3fb56502b358e31735d0d9498026627f8d3274ff3b0163f47",
+        EPISODE_RESULTS_NAME: "4e93a02c46eea04e8606032c5742cf0185aff699d8a525102325a0bacf3b85fa",
+    },
+}
+
+
 def _digests(out_dir) -> dict[str, str]:
     files = sorted(out_dir.glob("trace_*.jsonl")) + [out_dir / RESULTS_NAME]
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
@@ -117,7 +149,20 @@ def inputs(tmp_path_factory):
     return root, scenes, episodes, blocked_episodes, overrides
 
 
-def _run(inputs, name: str) -> dict[str, str]:
+@pytest.fixture(scope="module")
+def run_dir(inputs):
+    """Output directory of one run of the matrix, run once per module."""
+    done = {}
+
+    def get(name: str):
+        if name not in done:
+            done[name] = _run(inputs, name)
+        return done[name]
+
+    return get
+
+
+def _run(inputs, name: str):
     root, scenes, episodes, blocked_episodes, overrides = inputs
     out = root / name
     if name == "lockstep":
@@ -125,19 +170,162 @@ def _run(inputs, name: str) -> dict[str, str]:
     elif name == "distributed":
         transport = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
         do_run(episodes, scenes, out, RolloutConfig(mode="distributed", seed=5), transport)
-    elif name == "discover":
+    elif name in ("discover", "discover-short"):
         transport = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
-        cfg = RolloutConfig(
-            mode="distributed", knowledge="discover", t_max=DISCOVER_T_MAX, seed=5
-        )
+        cfg = RolloutConfig(mode="distributed", knowledge="discover", seed=5)
+        if name == "discover":
+            cfg = replace(cfg, t_max=DISCOVER_T_MAX)
         do_run(episodes, scenes, out, cfg, transport)
     elif name == "static":
         do_run(episodes, scenes, out, RolloutConfig(policy="static", seed=5), None)
     else:
         do_run(blocked_episodes, scenes, out, RolloutConfig(seed=5), None, overrides)
-    return _digests(out)
+    return out
 
 
 @pytest.mark.parametrize("name", ["lockstep", "distributed", "blockage", "discover", "static"])
-def test_run_outputs_match_pinned_digests(inputs, name):
-    assert _run(inputs, name) == GOLDENS[name]
+def test_run_outputs_match_pinned_digests(run_dir, name):
+    assert _digests(run_dir(name)) == GOLDENS[name]
+
+
+def test_episodes_file_matches_pinned_digest(inputs):
+    assert sha256_file(inputs[2]) == EPISODES_SHA256
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_GOLDENS))
+def test_eval_outputs_match_pinned_digests(run_dir, name):
+    out = run_dir(name)
+    do_eval(out)
+    assert {n: sha256_file(out / n) for n in EVAL_GOLDENS[name]} == EVAL_GOLDENS[name]
+
+
+# Every float field holds more than six significant decimals, so the pins
+# show which fields are rounded on write; ``inf`` stands wherever a record
+# can hold it.
+RECORDS = {
+    "Pose": Pose(1.234567891, -0.987654321, 270),
+    "RolloutResult": RolloutResult(
+        episode_id="s1-e2",
+        success_fh=True,
+        success_sh=False,
+        both_success=False,
+        path_len_fh_m=12.345678912,
+        path_len_sh_m=7.123456789,
+        ne_fh_m=0.123456789123,
+        ne_sh_m=math.inf,
+        subtasks_done_fh=3,
+        subtasks_done_sh=1,
+        subtasks_remaining_fh=0,
+        subtasks_remaining_sh=2,
+        ticks=417,
+        swap_count=1,
+        dialogue_count=4,
+    ),
+    "EpisodeResult": EpisodeResult(
+        episode_id="s1-e2",
+        success_fh=True,
+        success_sh=False,
+        both_success=False,
+        spl_fh=0.876543219,
+        spl_sh=0.0,
+        isr_fh=0.666666666667,
+        isr_sh=0.333333333333,
+        ne_fh_m=0.123456789123,
+        ne_sh_m=math.inf,
+        path_len_fh_m=12.345678912,
+        path_len_sh_m=7.123456789,
+        gt_length_fh_m=10.821320344,
+        gt_length_sh_m=6.414213562,
+        ticks=417,
+        swap_count=1,
+        dialogue_count=4,
+    ),
+    "MetricsReport": MetricsReport(
+        sr=0.666666666667,
+        bsr=0.333333333333,
+        isr=0.583333333333,
+        spl=0.512345678912,
+        ne=1.234567891234,
+        n_episodes=3,
+    ),
+    "MetricsReport-inf": MetricsReport(
+        sr=0.5, bsr=0.0, isr=0.416666666667, spl=0.3, ne=math.inf, n_episodes=2
+    ),
+    "EpisodeSpec": EpisodeSpec(
+        episode_id="s1-e2",
+        scene_id="s1",
+        seed=42,
+        instruction="Take the bottle in the kitchen to the office; hand off at the hall.",
+        target_object_id="obj_3",
+        handoff_fixture_id="fix_1",
+        delivery_anchor_id="anc_2",
+        pickup_room="kitchen",
+        handoff_room="hall",
+        delivery_room="office",
+        pickup_waypoint=Pose(1.234567891, 2.345678912, 0),
+        handoff_waypoint=Pose(3.456789123, 4.567891234, 90),
+        delivery_waypoint=Pose(5.678912345, 6.789123456, 180),
+        start_pose_fh=Pose(0.123456789, 0.234567891, 270),
+        start_pose_sh=Pose(7.891234567, 8.912345678, 0),
+        gt_path_fh=((1, 2), (2, 2), (3, 2)),
+        gt_path_sh=((7, 8), (7, 9)),
+        gt_length_fh=10.821320344,
+        gt_length_sh=6.414213562,
+        subtasks_fh=("GotoPickup", "PickUp", "GotoHandoff", "Deposit", "Stop"),
+        subtasks_sh=("GotoHandoff", "Receive", "GotoDelivery", "Deliver", "Stop"),
+        gate_reports={"pickup": {"passed": True, "score": 0.912345678}},
+    ),
+    "BlockagePlan": BlockagePlan(
+        corridor_id="c4",
+        tick=17,
+        kind="detour",
+        detour_extra_m=14.142135623,
+        swap_critical_m=3.141592653,
+    ),
+    "BlockagePlan-inf": BlockagePlan(
+        corridor_id="c5", tick=9, kind="cut", detour_extra_m=math.inf, swap_critical_m=2.718281828
+    ),
+    "RunManifest": RunManifest(
+        command="run",
+        tool_version="0.1.0",
+        seed=5,
+        config={"rollout": {"tau": 0.123456789, "t_max": 500}, "transport": None},
+        inputs={"episodes.jsonl": {"path": "in/episodes.jsonl", "sha256": "ab" * 32}},
+        outputs={"results.jsonl": {"sha256": "cd" * 32}},
+    ),
+}
+
+RECORD_GOLDENS: dict[str, str] = {
+    "BlockagePlan": (
+        '{"corridor_id":"c4","detour_extra_m":14.142136,"kind":"detour","swap_critical_m":3.141593,"tick":17}'
+    ),
+    "BlockagePlan-inf": (
+        '{"corridor_id":"c5","detour_extra_m":"inf","kind":"cut","swap_critical_m":2.718282,"tick":9}'
+    ),
+    "EpisodeResult": (
+        '{"both_success":false,"dialogue_count":4,"episode_id":"s1-e2","gt_length_fh_m":10.82132,"gt_length_sh_m":6.414214,"isr_fh":0.666667,"isr_sh":0.333333,"ne_fh_m":0.123456789123,"ne_sh_m":"inf","path_len_fh_m":12.345679,"path_len_sh_m":7.123457,"spl_fh":0.876543,"spl_sh":0.0,"success_fh":true,"success_sh":false,"swap_count":1,"ticks":417}'
+    ),
+    "EpisodeSpec": (
+        '{"delivery_anchor_id":"anc_2","delivery_room":"office","delivery_waypoint":{"heading":180,"x":5.678912345,"y":6.789123456},"episode_id":"s1-e2","gate_reports":{"pickup":{"passed":true,"score":0.912345678}},"gt_length_fh":10.821320344,"gt_length_sh":6.414213562,"gt_path_fh":[[1,2],[2,2],[3,2]],"gt_path_sh":[[7,8],[7,9]],"handoff_fixture_id":"fix_1","handoff_room":"hall","handoff_waypoint":{"heading":90,"x":3.456789123,"y":4.567891234},"instruction":"Take the bottle in the kitchen to the office; hand off at the hall.","pickup_room":"kitchen","pickup_waypoint":{"heading":0,"x":1.234567891,"y":2.345678912},"scene_id":"s1","seed":42,"start_pose_fh":{"heading":270,"x":0.123456789,"y":0.234567891},"start_pose_sh":{"heading":0,"x":7.891234567,"y":8.912345678},"subtasks_fh":["GotoPickup","PickUp","GotoHandoff","Deposit","Stop"],"subtasks_sh":["GotoHandoff","Receive","GotoDelivery","Deliver","Stop"],"target_object_id":"obj_3"}'
+    ),
+    "MetricsReport": (
+        '{"bsr":0.333333,"isr":0.583333,"n_episodes":3,"ne":1.234567891234,"spl":0.512346,"sr":0.666667}'
+    ),
+    "MetricsReport-inf": (
+        '{"bsr":0.0,"isr":0.416667,"n_episodes":2,"ne":"inf","spl":0.3,"sr":0.5}'
+    ),
+    "Pose": (
+        '{"heading":270,"x":1.234567891,"y":-0.987654321}'
+    ),
+    "RolloutResult": (
+        '{"both_success":false,"dialogue_count":4,"episode_id":"s1-e2","ne_fh_m":0.123456789123,"ne_sh_m":"inf","path_len_fh_m":12.345679,"path_len_sh_m":7.123457,"subtasks_done_fh":3,"subtasks_done_sh":1,"subtasks_remaining_fh":0,"subtasks_remaining_sh":2,"success_fh":true,"success_sh":false,"swap_count":1,"ticks":417}'
+    ),
+    "RunManifest": (
+        '{"command":"run","config":{"rollout":{"t_max":500,"tau":0.123456789},"transport":null},"inputs":{"episodes.jsonl":{"path":"in/episodes.jsonl","sha256":"abababababababababababababababababababababababababababababababab"}},"outputs":{"results.jsonl":{"sha256":"cdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcdcd"}},"seed":5,"tool_version":"0.1.0"}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_record_json_matches_pin(name):
+    assert canonical_dumps(RECORDS[name].to_dict()) == RECORD_GOLDENS[name]
