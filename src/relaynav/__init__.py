@@ -102,6 +102,7 @@ from .replan import (
 )
 from .scenegen import generate_scene
 from .seeds import derive_seed, make_rng
+from .serialize import RecordFormatError
 from .tasks import FH_CHAIN, SH_CHAIN, Subtask, build_chains
 from .trace import Trace, emit_trace, load_trace
 from .transport import Transport

@@ -26,6 +26,7 @@ from .engine import RolloutResult, run_lockstep
 from .episodes import EpisodeSpec, generate_episode
 from .scenegen import generate_scene
 from .seeds import derive_seed
+from .serialize import ROUNDED, Record
 from .world import Geodesics, SceneGraph
 
 KIND_DETOUR = "detour"
@@ -37,25 +38,12 @@ class SuiteBuildError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class BlockagePlan:
+class BlockagePlan(Record):
     corridor_id: str
     tick: int
     kind: str
-    detour_extra_m: float
-    swap_critical_m: float
-
-    def to_dict(self) -> dict:
-        return {
-            "corridor_id": self.corridor_id,
-            "tick": self.tick,
-            "kind": self.kind,
-            "detour_extra_m": (
-                round(self.detour_extra_m, 6)
-                if math.isfinite(self.detour_extra_m)
-                else "inf"
-            ),
-            "swap_critical_m": round(self.swap_critical_m, 6),
-        }
+    detour_extra_m: float = field(metadata=ROUNDED)
+    swap_critical_m: float = field(metadata=ROUNDED)
 
 
 @dataclass(frozen=True)

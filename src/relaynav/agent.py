@@ -378,10 +378,7 @@ def advance_subtask(state: AgentState, now: int) -> AgentState:
     done = ctx.active_subtask()
     if done is None:
         return state
-    head = ctx.priorities[0]
-    chain = tuple(st for i, st in enumerate(ctx.chain) if i != head)
-    prios = tuple(i if i < head else i - 1 for i in ctx.priorities[1:])
-    new_ctx = replace(ctx, chain=chain, priorities=prios, last_progress_tick=now)
+    new_ctx = replace(ctx, chain=ctx.chain[1:], last_progress_tick=now)
     return replace(
         state,
         policy_ctx=new_ctx,

@@ -450,11 +450,8 @@ def rollout_config_from_dict(d: dict) -> RolloutConfig:
 
 
 def _worker(payload: tuple) -> tuple[str, dict, bytes]:
-    scene_path, episode_dict, rollout_dict, transport_dict, override = payload
+    scene_path, episode, rollout, transport, override = payload
     scene = load_scene(scene_path)
-    episode = EpisodeSpec.from_dict(episode_dict)
-    rollout = rollout_config_from_dict(rollout_dict)
-    transport = TransportConfig(**transport_dict) if transport_dict else None
     cfg = _episode_rollout_config(
         rollout, {episode.episode_id: override} if override else {}, episode.episode_id
     )
@@ -483,17 +480,15 @@ def do_run(
 
     out = _out_dir(out_dir)
     order = sorted(episodes, key=lambda ep: ep.episode_id)
-    rollout_dict = config_to_dict(rollout)
-    transport_dict = config_to_dict(transport) if transport is not None else None
 
     produced: dict[str, tuple[dict, bytes]] = {}
     if jobs > 1:
         payloads = [
             (
                 str(scene_paths[ep.scene_id]),
-                ep.to_dict(),
-                rollout_dict,
-                transport_dict,
+                ep,
+                rollout,
+                transport,
                 overrides.get(ep.episode_id),
             )
             for ep in order

@@ -12,7 +12,7 @@ zero-loss transport reproduces the lockstep trace byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -53,9 +53,9 @@ from .replan import (
     exchange_roles,
     extract_events,
     filter_events,
-    identity_priorities,
     rewrite_policy_context,
 )
+from .serialize import ROUNDED, Record
 from .tasks import STOP, Subtask, build_chains
 from .trace import Trace
 from .transport import Transport
@@ -115,13 +115,13 @@ class ItemState:
 
 
 @dataclass(frozen=True)
-class RolloutResult:
+class RolloutResult(Record):
     episode_id: str
     success_fh: bool
     success_sh: bool
     both_success: bool
-    path_len_fh_m: float
-    path_len_sh_m: float
+    path_len_fh_m: float = field(metadata=ROUNDED)
+    path_len_sh_m: float = field(metadata=ROUNDED)
     ne_fh_m: float
     ne_sh_m: float
     subtasks_done_fh: int
@@ -131,45 +131,6 @@ class RolloutResult:
     ticks: int
     swap_count: int
     dialogue_count: int
-
-    def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "success_fh": self.success_fh,
-            "success_sh": self.success_sh,
-            "both_success": self.both_success,
-            "path_len_fh_m": round(self.path_len_fh_m, 6),
-            "path_len_sh_m": round(self.path_len_sh_m, 6),
-            "ne_fh_m": self.ne_fh_m if math.isfinite(self.ne_fh_m) else "inf",
-            "ne_sh_m": self.ne_sh_m if math.isfinite(self.ne_sh_m) else "inf",
-            "subtasks_done_fh": self.subtasks_done_fh,
-            "subtasks_done_sh": self.subtasks_done_sh,
-            "subtasks_remaining_fh": self.subtasks_remaining_fh,
-            "subtasks_remaining_sh": self.subtasks_remaining_sh,
-            "ticks": self.ticks,
-            "swap_count": self.swap_count,
-            "dialogue_count": self.dialogue_count,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RolloutResult":
-        return RolloutResult(
-            episode_id=d["episode_id"],
-            success_fh=bool(d["success_fh"]),
-            success_sh=bool(d["success_sh"]),
-            both_success=bool(d["both_success"]),
-            path_len_fh_m=float(d["path_len_fh_m"]),
-            path_len_sh_m=float(d["path_len_sh_m"]),
-            ne_fh_m=math.inf if d["ne_fh_m"] == "inf" else float(d["ne_fh_m"]),
-            ne_sh_m=math.inf if d["ne_sh_m"] == "inf" else float(d["ne_sh_m"]),
-            subtasks_done_fh=int(d["subtasks_done_fh"]),
-            subtasks_done_sh=int(d["subtasks_done_sh"]),
-            subtasks_remaining_fh=int(d["subtasks_remaining_fh"]),
-            subtasks_remaining_sh=int(d["subtasks_remaining_sh"]),
-            ticks=int(d["ticks"]),
-            swap_count=int(d["swap_count"]),
-            dialogue_count=int(d["dialogue_count"]),
-        )
 
 
 def commit_actions(
@@ -292,7 +253,6 @@ def _initial_setup(scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig):
             robot_id=rid,
             target_category=target.category,
             chain=chains[rid],
-            priorities=identity_priorities(chains[rid]),
         )
         states[rid] = make_agent(scene, rid, starts[rid], pctx, cfg.knowledge)
     # the robots start out believing one passability: one memo serves both
@@ -482,11 +442,7 @@ def _run(
                 st = replace(st, plan=None, best_steps=math.inf)
                 other = partner_of(rid)
                 ost = states[other]
-                mirror = replace(
-                    ost.policy_ctx,
-                    chain=roles[rid],
-                    priorities=identity_priorities(roles[rid]),
-                )
+                mirror = replace(ost.policy_ctx, chain=roles[rid])
                 states[other] = replace(
                     ost, policy_ctx=mirror, plan=None, best_steps=math.inf
                 )

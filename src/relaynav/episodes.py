@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from .config import EpisodeConfig
 from .gates import GateReport, trigate_check
 from .seeds import derive_seed
+from .serialize import Record, read_jsonl, write_jsonl
 from .world import (
     Cell,
     Geodesics,
@@ -46,7 +47,7 @@ class EpisodeGenerationError(ValueError):
 
 
 @dataclass(frozen=True)
-class EpisodeSpec:
+class EpisodeSpec(Record):
     episode_id: str
     scene_id: str
     seed: int
@@ -69,59 +70,6 @@ class EpisodeSpec:
     subtasks_fh: tuple[str, ...]
     subtasks_sh: tuple[str, ...]
     gate_reports: dict = field(default_factory=dict)
-
-    def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "scene_id": self.scene_id,
-            "seed": self.seed,
-            "instruction": self.instruction,
-            "target_object_id": self.target_object_id,
-            "handoff_fixture_id": self.handoff_fixture_id,
-            "delivery_anchor_id": self.delivery_anchor_id,
-            "pickup_room": self.pickup_room,
-            "handoff_room": self.handoff_room,
-            "delivery_room": self.delivery_room,
-            "pickup_waypoint": self.pickup_waypoint.to_dict(),
-            "handoff_waypoint": self.handoff_waypoint.to_dict(),
-            "delivery_waypoint": self.delivery_waypoint.to_dict(),
-            "start_pose_fh": self.start_pose_fh.to_dict(),
-            "start_pose_sh": self.start_pose_sh.to_dict(),
-            "gt_path_fh": [list(c) for c in self.gt_path_fh],
-            "gt_path_sh": [list(c) for c in self.gt_path_sh],
-            "gt_length_fh": self.gt_length_fh,
-            "gt_length_sh": self.gt_length_sh,
-            "subtasks_fh": list(self.subtasks_fh),
-            "subtasks_sh": list(self.subtasks_sh),
-            "gate_reports": self.gate_reports,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EpisodeSpec":
-        return EpisodeSpec(
-            episode_id=d["episode_id"],
-            scene_id=d["scene_id"],
-            seed=int(d["seed"]),
-            instruction=d["instruction"],
-            target_object_id=d["target_object_id"],
-            handoff_fixture_id=d["handoff_fixture_id"],
-            delivery_anchor_id=d["delivery_anchor_id"],
-            pickup_room=d["pickup_room"],
-            handoff_room=d["handoff_room"],
-            delivery_room=d["delivery_room"],
-            pickup_waypoint=Pose.from_dict(d["pickup_waypoint"]),
-            handoff_waypoint=Pose.from_dict(d["handoff_waypoint"]),
-            delivery_waypoint=Pose.from_dict(d["delivery_waypoint"]),
-            start_pose_fh=Pose.from_dict(d["start_pose_fh"]),
-            start_pose_sh=Pose.from_dict(d["start_pose_sh"]),
-            gt_path_fh=tuple((int(x), int(y)) for x, y in d["gt_path_fh"]),
-            gt_path_sh=tuple((int(x), int(y)) for x, y in d["gt_path_sh"]),
-            gt_length_fh=float(d["gt_length_fh"]),
-            gt_length_sh=float(d["gt_length_sh"]),
-            subtasks_fh=tuple(d["subtasks_fh"]),
-            subtasks_sh=tuple(d["subtasks_sh"]),
-            gate_reports=d.get("gate_reports", {}),
-        )
 
 
 @dataclass(frozen=True)
@@ -413,12 +361,8 @@ def dataset_stats(episodes: list[EpisodeSpec]) -> DatasetStats:
 # --- JSONL persistence ----------------------------------------------------
 
 def save_episodes(episodes: list[EpisodeSpec], path) -> None:
-    from .serialize import write_jsonl
-
     write_jsonl(path, [ep.to_dict() for ep in episodes])
 
 
 def load_episodes(path) -> list[EpisodeSpec]:
-    from .serialize import read_jsonl
-
     return [EpisodeSpec.from_dict(d) for d in read_jsonl(path)]

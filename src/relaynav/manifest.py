@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .serialize import read_json, sha256_file, write_canonical
+from .serialize import Record, read_json, sha256_file, write_canonical
 
 MANIFEST_NAME = "manifest.json"
 
@@ -22,7 +22,7 @@ class ManifestError(ValueError):
 
 
 @dataclass(frozen=True)
-class RunManifest:
+class RunManifest(Record):
     command: str
     tool_version: str
     seed: int
@@ -30,29 +30,7 @@ class RunManifest:
     inputs: dict = field(default_factory=dict)
     outputs: dict = field(default_factory=dict)
 
-    def to_dict(self) -> dict:
-        return {
-            "command": self.command,
-            "tool_version": self.tool_version,
-            "seed": self.seed,
-            "config": self.config,
-            "inputs": self.inputs,
-            "outputs": self.outputs,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "RunManifest":
-        for key in ("command", "tool_version", "seed", "config"):
-            if key not in d:
-                raise ManifestError(f"manifest missing field {key!r}")
-        return RunManifest(
-            command=str(d["command"]),
-            tool_version=str(d["tool_version"]),
-            seed=int(d["seed"]),
-            config=dict(d["config"]),
-            inputs=dict(d.get("inputs", {})),
-            outputs=dict(d.get("outputs", {})),
-        )
+    format_error = ManifestError
 
 
 def make_manifest(
@@ -95,14 +73,3 @@ def load_manifest(path: str | Path) -> RunManifest:
     if not target.exists():
         raise ManifestError(f"no manifest at {target}")
     return RunManifest.from_dict(read_json(target))
-
-
-def verify_outputs(manifest: RunManifest, out_dir: str | Path) -> list[str]:
-    """Names of outputs whose bytes under ``out_dir`` differ from the record."""
-    mismatched = []
-    base = Path(out_dir)
-    for name, rec in sorted(manifest.outputs.items()):
-        path = base / name
-        if not path.exists() or sha256_file(path) != rec["sha256"]:
-            mismatched.append(name)
-    return mismatched

@@ -9,10 +9,11 @@ BSR ≤ SR always holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .engine import RolloutResult
 from .episodes import EpisodeSpec
+from .serialize import ROUNDED, Record
 
 UNDEFINED = "undefined"
 
@@ -22,23 +23,23 @@ class MetricsError(ValueError):
 
 
 @dataclass(frozen=True)
-class EpisodeResult:
+class EpisodeResult(Record):
     """One rollout joined with its episode's per-robot shortest-path lengths."""
 
     episode_id: str
     success_fh: bool
     success_sh: bool
     both_success: bool
-    spl_fh: float
-    spl_sh: float
-    isr_fh: float
-    isr_sh: float
+    spl_fh: float = field(metadata=ROUNDED)
+    spl_sh: float = field(metadata=ROUNDED)
+    isr_fh: float = field(metadata=ROUNDED)
+    isr_sh: float = field(metadata=ROUNDED)
     ne_fh_m: float
     ne_sh_m: float
-    path_len_fh_m: float
-    path_len_sh_m: float
-    gt_length_fh_m: float
-    gt_length_sh_m: float
+    path_len_fh_m: float = field(metadata=ROUNDED)
+    path_len_sh_m: float = field(metadata=ROUNDED)
+    gt_length_fh_m: float = field(metadata=ROUNDED)
+    gt_length_sh_m: float = field(metadata=ROUNDED)
     ticks: int
     swap_count: int
     dialogue_count: int
@@ -46,63 +47,17 @@ class EpisodeResult:
     def __post_init__(self) -> None:
         if self.both_success and not (self.success_fh and self.success_sh):
             raise MetricsError("both_success requires both per-robot successes")
-        for field in ("path_len_fh_m", "path_len_sh_m", "ne_fh_m", "ne_sh_m"):
-            if getattr(self, field) < 0:
-                raise MetricsError(f"{field} must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "episode_id": self.episode_id,
-            "success_fh": self.success_fh,
-            "success_sh": self.success_sh,
-            "both_success": self.both_success,
-            "spl_fh": round(self.spl_fh, 6),
-            "spl_sh": round(self.spl_sh, 6),
-            "isr_fh": round(self.isr_fh, 6),
-            "isr_sh": round(self.isr_sh, 6),
-            "ne_fh_m": self.ne_fh_m if math.isfinite(self.ne_fh_m) else "inf",
-            "ne_sh_m": self.ne_sh_m if math.isfinite(self.ne_sh_m) else "inf",
-            "path_len_fh_m": round(self.path_len_fh_m, 6),
-            "path_len_sh_m": round(self.path_len_sh_m, 6),
-            "gt_length_fh_m": round(self.gt_length_fh_m, 6),
-            "gt_length_sh_m": round(self.gt_length_sh_m, 6),
-            "ticks": self.ticks,
-            "swap_count": self.swap_count,
-            "dialogue_count": self.dialogue_count,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EpisodeResult":
-        def _ne(v):
-            return math.inf if v == "inf" else float(v)
-
-        return EpisodeResult(
-            episode_id=d["episode_id"],
-            success_fh=bool(d["success_fh"]),
-            success_sh=bool(d["success_sh"]),
-            both_success=bool(d["both_success"]),
-            spl_fh=float(d["spl_fh"]),
-            spl_sh=float(d["spl_sh"]),
-            isr_fh=float(d["isr_fh"]),
-            isr_sh=float(d["isr_sh"]),
-            ne_fh_m=_ne(d["ne_fh_m"]),
-            ne_sh_m=_ne(d["ne_sh_m"]),
-            path_len_fh_m=float(d["path_len_fh_m"]),
-            path_len_sh_m=float(d["path_len_sh_m"]),
-            gt_length_fh_m=float(d["gt_length_fh_m"]),
-            gt_length_sh_m=float(d["gt_length_sh_m"]),
-            ticks=int(d["ticks"]),
-            swap_count=int(d["swap_count"]),
-            dialogue_count=int(d["dialogue_count"]),
-        )
+        for name in ("path_len_fh_m", "path_len_sh_m", "ne_fh_m", "ne_sh_m"):
+            if getattr(self, name) < 0:
+                raise MetricsError(f"{name} must be non-negative")
 
 
 @dataclass(frozen=True)
-class MetricsReport:
-    sr: float
-    bsr: float
-    isr: float
-    spl: float
+class MetricsReport(Record):
+    sr: float = field(metadata=ROUNDED)
+    bsr: float = field(metadata=ROUNDED)
+    isr: float = field(metadata=ROUNDED)
+    spl: float = field(metadata=ROUNDED)
     ne: float
     n_episodes: int
 
@@ -115,27 +70,6 @@ class MetricsReport:
             raise MetricsError("bsr cannot exceed sr")
         if self.n_episodes <= 0:
             raise MetricsError("report needs at least one episode")
-
-    def to_dict(self) -> dict:
-        return {
-            "sr": round(self.sr, 6),
-            "bsr": round(self.bsr, 6),
-            "isr": round(self.isr, 6),
-            "spl": round(self.spl, 6),
-            "ne": self.ne if math.isfinite(self.ne) else "inf",
-            "n_episodes": self.n_episodes,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MetricsReport":
-        return MetricsReport(
-            sr=float(d["sr"]),
-            bsr=float(d["bsr"]),
-            isr=float(d["isr"]),
-            spl=float(d["spl"]),
-            ne=math.inf if d["ne"] == "inf" else float(d["ne"]),
-            n_episodes=int(d["n_episodes"]),
-        )
 
 
 def spl_term(success: bool, gt_length_m: float, path_len_m: float) -> float:

@@ -41,7 +41,6 @@ EVENT_PRIORITY = {
 
 KEEP_ASSIGNMENT = "KeepAssignment"
 SWAP_SUBTASKS = "SwapSubtasks"
-REORDER_SUBGOALS = "ReorderSubgoals"
 UPDATE_ANCHOR_TARGET = "UpdateAnchorTarget"
 
 Payload = tuple[tuple[str, object], ...]
@@ -102,22 +101,11 @@ class PolicyContext:
     robot_id: str
     target_category: str
     chain: tuple[Subtask, ...]
-    priorities: tuple[int, ...]
     last_progress_tick: int = 0
     target_found: bool = False
 
-    def validate(self) -> None:
-        if sorted(self.priorities) != list(range(len(self.chain))):
-            raise ValueError("priorities must be a permutation of chain indices")
-
     def active_subtask(self) -> Subtask | None:
-        if not self.chain:
-            return None
-        return self.chain[self.priorities[0]]
-
-
-def identity_priorities(chain: tuple[Subtask, ...]) -> tuple[int, ...]:
-    return tuple(range(len(chain)))
+        return self.chain[0] if self.chain else None
 
 
 @dataclass(frozen=True)
@@ -495,7 +483,7 @@ def rewrite_policy_context(
                 )
             )
             return ctx, records
-        new_ctx = replace(new_ctx, chain=theirs, priorities=identity_priorities(theirs))
+        new_ctx = replace(new_ctx, chain=theirs)
         if payload.get("initiator", rid) == rid:
             records.append(
                 DialogueRecord(
@@ -520,30 +508,6 @@ def rewrite_policy_context(
                     trigger=trigger,
                     initiator=rid,
                     summary=f"{rid} anchors {ctx.target_category} at {list(cell)}",
-                    decision=decision.to_dict(),
-                )
-            )
-    elif decision.kind == REORDER_SUBGOALS:
-        order = tuple(int(i) for i in payload["order"])
-        if sorted(order) != list(range(len(ctx.chain))):
-            records.append(
-                DialogueRecord(
-                    tick=tick,
-                    trigger=trigger,
-                    initiator=rid,
-                    summary=f"{rid} reorder rejected: not a permutation of the remaining subgoals",
-                    decision=KEEP.to_dict(),
-                )
-            )
-            return ctx, records
-        if order != ctx.priorities:
-            new_ctx = replace(new_ctx, priorities=order)
-            records.append(
-                DialogueRecord(
-                    tick=tick,
-                    trigger=trigger,
-                    initiator=rid,
-                    summary=f"{rid} reorders subgoal priorities to {list(order)}",
                     decision=decision.to_dict(),
                 )
             )

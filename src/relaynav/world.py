@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .serialize import Record, read_json, write_canonical
+
 Cell = tuple[int, int]
 
 TURN_DEG = 15
@@ -127,7 +129,7 @@ def wrap_angle(deg: float) -> float:
 
 
 @dataclass(frozen=True)
-class Pose:
+class Pose(Record):
     x: float
     y: float
     heading: int
@@ -136,12 +138,6 @@ class Pose:
         if self.heading % TURN_DEG != 0 or not 0 <= self.heading < 360:
             raise ValueError(f"heading must be a multiple of {TURN_DEG} in [0, 360)")
 
-    def to_dict(self) -> dict:
-        return {"x": self.x, "y": self.y, "heading": self.heading}
-
-    @staticmethod
-    def from_dict(d: dict) -> "Pose":
-        return Pose(float(d["x"]), float(d["y"]), int(d["heading"]))
 
 
 # --- scene structure ------------------------------------------------------
@@ -812,12 +808,8 @@ def scene_from_dict(data: dict) -> SceneGraph:
 
 
 def save_scene(scene: SceneGraph, path) -> None:
-    from .serialize import write_canonical
-
     write_canonical(path, scene_to_dict(scene), indent=2)
 
 
 def load_scene(path) -> SceneGraph:
-    from .serialize import read_json
-
     return scene_from_dict(read_json(path))

@@ -30,7 +30,7 @@ from relaynav.agent import (
 from relaynav.bus import Observation
 from relaynav.config import SensorConfig
 from relaynav.gates import DistanceFalloffScorer
-from relaynav.replan import PolicyContext, identity_priorities
+from relaynav.replan import PolicyContext
 from relaynav.tasks import GOTO_PICKUP, PICK_UP, STOP, Subtask
 from relaynav.world import (
     ACTION_FORWARD,
@@ -53,7 +53,6 @@ def ctx_with(chain):
         robot_id="FH",
         target_category="bottle",
         chain=tuple(chain),
-        priorities=identity_priorities(tuple(chain)),
     )
 
 
@@ -474,26 +473,10 @@ class TestBookkeeping:
         state = agent_at(scene, (2, 4), chain=chain)
         advanced = advance_subtask(state, now=7)
         assert advanced.policy_ctx.chain == chain[1:]
-        assert advanced.policy_ctx.priorities == (0, 1)
         assert advanced.completed_last_tick == GOTO_PICKUP
         assert advanced.subtasks_done == 1
         assert advanced.policy_ctx.last_progress_tick == 7
         assert advanced.plan is None and math.isinf(advanced.best_steps)
-
-    def test_advance_respects_reordered_priorities(self):
-        scene = walled_lab()
-        chain = (
-            Subtask(GOTO_PICKUP, (6, 4)),
-            Subtask(PICK_UP, (6, 4)),
-            Subtask(STOP, None),
-        )
-        state = agent_at(scene, (2, 4), chain=chain)
-        state = replace(
-            state, policy_ctx=replace(state.policy_ctx, priorities=(1, 0, 2))
-        )
-        advanced = advance_subtask(state, now=3)
-        assert advanced.policy_ctx.chain == (chain[0], chain[2])
-        assert advanced.policy_ctx.priorities == (0, 1)
 
     def test_note_progress_updates_only_on_improvement(self):
         scene = walled_lab()

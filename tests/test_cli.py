@@ -7,6 +7,7 @@ layouts, and manifests are tested exactly as a shell user sees them.
 from __future__ import annotations
 
 import json
+import shutil
 
 import pytest
 
@@ -24,7 +25,7 @@ from relaynav.cli import (
 )
 from relaynav.episodes import EpisodeRejection, load_episodes
 from relaynav.manifest import load_manifest
-from relaynav.serialize import read_json, read_jsonl, write_canonical
+from relaynav.serialize import read_json, read_jsonl, write_canonical, write_jsonl
 from relaynav.trace import load_trace
 from relaynav.world import load_scene
 
@@ -273,6 +274,15 @@ class TestExitCodes:
 
     def test_eval_without_manifest_is_runtime_error(self, tmp_path):
         assert main(["eval", "--results", str(tmp_path)]) == EXIT_RUNTIME
+
+    def test_eval_names_a_missing_result_field(self, run_dirs, tmp_path, capsys):
+        copy = tmp_path / "run"
+        shutil.copytree(run_dirs[0], copy)
+        rows = read_jsonl(copy / "results.jsonl")
+        del rows[0]["ticks"]
+        write_jsonl(copy / "results.jsonl", rows)
+        assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
+        assert "RolloutResult: missing field 'ticks'" in capsys.readouterr().err
 
     def test_all_rejections_exit_3(self, pipeline, monkeypatch):
         root, scenes, _ = pipeline

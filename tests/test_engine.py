@@ -23,7 +23,7 @@ from relaynav.engine import (
     run_distributed,
     run_lockstep,
 )
-from relaynav.replan import PolicyContext, extract_events, identity_priorities
+from relaynav.replan import PolicyContext, extract_events
 from relaynav.tasks import DELIVER, DEPOSIT, PICK_UP, RECEIVE, STOP, Subtask
 from relaynav.world import ACTION_STOP, FORWARD_M, scene_from_dict, scene_to_dict
 
@@ -206,7 +206,7 @@ def interaction_pair(scene, item_cell, fh_kind, sh_kind, fh_cell=None, sh_cell=N
     states = {}
     for rid, kind, cell in (("FH", fh_kind, fh_cell), ("SH", sh_kind, sh_cell)):
         chain = (Subtask(kind, item_cell), Subtask(STOP, None))
-        ctx = PolicyContext(rid, "bottle", chain, identity_priorities(chain))
+        ctx = PolicyContext(rid, "bottle", chain)
         states[rid] = make_agent(scene, rid, center_pose(cell or item_cell), ctx)
     return states
 
@@ -280,7 +280,7 @@ class TestResultAndErrors:
         scene = walled_lab()
         states = {}
         for rid in ("FH", "SH"):
-            ctx = PolicyContext(rid, "bottle", (), identity_priorities(()))
+            ctx = PolicyContext(rid, "bottle", ())
             states[rid] = make_agent(scene, rid, center_pose((7, 4)), ctx)
         states["FH"] = on_blocked(states["FH"], ((7, 4), (8, 4)), now=0)
         result = _score_rollout(

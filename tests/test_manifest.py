@@ -1,4 +1,4 @@
-"""Run manifests: hashing, persistence, output verification."""
+"""Run manifests: hashing and persistence."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from relaynav.manifest import (
     load_manifest,
     make_manifest,
     save_manifest,
-    verify_outputs,
 )
 
 
@@ -58,22 +57,3 @@ class TestPersistence:
     def test_from_dict_requires_core_fields(self):
         with pytest.raises(ManifestError):
             RunManifest.from_dict({"command": "run", "seed": 1, "config": {}})
-
-
-class TestVerifyOutputs:
-    def test_intact_outputs_verify_clean(self, artifacts):
-        out_dir, _, results = artifacts
-        manifest = make_manifest("run", 0, {}, output_files={"results.jsonl": results})
-        assert verify_outputs(manifest, out_dir) == []
-
-    def test_modified_output_detected(self, artifacts):
-        out_dir, _, results = artifacts
-        manifest = make_manifest("run", 0, {}, output_files={"results.jsonl": results})
-        results.write_text('{"episode": "tampered"}\n')
-        assert verify_outputs(manifest, out_dir) == ["results.jsonl"]
-
-    def test_missing_output_detected(self, artifacts):
-        out_dir, _, results = artifacts
-        manifest = make_manifest("run", 0, {}, output_files={"results.jsonl": results})
-        results.unlink()
-        assert verify_outputs(manifest, out_dir) == ["results.jsonl"]

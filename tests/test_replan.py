@@ -29,7 +29,6 @@ from relaynav.replan import (
     exchange_roles,
     extract_events,
     filter_events,
-    identity_priorities,
     make_payload,
     rewrite_policy_context,
     swap_oracle,
@@ -47,7 +46,6 @@ def ctx_for(robot_id="FH", chain=None, **kw):
         robot_id=robot_id,
         target_category="bottle",
         chain=chain,
-        priorities=identity_priorities(chain),
     )
     defaults.update(kw)
     return PolicyContext(**defaults)
@@ -467,7 +465,6 @@ class TestRewrite:
         )
         new_ctx, records = rewrite_policy_context(ctx, admitted, swap, bus)
         assert new_ctx.chain == chains["SH"]
-        assert new_ctx.priorities == identity_priorities(chains["SH"])
         assert len(records) == 1
         assert "proposes swapping remaining subtasks with SH" in records[0].summary
         assert records[0].trigger == PATH_BLOCKED and records[0].initiator == "FH"
@@ -515,21 +512,6 @@ class TestRewrite:
         assert new_ctx.target_found is True
         assert len(records) == 1 and "anchors bottle" in records[0].summary
 
-    def test_reorder_applies_permutation_and_rejects_others(self):
-        from relaynav.replan import REORDER_SUBGOALS
-
-        chains = build_chains((5, 5), (10, 10), (15, 15))
-        ctx = ctx_for("FH", chain=chains["FH"])
-        admitted = [Event(STAGNATION, 4, "FH", make_payload(since=0))]
-        good = ReplanDecision(REORDER_SUBGOALS, make_payload(order=(1, 0, 2, 3, 4)))
-        new_ctx, records = rewrite_policy_context(ctx, admitted, good, empty_bus())
-        assert new_ctx.priorities == (1, 0, 2, 3, 4)
-        assert len(records) == 1
-        bad = ReplanDecision(REORDER_SUBGOALS, make_payload(order=(0, 0, 2, 3, 4)))
-        same_ctx, records = rewrite_policy_context(ctx, admitted, bad, empty_bus())
-        assert same_ctx == ctx
-        assert "rejected" in records[0].summary
-
     def test_no_admitted_events_is_a_noop(self):
         ctx = ctx_for()
         new_ctx, records = rewrite_policy_context(
@@ -549,9 +531,5 @@ def test_exchange_roles_swaps_and_validates():
 
 def test_policy_context_validation():
     chain = build_chains((5, 5), (10, 10), (15, 15))["FH"]
-    good = PolicyContext("FH", "bottle", chain, identity_priorities(chain))
-    good.validate()
+    good = PolicyContext("FH", "bottle", chain)
     assert good.active_subtask() is chain[0]
-    bad = PolicyContext("FH", "bottle", chain, (0, 0, 1, 2, 3))
-    with pytest.raises(ValueError):
-        bad.validate()
