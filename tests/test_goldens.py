@@ -7,7 +7,8 @@ gives the reason in CHANGES.md.
 Besides the ``do_run`` traces and results, the cold outputs are pinned too:
 the episodes file, the ``do_eval`` report and per-episode scores of three
 runs, and the canonical JSON of every persisted record type built from fixed
-values. Generated episodes always end at a reachable waypoint, so no run
+values. A small blockage suite pins the subtask-swap path, which none of the
+``do_run`` episodes takes. Generated episodes always end at a reachable waypoint, so no run
 writes an infinite NE; the record pins carry ``"inf"`` instead.
 
 The matrix covers the sensing, planning and replanning paths that every
@@ -26,10 +27,10 @@ from dataclasses import replace
 import pytest
 
 from conftest import episode_batch
-from relaynav.ablation import BlockagePlan
+from relaynav.ablation import BlockagePlan, SuiteParams, build_blockage_suite
 from relaynav.cli import EPISODE_RESULTS_NAME, REPORT_NAME, RESULTS_NAME, do_eval, do_run
 from relaynav.config import RolloutConfig, TransportConfig
-from relaynav.engine import RolloutResult
+from relaynav.engine import RolloutResult, run_distributed, run_lockstep
 from relaynav.episodes import EpisodeSpec, save_episodes
 from relaynav.manifest import RunManifest
 from relaynav.metrics import EpisodeResult, MetricsReport
@@ -329,3 +330,74 @@ RECORD_GOLDENS: dict[str, str] = {
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_json_matches_pin(name):
     assert canonical_dumps(RECORDS[name].to_dict()) == RECORD_GOLDENS[name]
+
+
+# Both entries of this suite swap once under the blockage, with one dialogue
+# record. Keyed by episode id: sha256 of the trace bytes and of the result's
+# canonical JSON, per mode.
+SWAP_SUITE = SuiteParams(n_episodes=2, seed=42)
+SWAP_TRANSPORT = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
+SWAP_GOLDENS: dict[str, dict[str, tuple[str, str]]] = {
+    "lockstep": {
+        "s3947970651584937966-e6399595252512148991": (
+            "afce20706685a1a2706c67651de6c6cecb8f6b6e726dedf85e862dc00a9d84df",
+            "27adc0f4e788e792ccc0f54c6925c8dcd014764e8fb291ba3cb2c445b2725333",
+        ),
+        "s15736047159481383581-e4017598461771834363": (
+            "e21cdf4e4f32803c8d4cbc614b5463609cbab0114a900803ea373ba51b988edc",
+            "c7a6305ecacf8ae89e3ec7c1a7935f0320cb1fee3b8cf995c6d35ca7c683793c",
+        ),
+    },
+    "distributed": {
+        "s3947970651584937966-e6399595252512148991": (
+            "cbc198ca4ff7ed2b84498a5b7392897f98762823df6b7e01cf53e1c71aceadd7",
+            "27adc0f4e788e792ccc0f54c6925c8dcd014764e8fb291ba3cb2c445b2725333",
+        ),
+        "s15736047159481383581-e4017598461771834363": (
+            "b312466a6ed65be17998fa382a71c66aa6d90837af1cb20691234345359822b4",
+            "c7a6305ecacf8ae89e3ec7c1a7935f0320cb1fee3b8cf995c6d35ca7c683793c",
+        ),
+    },
+}
+
+
+@pytest.fixture(scope="module")
+def swap_runs():
+    """Lockstep, lossy and zero-latency distributed rollouts of each suite
+    entry under its scheduled blockage, keyed by (mode, episode id)."""
+    suite = build_blockage_suite(SWAP_SUITE)
+    runs = {}
+    for entry in suite.entries:
+        cfg = replace(
+            suite.params.rollout,
+            policy="deconav",
+            t_max=entry.t_max,
+            blockage_schedule=((entry.plan.tick, entry.plan.corridor_id),),
+        )
+        scene, episode = suite.scenes[entry.episode.scene_id], entry.episode
+        dist = replace(cfg, mode="distributed")
+        eid = episode.episode_id
+        runs["lockstep", eid] = run_lockstep(scene, episode, cfg)
+        runs["distributed", eid] = run_distributed(scene, episode, dist, SWAP_TRANSPORT)
+        runs["zero-latency", eid] = run_distributed(scene, episode, dist, TransportConfig())
+    return runs
+
+
+@pytest.mark.parametrize("mode", sorted(SWAP_GOLDENS))
+def test_swap_runs_match_pinned_digests(swap_runs, mode):
+    got = {}
+    for (m, eid), (result, trace) in swap_runs.items():
+        if m == mode:
+            assert result.swap_count >= 1, eid
+            got[eid] = (
+                hashlib.sha256(trace.to_bytes()).hexdigest(),
+                hashlib.sha256(canonical_dumps(result.to_dict()).encode()).hexdigest(),
+            )
+    assert got == SWAP_GOLDENS[mode]
+
+
+def test_zero_latency_swap_runs_equal_lockstep(swap_runs):
+    for eid in SWAP_GOLDENS["lockstep"]:
+        _, lock = swap_runs["lockstep", eid]
+        _, dist = swap_runs["zero-latency", eid]
+        assert dist.to_bytes() == lock.to_bytes()
