@@ -26,7 +26,6 @@ from .bus import (
     AnchorEntry,
     BusState,
     ComposedContext,
-    DialogueRecord,
     Observation,
     SemanticPacket,
     compose_context,
@@ -90,6 +89,7 @@ from .metrics import (
     score_episode,
 )
 from .replan import (
+    DialogueRecord,
     Event,
     PolicyContext,
     ReplanDecision,

@@ -1,19 +1,18 @@
 """Semantic state bus shared by the two robots.
 
-The bus holds the latest semantic packet per robot, a per-category anchor
-memory of best object evidence, the current role assignment (each
-robot's remaining subtask chain, opaque to the bus), and the dialogue log. All updates are functional:
-``publish`` and ``record_dialogue`` return new values and never mutate, so any
-previously taken reference doubles as an immutable snapshot. A composed
-context shares the bus's ``anchors`` and ``roles`` dicts rather than copying
-them: an update builds new dicts, and no code mutates one once it is on a
-bus or in a context, so the context is a snapshot too.
+The bus holds the latest semantic packet per robot and a per-category
+anchor memory of the best object evidence. It knows nothing of subtask
+chains or dialogue: the engine owns both. ``publish`` returns a new bus and
+never mutates, so any previously taken reference doubles as an immutable
+snapshot. A composed context shares the bus's ``anchors`` dict rather than
+copying it: a publish builds a new dict, and no code mutates one once it is
+on a bus or in a context, so the context is a snapshot too.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping
 
 from .world import Cell
@@ -78,42 +77,21 @@ class AnchorEntry:
 
 
 @dataclass(frozen=True)
-class DialogueRecord:
-    tick: int
-    trigger: str
-    initiator: str
-    summary: str
-    decision: dict
-
-    def to_dict(self) -> dict:
-        return {
-            "tick": self.tick,
-            "trigger": self.trigger,
-            "initiator": self.initiator,
-            "summary": self.summary,
-            "decision": self.decision,
-        }
-
-
-@dataclass(frozen=True)
 class ComposedContext:
     self_state: SemanticPacket
     partner_state: SemanticPacket | None
     partner_stale: bool
     anchors: Mapping[str, AnchorEntry]
-    roles: Mapping[str, tuple]
 
 
 @dataclass(frozen=True)
 class BusState:
     packets: Mapping[str, SemanticPacket]
     anchors: Mapping[str, AnchorEntry]
-    roles: Mapping[str, tuple]
-    dialogue: tuple[DialogueRecord, ...]
 
 
-def empty_bus(roles: Mapping[str, tuple] | None = None) -> BusState:
-    return BusState(packets={}, anchors={}, roles=dict(roles or {}), dialogue=())
+def empty_bus() -> BusState:
+    return BusState(packets={}, anchors={})
 
 
 def _anchor_wins(new: AnchorEntry, old: AnchorEntry) -> bool:
@@ -157,7 +135,7 @@ def publish(bus: BusState, packet: SemanticPacket) -> BusState:
         return bus
     packets = dict(bus.packets)
     packets[packet.robot_id] = packet
-    return BusState(packets, merge_anchors(bus.anchors, packet), bus.roles, bus.dialogue)
+    return BusState(packets, merge_anchors(bus.anchors, packet))
 
 
 def compose_context(bus: BusState, self_id: str, now: int, tau: int) -> ComposedContext:
@@ -175,7 +153,6 @@ def compose_context(bus: BusState, self_id: str, now: int, tau: int) -> Composed
         partner_state=partner if fresh else None,
         partner_stale=not fresh,
         anchors=bus.anchors,
-        roles=bus.roles,
     )
 
 
@@ -190,11 +167,5 @@ def compose_muted(bus: BusState, self_id: str, now: int) -> ComposedContext:
         partner_state=None,
         partner_stale=True,
         anchors={k: v for k, v in bus.anchors.items() if v.source == self_id},
-        roles=bus.roles,
     )
 
-
-def record_dialogue(bus: BusState, record: DialogueRecord) -> BusState:
-    if bus.dialogue and record.tick < bus.dialogue[-1].tick:
-        raise ValueError("dialogue ticks must be non-decreasing")
-    return replace(bus, dialogue=bus.dialogue + (record,))

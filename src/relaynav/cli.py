@@ -401,11 +401,27 @@ def _load_overrides(path: str | Path | None) -> dict:
         raise UsageError(f"overrides file {path} must map episode_id to settings")
     out = {}
     for eid, rec in data.items():
-        blockages = tuple(
-            (int(t), str(c)) for t, c in rec.get("blockages", [])
-        )
-        out[eid] = {"blockages": blockages, "t_max": rec.get("t_max")}
+        where = f"overrides file {path}, episode {eid}"
+        if not isinstance(rec, dict):
+            raise UsageError(f"{where}: settings must be an object, got {rec!r}")
+        unknown = set(rec) - {"blockages", "t_max"}
+        if unknown:
+            raise UsageError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
+        pairs = rec.get("blockages", [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and _is_count(p[0]) and isinstance(p[1], str)
+            for p in pairs
+        ):
+            raise UsageError(f"{where}: blockages must be [tick, corridor_id] pairs, got {pairs!r}")
+        t_max = rec.get("t_max")
+        if t_max is not None and not _is_count(t_max):
+            raise UsageError(f"{where}: t_max must be a non-negative integer, got {t_max!r}")
+        out[eid] = {"blockages": tuple((t, c) for t, c in pairs), "t_max": t_max}
     return out
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def _episode_rollout_config(
@@ -416,7 +432,7 @@ def _episode_rollout_config(
         return base
     cfg = replace(base, blockage_schedule=rec["blockages"])
     if rec["t_max"] is not None:
-        cfg = replace(cfg, t_max=int(rec["t_max"]))
+        cfg = replace(cfg, t_max=rec["t_max"])
     return cfg
 
 

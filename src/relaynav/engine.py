@@ -1,10 +1,14 @@
 """Synchronous rollout engine: lockstep and distributed relay execution.
 
-Both modes share one tick pipeline — apply scheduled blockages, sense,
-publish, compose, replan, choose actions, commit atomically, advance
-subtasks — and differ only in how semantic packets travel: lockstep writes
-to one shared bus, distributed keeps a per-robot replica fed by a simulated
-transport. Role assignment and dialogue are maintained engine-side and
+A rollout is a loop of ticks over one small run state (``_Run``, with a
+mutable ``_Robot`` record per robot). Each tick runs the phases of
+``TICK_PHASES`` in order: blockage (scheduled closures), sense, publish,
+deliver (due transport packets, distributed mode only), compose, replan (FH
+first; a swap exchanges the robots' live chains), act, commit (both actions
+atomically, :func:`commit_actions`), progress (subtask advances) and record
+(the trace line). The modes differ only in how packets travel: lockstep
+writes to one shared bus, distributed keeps a per-robot replica fed by a
+simulated transport. Chains and dialogue live engine-side and change
 identically in both modes, so a distributed run over a zero-latency,
 zero-loss transport reproduces the lockstep trace byte for byte.
 """
@@ -32,6 +36,8 @@ from .agent import (
 from .bus import (
     AnchorEntry,
     BusState,
+    ComposedContext,
+    Observation,
     ROBOTS,
     SemanticPacket,
     compose_context,
@@ -39,18 +45,17 @@ from .bus import (
     empty_bus,
     partner_of,
     publish,
-    record_dialogue,
 )
 from .config import RolloutConfig, TransportConfig
 from .episodes import EpisodeSpec
 from .replan import (
     AgentSignals,
+    Event,
     KEEP,
     PolicyContext,
     SWAP_SUBTASKS,
     SwapInputs,
     decide,
-    exchange_roles,
     extract_events,
     filter_events,
     rewrite_policy_context,
@@ -226,7 +231,57 @@ def run_distributed(
     return _run(scene, episode, cfg, transport=Transport(transport_cfg))
 
 
-def _initial_setup(scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig):
+@dataclass
+class _Robot:
+    """One robot's run state. ``state`` is the frozen agent state carried
+    from tick to tick; ``bus`` is the robot's replica in distributed mode;
+    ``held`` is the anchor view it composed on its previous tick. The
+    fields below the marker are handed from phase to phase within a tick."""
+
+    state: AgentState
+    final_goal: Cell | None
+    bus: BusState | None
+    history: list[Event] = field(default_factory=list)
+    held: Mapping[str, AnchorEntry] = field(default_factory=dict)
+    path_len: float = 0.0
+    # --- this tick
+    sightings: tuple[Observation, ...] = ()
+    packet: SemanticPacket | None = None
+    composed: ComposedContext | None = None
+    admitted: list[Event] = field(default_factory=list)
+    decision: dict | None = None
+    action: str = ACTION_STOP
+    blocked: bool = False
+    attempt: dict | None = None
+
+
+@dataclass
+class _Run:
+    """One rollout's state, shared by the tick phases. ``scene`` carries the
+    blockages applied so far; ``shared_bus`` is the lockstep bus and None in
+    distributed mode; ``dialogue`` holds this tick's records; ``ticks``
+    counts the ticks run."""
+
+    scene: SceneGraph
+    cfg: RolloutConfig
+    transport: Transport | None
+    robots: dict[str, _Robot]
+    item: ItemState
+    shared_bus: BusState | None
+    trace: Trace
+    active_blockages: list[str] = field(default_factory=list)
+    dialogue: list[dict] = field(default_factory=list)
+    ticks: int = 0
+    swap_count: int = 0
+    dialogue_count: int = 0
+
+
+def _start(
+    scene: SceneGraph,
+    episode: EpisodeSpec,
+    cfg: RolloutConfig,
+    transport: Transport | None,
+) -> _Run:
     if episode.scene_id != scene.scene_id:
         raise RolloutError(
             f"episode {episode.episode_id} belongs to {episode.scene_id}, "
@@ -241,35 +296,248 @@ def _initial_setup(scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig):
     handoff_cell = grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y)
     delivery_cell = grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y)
     chains = build_chains(
-        target.cell,
-        handoff_cell,
-        delivery_cell,
-        known_waypoints=(cfg.knowledge == "known"),
+        target.cell, handoff_cell, delivery_cell, known_waypoints=(cfg.knowledge == "known")
     )
     starts = {"FH": episode.start_pose_fh, "SH": episode.start_pose_sh}
     states: dict[str, AgentState] = {}
     for rid in ROBOTS:
-        pctx = PolicyContext(
-            robot_id=rid,
-            target_category=target.category,
-            chain=chains[rid],
-        )
+        pctx = PolicyContext(rid, target.category, chains[rid])
         states[rid] = make_agent(scene, rid, starts[rid], pctx, cfg.knowledge)
     # the robots start out believing one passability: one memo serves both
     # until either one's belief changes it
     fh, sh = states["FH"], states["SH"]
     if np.array_equal(fh.geodesics.passable, sh.geodesics.passable):
         states["SH"] = replace(sh, geodesics=fh.geodesics)
-    item = ItemState(AT_PICKUP, target.cell, None)
-    return states, item, chains
+    replica = empty_bus() if transport is not None else None
+    robots = {rid: _Robot(states[rid], _final_goal(chains[rid]), replica) for rid in ROBOTS}
+    header = {"episode_id": episode.episode_id, "scene_id": episode.scene_id}
+    for key in ("policy", "knowledge", "t_max", "tau", "r_succ", "r_int", "seed"):
+        header[key] = getattr(cfg, key)
+    header["blockage_schedule"] = [[int(t), str(cid)] for t, cid in cfg.blockage_schedule]
+    return _Run(
+        scene=scene,
+        cfg=cfg,
+        transport=transport,
+        robots=robots,
+        item=ItemState(AT_PICKUP, target.cell, None),
+        shared_bus=empty_bus() if transport is None else None,
+        trace=Trace(header),
+    )
 
 
 def _final_goal(chain: tuple[Subtask, ...]) -> Cell | None:
-    goal = None
-    for st in chain:
-        if st.waypoint is not None:
-            goal = st.waypoint
-    return goal
+    return next((st.waypoint for st in reversed(chain) if st.waypoint is not None), None)
+
+
+# --- tick phases, in order ------------------------------------------------
+
+
+def _apply_blockages(run: _Run, now: int) -> None:
+    for tick, cid in run.cfg.blockage_schedule:
+        if tick == now:
+            run.scene = apply_blockage(run.scene, cid)
+            if cid not in run.active_blockages:
+                run.active_blockages.append(cid)
+
+
+def _sense(run: _Run, now: int) -> None:
+    for r in run.robots.values():
+        r.state, r.sightings = observe(run.scene, r.state, run.cfg.sensor)
+
+
+def _publish(run: _Run, now: int) -> None:
+    """FH then SH: onto the shared bus in lockstep; onto the robot's own
+    replica and out over the transport in distributed mode."""
+    for rid, r in run.robots.items():
+        st = r.state
+        active = st.active_subtask()
+        r.packet = SemanticPacket(
+            robot_id=rid,
+            ts=now,
+            current_room=run.scene.room_label_of(st.cell),
+            observations=r.sightings,
+            stage=active.kind if active is not None else "Done",
+            carrying=st.carrying,
+            stopped=st.stopped,
+        )
+        if run.transport is None:
+            run.shared_bus = publish(run.shared_bus, r.packet)
+        else:
+            r.bus = publish(r.bus, r.packet)
+            run.transport.send(rid, r.packet, now)
+
+
+def _deliver(run: _Run, now: int) -> None:
+    """Distributed mode: packets due this tick reach the partner's replica."""
+    if run.transport is None:
+        return
+    for dv in run.transport.due(now):
+        dest = run.robots[partner_of(dv.sender)]
+        dest.bus = publish(dest.bus, dv.packet)
+
+
+def _compose(run: _Run, now: int) -> None:
+    cfg = run.cfg
+    for rid, r in run.robots.items():
+        bus = r.bus if run.shared_bus is None else run.shared_bus
+        if cfg.policy == "static":
+            r.composed = compose_muted(bus, rid, now)
+        else:
+            r.composed = compose_context(bus, rid, now, cfg.tau)
+
+
+def _replan(run: _Run, now: int) -> None:
+    """Event-driven replanning, FH first, so that SH sees FH's rewritten
+    chain. A swap exchanges the two robots' live chains and final goals."""
+    cfg = run.cfg
+    run.dialogue = []
+    for rid, r in run.robots.items():
+        partner = run.robots[partner_of(rid)]
+        st, completed, edges = drain_signals(r.state)
+        signals = AgentSignals(
+            sightings=r.sightings,
+            completed_subtask=completed,
+            newly_blocked_edges=edges,
+        )
+        events = extract_events(
+            st.policy_ctx, r.composed, signals, now, cfg.trigger,
+            room_of=run.scene.room_label_of, held=r.held,
+        )
+        r.admitted = filter_events(events, r.history, cfg.trigger)
+        r.history.extend(r.admitted)
+        decision = KEEP
+        if cfg.policy == "deconav":
+            decision = decide(r.admitted, st.policy_ctx, _swap_inputs(run, r), cfg.trigger)
+        r.decision = decision.to_dict()
+
+        mine = st.policy_ctx
+        new_pctx, records = rewrite_policy_context(
+            mine, r.admitted, decision, partner.state.policy_ctx.chain
+        )
+        if new_pctx is not mine:
+            st = replace(st, policy_ctx=new_pctx)
+        if decision.kind == SWAP_SUBTASKS and new_pctx.chain != mine.chain:
+            st = replace(st, plan=None, best_steps=math.inf)
+            ost = partner.state
+            partner.state = replace(
+                ost,
+                policy_ctx=replace(ost.policy_ctx, chain=mine.chain),
+                plan=None,
+                best_steps=math.inf,
+            )
+            r.final_goal, partner.final_goal = partner.final_goal, r.final_goal
+            run.swap_count += 1
+        run.dialogue.extend(rec.to_dict() for rec in records)
+        r.held = r.composed.anchors
+        r.state = st
+    run.dialogue_count += len(run.dialogue)
+
+
+def _swap_inputs(run: _Run, r: _Robot) -> SwapInputs | None:
+    """The reassignment test's inputs, or None while no swap is possible:
+    the item is carried or delivered, the partner's context is stale, or a
+    chain is finished or holds an unbound waypoint."""
+    states = [x.state for x in run.robots.values()]
+    if (
+        run.item.phase not in STATIC_PHASES
+        or run.item.phase == DELIVERED
+        or r.composed.partner_state is None
+        or not all(s.policy_ctx.chain for s in states)
+        or any(
+            sub.waypoint is None and sub.kind != STOP
+            for s in states
+            for sub in s.policy_ctx.chain
+        )
+    ):
+        return None
+    return SwapInputs(
+        geodesics={s.robot_id: s.geodesics for s in states},
+        positions={s.robot_id: s.cell for s in states},
+        chains={s.robot_id: s.policy_ctx.chain for s in states},
+        item_static=True,
+        resolution=run.scene.grid.resolution,
+    )
+
+
+def _act(run: _Run, now: int) -> None:
+    cfg, res = run.cfg, run.scene.grid.resolution
+    for r in run.robots.values():
+        r.state = ensure_plan(r.state, now)
+        r.action = next_action(r.state, cfg.r_succ, cfg.r_int, res)
+
+
+def _commit(run: _Run, now: int) -> None:
+    robots = run.robots
+    run.item, states, blocked, attempts = commit_actions(
+        run.scene,
+        run.item,
+        {rid: r.state for rid, r in robots.items()},
+        {rid: r.action for rid, r in robots.items()},
+        run.cfg,
+        now,
+    )
+    for rid, r in robots.items():
+        r.state, r.blocked, r.attempt = states[rid], blocked[rid], attempts[rid]
+        if r.action == ACTION_FORWARD and not r.blocked:
+            r.path_len += FORWARD_M
+
+
+def _progress(run: _Run, now: int) -> None:
+    """A robot that stops on a reached goto, or on its Stop subtask, advances
+    its chain; at most one advance per robot per tick."""
+    cfg, res = run.cfg, run.scene.grid.resolution
+    for r in run.robots.values():
+        st = r.state
+        active = st.active_subtask()
+        if (
+            (r.attempt is None or not r.attempt["ok"])
+            and active is not None
+            and r.action == ACTION_STOP
+            and not st.stopped
+        ):
+            if (
+                active.is_goto()
+                and active.waypoint is not None
+                and within(st.pose, active.waypoint, cfg.r_succ, res)
+            ):
+                st = advance_subtask(st, now)
+            elif active.kind == STOP:
+                st = replace(advance_subtask(st, now), stopped=True)
+        r.state = note_progress(st, now)
+
+
+def _record(run: _Run, now: int) -> None:
+    run.trace.append(
+        {
+            "tick": now,
+            "robots": {
+                rid: {
+                    "pose": [r.state.pose.x, r.state.pose.y, r.state.pose.heading],
+                    "action": r.action,
+                    "blocked": r.blocked,
+                    "packet": r.packet.to_dict(),
+                    "partner_ts": (
+                        r.composed.partner_state.ts
+                        if r.composed.partner_state is not None
+                        else None
+                    ),
+                    "admitted": [e.to_dict() for e in r.admitted],
+                    "decision": r.decision,
+                    "interaction": r.attempt,
+                }
+                for rid, r in run.robots.items()
+            },
+            "dialogue": run.dialogue,
+            "item": run.item.to_dict(),
+            "blocked_corridors": sorted(run.active_blockages),
+        }
+    )
+
+
+TICK_PHASES = (
+    _apply_blockages, _sense, _publish, _deliver, _compose,
+    _replan, _act, _commit, _progress, _record,
+)
 
 
 def _run(
@@ -279,288 +547,24 @@ def _run(
     transport: Transport | None,
 ) -> tuple[RolloutResult, Trace]:
     cfg.validate()
-    base_scene = scene
-    states, item, chains = _initial_setup(scene, episode, cfg)
-    res = scene.grid.resolution
-
-    roles = {rid: states[rid].policy_ctx.chain for rid in ROBOTS}
-    if transport is None:
-        shared_bus = empty_bus(roles)
-        replicas = None
-    else:
-        shared_bus = None
-        replicas = {rid: empty_bus(roles) for rid in ROBOTS}
-
-    schedule: dict[int, list[str]] = {}
-    for tick, corridor_id in cfg.blockage_schedule:
-        schedule.setdefault(int(tick), []).append(str(corridor_id))
-
-    history: dict[str, list] = {rid: [] for rid in ROBOTS}
-    # each robot's anchor view as composed on its previous tick
-    held: dict[str, Mapping[str, AnchorEntry]] = {rid: {} for rid in ROBOTS}
-    final_goals: dict[str, Cell | None] = {
-        rid: _final_goal(chains[rid]) for rid in ROBOTS
-    }
-    path_len = {rid: 0.0 for rid in ROBOTS}
-    swap_count = 0
-    dialogue_total = 0
-    active_blockages: list[str] = []
-
-    trace = Trace(
-        header={
-            "episode_id": episode.episode_id,
-            "scene_id": episode.scene_id,
-            "policy": cfg.policy,
-            "knowledge": cfg.knowledge,
-            "t_max": cfg.t_max,
-            "tau": cfg.tau,
-            "r_succ": cfg.r_succ,
-            "r_int": cfg.r_int,
-            "seed": cfg.seed,
-            "blockage_schedule": [
-                [int(tick), str(cid)] for tick, cid in cfg.blockage_schedule
-            ],
-        }
-    )
-
-    def bus_for(rid: str) -> BusState:
-        return shared_bus if replicas is None else replicas[rid]
-
-    def everywhere(fn) -> None:
-        """Apply a bus update engine-side: on the shared bus or all replicas."""
-        nonlocal shared_bus
-        if replicas is None:
-            shared_bus = fn(shared_bus)
-        else:
-            for rid in ROBOTS:
-                replicas[rid] = fn(replicas[rid])
-
-    ticks_run = 0
+    run = _start(scene, episode, cfg, transport)
     for now in range(cfg.t_max):
-        ticks_run = now + 1
-        # 1. scheduled world changes
-        for cid in schedule.get(now, []):
-            scene = apply_blockage(scene, cid)
-            if cid not in active_blockages:
-                active_blockages.append(cid)
-
-        # 2. sense
-        sightings: dict[str, tuple] = {}
-        for rid in ROBOTS:
-            states[rid], sightings[rid] = observe(scene, states[rid], cfg.sensor)
-
-        # 3. publish (FH then SH)
-        packets: dict[str, SemanticPacket] = {}
-        for rid in ROBOTS:
-            st = states[rid]
-            active = st.active_subtask()
-            pkt = SemanticPacket(
-                robot_id=rid,
-                ts=now,
-                current_room=scene.room_label_of(st.cell),
-                observations=sightings[rid],
-                stage=active.kind if active is not None else "Done",
-                carrying=st.carrying,
-                stopped=st.stopped,
-            )
-            packets[rid] = pkt
-            if replicas is None:
-                shared_bus = publish(shared_bus, pkt)
-            else:
-                replicas[rid] = publish(replicas[rid], pkt)
-                transport.send(rid, pkt, now)
-
-        # 4. transport delivery into partner replicas
-        if transport is not None:
-            for dv in transport.due(now):
-                dest = partner_of(dv.sender)
-                replicas[dest] = publish(replicas[dest], dv.packet)
-
-        # 5. compose per-robot contexts
-        composed = {}
-        for rid in ROBOTS:
-            if cfg.policy == "static":
-                composed[rid] = compose_muted(bus_for(rid), rid, now)
-            else:
-                composed[rid] = compose_context(bus_for(rid), rid, now, cfg.tau)
-
-        # 6. event-driven replanning, FH first so a swap is visible to SH
-        admitted_by: dict[str, list] = {}
-        decision_by: dict[str, dict] = {}
-        tick_dialogue: list[dict] = []
-        for rid in ROBOTS:
-            st, completed, edges = drain_signals(states[rid])
-            signals = AgentSignals(
-                sightings=sightings[rid],
-                completed_subtask=completed,
-                newly_blocked_edges=edges,
-            )
-            events = extract_events(
-                st.policy_ctx, composed[rid], signals, now, cfg.trigger,
-                room_of=scene.room_label_of, held=held[rid],
-            )
-            admitted = filter_events(events, history[rid], cfg.trigger)
-            history[rid].extend(admitted)
-            admitted_by[rid] = admitted
-
-            swap_inputs = None
-            if (
-                cfg.policy == "deconav"
-                and item.phase in STATIC_PHASES
-                and item.phase != DELIVERED
-                and composed[rid].partner_state is not None
-                and all(states[r].policy_ctx.chain for r in ROBOTS)
-                and all(
-                    sub.waypoint is not None or sub.kind == STOP
-                    for r in ROBOTS
-                    for sub in states[r].policy_ctx.chain
-                )
-            ):
-                swap_inputs = SwapInputs(
-                    geodesics={r: states[r].geodesics for r in ROBOTS},
-                    positions={r: states[r].cell for r in ROBOTS},
-                    chains={r: states[r].policy_ctx.chain for r in ROBOTS},
-                    item_static=True,
-                    resolution=res,
-                )
-            if cfg.policy == "deconav":
-                decision = decide(admitted, st.policy_ctx, swap_inputs, cfg.trigger)
-            else:
-                decision = KEEP
-            decision_by[rid] = decision.to_dict()
-
-            new_pctx, records = rewrite_policy_context(
-                st.policy_ctx, admitted, decision, bus_for(rid)
-            )
-            swapped = (
-                decision.kind == SWAP_SUBTASKS
-                and new_pctx.chain != st.policy_ctx.chain
-            )
-            if new_pctx is not st.policy_ctx:
-                st = replace(st, policy_ctx=new_pctx)
-            if swapped:
-                st = replace(st, plan=None, best_steps=math.inf)
-                other = partner_of(rid)
-                ost = states[other]
-                mirror = replace(ost.policy_ctx, chain=roles[rid])
-                states[other] = replace(
-                    ost, policy_ctx=mirror, plan=None, best_steps=math.inf
-                )
-                roles = exchange_roles(roles)
-                everywhere(lambda b: replace_roles(b, roles))
-                final_goals[rid], final_goals[other] = (
-                    final_goals[other],
-                    final_goals[rid],
-                )
-                swap_count += 1
-            for rec in records:
-                everywhere(lambda b, rec=rec: record_dialogue(b, rec))
-                tick_dialogue.append(rec.to_dict())
-                dialogue_total += 1
-            held[rid] = composed[rid].anchors
-            states[rid] = st
-
-        # 7. action selection
-        actions: dict[str, str] = {}
-        for rid in ROBOTS:
-            states[rid] = ensure_plan(states[rid], now)
-            actions[rid] = next_action(states[rid], cfg.r_succ, cfg.r_int, res)
-
-        # 8. atomic commit
-        item, states, blocked_flags, attempts = commit_actions(
-            scene, item, states, actions, cfg, now
-        )
-        for rid in ROBOTS:
-            if actions[rid] == ACTION_FORWARD and not blocked_flags[rid]:
-                path_len[rid] += FORWARD_M
-
-        # 9. subtask progress (one advance per robot per tick at most)
-        for rid in ROBOTS:
-            st = states[rid]
-            if attempts[rid] is None or not attempts[rid]["ok"]:
-                active = st.active_subtask()
-                if (
-                    active is not None
-                    and actions[rid] == ACTION_STOP
-                    and not st.stopped
-                ):
-                    if (
-                        active.is_goto()
-                        and active.waypoint is not None
-                        and within(st.pose, active.waypoint, cfg.r_succ, res)
-                    ):
-                        st = advance_subtask(st, now)
-                    elif active.kind == STOP:
-                        st = advance_subtask(st, now)
-                        st = replace(st, stopped=True)
-            st = note_progress(st, now)
-            states[rid] = st
-
-        # role sync so next tick's swap evaluation sees remaining chains
-        roles = {rid: states[rid].policy_ctx.chain for rid in ROBOTS}
-        everywhere(lambda b: replace_roles(b, roles))
-
-        # 10. trace record
-        trace.append(
-            {
-                "tick": now,
-                "robots": {
-                    rid: {
-                        "pose": [states[rid].pose.x, states[rid].pose.y, states[rid].pose.heading],
-                        "action": actions[rid],
-                        "blocked": blocked_flags[rid],
-                        "packet": packets[rid].to_dict(),
-                        "partner_ts": (
-                            composed[rid].partner_state.ts
-                            if composed[rid].partner_state is not None
-                            else None
-                        ),
-                        "admitted": [e.to_dict() for e in admitted_by[rid]],
-                        "decision": decision_by[rid],
-                        "interaction": attempts[rid],
-                    }
-                    for rid in ROBOTS
-                },
-                "dialogue": tick_dialogue,
-                "item": item.to_dict(),
-                "blocked_corridors": sorted(active_blockages),
-            }
-        )
-
-        if all(states[rid].stopped for rid in ROBOTS):
+        run.ticks = now + 1
+        for phase in TICK_PHASES:
+            phase(run, now)
+        if all(r.state.stopped for r in run.robots.values()):
             break
-
-    result = _score_rollout(
-        base_scene, episode, cfg, states, final_goals, path_len,
-        ticks_run, swap_count, dialogue_total,
-    )
-    trace.result = result.to_dict()
-    return result, trace
+    result = _score_rollout(scene, episode, run)
+    run.trace.result = result.to_dict()
+    return result, run.trace
 
 
-def replace_roles(bus: BusState, roles: dict) -> BusState:
-    if bus.roles == roles:
-        return bus
-    return replace(bus, roles=dict(roles))
-
-
-def _score_rollout(
-    base_scene: SceneGraph,
-    episode: EpisodeSpec,
-    cfg: RolloutConfig,
-    states: dict[str, AgentState],
-    final_goals: dict[str, Cell | None],
-    path_len: dict[str, float],
-    ticks: int,
-    swap_count: int,
-    dialogue_total: int,
-) -> RolloutResult:
+def _score_rollout(base_scene: SceneGraph, episode: EpisodeSpec, run: _Run) -> RolloutResult:
     ne = {}
     success = {}
     passable = ~base_scene.grid.blocked
-    for rid in ROBOTS:
-        st = states[rid]
-        goal = final_goals[rid]
+    for rid, r in run.robots.items():
+        st, goal = r.state, r.final_goal
         if goal is None:
             ne[rid] = math.inf
         else:
@@ -570,21 +574,22 @@ def _score_rollout(
                 geo = Geodesics(passable)
             ne[rid] = geo.meters(st.cell, goal, base_scene.grid.resolution)
         chain_done = st.stopped and not st.policy_ctx.chain
-        success[rid] = bool(chain_done and ne[rid] <= cfg.r_succ)
+        success[rid] = bool(chain_done and ne[rid] <= run.cfg.r_succ)
+    fh, sh = run.robots["FH"], run.robots["SH"]
     return RolloutResult(
         episode_id=episode.episode_id,
         success_fh=success["FH"],
         success_sh=success["SH"],
         both_success=success["FH"] and success["SH"],
-        path_len_fh_m=path_len["FH"],
-        path_len_sh_m=path_len["SH"],
+        path_len_fh_m=fh.path_len,
+        path_len_sh_m=sh.path_len,
         ne_fh_m=ne["FH"],
         ne_sh_m=ne["SH"],
-        subtasks_done_fh=states["FH"].subtasks_done,
-        subtasks_done_sh=states["SH"].subtasks_done,
-        subtasks_remaining_fh=len(states["FH"].policy_ctx.chain),
-        subtasks_remaining_sh=len(states["SH"].policy_ctx.chain),
-        ticks=ticks,
-        swap_count=swap_count,
-        dialogue_count=dialogue_total,
+        subtasks_done_fh=fh.state.subtasks_done,
+        subtasks_done_sh=sh.state.subtasks_done,
+        subtasks_remaining_fh=len(fh.state.policy_ctx.chain),
+        subtasks_remaining_sh=len(sh.state.policy_ctx.chain),
+        ticks=run.ticks,
+        swap_count=run.swap_count,
+        dialogue_count=run.dialogue_count,
     )

@@ -1,4 +1,4 @@
-"""Event-driven replanning: event extraction, filtering, and role swapping.
+"""Event-driven replanning: event extraction, filtering, and subtask swapping.
 
 Per tick each robot turns fresh observations and its composed bus context
 into events, deduplicates them against recently admitted history, and
@@ -15,8 +15,9 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
 
-from .bus import AnchorEntry, BusState, ComposedContext, DialogueRecord, Observation, partner_of
+from .bus import AnchorEntry, ComposedContext, Observation, partner_of
 from .config import TriggerConfig
+from .serialize import Record
 from .tasks import Subtask, rebind_target
 from .world import Cell, Geodesics, NEIGHBORS_4
 
@@ -92,6 +93,17 @@ class ReplanDecision:
 
 
 KEEP = ReplanDecision(KEEP_ASSIGNMENT)
+
+
+@dataclass(frozen=True)
+class DialogueRecord(Record):
+    """One replanning exchange, written to the trace's per-tick dialogue."""
+
+    tick: int
+    trigger: str
+    initiator: str
+    summary: str
+    decision: dict
 
 
 @dataclass(frozen=True)
@@ -438,26 +450,19 @@ def decide(
     return KEEP
 
 
-def exchange_roles(roles: Mapping[str, tuple]) -> dict[str, tuple]:
-    if len(roles) != 2:
-        raise ValueError("role exchange needs exactly two robots")
-    a, b = sorted(roles)
-    return {a: tuple(roles[b]), b: tuple(roles[a])}
-
-
 def rewrite_policy_context(
     ctx: PolicyContext,
     admitted: list[Event],
     decision: ReplanDecision,
-    bus: BusState,
+    partner_chain: tuple[Subtask, ...],
 ) -> tuple[PolicyContext, list[DialogueRecord]]:
     """Apply a decision to one robot's context.
 
-    Returns the rewritten context and the dialogue records to append to the
-    bus; the caller owns committing the records and, for a swap, exchanging
-    ``bus.roles`` and mirroring the partner's context. A decision
-    inconsistent with the current roles is rejected: the context is returned
-    unchanged with an error record.
+    A swap adopts ``partner_chain``, the partner's chain as it stands when
+    this robot replans; the caller hands this robot's old chain to the
+    partner. An anchor update rebinds the pickup legs. Returns the rewritten
+    context and this robot's dialogue records: one for a swap it initiated,
+    one for a rebind that changed its context.
     """
     if not admitted:
         return ctx, []
@@ -470,20 +475,7 @@ def rewrite_policy_context(
     payload = dict(decision.payload)
 
     if decision.kind == SWAP_SUBTASKS:
-        mine = tuple(bus.roles.get(rid, ()))
-        theirs = tuple(bus.roles.get(partner, ()))
-        if not mine or not theirs or mine != ctx.chain:
-            records.append(
-                DialogueRecord(
-                    tick=tick,
-                    trigger=trigger,
-                    initiator=rid,
-                    summary=f"{rid} swap rejected: assignment inconsistent with roles",
-                    decision=KEEP.to_dict(),
-                )
-            )
-            return ctx, records
-        new_ctx = replace(new_ctx, chain=theirs)
+        new_ctx = replace(new_ctx, chain=partner_chain)
         if payload.get("initiator", rid) == rid:
             records.append(
                 DialogueRecord(

@@ -6,10 +6,10 @@ bytes, which is what makes byte-level reproducibility checks meaningful.
 
 Records persisted once per episode or run (episodes, rollout results,
 per-episode scores, reports, blockage plans, manifests and their poses)
-inherit ``Record``: one codec driven by the dataclass fields and type
-hints writes and reads them all. Per-tick trace records keep hand-written
-``to_dict`` methods, because a reflective encode costs several times more
-inside the tick loop.
+and the rare dialogue records of a trace inherit ``Record``: one codec
+driven by the dataclass fields and type hints writes and reads them all.
+Records written on every tick keep hand-written ``to_dict`` methods,
+because a reflective encode costs several times more inside the tick loop.
 """
 
 from __future__ import annotations

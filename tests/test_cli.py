@@ -166,6 +166,34 @@ class TestOverrides:
         write_canonical(ov_path, {"nope": {"blockages": [], "t_max": None}})
         assert run_cmd(episodes, scenes, root / "x", "--overrides", str(ov_path)) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            [1, 2],
+            {"blockages": [[3]], "t_max": None},
+            {"blockages": [["3", "c0"]]},
+            {"blockages": [[1.5, "c0"]]},
+            {"blockages": [[-1, "c0"]]},
+            {"blockages": [[3, 7]]},
+            {"blockages": {"3": "c0"}},
+            {"t_max": 12.5},
+            {"t_max": "100"},
+            {"t_max": True},
+            {"tmax": 100},
+        ],
+    )
+    def test_malformed_override_is_usage_error_naming_file_and_episode(
+        self, pipeline, tmp_path, capsys, settings
+    ):
+        _, scenes, episodes = pipeline
+        eid = load_episodes(episodes)[0].episode_id
+        ov_path = tmp_path / "overrides.json"
+        write_canonical(ov_path, {eid: settings})
+        code = run_cmd(episodes, scenes, tmp_path / "out", "--overrides", str(ov_path))
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert str(ov_path) in err and eid in err
+
 
 class TestReplay:
     def test_run_replay_verifies_bytes(self, pipeline, run_dirs):

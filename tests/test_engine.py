@@ -23,8 +23,26 @@ from relaynav.engine import (
     run_distributed,
     run_lockstep,
 )
-from relaynav.replan import PolicyContext, extract_events
-from relaynav.tasks import DELIVER, DEPOSIT, PICK_UP, RECEIVE, STOP, Subtask
+from relaynav.replan import (
+    STAGNATION,
+    SWAP_SUBTASKS,
+    UPDATE_ANCHOR_TARGET,
+    Event,
+    PolicyContext,
+    ReplanDecision,
+    extract_events,
+    make_payload,
+)
+from relaynav.tasks import (
+    DELIVER,
+    DEPOSIT,
+    PICK_UP,
+    RECEIVE,
+    STOP,
+    Subtask,
+    build_chains,
+    rebind_target,
+)
 from relaynav.world import ACTION_STOP, FORWARD_M, scene_from_dict, scene_to_dict
 
 from support import center_pose, walled_lab
@@ -83,6 +101,50 @@ class TestAnchorHandOff:
             for (_, _, before), (_, held, _) in zip(seen, seen[1:]):
                 assert held == before
             assert any(held != anchors for _, held, anchors in seen)
+
+
+class TestSameTickRebindAndSwap:
+    def test_swap_takes_the_partner_chain_rebound_earlier_in_the_tick(
+        self, batch10, monkeypatch
+    ):
+        # on tick 0 FH re-points its pickup legs, then SH swaps: SH must end
+        # the tick with the chain FH holds after its rebind
+        scene, episode = batch10[0]
+        target = scene.objects[episode.target_object_id].cell
+        new_cell = next(iter(episode.gt_path_sh))
+        assert new_cell != target
+        since = make_payload(since=0)
+        monkeypatch.setattr(
+            engine, "filter_events", lambda *_: [Event(STAGNATION, 0, "FH", since)]
+        )
+
+        def scripted(admitted, ctx, swap_inputs, cfg):
+            if ctx.robot_id == "FH":
+                return ReplanDecision(
+                    UPDATE_ANCHOR_TARGET,
+                    make_payload(category=ctx.target_category, cell=new_cell, score=0.9),
+                )
+            return ReplanDecision(
+                SWAP_SUBTASKS, make_payload(keep_cost=2.0, swap_cost=1.0, initiator="SH")
+            )
+
+        monkeypatch.setattr(engine, "decide", scripted)
+        at_commit = {}
+
+        def recording(scene_, item, states, actions, cfg, now):
+            at_commit.update({rid: st.policy_ctx.chain for rid, st in states.items()})
+            return commit_actions(scene_, item, states, actions, cfg, now)
+
+        monkeypatch.setattr(engine, "commit_actions", recording)
+        result, _ = run_lockstep(scene, episode, RolloutConfig(t_max=1))
+        chains = build_chains(
+            target,
+            scene.grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y),
+            scene.grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y),
+        )
+        assert at_commit["SH"] == rebind_target(chains["FH"], new_cell)
+        assert at_commit["FH"] == chains["SH"]
+        assert result.swap_count == 1
 
 
 class TestRelayCompletion:
@@ -283,10 +345,13 @@ class TestResultAndErrors:
             ctx = PolicyContext(rid, "bottle", ())
             states[rid] = make_agent(scene, rid, center_pose((7, 4)), ctx)
         states["FH"] = on_blocked(states["FH"], ((7, 4), (8, 4)), now=0)
-        result = _score_rollout(
-            scene, SimpleNamespace(episode_id="ep"), RolloutConfig(), states,
-            {"FH": (13, 4), "SH": (2, 4)}, {"FH": 0.0, "SH": 0.0}, 1, 0, 0,
+        goals = {"FH": (13, 4), "SH": (2, 4)}
+        run = SimpleNamespace(
+            cfg=RolloutConfig(),
+            robots={rid: engine._Robot(states[rid], goals[rid], None) for rid in states},
+            ticks=1, swap_count=0, dialogue_count=0,
         )
+        result = _score_rollout(scene, SimpleNamespace(episode_id="ep"), run)
         assert result.ne_fh_m == 6 * FORWARD_M and result.ne_sh_m == 5 * FORWARD_M
 
     def test_scene_episode_mismatch_raises(self, batch10):

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from relaynav.bus import AnchorEntry, ComposedContext, Observation, SemanticPacket, empty_bus
+from relaynav.bus import AnchorEntry, ComposedContext, Observation, SemanticPacket
 from relaynav.config import TriggerConfig
 from relaynav.replan import (
     CONFLICT,
@@ -26,7 +28,6 @@ from relaynav.replan import (
     SwapInputs,
     decide,
     evaluate_swap,
-    exchange_roles,
     extract_events,
     filter_events,
     make_payload,
@@ -58,7 +59,6 @@ def composed(self_id="FH", partner=None, anchors=None):
         partner_state=partner,
         partner_stale=partner is None,
         anchors=anchors or {},
-        roles={},
     )
 
 
@@ -295,7 +295,54 @@ def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at, item_static=True):
     )
 
 
+def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals, item_static=True):
+    """(scene, SwapInputs) on a grid drawn as strings, ``#`` for a wall;
+    each goal becomes one goto leg (None stays unbound), then Stop."""
+    blocked = np.array([[c == "#" for c in row] for row in rows], dtype=bool)
+    scene = SimpleNamespace(grid=SimpleNamespace(blocked=blocked, resolution=0.25))
+    chains = {
+        rid: tuple(Subtask(GOTO_PICKUP, g) for g in goals) + (Subtask(STOP, None),)
+        for rid, goals in (("FH", fh_goals), ("SH", sh_goals))
+    }
+    inputs = SwapInputs(
+        geodesics={r: Geodesics(~blocked) for r in chains},
+        positions={"FH": fh_at, "SH": sh_at},
+        chains=chains,
+        item_static=item_static,
+        resolution=0.25,
+    )
+    return scene, inputs
+
+
+@st.composite
+def grid_swap_cases(draw):
+    """Small grids, a third of the cells walls, so split components (and
+    with them unreachable legs) and equal makespans are both common."""
+    w, h = draw(st.integers(2, 6)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from(".#."), min_size=w * h, max_size=w * h))
+    cells[0] = "."
+    rows = ["".join(cells[y * w:(y + 1) * w]) for y in range(h)]
+    free = st.sampled_from([(x, y) for y in range(h) for x in range(w) if rows[y][x] == "."])
+    goals = st.lists(st.one_of(st.none(), free), max_size=3)
+    return grid_swap_case(
+        rows, draw(free), draw(free), draw(goals), draw(goals), draw(st.booleans())
+    )
+
+
 class TestEvaluateSwap:
+    # a wall splits the lane: both kept legs unreachable, the swap is free
+    @example(grid_swap_case(["..#.."], (0, 0), (4, 0), [(4, 0)], [(0, 0)]), 0.5)
+    # keep FH 3 / SH 3 steps, swap FH 3 / SH 1: equal makespans, lower sum
+    @example(grid_swap_case(["....", "....", "...."], (0, 0), (2, 0), [(3, 0)], [(1, 2)]), 0.25)
+    @example(grid_swap_case(["....", "....", "...."], (0, 0), (2, 0), [(3, 0)], [(1, 2)]), 0.5)
+    @settings(max_examples=300, deadline=None)
+    @given(grid_swap_cases(), st.sampled_from([0.0, 0.25, 0.5]))
+    def test_matches_oracle_on_random_grids(self, case, epsilon_hyst):
+        scene, inputs = case
+        cfg = TriggerConfig(epsilon_hyst=epsilon_hyst)
+        want = swap_oracle(scene, inputs.positions, inputs.chains, inputs.item_static, cfg)
+        assert evaluate_swap(inputs, cfg) == want
+
     def test_carried_item_never_swaps(self):
         inputs = open_lane_inputs(
             fh_goal=(20, 2), sh_goal=(0, 2), fh_at=(0, 2), sh_at=(20, 2), item_static=False
@@ -372,11 +419,10 @@ class TestHysteresis:
         cfg = TriggerConfig()
         first = open_lane_inputs(fh_goal=(20, 2), sh_goal=(0, 2), fh_at=(0, 2), sh_at=(20, 2))
         assert evaluate_swap(first, cfg).kind == SWAP_SUBTASKS
-        exchanged = exchange_roles(first.chains)
         second = SwapInputs(
             geodesics=first.geodesics,
             positions=first.positions,
-            chains=exchanged,
+            chains={"FH": first.chains["SH"], "SH": first.chains["FH"]},
             item_static=True,
             resolution=first.resolution,
         )
@@ -458,12 +504,11 @@ class TestRewrite:
     def test_swap_adopts_partner_chain_and_records_dialogue(self):
         chains = build_chains((5, 5), (10, 10), (15, 15))
         ctx = ctx_for("FH", chain=chains["FH"])
-        bus = empty_bus(roles=chains)
         admitted = [Event(PATH_BLOCKED, 4, "FH", make_payload(edge=((1, 1), (2, 1))))]
         swap = ReplanDecision(
             SWAP_SUBTASKS, make_payload(keep_cost=9.0, swap_cost=1.0, initiator="FH")
         )
-        new_ctx, records = rewrite_policy_context(ctx, admitted, swap, bus)
+        new_ctx, records = rewrite_policy_context(ctx, admitted, swap, chains["SH"])
         assert new_ctx.chain == chains["SH"]
         assert len(records) == 1
         assert "proposes swapping remaining subtasks with SH" in records[0].summary
@@ -472,24 +517,13 @@ class TestRewrite:
     def test_swap_responder_mirrors_without_dialogue(self):
         chains = build_chains((5, 5), (10, 10), (15, 15))
         ctx = ctx_for("SH", chain=chains["SH"])
-        bus = empty_bus(roles=chains)
         admitted = [Event(PATH_BLOCKED, 4, "SH", make_payload(edge=((1, 1), (2, 1))))]
         swap = ReplanDecision(
             SWAP_SUBTASKS, make_payload(keep_cost=9.0, swap_cost=1.0, initiator="FH")
         )
-        new_ctx, records = rewrite_policy_context(ctx, admitted, swap, bus)
+        new_ctx, records = rewrite_policy_context(ctx, admitted, swap, chains["FH"])
         assert new_ctx.chain == chains["FH"]
         assert records == []
-
-    def test_swap_rejected_when_roles_disagree(self):
-        chains = build_chains((5, 5), (10, 10), (15, 15))
-        ctx = ctx_for("FH", chain=chains["FH"][1:])  # context drifted from roles
-        bus = empty_bus(roles=chains)
-        admitted = [Event(PATH_BLOCKED, 4, "FH", make_payload(edge=((1, 1), (2, 1))))]
-        swap = ReplanDecision(SWAP_SUBTASKS, make_payload(initiator="FH"))
-        new_ctx, records = rewrite_policy_context(ctx, admitted, swap, bus)
-        assert new_ctx == ctx
-        assert len(records) == 1 and "rejected" in records[0].summary
 
     def test_anchor_update_rebinds_pickup_legs_only(self):
         chains = build_chains((5, 5), (10, 10), (15, 15))
@@ -505,7 +539,7 @@ class TestRewrite:
                 make_payload(category="bottle", cell=(8, 8), score=0.9, source="self"),
             )
         ]
-        new_ctx, records = rewrite_policy_context(ctx, admitted, update, empty_bus())
+        new_ctx, records = rewrite_policy_context(ctx, admitted, update, chains["SH"])
         assert new_ctx.chain[0].waypoint == (8, 8)
         assert new_ctx.chain[1].waypoint == (8, 8)
         assert new_ctx.chain[2].waypoint == (10, 10)
@@ -515,18 +549,9 @@ class TestRewrite:
     def test_no_admitted_events_is_a_noop(self):
         ctx = ctx_for()
         new_ctx, records = rewrite_policy_context(
-            ctx, [], ReplanDecision(KEEP_ASSIGNMENT), empty_bus()
+            ctx, [], ReplanDecision(KEEP_ASSIGNMENT), ctx_for("SH").chain
         )
         assert new_ctx == ctx and records == []
-
-
-def test_exchange_roles_swaps_and_validates():
-    chains = build_chains((5, 5), (10, 10), (15, 15))
-    exchanged = exchange_roles(chains)
-    assert exchanged["FH"] == chains["SH"]
-    assert exchanged["SH"] == chains["FH"]
-    with pytest.raises(ValueError):
-        exchange_roles({"FH": ()})
 
 
 def test_policy_context_validation():

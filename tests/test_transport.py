@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynav.bus import Observation, SemanticPacket
 from relaynav.config import TransportConfig
@@ -63,6 +65,42 @@ class TestJitterAndFifo:
 
         assert schedule(9) == schedule(9)
         assert schedule(9) != schedule(10)
+
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        latency=st.integers(0, 4),
+        jitter=st.integers(0, 6),
+        drop_prob=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+        senders=st.lists(st.sampled_from([(), ("FH",), ("SH",), ("FH", "SH")]), max_size=40),
+    )
+    def test_polled_delivery_keeps_per_sender_fifo(self, latency, jitter, drop_prob, seed, senders):
+        # polled every tick, as the engine does; then drained
+        tr = Transport(TransportConfig(latency, jitter, drop_prob, seed))
+        sent_at: dict[tuple[str, int], int] = {}
+        got = []
+        for now, who in enumerate(senders):
+            for rid in who:
+                tr.send(rid, pkt(rid, now), now)
+                sent_at[rid, now] = now
+            batch = tr.due(now)
+            assert [(d.deliver_at, d.sender, d.seq) for d in batch] == sorted(
+                (d.deliver_at, d.sender, d.seq) for d in batch
+            )
+            assert all(d.deliver_at == now for d in batch)
+            got.extend(batch)
+        got.extend(tr.due(len(senders) + latency + jitter))
+        assert tr.due(10**9) == []
+        assert len(got) + tr.dropped == tr.sent == len(sent_at)
+        for rid in ("FH", "SH"):
+            mine = [d for d in got if d.sender == rid]
+            assert [d.seq for d in mine] == list(range(len(mine)))
+            ts = [d.packet.ts for d in mine]
+            assert ts == sorted(set(ts))
+            for d in mine:
+                sent = sent_at[rid, d.packet.ts]
+                assert sent + latency <= d.deliver_at <= sent + latency + jitter
 
 
 class TestDrops:
