@@ -108,10 +108,9 @@ def pick_route_blockage(
     assignment stays cheap. Among qualifying corridors the one costing FH
     the most is returned, with the closure scheduled halfway to the gate.
 
-    Distances come from one geodesic memo for the open map and one per
-    closed corridor, each oriented to end at the target or the handoff, so
-    each map needs at most those two fields (and the delivery leg reads the
-    handoff's).
+    Distances come from one :class:`~relaynav.world.Geodesics` for the open
+    map and one per closed corridor, each query a layer search that stops
+    at its other endpoint.
     """
     grid = scene.grid
     res = grid.resolution

@@ -34,7 +34,6 @@ from .world import (
     NEIGHBORS_4,
     Pose,
     SceneGraph,
-    bfs_distance_field,
     bfs_shortest_path,
     fov_mask,
     wrap_angle,
@@ -222,18 +221,7 @@ def _frontier_mask(belief: np.ndarray) -> np.ndarray:
 def _nearest_frontier(belief: np.ndarray, start: Cell) -> Cell | None:
     """Closest known-free cell adjacent to an unknown cell, by BFS over
     known-free cells; ties resolve to the smallest (x, y)."""
-    if belief[start[1], start[0]] != FREE:
-        return None
-    mask = _frontier_mask(belief)
-    if not mask.any():
-        return None
-    dist = bfs_distance_field(belief != FREE, start)
-    reach = mask & (dist >= 0)
-    if not reach.any():
-        return None
-    ys, xs = np.nonzero(reach)
-    order = np.lexsort((ys, xs, dist[ys, xs]))[0]
-    return (int(xs[order]), int(ys[order]))
+    return Geodesics(belief == FREE).nearest(start, _frontier_mask(belief))
 
 
 def plan_to(state: AgentState, goal: Cell | None, now: int) -> Plan:

@@ -493,6 +493,21 @@ def do_run(
     missing = sorted({ep.scene_id for ep in episodes} - set(scene_paths))
     if missing:
         raise RuntimeError(f"scenes missing from {scenes_dir}: {', '.join(missing)}")
+    # only the scenes of overridden episodes are loaded before the rollouts
+    scene_cache: dict[str, SceneGraph] = {}
+    for ep in episodes:
+        rec = overrides.get(ep.episode_id)
+        if rec is None:
+            continue
+        if ep.scene_id not in scene_cache:
+            scene_cache[ep.scene_id] = load_scene(scene_paths[ep.scene_id])
+        corridors = scene_cache[ep.scene_id].corridors
+        bad = sorted({cid for _, cid in rec["blockages"] if cid not in corridors})
+        if bad:
+            raise UsageError(
+                f"overrides file {overrides_path}, episode {ep.episode_id}: "
+                f"unknown corridors {', '.join(bad)} in scene {ep.scene_id}"
+            )
 
     out = _out_dir(out_dir)
     order = sorted(episodes, key=lambda ep: ep.episode_id)
@@ -513,7 +528,6 @@ def do_run(
             for eid, result_dict, trace_bytes in pool.imap_unordered(_worker, payloads):
                 produced[eid] = (result_dict, trace_bytes)
     else:
-        scene_cache: dict[str, SceneGraph] = {}
         for ep in order:
             scene = scene_cache.get(ep.scene_id)
             if scene is None:

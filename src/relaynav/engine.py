@@ -562,16 +562,12 @@ def _run(
 def _score_rollout(base_scene: SceneGraph, episode: EpisodeSpec, run: _Run) -> RolloutResult:
     ne = {}
     success = {}
-    passable = ~base_scene.grid.blocked
+    geo = Geodesics(~base_scene.grid.blocked)
     for rid, r in run.robots.items():
         st, goal = r.state, r.final_goal
         if goal is None:
             ne[rid] = math.inf
         else:
-            # a robot that believes the true map may already hold the field
-            geo = st.geodesics
-            if not np.array_equal(geo.passable, passable):
-                geo = Geodesics(passable)
             ne[rid] = geo.meters(st.cell, goal, base_scene.grid.resolution)
         chain_done = st.stopped and not st.policy_ctx.chain
         success[rid] = bool(chain_done and ne[rid] <= run.cfg.r_succ)

@@ -130,7 +130,7 @@ def _sample_waypoint(
         reach = min(reach, config.gate.max_range_m * (1.0 - config.gate.theta_rec / effective))
     candidates = [
         c
-        for c in sorted(region.cells)
+        for c in region.sorted_cells
         if math.hypot((c[0] + 0.5) * res - ax, (c[1] + 0.5) * res - ay) <= reach
     ]
     rng.shuffle(candidates)
@@ -239,7 +239,7 @@ def generate_episode(
     fh0, sh0, handoff, drop = (
         grid.cell_of(p.x, p.y) for p in (start_fh, start_sh, handoff_wp, delivery_wp)
     )
-    # one memo for the four legs: legs 2 and 3 share the field to the handoff
+    # the four legs share one packed mask
     geo = Geodesics(~grid.blocked)
     leg1, leg2, leg3, leg4 = (
         bfs_shortest_path(geo.passable, a, b, geo)
@@ -291,7 +291,7 @@ def _tally_dict(tallies: dict[str, Counter]) -> dict:
 def _sample_start(scene: SceneGraph, rng: random.Random) -> Pose:
     region_ids = sorted(scene.regions)
     rid = rng.choice(region_ids)
-    cell = rng.choice(sorted(scene.regions[rid].cells))
+    cell = rng.choice(scene.regions[rid].sorted_cells)
     cx, cy = scene.grid.center(cell)
     return Pose(cx, cy, rng.randrange(0, 360, TURN_DEG))
 

@@ -146,7 +146,7 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
 
     def place(rid: str, category: str, salience_rng, occlusion_rng) -> None:
         nonlocal obj_count
-        free = [c for c in sorted(regions[rid].cells) if c not in used[rid]]
+        free = [c for c in regions[rid].sorted_cells if c not in used[rid]]
         cell = rng.choice(free)
         used[rid].add(cell)
         oid = f"o{obj_count:03d}"

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -156,6 +157,11 @@ class Region:
         if self.label_provenance not in PROVENANCES:
             raise SceneFormatError(f"unknown provenance {self.label_provenance!r}")
 
+    @functools.cached_property
+    def sorted_cells(self) -> tuple[Cell, ...]:
+        """The cells in ``(x, y)`` order, sorted once per region."""
+        return tuple(sorted(self.cells))
+
 
 @dataclass(frozen=True)
 class SceneObject:
@@ -266,7 +272,13 @@ class SceneGraph:
 
 
 def validate_scene(scene: SceneGraph) -> None:
-    """Check structural invariants; raise SceneFormatError on violation."""
+    """Check structural invariants; raise SceneFormatError on violation.
+
+    The two connectivity checks, each region 4-connected and the free space
+    one component, are flood fills over packed masks (:func:`pack_mask`):
+    :func:`bfs_layers` from the mask's lowest bit until no layer is left,
+    then the union of the layers must equal the mask.
+    """
     grid = scene.grid
     border_x = np.concatenate([grid.blocked[0, :], grid.blocked[-1, :]])
     border_y = np.concatenate([grid.blocked[:, 0], grid.blocked[:, -1]])
@@ -280,10 +292,14 @@ def validate_scene(scene: SceneGraph) -> None:
         if region.cells & seen:
             raise SceneFormatError(f"region {rid} overlaps another region")
         seen |= region.cells
-        for cell in region.cells:
-            if not grid.in_bounds(cell) or grid.is_blocked(cell):
-                raise SceneFormatError(f"region {rid} contains a blocked cell {cell}")
-        if not _connected_4(region.cells):
+        xy = np.array(list(region.cells), dtype=np.intp).reshape(-1, 2)
+        inside = ((xy >= 0) & (xy < (grid.width, grid.height))).all(axis=1)
+        bad = ~inside
+        bad[inside] = grid.blocked[xy[inside, 1], xy[inside, 0]]
+        if bad.any():
+            cell = tuple(xy[bad.argmax()].tolist())
+            raise SceneFormatError(f"region {rid} contains a blocked cell {cell}")
+        if not _connected_4(region.cells, grid.blocked.shape):
             raise SceneFormatError(f"region {rid} is not 4-connected")
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
@@ -302,31 +318,26 @@ def validate_scene(scene: SceneGraph) -> None:
                 )
             if cell in seen:
                 raise SceneFormatError(f"corridor {cid} gate cell inside a region")
-    free = ~grid.blocked
-    if free.any() and not _one_component(free):
+    if not _one_component(~grid.blocked):
         raise SceneFormatError("free space is not a single connected component")
 
 
-def _connected_4(cells: frozenset[Cell]) -> bool:
-    start = next(iter(cells))
-    seen = {start}
-    stack = [start]
-    while stack:
-        cx, cy = stack.pop()
-        for dx, dy in NEIGHBORS_4:
-            nxt = (cx + dx, cy + dy)
-            if nxt in cells and nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    return len(seen) == len(cells)
+def _connected_4(cells: frozenset[Cell], shape: tuple[int, int]) -> bool:
+    """True iff the in-bounds ``cells`` of a ``shape`` grid are 4-connected."""
+    mask = np.zeros(shape, dtype=bool)
+    xs, ys = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
+    mask[ys, xs] = True
+    return _one_component(mask)
 
 
-def _one_component(free: np.ndarray) -> bool:
-    ys, xs = np.nonzero(free)
-    if len(xs) == 0:
-        return True
-    field_ = bfs_distance_field(~free, (int(xs[0]), int(ys[0])))
-    return bool((field_[free] >= 0).all())
+def _one_component(mask: np.ndarray) -> bool:
+    """True iff the set cells of ``mask`` are one 4-connected component
+    (an empty mask counts as one)."""
+    free = pack_mask(mask)
+    reached = 0
+    for layer in bfs_layers(free, mask.shape[1] + 1, free & -free):
+        reached |= layer
+    return reached == free
 
 
 # --- geodesics ------------------------------------------------------------
@@ -337,6 +348,8 @@ def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
     Each layer is a set of flat indices into the grid padded with a blocked
     ring; the next keeps the unreached (-1, blocked is -2) neighbours, each
     once: stamped with its position, only its last copy keeps the stamp.
+    No query in the package reads a whole field (:class:`Geodesics` answers
+    them from packed layers); it stays as the tests' field oracle.
     """
     h, w = blocked.shape
     sx, sy = start
@@ -364,35 +377,95 @@ def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
     return np.where(inner == -2, -1, inner)
 
 
-class Geodesics:
-    """Distance fields over one passable mask, each built once per target.
+def pack_mask(mask: np.ndarray) -> int:
+    """A ``(h, w)`` boolean mask as one Python int, rows ``w + 1`` bits apart:
+    cell ``(x, y)`` is bit ``y * (w + 1) + x``, and bit ``y * (w + 1) + w``
+    after each row is a guard that is always clear."""
+    h, w = mask.shape
+    rows = np.zeros((h, w + 1), dtype=bool)
+    rows[:, :w] = mask
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
 
-    A 4-connected grid is symmetric, so ``field(b)`` serves every query
-    ending (or starting) at ``b``: ``steps(a, b)`` reads it at ``a`` and
-    :func:`bfs_shortest_path` descends it from ``a``. A memo never sees a
-    later change to its mask, so its holder keeps one per occupancy: a robot
-    one per believed passability (shared with its partner from the start
-    until ``observe`` or ``on_blocked`` replaces it), ``generate_episode``
-    one per call, ``pick_route_blockage`` one per map. Nothing is kept at
-    module level.
+
+def unpack_cells(bits: int, stride: int) -> list[Cell]:
+    """The cells of a mask packed with rows ``stride`` bits apart, in bit
+    (row-major) order."""
+    cells = []
+    while bits:
+        low = bits & -bits
+        i = low.bit_length() - 1
+        cells.append((i % stride, i // stride))
+        bits ^= low
+    return cells
+
+
+def bfs_layers(free: int, stride: int, source: int) -> Iterator[int]:
+    """4-connected BFS layers through a packed mask, all cells at once.
+
+    Layer 0 is ``source & free``; layer ``d`` holds the free cells ``d``
+    steps from it. One layer is the last one shifted a bit each way and a
+    row each way, masked to the free cells not reached yet. A shift along a
+    row never wraps into the next: it lands on the clear guard bit between
+    them (see :func:`pack_mask`); shifts off the top and bottom rows fall
+    off the int or past every free bit. The layers are bitmap frontiers
+    (Beamer, Asanović & Patterson, "Direction-Optimizing Breadth-First
+    Search", SC 2012) with the whole grid as one word.
+    """
+    layer = source & free
+    rest = free ^ layer
+    while layer:
+        yield layer
+        layer = (layer << 1 | layer >> 1 | layer << stride | layer >> stride) & rest
+        rest ^= layer
+
+
+class Geodesics:
+    """Geodesic queries over one passable mask, packed once.
+
+    The mask is packed into one Python int (:func:`pack_mask`: stride
+    ``w + 1``, a clear guard bit after each row), and every query is a
+    search over :func:`bfs_layers` that stops at the first layer holding
+    what it looks for, so no query builds a distance field: ``steps`` counts
+    layers from ``a`` until one holds ``b``, ``nearest`` stops at the first
+    layer that meets a target mask, and :func:`bfs_shortest_path` keeps the
+    layers from ``b`` and descends them from ``a``. The mask never sees a
+    later change to the array it came from, so its holder keeps one per
+    occupancy: a robot one per believed passability (shared with its
+    partner from the start until ``observe`` or ``on_blocked`` replaces
+    it), ``generate_episode`` one per call, ``pick_route_blockage`` one per
+    map. Nothing is kept at module level.
     """
 
     def __init__(self, passable: np.ndarray):
         self.passable = passable
-        self._fields: dict[Cell, np.ndarray] = {}
+        self.stride = passable.shape[1] + 1
+        self.free = pack_mask(passable)
 
-    def field(self, target: Cell) -> np.ndarray:
-        """Read-only step counts to ``target``; -1 marks unreachable."""
-        field_ = self._fields.get(target)
-        if field_ is None:
-            field_ = bfs_distance_field(~self.passable, target)
-            field_.setflags(write=False)
-            self._fields[target] = field_
-        return field_
+    def bit(self, cell: Cell) -> int:
+        """The packed bit of ``cell``; 0 outside the grid."""
+        x, y = cell
+        h, w = self.passable.shape
+        if 0 <= x < w and 0 <= y < h:
+            return 1 << (y * self.stride + x)
+        return 0
+
+    def layers(self, source: Cell, target: Cell) -> list[int] | None:
+        """The BFS layers from ``source`` up to the first that holds
+        ``target``; None when ``target`` is blocked or unreachable."""
+        goal = self.bit(target) & self.free
+        if not goal:
+            return None
+        layers = []
+        for layer in bfs_layers(self.free, self.stride, self.bit(source)):
+            layers.append(layer)
+            if layer & goal:
+                return layers
+        return None
 
     def steps(self, a: Cell, b: Cell) -> int:
         """4-connected step count from ``a`` to ``b``; -1 when unreachable."""
-        return int(self.field(b)[a[1], a[0]])
+        layers = self.layers(a, b)
+        return -1 if layers is None else len(layers) - 1
 
     def meters(self, a: Cell, b: Cell, resolution: float) -> float:
         """Geodesic length in meters; 0 when ``a == b``, ``inf`` when unreachable."""
@@ -400,6 +473,18 @@ class Geodesics:
             return 0.0
         steps = self.steps(a, b)
         return math.inf if steps < 0 else float(steps) * resolution
+
+    def nearest(self, source: Cell, targets: np.ndarray) -> Cell | None:
+        """The cell of the ``targets`` mask fewest steps from ``source``,
+        ties to the smallest ``(x, y)``; None when none is reachable."""
+        goal = pack_mask(targets) & self.free
+        if not goal:
+            return None
+        for layer in bfs_layers(self.free, self.stride, self.bit(source)):
+            hit = layer & goal
+            if hit:
+                return min(unpack_cells(hit, self.stride))
+        return None
 
 
 def geodesic_distance(scene: SceneGraph, a: Cell, b: Cell) -> float:
@@ -419,28 +504,32 @@ def bfs_shortest_path(
     A queue BFS from ``a`` expanding in ``NEIGHBORS_4`` order dequeues each
     layer in the order of its cells' tree-path direction strings, so each
     parent is the predecessor with the smallest tree path and the parent
-    chain to ``b`` is this path. Greedy descent over the distance field to
-    ``b`` finds it too: from ``a``, step to the first neighbour in
-    ``NEIGHBORS_4`` order one step closer. ``geodesics``, a memo over this
-    same mask, supplies the field and keeps it for later queries.
+    chain to ``b`` is this path. Greedy descent towards ``b`` finds it too:
+    from ``a``, step to the first neighbour in ``NEIGHBORS_4`` order one
+    step closer. Layer ``d`` of the packed BFS from ``b`` is exactly the set
+    of cells ``d`` steps from ``b``, so the search keeps its layers up to
+    the one holding ``a`` and the descent tests each neighbour's bit in the
+    next lower layer. On the packed layout the ``NEIGHBORS_4`` steps are bit
+    offsets ``+1, -1, +stride, -stride``; a row step lands on a guard bit,
+    never in a layer, where it would leave the grid. ``geodesics`` is a
+    :class:`Geodesics` over this same mask; without one the mask is packed
+    here.
     """
     if geodesics is None:
         geodesics = Geodesics(passable)
-    field_ = geodesics.field(b)
-    h, w = field_.shape
-    x, y = a
-    d = int(field_[y, x])
-    if d < 0:
+    layers = geodesics.layers(b, a)
+    if layers is None:
         return None
+    stride = geodesics.stride
+    offsets = [dx + dy * stride for dx, dy in NEIGHBORS_4]
+    i = a[1] * stride + a[0]
     path = [a]
-    while d > 0:
-        d -= 1
-        for dx, dy in NEIGHBORS_4:
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < w and 0 <= ny < h and field_[ny, nx] == d:
+    for layer in reversed(layers[:-1]):
+        for off in offsets:
+            if i + off >= 0 and layer >> (i + off) & 1:
+                i += off
                 break
-        x, y = nx, ny
-        path.append((x, y))
+        path.append((i % stride, i // stride))
     return path
 
 

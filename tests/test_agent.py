@@ -16,6 +16,8 @@ from relaynav.agent import (
     UNKNOWN,
     AgentState,
     Plan,
+    _frontier_mask,
+    _nearest_frontier,
     advance_subtask,
     drain_signals,
     ensure_plan,
@@ -42,6 +44,7 @@ from relaynav.world import (
     bfs_distance_field,
     bfs_shortest_path,
     fov_mask,
+    pack_mask,
     step_kinematics,
 )
 
@@ -59,6 +62,20 @@ def ctx_with(chain):
 def agent_at(scene, cell, heading=0, chain=None, knowledge="known"):
     chain = chain if chain is not None else (Subtask(GOTO_PICKUP, (13, 4)), Subtask(STOP, None))
     return make_agent(scene, "FH", center_pose(cell, heading), ctx_with(chain), knowledge)
+
+
+def field_nearest_frontier(belief, start):
+    """Reference frontier choice: a distance field over known-free cells,
+    then the reachable frontier cell of least (distance, x, y)."""
+    if belief[start[1], start[0]] != FREE:
+        return None
+    dist = bfs_distance_field(belief != FREE, start)
+    reach = _frontier_mask(belief) & (dist >= 0)
+    if not reach.any():
+        return None
+    ys, xs = np.nonzero(reach)
+    order = np.lexsort((ys, xs, dist[ys, xs]))[0]
+    return (int(xs[order]), int(ys[order]))
 
 
 def set_rule_sightings(scene, state, sensor):
@@ -369,10 +386,10 @@ class TestPlanning:
         want = bfs_shortest_path(bumped.belief != BLOCKED, (2, 4), (13, 4))
         assert replanned.plan.path == tuple(want)
 
-    def test_memo_holds_fields_of_the_current_belief_only(self):
+    def test_memo_follows_the_current_belief_only(self):
         # a discover-mode walk through the doorway: the belief gains walls on
-        # most ticks; the memo must follow every change of passability, keep
-        # its fields otherwise, and never serve a field of an older belief
+        # most ticks; the packed mask must follow every change of
+        # passability, be kept otherwise, and never answer for an older belief
         scene = walled_lab()
         state = agent_at(scene, (2, 4), knowledge="discover")
         kept = replaced = 0
@@ -388,15 +405,40 @@ class TestPlanning:
                 state = replace(state, pose=pose)
             geo = state.geodesics
             assert np.array_equal(geo.passable, state.belief != BLOCKED)
+            assert geo.free == pack_mask(state.belief != BLOCKED)
+            cx, cy = state.cell
             for target in ((13, 4), state.plan.goal if state.plan else None):
                 if target is not None:
-                    fresh = bfs_distance_field(state.belief == BLOCKED, target)
-                    assert np.array_equal(geo.field(target), fresh)
+                    want = bfs_distance_field(state.belief == BLOCKED, target)[cy, cx]
+                    assert geo.steps(state.cell, target) == want
+                    path = bfs_shortest_path(geo.passable, state.cell, target, geo)
+                    assert (path is None) == (want < 0)
+                    assert path is None or len(path) - 1 == want
             if geo is before:
                 kept += 1
             else:
                 replaced += 1
         assert kept and replaced
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.floats(0.0, 0.8),
+        st.floats(0.0, 0.5),
+        st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_nearest_frontier_equals_the_field_choice(self, seed, w, h, unknown_p, wall_p, data):
+        """The layer search picks the frontier the distance field picks, on
+        beliefs mixing UNKNOWN, FREE and BLOCKED cells, from any start."""
+        rng = np.random.default_rng(seed)
+        draw = rng.random((h, w))
+        belief = np.where(
+            draw < unknown_p, UNKNOWN, np.where(draw < unknown_p + wall_p, BLOCKED, FREE)
+        ).astype(np.int8)
+        start = data.draw(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)))
+        assert _nearest_frontier(belief, start) == field_nearest_frontier(belief, start)
 
     def test_ensure_plan_for_terminal_stop(self):
         scene = walled_lab()

@@ -180,6 +180,7 @@ class TestOverrides:
             {"t_max": "100"},
             {"t_max": True},
             {"tmax": 100},
+            {"blockages": [[3, "nope"]]},
         ],
     )
     def test_malformed_override_is_usage_error_naming_file_and_episode(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,9 @@ from relaynav.world import (
     TURN_DEG,
     Geodesics,
     Pose,
+    SceneFormatError,
+    _connected_4,
+    _one_component,
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
@@ -29,6 +33,7 @@ from relaynav.world import (
     geodesic_distance,
     line_of_sight,
     load_scene,
+    pack_mask,
     path_length_m,
     ray_geometry,
     save_scene,
@@ -36,6 +41,7 @@ from relaynav.world import (
     scene_to_dict,
     step_kinematics,
     supercover_line,
+    unpack_cells,
     validate_scene,
     wrap_angle,
 )
@@ -88,6 +94,27 @@ def queue_bfs_path(passable: np.ndarray, a, b):
     return path[::-1]
 
 
+def flood_fill_oracle(cells) -> bool:
+    """Set-based 4-connectivity of a non-empty set of cells."""
+    start = next(iter(cells))
+    seen = {start}
+    stack = [start]
+    while stack:
+        cx, cy = stack.pop()
+        for dx, dy in NEIGHBORS_4:
+            nxt = (cx + dx, cy + dy)
+            if nxt in cells and nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return len(seen) == len(cells)
+
+
+def random_open_grid(seed, w, h, wall_p):
+    """Occupancy without a border wall: free cells in the first and last
+    rows and columns exercise the packed layout's guard bits."""
+    return np.random.default_rng(seed).random((h, w)) < wall_p
+
+
 # random bordered grids, and obstacle-free ones, which have the most ties
 grids = st.builds(
     random_bordered_grid,
@@ -96,6 +123,14 @@ grids = st.builds(
     st.integers(3, 13),
     st.sampled_from([0.0, 0.15, 0.3, 0.45]),
 )
+open_grids = st.builds(
+    random_open_grid,
+    st.integers(0, 10_000),
+    st.integers(1, 13),
+    st.integers(1, 13),
+    st.sampled_from([0.0, 0.15, 0.3, 0.45]),
+)
+any_grids = st.one_of(grids, open_grids)
 
 
 class TestAngles:
@@ -192,11 +227,13 @@ class TestBfs:
                 assert abs(x1 - x0) + abs(y1 - y0) == 1
                 assert not blocked[y1, x1]
 
-    @given(grids, st.data())
+    @given(any_grids, st.data())
     @settings(max_examples=150, deadline=None)
     def test_path_equals_queue_bfs_path(self, blocked, data):
         """The descent returns the queue BFS's path itself, not only one of
-        the same length, with or without a memo shared across queries."""
+        the same length, with or without a mask packed once for every query
+        (non-square grids, free border cells, blocked, unreachable and
+        equal endpoints included)."""
         passable = ~blocked
         h, w = blocked.shape
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
@@ -207,12 +244,12 @@ class TestBfs:
             assert bfs_shortest_path(passable, a, b) == want
             assert bfs_shortest_path(passable, a, b, geo) == want
 
-    @given(grids, st.data())
-    @settings(max_examples=100, deadline=None)
+    @given(any_grids, st.data())
+    @settings(max_examples=150, deadline=None)
     def test_steps_equal_field_from_the_start(self, blocked, data):
-        """``steps(a, b)`` reads the field to ``b``; symmetry makes it the
-        field from ``a``, blocked, unreachable and equal endpoints included
-        (and the queue BFS's count, on grids that are not square)."""
+        """``steps(a, b)`` is the field from ``a`` read at ``b``, blocked,
+        unreachable and equal endpoints included, and the queue BFS's
+        count, on grids that are not square or whose border cells are free."""
         h, w = blocked.shape
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
         geo = Geodesics(~blocked)
@@ -220,16 +257,65 @@ class TestBfs:
             a, b = data.draw(cell), data.draw(cell)
             want = bfs_oracle(blocked, a)[b[1], b[0]]
             assert geo.steps(a, b) == bfs_distance_field(blocked, a)[b[1], b[0]] == want
+            assert geo.steps(b, a) == want
             assert geo.steps(a, a) == (-1 if blocked[a[1], a[0]] else 0)
 
-    def test_fields_are_built_once_and_read_only(self):
+    def test_packed_mask_and_queries_match_the_field(self):
         blocked = random_bordered_grid(7, 9, 9, 0.2)
         geo = Geodesics(~blocked)
-        field_ = geo.field((4, 4))
-        assert geo.field((4, 4)) is field_
-        assert np.array_equal(field_, bfs_distance_field(blocked, (4, 4)))
-        with pytest.raises(ValueError):
-            field_[1, 1] = 0
+        assert geo.stride == 10
+        assert unpack_cells(geo.free, geo.stride) == [
+            (int(x), int(y)) for y, x in np.argwhere(~blocked)
+        ]
+        assert geo.free == pack_mask(~blocked)
+        field_ = bfs_distance_field(blocked, (4, 4))
+        for y, x in np.ndindex(*blocked.shape):
+            assert bool(geo.bit((x, y)) & geo.free) == (not blocked[y, x])
+            assert geo.steps((x, y), (4, 4)) == field_[y, x]
+            path = bfs_shortest_path(geo.passable, (x, y), (4, 4), geo)
+            assert (path is None) == (field_[y, x] < 0)
+            if path is not None:
+                assert [field_[cy, cx] for cx, cy in path] == list(range(field_[y, x], -1, -1))
+        assert geo.bit((-1, 0)) == geo.bit((9, 0)) == geo.bit((0, 9)) == 0
+
+    def test_row_ends_do_not_wrap_into_the_next_row(self):
+        # (2, 0) and (0, 1) are neighbours in a row-major index without the
+        # guard bit between the rows
+        blocked = np.array([[True, True, False], [False, True, True]])
+        geo = Geodesics(~blocked)
+        assert geo.steps((2, 0), (0, 1)) == geo.steps((0, 1), (2, 0)) == -1
+        assert bfs_shortest_path(~blocked, (2, 0), (0, 1), geo) is None
+        assert not _one_component(~blocked)
+        assert not _connected_4(frozenset({(2, 0), (0, 1)}), blocked.shape)
+        assert _connected_4(frozenset({(0, 0), (0, 1), (1, 1)}), blocked.shape)
+
+    def test_nearest_stops_at_the_first_layer_and_breaks_ties_by_x_then_y(self):
+        passable = np.ones((5, 5), dtype=bool)
+        targets = np.zeros((5, 5), dtype=bool)
+        for x, y in ((4, 2), (2, 4), (0, 2), (2, 0), (4, 4)):
+            targets[y, x] = True
+        geo = Geodesics(passable)
+        # four targets two steps from the centre; (0, 2) has the smallest x
+        assert geo.nearest((2, 2), targets) == (0, 2)
+        targets[2, 0] = False
+        assert geo.nearest((2, 2), targets) == (2, 0)
+        assert geo.nearest((2, 2), np.zeros_like(targets)) is None
+        passable[2, 2] = False  # a blocked source reaches nothing
+        assert Geodesics(passable).nearest((2, 2), targets) is None
+
+    @given(open_grids)
+    @settings(max_examples=150, deadline=None)
+    def test_flood_fills_equal_the_set_flood_fill(self, blocked):
+        """The packed connectivity checks agree with a set-based flood fill
+        on masks whose cells touch x = 0 and the last column."""
+        free = ~blocked
+        cells = frozenset((int(x), int(y)) for y, x in np.argwhere(free))
+        if not cells:
+            assert _one_component(free)
+            return
+        want = flood_fill_oracle(cells)
+        assert _one_component(free) == want
+        assert _connected_4(cells, free.shape) == want
 
     def test_path_length_m(self):
         assert path_length_m([(0, 0), (1, 0), (1, 1)], 0.25) == pytest.approx(0.5)
@@ -424,3 +510,19 @@ class TestSceneSerialization:
 
     def test_validate_accepts_generated_scene(self, scene):
         validate_scene(scene)
+
+    def test_validate_names_blocked_split_and_disconnected_cells(self):
+        blocked = np.ones((5, 7), dtype=bool)
+        blocked[1:-1, 1:-1] = False
+        blocked[1:-1, 3] = True  # a wall splits the free space in two
+        scene = lab_scene(blocked)
+        with pytest.raises(SceneFormatError, match="region r0 is not 4-connected"):
+            validate_scene(scene)
+        left = frozenset((x, y) for x in (1, 2) for y in (1, 2, 3))
+        scene.regions["r0"] = replace(scene.regions["r0"], cells=left)
+        with pytest.raises(SceneFormatError, match="single connected component"):
+            validate_scene(scene)
+        for cell in ((3, 2), (-1, 2), (7, 2)):
+            scene.regions["r0"] = replace(scene.regions["r0"], cells=left | {cell})
+            with pytest.raises(SceneFormatError, match=rf"contains a blocked cell \({cell[0]}, {cell[1]}\)"):
+                validate_scene(scene)
