@@ -16,7 +16,7 @@ zero-loss transport reproduces the lockstep trace byte for byte.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
@@ -26,6 +26,7 @@ from .agent import (
     advance_subtask,
     ensure_plan,
     drain_signals,
+    evolve,
     make_agent,
     next_action,
     note_progress,
@@ -71,6 +72,7 @@ from .world import (
     FORWARD_M,
     Geodesics,
     HEADING_VECTORS,
+    Pose,
     SceneGraph,
     apply_blockage,
     step_kinematics,
@@ -171,7 +173,7 @@ def commit_actions(
                 st = on_blocked(st, (st.cell, ahead), now)
                 blocked_flags[rid] = True
             else:
-                st = replace(st, pose=new_pose)
+                st = evolve(st, pose=new_pose)
         elif act == ACTION_STOP:
             active = st.active_subtask()
             if active is not None and active.is_interaction():
@@ -181,10 +183,10 @@ def commit_actions(
                 attempts[rid] = {"kind": active.kind, "ok": ok}
                 if ok:
                     st = advance_subtask(st, now)
-                    st = replace(st, carrying=item.carrier == rid)
+                    st = evolve(st, carrying=item.carrier == rid)
         else:  # turns
             new_pose, _ = step_kinematics(scene, st.pose, act)
-            st = replace(st, pose=new_pose)
+            st = evolve(st, pose=new_pose)
         new_states[rid] = st
     return item, new_states, blocked_flags, attempts
 
@@ -236,7 +238,12 @@ class _Robot:
     """One robot's run state. ``state`` is the frozen agent state carried
     from tick to tick; ``bus`` is the robot's replica in distributed mode;
     ``held`` is the anchor view it composed on its previous tick. The
-    fields below the marker are handed from phase to phase within a tick."""
+    fields below the marker are handed from phase to phase within a tick.
+
+    ``viewed`` holds the scene, pose and belief that the robot's last
+    :func:`observe` left, and ``sightings`` what it saw. While the scene
+    and the belief are the same objects and the pose is equal, that view
+    is still current (see :func:`_sense`)."""
 
     state: AgentState
     final_goal: Cell | None
@@ -244,6 +251,7 @@ class _Robot:
     history: list[Event] = field(default_factory=list)
     held: Mapping[str, AnchorEntry] = field(default_factory=dict)
     path_len: float = 0.0
+    viewed: tuple[SceneGraph, Pose, np.ndarray] | None = None
     # --- this tick
     sightings: tuple[Observation, ...] = ()
     packet: SemanticPacket | None = None
@@ -307,7 +315,7 @@ def _start(
     # until either one's belief changes it
     fh, sh = states["FH"], states["SH"]
     if np.array_equal(fh.geodesics.passable, sh.geodesics.passable):
-        states["SH"] = replace(sh, geodesics=fh.geodesics)
+        states["SH"] = evolve(sh, geodesics=fh.geodesics)
     replica = empty_bus() if transport is not None else None
     robots = {rid: _Robot(states[rid], _final_goal(chains[rid]), replica) for rid in ROBOTS}
     header = {"episode_id": episode.episode_id, "scene_id": episode.scene_id}
@@ -341,8 +349,24 @@ def _apply_blockages(run: _Run, now: int) -> None:
 
 
 def _sense(run: _Run, now: int) -> None:
+    """Each robot observes, unless its view is still current: the scene
+    and the belief are the objects its last :func:`observe` left and the
+    pose is equal. ``observe`` would then find every sensed cell at its
+    true code and return the same state and sightings, so both are kept.
+    The rule rests on two invariants: beliefs are copy-on-write (see
+    :class:`~relaynav.agent.AgentState`), and a blockage makes a new
+    :class:`~relaynav.world.SceneGraph`."""
     for r in run.robots.values():
-        r.state, r.sightings = observe(run.scene, r.state, run.cfg.sensor)
+        st, seen = r.state, r.viewed
+        if (
+            seen is not None
+            and seen[0] is run.scene
+            and seen[2] is st.belief
+            and seen[1] == st.pose
+        ):
+            continue
+        r.state, r.sightings = observe(run.scene, st, run.cfg.sensor)
+        r.viewed = (run.scene, r.state.pose, r.state.belief)
 
 
 def _publish(run: _Run, now: int) -> None:
@@ -386,9 +410,15 @@ def _compose(run: _Run, now: int) -> None:
             r.composed = compose_context(bus, rid, now, cfg.tau)
 
 
+# trace records are only serialized, never mutated, so every KEEP shares one
+_KEEP_RECORD = KEEP.to_dict()
+
+
 def _replan(run: _Run, now: int) -> None:
     """Event-driven replanning, FH first, so that SH sees FH's rewritten
-    chain. A swap exchanges the two robots' live chains and final goals."""
+    chain. A swap exchanges the two robots' live chains and final goals.
+    ``decide`` keeps the assignment when no event is admitted, so only a
+    tick with admitted events pays for it and for the swap inputs."""
     cfg = run.cfg
     run.dialogue = []
     for rid, r in run.robots.items():
@@ -406,22 +436,22 @@ def _replan(run: _Run, now: int) -> None:
         r.admitted = filter_events(events, r.history, cfg.trigger)
         r.history.extend(r.admitted)
         decision = KEEP
-        if cfg.policy == "deconav":
+        if cfg.policy == "deconav" and r.admitted:
             decision = decide(r.admitted, st.policy_ctx, _swap_inputs(run, r), cfg.trigger)
-        r.decision = decision.to_dict()
+        r.decision = _KEEP_RECORD if decision is KEEP else decision.to_dict()
 
         mine = st.policy_ctx
         new_pctx, records = rewrite_policy_context(
             mine, r.admitted, decision, partner.state.policy_ctx.chain
         )
         if new_pctx is not mine:
-            st = replace(st, policy_ctx=new_pctx)
+            st = evolve(st, policy_ctx=new_pctx)
         if decision.kind == SWAP_SUBTASKS and new_pctx.chain != mine.chain:
-            st = replace(st, plan=None, best_steps=math.inf)
+            st = evolve(st, plan=None, best_steps=math.inf)
             ost = partner.state
-            partner.state = replace(
+            partner.state = evolve(
                 ost,
-                policy_ctx=replace(ost.policy_ctx, chain=mine.chain),
+                policy_ctx=evolve(ost.policy_ctx, chain=mine.chain),
                 plan=None,
                 best_steps=math.inf,
             )
@@ -502,7 +532,7 @@ def _progress(run: _Run, now: int) -> None:
             ):
                 st = advance_subtask(st, now)
             elif active.kind == STOP:
-                st = replace(advance_subtask(st, now), stopped=True)
+                st = evolve(advance_subtask(st, now), stopped=True)
         r.state = note_progress(st, now)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from .config import EpisodeConfig
 from .gates import GateReport, trigate_check
 from .seeds import derive_seed
-from .serialize import Record, read_jsonl, write_jsonl
+from .serialize import Record, RecordFormatError, numbered_jsonl, write_jsonl
 from .world import (
     Cell,
     Geodesics,
@@ -365,4 +365,12 @@ def save_episodes(episodes: list[EpisodeSpec], path) -> None:
 
 
 def load_episodes(path) -> list[EpisodeSpec]:
-    return [EpisodeSpec.from_dict(d) for d in read_jsonl(path)]
+    """Episodes from a JSON-lines file; a malformed line raises
+    RecordFormatError naming the file and the line."""
+    episodes = []
+    for lineno, data in numbered_jsonl(path):
+        try:
+            episodes.append(EpisodeSpec.from_dict(data))
+        except RecordFormatError as exc:
+            raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+    return episodes

@@ -72,4 +72,8 @@ def load_manifest(path: str | Path) -> RunManifest:
         target = target / MANIFEST_NAME
     if not target.exists():
         raise ManifestError(f"no manifest at {target}")
-    return RunManifest.from_dict(read_json(target))
+    data = read_json(target, ManifestError)
+    try:
+        return RunManifest.from_dict(data)
+    except ManifestError as exc:
+        raise ManifestError(f"{target}: {exc}") from None

@@ -22,7 +22,7 @@ import math
 import typing
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, ClassVar
+from typing import Any, ClassVar, Iterator
 
 # field(metadata=ROUNDED) marks a float field written rounded to 6 digits
 ROUNDED = MappingProxyType({"rounded": True})
@@ -39,8 +39,9 @@ class Record:
     objects, tuples as lists, non-finite floats as ``"inf"`` and fields
     marked ``ROUNDED`` rounded to 6 digits. ``from_dict`` reads the same
     shapes back; a missing field takes its default, and a missing field
-    without one or a value its type cannot take raises ``format_error``
-    naming the class and the field.
+    without one, a value its type cannot take or one the class's
+    ``__post_init__`` refuses raises ``format_error`` naming the class (and
+    the field).
     """
 
     format_error: ClassVar[type[ValueError]] = RecordFormatError
@@ -63,13 +64,16 @@ class Record:
                 continue
             try:
                 kwargs[name] = _decode(hint, d[name])
-            except _Mistyped:
+            except (_Mistyped, OverflowError):  # OverflowError: an int past float range
                 raise cls.format_error(
                     f"{cls.__name__}: field {name!r} cannot hold {d[name]!r}"
                 ) from None
             except RecordFormatError as exc:
                 raise cls.format_error(f"{cls.__name__}.{name}: {exc}") from None
-        return cls(**kwargs)
+        try:
+            return cls(**kwargs)
+        except ValueError as exc:  # a value the class's own checks refuse
+            raise cls.format_error(f"{cls.__name__}: {exc}") from None
 
 
 @functools.cache
@@ -143,8 +147,17 @@ def write_canonical(path: str | Path, obj: Any, *, indent: int | None = None) ->
     Path(path).write_text(canonical_dumps(obj, indent=indent) + "\n", encoding="utf-8")
 
 
-def read_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+def _parse(text: str, where: str, error: type[ValueError]) -> Any:
+    try:
+        return json.loads(text)
+    except ValueError as exc:  # JSONDecodeError, or an int past the digit limit
+        raise error(f"{where}: not JSON ({exc})") from None
+
+
+def read_json(path: str | Path, error: type[ValueError] = RecordFormatError) -> Any:
+    """The JSON value in ``path``; text that is not JSON raises ``error``
+    naming the file."""
+    return _parse(Path(path).read_text(encoding="utf-8"), str(path), error)
 
 
 def write_jsonl(path: str | Path, records: list[Any]) -> None:
@@ -153,14 +166,20 @@ def write_jsonl(path: str | Path, records: list[Any]) -> None:
             fh.write(canonical_dumps(rec) + "\n")
 
 
-def read_jsonl(path: str | Path) -> list[Any]:
-    out = []
+def numbered_jsonl(
+    path: str | Path, error: type[ValueError] = RecordFormatError
+) -> Iterator[tuple[int, Any]]:
+    """(line number, value) for each non-blank line of a JSON-lines file; a
+    line that is not JSON raises ``error`` naming the file and the line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if line:
-                out.append(json.loads(line))
-    return out
+                yield lineno, _parse(line, f"{path}:{lineno}", error)
+
+
+def read_jsonl(path: str | Path) -> list[Any]:
+    return [value for _, value in numbered_jsonl(path)]
 
 
 def sha256_file(path: str | Path) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .serialize import canonical_dumps
+from .serialize import canonical_dumps, numbered_jsonl
 
 
 @dataclass
@@ -45,28 +45,26 @@ def emit_trace(trace: Trace, path) -> None:
 
 
 def load_trace(path) -> Trace:
-    import json
-
+    """Read a trace back; a malformed line raises TraceFormatError naming
+    the file and the line."""
     header = None
     records: list[dict] = []
     result = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            row = json.loads(line)
-            kind = row.pop("kind", None)
-            if kind == "header":
-                if header is not None:
-                    raise TraceFormatError("duplicate trace header")
-                header = row
-            elif kind == "tick":
-                records.append(row)
-            elif kind == "result":
-                result = row
-            else:
-                raise TraceFormatError(f"unknown trace line kind {kind!r}")
+    for lineno, row in numbered_jsonl(path, TraceFormatError):
+        where = f"{path}:{lineno}"
+        if not isinstance(row, dict):
+            raise TraceFormatError(f"{where}: expected an object, got {row!r}")
+        kind = row.pop("kind", None)
+        if kind == "header":
+            if header is not None:
+                raise TraceFormatError(f"{where}: duplicate trace header")
+            header = row
+        elif kind == "tick":
+            records.append(row)
+        elif kind == "result":
+            result = row
+        else:
+            raise TraceFormatError(f"{where}: unknown trace line kind {kind!r}")
     if header is None:
-        raise TraceFormatError("trace missing header line")
+        raise TraceFormatError(f"{path}: trace missing header line")
     return Trace(header=header, records=records, result=result)

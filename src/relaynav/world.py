@@ -784,6 +784,8 @@ def _with_corridor_state(scene: SceneGraph, cor: Corridor, blocked: bool) -> Sce
     corridors = dict(scene.corridors)
     corridors[cor.corridor_id] = replace(cor, blocked=blocked)
     grid = GridMap(scene.grid.width, scene.grid.height, scene.grid.resolution, occ)
+    # the regions are the source's own, so its cell index holds for the copy;
+    # the visibility fields and the cell table follow occupancy and start empty
     return SceneGraph(
         scene_id=scene.scene_id,
         seed=scene.seed,
@@ -791,6 +793,7 @@ def _with_corridor_state(scene: SceneGraph, cor: Corridor, blocked: bool) -> Sce
         regions=scene.regions,
         objects=scene.objects,
         corridors=corridors,
+        _region_by_cell=scene._region_by_cell,
     )
 
 
@@ -901,4 +904,4 @@ def save_scene(scene: SceneGraph, path) -> None:
 
 
 def load_scene(path) -> SceneGraph:
-    return scene_from_dict(read_json(path))
+    return scene_from_dict(read_json(path, SceneFormatError))

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
+from hypothesis import strategies as st
 
 from relaynav.replan import SwapInputs
 from relaynav.scenegen import generate_scene
@@ -103,3 +106,41 @@ def walled_lab(gap=True, objects=()):
 
 def center_pose(cell, heading=0, resolution=0.25):
     return Pose((cell[0] + 0.5) * resolution, (cell[1] + 0.5) * resolution, heading)
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
+)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+def _not_json(text: str) -> bool:
+    try:
+        json.loads(text)
+    except ValueError:
+        return True
+    return False
+
+
+def junk_lines(valid: dict):
+    """``(line, malformed)`` pairs for fuzzing a loader, one line each: text
+    that is not JSON or a JSON value that is not an object (``malformed``:
+    no loader may accept it), or an object, random or ``valid`` with some
+    keys dropped (a loader may accept it)."""
+    one_line = st.characters(exclude_categories=("Cs",), exclude_characters="\r\n")
+    return st.one_of(
+        st.text(one_line, min_size=1, max_size=30)
+        .filter(lambda t: t.strip() and _not_json(t.strip()))
+        .map(lambda t: (t, True)),
+        _JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(lambda v: (json.dumps(v), True)),
+        st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4).map(
+            lambda d: (json.dumps(d), False)
+        ),
+        st.sets(st.sampled_from(sorted(valid)), min_size=1).map(
+            lambda drop: (json.dumps({k: v for k, v in valid.items() if k not in drop}), False)
+        ),
+    )

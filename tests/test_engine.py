@@ -43,7 +43,13 @@ from relaynav.tasks import (
     build_chains,
     rebind_target,
 )
-from relaynav.world import ACTION_STOP, FORWARD_M, scene_from_dict, scene_to_dict
+from relaynav.world import (
+    ACTION_FORWARD,
+    ACTION_STOP,
+    FORWARD_M,
+    scene_from_dict,
+    scene_to_dict,
+)
 
 from support import center_pose, walled_lab
 
@@ -242,6 +248,75 @@ class TestBlockageSchedule:
             assert rec["blocked_corridors"] == expect
         assert not scene.corridors[cid].blocked
         assert trace.header["blockage_schedule"] == [[5, cid]]
+
+
+class TestViewReuse:
+    @pytest.mark.parametrize("knowledge", ["known", "discover"])
+    def test_a_kept_view_is_what_observe_would_return(self, batch10, monkeypatch, knowledge):
+        # a blockage at tick 190 and an injected bump at the next forward step
+        # from tick 193, while one robot waits: at every tick where _sense
+        # keeps a robot's view, a fresh observe on the same inputs returns
+        # the same state and sightings
+        scene, episode = batch10[0]
+        cid = sorted(scene.corridors)[0]
+        cfg = RolloutConfig(knowledge=knowledge, t_max=300, blockage_schedule=((190, cid),))
+        real_observe, real_step = engine.observe, engine.step_kinematics
+        observed: dict[int, set[str]] = {}
+        kept: list[int] = []
+        bumps: list[int] = []
+        clock = {"now": -1}
+
+        def counting(scene_, state, sensor):
+            observed[clock["now"]].add(state.robot_id)
+            return real_observe(scene_, state, sensor)
+
+        def checked_sense(run, now):
+            clock["now"] = now
+            observed[now] = set()
+            engine._sense(run, now)
+            for rid, r in run.robots.items():
+                if rid not in observed[now]:
+                    state, sightings = real_observe(run.scene, r.state, run.cfg.sensor)
+                    assert state is r.state and sightings == r.sightings
+                    kept.append(now)
+
+        def bump_once(scene_, pose, action):
+            if action == ACTION_FORWARD and clock["now"] >= 193 and not bumps:
+                bumps.append(clock["now"])
+                return pose, True
+            return real_step(scene_, pose, action)
+
+        monkeypatch.setattr(engine, "observe", counting)
+        monkeypatch.setattr(engine, "step_kinematics", bump_once)
+        monkeypatch.setattr(
+            engine, "TICK_PHASES",
+            tuple(checked_sense if p is engine._sense else p for p in engine.TICK_PHASES),
+        )
+        _, trace = run_lockstep(scene, episode, cfg)
+        bumped = [
+            (rec["tick"], rid)
+            for rec in trace.records
+            for rid, row in rec["robots"].items()
+            if row["blocked"]
+        ]
+        assert len(bumped) == 1 and bumped[0][0] == bumps[0]
+        tick, rid = bumped[0]
+        assert rid in observed[tick + 1]  # the bump wrote the belief
+        assert observed[190] == {"FH", "SH"}  # the blockage made a new scene
+        assert any(t < 190 for t in kept) and any(t > tick for t in kept)
+
+    def test_known_lockstep_observes_less_than_once_per_robot_tick(self, batch10, monkeypatch):
+        calls = []
+        real_observe = engine.observe
+
+        def counting(*args):
+            calls.append(args[1].robot_id)
+            return real_observe(*args)
+
+        monkeypatch.setattr(engine, "observe", counting)
+        scene, episode = batch10[0]
+        result, _ = run_lockstep(scene, episode, RolloutConfig())
+        assert len(calls) < 2 * result.ticks
 
 
 class TestItemState:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynav.episodes import (
     EpisodeRejection,
@@ -19,7 +24,10 @@ from relaynav.seeds import derive_seed
 from relaynav.tasks import FH_CHAIN, SH_CHAIN
 from relaynav.world import geodesic_distance
 
+from relaynav.serialize import RecordFormatError
+
 from conftest import episode_batch
+from support import junk_lines
 
 
 def test_determinism():
@@ -99,6 +107,24 @@ def test_save_load_roundtrip(tmp_path, batch10):
     save_episodes(episodes, path)
     loaded = load_episodes(path)
     assert [e.to_dict() for e in loaded] == [e.to_dict() for e in episodes]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_fuzzed_line_raises_only_record_format_error(tmp_path_factory, batch10, data):
+    episodes = [ep for _, ep in batch10[:3]]
+    lines = [json.dumps(ep.to_dict()) for ep in episodes]
+    line, malformed = data.draw(junk_lines(episodes[0].to_dict()))
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, line)
+    path = tmp_path_factory.getbasetemp() / "fuzz-episodes.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        loaded = load_episodes(path)
+    except RecordFormatError as exc:
+        assert re.match(re.escape(f"{path}:{at + 1}: "), str(exc))
+    else:
+        assert not malformed and len(loaded) == len(lines)
 
 
 def test_dataset_stats(batch10):

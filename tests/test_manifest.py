@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
+from hypothesis import given, settings
 
 import relaynav
 from relaynav.manifest import (
@@ -14,6 +16,8 @@ from relaynav.manifest import (
     make_manifest,
     save_manifest,
 )
+
+from support import junk_lines
 
 
 @pytest.fixture()
@@ -57,3 +61,20 @@ class TestPersistence:
     def test_from_dict_requires_core_fields(self):
         with pytest.raises(ManifestError):
             RunManifest.from_dict({"command": "run", "seed": 1, "config": {}})
+
+
+_MANIFEST = make_manifest("run", 3, {"policy": "deconav"}).to_dict()
+
+
+@settings(max_examples=150, deadline=None)
+@given(junk=junk_lines(_MANIFEST))
+def test_fuzzed_manifest_raises_only_manifest_error(tmp_path_factory, junk):
+    text, malformed = junk
+    path = tmp_path_factory.getbasetemp() / "fuzz-manifest.json"
+    path.write_text(text + "\n", encoding="utf-8")
+    try:
+        load_manifest(path)
+    except ManifestError as exc:
+        assert str(exc).startswith(f"{path}: ")
+    else:
+        assert not malformed

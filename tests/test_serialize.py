@@ -218,6 +218,16 @@ def test_int_fields_take_only_ints(value):
         Pose.from_dict(d)
 
 
+@pytest.mark.parametrize(
+    "change, match",
+    [({"heading": 7}, "Pose: heading must be"), ({"x": 10**400}, "field 'x' cannot hold")],
+)
+def test_values_the_class_refuses_are_format_errors(change, match):
+    d = {**through_json(Pose(0.0, 0.0, 90)), **change}
+    with pytest.raises(RecordFormatError, match=match):
+        Pose.from_dict(d)
+
+
 def test_non_object_is_a_format_error():
     with pytest.raises(RecordFormatError, match="RolloutResult: expected an object"):
         RolloutResult.from_dict(["not", "a", "record"])

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynav.trace import Trace, TraceFormatError, emit_trace, load_trace
+
+from support import junk_lines
 
 
 def sample_trace() -> Trace:
@@ -76,3 +81,21 @@ class TestFormatErrors:
         path.write_text(json.dumps({"kind": "prophecy"}) + "\n")
         with pytest.raises(TraceFormatError):
             load_trace(path)
+
+
+@settings(max_examples=150, deadline=None)
+@given(junk=junk_lines(json.loads(sample_trace().lines()[1])), at=st.integers(0, 4))
+def test_fuzzed_line_raises_only_trace_format_error(tmp_path_factory, junk, at):
+    line, malformed = junk
+    lines = sample_trace().lines()
+    lines.insert(at, line)
+    path = tmp_path_factory.getbasetemp() / "fuzz.trace.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        load_trace(path)
+    except TraceFormatError as exc:
+        assert str(path) in str(exc)
+        if malformed:
+            assert re.match(re.escape(f"{path}:{at + 1}: "), str(exc))
+    else:
+        assert not malformed

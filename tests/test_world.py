@@ -16,6 +16,7 @@ from relaynav.world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
+    BLOCKED,
     FORWARD_M,
     HEADING_VECTORS,
     NEIGHBORS_4,
@@ -477,6 +478,22 @@ class TestBlockage:
             assert not scene.grid.is_blocked(cell)  # original untouched
         restored = clear_blockage(blocked, cid)
         assert np.array_equal(restored.grid.blocked, scene.grid.blocked)
+
+    def test_copies_keep_the_region_index_and_rebuild_occupancy_caches(self, scene):
+        cells = [(x, y) for y in range(scene.grid.height) for x in range(scene.grid.width)]
+        regions = [scene.region_of(c) for c in cells]
+        labels = [scene.room_label_of(c) for c in cells]
+        table = scene.cell_table()
+        for cid in sorted(scene.corridors):
+            blocked = apply_blockage(scene, cid)
+            for copy in (blocked, clear_blockage(blocked, cid)):
+                assert copy._region_by_cell is scene._region_by_cell
+                assert [copy.region_of(c) for c in cells] == regions
+                assert [copy.room_label_of(c) for c in cells] == labels
+                assert copy.cell_table() is not table
+                assert copy.visibility(5.0) is not scene.visibility(5.0)
+            for cx, cy in scene.corridors[cid].gate_cells:
+                assert blocked.cell_table().occupancy[cy * scene.grid.width + cx] == BLOCKED
 
     def test_apply_is_idempotent(self, scene):
         cid = sorted(scene.corridors)[0]
