@@ -16,6 +16,12 @@ rollout takes, plus the transport (latency, jitter and drops), a scheduled
 blockage, which rebuilds the scene and its visibility caches, discover mode
 (the belief, and so the planner's occupancy, changes on most ticks) and the
 static policy (coordination muted).
+
+The resolved configurations are pinned as the canonical JSON a manifest
+records for them: each run of the matrix plus a scheduled blockage and
+non-default sensor, trigger and transport sections, and the ``config`` of a
+``gen-scenes`` manifest. The ``pending.json`` of an adjudication export pins
+the adjudication items.
 """
 
 from __future__ import annotations
@@ -28,8 +34,18 @@ import pytest
 
 from conftest import episode_batch
 from relaynav.ablation import BlockagePlan, SuiteParams, build_blockage_suite
-from relaynav.cli import EPISODE_RESULTS_NAME, REPORT_NAME, RESULTS_NAME, do_eval, do_run
-from relaynav.config import RolloutConfig, TransportConfig
+from relaynav.cli import (
+    EPISODE_RESULTS_NAME,
+    PENDING_NAME,
+    REPORT_NAME,
+    RESULTS_NAME,
+    do_adjudicate_export,
+    do_eval,
+    do_gen_scenes,
+    do_run,
+    run_config_snapshot,
+)
+from relaynav.config import RolloutConfig, SensorConfig, TransportConfig, TriggerConfig
 from relaynav.engine import RolloutResult, run_distributed, run_lockstep
 from relaynav.episodes import EpisodeSpec, save_episodes
 from relaynav.manifest import RunManifest
@@ -40,6 +56,21 @@ from relaynav.world import Pose, save_scene
 BLOCKAGE_TICK = 5
 # long enough for both discover-mode episodes to finish
 DISCOVER_T_MAX = 3000
+LOSSY = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
+
+# rollout and transport config per run of the matrix; "blockage" adds a
+# per-episode schedule from an overrides file
+RUN_CONFIGS: dict[str, tuple[RolloutConfig, TransportConfig | None]] = {
+    "lockstep": (RolloutConfig(seed=5), None),
+    "distributed": (RolloutConfig(mode="distributed", seed=5), LOSSY),
+    "blockage": (RolloutConfig(seed=5), None),
+    "discover": (
+        RolloutConfig(mode="distributed", knowledge="discover", seed=5, t_max=DISCOVER_T_MAX),
+        LOSSY,
+    ),
+    "discover-short": (RolloutConfig(mode="distributed", knowledge="discover", seed=5), LOSSY),
+    "static": (RolloutConfig(policy="static", seed=5), None),
+}
 
 # file name -> sha256, per run of the matrix
 GOLDENS: dict[str, dict[str, str]] = {
@@ -166,21 +197,11 @@ def run_dir(inputs):
 def _run(inputs, name: str):
     root, scenes, episodes, blocked_episodes, overrides = inputs
     out = root / name
-    if name == "lockstep":
-        do_run(episodes, scenes, out, RolloutConfig(seed=5), None)
-    elif name == "distributed":
-        transport = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
-        do_run(episodes, scenes, out, RolloutConfig(mode="distributed", seed=5), transport)
-    elif name in ("discover", "discover-short"):
-        transport = TransportConfig(latency=3, jitter=2, drop_prob=0.2, seed=5)
-        cfg = RolloutConfig(mode="distributed", knowledge="discover", seed=5)
-        if name == "discover":
-            cfg = replace(cfg, t_max=DISCOVER_T_MAX)
-        do_run(episodes, scenes, out, cfg, transport)
-    elif name == "static":
-        do_run(episodes, scenes, out, RolloutConfig(policy="static", seed=5), None)
+    rollout, transport = RUN_CONFIGS[name]
+    if name == "blockage":
+        do_run(blocked_episodes, scenes, out, rollout, transport, overrides)
     else:
-        do_run(blocked_episodes, scenes, out, RolloutConfig(seed=5), None, overrides)
+        do_run(episodes, scenes, out, rollout, transport)
     return out
 
 
@@ -330,6 +351,80 @@ RECORD_GOLDENS: dict[str, str] = {
 @pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_json_matches_pin(name):
     assert canonical_dumps(RECORDS[name].to_dict()) == RECORD_GOLDENS[name]
+
+
+SNAPSHOT_CONFIGS = {
+    **RUN_CONFIGS,
+    "scheduled": (RolloutConfig(seed=5, blockage_schedule=((5, "c1"), (9, "c0"))), None),
+    "nested": (
+        RolloutConfig(
+            mode="distributed",
+            r_succ=0.75,
+            sensor=SensorConfig(range_m=4.0, fov_deg=90.0),
+            trigger=TriggerConfig(theta_rec=0.6, n_stag=15, cooldown=4, epsilon_hyst=0.25),
+        ),
+        TransportConfig(),
+    ),
+}
+
+# canonical JSON of run_config_snapshot, the "rollout" and "transport" of a
+# run manifest's config
+SNAPSHOT_GOLDENS: dict[str, str] = {
+    "blockage": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"known","mode":"lockstep","policy":"deconav","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":500,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":null}'
+    ),
+    "discover": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"discover","mode":"distributed","policy":"deconav","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":3000,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":{"drop_prob":0.2,"jitter":2,"latency":3,"seed":5}}'
+    ),
+    "discover-short": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"discover","mode":"distributed","policy":"deconav","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":500,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":{"drop_prob":0.2,"jitter":2,"latency":3,"seed":5}}'
+    ),
+    "distributed": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"known","mode":"distributed","policy":"deconav","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":500,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":{"drop_prob":0.2,"jitter":2,"latency":3,"seed":5}}'
+    ),
+    "lockstep": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"known","mode":"lockstep","policy":"deconav","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":500,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":null}'
+    ),
+    "nested": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"known","mode":"distributed","policy":"deconav","r_int":0.5,"r_succ":0.75,"seed":0,"sensor":{"fov_deg":90.0,"range_m":4.0},"t_max":500,"tau":10,"trigger":{"cooldown":4,"epsilon_hyst":0.25,"n_stag":15,"theta_rec":0.6}},"transport":{"drop_prob":0.0,"jitter":0,"latency":0,"seed":0}}'
+    ),
+    "scheduled": (
+        '{"rollout":{"blockage_schedule":[[5,"c1"],[9,"c0"]],"knowledge":"known","mode":"lockstep","policy":"deconav","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":500,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":null}'
+    ),
+    "static": (
+        '{"rollout":{"blockage_schedule":[],"knowledge":"known","mode":"lockstep","policy":"static","r_int":0.5,"r_succ":1.0,"seed":5,"sensor":{"fov_deg":120.0,"range_m":5.0},"t_max":500,"tau":10,"trigger":{"cooldown":10,"epsilon_hyst":0.5,"n_stag":20,"theta_rec":0.5}},"transport":null}'
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SNAPSHOT_CONFIGS))
+def test_run_config_snapshot_matches_pin(name):
+    assert canonical_dumps(run_config_snapshot(*SNAPSHOT_CONFIGS[name])) == SNAPSHOT_GOLDENS[name]
+
+
+GEN_SCENES_CONFIG = (
+    '{"count":3,"scene":{"doorway_width":2,"filler_rooms":["Corridor","Hallway","DiningRoom"],"grid_height":64,"grid_width":64,"max_attempts":8,"min_regions":3,"n_portables":3,"portable_categories":["bottle","cup","book","plant"],"portable_occlusion":[0.0,0.15],"portable_salience":[0.75,1.0],"required_rooms":["Bathroom","Bedroom","Kitchen","LivingRoom","Office","Foyer"],"resolution":0.25,"room_cols":3,"room_rows":3,"signature_occlusion":[0.0,0.2],"signature_salience":[0.7,0.95]}}'
+)
+PENDING_SHA256 = "b9badce1493710956fc735fe8984a815e9e455e1d57ebd8907b68eaf18ece024"
+
+
+@pytest.fixture(scope="module")
+def adjudication_export(tmp_path_factory):
+    """The gen-scenes manifest of three scenes and the directory of their
+    adjudication export."""
+    root = tmp_path_factory.mktemp("adjudication")
+    manifest = do_gen_scenes(3, 7, root / "scenes")
+    _, pending = do_adjudicate_export(root / "scenes", root / "export", 7, 0.9, 0.85)
+    assert pending > 0
+    return manifest, root / "export"
+
+
+def test_gen_scenes_manifest_config_matches_pin(adjudication_export):
+    assert canonical_dumps(adjudication_export[0].config) == GEN_SCENES_CONFIG
+
+
+def test_pending_file_matches_pinned_digest(adjudication_export):
+    assert sha256_file(adjudication_export[1] / PENDING_NAME) == PENDING_SHA256
 
 
 # Both entries of this suite swap once under the blockage, with one dialogue
