@@ -34,14 +34,11 @@ from .bus import (
     publish,
 )
 from .config import (
-    EpisodeConfig,
-    GateConfig,
     RolloutConfig,
     SceneParams,
     SensorConfig,
     TransportConfig,
     TriggerConfig,
-    config_to_dict,
 )
 from .engine import (
     ItemState,

@@ -27,7 +27,6 @@ from .config import (
     SensorConfig,
     TransportConfig,
     TriggerConfig,
-    config_to_dict,
 )
 from .engine import RolloutResult, run_distributed, run_lockstep
 from .episodes import (
@@ -40,7 +39,6 @@ from .episodes import (
 )
 from .labeling import (
     AdjudicationItem,
-    LabelVote,
     SeededNoisyClassifier,
     apply_adjudication,
     export_adjudication,
@@ -66,7 +64,9 @@ from .metrics import (
 from .scenegen import generate_scene
 from .seeds import derive_seed
 from .trace import Trace
-from .serialize import canonical_dumps, read_json, write_canonical, write_jsonl, read_jsonl
+from .serialize import (
+    RecordFormatError, canonical_dumps, read_json, read_jsonl, write_canonical, write_jsonl
+)
 from .world import SceneGraph, load_scene, save_scene
 
 EXIT_OK = 0
@@ -100,6 +100,9 @@ def _check_sections(cfg: dict) -> None:
     unknown = set(cfg) - CONFIG_SECTIONS
     if unknown:
         raise UsageError(f"unknown config sections: {', '.join(sorted(unknown))}")
+    for name, section in sorted(cfg.items()):
+        if not isinstance(section, dict):
+            raise UsageError(f"config section {name!r} must be an object, got {section!r}")
 
 
 def load_config_file(path: str | Path) -> dict:
@@ -111,13 +114,18 @@ def load_config_file(path: str | Path) -> dict:
 
 
 def _build_section(cls, file_section: dict, overrides: dict):
-    fields = {f.name for f in cls.__dataclass_fields__.values()}  # type: ignore[attr-defined]
-    bad = set(file_section) - fields
-    if bad:
-        raise UsageError(f"unknown {cls.__name__} keys: {', '.join(sorted(bad))}")
-    merged = dict(file_section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return cls(**merged)
+    """``cls`` from a file section with the flags that are set on top; a
+    field it lacks, a value the field cannot hold or one ``validate``
+    refuses is a usage error naming the class."""
+    merged = {**file_section, **{k: v for k, v in overrides.items() if v is not None}}
+    try:
+        cfg = cls.from_dict(merged)
+        cfg.validate()
+    except RecordFormatError as exc:  # already names the class
+        raise UsageError(str(exc)) from None
+    except ValueError as exc:
+        raise UsageError(f"{cls.__name__}: {exc}") from None
+    return cfg
 
 
 def resolve_run_config(
@@ -135,13 +143,11 @@ def resolve_run_config(
     trigger = _build_section(TriggerConfig, file_cfg.get("trigger", {}), {})
     rollout = _build_section(RolloutConfig, rollout_file, rollout_overrides)
     rollout = replace(rollout, sensor=sensor, trigger=trigger)
-    rollout.validate()
     transport: TransportConfig | None = None
     if rollout.mode == "distributed":
         transport = _build_section(
             TransportConfig, file_cfg.get("transport", {}), transport_overrides
         )
-        transport.validate()
     elif any(v is not None for v in transport_overrides.values()):
         raise UsageError("transport flags require --mode distributed")
     return rollout, transport
@@ -150,9 +156,10 @@ def resolve_run_config(
 def run_config_snapshot(
     rollout: RolloutConfig, transport: TransportConfig | None
 ) -> dict:
-    snap = {"rollout": config_to_dict(rollout)}
-    snap["transport"] = config_to_dict(transport) if transport is not None else None
-    return snap
+    return {
+        "rollout": rollout.to_dict(),
+        "transport": transport.to_dict() if transport is not None else None,
+    }
 
 
 # --- shared artifact helpers ----------------------------------------------
@@ -197,7 +204,7 @@ def do_gen_scenes(
     manifest = make_manifest(
         "gen-scenes",
         seed,
-        {"count": count, "scene": config_to_dict(params)},
+        {"count": count, "scene": params.to_dict()},
         output_files=outputs,
     )
     save_manifest(manifest, out)
@@ -288,17 +295,7 @@ def do_adjudicate_export(
     pending_path = out / PENDING_NAME
     write_canonical(
         pending_path,
-        [
-            {
-                "scene_id": item.scene_id,
-                "region_id": item.region_id,
-                "votes": [
-                    {"source": v.source, "label": v.label, "confidence": v.confidence}
-                    for v in item.votes
-                ],
-            }
-            for item in sorted(pending, key=lambda i: (i.scene_id, i.region_id))
-        ],
+        [item.to_dict() for item in sorted(pending, key=lambda i: (i.scene_id, i.region_id))],
         indent=2,
     )
     outputs[ADJUDICATION_CSV] = csv_path
@@ -318,17 +315,13 @@ def _load_pending(pending_dir: str | Path) -> list[AdjudicationItem]:
     path = Path(pending_dir) / PENDING_NAME
     if not path.exists():
         raise UsageError(f"{path} not found; run adjudicate export first")
-    return [
-        AdjudicationItem(
-            scene_id=rec["scene_id"],
-            region_id=rec["region_id"],
-            votes=tuple(
-                LabelVote(v["source"], v["label"], float(v["confidence"]))
-                for v in rec["votes"]
-            ),
-        )
-        for rec in read_json(path)
-    ]
+    items = read_json(path)
+    if not isinstance(items, list):
+        raise RecordFormatError(f"{path}: expected a list of adjudication items")
+    try:
+        return [AdjudicationItem.from_dict(item) for item in items]
+    except RecordFormatError as exc:
+        raise RecordFormatError(f"{path}: {exc}") from None
 
 
 def do_adjudicate_auto(
@@ -450,19 +443,6 @@ def rollout_episode(
         )
         return run_distributed(scene, episode, rollout, per_ep)
     return run_lockstep(scene, episode, rollout)
-
-
-def rollout_config_from_dict(d: dict) -> RolloutConfig:
-    return RolloutConfig(
-        **{
-            k: v
-            for k, v in d.items()
-            if k not in ("sensor", "trigger", "blockage_schedule")
-        },
-        blockage_schedule=tuple((int(t), str(c)) for t, c in d["blockage_schedule"]),
-        sensor=SensorConfig(**d["sensor"]),
-        trigger=TriggerConfig(**d["trigger"]),
-    )
 
 
 def _worker(payload: tuple) -> tuple[str, dict, bytes]:
@@ -619,12 +599,7 @@ def do_replay(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
     manifest = load_manifest(manifest_path)
     cfg = manifest.config
     if manifest.command == "gen-scenes":
-        scene_cfg = SceneParams(
-            **{
-                k: tuple(v) if isinstance(v, list) else v
-                for k, v in cfg["scene"].items()
-            }
-        )
+        scene_cfg = SceneParams.from_dict(cfg["scene"])
         redone = do_gen_scenes(cfg["count"], manifest.seed, out_dir, scene_cfg)
     elif manifest.command == "gen-episodes":
         out_names = [n for n in manifest.outputs if not n.endswith(".rejects.jsonl")]
@@ -635,9 +610,9 @@ def do_replay(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
             cfg["scenes_dir"], cfg["per_scene"], manifest.seed, target
         )
     elif manifest.command == "run":
-        rollout = rollout_config_from_dict(cfg["rollout"])
+        rollout = RolloutConfig.from_dict(cfg["rollout"])
         transport = (
-            TransportConfig(**cfg["transport"]) if cfg.get("transport") else None
+            TransportConfig.from_dict(cfg["transport"]) if cfg.get("transport") else None
         )
         redone = do_run(
             cfg["episodes"],

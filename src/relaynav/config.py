@@ -1,14 +1,26 @@
-"""Configuration dataclasses for generation, verification, and rollout."""
+"""Configuration dataclasses for scene generation and rollout.
+
+Each inherits ``serialize.Record``: a manifest records a resolved config as
+its ``to_dict`` and ``replay`` reads it back with ``from_dict``.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+import math
+from dataclasses import dataclass, field
 
-from .world import FORWARD_M
+from .serialize import Record
+from .world import FORWARD_M, MAX_GRID_SIDE
+
+# world.ray_geometry's shadow table takes window cells x offsets / 8 bytes,
+# both counts about n, the cells within the range: n = 1,256 and 0.2 MB at
+# 5 m (the paper's sensor), n = 5,024 and 3.2 MB at 10 m, but n = 20,080
+# and 50 MB at 20 m
+MAX_SENSOR_RANGE_M = 10.0
 
 
 @dataclass(frozen=True)
-class SceneParams:
+class SceneParams(Record):
     """Knobs for procedural scene generation."""
 
     grid_width: int = 64
@@ -36,8 +48,8 @@ class SceneParams:
     max_attempts: int = 8
 
     def validate(self) -> None:
-        if not (8 <= self.grid_width <= 256 and 8 <= self.grid_height <= 256):
-            raise ValueError("grid dimensions must be within [8, 256]")
+        if not (8 <= self.grid_width <= MAX_GRID_SIDE and 8 <= self.grid_height <= MAX_GRID_SIDE):
+            raise ValueError(f"grid dimensions must be within [8, {MAX_GRID_SIDE}]")
         if self.resolution != FORWARD_M:
             raise ValueError(f"resolution must be {FORWARD_M} m, one forward step per cell")
         rooms = self.room_rows * self.room_cols
@@ -57,36 +69,23 @@ class SceneParams:
 
 
 @dataclass(frozen=True)
-class SensorConfig:
+class SensorConfig(Record):
     """Robot sensing: field of view (degrees) and range (meters)."""
 
     range_m: float = 5.0
     fov_deg: float = 120.0
 
-
-@dataclass(frozen=True)
-class GateConfig:
-    """Waypoint verification gates."""
-
-    max_range_m: float = 5.0
-    fov_deg: float = 120.0
-    theta_rec: float = 0.5
-
-
-@dataclass(frozen=True)
-class EpisodeConfig:
-    """Episode sampling budgets and category pools."""
-
-    waypoint_attempts: int = 16
-    room_attempts: int = 4
-    target_categories: tuple[str, ...] = ("bottle", "cup", "book", "plant")
-    handoff_categories: tuple[str, ...] = ("shelf",)
-    require_distinct_rooms: bool = True
-    gate: GateConfig = field(default_factory=GateConfig)
+    def validate(self) -> None:
+        if not 0.0 < self.range_m <= MAX_SENSOR_RANGE_M:
+            raise ValueError(
+                f"range_m must lie in (0, {MAX_SENSOR_RANGE_M}] m, got {self.range_m!r}"
+            )
+        if not 0.0 < self.fov_deg <= 360.0:
+            raise ValueError(f"fov_deg must lie in (0, 360], got {self.fov_deg!r}")
 
 
 @dataclass(frozen=True)
-class TriggerConfig:
+class TriggerConfig(Record):
     """Event-driven replanning thresholds."""
 
     theta_rec: float = 0.5
@@ -97,12 +96,16 @@ class TriggerConfig:
     def validate(self) -> None:
         if not 0.0 <= self.theta_rec <= 1.0:
             raise ValueError("theta_rec must lie in [0, 1]")
-        if self.n_stag < 1 or self.cooldown < 0 or self.epsilon_hyst < 0:
-            raise ValueError("trigger thresholds must be non-negative")
+        if self.n_stag < 1 or self.cooldown < 0:
+            raise ValueError("n_stag must be positive and cooldown non-negative")
+        if not 0.0 <= self.epsilon_hyst < math.inf:
+            raise ValueError(
+                f"epsilon_hyst must be non-negative and finite, got {self.epsilon_hyst!r}"
+            )
 
 
 @dataclass(frozen=True)
-class TransportConfig:
+class TransportConfig(Record):
     """Simulated message channel between the two robots."""
 
     latency: int = 0
@@ -118,7 +121,7 @@ class TransportConfig:
 
 
 @dataclass(frozen=True)
-class RolloutConfig:
+class RolloutConfig(Record):
     """Execution parameters for one episode rollout."""
 
     mode: str = "lockstep"  # "lockstep" | "distributed"
@@ -142,20 +145,9 @@ class RolloutConfig:
             raise ValueError(f"unknown knowledge mode {self.knowledge!r}")
         if self.t_max < 0 or self.tau < 0:
             raise ValueError("t_max and tau must be non-negative")
-        if self.r_succ <= 0 or self.r_int <= 0:
-            raise ValueError("r_succ and r_int must be positive")
+        for name in ("r_succ", "r_int"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        self.sensor.validate()
         self.trigger.validate()
-
-
-def config_to_dict(cfg) -> dict:
-    """Flatten a (possibly nested) config dataclass into plain JSON types."""
-    out = {}
-    for f in fields(cfg):
-        val = getattr(cfg, f.name)
-        if hasattr(val, "__dataclass_fields__"):
-            out[f.name] = config_to_dict(val)
-        elif isinstance(val, tuple):
-            out[f.name] = [list(v) if isinstance(v, tuple) else v for v in val]
-        else:
-            out[f.name] = val
-    return out

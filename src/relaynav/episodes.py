@@ -15,8 +15,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .config import EpisodeConfig
-from .gates import GateReport, trigate_check
+from .gates import GATE_RANGE_M, THETA_REC, GateReport, trigate_check
 from .seeds import derive_seed
 from .serialize import Record, RecordFormatError, numbered_jsonl, write_jsonl
 from .world import (
@@ -35,6 +34,12 @@ FH = "FH"
 SH = "SH"
 
 STOPS = ("pickup", "handoff", "delivery")
+# a stop tries up to ROOM_ATTEMPTS anchors, and up to WAYPOINT_ATTEMPTS cells
+# around each; the three stops lie in three different rooms
+WAYPOINT_ATTEMPTS = 16
+ROOM_ATTEMPTS = 4
+TARGET_CATEGORIES = ("bottle", "cup", "book", "plant")
+HANDOFF_CATEGORIES = ("shelf",)
 
 INSTRUCTION_TEMPLATE = (
     "Take the {target} in the {pickup_room} to the {delivery_room}; "
@@ -112,10 +117,9 @@ def _sample_waypoint(
     rng: random.Random,
     anchor: SceneObject,
     expected_room: str,
-    config: EpisodeConfig,
     tally: Counter,
 ) -> tuple[Pose, GateReport] | None:
-    """Try up to ``waypoint_attempts`` cells around one anchor.
+    """Try up to ``WAYPOINT_ATTEMPTS`` cells around one anchor.
 
     Candidates are limited to the radius at which the anchor's salience and
     occlusion can still clear the recognizability threshold, so attempts are
@@ -124,17 +128,17 @@ def _sample_waypoint(
     region = scene.regions[anchor.region_id]
     res = scene.grid.resolution
     ax, ay = scene.grid.center(anchor.cell)
-    reach = config.gate.max_range_m
+    reach = GATE_RANGE_M
     effective = anchor.salience * (1.0 - anchor.occlusion)
     if effective > 0:
-        reach = min(reach, config.gate.max_range_m * (1.0 - config.gate.theta_rec / effective))
+        reach = min(reach, GATE_RANGE_M * (1.0 - THETA_REC / effective))
     candidates = [
         c
         for c in region.sorted_cells
         if math.hypot((c[0] + 0.5) * res - ax, (c[1] + 0.5) * res - ay) <= reach
     ]
     rng.shuffle(candidates)
-    for cell in candidates[: config.waypoint_attempts]:
+    for cell in candidates[:WAYPOINT_ATTEMPTS]:
         tally["attempts"] += 1
         cx, cy = scene.grid.center(cell)
         if cell == anchor.cell:
@@ -142,7 +146,7 @@ def _sample_waypoint(
         else:
             heading = quantize_heading(math.degrees(math.atan2(ay - cy, ax - cx)))
         pose = Pose(cx, cy, heading)
-        report = trigate_check(scene, pose, anchor, expected_room, config.gate)
+        report = trigate_check(scene, pose, anchor, expected_room)
         if report.passed:
             return pose, report
         if not report.visibility.passed:
@@ -158,25 +162,21 @@ def _sample_stop(
     scene: SceneGraph,
     rng: random.Random,
     anchors: list[SceneObject],
-    config: EpisodeConfig,
     tally: Counter,
 ) -> tuple[SceneObject, Pose, GateReport] | None:
-    """Work through up to ``room_attempts`` anchor candidates for one stop."""
-    for anchor in anchors[: config.room_attempts]:
+    """Work through up to ``ROOM_ATTEMPTS`` anchor candidates for one stop."""
+    for anchor in anchors[:ROOM_ATTEMPTS]:
         tally["rooms_tried"] += 1
         expected = scene.regions[anchor.region_id].room_label
-        found = _sample_waypoint(scene, rng, anchor, expected, config, tally)
+        found = _sample_waypoint(scene, rng, anchor, expected, tally)
         if found is not None:
             pose, report = found
             return anchor, pose, report
     return None
 
 
-def generate_episode(
-    scene: SceneGraph, seed: int, config: EpisodeConfig | None = None
-) -> EpisodeSpec | EpisodeRejection:
+def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejection:
     """Sample one verified episode; deterministic in (scene, seed)."""
-    config = config or EpisodeConfig()
     verified = [
         scene.regions[rid]
         for rid in sorted(scene.regions)
@@ -188,7 +188,7 @@ def generate_episode(
     targets = [
         scene.objects[oid]
         for oid in sorted(scene.objects)
-        if scene.objects[oid].category in config.target_categories
+        if scene.objects[oid].category in TARGET_CATEGORIES
         and scene.objects[oid].region_id in verified_ids
     ]
     if not targets:
@@ -198,7 +198,7 @@ def generate_episode(
     tallies: dict[str, Counter] = {stop: Counter() for stop in STOPS}
 
     rng.shuffle(targets)
-    picked = _sample_stop(scene, rng, targets, config, tallies["pickup"])
+    picked = _sample_stop(scene, rng, targets, tallies["pickup"])
     if picked is None:
         return EpisodeRejection(scene.scene_id, seed, "pickup", _tally_dict(tallies))
     target, pickup_wp, pickup_report = picked
@@ -207,27 +207,26 @@ def generate_episode(
     fixtures = [
         scene.objects[oid]
         for oid in sorted(scene.objects)
-        if scene.objects[oid].category in config.handoff_categories
+        if scene.objects[oid].category in HANDOFF_CATEGORIES
         and scene.objects[oid].region_id in verified_ids
-        and (not config.require_distinct_rooms or scene.objects[oid].region_id != pickup_room_id)
+        and scene.objects[oid].region_id != pickup_room_id
     ]
     rng.shuffle(fixtures)
-    handed = _sample_stop(scene, rng, fixtures, config, tallies["handoff"])
+    handed = _sample_stop(scene, rng, fixtures, tallies["handoff"])
     if handed is None:
         return EpisodeRejection(scene.scene_id, seed, "handoff", _tally_dict(tallies))
     fixture, handoff_wp, handoff_report = handed
     handoff_room_id = fixture.region_id
 
-    exclude = {pickup_room_id, handoff_room_id} if config.require_distinct_rooms else set()
     delivery_anchors = [
         scene.objects[oid]
         for oid in sorted(scene.objects)
         if scene.objects[oid].region_id in verified_ids
-        and scene.objects[oid].region_id not in exclude
+        and scene.objects[oid].region_id not in (pickup_room_id, handoff_room_id)
         and scene.objects[oid].object_id != target.object_id
     ]
     rng.shuffle(delivery_anchors)
-    delivered = _sample_stop(scene, rng, delivery_anchors, config, tallies["delivery"])
+    delivered = _sample_stop(scene, rng, delivery_anchors, tallies["delivery"])
     if delivered is None:
         return EpisodeRejection(scene.scene_id, seed, "delivery", _tally_dict(tallies))
     dest, delivery_wp, delivery_report = delivered
@@ -296,16 +295,15 @@ def _sample_start(scene: SceneGraph, rng: random.Random) -> Pose:
     return Pose(cx, cy, rng.randrange(0, 360, TURN_DEG))
 
 
-def verify_episode(scene: SceneGraph, episode: EpisodeSpec, config: EpisodeConfig | None = None) -> dict[str, GateReport]:
+def verify_episode(scene: SceneGraph, episode: EpisodeSpec) -> dict[str, GateReport]:
     """Re-run the three gates on a stored episode's waypoints."""
-    config = config or EpisodeConfig()
     target = scene.objects[episode.target_object_id]
     fixture = scene.objects[episode.handoff_fixture_id]
     dest = scene.objects[episode.delivery_anchor_id]
     return {
-        "pickup": trigate_check(scene, episode.pickup_waypoint, target, episode.pickup_room, config.gate),
-        "handoff": trigate_check(scene, episode.handoff_waypoint, fixture, episode.handoff_room, config.gate),
-        "delivery": trigate_check(scene, episode.delivery_waypoint, dest, episode.delivery_room, config.gate),
+        "pickup": trigate_check(scene, episode.pickup_waypoint, target, episode.pickup_room),
+        "handoff": trigate_check(scene, episode.handoff_waypoint, fixture, episode.handoff_room),
+        "delivery": trigate_check(scene, episode.delivery_waypoint, dest, episode.delivery_room),
     }
 
 

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
-from .config import GateConfig
 from .world import (
     Pose,
     SceneGraph,
@@ -23,6 +22,11 @@ from .world import (
     line_of_sight,
     wrap_angle,
 )
+
+# the gates check a waypoint against the paper's sensor: 5 m range, 120 deg FOV
+GATE_RANGE_M = 5.0
+GATE_FOV_DEG = 120.0
+THETA_REC = 0.5
 
 
 @dataclass(frozen=True)
@@ -145,14 +149,12 @@ def trigate_check(
     waypoint: Pose,
     target: SceneObject,
     expected_room: str,
-    config: GateConfig | None = None,
     scorer: RecognizabilityScorer | None = None,
 ) -> GateReport:
     """Evaluate all three gates; the report passes iff every gate passes."""
-    config = config or GateConfig()
-    scorer = scorer or DistanceFalloffScorer(config.max_range_m)
+    scorer = scorer or DistanceFalloffScorer(GATE_RANGE_M)
     return GateReport(
-        visibility=gate_visibility(scene, waypoint, target, config.max_range_m, config.fov_deg),
+        visibility=gate_visibility(scene, waypoint, target, GATE_RANGE_M, GATE_FOV_DEG),
         room_consistency=gate_room_consistency(scene, target, expected_room),
-        recognizability=gate_recognizability(scorer, scene, waypoint, target, config.theta_rec),
+        recognizability=gate_recognizability(scorer, scene, waypoint, target, THETA_REC),
     )

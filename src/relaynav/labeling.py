@@ -16,6 +16,7 @@ from pathlib import Path
 from typing import Callable, Mapping, Protocol
 
 from .seeds import derive_seed
+from .serialize import Record
 from .world import (
     PROVENANCE_ADJUDICATED,
     PROVENANCE_RULE,
@@ -40,18 +41,19 @@ class ClassifierUnavailable(RuntimeError):
 
 
 @dataclass(frozen=True)
-class LabelVote:
+class LabelVote(Record):
     source: str
     label: str
     confidence: float
 
 
 @dataclass(frozen=True)
-class AdjudicationItem:
+class AdjudicationItem(Record):
+    """A region the vote left unresolved; ``pending.json`` holds these."""
+
     scene_id: str
     region_id: str
     votes: tuple[LabelVote, LabelVote, LabelVote]
-    resolved_label: str | None = None
 
     def vote_by_source(self, source: str) -> LabelVote:
         for v in self.votes:
@@ -263,9 +265,6 @@ ADJUDICATION_COLUMNS = (
 
 def export_adjudication(items: list[AdjudicationItem], path: str | Path) -> None:
     """Write unresolved items to CSV with an empty resolved_label column."""
-    for item in items:
-        if item.resolved_label is not None:
-            raise ValueError(f"item {item.region_id} is already resolved")
     rows = sorted(items, key=lambda i: (i.scene_id, i.region_id))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

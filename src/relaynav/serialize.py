@@ -5,11 +5,15 @@ written through these functions so that equal values always produce equal
 bytes, which is what makes byte-level reproducibility checks meaningful.
 
 Records persisted once per episode or run (episodes, rollout results,
-per-episode scores, reports, blockage plans, manifests and their poses)
-and the rare dialogue records of a trace inherit ``Record``: one codec
-driven by the dataclass fields and type hints writes and reads them all.
-Records written on every tick keep hand-written ``to_dict`` methods,
-because a reflective encode costs several times more inside the tick loop.
+per-episode scores, reports, blockage plans, manifests and their poses),
+the resolved configurations a manifest records (scene, rollout, sensor,
+trigger and transport), the adjudication items of ``pending.json`` and
+the rare dialogue records of a trace inherit ``Record``: one codec driven
+by the dataclass fields and type hints writes and reads them all. Records
+written on every tick keep hand-written ``to_dict`` methods, because a
+reflective encode costs several times more inside the tick loop. Scenes
+keep a hand-written codec too: decoding their thousands of cells through
+the reflective one would slow every scene load several times.
 """
 
 from __future__ import annotations
@@ -36,10 +40,12 @@ class Record:
     """Base of frozen dataclasses persisted as canonical JSON.
 
     ``to_dict`` writes every field under its own name: nested records as
-    objects, tuples as lists, non-finite floats as ``"inf"`` and fields
-    marked ``ROUNDED`` rounded to 6 digits. ``from_dict`` reads the same
-    shapes back; a missing field takes its default, and a missing field
-    without one, a value its type cannot take or one the class's
+    objects, tuples as lists, infinity as ``"inf"`` and fields marked
+    ``ROUNDED`` rounded to 6 digits; NaN and negative infinity have no
+    form and raise ``ValueError``. ``from_dict`` reads the same shapes
+    back, an integer into a float field as a float; a missing field takes
+    its default, and a missing field without one, a field the class does
+    not have, a value its type cannot take or one the class's
     ``__post_init__`` refuses raises ``format_error`` naming the class (and
     the field).
     """
@@ -56,8 +62,12 @@ class Record:
     def from_dict(cls, d: Any):
         if not isinstance(d, dict):
             raise cls.format_error(f"{cls.__name__}: expected an object, got {d!r}")
+        fields = _record_fields(cls)
+        unknown = set(d).difference(name for name, _, _, _ in fields)
+        if unknown:
+            raise cls.format_error(f"{cls.__name__}: unknown field {min(map(repr, unknown))}")
         kwargs = {}
-        for name, hint, _, required in _record_fields(cls):
+        for name, hint, _, required in fields:
             if name not in d:
                 if required:
                     raise cls.format_error(f"{cls.__name__}: missing field {name!r}")
@@ -93,9 +103,11 @@ def _record_fields(cls: type) -> tuple[tuple[str, Any, bool, bool], ...]:
 
 def _encode(value: Any, rounded: bool) -> Any:
     if isinstance(value, float):
-        if not math.isfinite(value):
+        if math.isfinite(value):
+            return round(value, 6) if rounded else value
+        if value == math.inf:
             return "inf"
-        return round(value, 6) if rounded else value
+        raise ValueError(f"{value!r} has no canonical JSON form")
     if isinstance(value, tuple):
         return [_encode(v, False) for v in value]
     if isinstance(value, Record):

@@ -29,6 +29,8 @@ Cell = tuple[int, int]
 
 TURN_DEG = 15
 FORWARD_M = 0.25
+# a grid side, in cells, for generated and loaded scenes alike
+MAX_GRID_SIDE = 256
 
 ACTION_FORWARD = "move_forward"
 ACTION_LEFT = "turn_left"
@@ -851,6 +853,8 @@ def scene_from_dict(data: dict) -> SceneGraph:
         meta = data["meta"]
         grid_d = data["grid"]
         width, height = int(grid_d["width"]), int(grid_d["height"])
+        if not (0 < width <= MAX_GRID_SIDE and 0 < height <= MAX_GRID_SIDE):
+            raise SceneFormatError(f"grid sides must lie in [1, {MAX_GRID_SIDE}] cells")
         blocked = np.zeros((height, width), dtype=bool)
         for cx, cy in grid_d["blocked_cells"]:
             blocked[int(cy), int(cx)] = True
@@ -893,9 +897,12 @@ def scene_from_dict(data: dict) -> SceneGraph:
             objects=objects,
             corridors=corridors,
         )
-    except (KeyError, TypeError, IndexError) as exc:
-        raise SceneFormatError(f"malformed scene file: {exc}") from exc
-    validate_scene(scene)
+        validate_scene(scene)
+    except SceneFormatError:
+        raise
+    except (KeyError, TypeError, IndexError, ValueError, OverflowError) as exc:
+        # a value of the wrong type or shape, which validate_scene may meet too
+        raise SceneFormatError(f"malformed scene file: {exc!r}") from None
     return scene
 
 
@@ -904,4 +911,9 @@ def save_scene(scene: SceneGraph, path) -> None:
 
 
 def load_scene(path) -> SceneGraph:
-    return scene_from_dict(read_json(path, SceneFormatError))
+    """The scene in ``path``; a malformed file raises SceneFormatError naming it."""
+    data = read_json(path, SceneFormatError)
+    try:
+        return scene_from_dict(data)
+    except SceneFormatError as exc:
+        raise SceneFormatError(f"{path}: {exc}") from None

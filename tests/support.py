@@ -111,7 +111,7 @@ def center_pose(cell, heading=0, resolution=0.25):
 _JSON_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=8)
 )
-_JSON_VALUES = st.recursive(
+JSON_VALUES = st.recursive(
     _JSON_SCALARS,
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
     max_leaves=6,
@@ -136,8 +136,8 @@ def junk_lines(valid: dict):
         st.text(one_line, min_size=1, max_size=30)
         .filter(lambda t: t.strip() and _not_json(t.strip()))
         .map(lambda t: (t, True)),
-        _JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(lambda v: (json.dumps(v), True)),
-        st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=4).map(
+        JSON_VALUES.filter(lambda v: not isinstance(v, dict)).map(lambda v: (json.dumps(v), True)),
+        st.dictionaries(st.text(max_size=6), JSON_VALUES, max_size=4).map(
             lambda d: (json.dumps(d), False)
         ),
         st.sets(st.sampled_from(sorted(valid)), min_size=1).map(

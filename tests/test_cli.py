@@ -22,10 +22,11 @@ from relaynav.cli import (
     main,
     manifest_path_for,
     resolve_run_config,
+    run_config_snapshot,
 )
 from relaynav.episodes import EpisodeRejection, load_episodes
 from relaynav.manifest import load_manifest
-from relaynav.serialize import read_json, read_jsonl, write_canonical, write_jsonl
+from relaynav.serialize import canonical_dumps, read_json, read_jsonl, write_canonical, write_jsonl
 from relaynav.trace import load_trace
 from relaynav.world import load_scene
 
@@ -281,6 +282,50 @@ class TestConfigResolution:
         with pytest.raises(UsageError, match="rollout.sensor"):
             resolve_run_config({"rollout": {"sensor": {"range_m": 9}}}, {}, {})
 
+    @pytest.mark.parametrize(
+        "text, named",
+        [
+            ('{"rollout": {"t_max": "500"}}', "RolloutConfig: field 't_max' cannot hold '500'"),
+            ('{"rollout": {"tau": 2.5}}', "RolloutConfig: field 'tau' cannot hold 2.5"),
+            (
+                '{"rollout": {"mode": "distributed"}, "transport": {"latency": 1.5}}',
+                "TransportConfig: field 'latency' cannot hold 1.5",
+            ),
+            ('{"sensor": {"range_m": "5"}}', "SensorConfig: field 'range_m' cannot hold '5'"),
+            ('{"sensor": {"range_m": 0}}', "SensorConfig: range_m must lie in (0, 10.0] m, got 0.0"),
+            ('{"sensor": {"range_m": -1}}', "SensorConfig: range_m must lie in"),
+            ('{"sensor": {"range_m": NaN}}', "SensorConfig: range_m must lie in"),
+            ('{"sensor": {"range_m": 10.25}}', "SensorConfig: range_m must lie in"),
+            ('{"sensor": {"fov_deg": 0}}', "SensorConfig: fov_deg must lie in"),
+            ('{"sensor": {"fov_deg": 361}}', "SensorConfig: fov_deg must lie in"),
+            ('{"rollout": {"r_succ": NaN}}', "RolloutConfig: r_succ must be positive and finite"),
+            ('{"rollout": {"r_int": Infinity}}', "RolloutConfig: r_int must be positive and finite"),
+            ('{"trigger": {"epsilon_hyst": Infinity}}', "TriggerConfig: epsilon_hyst must be"),
+            ('{"trigger": {"rate": 3}}', "TriggerConfig: unknown field 'rate'"),
+            ('{"sensor": [5]}', "config section 'sensor' must be an object"),
+        ],
+    )
+    def test_bad_value_is_usage_error_naming_class_and_field(
+        self, pipeline, tmp_path, capsys, text, named
+    ):
+        _, scenes, episodes = pipeline
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        assert run_cmd(episodes, scenes, tmp_path / "out", "--config", str(path)) == EXIT_USAGE
+        assert f"usage error: {named}" in capsys.readouterr().err
+
+    def test_int_in_float_field_resolves_like_the_flag(self, tmp_path):
+        # a config file's 1 and the flag's 1.0 are the same value, so they
+        # must write the same manifest and trace header bytes
+        path = tmp_path / "cfg.json"
+        write_canonical(path, {"rollout": {"r_succ": 1}})
+        from_file = resolve_run_config(load_config_file(path), {}, {})
+        from_flag = resolve_run_config({}, {"r_succ": 1.0}, {})
+        assert canonical_dumps(run_config_snapshot(*from_file)) == canonical_dumps(
+            run_config_snapshot(*from_flag)
+        )
+        assert '"r_succ":1.0' in canonical_dumps(run_config_snapshot(*from_file))
+
     def test_config_env_var_is_read(self, pipeline, monkeypatch, tmp_path):
         root, scenes, episodes = pipeline
         path = tmp_path / "cfg.json"
@@ -313,6 +358,25 @@ class TestExitCodes:
         assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
         assert "RolloutResult: missing field 'ticks'" in capsys.readouterr().err
 
+    def test_eval_names_an_unknown_result_field(self, run_dirs, tmp_path, capsys):
+        copy = tmp_path / "run"
+        shutil.copytree(run_dirs[0], copy)
+        rows = read_jsonl(copy / "results.jsonl")
+        rows[-1]["note"] = "edited"
+        write_jsonl(copy / "results.jsonl", rows)
+        assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
+        assert "RolloutResult: unknown field 'note'" in capsys.readouterr().err
+
+    def test_run_names_an_unknown_episode_field(self, pipeline, tmp_path, capsys):
+        _, scenes, episodes = pipeline
+        rows = read_jsonl(episodes)
+        rows[-1]["difficulty"] = "hard"
+        bad = tmp_path / "episodes.jsonl"
+        write_jsonl(bad, rows)
+        assert run_cmd(bad, scenes, tmp_path / "out") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"{bad}:{len(rows)}: EpisodeSpec: unknown field 'difficulty'" in err
+
     def test_all_rejections_exit_3(self, pipeline, monkeypatch):
         root, scenes, _ = pipeline
 
@@ -325,3 +389,52 @@ class TestExitCodes:
              "--seed", "1", "--out", str(root / "rejected.jsonl")]
         )
         assert code == EXIT_REJECTED
+
+
+class TestAdjudication:
+    @pytest.fixture(scope="class")
+    def export(self, pipeline):
+        root, scenes, _ = pipeline
+        out = root / "adjudication"
+        assert main(["adjudicate", "export", "--scenes", str(scenes), "--out", str(out)]) == EXIT_OK
+        return out
+
+    def test_auto_and_import_read_the_export(self, pipeline, export, tmp_path):
+        _, scenes, _ = pipeline
+        csv = tmp_path / "resolved.csv"
+        assert main(
+            ["adjudicate", "auto", "--pending", str(export), "--truth-scenes", str(scenes),
+             "--out", str(csv)]
+        ) == EXIT_OK
+        final = tmp_path / "final"
+        assert main(
+            ["adjudicate", "import", "--pending", str(export), "--csv", str(csv),
+             "--out", str(final)]
+        ) == EXIT_OK
+        assert load_manifest(final).command == "adjudicate-import"
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[{",
+            '{"scene_id": "s1"}',
+            "[5]",
+            '[{"scene_id": "s1", "region_id": "r1", "votes": []}]',
+            '[{"scene_id": "s1", "region_id": "r1", "votes": '
+            + "[" + ", ".join(
+                '{"source": "%s", "label": "Unknown", "confidence": "high"}' % src
+                for src in ("rule", "classifier_a", "classifier_b")
+            ) + "]}]",
+            '[{"scene_id": "s1", "region_id": "r1", "resolved_label": "Kitchen", "votes": []}]',
+        ],
+    )
+    def test_malformed_pending_file_is_named(self, export, tmp_path, capsys, text):
+        pending = tmp_path / "pending"
+        shutil.copytree(export, pending)
+        (pending / "pending.json").write_text(text, encoding="utf-8")
+        code = main(
+            ["adjudicate", "import", "--pending", str(pending),
+             "--csv", str(pending / "adjudication.csv"), "--out", str(tmp_path / "out")]
+        )
+        assert code == EXIT_RUNTIME
+        assert f"{pending / 'pending.json'}: " in capsys.readouterr().err

@@ -10,7 +10,7 @@ import pytest
 
 from relaynav import engine
 from relaynav.agent import make_agent, on_blocked
-from relaynav.config import RolloutConfig, TransportConfig
+from relaynav.config import MAX_SENSOR_RANGE_M, RolloutConfig, SensorConfig, TransportConfig
 from relaynav.engine import (
     AT_HANDOFF,
     AT_PICKUP,
@@ -445,6 +445,17 @@ class TestResultAndErrors:
         scene, episode = batch10[0]
         with pytest.raises(ValueError):
             run_lockstep(scene, episode, RolloutConfig(tau=-1))
+
+    @pytest.mark.parametrize(
+        "range_m, fov_deg", [(0.1, 120.0), (5.0, 1e-3), (MAX_SENSOR_RANGE_M, 360.0)]
+    )
+    def test_extreme_valid_sensors_run(self, batch10, range_m, fov_deg):
+        # a range below one cell senses nothing; the cap builds the largest table
+        scene, episode = batch10[0]
+        sensor = SensorConfig(range_m=range_m, fov_deg=fov_deg)
+        for knowledge in ("known", "discover"):
+            cfg = RolloutConfig(knowledge=knowledge, t_max=20, sensor=sensor)
+            assert run_lockstep(scene, episode, cfg)[0].ticks == 20
 
     def test_trace_header_is_mode_agnostic(self, batch10):
         scene, episode = batch10[0]

@@ -6,8 +6,10 @@ import random
 
 import pytest
 
-from relaynav.config import GateConfig
 from relaynav.gates import (
+    GATE_FOV_DEG,
+    GATE_RANGE_M,
+    THETA_REC,
     DistanceFalloffScorer,
     gate_recognizability,
     gate_room_consistency,
@@ -43,14 +45,13 @@ def random_candidates(scene, rng, count):
 
 
 def test_trigate_is_conjunction_of_named_gates(scene):
-    cfg = GateConfig()
-    scorer = DistanceFalloffScorer(cfg.max_range_m)
+    scorer = DistanceFalloffScorer(GATE_RANGE_M)
     rng = random.Random(0)
     for pose, target, expected in random_candidates(scene, rng, 200):
-        report = trigate_check(scene, pose, target, expected, cfg, scorer)
-        vis = gate_visibility(scene, pose, target, cfg.max_range_m, cfg.fov_deg)
+        report = trigate_check(scene, pose, target, expected, scorer)
+        vis = gate_visibility(scene, pose, target, GATE_RANGE_M, GATE_FOV_DEG)
         room = gate_room_consistency(scene, target, expected)
-        rec = gate_recognizability(scorer, scene, pose, target, cfg.theta_rec)
+        rec = gate_recognizability(scorer, scene, pose, target, THETA_REC)
         assert report.passed == (vis.passed and room.passed and rec.passed)
         assert report.visibility.passed == vis.passed
         assert report.room_consistency.passed == room.passed

@@ -12,8 +12,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaynav.ablation import BlockagePlan
+from relaynav.config import (
+    RolloutConfig,
+    SceneParams,
+    SensorConfig,
+    TransportConfig,
+    TriggerConfig,
+)
 from relaynav.engine import RolloutResult
 from relaynav.episodes import EpisodeSpec
+from relaynav.labeling import AdjudicationItem, LabelVote
 from relaynav.manifest import ManifestError, RunManifest
 from relaynav.metrics import EpisodeResult, MetricsReport
 from relaynav.serialize import RecordFormatError, canonical_dumps
@@ -134,6 +142,38 @@ run_manifests = st.builds(
     outputs=st.dictionaries(names, json_dicts, max_size=3),
 )
 
+scene_params = st.builds(
+    SceneParams,
+    grid_width=st.integers(8, 256),
+    resolution=finite,
+    required_rooms=st.lists(names, max_size=6).map(tuple),
+    portable_salience=st.tuples(finite, finite),
+)
+sensor_configs = st.builds(SensorConfig, range_m=finite, fov_deg=finite)
+trigger_configs = st.builds(
+    TriggerConfig, theta_rec=finite, n_stag=counts, cooldown=counts, epsilon_hyst=finite
+)
+transport_configs = st.builds(
+    TransportConfig,
+    latency=counts,
+    jitter=counts,
+    drop_prob=finite,
+    seed=st.integers(0, 2**64 - 1),
+)
+rollout_configs = st.builds(
+    RolloutConfig,
+    mode=names,
+    t_max=counts,
+    r_succ=finite,
+    blockage_schedule=st.lists(st.tuples(counts, names), max_size=3).map(tuple),
+    sensor=sensor_configs,
+    trigger=trigger_configs,
+)
+label_votes = st.builds(LabelVote, names, names, finite)
+adjudication_items = st.builds(
+    AdjudicationItem, names, names, st.tuples(label_votes, label_votes, label_votes)
+)
+
 RECORDS = {
     Pose: poses,
     RolloutResult: rollout_results,
@@ -142,6 +182,13 @@ RECORDS = {
     EpisodeSpec: episode_specs,
     BlockagePlan: blockage_plans,
     RunManifest: run_manifests,
+    SceneParams: scene_params,
+    SensorConfig: sensor_configs,
+    TriggerConfig: trigger_configs,
+    TransportConfig: transport_configs,
+    RolloutConfig: rollout_configs,
+    LabelVote: label_votes,
+    AdjudicationItem: adjudication_items,
 }
 
 
@@ -169,7 +216,9 @@ def test_round_trip_through_canonical_json(cls, data):
     assert cls.from_dict(through_json(record)) == record
 
 
-@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+@pytest.mark.parametrize(
+    "cls", [c for c in RECORDS if required_fields(c)], ids=lambda c: c.__name__
+)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_missing_field_is_named(cls, data):
@@ -189,6 +238,27 @@ def test_mistyped_field_is_named(cls, data):
     d[name] = 5 if typing.get_type_hints(cls)[name] is str else "five"
     with pytest.raises(format_error(cls), match=f"{cls.__name__}: field '{name}' cannot hold"):
         cls.from_dict(d)
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_unknown_field_is_named(cls, data):
+    d = through_json(data.draw(RECORDS[cls]))
+    d["extra"] = data.draw(st.integers() | names)
+    with pytest.raises(format_error(cls), match=f"{cls.__name__}: unknown field 'extra'"):
+        cls.from_dict(d)
+
+
+def test_int_in_float_field_reads_as_float():
+    pose = Pose.from_dict({"x": 1, "y": -2, "heading": 90})
+    assert canonical_dumps(pose.to_dict()) == '{"heading":90,"x":1.0,"y":-2.0}'
+
+
+@pytest.mark.parametrize("value", [math.nan, -math.inf])
+def test_nan_and_negative_infinity_are_not_written(value):
+    with pytest.raises(ValueError, match="no canonical JSON form"):
+        Pose(value, 0.0, 0).to_dict()
 
 
 def test_missing_defaulted_fields_take_defaults():

@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaynav.config import SensorConfig
+from relaynav.serialize import write_canonical
 from relaynav.world import (
     ACTION_FORWARD,
     ACTION_LEFT,
@@ -47,7 +51,7 @@ from relaynav.world import (
     wrap_angle,
 )
 
-from support import center_pose, lab_scene, random_bordered_grid
+from support import JSON_VALUES, center_pose, junk_lines, lab_scene, random_bordered_grid
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
 
@@ -510,6 +514,20 @@ class TestBlockage:
             assert after >= base - 1e-9
 
 
+def _value_paths(value, prefix=()):
+    """The key paths to every value nested in ``value``, the first two items
+    of each list only."""
+    if isinstance(value, dict):
+        items = value.items()
+    elif isinstance(value, list):
+        items = enumerate(value[:2])
+    else:
+        return
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _value_paths(item, prefix + (key,))
+
+
 class TestSceneSerialization:
     def test_dict_roundtrip_preserves_everything(self, scene):
         clone = scene_from_dict(scene_to_dict(scene))
@@ -524,6 +542,38 @@ class TestSceneSerialization:
         save_scene(scene, p1)
         save_scene(load_scene(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_mistyped_grid_side_is_named_with_the_file(self, scene, tmp_path):
+        data = scene_to_dict(scene)
+        data["grid"]["width"] = "x"
+        path = tmp_path / "scene.json"
+        write_canonical(path, data)
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(str(path))}: malformed"):
+            load_scene(path)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_scene_raises_only_scene_format_error(self, scene, tmp_path_factory, data):
+        valid = scene_to_dict(scene)
+        if data.draw(st.booleans()):
+            text, malformed = data.draw(junk_lines(valid))
+        else:
+            # one value anywhere in the file replaced (lists: their first two items)
+            at = data.draw(st.sampled_from(sorted(_value_paths(valid), key=repr)))
+            doc = copy.deepcopy(valid)
+            parent = doc
+            for key in at[:-1]:
+                parent = parent[key]
+            parent[at[-1]] = data.draw(JSON_VALUES)
+            text, malformed = json.dumps(doc), False
+        path = tmp_path_factory.getbasetemp() / "fuzz-scene.json"
+        path.write_text(text + "\n", encoding="utf-8")
+        try:
+            load_scene(path)
+        except SceneFormatError as exc:
+            assert str(exc).startswith(f"{path}: ")
+        else:
+            assert not malformed
 
     def test_validate_accepts_generated_scene(self, scene):
         validate_scene(scene)
