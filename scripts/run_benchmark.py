@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark pipeline driven through the command-line tool.
+r"""End-to-end benchmark pipeline driven through the command-line tool.
 
 Generates scenes and episodes, rolls them out under both coordination
 policies, evaluates each run, and prints the metric comparison.  Every
@@ -9,6 +9,8 @@ the script doubles as a living example of the CLI contract.
 Example:
     python scripts/run_benchmark.py --workdir runs/bench --scenes 6 \
         --episodes-per-scene 3 --seed 11
+    python scripts/run_benchmark.py --workdir runs/discover --knowledge discover \
+        --t-max 3000
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument(
         "--mode", choices=("lockstep", "distributed"), default="lockstep"
+    )
+    parser.add_argument(
+        "--knowledge", choices=("known", "discover"), default=None,
+        help="map knowledge for both runs (default: the run config's)",
+    )
+    parser.add_argument(
+        "--t-max", type=int, default=None, help="tick budget for both runs"
     )
     args = parser.parse_args(argv)
 
@@ -77,6 +86,10 @@ def main(argv: list[str] | None = None) -> int:
             "--mode",
             args.mode,
         ]
+        if args.knowledge is not None:
+            cmd += ["--knowledge", args.knowledge]
+        if args.t_max is not None:
+            cmd += ["--t-max", args.t_max]
         run(cmd)
         run(["eval", "--results", out])
 

@@ -18,9 +18,11 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from multiprocessing import Pool
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# Only what gen-scenes and gen-episodes run is imported here; every other
+# command imports the modules it needs when it runs (see relaynav/__init__.py).
 from .config import (
     RolloutConfig,
     SceneParams,
@@ -28,24 +30,12 @@ from .config import (
     TransportConfig,
     TriggerConfig,
 )
-from .engine import RolloutResult, run_distributed, run_lockstep
 from .episodes import (
-    EpisodeRejection,
     EpisodeSpec,
     dataset_stats,
     generate_episode,
     load_episodes,
     save_episodes,
-)
-from .labeling import (
-    AdjudicationItem,
-    SeededNoisyClassifier,
-    apply_adjudication,
-    export_adjudication,
-    import_adjudication,
-    label_quality,
-    run_labeling,
-    scene_truth_lookup,
 )
 from .manifest import (
     MANIFEST_NAME,
@@ -54,20 +44,17 @@ from .manifest import (
     make_manifest,
     save_manifest,
 )
-from .metrics import (
-    aggregate,
-    compare,
-    format_compare,
-    format_report,
-    score_episode,
-)
 from .scenegen import generate_scene
 from .seeds import derive_seed
-from .trace import Trace
 from .serialize import (
-    RecordFormatError, canonical_dumps, read_json, read_jsonl, write_canonical, write_jsonl
+    RecordFormatError, canonical_dumps, numbered_jsonl, read_json, write_canonical, write_jsonl
 )
 from .world import SceneGraph, load_scene, save_scene
+
+if TYPE_CHECKING:
+    from .engine import RolloutResult
+    from .labeling import AdjudicationItem
+    from .trace import Trace
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -277,6 +264,10 @@ def do_adjudicate_export(
     acc_a: float,
     acc_b: float,
 ) -> tuple[RunManifest, int]:
+    from .labeling import (
+        SeededNoisyClassifier, export_adjudication, run_labeling, scene_truth_lookup
+    )
+
     scenes = _load_scenes(scenes_dir)
     truth = scene_truth_lookup(scenes)
     client_a = SeededNoisyClassifier("classifier_a", acc_a, derive_seed(seed, "a"), truth)
@@ -312,6 +303,8 @@ def do_adjudicate_export(
 
 
 def _load_pending(pending_dir: str | Path) -> list[AdjudicationItem]:
+    from .labeling import AdjudicationItem
+
     path = Path(pending_dir) / PENDING_NAME
     if not path.exists():
         raise UsageError(f"{path} not found; run adjudicate export first")
@@ -330,6 +323,8 @@ def do_adjudicate_auto(
     """Resolve every pending item from generator ground truth (oracle annotator)."""
     import csv as _csv
 
+    from .labeling import scene_truth_lookup
+
     pending = _load_pending(pending_dir)
     truth = scene_truth_lookup(_load_scenes(truth_scenes_dir))
     src = Path(pending_dir) / ADJUDICATION_CSV
@@ -338,6 +333,8 @@ def do_adjudicate_auto(
     with open(src, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
         rows = list(reader)
+    if not rows:
+        raise UsageError(f"{src} is empty; it needs the header row adjudicate export wrote")
     header, body = rows[0], rows[1:]
     filled = [header]
     for row in body:
@@ -359,6 +356,8 @@ def do_adjudicate_auto(
 def do_adjudicate_import(
     pending_dir: str | Path, csv_path: str | Path, out_dir: str | Path
 ) -> tuple[RunManifest, int]:
+    from .labeling import apply_adjudication, import_adjudication
+
     pending = _load_pending(pending_dir)
     resolutions = import_adjudication(csv_path, pending)
     out = _out_dir(out_dir)
@@ -380,6 +379,8 @@ def do_adjudicate_import(
 
 
 def do_adjudicate_stats(scenes_dir: str | Path) -> dict:
+    from .labeling import label_quality
+
     return label_quality(_load_scenes(scenes_dir))
 
 
@@ -435,6 +436,8 @@ def rollout_episode(
     rollout: RolloutConfig,
     transport: TransportConfig | None,
 ) -> tuple[RolloutResult, Trace]:
+    from .engine import run_distributed, run_lockstep
+
     if rollout.mode == "distributed":
         if transport is None:
             transport = TransportConfig()
@@ -504,6 +507,8 @@ def do_run(
             )
             for ep in order
         ]
+        from multiprocessing import Pool
+
         with Pool(jobs) as pool:
             for eid, result_dict, trace_bytes in pool.imap_unordered(_worker, payloads):
                 produced[eid] = (result_dict, trace_bytes)
@@ -554,6 +559,9 @@ def do_run(
 
 
 def eval_results_dir(results_dir: str | Path):
+    from .engine import RolloutResult
+    from .metrics import aggregate, score_episode
+
     base = Path(results_dir)
     manifest = load_manifest(base)
     if manifest.command != "run":
@@ -562,10 +570,13 @@ def eval_results_dir(results_dir: str | Path):
     if not Path(episodes_path).exists():
         raise RuntimeError(f"episodes file {episodes_path} referenced by manifest is gone")
     episodes = {ep.episode_id: ep for ep in load_episodes(episodes_path)}
-    rows = read_jsonl(base / RESULTS_NAME)
+    results_path = base / RESULTS_NAME
     scored = []
-    for row in rows:
-        result = RolloutResult.from_dict(row)
+    for lineno, row in numbered_jsonl(results_path):
+        try:
+            result = RolloutResult.from_dict(row)
+        except RecordFormatError as exc:
+            raise RecordFormatError(f"{results_path}:{lineno}: {exc}") from None
         episode = episodes.get(result.episode_id)
         if episode is None:
             raise RuntimeError(f"result {result.episode_id} missing from episodes file")
@@ -583,6 +594,8 @@ def do_eval(results_dir: str | Path):
 
 
 def do_compare(dir_a: str | Path, dir_b: str | Path, out_file: str | Path | None):
+    from .metrics import compare
+
     report_a, _ = eval_results_dir(dir_a)
     report_b, _ = eval_results_dir(dir_b)
     delta = compare(report_a, report_b)
@@ -782,11 +795,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "eval":
+        from .metrics import format_report
+
         report = do_eval(args.results)
         print(format_report(report))
         return EXIT_OK
 
     if args.command == "compare":
+        from .metrics import format_compare
+
         delta = do_compare(args.a, args.b, args.out)
         print(format_compare(delta))
         if args.out is None:

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import math
 import random
-import statistics
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
+
+import numpy as np
 
 from .gates import GATE_RANGE_M, THETA_REC, GateReport, trigate_check
 from .seeds import derive_seed
@@ -22,6 +24,7 @@ from .world import (
     Cell,
     Geodesics,
     Pose,
+    Region,
     SceneGraph,
     SceneObject,
     TURN_DEG,
@@ -112,6 +115,21 @@ def _render(target_category: str, pickup: str, handoff: str, delivery: str) -> s
     )
 
 
+def cells_within(region: Region, res: float, at: tuple[float, float], reach: float) -> list[Cell]:
+    """The region's cells, in ``sorted_cells`` order, whose centres lie within
+    ``reach`` metres of the point ``at``."""
+    ax, ay = at
+    xy = region.cell_xy
+    dist = np.hypot((xy[:, 0] + 0.5) * res - ax, (xy[:, 1] + 0.5) * res - ay)
+    inside = dist <= reach
+    # np.hypot and math.hypot may differ in the last ulp; a cell that close to
+    # the edge is decided by math.hypot, as every cell once was
+    for i in np.flatnonzero(np.abs(dist - reach) < 1e-9):
+        x, y = region.sorted_cells[i]
+        inside[i] = math.hypot((x + 0.5) * res - ax, (y + 0.5) * res - ay) <= reach
+    return list(compress(region.sorted_cells, inside.tolist()))
+
+
 def _sample_waypoint(
     scene: SceneGraph,
     rng: random.Random,
@@ -132,11 +150,7 @@ def _sample_waypoint(
     effective = anchor.salience * (1.0 - anchor.occlusion)
     if effective > 0:
         reach = min(reach, GATE_RANGE_M * (1.0 - THETA_REC / effective))
-    candidates = [
-        c
-        for c in region.sorted_cells
-        if math.hypot((c[0] + 0.5) * res - ax, (c[1] + 0.5) * res - ay) <= reach
-    ]
+    candidates = cells_within(region, res, (ax, ay), reach)
     rng.shuffle(candidates)
     for cell in candidates[:WAYPOINT_ATTEMPTS]:
         tally["attempts"] += 1
@@ -335,6 +349,8 @@ class DatasetStats:
 
 def dataset_stats(episodes: list[EpisodeSpec]) -> DatasetStats:
     """Per-robot step and path-length statistics (population std)."""
+    import statistics  # here, not at the top: gen-episodes never needs it
+
     if not episodes:
         raise ValueError("dataset_stats requires at least one episode")
     steps = []

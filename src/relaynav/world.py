@@ -164,6 +164,11 @@ class Region:
         """The cells in ``(x, y)`` order, sorted once per region."""
         return tuple(sorted(self.cells))
 
+    @functools.cached_property
+    def cell_xy(self) -> np.ndarray:
+        """``sorted_cells`` as an ``(n, 2)`` integer array, built once per region."""
+        return np.array(self.sorted_cells, dtype=np.int64).reshape(-1, 2)
+
 
 @dataclass(frozen=True)
 class SceneObject:
@@ -857,7 +862,12 @@ def scene_from_dict(data: dict) -> SceneGraph:
             raise SceneFormatError(f"grid sides must lie in [1, {MAX_GRID_SIDE}] cells")
         blocked = np.zeros((height, width), dtype=bool)
         for cx, cy in grid_d["blocked_cells"]:
-            blocked[int(cy), int(cx)] = True
+            x, y = int(cx), int(cy)
+            if not (0 <= x < width and 0 <= y < height):
+                raise SceneFormatError(
+                    f"blocked cell {[cx, cy]} lies outside the {width}x{height} grid"
+                )
+            blocked[y, x] = True
         grid = GridMap(width, height, float(meta["resolution"]), blocked)
         regions = {
             r["region_id"]: Region(

@@ -7,7 +7,11 @@ layouts, and manifests are tested exactly as a shell user sees them.
 from __future__ import annotations
 
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,8 @@ from relaynav.manifest import load_manifest
 from relaynav.serialize import canonical_dumps, read_json, read_jsonl, write_canonical, write_jsonl
 from relaynav.trace import load_trace
 from relaynav.world import load_scene
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -356,7 +362,8 @@ class TestExitCodes:
         del rows[0]["ticks"]
         write_jsonl(copy / "results.jsonl", rows)
         assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
-        assert "RolloutResult: missing field 'ticks'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{copy / 'results.jsonl'}:1: RolloutResult: missing field 'ticks'" in err
 
     def test_eval_names_an_unknown_result_field(self, run_dirs, tmp_path, capsys):
         copy = tmp_path / "run"
@@ -365,7 +372,8 @@ class TestExitCodes:
         rows[-1]["note"] = "edited"
         write_jsonl(copy / "results.jsonl", rows)
         assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
-        assert "RolloutResult: unknown field 'note'" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{copy / 'results.jsonl'}:{len(rows)}: RolloutResult: unknown field 'note'" in err
 
     def test_run_names_an_unknown_episode_field(self, pipeline, tmp_path, capsys):
         _, scenes, episodes = pipeline
@@ -413,6 +421,18 @@ class TestAdjudication:
         ) == EXIT_OK
         assert load_manifest(final).command == "adjudicate-import"
 
+    def test_auto_names_an_empty_csv(self, pipeline, export, tmp_path, capsys):
+        _, scenes, _ = pipeline
+        pending = tmp_path / "pending"
+        shutil.copytree(export, pending)
+        (pending / "adjudication.csv").write_text("", encoding="utf-8")
+        code = main(
+            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
+             "--out", str(tmp_path / "resolved.csv")]
+        )
+        assert code == EXIT_USAGE
+        assert f"{pending / 'adjudication.csv'} is empty" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "text",
         [
@@ -438,3 +458,62 @@ class TestAdjudication:
         )
         assert code == EXIT_RUNTIME
         assert f"{pending / 'pending.json'}: " in capsys.readouterr().err
+
+
+# Modules a set-up command must not load: the rollout engine and everything
+# only run, eval, compare, adjudicate or the ablation need.
+NOT_LOADED_BY_GEN = tuple(
+    f"relaynav.{name}"
+    for name in ("engine", "agent", "bus", "replan", "transport", "trace", "labeling",
+                 "metrics", "ablation")
+) + ("multiprocessing",)
+
+COLD_START = """
+import json, sys
+from relaynav.cli import main
+out = sys.argv[1]
+loaded = {}
+assert main(["gen-scenes", "--count", "1", "--seed", "3", "--out", out + "/scenes"]) == 0
+loaded["gen-scenes"] = sorted(sys.modules)
+assert main(["gen-episodes", "--scenes", out + "/scenes", "--per-scene", "1", "--seed", "3",
+             "--out", out + "/episodes.jsonl"]) == 0
+loaded["gen-episodes"] = sorted(sys.modules)
+print(json.dumps(loaded))
+"""
+
+LAZY_PACKAGE = """
+import json, sys
+import relaynav
+bare = sorted(m for m in sys.modules if m.startswith("relaynav."))
+ablation = relaynav.ablation.__name__
+try:
+    relaynav.nope
+    nope = None
+except AttributeError as exc:
+    nope = str(exc)
+print(json.dumps({"bare": bare, "ablation": ablation, "nope": nope}))
+"""
+
+
+def fresh_python(code: str, *args: str) -> dict:
+    """The JSON a fresh interpreter prints after running ``code`` on ``src``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestColdStart:
+    def test_gen_commands_load_no_engine(self, tmp_path):
+        loaded = fresh_python(COLD_START, str(tmp_path))
+        for command in ("gen-scenes", "gen-episodes"):
+            assert not set(NOT_LOADED_BY_GEN) & set(loaded[command]), command
+        assert "relaynav.episodes" in loaded["gen-episodes"]
+
+    def test_package_imports_submodules_on_first_access(self):
+        got = fresh_python(LAZY_PACKAGE)
+        assert got["bare"] == []
+        assert got["ablation"] == "relaynav.ablation"
+        assert got["nope"] == "module 'relaynav' has no attribute 'nope'"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 from relaynav.episodes import (
     EpisodeRejection,
     EpisodeSpec,
+    cells_within,
     dataset_stats,
     generate_episode,
     load_episodes,
@@ -22,6 +24,7 @@ from relaynav.episodes import (
 from relaynav.scenegen import generate_scene
 from relaynav.seeds import derive_seed
 from relaynav.tasks import FH_CHAIN, SH_CHAIN
+from relaynav.gates import GATE_RANGE_M
 from relaynav.world import geodesic_distance
 
 from relaynav.serialize import RecordFormatError
@@ -150,3 +153,20 @@ def test_episode_batch_helper_is_deterministic():
     a = episode_batch(2, seed=6)
     b = episode_batch(2, seed=6)
     assert [e.to_dict() for _, e in a] == [e.to_dict() for _, e in b]
+
+
+def test_cells_within_matches_the_math_hypot_filter(scene):
+    """The vectorised radius filter keeps exactly the cells the scalar one
+    keeps, also at a reach equal to a cell's distance or one ulp either side."""
+    res = scene.grid.resolution
+    for obj in sorted(scene.objects.values(), key=lambda o: o.object_id):
+        region = scene.regions[obj.region_id]
+        at = scene.grid.center(obj.cell)
+
+        def dist(c):
+            return math.hypot((c[0] + 0.5) * res - at[0], (c[1] + 0.5) * res - at[1])
+
+        edge = dist(region.sorted_cells[len(region.sorted_cells) // 2])
+        for reach in (GATE_RANGE_M, 1.0, edge, math.nextafter(edge, 0), math.nextafter(edge, 9)):
+            want = [c for c in region.sorted_cells if dist(c) <= reach]
+            assert cells_within(region, res, at, reach) == want

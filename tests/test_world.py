@@ -551,6 +551,17 @@ class TestSceneSerialization:
         with pytest.raises(SceneFormatError, match=rf"^{re.escape(str(path))}: malformed"):
             load_scene(path)
 
+    @pytest.mark.parametrize("at", ["left", "right", "top", "bottom"])
+    def test_blocked_cell_outside_the_grid_is_named(self, scene, at):
+        data = scene_to_dict(scene)
+        w, h = data["grid"]["width"], data["grid"]["height"]
+        cell = {"left": [-1, 3], "right": [w, 3], "top": [3, -1], "bottom": [3, h]}[at]
+        data["grid"]["blocked_cells"].append(cell)
+        with pytest.raises(
+            SceneFormatError, match=rf"^blocked cell \[{cell[0]}, {cell[1]}\] lies outside"
+        ):
+            scene_from_dict(data)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fuzzed_scene_raises_only_scene_format_error(self, scene, tmp_path_factory, data):
