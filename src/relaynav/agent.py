@@ -260,12 +260,12 @@ def plan_to(state: AgentState, goal: Cell | None, now: int) -> Plan:
     start = state.cell
     geo = state.geodesics
     if goal is not None:
-        path = bfs_shortest_path(geo.passable, start, goal, geo)
+        path = bfs_shortest_path(geo, start, goal)
         if path is not None:
             return Plan(tuple(path), now, goal)
     frontier = _nearest_frontier(state.belief, start)
     if frontier is not None:
-        path = bfs_shortest_path(geo.passable, start, frontier, geo)
+        path = bfs_shortest_path(geo, start, frontier)
         if path is not None:
             return Plan(tuple(path), now, frontier, frontier=True)
     return Plan((), now, None)

@@ -80,7 +80,6 @@ class AnchorEntry:
 class ComposedContext:
     self_state: SemanticPacket
     partner_state: SemanticPacket | None
-    partner_stale: bool
     anchors: Mapping[str, AnchorEntry]
 
 
@@ -151,7 +150,6 @@ def compose_context(bus: BusState, self_id: str, now: int, tau: int) -> Composed
     return ComposedContext(
         self_state=self_packet,
         partner_state=partner if fresh else None,
-        partner_stale=not fresh,
         anchors=bus.anchors,
     )
 
@@ -165,7 +163,6 @@ def compose_muted(bus: BusState, self_id: str, now: int) -> ComposedContext:
     return ComposedContext(
         self_state=self_packet,
         partner_state=None,
-        partner_stale=True,
         anchors={k: v for k, v in bus.anchors.items() if v.source == self_id},
     )
 

@@ -18,6 +18,7 @@ import argparse
 import os
 import sys
 from dataclasses import replace
+from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -39,6 +40,7 @@ from .episodes import (
 )
 from .manifest import (
     MANIFEST_NAME,
+    ManifestError,
     RunManifest,
     load_manifest,
     make_manifest,
@@ -228,14 +230,7 @@ def do_gen_episodes(
             if isinstance(drawn, EpisodeSpec):
                 episodes.append(drawn)
             else:
-                rejects.append(
-                    {
-                        "scene_id": drawn.scene_id,
-                        "seed": drawn.seed,
-                        "stop": drawn.stop,
-                        "tallies": drawn.tallies,
-                    }
-                )
+                rejects.append(drawn.to_dict())
     save_episodes(episodes, out)
     rej_path = rejects_path_for(out)
     write_jsonl(rej_path, rejects)
@@ -332,17 +327,17 @@ def do_adjudicate_auto(
         raise UsageError(f"{src} not found; run adjudicate export first")
     with open(src, newline="", encoding="utf-8") as fh:
         reader = _csv.reader(fh)
-        rows = list(reader)
-    if not rows:
-        raise UsageError(f"{src} is empty; it needs the header row adjudicate export wrote")
-    header, body = rows[0], rows[1:]
-    filled = [header]
-    for row in body:
-        scene_id, region_id = row[0], row[1]
-        row = list(row)
-        row[-1] = truth(scene_id, region_id)
-        filled.append(row)
-    resolved_ids = {(r[0], r[1]) for r in body}
+        filled = [next(reader, None)]
+        if filled[0] is None:
+            raise UsageError(f"{src} is empty; it needs the header row adjudicate export wrote")
+        resolved_ids = set()
+        for row in reader:
+            if len(row) < 2:
+                raise UsageError(
+                    f"{src}:{reader.line_num}: a row needs a scene_id and a region_id, got {row!r}"
+                )
+            resolved_ids.add((row[0], row[1]))
+            filled.append(row[:-1] + [truth(row[0], row[1])])
     missing = [i for i in pending if (i.scene_id, i.region_id) not in resolved_ids]
     if missing:
         raise RuntimeError(f"{len(missing)} pending items absent from {src}")
@@ -350,7 +345,7 @@ def do_adjudicate_auto(
     out.parent.mkdir(parents=True, exist_ok=True)
     with open(out, "w", newline="", encoding="utf-8") as fh:
         _csv.writer(fh).writerows(filled)
-    return len(body)
+    return len(filled) - 1
 
 
 def do_adjudicate_import(
@@ -410,24 +405,15 @@ def _load_overrides(path: str | Path | None) -> dict:
         t_max = rec.get("t_max")
         if t_max is not None and not _is_count(t_max):
             raise UsageError(f"{where}: t_max must be a non-negative integer, got {t_max!r}")
-        out[eid] = {"blockages": tuple((t, c) for t, c in pairs), "t_max": t_max}
+        # the RolloutConfig fields the record replaces
+        out[eid] = {"blockage_schedule": tuple((t, c) for t, c in pairs)}
+        if t_max is not None:
+            out[eid]["t_max"] = t_max
     return out
 
 
 def _is_count(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
-
-
-def _episode_rollout_config(
-    base: RolloutConfig, overrides: dict, episode_id: str
-) -> RolloutConfig:
-    rec = overrides.get(episode_id)
-    if rec is None:
-        return base
-    cfg = replace(base, blockage_schedule=rec["blockages"])
-    if rec["t_max"] is not None:
-        cfg = replace(cfg, t_max=rec["t_max"])
-    return cfg
 
 
 def rollout_episode(
@@ -449,12 +435,8 @@ def rollout_episode(
 
 
 def _worker(payload: tuple) -> tuple[str, dict, bytes]:
-    scene_path, episode, rollout, transport, override = payload
-    scene = load_scene(scene_path)
-    cfg = _episode_rollout_config(
-        rollout, {episode.episode_id: override} if override else {}, episode.episode_id
-    )
-    result, trace = rollout_episode(scene, episode, cfg, transport)
+    scene_path, episode, cfg, transport = payload
+    result, trace = rollout_episode(load_scene(scene_path), episode, cfg, transport)
     return episode.episode_id, result.to_dict(), trace.to_bytes()
 
 
@@ -476,16 +458,14 @@ def do_run(
     missing = sorted({ep.scene_id for ep in episodes} - set(scene_paths))
     if missing:
         raise RuntimeError(f"scenes missing from {scenes_dir}: {', '.join(missing)}")
-    # only the scenes of overridden episodes are loaded before the rollouts
-    scene_cache: dict[str, SceneGraph] = {}
+    # each scene loads once; only those of overridden episodes before the rollouts
+    scene_of = cache(lambda scene_id: load_scene(scene_paths[scene_id]))
     for ep in episodes:
         rec = overrides.get(ep.episode_id)
         if rec is None:
             continue
-        if ep.scene_id not in scene_cache:
-            scene_cache[ep.scene_id] = load_scene(scene_paths[ep.scene_id])
-        corridors = scene_cache[ep.scene_id].corridors
-        bad = sorted({cid for _, cid in rec["blockages"] if cid not in corridors})
+        corridors = scene_of(ep.scene_id).corridors
+        bad = sorted({cid for _, cid in rec["blockage_schedule"] if cid not in corridors})
         if bad:
             raise UsageError(
                 f"overrides file {overrides_path}, episode {ep.episode_id}: "
@@ -494,32 +474,20 @@ def do_run(
 
     out = _out_dir(out_dir)
     order = sorted(episodes, key=lambda ep: ep.episode_id)
+    # each episode's config is resolved here, once, for either rollout path
+    runs = [(ep, replace(rollout, **overrides.get(ep.episode_id, {}))) for ep in order]
 
     produced: dict[str, tuple[dict, bytes]] = {}
     if jobs > 1:
-        payloads = [
-            (
-                str(scene_paths[ep.scene_id]),
-                ep,
-                rollout,
-                transport,
-                overrides.get(ep.episode_id),
-            )
-            for ep in order
-        ]
         from multiprocessing import Pool
 
+        payloads = [(str(scene_paths[ep.scene_id]), ep, cfg, transport) for ep, cfg in runs]
         with Pool(jobs) as pool:
             for eid, result_dict, trace_bytes in pool.imap_unordered(_worker, payloads):
                 produced[eid] = (result_dict, trace_bytes)
     else:
-        for ep in order:
-            scene = scene_cache.get(ep.scene_id)
-            if scene is None:
-                scene = load_scene(scene_paths[ep.scene_id])
-                scene_cache[ep.scene_id] = scene
-            cfg = _episode_rollout_config(rollout, overrides, ep.episode_id)
-            result, trace = rollout_episode(scene, ep, cfg, transport)
+        for ep, cfg in runs:
+            result, trace = rollout_episode(scene_of(ep.scene_id), ep, cfg, transport)
             produced[ep.episode_id] = (result.to_dict(), trace.to_bytes())
 
     outputs: dict[str, Path] = {}
@@ -608,32 +576,60 @@ def do_compare(dir_a: str | Path, dir_b: str | Path, out_file: str | Path | None
 # --- replay ---------------------------------------------------------------
 
 
+def _count(value):
+    if not _is_count(value):
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return value
+
+
+def _text(value):
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _validated(cls):
+    """``cls.from_dict`` followed by the class's own ``validate``."""
+    def parse(value):
+        config = cls.from_dict(value)
+        config.validate()
+        return config
+    return parse
+
+
 def do_replay(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
     manifest = load_manifest(manifest_path)
-    cfg = manifest.config
+
+    def cfg(key: str, parse, optional: bool = False):
+        """``parse`` of the config value under ``key``; a missing or refused
+        value raises ManifestError naming the manifest and the key."""
+        if key not in manifest.config:
+            raise ManifestError(f"{manifest_path}: config has no {key!r}")
+        value = manifest.config[key]
+        try:
+            return None if optional and value is None else parse(value)
+        except ValueError as exc:
+            raise ManifestError(f"{manifest_path}: config {key!r}: {exc}") from None
+
     if manifest.command == "gen-scenes":
-        scene_cfg = SceneParams.from_dict(cfg["scene"])
-        redone = do_gen_scenes(cfg["count"], manifest.seed, out_dir, scene_cfg)
+        scene_cfg = cfg("scene", _validated(SceneParams))
+        redone = do_gen_scenes(cfg("count", _count), manifest.seed, out_dir, scene_cfg)
     elif manifest.command == "gen-episodes":
         out_names = [n for n in manifest.outputs if not n.endswith(".rejects.jsonl")]
         if len(out_names) != 1:
             raise RuntimeError("gen-episodes manifest must list one episode file")
         target = _out_dir(out_dir) / out_names[0]
         redone, _, _ = do_gen_episodes(
-            cfg["scenes_dir"], cfg["per_scene"], manifest.seed, target
+            cfg("scenes_dir", _text), cfg("per_scene", _count), manifest.seed, target
         )
     elif manifest.command == "run":
-        rollout = RolloutConfig.from_dict(cfg["rollout"])
-        transport = (
-            TransportConfig.from_dict(cfg["transport"]) if cfg.get("transport") else None
-        )
         redone = do_run(
-            cfg["episodes"],
-            cfg["scenes_dir"],
+            cfg("episodes", _text),
+            cfg("scenes_dir", _text),
             out_dir,
-            rollout,
-            transport,
-            overrides_path=cfg.get("overrides"),
+            cfg("rollout", _validated(RolloutConfig)),
+            cfg("transport", _validated(TransportConfig), optional=True),
+            overrides_path=cfg("overrides", _text, optional=True),
         )
     else:
         raise RuntimeError(f"manifest command {manifest.command!r} is not replayable")

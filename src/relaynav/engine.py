@@ -484,7 +484,6 @@ def _swap_inputs(run: _Run, r: _Robot) -> SwapInputs | None:
         geodesics={s.robot_id: s.geodesics for s in states},
         positions={s.robot_id: s.cell for s in states},
         chains={s.robot_id: s.policy_ctx.chain for s in states},
-        item_static=True,
         resolution=run.scene.grid.resolution,
     )
 

@@ -81,7 +81,7 @@ class EpisodeSpec(Record):
 
 
 @dataclass(frozen=True)
-class EpisodeRejection:
+class EpisodeRejection(Record):
     scene_id: str
     seed: int
     stop: str
@@ -90,29 +90,6 @@ class EpisodeRejection:
 
 def quantize_heading(deg: float) -> int:
     return int(round(deg / TURN_DEG)) % (360 // TURN_DEG) * TURN_DEG
-
-
-def render_instruction(episode: EpisodeSpec, scene: SceneGraph | None = None) -> str:
-    """Render the relay instruction from the episode's verified room labels."""
-    target_category = (
-        scene.objects[episode.target_object_id].category
-        if scene is not None
-        else episode.instruction.split(" in the ")[0].removeprefix("Take the ")
-    )
-    return _render(
-        target_category, episode.pickup_room, episode.handoff_room, episode.delivery_room
-    )
-
-
-def _render(target_category: str, pickup: str, handoff: str, delivery: str) -> str:
-    if UNKNOWN_LABEL in (pickup, handoff, delivery):
-        raise ValueError("cannot render an instruction over Unknown room labels")
-    return INSTRUCTION_TEMPLATE.format(
-        target=target_category,
-        pickup_room=pickup,
-        delivery_room=delivery,
-        handoff_room=handoff,
-    )
 
 
 def cells_within(region: Region, res: float, at: tuple[float, float], reach: float) -> list[Cell]:
@@ -255,7 +232,7 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
     # the four legs share one packed mask
     geo = Geodesics(~grid.blocked)
     leg1, leg2, leg3, leg4 = (
-        bfs_shortest_path(geo.passable, a, b, geo)
+        bfs_shortest_path(geo, a, b)
         for a, b in ((fh0, target.cell), (target.cell, handoff), (sh0, handoff), (handoff, drop))
     )
     if any(leg is None for leg in (leg1, leg2, leg3, leg4)):
@@ -271,7 +248,12 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
         episode_id=f"{scene.scene_id}-e{seed:06d}",
         scene_id=scene.scene_id,
         seed=seed,
-        instruction=_render(target.category, pickup_room, handoff_room, delivery_room),
+        instruction=INSTRUCTION_TEMPLATE.format(
+            target=target.category,
+            pickup_room=pickup_room,
+            delivery_room=delivery_room,
+            handoff_room=handoff_room,
+        ),
         target_object_id=target.object_id,
         handoff_fixture_id=fixture.object_id,
         delivery_anchor_id=dest.object_id,
@@ -309,42 +291,18 @@ def _sample_start(scene: SceneGraph, rng: random.Random) -> Pose:
     return Pose(cx, cy, rng.randrange(0, 360, TURN_DEG))
 
 
-def verify_episode(scene: SceneGraph, episode: EpisodeSpec) -> dict[str, GateReport]:
-    """Re-run the three gates on a stored episode's waypoints."""
-    target = scene.objects[episode.target_object_id]
-    fixture = scene.objects[episode.handoff_fixture_id]
-    dest = scene.objects[episode.delivery_anchor_id]
-    return {
-        "pickup": trigate_check(scene, episode.pickup_waypoint, target, episode.pickup_room),
-        "handoff": trigate_check(scene, episode.handoff_waypoint, fixture, episode.handoff_room),
-        "delivery": trigate_check(scene, episode.delivery_waypoint, dest, episode.delivery_room),
-    }
-
-
 # --- dataset statistics ---------------------------------------------------
 
 @dataclass(frozen=True)
-class DatasetStats:
+class DatasetStats(Record):
     task_count: int
     scene_count: int
-    steps_mean: float
-    steps_std: float
-    path_mean_m: float
-    path_std_m: float
-    combined_mean_m: float
-    combined_std_m: float
-
-    def to_dict(self) -> dict:
-        return {
-            "task_count": self.task_count,
-            "scene_count": self.scene_count,
-            "steps_per_robot_mean": self.steps_mean,
-            "steps_per_robot_std": self.steps_std,
-            "path_per_robot_mean_m": self.path_mean_m,
-            "path_per_robot_std_m": self.path_std_m,
-            "combined_path_mean_m": self.combined_mean_m,
-            "combined_path_std_m": self.combined_std_m,
-        }
+    steps_per_robot_mean: float
+    steps_per_robot_std: float
+    path_per_robot_mean_m: float
+    path_per_robot_std_m: float
+    combined_path_mean_m: float
+    combined_path_std_m: float
 
 
 def dataset_stats(episodes: list[EpisodeSpec]) -> DatasetStats:
@@ -363,12 +321,12 @@ def dataset_stats(episodes: list[EpisodeSpec]) -> DatasetStats:
     return DatasetStats(
         task_count=len(episodes),
         scene_count=len({ep.scene_id for ep in episodes}),
-        steps_mean=statistics.fmean(steps),
-        steps_std=statistics.pstdev(steps),
-        path_mean_m=statistics.fmean(paths),
-        path_std_m=statistics.pstdev(paths),
-        combined_mean_m=statistics.fmean(combined),
-        combined_std_m=statistics.pstdev(combined),
+        steps_per_robot_mean=statistics.fmean(steps),
+        steps_per_robot_std=statistics.pstdev(steps),
+        path_per_robot_mean_m=statistics.fmean(paths),
+        path_per_robot_std_m=statistics.pstdev(paths),
+        combined_path_mean_m=statistics.fmean(combined),
+        combined_path_std_m=statistics.pstdev(combined),
     )
 
 

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Protocol
 
+from .serialize import Record
 from .world import (
     Pose,
     SceneGraph,
@@ -30,59 +31,32 @@ THETA_REC = 0.5
 
 
 @dataclass(frozen=True)
-class VisibilityReport:
+class VisibilityReport(Record):
     passed: bool
     distance_m: float
     bearing_err_deg: float
 
 
 @dataclass(frozen=True)
-class RoomConsistencyReport:
+class RoomConsistencyReport(Record):
     passed: bool
     expected_room: str
     actual_room: str
 
 
 @dataclass(frozen=True)
-class RecognizabilityReport:
+class RecognizabilityReport(Record):
     passed: bool
     score: float
     threshold: float
 
 
 @dataclass(frozen=True)
-class GateReport:
+class GateReport(Record):
     visibility: VisibilityReport
     room_consistency: RoomConsistencyReport
     recognizability: RecognizabilityReport
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.visibility.passed
-            and self.room_consistency.passed
-            and self.recognizability.passed
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "visibility": {
-                "passed": self.visibility.passed,
-                "distance_m": self.visibility.distance_m,
-                "bearing_err_deg": self.visibility.bearing_err_deg,
-            },
-            "room_consistency": {
-                "passed": self.room_consistency.passed,
-                "expected_room": self.room_consistency.expected_room,
-                "actual_room": self.room_consistency.actual_room,
-            },
-            "recognizability": {
-                "passed": self.recognizability.passed,
-                "score": self.recognizability.score,
-                "threshold": self.recognizability.threshold,
-            },
-            "passed": self.passed,
-        }
+    passed: bool  # every gate passed
 
 
 class RecognizabilityScorer(Protocol):
@@ -153,8 +127,12 @@ def trigate_check(
 ) -> GateReport:
     """Evaluate all three gates; the report passes iff every gate passes."""
     scorer = scorer or DistanceFalloffScorer(GATE_RANGE_M)
+    visibility = gate_visibility(scene, waypoint, target, GATE_RANGE_M, GATE_FOV_DEG)
+    room = gate_room_consistency(scene, target, expected_room)
+    recognizability = gate_recognizability(scorer, scene, waypoint, target, THETA_REC)
     return GateReport(
-        visibility=gate_visibility(scene, waypoint, target, GATE_RANGE_M, GATE_FOV_DEG),
-        room_consistency=gate_room_consistency(scene, target, expected_room),
-        recognizability=gate_recognizability(scorer, scene, waypoint, target, THETA_REC),
+        visibility,
+        room,
+        recognizability,
+        passed=visibility.passed and room.passed and recognizability.passed,
     )

@@ -62,11 +62,7 @@ class AdjudicationItem(Record):
         raise KeyError(source)
 
 
-def rtsa_rule_classify(
-    region: Region,
-    objects: list[SceneObject],
-    signatures: Mapping[str, tuple[str, ...]] = ROOM_SIGNATURES,
-) -> tuple[str, float]:
+def rtsa_rule_classify(region: Region, objects: list[SceneObject]) -> tuple[str, float]:
     """Label by signature-object hits.
 
     Returns the room type with the unique maximal hit count and confidence
@@ -78,17 +74,15 @@ def rtsa_rule_classify(
     present = {o.category for o in objects}
     hits = {
         room: len(present.intersection(sig))
-        for room, sig in signatures.items()
+        for room, sig in ROOM_SIGNATURES.items()
         if sig
     }
-    if not hits:
-        return UNKNOWN_LABEL, 0.0
     best = max(hits.values())
     winners = sorted(room for room, n in hits.items() if n == best)
     if best == 0 or len(winners) != 1:
         return UNKNOWN_LABEL, 0.0
     room = winners[0]
-    return room, best / len(signatures[room])
+    return room, best / len(ROOM_SIGNATURES[room])
 
 
 def rtsa_vote(
@@ -190,7 +184,6 @@ def run_labeling(
     client_a: PanoramaClassifier,
     client_b: PanoramaClassifier,
     *,
-    signatures: Mapping[str, tuple[str, ...]] = ROOM_SIGNATURES,
     rule_accept: float = 1.0,
 ) -> LabelingResult:
     """Relabel every region through the cascade.
@@ -204,7 +197,7 @@ def run_labeling(
     for rid in sorted(scene.regions):
         region = scene.regions[rid]
         objs = scene.objects_in_region(rid)
-        label, conf = rtsa_rule_classify(region, objs, signatures)
+        label, conf = rtsa_rule_classify(region, objs)
         if label != UNKNOWN_LABEL and conf >= rule_accept:
             regions[rid] = replace(region, room_label=label, label_provenance=PROVENANCE_RULE)
             continue

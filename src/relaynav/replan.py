@@ -258,13 +258,13 @@ def filter_events(events: list[Event], history: list[Event], cfg: TriggerConfig)
 @dataclass(frozen=True)
 class SwapInputs:
     """The symmetric reassignment rule's inputs: per-robot geodesics over
-    believed (or true) traversability, positions, the two remaining chains,
-    and whether the item currently rests at a static waypoint."""
+    believed (or true) traversability, positions and the two remaining
+    chains. The engine builds them only while the item rests, undelivered,
+    at a static waypoint, so a carried item is never reassigned."""
 
     geodesics: Mapping[str, Geodesics]
     positions: Mapping[str, Cell]
     chains: Mapping[str, tuple[Subtask, ...]]
-    item_static: bool
     resolution: float = 0.25
 
 
@@ -291,11 +291,8 @@ def evaluate_swap(inputs: SwapInputs, cfg: TriggerConfig) -> ReplanDecision:
 
     Makespan-first: swap iff the worse of the two swapped costs undercuts the
     worse kept cost by more than the hysteresis margin; equal makespans fall
-    back to the cost sum under the same margin. While the item is carried the
-    assignment is never exchanged.
+    back to the cost sum under the same margin.
     """
-    if not inputs.item_static:
-        return KEEP
     robots = sorted(inputs.chains)
     if len(robots) != 2:
         raise ValueError("swap evaluation needs exactly two robots")
@@ -327,7 +324,6 @@ def swap_oracle(
     scene,
     positions: Mapping[str, Cell],
     chains: Mapping[str, tuple[Subtask, ...]],
-    item_static: bool,
     cfg: TriggerConfig,
 ) -> ReplanDecision:
     """Ground-truth reassignment decision by exhaustive evaluation.
@@ -337,9 +333,6 @@ def swap_oracle(
     the shared wavefront helper, and the comparison inequalities are restated
     literally, so the two implementations genuinely check each other.
     """
-    if not item_static:
-        return ReplanDecision(KEEP_ASSIGNMENT)
-
     blocked = scene.grid.blocked
     h, w = blocked.shape
 

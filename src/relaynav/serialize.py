@@ -4,12 +4,13 @@ All persisted artifacts (scenes, episodes, traces, results, manifests) are
 written through these functions so that equal values always produce equal
 bytes, which is what makes byte-level reproducibility checks meaningful.
 
-Records persisted once per episode or run (episodes, rollout results,
-per-episode scores, reports, blockage plans, manifests and their poses),
-the resolved configurations a manifest records (scene, rollout, sensor,
-trigger and transport), the adjudication items of ``pending.json`` and
-the rare dialogue records of a trace inherit ``Record``: one codec driven
-by the dataclass fields and type hints writes and reads them all. Records
+Records persisted once per episode or run (episodes with their gate
+reports, episode rejections, rollout results, per-episode scores, reports,
+dataset stats, blockage plans, manifests and their poses), the resolved
+configurations a manifest records (scene, rollout, sensor, trigger and
+transport), the adjudication items of ``pending.json`` and the rare
+dialogue records of a trace inherit ``Record``: one codec driven by the
+dataclass fields and type hints writes and reads them all. Records
 written on every tick keep hand-written ``to_dict`` methods, because a
 reflective encode costs several times more inside the tick loop. Scenes
 keep a hand-written codec too: decoding their thousands of cells through
@@ -188,10 +189,6 @@ def numbered_jsonl(
             line = line.strip()
             if line:
                 yield lineno, _parse(line, f"{path}:{lineno}", error)
-
-
-def read_jsonl(path: str | Path) -> list[Any]:
-    return [value for _, value in numbered_jsonl(path)]
 
 
 def sha256_file(path: str | Path) -> str:

@@ -39,11 +39,6 @@ class TraceFormatError(ValueError):
     pass
 
 
-def emit_trace(trace: Trace, path) -> None:
-    with open(path, "wb") as fh:
-        fh.write(trace.to_bytes())
-
-
 def load_trace(path) -> Trace:
     """Read a trace back; a malformed line raises TraceFormatError naming
     the file and the line."""

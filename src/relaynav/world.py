@@ -494,17 +494,7 @@ class Geodesics:
         return None
 
 
-def geodesic_distance(scene: SceneGraph, a: Cell, b: Cell) -> float:
-    """Shortest 4-connected path length in meters; ``inf`` when unreachable."""
-    grid = scene.grid
-    if not grid.in_bounds(a) or not grid.in_bounds(b):
-        raise ValueError("geodesic endpoints must lie inside the grid")
-    return Geodesics(~grid.blocked).meters(a, b, grid.resolution)
-
-
-def bfs_shortest_path(
-    passable: np.ndarray, a: Cell, b: Cell, geodesics: Geodesics | None = None
-) -> list[Cell] | None:
+def bfs_shortest_path(geodesics: Geodesics, a: Cell, b: Cell) -> list[Cell] | None:
     """Lexicographically smallest shortest path from ``a`` to ``b`` (step
     directions ranked in ``NEIGHBORS_4`` order); ``None`` if unreachable.
 
@@ -518,12 +508,8 @@ def bfs_shortest_path(
     the one holding ``a`` and the descent tests each neighbour's bit in the
     next lower layer. On the packed layout the ``NEIGHBORS_4`` steps are bit
     offsets ``+1, -1, +stride, -stride``; a row step lands on a guard bit,
-    never in a layer, where it would leave the grid. ``geodesics`` is a
-    :class:`Geodesics` over this same mask; without one the mask is packed
-    here.
+    never in a layer, where it would leave the grid.
     """
-    if geodesics is None:
-        geodesics = Geodesics(passable)
     layers = geodesics.layers(b, a)
     if layers is None:
         return None
@@ -771,25 +757,11 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
         raise UnknownCorridorError(corridor_id)
     if cor.blocked:
         return scene
-    return _with_corridor_state(scene, cor, blocked=True)
-
-
-def clear_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
-    """Inverse of :func:`apply_blockage`; restores the gate cells to free."""
-    cor = scene.corridors.get(corridor_id)
-    if cor is None:
-        raise UnknownCorridorError(corridor_id)
-    if not cor.blocked:
-        return scene
-    return _with_corridor_state(scene, cor, blocked=False)
-
-
-def _with_corridor_state(scene: SceneGraph, cor: Corridor, blocked: bool) -> SceneGraph:
     occ = scene.grid.blocked.copy()
     for cx, cy in cor.gate_cells:
-        occ[cy, cx] = blocked
+        occ[cy, cx] = True
     corridors = dict(scene.corridors)
-    corridors[cor.corridor_id] = replace(cor, blocked=blocked)
+    corridors[corridor_id] = replace(cor, blocked=True)
     grid = GridMap(scene.grid.width, scene.grid.height, scene.grid.resolution, occ)
     # the regions are the source's own, so its cell index holds for the copy;
     # the visibility fields and the cell table follow occupancy and start empty

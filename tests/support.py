@@ -22,6 +22,11 @@ from relaynav.world import (
     apply_blockage,
 )
 
+
+def geodesic_distance(scene, a, b):
+    """Shortest 4-connected path length in meters; ``inf`` when unreachable."""
+    return Geodesics(~scene.grid.blocked).meters(a, b, scene.grid.resolution)
+
 _SCENES: dict[int, object] = {}
 
 
@@ -35,10 +40,9 @@ def random_swap_config(seed: int, n_scenes: int = 4):
     """A random two-robot reassignment scenario with belief == truth.
 
     Draws a scene (sometimes with a corridor blocked, so unreachable legs
-    occur), random free-cell positions and relay waypoints, random chain
-    truncations, and a random carried/at-rest item flag. Returns
-    ``(scene, SwapInputs)`` whose per-robot geodesics run over the scene's
-    true free space.
+    occur), random free-cell positions and relay waypoints, and random
+    chain truncations. Returns ``(scene, SwapInputs)`` whose per-robot
+    geodesics run over the scene's true free space.
     """
     rng = np.random.default_rng(seed)
     scene = _base_scene(int(rng.integers(n_scenes)))
@@ -60,7 +64,6 @@ def random_swap_config(seed: int, n_scenes: int = 4):
         geodesics={r: Geodesics(~scene.grid.blocked) for r in chains},
         positions={"FH": pick(), "SH": pick()},
         chains=chains,
-        item_static=bool(rng.integers(2)),
         resolution=scene.grid.resolution,
     )
     return scene, inputs

@@ -21,7 +21,9 @@ from relaynav.engine import RolloutResult
 from relaynav.episodes import EpisodeSpec, generate_episode
 from relaynav.scenegen import generate_scene
 from relaynav.seeds import derive_seed
-from relaynav.world import apply_blockage, geodesic_distance
+from relaynav.world import apply_blockage
+
+from support import geodesic_distance
 
 _TALLY_KEYS = {
     "on_route", "detour_too_short", "partner_cut_off", "taker_not_cheaper",

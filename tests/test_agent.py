@@ -316,7 +316,7 @@ class TestObserve:
         open_scene = walled_lab()
         closed_scene = walled_lab(gap=False)
         state = agent_at(open_scene, (3, 4), knowledge="known")
-        path = bfs_shortest_path(~open_scene.grid.blocked, (3, 4), (13, 4))
+        path = bfs_shortest_path(Geodesics(~open_scene.grid.blocked), (3, 4), (13, 4))
         state = replace(state, plan=Plan(tuple(path), 0, (13, 4)))
         state, _ = observe(closed_scene, state, SensorConfig())
         assert ((3, 4), (8, 4)) in state.pending_blocked_edges
@@ -329,7 +329,7 @@ class TestPlanning:
         scene = walled_lab()
         state = agent_at(scene, (2, 4))
         plan = plan_to(state, (13, 4), now=0)
-        want = bfs_shortest_path(~scene.grid.blocked, (2, 4), (13, 4))
+        want = bfs_shortest_path(Geodesics(~scene.grid.blocked), (2, 4), (13, 4))
         assert plan.path == tuple(want)
         assert plan.goal == (13, 4) and not plan.frontier
         assert (8, 4) in plan.path  # the only way across is the doorway
@@ -385,7 +385,7 @@ class TestPlanning:
         assert bumped.geodesics is not old_memo
         replanned = ensure_plan(bumped, now=1)
         assert cut not in replanned.plan.path
-        want = bfs_shortest_path(bumped.belief != BLOCKED, (2, 4), (13, 4))
+        want = bfs_shortest_path(Geodesics(bumped.belief != BLOCKED), (2, 4), (13, 4))
         assert replanned.plan.path == tuple(want)
 
     def test_memo_follows_the_current_belief_only(self):
@@ -413,7 +413,7 @@ class TestPlanning:
                 if target is not None:
                     want = bfs_distance_field(state.belief == BLOCKED, target)[cy, cx]
                     assert geo.steps(state.cell, target) == want
-                    path = bfs_shortest_path(geo.passable, state.cell, target, geo)
+                    path = bfs_shortest_path(geo, state.cell, target)
                     assert (path is None) == (want < 0)
                     assert path is None or len(path) - 1 == want
             if geo is before:

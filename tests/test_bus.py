@@ -47,14 +47,12 @@ def test_compose_fresh_partner_within_tau():
     ctx = compose_context(bus, "FH", now=10, tau=2)
     assert ctx.self_state.robot_id == "FH"
     assert ctx.partner_state is not None and ctx.partner_state.robot_id == "SH"
-    assert not ctx.partner_stale
 
 
 def test_compose_stale_partner_beyond_tau():
     bus = publish(publish(empty_bus(), packet("FH", ts=10)), packet("SH", ts=7))
     ctx = compose_context(bus, "FH", now=10, tau=2)
     assert ctx.partner_state is None
-    assert ctx.partner_stale
 
 
 def test_compose_boundary_is_inclusive():
@@ -73,7 +71,6 @@ def test_compose_muted_never_exposes_partner():
     bus = publish(publish(empty_bus(), packet("FH", ts=10)), packet("SH", ts=10))
     ctx = compose_muted(bus, "FH", now=10)
     assert ctx.partner_state is None
-    assert ctx.partner_stale
     assert ctx.self_state.robot_id == "FH"
 
 

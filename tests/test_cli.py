@@ -30,11 +30,17 @@ from relaynav.cli import (
 )
 from relaynav.episodes import EpisodeRejection, load_episodes
 from relaynav.manifest import load_manifest
-from relaynav.serialize import canonical_dumps, read_json, read_jsonl, write_canonical, write_jsonl
+from relaynav.serialize import (
+    canonical_dumps, numbered_jsonl, read_json, write_canonical, write_jsonl
+)
 from relaynav.trace import load_trace
 from relaynav.world import load_scene
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def jsonl_rows(path):
+    return [row for _, row in numbered_jsonl(path)]
 
 
 @pytest.fixture(scope="module")
@@ -101,7 +107,7 @@ class TestRunEvalCompare:
         _, _, episodes = pipeline
         run_a, _ = run_dirs
         eps = load_episodes(episodes)
-        rows = read_jsonl(run_a / "results.jsonl")
+        rows = jsonl_rows(run_a / "results.jsonl")
         assert [r["episode_id"] for r in rows] == sorted(ep.episode_id for ep in eps)
         for ep in eps:
             assert (run_a / f"trace_{ep.episode_id}.jsonl").exists()
@@ -166,6 +172,31 @@ class TestOverrides:
         for other in others:
             header = load_trace(out / f"trace_{other.episode_id}.jsonl").header
             assert header["blockage_schedule"] == []
+
+    def test_jobs_2_writes_the_bytes_of_jobs_1(self, pipeline, tmp_path):
+        # each episode's config is resolved once in the parent and handed to
+        # the worker, so a blockage and a t_max reach both rollout paths
+        _, scenes, episodes = pipeline
+        eps = load_episodes(episodes)
+        scene = load_scene(scenes / f"{eps[0].scene_id}.json")
+        ov_path = tmp_path / "overrides.json"
+        write_canonical(ov_path, {
+            eps[0].episode_id: {"blockages": [[2, sorted(scene.corridors)[0]]], "t_max": 40},
+            eps[-1].episode_id: {"t_max": 7},
+        })
+        serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+        assert run_cmd(episodes, scenes, serial, "--overrides", str(ov_path)) == EXIT_OK
+        assert run_cmd(
+            episodes, scenes, parallel, "--overrides", str(ov_path), "--jobs", "2"
+        ) == EXIT_OK
+        header = load_trace(parallel / f"trace_{eps[0].episode_id}.jsonl").header
+        assert header["t_max"] == 40 and header["blockage_schedule"][0][0] == 2
+        assert load_trace(parallel / f"trace_{eps[-1].episode_id}.jsonl").header["t_max"] == 7
+        names = sorted(p.name for p in serial.iterdir() if p.name != "manifest.json")
+        assert names == sorted(p.name for p in parallel.iterdir() if p.name != "manifest.json")
+        assert len(names) == len(eps) + 1
+        for name in names:
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
     def test_unknown_episode_in_overrides_is_usage_error(self, pipeline):
         root, scenes, episodes = pipeline
@@ -248,6 +279,52 @@ class TestReplay:
         (out / "ghost.jsonl").write_bytes((run_a / "results.jsonl").read_bytes())
         with pytest.raises(RuntimeError, match="mismatched: ghost.jsonl; unexpected: results.jsonl"):
             do_replay(bad, out)
+
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("gen-scenes", "count", None),
+            ("gen-scenes", "count", "x"),
+            ("gen-scenes", "count", -1),
+            ("gen-scenes", "scene", None),
+            ("gen-scenes", "scene", "x"),
+            ("gen-scenes", "scene", {"grid_width": 3}),
+            ("gen-episodes", "per_scene", None),
+            ("gen-episodes", "per_scene", 1.5),
+            ("gen-episodes", "scenes_dir", 7),
+            ("run", "episodes", None),
+            ("run", "episodes", 3),
+            ("run", "scenes_dir", [None]),
+            ("run", "rollout", None),
+            ("run", "rollout", {"tau": "x"}),
+            ("run", "rollout", {"tau": -1}),
+            ("run", "transport", "x"),
+            ("run", "transport", {"latency": -1}),
+            ("run", "overrides", 5),
+        ],
+    )
+    def test_malformed_config_value_is_named(
+        self, pipeline, run_dirs, tmp_path, capsys, command, key, value
+    ):
+        # None deletes the key
+        root, scenes, episodes = pipeline
+        source = {
+            "gen-scenes": scenes / "manifest.json",
+            "gen-episodes": manifest_path_for(episodes),
+            "run": run_dirs[0] / "manifest.json",
+        }[command]
+        doctored = json.loads(source.read_text())
+        if value is None:
+            del doctored["config"][key]
+        else:
+            doctored["config"][key] = value
+        bad = tmp_path / "manifest.json"
+        bad.write_text(json.dumps(doctored))
+        code = main(["replay", "--manifest", str(bad), "--out", str(tmp_path / "out")])
+        assert code == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"{bad}: config" in err and repr(key) in err
 
 
 class TestConfigResolution:
@@ -358,7 +435,7 @@ class TestExitCodes:
     def test_eval_names_a_missing_result_field(self, run_dirs, tmp_path, capsys):
         copy = tmp_path / "run"
         shutil.copytree(run_dirs[0], copy)
-        rows = read_jsonl(copy / "results.jsonl")
+        rows = jsonl_rows(copy / "results.jsonl")
         del rows[0]["ticks"]
         write_jsonl(copy / "results.jsonl", rows)
         assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
@@ -368,7 +445,7 @@ class TestExitCodes:
     def test_eval_names_an_unknown_result_field(self, run_dirs, tmp_path, capsys):
         copy = tmp_path / "run"
         shutil.copytree(run_dirs[0], copy)
-        rows = read_jsonl(copy / "results.jsonl")
+        rows = jsonl_rows(copy / "results.jsonl")
         rows[-1]["note"] = "edited"
         write_jsonl(copy / "results.jsonl", rows)
         assert main(["eval", "--results", str(copy)]) == EXIT_RUNTIME
@@ -377,7 +454,7 @@ class TestExitCodes:
 
     def test_run_names_an_unknown_episode_field(self, pipeline, tmp_path, capsys):
         _, scenes, episodes = pipeline
-        rows = read_jsonl(episodes)
+        rows = jsonl_rows(episodes)
         rows[-1]["difficulty"] = "hard"
         bad = tmp_path / "episodes.jsonl"
         write_jsonl(bad, rows)
@@ -432,6 +509,21 @@ class TestAdjudication:
         )
         assert code == EXIT_USAGE
         assert f"{pending / 'adjudication.csv'} is empty" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["s1", "", "  "])
+    def test_auto_names_a_short_row(self, pipeline, export, tmp_path, capsys, row):
+        _, scenes, _ = pipeline
+        pending = tmp_path / "pending"
+        shutil.copytree(export, pending)
+        csv = pending / "adjudication.csv"
+        header = csv.read_text(encoding="utf-8").splitlines()[0]
+        csv.write_text(f"{header}\r\n{row}\r\n", encoding="utf-8")
+        code = main(
+            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
+             "--out", str(tmp_path / "resolved.csv")]
+        )
+        assert code == EXIT_USAGE
+        assert f"{csv}:2: " in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "text",

@@ -153,6 +153,25 @@ class TestSameTickRebindAndSwap:
         assert result.swap_count == 1
 
 
+class TestSwapInputs:
+    def test_only_a_resting_undelivered_item_can_be_reassigned(self, scene_episode):
+        scene, episode = scene_episode
+        run = engine._start(scene, episode, RolloutConfig(), None)
+        for phase in engine.TICK_PHASES[: engine.TICK_PHASES.index(engine._compose) + 1]:
+            phase(run, 0)
+        cell = run.item.cell
+        for item, possible in (
+            (ItemState(AT_PICKUP, cell), True),
+            (ItemState(AT_HANDOFF, cell), True),
+            (ItemState("CarriedByFH", None, "FH"), False),
+            (ItemState("CarriedBySH", None, "SH"), False),
+            (ItemState(DELIVERED, cell), False),
+        ):
+            run.item = item
+            for r in run.robots.values():
+                assert (engine._swap_inputs(run, r) is not None) == possible, item.phase
+
+
 class TestRelayCompletion:
     def test_known_mode_relay_succeeds(self, batch10):
         wins = 0

@@ -11,26 +11,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaynav.episodes import (
+    INSTRUCTION_TEMPLATE,
     EpisodeRejection,
     EpisodeSpec,
     cells_within,
     dataset_stats,
     generate_episode,
     load_episodes,
-    render_instruction,
     save_episodes,
-    verify_episode,
 )
 from relaynav.scenegen import generate_scene
 from relaynav.seeds import derive_seed
 from relaynav.tasks import FH_CHAIN, SH_CHAIN
-from relaynav.gates import GATE_RANGE_M
-from relaynav.world import geodesic_distance
+from relaynav.gates import GATE_RANGE_M, trigate_check
 
 from relaynav.serialize import RecordFormatError
 
 from conftest import episode_batch
-from support import junk_lines
+from support import geodesic_distance, junk_lines
 
 
 def test_determinism():
@@ -45,11 +43,23 @@ def test_determinism():
 
 
 def test_accepted_episode_passes_all_gates(scene_episode):
+    """The gates, re-run on the stored waypoints, pass and give the stored
+    reports."""
     scene, episode = scene_episode
-    reports = verify_episode(scene, episode)
-    assert set(reports) == {"pickup", "handoff", "delivery"}
-    for report in reports.values():
+    assert set(episode.gate_reports) == {"pickup", "handoff", "delivery"}
+    for stop, anchor_id in (
+        ("pickup", episode.target_object_id),
+        ("handoff", episode.handoff_fixture_id),
+        ("delivery", episode.delivery_anchor_id),
+    ):
+        report = trigate_check(
+            scene,
+            getattr(episode, f"{stop}_waypoint"),
+            scene.objects[anchor_id],
+            getattr(episode, f"{stop}_room"),
+        )
         assert report.passed
+        assert report.to_dict() == episode.gate_reports[stop]
 
 
 def test_episode_structure(scene_episode):
@@ -64,7 +74,12 @@ def test_episode_structure(scene_episode):
     category = scene.objects[episode.target_object_id].category
     for token in (category, episode.pickup_room, episode.handoff_room, episode.delivery_room):
         assert token in episode.instruction
-    assert render_instruction(episode) == episode.instruction
+    assert episode.instruction == INSTRUCTION_TEMPLATE.format(
+        target=category,
+        pickup_room=episode.pickup_room,
+        delivery_room=episode.delivery_room,
+        handoff_room=episode.handoff_room,
+    )
 
 
 def test_gt_paths_and_lengths_consistent(scene_episode):

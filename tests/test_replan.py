@@ -57,7 +57,6 @@ def composed(self_id="FH", partner=None, anchors=None):
     return ComposedContext(
         self_state=own,
         partner_state=partner,
-        partner_stale=partner is None,
         anchors=anchors or {},
     )
 
@@ -279,7 +278,7 @@ class TestFilterEvents:
             Event("Eclipse", 1, "FH")
 
 
-def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at, item_static=True):
+def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at):
     """Exact-cost scenario on an open 5x21 grid (0.25 m cells)."""
     passable = np.ones((5, 21), dtype=bool)
     chains = {
@@ -290,12 +289,11 @@ def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at, item_static=True):
         geodesics={r: Geodesics(passable) for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
-        item_static=item_static,
         resolution=0.25,
     )
 
 
-def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals, item_static=True):
+def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals):
     """(scene, SwapInputs) on a grid drawn as strings, ``#`` for a wall;
     each goal becomes one goto leg (None stays unbound), then Stop."""
     blocked = np.array([[c == "#" for c in row] for row in rows], dtype=bool)
@@ -308,7 +306,6 @@ def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals, item_static=True):
         geodesics={r: Geodesics(~blocked) for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
-        item_static=item_static,
         resolution=0.25,
     )
     return scene, inputs
@@ -324,9 +321,7 @@ def grid_swap_cases(draw):
     rows = ["".join(cells[y * w:(y + 1) * w]) for y in range(h)]
     free = st.sampled_from([(x, y) for y in range(h) for x in range(w) if rows[y][x] == "."])
     goals = st.lists(st.one_of(st.none(), free), max_size=3)
-    return grid_swap_case(
-        rows, draw(free), draw(free), draw(goals), draw(goals), draw(st.booleans())
-    )
+    return grid_swap_case(rows, draw(free), draw(free), draw(goals), draw(goals))
 
 
 class TestEvaluateSwap:
@@ -340,14 +335,8 @@ class TestEvaluateSwap:
     def test_matches_oracle_on_random_grids(self, case, epsilon_hyst):
         scene, inputs = case
         cfg = TriggerConfig(epsilon_hyst=epsilon_hyst)
-        want = swap_oracle(scene, inputs.positions, inputs.chains, inputs.item_static, cfg)
+        want = swap_oracle(scene, inputs.positions, inputs.chains, cfg)
         assert evaluate_swap(inputs, cfg) == want
-
-    def test_carried_item_never_swaps(self):
-        inputs = open_lane_inputs(
-            fh_goal=(20, 2), sh_goal=(0, 2), fh_at=(0, 2), sh_at=(20, 2), item_static=False
-        )
-        assert evaluate_swap(inputs, TriggerConfig()).kind == KEEP_ASSIGNMENT
 
     def test_crossed_goals_swap_with_zero_cost(self):
         inputs = open_lane_inputs(fh_goal=(20, 2), sh_goal=(0, 2), fh_at=(0, 2), sh_at=(20, 2))
@@ -386,7 +375,6 @@ class TestEvaluateSwap:
             geodesics={r: Geodesics(passable) for r in chains},
             positions={"FH": (0, 2), "SH": (20, 2)},
             chains=chains,
-            item_static=True,
             resolution=0.25,
         )
         decision = evaluate_swap(inputs, TriggerConfig())
@@ -399,7 +387,7 @@ class TestEvaluateSwap:
         for i in range(60):
             scene, inputs = random_swap_config(derive_seed(77, "swap", i))
             got = evaluate_swap(inputs, cfg)
-            want = swap_oracle(scene, inputs.positions, inputs.chains, inputs.item_static, cfg)
+            want = swap_oracle(scene, inputs.positions, inputs.chains, cfg)
             assert got == want, f"trial {i}: {got} != {want}"
 
     def test_requires_exactly_two_robots(self):
@@ -408,7 +396,6 @@ class TestEvaluateSwap:
             geodesics={"FH": Geodesics(passable)},
             positions={"FH": (0, 0)},
             chains={"FH": (Subtask(STOP, None),)},
-            item_static=True,
         )
         with pytest.raises(ValueError):
             evaluate_swap(inputs, TriggerConfig())
@@ -423,7 +410,6 @@ class TestHysteresis:
             geodesics=first.geodesics,
             positions=first.positions,
             chains={"FH": first.chains["SH"], "SH": first.chains["FH"]},
-            item_static=True,
             resolution=first.resolution,
         )
         assert evaluate_swap(second, cfg).kind == KEEP_ASSIGNMENT

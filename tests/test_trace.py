@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaynav.trace import Trace, TraceFormatError, emit_trace, load_trace
+from relaynav.trace import Trace, TraceFormatError, load_trace
 
 from support import junk_lines
 
@@ -44,10 +44,10 @@ class TestSerialization:
 
 
 class TestRoundTrip:
-    def test_emit_load_identity(self, tmp_path):
+    def test_write_load_identity(self, tmp_path):
         path = tmp_path / "ep1.trace.jsonl"
         original = sample_trace()
-        emit_trace(original, path)
+        path.write_bytes(original.to_bytes())
         loaded = load_trace(path)
         assert loaded.header == original.header
         assert loaded.records == original.records
@@ -56,7 +56,7 @@ class TestRoundTrip:
 
     def test_blank_lines_tolerated(self, tmp_path):
         path = tmp_path / "ep1.trace.jsonl"
-        emit_trace(sample_trace(), path)
+        path.write_bytes(sample_trace().to_bytes())
         padded = tmp_path / "padded.trace.jsonl"
         padded.write_text(path.read_text().replace("\n", "\n\n"))
         assert load_trace(padded).to_bytes() == sample_trace().to_bytes()

@@ -33,9 +33,7 @@ from relaynav.world import (
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
-    clear_blockage,
     flat_geometry,
-    geodesic_distance,
     line_of_sight,
     load_scene,
     pack_mask,
@@ -51,7 +49,9 @@ from relaynav.world import (
     wrap_angle,
 )
 
-from support import JSON_VALUES, center_pose, junk_lines, lab_scene, random_bordered_grid
+from support import (
+    JSON_VALUES, center_pose, geodesic_distance, junk_lines, lab_scene, random_bordered_grid
+)
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
 
@@ -221,7 +221,7 @@ class TestBfs:
         ya, xa = free[rng.integers(len(free))]
         yb, xb = free[rng.integers(len(free))]
         a, b = (int(xa), int(ya)), (int(xb), int(yb))
-        path = bfs_shortest_path(~blocked, a, b)
+        path = bfs_shortest_path(Geodesics(~blocked), a, b)
         dist = bfs_distance_field(blocked, a)[b[1], b[0]]
         if dist < 0:
             assert path is None
@@ -236,9 +236,9 @@ class TestBfs:
     @settings(max_examples=150, deadline=None)
     def test_path_equals_queue_bfs_path(self, blocked, data):
         """The descent returns the queue BFS's path itself, not only one of
-        the same length, with or without a mask packed once for every query
-        (non-square grids, free border cells, blocked, unreachable and
-        equal endpoints included)."""
+        the same length, with one packed mask for every query (non-square
+        grids, free border cells, blocked, unreachable and equal endpoints
+        included)."""
         passable = ~blocked
         h, w = blocked.shape
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
@@ -246,8 +246,7 @@ class TestBfs:
         for _ in range(6):
             a, b = data.draw(cell), data.draw(cell)
             want = queue_bfs_path(passable, a, b)
-            assert bfs_shortest_path(passable, a, b) == want
-            assert bfs_shortest_path(passable, a, b, geo) == want
+            assert bfs_shortest_path(geo, a, b) == want
 
     @given(any_grids, st.data())
     @settings(max_examples=150, deadline=None)
@@ -277,7 +276,7 @@ class TestBfs:
         for y, x in np.ndindex(*blocked.shape):
             assert bool(geo.bit((x, y)) & geo.free) == (not blocked[y, x])
             assert geo.steps((x, y), (4, 4)) == field_[y, x]
-            path = bfs_shortest_path(geo.passable, (x, y), (4, 4), geo)
+            path = bfs_shortest_path(geo, (x, y), (4, 4))
             assert (path is None) == (field_[y, x] < 0)
             if path is not None:
                 assert [field_[cy, cx] for cx, cy in path] == list(range(field_[y, x], -1, -1))
@@ -289,7 +288,7 @@ class TestBfs:
         blocked = np.array([[True, True, False], [False, True, True]])
         geo = Geodesics(~blocked)
         assert geo.steps((2, 0), (0, 1)) == geo.steps((0, 1), (2, 0)) == -1
-        assert bfs_shortest_path(~blocked, (2, 0), (0, 1), geo) is None
+        assert bfs_shortest_path(geo, (2, 0), (0, 1)) is None
         assert not _one_component(~blocked)
         assert not _connected_4(frozenset({(2, 0), (0, 1)}), blocked.shape)
         assert _connected_4(frozenset({(0, 0), (0, 1), (1, 1)}), blocked.shape)
@@ -473,15 +472,19 @@ class TestVisibility:
 
 
 class TestBlockage:
-    def test_apply_then_clear_roundtrips_occupancy(self, scene):
+    def test_apply_changes_only_the_gate_cells(self, scene):
         cid = sorted(scene.corridors)[0]
         blocked = apply_blockage(scene, cid)
         assert blocked.corridors[cid].blocked
+        assert not scene.corridors[cid].blocked  # original untouched
+        assert {c: v for c, v in blocked.corridors.items() if c != cid} == {
+            c: v for c, v in scene.corridors.items() if c != cid
+        }
+        changed = np.argwhere(blocked.grid.blocked != scene.grid.blocked)
+        assert {(int(x), int(y)) for y, x in changed} == set(scene.corridors[cid].gate_cells)
         for cell in scene.corridors[cid].gate_cells:
             assert blocked.grid.is_blocked(cell)
             assert not scene.grid.is_blocked(cell)  # original untouched
-        restored = clear_blockage(blocked, cid)
-        assert np.array_equal(restored.grid.blocked, scene.grid.blocked)
 
     def test_copies_keep_the_region_index_and_rebuild_occupancy_caches(self, scene):
         cells = [(x, y) for y in range(scene.grid.height) for x in range(scene.grid.width)]
@@ -490,12 +493,11 @@ class TestBlockage:
         table = scene.cell_table()
         for cid in sorted(scene.corridors):
             blocked = apply_blockage(scene, cid)
-            for copy in (blocked, clear_blockage(blocked, cid)):
-                assert copy._region_by_cell is scene._region_by_cell
-                assert [copy.region_of(c) for c in cells] == regions
-                assert [copy.room_label_of(c) for c in cells] == labels
-                assert copy.cell_table() is not table
-                assert copy.visibility(5.0) is not scene.visibility(5.0)
+            assert blocked._region_by_cell is scene._region_by_cell
+            assert [blocked.region_of(c) for c in cells] == regions
+            assert [blocked.room_label_of(c) for c in cells] == labels
+            assert blocked.cell_table() is not table
+            assert blocked.visibility(5.0) is not scene.visibility(5.0)
             for cx, cy in scene.corridors[cid].gate_cells:
                 assert blocked.cell_table().occupancy[cy * scene.grid.width + cx] == BLOCKED
 
