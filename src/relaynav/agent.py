@@ -26,7 +26,6 @@ from .world import (
     ACTION_RIGHT,
     ACTION_STOP,
     BLOCKED,
-    FORWARD_M,
     FREE,
     UNKNOWN,
     Cell,
@@ -49,6 +48,12 @@ class Plan:
 
     ``frontier`` marks exploratory plans whose goal is a frontier cell rather
     than the subtask waypoint itself.
+
+    ``_clear_for`` holds the last belief :meth:`crosses_blocked` found the
+    path clear in, by reference, so that the check gathers the path's cells
+    only for a belief it has not seen. Beliefs are copy-on-write (see
+    :class:`AgentState`): the same object holds the same cells, and any
+    write makes a new object, which the check gathers again.
     """
 
     path: tuple[Cell, ...]
@@ -57,6 +62,7 @@ class Plan:
     frontier: bool = False
     _rows_cols: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _index: dict[Cell, int] = field(init=False, repr=False, compare=False)
+    _clear_for: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         xy = np.array(self.path, dtype=np.intp).reshape(-1, 2)
@@ -65,10 +71,16 @@ class Plan:
         for i, cell in enumerate(self.path):
             index.setdefault(cell, i)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "_clear_for", None)
 
     def crosses_blocked(self, belief: np.ndarray) -> bool:
         """True iff any cell of the path is believed blocked."""
-        return bool((belief[self._rows_cols] == BLOCKED).any())
+        if belief is self._clear_for:
+            return False
+        if (belief[self._rows_cols] == BLOCKED).any():
+            return True
+        object.__setattr__(self, "_clear_for", belief)
+        return False
 
     def steps_remaining_from(self, cell: Cell) -> int | None:
         """Steps from the first occurrence of ``cell`` to the path's end, or
@@ -84,7 +96,12 @@ class AgentState:
     The belief is copy-on-write: nothing writes an array once a state holds
     it, and :func:`observe` and :func:`on_blocked` copy it before they
     write. A belief object that is still the same one therefore still holds
-    the same cells.
+    the same cells, which is what lets :meth:`Plan.crosses_blocked` skip a
+    belief it already found clear.
+
+    ``cell`` reads the memo on the pose (:attr:`~relaynav.world.Pose.cell`).
+    No memo lives on the state itself: :func:`evolve` copies the instance
+    dict, so one would follow a copy whose pose changed.
     """
 
     robot_id: str
@@ -102,10 +119,7 @@ class AgentState:
 
     @property
     def cell(self) -> Cell:
-        return (
-            int(math.floor(self.pose.x / FORWARD_M)),
-            int(math.floor(self.pose.y / FORWARD_M)),
-        )
+        return self.pose.cell
 
     def active_subtask(self) -> Subtask | None:
         return self.policy_ctx.active_subtask()

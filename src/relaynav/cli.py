@@ -336,8 +336,14 @@ def do_adjudicate_auto(
                 raise UsageError(
                     f"{src}:{reader.line_num}: a row needs a scene_id and a region_id, got {row!r}"
                 )
+            try:
+                label = truth(row[0], row[1])
+            except KeyError:
+                raise UsageError(
+                    f"{src}:{reader.line_num}: no truth scene has region {(row[0], row[1])!r}"
+                ) from None
             resolved_ids.add((row[0], row[1]))
-            filled.append(row[:-1] + [truth(row[0], row[1])])
+            filled.append(row[:-1] + [label])
     missing = [i for i in pending if (i.scene_id, i.region_id) not in resolved_ids]
     if missing:
         raise RuntimeError(f"{len(missing)} pending items absent from {src}")

@@ -15,6 +15,16 @@ written on every tick keep hand-written ``to_dict`` methods, because a
 reflective encode costs several times more inside the tick loop. Scenes
 keep a hand-written codec too: decoding their thousands of cells through
 the reflective one would slow every scene load several times.
+
+Two things are built once per process and reused. ``from_dict`` reads each
+field through a decoder built once per type hint (``_decoder``), so no
+value is dispatched on its field's hint again. The
+compact encoder of ``canonical_dumps`` is one module-level encoder with
+sorted keys, where ``json.dumps`` builds one per call, once per trace line.
+Both are safe to share because they hold no state between calls: the
+decoders are pure functions of the hint, and the compact encoder keeps no
+cycle markers (a cyclic value is handed to ``json``'s own encoder, which
+raises its usual error).
 """
 
 from __future__ import annotations
@@ -27,10 +37,12 @@ import math
 import typing
 from pathlib import Path
 from types import MappingProxyType
-from typing import Any, ClassVar, Iterator
+from typing import Any, Callable, ClassVar, Iterator
 
 # field(metadata=ROUNDED) marks a float field written rounded to 6 digits
 ROUNDED = MappingProxyType({"rounded": True})
+
+Decoder = Callable[[Any], Any]
 
 
 class RecordFormatError(ValueError):
@@ -68,13 +80,13 @@ class Record:
         if unknown:
             raise cls.format_error(f"{cls.__name__}: unknown field {min(map(repr, unknown))}")
         kwargs = {}
-        for name, hint, _, required in fields:
+        for name, decode, _, required in fields:
             if name not in d:
                 if required:
                     raise cls.format_error(f"{cls.__name__}: missing field {name!r}")
                 continue
             try:
-                kwargs[name] = _decode(hint, d[name])
+                kwargs[name] = decode(d[name])
             except (_Mistyped, OverflowError):  # OverflowError: an int past float range
                 raise cls.format_error(
                     f"{cls.__name__}: field {name!r} cannot hold {d[name]!r}"
@@ -88,13 +100,13 @@ class Record:
 
 
 @functools.cache
-def _record_fields(cls: type) -> tuple[tuple[str, Any, bool, bool], ...]:
-    """(name, type hint, rounded, required) for each field of a record class."""
+def _record_fields(cls: type) -> tuple[tuple[str, Decoder, bool, bool], ...]:
+    """(name, decoder, rounded, required) for each field of a record class."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
-            hints[f.name],
+            _decoder(hints[f.name]),
             f.metadata.get("rounded", False),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
@@ -120,40 +132,77 @@ class _Mistyped(Exception):
     pass
 
 
-def _decode(hint: Any, value: Any) -> Any:
+@functools.cache
+def _decoder(hint: Any) -> Decoder:
+    """The function that reads a JSON value into a field typed ``hint``,
+    built once per hint; a value the hint cannot take raises ``_Mistyped``."""
     if typing.get_origin(hint) is tuple:
-        if not isinstance(value, list):
-            raise _Mistyped
         args = typing.get_args(hint)
-        if len(args) == 2 and args[1] is Ellipsis:
-            return tuple(_decode(args[0], v) for v in value)
-        if len(args) != len(value):
+        variadic = len(args) == 2 and args[1] is Ellipsis
+        items = tuple(map(_decoder, args[:1] if variadic else args))
+        # one decoder for every item (a cell's two ints, too) maps directly
+        each = items[0] if variadic or len(set(items)) == 1 else None
+
+        def decode(value):
+            if not isinstance(value, list) or not variadic and len(value) != len(items):
+                raise _Mistyped
+            if each is not None:
+                return tuple(map(each, value))
+            return tuple([item(v) for item, v in zip(items, value)])
+
+    elif isinstance(hint, type) and issubclass(hint, Record):
+
+        def decode(value):
+            if not isinstance(value, dict):
+                raise _Mistyped
+            return hint.from_dict(value)
+
+    elif hint is float:
+
+        def decode(value):
+            if value == "inf":
+                return math.inf
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                return float(value)
             raise _Mistyped
-        return tuple(_decode(a, v) for a, v in zip(args, value))
-    if isinstance(hint, type) and issubclass(hint, Record):
-        if not isinstance(value, dict):
+
+    elif hint in (bool, int, str, dict):
+
+        def decode(value):
+            # a bool is an int to isinstance, but not to an int field
+            if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+                return value
             raise _Mistyped
-        return hint.from_dict(value)
-    if hint is float:
-        if value == "inf":
-            return math.inf
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            return float(value)
-    elif hint is int:
-        if isinstance(value, int) and not isinstance(value, bool):
-            return value
-    elif hint in (bool, str, dict):
-        if isinstance(value, hint):
-            return value
+
     else:
         raise TypeError(f"record codec cannot decode {hint!r}")
-    raise _Mistyped
+    return decode
+
+
+# json.dumps builds both encoders on every call, once per trace line
+_COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+if json.encoder.c_make_encoder is not None:
+    # the arguments JSONEncoder.iterencode passes, but no markers dict: a
+    # cyclic value overflows the recursion limit instead and is handed to
+    # _COMPACT, which raises json's own error
+    _compact_chunks = json.encoder.c_make_encoder(
+        None, _COMPACT.default, json.encoder.encode_basestring_ascii, None,
+        ":", ",", True, False, True,
+    )
+else:
+    _compact_chunks = None
 
 
 def canonical_dumps(obj: Any, *, indent: int | None = None) -> str:
-    if indent is None:
-        return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-    return json.dumps(obj, sort_keys=True, indent=indent)
+    """``obj`` as JSON with sorted keys: compact, or indented by ``indent``."""
+    if indent is not None:
+        return json.dumps(obj, sort_keys=True, indent=indent)
+    if _compact_chunks is not None:
+        try:
+            return "".join(_compact_chunks(obj, 0))
+        except (RecursionError, TypeError, ValueError):
+            pass  # re-encoded below, to raise what json.dumps raises
+    return _COMPACT.encode(obj)
 
 
 def write_canonical(path: str | Path, obj: Any, *, indent: int | None = None) -> None:

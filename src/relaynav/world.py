@@ -131,11 +131,38 @@ def wrap_angle(deg: float) -> float:
     return a
 
 
+class _CellOnce:
+    """``Pose.cell``: the first read derives the cell and stores it in the
+    pose's instance dict, where later reads find it before this non-data
+    descriptor. ``functools.cached_property`` does the same, but on Python
+    3.11 it takes a lock on every first read, which costs more than the
+    cell."""
+
+    def __get__(self, pose: Pose | None, owner: type | None = None):
+        if pose is None:
+            return self
+        cell = pose.__dict__["cell"] = (
+            int(math.floor(pose.x / FORWARD_M)),
+            int(math.floor(pose.y / FORWARD_M)),
+        )
+        return cell
+
+
 @dataclass(frozen=True)
 class Pose(Record):
+    """A robot's position in meters and heading in degrees.
+
+    ``cell`` is the cell holding the pose on a grid of ``FORWARD_M`` cells,
+    the resolution every rollout runs at. It is derived once per pose and
+    kept in the instance dict: a pose is immutable, so its cell never goes
+    stale, and a moved or turned robot holds a new ``Pose``.
+    """
+
     x: float
     y: float
     heading: int
+
+    cell = _CellOnce()
 
     def __post_init__(self) -> None:
         if self.heading % TURN_DEG != 0 or not 0 <= self.heading < 360:
@@ -734,9 +761,9 @@ def step_kinematics(scene: SceneGraph, pose: Pose, action: str) -> tuple[Pose, b
     if action not in ACTIONS:
         raise ValueError(f"unknown action {action!r}")
     if action == ACTION_LEFT:
-        return replace(pose, heading=(pose.heading - TURN_DEG) % 360), False
+        return Pose(pose.x, pose.y, (pose.heading - TURN_DEG) % 360), False
     if action == ACTION_RIGHT:
-        return replace(pose, heading=(pose.heading + TURN_DEG) % 360), False
+        return Pose(pose.x, pose.y, (pose.heading + TURN_DEG) % 360), False
     if action == ACTION_STOP:
         return pose, False
     vx, vy = HEADING_VECTORS[pose.heading]

@@ -388,6 +388,29 @@ class TestPlanning:
         want = bfs_shortest_path(Geodesics(bumped.belief != BLOCKED), (2, 4), (13, 4))
         assert replanned.plan.path == tuple(want)
 
+    def test_plan_clear_in_a_belief_crosses_its_bumped_copy(self):
+        scene = walled_lab()
+        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        plan, belief = state.plan, state.belief
+        assert not plan.crosses_blocked(belief)
+        cut = plan.path[4]
+        bumped = on_blocked(state, (plan.path[3], cut), now=1)
+        assert bumped.belief is not belief
+        assert plan.crosses_blocked(bumped.belief)
+        assert not plan.crosses_blocked(belief)  # the original is unwritten
+
+    def test_plan_clear_in_a_belief_crosses_its_observed_copy(self):
+        # the plan runs through the doorway; sensing the closed scene writes
+        # the doorway blocked into a copy of the belief
+        state = ensure_plan(agent_at(walled_lab(), (3, 4)), now=0)
+        plan, belief = state.plan, state.belief
+        assert (8, 4) in plan.path
+        assert not plan.crosses_blocked(belief)
+        sensed, _ = observe(walled_lab(gap=False), state, SensorConfig())
+        assert sensed.belief is not belief and sensed.belief[4, 8] == BLOCKED
+        assert plan.crosses_blocked(sensed.belief)
+        assert not plan.crosses_blocked(belief)
+
     def test_memo_follows_the_current_belief_only(self):
         # a discover-mode walk through the doorway: the belief gains walls on
         # most ticks; the packed mask must follow every change of

@@ -525,6 +525,26 @@ class TestAdjudication:
         assert code == EXIT_USAGE
         assert f"{csv}:2: " in capsys.readouterr().err
 
+    def test_auto_names_a_region_the_truth_scenes_lack(
+        self, pipeline, export, tmp_path, capsys
+    ):
+        _, scenes, _ = pipeline
+        pending = tmp_path / "pending"
+        shutil.copytree(export, pending)
+        csv = pending / "adjudication.csv"
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        columns = len(lines[0].split(","))
+        lines.append(",".join(["nosuchscene", "r9"] + [""] * (columns - 2)))
+        csv.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
+        code = main(
+            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
+             "--out", str(tmp_path / "resolved.csv")]
+        )
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert f"{csv}:{len(lines)}: " in err
+        assert "('nosuchscene', 'r9')" in err
+
     @pytest.mark.parametrize(
         "text",
         [

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import typing
 
 import pytest
@@ -248,6 +249,32 @@ def test_unknown_field_is_named(cls, data):
     d["extra"] = data.draw(st.integers() | names)
     with pytest.raises(format_error(cls), match=f"{cls.__name__}: unknown field 'extra'"):
         cls.from_dict(d)
+
+
+# every float (non-finite ones too) and any unicode text, nested
+json_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(json_trees)
+def test_canonical_dumps_equals_json_dumps(value):
+    want = json.dumps(value, sort_keys=True, separators=(",", ":"))
+    assert canonical_dumps(value) == want
+
+
+def test_canonical_dumps_raises_what_json_dumps_raises():
+    cyclic: list = []
+    cyclic.append(cyclic)
+    for value in (cyclic, {"a": object()}, {1: 2, "a": 3}):
+        with pytest.raises(Exception) as want:
+            json.dumps(value, sort_keys=True, separators=(",", ":"))
+        with pytest.raises(type(want.value), match=re.escape(str(want.value))):
+            canonical_dumps(value)
 
 
 def test_int_in_float_field_reads_as_float():

@@ -362,6 +362,24 @@ class TestKinematics:
         with pytest.raises(ValueError):
             step_kinematics(scene, Pose(8.0, 8.0, 0), "sprint")
 
+    def test_every_reached_pose_has_the_grid_cell(self, scene):
+        # the memoized Pose.cell against grid.cell_of, over walks from a
+        # grid of start cells in every heading, off-axis drift included
+        grid = scene.grid
+        assert grid.resolution == FORWARD_M
+        ys, xs = np.nonzero(~grid.blocked)
+        walk = (ACTION_FORWARD,) * 5 + (ACTION_LEFT, ACTION_FORWARD, ACTION_RIGHT) * 3
+        reached = 0
+        for x, y in list(zip(xs.tolist(), ys.tolist()))[::25]:
+            for heading in range(0, 360, TURN_DEG):
+                pose = center_pose((x, y), heading)
+                for action in walk:
+                    pose, _ = step_kinematics(scene, pose, action)
+                    assert pose.cell == grid.cell_of(pose.x, pose.y)
+                    assert pose.cell is pose.cell
+                    reached += 1
+        assert reached > 10_000
+
 
 class TestVisibility:
     def test_own_cell_always_visible(self, scene):
