@@ -27,10 +27,26 @@ from .episodes import EpisodeSpec, generate_episode
 from .scenegen import generate_scene
 from .seeds import derive_seed
 from .serialize import ROUNDED, Record
-from .world import Geodesics, SceneGraph
+from .world import FORWARD_M, Geodesics, SceneGraph
 
 KIND_DETOUR = "detour"
 KIND_CUT = "cut"
+
+# suite build: episodes tried per scene, the share of cut plans allowed,
+# scenes drawn before giving up
+PER_SCENE = 8
+CUT_FRACTION = 0.05
+MAX_SCENE_DRAWS = 4000
+# picker thresholds, in metres (see pick_route_blockage)
+MIN_DETOUR_EXTRA_M = 12.0
+TAKER_SLACK_M = 4.0
+HANDOFF_SLACK_M = 4.0
+CARRY_SLACK_M = 2.0
+REPOSITION_SLACK_M = 12.0
+# an entry's budget over its unblocked run, and the margin the estimated
+# swapped finish must keep under that budget, in ticks
+BUDGET_EXTRA_TICKS = 110
+EST_MARGIN_TICKS = 70
 
 
 class SuiteBuildError(RuntimeError):
@@ -50,16 +66,6 @@ class BlockagePlan(Record):
 class SuiteParams:
     n_episodes: int = 200
     seed: int = 0
-    per_scene: int = 8
-    cut_fraction: float = 0.05
-    min_detour_extra_m: float = 12.0
-    taker_slack_m: float = 4.0
-    handoff_slack_m: float = 4.0
-    carry_slack_m: float = 2.0
-    reposition_slack_m: float = 12.0
-    budget_extra_ticks: int = 110
-    est_margin_ticks: int = 70
-    max_scene_draws: int = 4000
     rollout: RolloutConfig = field(default_factory=RolloutConfig)
 
 
@@ -91,7 +97,6 @@ class BlockageSuite:
 def pick_route_blockage(
     scene: SceneGraph,
     episode: EpisodeSpec,
-    params: SuiteParams,
     stats: dict[str, int] | None = None,
 ) -> BlockagePlan | None:
     """Choose a corridor on the FH robot's pickup leg worth closing.
@@ -100,7 +105,7 @@ def pick_route_blockage(
     start and the target along the ground-truth path; after closing it the
     partner can still run the entire relay (pickup, handoff, and delivery
     all mutually reachable from its side); either the FH detour to the
-    pickup lengthens by ``min_detour_extra_m`` or the pickup becomes
+    pickup lengthens by ``MIN_DETOUR_EXTRA_M`` or the pickup becomes
     outright unreachable for FH; the partner stays a competitive taker for
     the pickup even after drifting for ``tick`` steps (its start-based
     distance plus the worst-case drift must undercut the FH detour); and
@@ -113,16 +118,15 @@ def pick_route_blockage(
     at its other endpoint.
     """
     grid = scene.grid
-    res = grid.resolution
     target_cell = scene.objects[episode.target_object_id].cell
     path = list(episode.gt_path_fh)
     if target_cell not in path:
         return None
     prefix = path[: path.index(target_cell) + 1]
     start_fh = prefix[0]
-    start_sh = grid.cell_of(episode.start_pose_sh.x, episode.start_pose_sh.y)
-    handoff = grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y)
-    delivery = grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y)
+    start_sh = episode.start_pose_sh.cell
+    handoff = episode.handoff_waypoint.cell
+    delivery = episode.delivery_waypoint.cell
     keep_free = {start_fh, start_sh, target_cell, handoff, delivery}
 
     open_geo = Geodesics(~grid.blocked)
@@ -142,47 +146,47 @@ def pick_route_blockage(
         for cx, cy in gate:
             passable[cy, cx] = False
         closed = Geodesics(passable)
-        d_post = closed.meters(start_fh, target_cell, res)
-        d_direct = open_geo.meters(start_fh, target_cell, res)
+        d_post = closed.meters(start_fh, target_cell)
+        d_direct = open_geo.meters(start_fh, target_cell)
         if math.isinf(d_post):
             kind, extra = KIND_CUT, math.inf
-        elif d_post >= d_direct + params.min_detour_extra_m:
+        elif d_post >= d_direct + MIN_DETOUR_EXTRA_M:
             kind, extra = KIND_DETOUR, d_post - d_direct
         else:
             tally["detour_too_short"] = tally.get("detour_too_short", 0) + 1
             continue
-        sh_target = closed.meters(start_sh, target_cell, res)
-        carry = closed.meters(target_cell, handoff, res)
-        onward = closed.meters(delivery, handoff, res)
-        sh_handoff = closed.meters(start_sh, handoff, res)
+        sh_target = closed.meters(start_sh, target_cell)
+        carry = closed.meters(target_cell, handoff)
+        onward = closed.meters(delivery, handoff)
+        sh_handoff = closed.meters(start_sh, handoff)
         if not all(math.isfinite(d) for d in (sh_target, carry, onward, sh_handoff)):
             tally["partner_cut_off"] = tally.get("partner_cut_off", 0) + 1
             continue
         tick = max(1, steps_to // 2)
         # the partner must stay the cheaper taker for the pickup even after
         # walking away from its start for up to `tick` steps
-        drift = tick * res
-        if sh_target + drift + res > d_post:
+        drift = tick * FORWARD_M
+        if sh_target + drift + FORWARD_M > d_post:
             tally["taker_not_cheaper"] = tally.get("taker_not_cheaper", 0) + 1
             continue
-        if sh_target > d_direct + params.taker_slack_m:
+        if sh_target > d_direct + TAKER_SLACK_M:
             tally["taker_too_far"] = tally.get("taker_too_far", 0) + 1
             continue
         # the partner's natural route to the pickup must not run through the
         # closed gate: a blocked-map taker trip much longer than the open-map
         # one means it would discover the closure mid-route and pay for it
-        if sh_target > open_geo.meters(start_sh, target_cell, res) + params.carry_slack_m:
+        if sh_target > open_geo.meters(start_sh, target_cell) + CARRY_SLACK_M:
             tally["taker_route_hit"] = tally.get("taker_route_hit", 0) + 1
             continue
         # the carry leg itself must survive the closure: whoever holds the
         # item still has to walk pickup -> handoff, so the gate must not sit
         # on that route either
-        if carry > open_geo.meters(target_cell, handoff, res) + params.carry_slack_m:
+        if carry > open_geo.meters(target_cell, handoff) + CARRY_SLACK_M:
             tally["carry_leg_hit"] = tally.get("carry_leg_hit", 0) + 1
             continue
         # FH's post-swap leg to the handoff must dodge the closed gate cheaply
-        d_fh_handoff_post = closed.meters(start_fh, handoff, res)
-        if d_fh_handoff_post > open_geo.meters(start_fh, handoff, res) + params.handoff_slack_m:
+        d_fh_handoff_post = closed.meters(start_fh, handoff)
+        if d_fh_handoff_post > open_geo.meters(start_fh, handoff) + HANDOFF_SLACK_M:
             tally["handoff_leg_hit"] = tally.get("handoff_leg_hit", 0) + 1
             continue
         # post-swap repositioning overhead: FH's trip to the handoff replaces
@@ -191,7 +195,7 @@ def pick_route_blockage(
         # that combined overhead must stay well under the detour savings or
         # the realized-path comparison degenerates into a coin flip
         reposition = d_fh_handoff_post - sh_handoff + 4.0 * drift
-        if reposition > params.reposition_slack_m:
+        if reposition > REPOSITION_SLACK_M:
             tally["reposition_cost"] = tally.get("reposition_cost", 0) + 1
             continue
         # worst-case post-swap critical path: FH repositions to the handoff
@@ -215,15 +219,15 @@ def pick_route_blockage(
 def build_blockage_suite(params: SuiteParams) -> BlockageSuite:
     """Deterministically assemble the suite from (seed, params) alone."""
     base = replace(params.rollout, policy="deconav", blockage_schedule=(), mode="lockstep")
-    want_cuts = round(params.n_episodes * params.cut_fraction)
+    want_cuts = round(params.n_episodes * CUT_FRACTION)
     scenes: dict[str, SceneGraph] = {}
     entries: list[SuiteEntry] = []
     cuts = 0
-    for draw in range(params.max_scene_draws):
+    for draw in range(MAX_SCENE_DRAWS):
         if len(entries) >= params.n_episodes:
             break
         scene = generate_scene(derive_seed(params.seed, "suite-scene", draw))
-        for k in range(params.per_scene):
+        for k in range(PER_SCENE):
             if len(entries) >= params.n_episodes:
                 break
             drawn = generate_episode(
@@ -231,7 +235,7 @@ def build_blockage_suite(params: SuiteParams) -> BlockageSuite:
             )
             if not isinstance(drawn, EpisodeSpec):
                 continue
-            plan = pick_route_blockage(scene, drawn, params)
+            plan = pick_route_blockage(scene, drawn)
             if plan is None:
                 continue
             if plan.kind == KIND_CUT and cuts >= want_cuts:
@@ -241,15 +245,14 @@ def build_blockage_suite(params: SuiteParams) -> BlockageSuite:
                 continue
             if plan.tick >= nominal.ticks:
                 continue
-            t_max = min(base.t_max, nominal.ticks + params.budget_extra_ticks)
+            t_max = min(base.t_max, nominal.ticks + BUDGET_EXTRA_TICKS)
             # oracle estimate of the swapped relay's finish tick: closure
             # tick, then the critical path at one cell per tick with a 30%
             # allowance for turning in place, plus handshake overhead; the
             # margin keeps the swapped run finishing well before the budget
             # so a timed-out baseline has kept walking in the meantime
-            res = scene.grid.resolution
-            est = plan.tick + int(plan.swap_critical_m / res * 1.3) + 25
-            if est > t_max - params.est_margin_ticks:
+            est = plan.tick + int(plan.swap_critical_m / FORWARD_M * 1.3) + 25
+            if est > t_max - EST_MARGIN_TICKS:
                 continue
             entries.append(SuiteEntry(drawn, plan, t_max, nominal.ticks))
             scenes[scene.scene_id] = scene
@@ -258,7 +261,7 @@ def build_blockage_suite(params: SuiteParams) -> BlockageSuite:
     if len(entries) < params.n_episodes:
         raise SuiteBuildError(
             f"only {len(entries)} of {params.n_episodes} suite episodes found "
-            f"within {params.max_scene_draws} scene draws"
+            f"within {MAX_SCENE_DRAWS} scene draws"
         )
     return BlockageSuite(params, scenes, entries)
 

@@ -34,6 +34,7 @@ from .world import (
     Pose,
     SceneGraph,
     bfs_shortest_path,
+    center,
     fov_mask,
     wrap_angle,
 )
@@ -57,7 +58,6 @@ class Plan:
     """
 
     path: tuple[Cell, ...]
-    version: int
     goal: Cell | None
     frontier: bool = False
     _rows_cols: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
@@ -162,7 +162,7 @@ def make_agent(
     knowledge: str = "known",
 ) -> AgentState:
     belief = initial_belief(scene, knowledge)
-    cell = scene.grid.cell_of(pose.x, pose.y)
+    cell = pose.cell
     belief[cell[1], cell[0]] = FREE
     geodesics = Geodesics(_passable(belief))
     return AgentState(robot_id, pose, belief, geodesics, policy_ctx)
@@ -195,7 +195,7 @@ def observe(
     table = scene.cell_table()
     cell = state.cell
     mask = vis.visible_offsets(cell) & fov_mask(
-        scene.grid.resolution, sensor.range_m, state.pose.heading, sensor.fov_deg
+        sensor.range_m, state.pose.heading, sensor.fov_deg
     )
     width = scene.grid.width
     here = cell[1] * width + cell[0]
@@ -264,7 +264,7 @@ def _nearest_frontier(belief: np.ndarray, start: Cell) -> Cell | None:
     return Geodesics(belief == FREE).nearest(start, _frontier_mask(belief))
 
 
-def plan_to(state: AgentState, goal: Cell | None, now: int) -> Plan:
+def plan_to(state: AgentState, goal: Cell | None) -> Plan:
     """Shortest believed path to the goal, unknown cells traversable.
 
     With no goal (waypoint not yet anchored) or no believed route, target the
@@ -276,13 +276,13 @@ def plan_to(state: AgentState, goal: Cell | None, now: int) -> Plan:
     if goal is not None:
         path = bfs_shortest_path(geo, start, goal)
         if path is not None:
-            return Plan(tuple(path), now, goal)
+            return Plan(tuple(path), goal)
     frontier = _nearest_frontier(state.belief, start)
     if frontier is not None:
         path = bfs_shortest_path(geo, start, frontier)
         if path is not None:
-            return Plan(tuple(path), now, frontier, frontier=True)
-    return Plan((), now, None)
+            return Plan(tuple(path), frontier, frontier=True)
+    return Plan((), None)
 
 
 def _still_frontier(belief: np.ndarray, cell: Cell) -> bool:
@@ -296,7 +296,7 @@ def _still_frontier(belief: np.ndarray, cell: Cell) -> bool:
     return False
 
 
-def ensure_plan(state: AgentState, now: int) -> AgentState:
+def ensure_plan(state: AgentState) -> AgentState:
     """Replan when there is no current plan, the active waypoint changed, the
     robot left the planned path, or the path crosses believed-blocked cells.
 
@@ -312,7 +312,7 @@ def ensure_plan(state: AgentState, now: int) -> AgentState:
         # terminal phase needs no route; next_action stops unconditionally
         if state.plan is not None and not state.plan.path:
             return state
-        return evolve(state, plan=Plan((), now, None))
+        return evolve(state, plan=Plan((), None))
     goal = active.waypoint
     plan = state.plan
     if (
@@ -325,19 +325,19 @@ def ensure_plan(state: AgentState, now: int) -> AgentState:
             return state
         if plan.frontier and _still_frontier(state.belief, plan.goal):
             return state
-    return evolve(state, plan=plan_to(state, goal, now))
+    return evolve(state, plan=plan_to(state, goal))
 
 
 # --- action selection -----------------------------------------------------
 
 
-def within(pose: Pose, cell: Cell, radius_m: float, resolution: float) -> bool:
+def within(pose: Pose, cell: Cell, radius_m: float) -> bool:
     """True iff the cell's center lies within ``radius_m`` of the pose."""
-    cx, cy = (cell[0] + 0.5) * resolution, (cell[1] + 0.5) * resolution
+    cx, cy = center(cell)
     return math.hypot(cx - pose.x, cy - pose.y) <= radius_m + _EPS
 
 
-def next_action(state: AgentState, r_succ: float, r_int: float, resolution: float = 0.25) -> str:
+def next_action(state: AgentState, r_succ: float, r_int: float) -> str:
     """Pure action choice for the current tick.
 
     Goto subtasks stop inside the arrival radius; interactions stop inside
@@ -350,13 +350,11 @@ def next_action(state: AgentState, r_succ: float, r_int: float, resolution: floa
     active = state.active_subtask()
     if active is None or active.kind == TASK_STOP:
         return ACTION_STOP
-    if active.is_goto() and active.waypoint is not None and within(
-        state.pose, active.waypoint, r_succ, resolution
-    ):
+    if active.is_goto() and active.waypoint is not None and within(state.pose, active.waypoint, r_succ):
         return ACTION_STOP
     if active.is_interaction():
         anchor = active.waypoint if active.waypoint is not None else None
-        if anchor is not None and within(state.pose, anchor, r_int, resolution):
+        if anchor is not None and within(state.pose, anchor, r_int):
             return ACTION_STOP
     plan = state.plan
     if plan is None or not plan.path:
@@ -369,7 +367,7 @@ def next_action(state: AgentState, r_succ: float, r_int: float, resolution: floa
         return ACTION_LEFT if plan.frontier else ACTION_STOP
     idx = len(plan.path) - 1 - steps
     nxt = plan.path[idx + 1]
-    tx, ty = (nxt[0] + 0.5) * resolution, (nxt[1] + 0.5) * resolution
+    tx, ty = center(nxt)
     desired = math.degrees(math.atan2(ty - state.pose.y, tx - state.pose.x))
     err = wrap_angle(desired - state.pose.heading)
     if abs(err) <= _BEARING_TOL + _EPS:

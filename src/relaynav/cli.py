@@ -705,7 +705,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r-succ", type=float, default=None)
     p.add_argument("--r-int", type=float, default=None)
     p.add_argument("--knowledge", choices=("known", "discover"), default=None)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None,
+                   help="labels the run: written as the manifest seed and in every trace "
+                        "header; no rollout draws from it")
     p.add_argument("--latency", type=int, default=None)
     p.add_argument("--jitter", type=int, default=None)
     p.add_argument("--drop-prob", type=float, default=None)

@@ -155,7 +155,6 @@ def commit_actions(
     item, which is what makes a same-tick deposit+receive impossible and
     keeps the relay ordering strict. Illegal attempts are recorded no-ops.
     """
-    res = scene.grid.resolution
     item_start = item
     new_states = dict(states)
     blocked_flags: dict[str, bool] = {}
@@ -177,9 +176,7 @@ def commit_actions(
         elif act == ACTION_STOP:
             active = st.active_subtask()
             if active is not None and active.is_interaction():
-                ok, item = _resolve_interaction(
-                    rid, active, st, item_start, item, cfg, res
-                )
+                ok, item = _resolve_interaction(rid, active, st, item_start, item, cfg)
                 attempts[rid] = {"kind": active.kind, "ok": ok}
                 if ok:
                     st = advance_subtask(st, now)
@@ -198,21 +195,20 @@ def _resolve_interaction(
     item_start: ItemState,
     item_cur: ItemState,
     cfg: RolloutConfig,
-    res: float,
 ) -> tuple[bool, ItemState]:
     kind = active.kind
     if kind in _TAKES:
         if (
             item_start.phase == _TAKES[kind]
             and item_cur.phase == _TAKES[kind]
-            and within(st.pose, item_start.cell, cfg.r_int, res)
+            and within(st.pose, item_start.cell, cfg.r_int)
         ):
             return True, ItemState(carried_by(rid), None, rid)
     elif kind in _PUTS:
         if (
             item_start.carrier == rid
             and active.waypoint is not None
-            and within(st.pose, active.waypoint, cfg.r_int, res)
+            and within(st.pose, active.waypoint, cfg.r_int)
         ):
             return True, ItemState(_PUTS[kind], active.waypoint, None)
     return False, item_cur
@@ -298,13 +294,9 @@ def _start(
     target = scene.objects.get(episode.target_object_id)
     if target is None:
         raise RolloutError(f"episode target {episode.target_object_id} not in scene")
-    grid = scene.grid
-    if grid.resolution != FORWARD_M:
-        raise RolloutError(f"scene resolution {grid.resolution} m, rollouts need {FORWARD_M} m")
-    handoff_cell = grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y)
-    delivery_cell = grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y)
+    handoff, delivery = episode.handoff_waypoint.cell, episode.delivery_waypoint.cell
     chains = build_chains(
-        target.cell, handoff_cell, delivery_cell, known_waypoints=(cfg.knowledge == "known")
+        target.cell, handoff, delivery, known_waypoints=(cfg.knowledge == "known")
     )
     starts = {"FH": episode.start_pose_fh, "SH": episode.start_pose_sh}
     states: dict[str, AgentState] = {}
@@ -484,15 +476,14 @@ def _swap_inputs(run: _Run, r: _Robot) -> SwapInputs | None:
         geodesics={s.robot_id: s.geodesics for s in states},
         positions={s.robot_id: s.cell for s in states},
         chains={s.robot_id: s.policy_ctx.chain for s in states},
-        resolution=run.scene.grid.resolution,
     )
 
 
 def _act(run: _Run, now: int) -> None:
-    cfg, res = run.cfg, run.scene.grid.resolution
+    cfg = run.cfg
     for r in run.robots.values():
-        r.state = ensure_plan(r.state, now)
-        r.action = next_action(r.state, cfg.r_succ, cfg.r_int, res)
+        r.state = ensure_plan(r.state)
+        r.action = next_action(r.state, cfg.r_succ, cfg.r_int)
 
 
 def _commit(run: _Run, now: int) -> None:
@@ -514,7 +505,7 @@ def _commit(run: _Run, now: int) -> None:
 def _progress(run: _Run, now: int) -> None:
     """A robot that stops on a reached goto, or on its Stop subtask, advances
     its chain; at most one advance per robot per tick."""
-    cfg, res = run.cfg, run.scene.grid.resolution
+    cfg = run.cfg
     for r in run.robots.values():
         st = r.state
         active = st.active_subtask()
@@ -527,7 +518,7 @@ def _progress(run: _Run, now: int) -> None:
             if (
                 active.is_goto()
                 and active.waypoint is not None
-                and within(st.pose, active.waypoint, cfg.r_succ, res)
+                and within(st.pose, active.waypoint, cfg.r_succ)
             ):
                 st = advance_subtask(st, now)
             elif active.kind == STOP:
@@ -597,7 +588,7 @@ def _score_rollout(base_scene: SceneGraph, episode: EpisodeSpec, run: _Run) -> R
         if goal is None:
             ne[rid] = math.inf
         else:
-            ne[rid] = geo.meters(st.cell, goal, base_scene.grid.resolution)
+            ne[rid] = geo.meters(st.cell, goal)
         chain_done = st.stopped and not st.policy_ctx.chain
         success[rid] = bool(chain_done and ne[rid] <= run.cfg.r_succ)
     fh, sh = run.robots["FH"], run.robots["SH"]

@@ -22,6 +22,7 @@ from .seeds import derive_seed
 from .serialize import Record, RecordFormatError, numbered_jsonl, write_jsonl
 from .world import (
     Cell,
+    FORWARD_M,
     Geodesics,
     Pose,
     Region,
@@ -30,6 +31,7 @@ from .world import (
     TURN_DEG,
     UNKNOWN_LABEL,
     bfs_shortest_path,
+    center,
     path_length_m,
 )
 
@@ -92,18 +94,18 @@ def quantize_heading(deg: float) -> int:
     return int(round(deg / TURN_DEG)) % (360 // TURN_DEG) * TURN_DEG
 
 
-def cells_within(region: Region, res: float, at: tuple[float, float], reach: float) -> list[Cell]:
+def cells_within(region: Region, at: tuple[float, float], reach: float) -> list[Cell]:
     """The region's cells, in ``sorted_cells`` order, whose centres lie within
     ``reach`` metres of the point ``at``."""
     ax, ay = at
     xy = region.cell_xy
-    dist = np.hypot((xy[:, 0] + 0.5) * res - ax, (xy[:, 1] + 0.5) * res - ay)
+    dist = np.hypot((xy[:, 0] + 0.5) * FORWARD_M - ax, (xy[:, 1] + 0.5) * FORWARD_M - ay)
     inside = dist <= reach
     # np.hypot and math.hypot may differ in the last ulp; a cell that close to
     # the edge is decided by math.hypot, as every cell once was
     for i in np.flatnonzero(np.abs(dist - reach) < 1e-9):
-        x, y = region.sorted_cells[i]
-        inside[i] = math.hypot((x + 0.5) * res - ax, (y + 0.5) * res - ay) <= reach
+        cx, cy = center(region.sorted_cells[i])
+        inside[i] = math.hypot(cx - ax, cy - ay) <= reach
     return list(compress(region.sorted_cells, inside.tolist()))
 
 
@@ -121,17 +123,16 @@ def _sample_waypoint(
     spent where a pass is possible at all; the gates still do the verifying.
     """
     region = scene.regions[anchor.region_id]
-    res = scene.grid.resolution
-    ax, ay = scene.grid.center(anchor.cell)
+    ax, ay = center(anchor.cell)
     reach = GATE_RANGE_M
     effective = anchor.salience * (1.0 - anchor.occlusion)
     if effective > 0:
         reach = min(reach, GATE_RANGE_M * (1.0 - THETA_REC / effective))
-    candidates = cells_within(region, res, (ax, ay), reach)
+    candidates = cells_within(region, (ax, ay), reach)
     rng.shuffle(candidates)
     for cell in candidates[:WAYPOINT_ATTEMPTS]:
         tally["attempts"] += 1
-        cx, cy = scene.grid.center(cell)
+        cx, cy = center(cell)
         if cell == anchor.cell:
             heading = rng.randrange(0, 360, TURN_DEG)
         else:
@@ -225,12 +226,9 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
     start_fh = _sample_start(scene, rng)
     start_sh = _sample_start(scene, rng)
 
-    grid = scene.grid
-    fh0, sh0, handoff, drop = (
-        grid.cell_of(p.x, p.y) for p in (start_fh, start_sh, handoff_wp, delivery_wp)
-    )
+    fh0, sh0, handoff, drop = (p.cell for p in (start_fh, start_sh, handoff_wp, delivery_wp))
     # the four legs share one packed mask
-    geo = Geodesics(~grid.blocked)
+    geo = Geodesics(~scene.grid.blocked)
     leg1, leg2, leg3, leg4 = (
         bfs_shortest_path(geo, a, b)
         for a, b in ((fh0, target.cell), (target.cell, handoff), (sh0, handoff), (handoff, drop))
@@ -267,8 +265,8 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
         start_pose_sh=start_sh,
         gt_path_fh=gt_fh,
         gt_path_sh=gt_sh,
-        gt_length_fh=path_length_m(list(gt_fh), grid.resolution),
-        gt_length_sh=path_length_m(list(gt_sh), grid.resolution),
+        gt_length_fh=path_length_m(list(gt_fh)),
+        gt_length_sh=path_length_m(list(gt_sh)),
         subtasks_fh=("GotoPickup", "PickUp", "GotoHandoff", "Deposit", "Stop"),
         subtasks_sh=("GotoHandoff", "Receive", "GotoDelivery", "Deliver", "Stop"),
         gate_reports={
@@ -287,7 +285,7 @@ def _sample_start(scene: SceneGraph, rng: random.Random) -> Pose:
     region_ids = sorted(scene.regions)
     rid = rng.choice(region_ids)
     cell = rng.choice(scene.regions[rid].sorted_cells)
-    cx, cy = scene.grid.center(cell)
+    cx, cy = center(cell)
     return Pose(cx, cy, rng.randrange(0, 360, TURN_DEG))
 
 

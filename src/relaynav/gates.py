@@ -20,6 +20,7 @@ from .world import (
     SceneObject,
     UNKNOWN_LABEL,
     bearing_deg,
+    center,
     line_of_sight,
     wrap_angle,
 )
@@ -72,7 +73,7 @@ class DistanceFalloffScorer:
     max_range_m: float = 5.0
 
     def score(self, scene: SceneGraph, waypoint: Pose, target: SceneObject) -> float:
-        tx, ty = scene.grid.center(target.cell)
+        tx, ty = center(target.cell)
         dist = math.hypot(tx - waypoint.x, ty - waypoint.y)
         raw = target.salience * (1.0 - dist / self.max_range_m) * (1.0 - target.occlusion)
         return min(1.0, max(0.0, raw))
@@ -85,7 +86,7 @@ def gate_visibility(
     max_range_m: float,
     fov_deg: float,
 ) -> VisibilityReport:
-    tx, ty = scene.grid.center(target.cell)
+    tx, ty = center(target.cell)
     dist = math.hypot(tx - waypoint.x, ty - waypoint.y)
     if dist == 0.0:
         err = 0.0

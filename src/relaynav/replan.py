@@ -19,7 +19,7 @@ from .bus import AnchorEntry, ComposedContext, Observation, partner_of
 from .config import TriggerConfig
 from .serialize import Record
 from .tasks import Subtask, rebind_target
-from .world import Cell, Geodesics, NEIGHBORS_4
+from .world import Cell, FORWARD_M, Geodesics, NEIGHBORS_4
 
 STAGE_COMPLETE = "StageComplete"
 TARGET_DISCOVERED = "TargetDiscovered"
@@ -265,12 +265,9 @@ class SwapInputs:
     geodesics: Mapping[str, Geodesics]
     positions: Mapping[str, Cell]
     chains: Mapping[str, tuple[Subtask, ...]]
-    resolution: float = 0.25
 
 
-def _chain_cost(
-    geodesics: Geodesics, start: Cell, chain: tuple[Subtask, ...], resolution: float
-) -> float:
+def _chain_cost(geodesics: Geodesics, start: Cell, chain: tuple[Subtask, ...]) -> float:
     """Geodesic sum along the chain's bound waypoints; infinite when any leg
     is unreachable. Unbound waypoints contribute nothing."""
     total_steps = 0
@@ -283,7 +280,7 @@ def _chain_cost(
             return math.inf
         total_steps += steps
         cur = st.waypoint
-    return total_steps * resolution
+    return total_steps * FORWARD_M
 
 
 def evaluate_swap(inputs: SwapInputs, cfg: TriggerConfig) -> ReplanDecision:
@@ -297,11 +294,11 @@ def evaluate_swap(inputs: SwapInputs, cfg: TriggerConfig) -> ReplanDecision:
     if len(robots) != 2:
         raise ValueError("swap evaluation needs exactly two robots")
     a, b = robots
-    geo, pos, res = inputs.geodesics, inputs.positions, inputs.resolution
-    keep = {r: _chain_cost(geo[r], pos[r], inputs.chains[r], res) for r in robots}
+    geo, pos = inputs.geodesics, inputs.positions
+    keep = {r: _chain_cost(geo[r], pos[r], inputs.chains[r]) for r in robots}
     swap = {
-        a: _chain_cost(geo[a], pos[a], inputs.chains[b], res),
-        b: _chain_cost(geo[b], pos[b], inputs.chains[a], res),
+        a: _chain_cost(geo[a], pos[a], inputs.chains[b]),
+        b: _chain_cost(geo[b], pos[b], inputs.chains[a]),
     }
     max_keep, max_swap = max(keep.values()), max(swap.values())
     take = False
@@ -369,7 +366,7 @@ def swap_oracle(
                 return math.inf
             steps += leg
             cur = st.waypoint
-        return steps * scene.grid.resolution
+        return steps * FORWARD_M
 
     robots = sorted(chains)
     if len(robots) != 2:

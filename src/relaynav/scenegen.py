@@ -171,7 +171,7 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
         category = params.portable_categories[i % len(params.portable_categories)]
         place(rid, category, params.portable_salience, params.portable_occlusion)
 
-    grid = GridMap(w, h, params.resolution, blocked)
+    grid = GridMap(w, h, blocked)
     return SceneGraph(
         scene_id=f"s{seed:08d}",
         seed=seed,

@@ -6,9 +6,11 @@ Coordinate conventions used throughout the package:
   ``blocked[cy, cx]``.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
-* A forward step advances 0.25 m, which equals exactly one cell at the default
-  resolution, so axis-aligned motion keeps poses on cell centers.
-* Geodesic distances are 4-connected BFS step counts times the resolution.
+* There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
+  uses it, and a forward step advances exactly one cell, so axis-aligned
+  motion keeps poses on cell centers. :func:`cell_of` maps a point to its
+  cell and :func:`center` a cell to its center.
+* Geodesic distances are 4-connected BFS step counts times ``FORWARD_M``.
 * Line of sight is a supercover ray between cell centers: it fails iff any
   strictly interior cell of the ray is blocked, so diagonal wall corners do
   not leak visibility.
@@ -131,6 +133,16 @@ def wrap_angle(deg: float) -> float:
     return a
 
 
+def cell_of(x: float, y: float) -> Cell:
+    """The cell holding the point ``(x, y)``."""
+    return (int(math.floor(x / FORWARD_M)), int(math.floor(y / FORWARD_M)))
+
+
+def center(cell: Cell) -> tuple[float, float]:
+    """The center of ``cell`` in meters."""
+    return ((cell[0] + 0.5) * FORWARD_M, (cell[1] + 0.5) * FORWARD_M)
+
+
 class _CellOnce:
     """``Pose.cell``: the first read derives the cell and stores it in the
     pose's instance dict, where later reads find it before this non-data
@@ -141,10 +153,7 @@ class _CellOnce:
     def __get__(self, pose: Pose | None, owner: type | None = None):
         if pose is None:
             return self
-        cell = pose.__dict__["cell"] = (
-            int(math.floor(pose.x / FORWARD_M)),
-            int(math.floor(pose.y / FORWARD_M)),
-        )
+        cell = pose.__dict__["cell"] = cell_of(pose.x, pose.y)
         return cell
 
 
@@ -152,8 +161,8 @@ class _CellOnce:
 class Pose(Record):
     """A robot's position in meters and heading in degrees.
 
-    ``cell`` is the cell holding the pose on a grid of ``FORWARD_M`` cells,
-    the resolution every rollout runs at. It is derived once per pose and
+    ``cell`` is the cell holding the pose (:func:`cell_of`); there is one
+    fixed cell size, ``FORWARD_M`` = 0.25 m. It is derived once per pose and
     kept in the instance dict: a pose is immutable, so its cell never goes
     stale, and a moved or turned robot holds a new ``Pose``.
     """
@@ -223,7 +232,6 @@ class Corridor:
 class GridMap:
     width: int
     height: int
-    resolution: float
     blocked: np.ndarray  # bool, shape (height, width)
 
     def in_bounds(self, cell: Cell) -> bool:
@@ -231,12 +239,6 @@ class GridMap:
 
     def is_blocked(self, cell: Cell) -> bool:
         return bool(self.blocked[cell[1], cell[0]])
-
-    def cell_of(self, x: float, y: float) -> Cell:
-        return (int(math.floor(x / self.resolution)), int(math.floor(y / self.resolution)))
-
-    def center(self, cell: Cell) -> tuple[float, float]:
-        return ((cell[0] + 0.5) * self.resolution, (cell[1] + 0.5) * self.resolution)
 
 
 @dataclass(frozen=True)
@@ -501,12 +503,12 @@ class Geodesics:
         layers = self.layers(a, b)
         return -1 if layers is None else len(layers) - 1
 
-    def meters(self, a: Cell, b: Cell, resolution: float) -> float:
+    def meters(self, a: Cell, b: Cell) -> float:
         """Geodesic length in meters; 0 when ``a == b``, ``inf`` when unreachable."""
         if a == b:
             return 0.0
         steps = self.steps(a, b)
-        return math.inf if steps < 0 else float(steps) * resolution
+        return math.inf if steps < 0 else float(steps) * FORWARD_M
 
     def nearest(self, source: Cell, targets: np.ndarray) -> Cell | None:
         """The cell of the ``targets`` mask fewest steps from ``source``,
@@ -553,8 +555,8 @@ def bfs_shortest_path(geodesics: Geodesics, a: Cell, b: Cell) -> list[Cell] | No
     return path
 
 
-def path_length_m(path: list[Cell], resolution: float) -> float:
-    return (len(path) - 1) * resolution if path else 0.0
+def path_length_m(path: list[Cell]) -> float:
+    return (len(path) - 1) * FORWARD_M if path else 0.0
 
 
 # --- rays and visibility --------------------------------------------------
@@ -592,14 +594,16 @@ def supercover_line(a: Cell, b: Cell) -> list[Cell]:
     return cells
 
 
-def _range_cells(resolution: float, max_range_m: float) -> int:
+def _range_cells(max_range_m: float) -> int:
     """Largest whole number of cells along an axis within the range."""
-    return int(math.floor(max_range_m / resolution + _EPS))
+    return int(math.floor(max_range_m / FORWARD_M + _EPS))
 
 
 @functools.cache
-def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...]:
-    """The offsets in range and their shadow table, built once per process.
+def ray_geometry(max_range_m: float) -> tuple[np.ndarray, ...]:
+    """The offsets in range and their shadow table, built once per process
+    and range. Offsets count cells of the one fixed size, ``FORWARD_M`` =
+    0.25 m.
 
     Returns read-only ``(offsets, shadows, masks)``: the ``(dx, dy)``
     offsets in range (origin excluded, row-major); the ``(dx, dy)`` cells
@@ -609,13 +613,13 @@ def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...
     into ``uint64`` words (offset ``i`` is bit ``i % 8`` of byte ``i // 8``
     of the row, so a row unpacks with ``bitorder="little"``).
     """
-    r = _range_cells(resolution, max_range_m)
+    r = _range_cells(max_range_m)
     side = 2 * r + 1
     offsets: list[Cell] = []
     shade: dict[int, int] = {}  # window cell, row-major -> bitmask of offsets
     for dy in range(-r, r + 1):
         for dx in range(-r, r + 1):
-            if (dx or dy) and math.hypot(dx, dy) * resolution <= max_range_m + _EPS:
+            if (dx or dy) and math.hypot(dx, dy) * FORWARD_M <= max_range_m + _EPS:
                 bit = 1 << len(offsets)
                 for x, y in supercover_line((0, 0), (dx, dy))[1:-1]:
                     key = (y + r) * side + x + r
@@ -636,9 +640,7 @@ def ray_geometry(resolution: float, max_range_m: float) -> tuple[np.ndarray, ...
 
 
 @functools.cache
-def flat_geometry(
-    resolution: float, max_range_m: float, width: int
-) -> tuple[np.ndarray, np.ndarray]:
+def flat_geometry(max_range_m: float, width: int) -> tuple[np.ndarray, np.ndarray]:
     """:func:`ray_geometry`'s cells as flat indices for grids ``width``
     cells wide, built once per process.
 
@@ -648,8 +650,8 @@ def flat_geometry(
     on every side, relative to ``cy * (width + 2 * r) + cx`` for an observer
     at ``(cx, cy)``.
     """
-    offsets, shadows, _ = ray_geometry(resolution, max_range_m)
-    r = _range_cells(resolution, max_range_m)
+    offsets, shadows, _ = ray_geometry(max_range_m)
+    r = _range_cells(max_range_m)
     stride = width + 2 * r
     cells = offsets[:, 1].astype(np.intp) * width + offsets[:, 0]
     padded = (shadows[:, 1].astype(np.intp) + r) * stride + shadows[:, 0] + r
@@ -659,12 +661,10 @@ def flat_geometry(
 
 
 @functools.cache
-def fov_mask(
-    resolution: float, max_range_m: float, heading: float, fov_deg: float
-) -> np.ndarray:
+def fov_mask(max_range_m: float, heading: float, fov_deg: float) -> np.ndarray:
     """Read-only mask over :func:`ray_geometry`'s offsets inside the field of
     view, memoized per process like the geometry."""
-    offsets = ray_geometry(resolution, max_range_m)[0]
+    offsets = ray_geometry(max_range_m)[0]
     bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
     mask = np.abs((bearing - heading + 180.0) % 360.0 - 180.0) <= fov_deg / 2.0 + _EPS
     mask.setflags(write=False)
@@ -672,13 +672,14 @@ def fov_mask(
 
 
 class VisibilityField:
-    """Vectorized per-cell line of sight within a fixed sensing range.
+    """Vectorized per-cell line of sight within a fixed sensing range, over
+    cells of the one fixed size, ``FORWARD_M`` = 0.25 m.
 
-    Per process, shared by every field of a resolution, range and grid
-    width: the offsets and their shadow table (:func:`ray_geometry`), their
-    flat indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as
-    indices into the raveled grid, and the shadowing cells as indices into
-    the raveled padded occupancy) and the FOV masks (:func:`fov_mask`). Per
+    Per process, shared by every field of a range and grid width: the
+    offsets and their shadow table (:func:`ray_geometry`), their flat
+    indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as indices
+    into the raveled grid, and the shadowing cells as indices into the
+    raveled padded occupancy) and the FOV masks (:func:`fov_mask`). Per
     scene: the padded occupancy and the mask cached per observer cell. A
     field belongs to one ``SceneGraph``, so a blockage, which makes a new
     scene, starts cold. A miss gathers the occupancy at the shadowing cells
@@ -688,10 +689,9 @@ class VisibilityField:
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
-        res = grid.resolution
-        self.offsets, _, self._masks = ray_geometry(res, max_range_m)
-        self.flat_offsets, self._shadows = flat_geometry(res, max_range_m, grid.width)
-        r = _range_cells(res, max_range_m)
+        self.offsets, _, self._masks = ray_geometry(max_range_m)
+        self.flat_offsets, self._shadows = flat_geometry(max_range_m, grid.width)
+        r = _range_cells(max_range_m)
         occ = np.pad(grid.blocked, r, mode="constant", constant_values=True)
         self._stride = occ.shape[1]
         self._occ = occ.ravel()
@@ -732,10 +732,10 @@ def line_of_sight(
     grid = scene.grid
     if not grid.in_bounds(target):
         raise ValueError("line_of_sight target outside grid")
-    observer = grid.cell_of(pose.x, pose.y)
+    observer = pose.cell
     if observer == target:
         return True
-    tx, ty = grid.center(target)
+    tx, ty = center(target)
     dist = math.hypot(tx - pose.x, ty - pose.y)
     if dist > max_range_m + _EPS:
         return False
@@ -769,7 +769,7 @@ def step_kinematics(scene: SceneGraph, pose: Pose, action: str) -> tuple[Pose, b
     vx, vy = HEADING_VECTORS[pose.heading]
     nx = pose.x + FORWARD_M * vx
     ny = pose.y + FORWARD_M * vy
-    dest = scene.grid.cell_of(nx, ny)
+    dest = cell_of(nx, ny)
     if not scene.grid.in_bounds(dest) or scene.grid.is_blocked(dest):
         return pose, True
     return Pose(nx, ny, pose.heading), False
@@ -789,7 +789,7 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
         occ[cy, cx] = True
     corridors = dict(scene.corridors)
     corridors[corridor_id] = replace(cor, blocked=True)
-    grid = GridMap(scene.grid.width, scene.grid.height, scene.grid.resolution, occ)
+    grid = GridMap(scene.grid.width, scene.grid.height, occ)
     # the regions are the source's own, so its cell index holds for the copy;
     # the visibility fields and the cell table follow occupancy and start empty
     return SceneGraph(
@@ -812,7 +812,7 @@ def scene_to_dict(scene: SceneGraph) -> dict:
         "meta": {
             "scene_id": scene.scene_id,
             "seed": scene.seed,
-            "resolution": scene.grid.resolution,
+            "resolution": FORWARD_M,
         },
         "grid": {
             "width": scene.grid.width,
@@ -855,6 +855,10 @@ def scene_to_dict(scene: SceneGraph) -> dict:
 def scene_from_dict(data: dict) -> SceneGraph:
     try:
         meta = data["meta"]
+        if meta["resolution"] != FORWARD_M:
+            raise SceneFormatError(
+                f"resolution {meta['resolution']!r} m; every scene has {FORWARD_M} m cells"
+            )
         grid_d = data["grid"]
         width, height = int(grid_d["width"]), int(grid_d["height"])
         if not (0 < width <= MAX_GRID_SIDE and 0 < height <= MAX_GRID_SIDE):
@@ -867,7 +871,7 @@ def scene_from_dict(data: dict) -> SceneGraph:
                     f"blocked cell {[cx, cy]} lies outside the {width}x{height} grid"
                 )
             blocked[y, x] = True
-        grid = GridMap(width, height, float(meta["resolution"]), blocked)
+        grid = GridMap(width, height, blocked)
         regions = {
             r["region_id"]: Region(
                 region_id=r["region_id"],

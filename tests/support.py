@@ -20,12 +20,13 @@ from relaynav.world import (
     SceneGraph,
     SceneObject,
     apply_blockage,
+    center,
 )
 
 
 def geodesic_distance(scene, a, b):
     """Shortest 4-connected path length in meters; ``inf`` when unreachable."""
-    return Geodesics(~scene.grid.blocked).meters(a, b, scene.grid.resolution)
+    return Geodesics(~scene.grid.blocked).meters(a, b)
 
 _SCENES: dict[int, object] = {}
 
@@ -64,12 +65,11 @@ def random_swap_config(seed: int, n_scenes: int = 4):
         geodesics={r: Geodesics(~scene.grid.blocked) for r in chains},
         positions={"FH": pick(), "SH": pick()},
         chains=chains,
-        resolution=scene.grid.resolution,
     )
     return scene, inputs
 
 
-def lab_scene(blocked, objects=(), resolution=0.25, scene_id="lab", gates=()):
+def lab_scene(blocked, objects=(), scene_id="lab", gates=()):
     """Hand-built single-region scene from an explicit occupancy array.
 
     ``objects`` is an iterable of (object_id, category, cell). All free cells
@@ -86,7 +86,7 @@ def lab_scene(blocked, objects=(), resolution=0.25, scene_id="lab", gates=()):
         oid: SceneObject(oid, cat, cell, "r0", 1.0, 0.0) for oid, cat, cell in objects
     }
     corridors = {"c0": Corridor("c0", frozenset(gates), ("r0", "r0"))} if gates else {}
-    grid = GridMap(w, h, resolution, blocked)
+    grid = GridMap(w, h, blocked)
     return SceneGraph(scene_id, 0, grid, {"r0": region}, objs, corridors)
 
 
@@ -107,8 +107,8 @@ def walled_lab(gap=True, objects=()):
     return lab_scene(blocked, objects)
 
 
-def center_pose(cell, heading=0, resolution=0.25):
-    return Pose((cell[0] + 0.5) * resolution, (cell[1] + 0.5) * resolution, heading)
+def center_pose(cell, heading=0):
+    return Pose(*center(cell), heading)
 
 
 _JSON_SCALARS = (

@@ -3,10 +3,9 @@
 from __future__ import annotations
 
 import math
-from dataclasses import replace
-
 import pytest
 
+from relaynav import ablation
 from relaynav.ablation import (
     KIND_CUT,
     KIND_DETOUR,
@@ -35,16 +34,15 @@ _TALLY_KEYS = {
 @pytest.fixture(scope="module")
 def qualifying_pair():
     """First (scene, episode, plan) the picker accepts on the seed-0 stream."""
-    params = SuiteParams()
     for draw in range(60):
         scene = generate_scene(derive_seed(0, "suite-scene", draw))
-        for k in range(params.per_scene):
+        for k in range(ablation.PER_SCENE):
             drawn = generate_episode(scene, derive_seed(0, "suite-episode", draw, k))
             if not isinstance(drawn, EpisodeSpec):
                 continue
-            plan = pick_route_blockage(scene, drawn, params)
+            plan = pick_route_blockage(scene, drawn)
             if plan is not None:
-                return scene, drawn, plan, params
+                return scene, drawn, plan
     pytest.fail("no qualifying blockage found in 60 scene draws")
 
 
@@ -55,26 +53,26 @@ def small_suite():
 
 class TestPicker:
     def test_plan_is_well_formed(self, qualifying_pair):
-        scene, episode, plan, params = qualifying_pair
+        scene, episode, plan = qualifying_pair
         assert plan.corridor_id in scene.corridors
         assert plan.tick >= 1
         assert plan.kind in (KIND_DETOUR, KIND_CUT)
         assert plan.swap_critical_m > 0
 
     def test_blockage_actually_costs_the_detour(self, qualifying_pair):
-        scene, episode, plan, params = qualifying_pair
-        start = scene.grid.cell_of(episode.start_pose_fh.x, episode.start_pose_fh.y)
+        scene, episode, plan = qualifying_pair
+        start = episode.start_pose_fh.cell
         target = scene.objects[episode.target_object_id].cell
         direct = geodesic_distance(scene, start, target)
         after = geodesic_distance(apply_blockage(scene, plan.corridor_id), start, target)
         if plan.kind == KIND_CUT:
             assert math.isinf(after)
         else:
-            assert after >= direct + params.min_detour_extra_m
+            assert after >= direct + ablation.MIN_DETOUR_EXTRA_M
             assert after - direct == pytest.approx(plan.detour_extra_m)
 
     def test_tick_precedes_gate_arrival(self, qualifying_pair):
-        scene, episode, plan, _ = qualifying_pair
+        scene, episode, plan = qualifying_pair
         gate = scene.corridors[plan.corridor_id].gate_cells
         steps_to_gate = next(
             i for i, cell in enumerate(episode.gt_path_fh) if cell in gate
@@ -83,17 +81,17 @@ class TestPicker:
         assert plan.tick < steps_to_gate
 
     def test_stats_tally_uses_known_keys(self, qualifying_pair):
-        scene, episode, _, params = qualifying_pair
+        scene, episode, _ = qualifying_pair
         stats: dict[str, int] = {}
-        pick_route_blockage(scene, episode, params, stats)
+        pick_route_blockage(scene, episode, stats)
         assert stats
         assert set(stats) <= _TALLY_KEYS
         assert stats.get("qualified", 0) >= 1
 
-    def test_huge_detour_floor_rules_out_detour_plans(self, qualifying_pair):
-        scene, episode, plan, params = qualifying_pair
-        strict = replace(params, min_detour_extra_m=1e6)
-        again = pick_route_blockage(scene, episode, strict)
+    def test_huge_detour_floor_rules_out_detour_plans(self, qualifying_pair, monkeypatch):
+        scene, episode, _ = qualifying_pair
+        monkeypatch.setattr(ablation, "MIN_DETOUR_EXTRA_M", 1e6)
+        again = pick_route_blockage(scene, episode)
         assert again is None or again.kind == KIND_CUT
 
 
@@ -116,7 +114,7 @@ class TestSuiteBuild:
             assert entry.episode.scene_id in small_suite.scenes
             assert entry.plan.tick < entry.unblocked_ticks
             assert entry.t_max == min(
-                params.rollout.t_max, entry.unblocked_ticks + params.budget_extra_ticks
+                params.rollout.t_max, entry.unblocked_ticks + ablation.BUDGET_EXTRA_TICKS
             )
 
     def test_build_is_deterministic(self, small_suite):

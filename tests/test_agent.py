@@ -109,7 +109,7 @@ def oracle_observe(scene, state, sensor):
     vis = scene.visibility(sensor.range_m)
     cell = state.cell
     mask = vis.visible_offsets(cell) & fov_mask(
-        scene.grid.resolution, sensor.range_m, state.pose.heading, sensor.fov_deg
+        sensor.range_m, state.pose.heading, sensor.fov_deg
     )
     cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
 
@@ -246,7 +246,7 @@ class TestObserve:
         state = AgentState(
             "FH", center_pose(observer, heading), belief, Geodesics(belief != BLOCKED),
             ctx_with((Subtask(STOP, None),)),
-            plan=Plan(path, 0, path[-1]) if rng.random() < 0.7 else None,
+            plan=Plan(path, path[-1]) if rng.random() < 0.7 else None,
             pending_blocked_edges=(((1, 1), (1, 2)),) if rng.random() < 0.3 else (),
         )
         sensor = SensorConfig(range_m=range_m, fov_deg=fov)
@@ -317,7 +317,7 @@ class TestObserve:
         closed_scene = walled_lab(gap=False)
         state = agent_at(open_scene, (3, 4), knowledge="known")
         path = bfs_shortest_path(Geodesics(~open_scene.grid.blocked), (3, 4), (13, 4))
-        state = replace(state, plan=Plan(tuple(path), 0, (13, 4)))
+        state = replace(state, plan=Plan(tuple(path), (13, 4)))
         state, _ = observe(closed_scene, state, SensorConfig())
         assert ((3, 4), (8, 4)) in state.pending_blocked_edges
         assert state.belief[4, 8] == BLOCKED
@@ -328,7 +328,7 @@ class TestPlanning:
     def test_known_plan_matches_true_shortest_path(self):
         scene = walled_lab()
         state = agent_at(scene, (2, 4))
-        plan = plan_to(state, (13, 4), now=0)
+        plan = plan_to(state, (13, 4))
         want = bfs_shortest_path(Geodesics(~scene.grid.blocked), (2, 4), (13, 4))
         assert plan.path == tuple(want)
         assert plan.goal == (13, 4) and not plan.frontier
@@ -337,7 +337,7 @@ class TestPlanning:
     def test_unknown_cells_planned_through_optimistically(self):
         scene = walled_lab()
         state = agent_at(scene, (2, 4), knowledge="discover")
-        plan = plan_to(state, (13, 4), now=0)
+        plan = plan_to(state, (13, 4))
         # belief is almost all unknown, so the believed route is the beeline
         assert len(plan.path) == 12
         assert not plan.frontier
@@ -346,7 +346,7 @@ class TestPlanning:
         scene = walled_lab()
         state = agent_at(scene, (3, 4), knowledge="discover")
         state, _ = observe(scene, state, SensorConfig())
-        plan = plan_to(state, None, now=1)
+        plan = plan_to(state, None)
         assert plan.frontier and plan.goal is not None
         gx, gy = plan.goal
         assert state.belief[gy, gx] == FREE
@@ -356,21 +356,21 @@ class TestPlanning:
     def test_stuck_when_unreachable_and_fully_known(self):
         scene = walled_lab(gap=False)
         state = agent_at(scene, (2, 4))
-        plan = plan_to(state, (13, 4), now=0)
+        plan = plan_to(state, (13, 4))
         assert plan.path == () and plan.goal is None
 
     def test_ensure_plan_keeps_valid_plans(self):
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4)))
         assert state.plan is not None and state.plan.path
-        again = ensure_plan(state, now=5)
+        again = ensure_plan(state)
         assert again is state
 
     def test_ensure_plan_replans_after_block(self):
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4)))
         bumped = on_blocked(state,ire := (state.cell, state.plan.path[1]), now=1)
-        replanned = ensure_plan(bumped, now=1)
+        replanned = ensure_plan(bumped)
         assert replanned.plan is not None
         assert ire[1] not in replanned.plan.path
 
@@ -378,19 +378,19 @@ class TestPlanning:
         # the first plan leaves the field to the goal in the robot's memo;
         # a bump on a later cell of that plan must not be planned through
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4)))
         old_memo = state.geodesics
         cut = state.plan.path[4]
         bumped = on_blocked(state, (state.plan.path[3], cut), now=1)
         assert bumped.geodesics is not old_memo
-        replanned = ensure_plan(bumped, now=1)
+        replanned = ensure_plan(bumped)
         assert cut not in replanned.plan.path
         want = bfs_shortest_path(Geodesics(bumped.belief != BLOCKED), (2, 4), (13, 4))
         assert replanned.plan.path == tuple(want)
 
     def test_plan_clear_in_a_belief_crosses_its_bumped_copy(self):
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4)))
         plan, belief = state.plan, state.belief
         assert not plan.crosses_blocked(belief)
         cut = plan.path[4]
@@ -402,7 +402,7 @@ class TestPlanning:
     def test_plan_clear_in_a_belief_crosses_its_observed_copy(self):
         # the plan runs through the doorway; sensing the closed scene writes
         # the doorway blocked into a copy of the belief
-        state = ensure_plan(agent_at(walled_lab(), (3, 4)), now=0)
+        state = ensure_plan(agent_at(walled_lab(), (3, 4)))
         plan, belief = state.plan, state.belief
         assert (8, 4) in plan.path
         assert not plan.crosses_blocked(belief)
@@ -421,7 +421,7 @@ class TestPlanning:
         for now in range(60):
             before = state.geodesics
             state, _ = observe(scene, state, SensorConfig())
-            state = ensure_plan(state, now)
+            state = ensure_plan(state)
             action = next_action(state, 0.05, 0.05)
             pose, bumped = step_kinematics(scene, state.pose, action)
             if bumped:
@@ -468,7 +468,7 @@ class TestPlanning:
     def test_ensure_plan_for_terminal_stop(self):
         scene = walled_lab()
         state = agent_at(scene, (2, 4), chain=(Subtask(STOP, None),))
-        state = ensure_plan(state, now=0)
+        state = ensure_plan(state)
         assert state.plan is not None and state.plan.path == ()
 
 
@@ -476,33 +476,33 @@ class TestNextAction:
     def test_stop_inside_arrival_radius(self):
         scene = walled_lab()
         state = agent_at(scene, (13, 4), chain=(Subtask(GOTO_PICKUP, (13, 4)), Subtask(STOP, None)))
-        state = ensure_plan(state, now=0)
+        state = ensure_plan(state)
         assert next_action(state, 1.0, 0.5) == ACTION_STOP
 
     def test_forward_when_aligned(self):
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4), heading=0), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4), heading=0))
         assert state.plan.path[1] == (3, 4)
         assert next_action(state, 0.05, 0.05) == ACTION_FORWARD
 
     def test_turns_toward_bearing_error(self):
         scene = walled_lab()
-        up = ensure_plan(agent_at(scene, (2, 4), heading=90), now=0)
+        up = ensure_plan(agent_at(scene, (2, 4), heading=90))
         assert next_action(up, 0.05, 0.05) == ACTION_LEFT  # -90 error: 90 -> 0
-        down = ensure_plan(agent_at(scene, (2, 4), heading=270), now=0)
+        down = ensure_plan(agent_at(scene, (2, 4), heading=270))
         assert next_action(down, 0.05, 0.05) == ACTION_RIGHT  # +90 error: 270 -> 360
 
     def test_exact_180_tie_turns_right(self):
         scene = walled_lab()
         state = agent_at(scene, (2, 4), heading=0, chain=(Subtask(GOTO_PICKUP, (1, 4)), Subtask(STOP, None)))
-        state = ensure_plan(state, now=0)
+        state = ensure_plan(state)
         assert state.plan.path[1] == (1, 4)
         assert next_action(state, 0.05, 0.05) == ACTION_RIGHT
 
     def test_scans_in_place_on_reached_frontier(self):
         scene = walled_lab()
         state = agent_at(scene, (2, 4), knowledge="discover")
-        state = replace(state, plan=Plan(((2, 4),), 0, (2, 4), frontier=True))
+        state = replace(state, plan=Plan(((2, 4),), (2, 4), frontier=True))
         assert next_action(state, 0.05, 0.05) == ACTION_LEFT
 
     def test_stopped_robot_stays_stopped(self):
@@ -514,14 +514,14 @@ class TestNextAction:
     def test_interaction_inside_radius_stops_for_commit(self):
         scene = walled_lab()
         state = agent_at(scene, (6, 4), chain=(Subtask(PICK_UP, (6, 4)), Subtask(STOP, None)))
-        state = ensure_plan(state, now=0)
+        state = ensure_plan(state)
         assert next_action(state, 1.0, 0.5) == ACTION_STOP
 
 
 class TestBookkeeping:
     def test_on_blocked_marks_and_queues_once(self):
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4)))
         edge = ((2, 4), (3, 4))
         hit = on_blocked(state, edge, now=1)
         assert hit.belief[4, 3] == BLOCKED
@@ -547,7 +547,7 @@ class TestBookkeeping:
 
     def test_note_progress_updates_only_on_improvement(self):
         scene = walled_lab()
-        state = ensure_plan(agent_at(scene, (2, 4)), now=0)
+        state = ensure_plan(agent_at(scene, (2, 4)))
         touched = note_progress(state, now=4)
         assert touched.policy_ctx.last_progress_tick == 4
         assert touched.best_steps == len(state.plan.path) - 1
@@ -582,7 +582,7 @@ class TestEvolve:
                 "policy_ctx": ctx,
                 "carrying": True,
                 "stopped": True,
-                "plan": Plan(((3, 4),), 2, (3, 4)),
+                "plan": Plan(((3, 4),), (3, 4)),
                 "best_steps": 4.0,
                 "completed_last_tick": GOTO_PICKUP,
                 "pending_blocked_edges": (((3, 4), (4, 4)),),

@@ -462,6 +462,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{bad}:{len(rows)}: EpisodeSpec: unknown field 'difficulty'" in err
 
+    def test_gen_episodes_names_a_scene_of_another_cell_size(self, pipeline, tmp_path, capsys):
+        _, scenes, _ = pipeline
+        copy = tmp_path / "scenes"
+        shutil.copytree(scenes, copy)
+        bad = sorted(p for p in copy.glob("*.json") if p.name != "manifest.json")[-1]
+        data = read_json(bad)
+        data["meta"]["resolution"] = 0.5
+        write_canonical(bad, data, indent=2)
+        out = tmp_path / "episodes.jsonl"
+        code = main(
+            ["gen-episodes", "--scenes", str(copy), "--per-scene", "2",
+             "--seed", "11", "--out", str(out)]
+        )
+        assert code == EXIT_RUNTIME
+        assert f"{bad}: resolution 0.5 m" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_rejections_exit_3(self, pipeline, monkeypatch):
         root, scenes, _ = pipeline
 

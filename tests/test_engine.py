@@ -47,6 +47,7 @@ from relaynav.world import (
     ACTION_FORWARD,
     ACTION_STOP,
     FORWARD_M,
+    SceneFormatError,
     scene_from_dict,
     scene_to_dict,
 )
@@ -145,8 +146,8 @@ class TestSameTickRebindAndSwap:
         result, _ = run_lockstep(scene, episode, RolloutConfig(t_max=1))
         chains = build_chains(
             target,
-            scene.grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y),
-            scene.grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y),
+            episode.handoff_waypoint.cell,
+            episode.delivery_waypoint.cell,
         )
         assert at_commit["SH"] == rebind_target(chains["FH"], new_cell)
         assert at_commit["FH"] == chains["SH"]
@@ -454,11 +455,13 @@ class TestResultAndErrors:
             run_lockstep(scene_a, episode_b, RolloutConfig())
 
     def test_scene_with_other_resolution_raises(self, batch10):
-        scene, episode = batch10[0]
+        # a scene of any other cell size is refused where it is read, so no
+        # rollout ever meets one
+        scene, _ = batch10[0]
         data = scene_to_dict(scene)
         data["meta"]["resolution"] = 0.5
-        with pytest.raises(RolloutError, match="resolution"):
-            run_lockstep(scene_from_dict(data), episode, RolloutConfig())
+        with pytest.raises(SceneFormatError, match="resolution 0.5"):
+            scene_from_dict(data)
 
     def test_invalid_config_rejected(self, batch10):
         scene, episode = batch10[0]

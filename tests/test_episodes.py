@@ -26,6 +26,7 @@ from relaynav.tasks import FH_CHAIN, SH_CHAIN
 from relaynav.gates import GATE_RANGE_M, trigate_check
 
 from relaynav.serialize import RecordFormatError
+from relaynav.world import FORWARD_M, center
 
 from conftest import episode_batch
 from support import geodesic_distance, junk_lines
@@ -84,21 +85,19 @@ def test_episode_structure(scene_episode):
 
 def test_gt_paths_and_lengths_consistent(scene_episode):
     scene, episode = scene_episode
-    grid = scene.grid
-    res = grid.resolution
     target = scene.objects[episode.target_object_id].cell
-    handoff = grid.cell_of(episode.handoff_waypoint.x, episode.handoff_waypoint.y)
-    delivery = grid.cell_of(episode.delivery_waypoint.x, episode.delivery_waypoint.y)
-    fh0 = grid.cell_of(episode.start_pose_fh.x, episode.start_pose_fh.y)
-    sh0 = grid.cell_of(episode.start_pose_sh.x, episode.start_pose_sh.y)
+    handoff = episode.handoff_waypoint.cell
+    delivery = episode.delivery_waypoint.cell
+    fh0 = episode.start_pose_fh.cell
+    sh0 = episode.start_pose_sh.cell
 
     assert episode.gt_path_fh[0] == fh0 and episode.gt_path_fh[-1] == handoff
     assert target in episode.gt_path_fh
     assert episode.gt_path_sh[0] == sh0 and episode.gt_path_sh[-1] == delivery
     assert handoff in episode.gt_path_sh
 
-    assert episode.gt_length_fh == pytest.approx((len(episode.gt_path_fh) - 1) * res)
-    assert episode.gt_length_sh == pytest.approx((len(episode.gt_path_sh) - 1) * res)
+    assert episode.gt_length_fh == pytest.approx((len(episode.gt_path_fh) - 1) * FORWARD_M)
+    assert episode.gt_length_sh == pytest.approx((len(episode.gt_path_sh) - 1) * FORWARD_M)
     # legs are geodesics, so the stitched length is the leg sum
     leg_fh = geodesic_distance(scene, fh0, target) + geodesic_distance(scene, target, handoff)
     assert episode.gt_length_fh == pytest.approx(leg_fh)
@@ -173,15 +172,14 @@ def test_episode_batch_helper_is_deterministic():
 def test_cells_within_matches_the_math_hypot_filter(scene):
     """The vectorised radius filter keeps exactly the cells the scalar one
     keeps, also at a reach equal to a cell's distance or one ulp either side."""
-    res = scene.grid.resolution
     for obj in sorted(scene.objects.values(), key=lambda o: o.object_id):
         region = scene.regions[obj.region_id]
-        at = scene.grid.center(obj.cell)
+        at = center(obj.cell)
 
         def dist(c):
-            return math.hypot((c[0] + 0.5) * res - at[0], (c[1] + 0.5) * res - at[1])
+            return math.hypot((c[0] + 0.5) * FORWARD_M - at[0], (c[1] + 0.5) * FORWARD_M - at[1])
 
         edge = dist(region.sorted_cells[len(region.sorted_cells) // 2])
         for reach in (GATE_RANGE_M, 1.0, edge, math.nextafter(edge, 0), math.nextafter(edge, 9)):
             want = [c for c in region.sorted_cells if dist(c) <= reach]
-            assert cells_within(region, res, at, reach) == want
+            assert cells_within(region, at, reach) == want

@@ -16,7 +16,7 @@ from relaynav.gates import (
     gate_visibility,
     trigate_check,
 )
-from relaynav.world import ROOM_LABELS, Pose
+from relaynav.world import ROOM_LABELS, Pose, center
 
 
 class ConstantScorer:
@@ -36,7 +36,7 @@ def random_candidates(scene, rng, count):
     out = []
     for _ in range(count):
         y, x = free[rng.randrange(len(free))]
-        cx, cy = scene.grid.center((int(x), int(y)))
+        cx, cy = center((int(x), int(y)))
         pose = Pose(cx, cy, rng.randrange(0, 360, 15))
         target = scene.objects[objects[rng.randrange(len(objects))]]
         expected = rng.choice(ROOM_LABELS)
@@ -101,7 +101,7 @@ def test_counterexample_fails_only_recognizability(passing_candidate):
 def test_distance_falloff_scorer_properties(scene):
     scorer = DistanceFalloffScorer(5.0)
     obj = scene.objects[sorted(scene.objects)[0]]
-    cx, cy = scene.grid.center(obj.cell)
+    cx, cy = center(obj.cell)
     at = scorer.score(scene, Pose(cx, cy, 0), obj)
     assert 0.0 <= at <= 1.0
     far = scorer.score(scene, Pose(cx + 10.0, cy, 0), obj)

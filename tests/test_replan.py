@@ -289,7 +289,6 @@ def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at):
         geodesics={r: Geodesics(passable) for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
-        resolution=0.25,
     )
 
 
@@ -297,7 +296,7 @@ def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals):
     """(scene, SwapInputs) on a grid drawn as strings, ``#`` for a wall;
     each goal becomes one goto leg (None stays unbound), then Stop."""
     blocked = np.array([[c == "#" for c in row] for row in rows], dtype=bool)
-    scene = SimpleNamespace(grid=SimpleNamespace(blocked=blocked, resolution=0.25))
+    scene = SimpleNamespace(grid=SimpleNamespace(blocked=blocked))
     chains = {
         rid: tuple(Subtask(GOTO_PICKUP, g) for g in goals) + (Subtask(STOP, None),)
         for rid, goals in (("FH", fh_goals), ("SH", sh_goals))
@@ -306,7 +305,6 @@ def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals):
         geodesics={r: Geodesics(~blocked) for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
-        resolution=0.25,
     )
     return scene, inputs
 
@@ -375,8 +373,7 @@ class TestEvaluateSwap:
             geodesics={r: Geodesics(passable) for r in chains},
             positions={"FH": (0, 2), "SH": (20, 2)},
             chains=chains,
-            resolution=0.25,
-        )
+            )
         decision = evaluate_swap(inputs, TriggerConfig())
         assert decision.kind == SWAP_SUBTASKS
         payload = dict(decision.payload)
@@ -410,7 +407,6 @@ class TestHysteresis:
             geodesics=first.geodesics,
             positions=first.positions,
             chains={"FH": first.chains["SH"], "SH": first.chains["FH"]},
-            resolution=first.resolution,
         )
         assert evaluate_swap(second, cfg).kind == KEEP_ASSIGNMENT
 

@@ -31,7 +31,6 @@ def test_structure_and_size():
     scene = generate_scene(9)
     validate_scene(scene)
     assert scene.grid.width == 64 and scene.grid.height == 64
-    assert scene.grid.resolution == 0.25
     assert len(scene.regions) >= 4
     assert len(scene.corridors) >= 3
     assert len(scene.objects) >= len(scene.regions)  # at least one per room

@@ -33,6 +33,7 @@ from relaynav.world import (
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
+    center,
     flat_geometry,
     line_of_sight,
     load_scene,
@@ -322,8 +323,8 @@ class TestBfs:
         assert _connected_4(cells, free.shape) == want
 
     def test_path_length_m(self):
-        assert path_length_m([(0, 0), (1, 0), (1, 1)], 0.25) == pytest.approx(0.5)
-        assert path_length_m([(3, 3)], 0.25) == 0.0
+        assert path_length_m([(0, 0), (1, 0), (1, 1)]) == pytest.approx(0.5)
+        assert path_length_m([(3, 3)]) == 0.0
 
 
 class TestKinematics:
@@ -351,7 +352,7 @@ class TestKinematics:
         # find a free cell directly left of a blocked cell, then walk right
         for y, x in zip(ys, xs):
             if x > 0 and not grid.blocked[y, x - 1]:
-                cx, cy = grid.center((x - 1, y))
+                cx, cy = center((x - 1, y))
                 pose = Pose(cx, cy, 0)
                 after, blocked = step_kinematics(scene, pose, ACTION_FORWARD)
                 assert blocked and after == pose
@@ -363,10 +364,10 @@ class TestKinematics:
             step_kinematics(scene, Pose(8.0, 8.0, 0), "sprint")
 
     def test_every_reached_pose_has_the_grid_cell(self, scene):
-        # the memoized Pose.cell against grid.cell_of, over walks from a
-        # grid of start cells in every heading, off-axis drift included
+        # the memoized Pose.cell against the floor of the coordinates in
+        # cells, over walks from a grid of start cells in every heading,
+        # off-axis drift included
         grid = scene.grid
-        assert grid.resolution == FORWARD_M
         ys, xs = np.nonzero(~grid.blocked)
         walk = (ACTION_FORWARD,) * 5 + (ACTION_LEFT, ACTION_FORWARD, ACTION_RIGHT) * 3
         reached = 0
@@ -375,7 +376,9 @@ class TestKinematics:
                 pose = center_pose((x, y), heading)
                 for action in walk:
                     pose, _ = step_kinematics(scene, pose, action)
-                    assert pose.cell == grid.cell_of(pose.x, pose.y)
+                    assert pose.cell == (
+                        math.floor(pose.x / FORWARD_M), math.floor(pose.y / FORWARD_M)
+                    )
                     assert pose.cell is pose.cell
                     reached += 1
         assert reached > 10_000
@@ -386,16 +389,16 @@ class TestVisibility:
         grid = scene.grid
         free = np.argwhere(~grid.blocked)
         y, x = free[0]
-        cx, cy = grid.center((int(x), int(y)))
+        cx, cy = center((int(x), int(y)))
         assert line_of_sight(scene, Pose(cx, cy, 0), (int(x), int(y)), 5.0, 120.0)
 
     def test_out_of_range_invisible(self, scene):
         grid = scene.grid
         free = np.argwhere(~grid.blocked)
         (y0, x0), (y1, x1) = free[0], free[-1]
-        cx, cy = grid.center((int(x0), int(y0)))
+        cx, cy = center((int(x0), int(y0)))
         far = (int(x1), int(y1))
-        dist = math.hypot(*(np.subtract(grid.center(far), (cx, cy))))
+        dist = math.hypot(*(np.subtract(center(far), (cx, cy))))
         if dist > 0.5:
             assert not line_of_sight(scene, Pose(cx, cy, 0), far, 0.3, 360.0)
 
@@ -406,7 +409,7 @@ class TestVisibility:
         y, x = free[len(free) // 2]
         observer = (int(x), int(y))
         mask = vis.visible_offsets(observer)
-        cx, cy = grid.center(observer)
+        cx, cy = center(observer)
         pose = Pose(cx, cy, 0)
         for i in range(0, len(vis.offsets), 7):
             dx, dy = vis.offsets[i]
@@ -466,7 +469,7 @@ class TestVisibility:
         scenes = [lab_scene(random_bordered_grid(3, 23, 17)),
                   lab_scene(random_bordered_grid(4, 31, 12))]
         fields = [scene.visibility(3.0) for scene in scenes]
-        assert fields[0]._masks is fields[1]._masks is ray_geometry(0.25, 3.0)[2]
+        assert fields[0]._masks is fields[1]._masks is ray_geometry(3.0)[2]
         assert not np.array_equal(fields[0]._shadows, fields[1]._shadows)
         for scene, vis in zip(scenes, fields):
             for oy, ox in np.argwhere(~scene.grid.blocked):
@@ -479,10 +482,10 @@ class TestVisibility:
                         assert seen == line_of_sight(scene, pose, target, 3.0, 360.0)
 
     def test_shadow_table_is_built_once_and_read_only(self):
-        geometry = ray_geometry(0.25, 5.0)
-        assert ray_geometry(0.25, 5.0) is geometry
-        assert flat_geometry(0.25, 5.0, 64) is flat_geometry(0.25, 5.0, 64)
-        for arr in geometry + flat_geometry(0.25, 5.0, 64):
+        geometry = ray_geometry(5.0)
+        assert ray_geometry(5.0) is geometry
+        assert flat_geometry(5.0, 64) is flat_geometry(5.0, 64)
+        for arr in geometry + flat_geometry(5.0, 64):
             with pytest.raises(ValueError):
                 arr[0] = 0
         offsets, shadows, masks = geometry
