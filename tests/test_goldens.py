@@ -22,6 +22,11 @@ records for them: each run of the matrix plus a scheduled blockage and
 non-default sensor, trigger and transport sections, and the ``config`` of a
 ``gen-scenes`` manifest. The ``pending.json`` of an adjudication export pins
 the adjudication items.
+
+Scene files are pinned as ``gen-scenes`` writes them, as an adjudication
+export relabels them (rule and vote provenance), as ``adjudicate import``
+writes them after ``adjudicate auto`` (adjudicated provenance), and with one
+corridor blocked.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from relaynav.cli import (
     PENDING_NAME,
     REPORT_NAME,
     RESULTS_NAME,
+    do_adjudicate_auto,
     do_adjudicate_export,
+    do_adjudicate_import,
     do_eval,
     do_gen_scenes,
     do_run,
@@ -51,7 +58,7 @@ from relaynav.episodes import EpisodeSpec, save_episodes
 from relaynav.manifest import RunManifest
 from relaynav.metrics import EpisodeResult, MetricsReport
 from relaynav.serialize import canonical_dumps, sha256_file, write_canonical
-from relaynav.world import Pose, save_scene
+from relaynav.world import Pose, apply_blockage, load_scene, save_scene
 
 BLOCKAGE_TICK = 5
 # long enough for both discover-mode episodes to finish
@@ -425,6 +432,53 @@ def test_gen_scenes_manifest_config_matches_pin(adjudication_export):
 
 def test_pending_file_matches_pinned_digest(adjudication_export):
     assert sha256_file(adjudication_export[1] / PENDING_NAME) == PENDING_SHA256
+
+
+# scene file name -> sha256, per stage of the adjudication pipeline
+SCENE_GOLDENS: dict[str, dict[str, str]] = {
+    "scenes": {
+        "s16328981090934116831.json": "278a6babdd9d8ba3f785c290f5b6715d2a99db5b0c2361200b391f981a1fb279",
+        "s4690620825511744493.json": "6a4fdacb0473a362c709b3f666e09add76dee0db6e31c29c97fb577e115ff149",
+        "s7539350997974570694.json": "100f5a954bc938f662486460c44356c0a8696b16803d6ee9fe3e99ad9bf6d8f2",
+    },
+    "export": {
+        "s16328981090934116831.json": "b390f6540e771cc7bbedfa5172dbb60e8e9016ad57371e9fe855f9b498aaf334",
+        "s4690620825511744493.json": "ccc6baddff74e7f5cae6eed096c2def3eecfbbf8a97087b68d3d130c6ada163f",
+        "s7539350997974570694.json": "eaea3cf3888e330887177523fc1c52919c99e650084b234218674cab41ca1ab5",
+    },
+    "final": {
+        "s16328981090934116831.json": "ce7fb90fa52e8f29882da21d3ca2ad80ab73e0c5ce520e1141420481339e700b",
+        "s4690620825511744493.json": "9576115ccf6ce0fa364659a2ef917890f8a927f41a3f79ce0bf1d8325aade5d6",
+        "s7539350997974570694.json": "eaea3cf3888e330887177523fc1c52919c99e650084b234218674cab41ca1ab5",
+    },
+}
+# the first gen-scenes file with its first corridor blocked
+BLOCKED_SCENE_SHA256 = "9a8536127a7d696627931ab1e37681757e0be5ca56deccbf1db303a792d0698e"
+
+
+@pytest.fixture(scope="module")
+def scene_stages(adjudication_export):
+    """The directories of the gen-scenes files, of their adjudication export
+    and of the scenes ``adjudicate import`` writes after ``adjudicate auto``."""
+    export = adjudication_export[1]
+    root = export.parent
+    csv_path = root / "resolved.csv"
+    assert do_adjudicate_auto(export, root / "scenes", csv_path) > 0
+    do_adjudicate_import(export, csv_path, root / "final")
+    return {stage: root / stage for stage in SCENE_GOLDENS}
+
+
+@pytest.mark.parametrize("stage", sorted(SCENE_GOLDENS))
+def test_scene_files_match_pinned_digests(scene_stages, stage):
+    got = {p.name: sha256_file(p) for p in sorted(scene_stages[stage].glob("s*.json"))}
+    assert got == SCENE_GOLDENS[stage]
+
+
+def test_blocked_scene_file_matches_pinned_digest(scene_stages, tmp_path):
+    scene = load_scene(min(scene_stages["scenes"].glob("s*.json")))
+    path = tmp_path / "blocked.json"
+    save_scene(apply_blockage(scene, min(scene.corridors)), path)
+    assert sha256_file(path) == BLOCKED_SCENE_SHA256
 
 
 # Both entries of this suite swap once under the blockage, with one dialogue
