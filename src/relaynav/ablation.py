@@ -97,7 +97,6 @@ class BlockageSuite:
 def pick_route_blockage(
     scene: SceneGraph,
     episode: EpisodeSpec,
-    stats: dict[str, int] | None = None,
 ) -> BlockagePlan | None:
     """Choose a corridor on the FH robot's pickup leg worth closing.
 
@@ -131,7 +130,6 @@ def pick_route_blockage(
 
     open_geo = Geodesics(~grid.blocked)
     best: tuple[float, BlockagePlan] | None = None
-    tally = stats if stats is not None else {}
     for cid in sorted(scene.corridors):
         gate = scene.corridors[cid].gate_cells
         if gate & keep_free:
@@ -141,7 +139,6 @@ def pick_route_blockage(
         )
         if steps_to is None or steps_to < 2:
             continue
-        tally["on_route"] = tally.get("on_route", 0) + 1
         passable = ~grid.blocked
         for cx, cy in gate:
             passable[cy, cx] = False
@@ -153,41 +150,34 @@ def pick_route_blockage(
         elif d_post >= d_direct + MIN_DETOUR_EXTRA_M:
             kind, extra = KIND_DETOUR, d_post - d_direct
         else:
-            tally["detour_too_short"] = tally.get("detour_too_short", 0) + 1
             continue
         sh_target = closed.meters(start_sh, target_cell)
         carry = closed.meters(target_cell, handoff)
         onward = closed.meters(delivery, handoff)
         sh_handoff = closed.meters(start_sh, handoff)
         if not all(math.isfinite(d) for d in (sh_target, carry, onward, sh_handoff)):
-            tally["partner_cut_off"] = tally.get("partner_cut_off", 0) + 1
             continue
         tick = max(1, steps_to // 2)
         # the partner must stay the cheaper taker for the pickup even after
         # walking away from its start for up to `tick` steps
         drift = tick * FORWARD_M
         if sh_target + drift + FORWARD_M > d_post:
-            tally["taker_not_cheaper"] = tally.get("taker_not_cheaper", 0) + 1
             continue
         if sh_target > d_direct + TAKER_SLACK_M:
-            tally["taker_too_far"] = tally.get("taker_too_far", 0) + 1
             continue
         # the partner's natural route to the pickup must not run through the
         # closed gate: a blocked-map taker trip much longer than the open-map
         # one means it would discover the closure mid-route and pay for it
         if sh_target > open_geo.meters(start_sh, target_cell) + CARRY_SLACK_M:
-            tally["taker_route_hit"] = tally.get("taker_route_hit", 0) + 1
             continue
         # the carry leg itself must survive the closure: whoever holds the
         # item still has to walk pickup -> handoff, so the gate must not sit
         # on that route either
         if carry > open_geo.meters(target_cell, handoff) + CARRY_SLACK_M:
-            tally["carry_leg_hit"] = tally.get("carry_leg_hit", 0) + 1
             continue
         # FH's post-swap leg to the handoff must dodge the closed gate cheaply
         d_fh_handoff_post = closed.meters(start_fh, handoff)
         if d_fh_handoff_post > open_geo.meters(start_fh, handoff) + HANDOFF_SLACK_M:
-            tally["handoff_leg_hit"] = tally.get("handoff_leg_hit", 0) + 1
             continue
         # post-swap repositioning overhead: FH's trip to the handoff replaces
         # the partner's own (usually shorter) approach, and both robots burn
@@ -196,7 +186,6 @@ def pick_route_blockage(
         # the realized-path comparison degenerates into a coin flip
         reposition = d_fh_handoff_post - sh_handoff + 4.0 * drift
         if reposition > REPOSITION_SLACK_M:
-            tally["reposition_cost"] = tally.get("reposition_cost", 0) + 1
             continue
         # worst-case post-swap critical path: FH repositions to the handoff
         # while the partner backtracks its drift, fetches the item, and
@@ -208,7 +197,6 @@ def pick_route_blockage(
             )
             + onward
         )
-        tally["qualified"] = tally.get("qualified", 0) + 1
         score = extra if math.isfinite(extra) else 1e9
         plan = BlockagePlan(cid, tick, kind, extra, critical)
         if best is None or score > best[0]:

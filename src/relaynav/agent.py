@@ -377,7 +377,7 @@ def next_action(state: AgentState, r_succ: float, r_int: float) -> str:
     return ACTION_RIGHT if err > 0 else ACTION_LEFT
 
 
-def on_blocked(state: AgentState, edge: tuple[Cell, Cell], now: int) -> AgentState:
+def on_blocked(state: AgentState, edge: tuple[Cell, Cell]) -> AgentState:
     """Record a bump: mark the far cell believed-blocked, invalidate the
     plan, and queue the edge for event extraction. Re-hitting a
     believed-blocked edge queues nothing new."""

@@ -169,7 +169,7 @@ def commit_actions(
             if bumped:
                 vx, vy = HEADING_VECTORS[st.pose.heading % 360]
                 ahead = (st.cell[0] + round(vx), st.cell[1] + round(vy))
-                st = on_blocked(st, (st.cell, ahead), now)
+                st = on_blocked(st, (st.cell, ahead))
                 blocked_flags[rid] = True
             else:
                 st = evolve(st, pose=new_pose)

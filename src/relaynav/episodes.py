@@ -20,6 +20,7 @@ import numpy as np
 from .gates import GATE_RANGE_M, THETA_REC, GateReport, trigate_check
 from .seeds import derive_seed
 from .serialize import Record, RecordFormatError, numbered_jsonl, write_jsonl
+from .tasks import FH_CHAIN, SH_CHAIN
 from .world import (
     Cell,
     FORWARD_M,
@@ -267,8 +268,8 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
         gt_path_sh=gt_sh,
         gt_length_fh=path_length_m(list(gt_fh)),
         gt_length_sh=path_length_m(list(gt_sh)),
-        subtasks_fh=("GotoPickup", "PickUp", "GotoHandoff", "Deposit", "Stop"),
-        subtasks_sh=("GotoHandoff", "Receive", "GotoDelivery", "Deliver", "Stop"),
+        subtasks_fh=FH_CHAIN,
+        subtasks_sh=SH_CHAIN,
         gate_reports={
             "pickup": pickup_report.to_dict(),
             "handoff": handoff_report.to_dict(),

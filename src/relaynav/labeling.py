@@ -233,15 +233,8 @@ def run_labeling(
             regions[rid] = replace(
                 region, room_label=outcome, label_provenance=PROVENANCE_VOTE
             )
-    relabeled = SceneGraph(
-        scene_id=scene.scene_id,
-        seed=scene.seed,
-        grid=scene.grid,
-        regions=regions,
-        objects=scene.objects,
-        corridors=scene.corridors,
-    )
-    return LabelingResult(scene=relabeled, items=items)
+    # the same grid and cells: the copy keeps the source's cell index and caches
+    return LabelingResult(scene=replace(scene, regions=regions), items=items)
 
 
 # --- adjudication file workflow -------------------------------------------
@@ -315,14 +308,7 @@ def apply_adjudication(
         regions[region_id] = replace(
             regions[region_id], room_label=label, label_provenance=PROVENANCE_ADJUDICATED
         )
-    return SceneGraph(
-        scene_id=scene.scene_id,
-        seed=scene.seed,
-        grid=scene.grid,
-        regions=regions,
-        objects=scene.objects,
-        corridors=scene.corridors,
-    )
+    return replace(scene, regions=regions)
 
 
 def label_quality(scenes: list[SceneGraph]) -> dict:

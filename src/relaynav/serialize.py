@@ -6,15 +6,14 @@ bytes, which is what makes byte-level reproducibility checks meaningful.
 
 Records persisted once per episode or run (episodes with their gate
 reports, episode rejections, rollout results, per-episode scores, reports,
-dataset stats, blockage plans, manifests and their poses), the resolved
-configurations a manifest records (scene, rollout, sensor, trigger and
-transport), the adjudication items of ``pending.json`` and the rare
-dialogue records of a trace inherit ``Record``: one codec driven by the
-dataclass fields and type hints writes and reads them all. Records
-written on every tick keep hand-written ``to_dict`` methods, because a
-reflective encode costs several times more inside the tick loop. Scenes
-keep a hand-written codec too: decoding their thousands of cells through
-the reflective one would slow every scene load several times.
+dataset stats, blockage plans, manifests and their poses), the regions,
+objects and corridors of a scene file, the resolved configurations a
+manifest records (scene, rollout, sensor, trigger and transport), the
+adjudication items of ``pending.json`` and the rare dialogue records of a
+trace inherit ``Record``: one codec driven by the dataclass fields and type
+hints writes and reads them all. Only the records written on every tick
+(a trace's per-tick records) keep hand-written ``to_dict`` methods, because
+a reflective encode costs several times more inside the tick loop.
 
 Two things are built once per process and reused. ``from_dict`` reads each
 field through a decoder built once per type hint (``_decoder``), so no
@@ -53,14 +52,14 @@ class Record:
     """Base of frozen dataclasses persisted as canonical JSON.
 
     ``to_dict`` writes every field under its own name: nested records as
-    objects, tuples as lists, infinity as ``"inf"`` and fields marked
-    ``ROUNDED`` rounded to 6 digits; NaN and negative infinity have no
-    form and raise ``ValueError``. ``from_dict`` reads the same shapes
-    back, an integer into a float field as a float; a missing field takes
-    its default, and a missing field without one, a field the class does
-    not have, a value its type cannot take or one the class's
-    ``__post_init__`` refuses raises ``format_error`` naming the class (and
-    the field).
+    objects, tuples as lists, frozensets as lists of their sorted items,
+    infinity as ``"inf"`` and fields marked ``ROUNDED`` rounded to 6
+    digits; NaN and negative infinity have no form and raise
+    ``ValueError``. ``from_dict`` reads the same shapes back, an integer
+    into a float field as a float; a missing field takes its default, and a
+    missing field without one, a field the class does not have, a value its
+    type cannot take or one the class's ``__post_init__`` refuses raises
+    ``format_error`` naming the class (and the field).
     """
 
     format_error: ClassVar[type[ValueError]] = RecordFormatError
@@ -123,6 +122,8 @@ def _encode(value: Any, rounded: bool) -> Any:
         raise ValueError(f"{value!r} has no canonical JSON form")
     if isinstance(value, tuple):
         return [_encode(v, False) for v in value]
+    if isinstance(value, frozenset):
+        return [_encode(v, False) for v in sorted(value)]
     if isinstance(value, Record):
         return value.to_dict()
     return value
@@ -149,6 +150,14 @@ def _decoder(hint: Any) -> Decoder:
             if each is not None:
                 return tuple(map(each, value))
             return tuple([item(v) for item, v in zip(items, value)])
+
+    elif typing.get_origin(hint) is frozenset:
+        (item,) = map(_decoder, typing.get_args(hint))
+
+        def decode(value):
+            if not isinstance(value, list):
+                raise _Mistyped
+            return frozenset(map(item, value))
 
     elif isinstance(hint, type) and issubclass(hint, Record):
 

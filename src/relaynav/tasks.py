@@ -48,21 +48,20 @@ def build_chains(
     known_waypoints: bool = True,
 ) -> dict[str, tuple[Subtask, ...]]:
     pickup_wp = item_cell if known_waypoints else None
-    fh = (
-        Subtask(GOTO_PICKUP, pickup_wp),
-        Subtask(PICK_UP, pickup_wp),
-        Subtask(GOTO_HANDOFF, handoff_cell),
-        Subtask(DEPOSIT, handoff_cell),
-        Subtask(STOP, None),
-    )
-    sh = (
-        Subtask(GOTO_HANDOFF, handoff_cell),
-        Subtask(RECEIVE, handoff_cell),
-        Subtask(GOTO_DELIVERY, delivery_cell),
-        Subtask(DELIVER, delivery_cell),
-        Subtask(STOP, None),
-    )
-    return {"FH": fh, "SH": sh}
+    waypoint = {
+        GOTO_PICKUP: pickup_wp,
+        PICK_UP: pickup_wp,
+        GOTO_HANDOFF: handoff_cell,
+        DEPOSIT: handoff_cell,
+        RECEIVE: handoff_cell,
+        GOTO_DELIVERY: delivery_cell,
+        DELIVER: delivery_cell,
+        STOP: None,
+    }
+    return {
+        rid: tuple(Subtask(kind, waypoint[kind]) for kind in chain)
+        for rid, chain in (("FH", FH_CHAIN), ("SH", SH_CHAIN))
+    }
 
 
 def rebind_target(chain: tuple[Subtask, ...], cell: Cell) -> tuple[Subtask, ...]:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -182,7 +182,9 @@ class Pose(Record):
 # --- scene structure ------------------------------------------------------
 
 @dataclass(frozen=True)
-class Region:
+class Region(Record):
+    format_error = SceneFormatError
+
     region_id: str
     cells: frozenset[Cell]
     room_label: str
@@ -207,7 +209,9 @@ class Region:
 
 
 @dataclass(frozen=True)
-class SceneObject:
+class SceneObject(Record):
+    format_error = SceneFormatError
+
     object_id: str
     category: str
     cell: Cell
@@ -221,11 +225,13 @@ class SceneObject:
 
 
 @dataclass(frozen=True)
-class Corridor:
+class Corridor(Record):
+    format_error = SceneFormatError
+
     corridor_id: str
     gate_cells: frozenset[Cell]
     joins: tuple[str, str]
-    blocked: bool = False
+    blocked: bool
 
 
 @dataclass
@@ -787,19 +793,14 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
     occ = scene.grid.blocked.copy()
     for cx, cy in cor.gate_cells:
         occ[cy, cx] = True
-    corridors = dict(scene.corridors)
-    corridors[corridor_id] = replace(cor, blocked=True)
-    grid = GridMap(scene.grid.width, scene.grid.height, occ)
     # the regions are the source's own, so its cell index holds for the copy;
     # the visibility fields and the cell table follow occupancy and start empty
-    return SceneGraph(
-        scene_id=scene.scene_id,
-        seed=scene.seed,
-        grid=grid,
-        regions=scene.regions,
-        objects=scene.objects,
-        corridors=corridors,
-        _region_by_cell=scene._region_by_cell,
+    return replace(
+        scene,
+        grid=GridMap(scene.grid.width, scene.grid.height, occ),
+        corridors={**scene.corridors, corridor_id: replace(cor, blocked=True)},
+        _vis_fields={},
+        _cell_table=None,
     )
 
 
@@ -819,37 +820,28 @@ def scene_to_dict(scene: SceneGraph) -> dict:
             "height": scene.grid.height,
             "blocked_cells": [list(c) for c in blocked_cells],
         },
-        "regions": [
-            {
-                "region_id": r.region_id,
-                "cells": [list(c) for c in sorted(r.cells)],
-                "room_label": r.room_label,
-                "label_provenance": r.label_provenance,
-                "gt_room_label": r.gt_room_label,
-            }
-            for r in (scene.regions[k] for k in sorted(scene.regions))
-        ],
-        "objects": [
-            {
-                "object_id": o.object_id,
-                "category": o.category,
-                "cell": list(o.cell),
-                "region_id": o.region_id,
-                "salience": o.salience,
-                "occlusion": o.occlusion,
-            }
-            for o in (scene.objects[k] for k in sorted(scene.objects))
-        ],
-        "corridors": [
-            {
-                "corridor_id": c.corridor_id,
-                "gate_cells": [list(g) for g in sorted(c.gate_cells)],
-                "joins": list(c.joins),
-                "blocked": c.blocked,
-            }
-            for c in (scene.corridors[k] for k in sorted(scene.corridors))
-        ],
+        "regions": _entries(scene.regions),
+        "objects": _entries(scene.objects),
+        "corridors": _entries(scene.corridors),
     }
+
+
+def _entries(records: dict[str, Record]) -> list[dict]:
+    return [records[k].to_dict() for k in sorted(records)]
+
+
+def _section(data: dict, name: str, cls: type[Record]) -> dict:
+    """The entries of section ``name`` read as ``cls`` records and keyed by
+    their first field, the id; an id given twice raises SceneFormatError."""
+    key = fields(cls)[0].name
+    records = {}
+    for entry in data[name]:
+        record = cls.from_dict(entry)
+        rid = getattr(record, key)
+        if rid in records:
+            raise SceneFormatError(f"{name}: duplicate id {rid!r}")
+        records[rid] = record
+    return records
 
 
 def scene_from_dict(data: dict) -> SceneGraph:
@@ -872,43 +864,13 @@ def scene_from_dict(data: dict) -> SceneGraph:
                 )
             blocked[y, x] = True
         grid = GridMap(width, height, blocked)
-        regions = {
-            r["region_id"]: Region(
-                region_id=r["region_id"],
-                cells=frozenset((int(x), int(y)) for x, y in r["cells"]),
-                room_label=r["room_label"],
-                label_provenance=r["label_provenance"],
-                gt_room_label=r["gt_room_label"],
-            )
-            for r in data["regions"]
-        }
-        objects = {
-            o["object_id"]: SceneObject(
-                object_id=o["object_id"],
-                category=o["category"],
-                cell=(int(o["cell"][0]), int(o["cell"][1])),
-                region_id=o["region_id"],
-                salience=float(o["salience"]),
-                occlusion=float(o["occlusion"]),
-            )
-            for o in data["objects"]
-        }
-        corridors = {
-            c["corridor_id"]: Corridor(
-                corridor_id=c["corridor_id"],
-                gate_cells=frozenset((int(x), int(y)) for x, y in c["gate_cells"]),
-                joins=(c["joins"][0], c["joins"][1]),
-                blocked=bool(c["blocked"]),
-            )
-            for c in data["corridors"]
-        }
         scene = SceneGraph(
             scene_id=meta["scene_id"],
             seed=int(meta["seed"]),
             grid=grid,
-            regions=regions,
-            objects=objects,
-            corridors=corridors,
+            regions=_section(data, "regions", Region),
+            objects=_section(data, "objects", SceneObject),
+            corridors=_section(data, "corridors", Corridor),
         )
         validate_scene(scene)
     except SceneFormatError:

@@ -85,7 +85,7 @@ def lab_scene(blocked, objects=(), scene_id="lab", gates=()):
     objs = {
         oid: SceneObject(oid, cat, cell, "r0", 1.0, 0.0) for oid, cat, cell in objects
     }
-    corridors = {"c0": Corridor("c0", frozenset(gates), ("r0", "r0"))} if gates else {}
+    corridors = {"c0": Corridor("c0", frozenset(gates), ("r0", "r0"), blocked=False)} if gates else {}
     grid = GridMap(w, h, blocked)
     return SceneGraph(scene_id, 0, grid, {"r0": region}, objs, corridors)
 

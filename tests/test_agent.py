@@ -306,7 +306,7 @@ class TestObserve:
         # a bump can mark a free cell blocked; sensing it free again must
         # give the robot geodesics that pass through it
         scene = walled_lab()
-        state = on_blocked(agent_at(scene, (7, 4)), ((7, 4), (8, 4)), now=0)
+        state = on_blocked(agent_at(scene, (7, 4)), ((7, 4), (8, 4)))
         assert state.geodesics.steps((7, 4), (9, 4)) == -1
         state, _ = observe(scene, state, SensorConfig())
         assert state.belief[4, 8] == FREE
@@ -369,7 +369,7 @@ class TestPlanning:
     def test_ensure_plan_replans_after_block(self):
         scene = walled_lab()
         state = ensure_plan(agent_at(scene, (2, 4)))
-        bumped = on_blocked(state,ire := (state.cell, state.plan.path[1]), now=1)
+        bumped = on_blocked(state,ire := (state.cell, state.plan.path[1]))
         replanned = ensure_plan(bumped)
         assert replanned.plan is not None
         assert ire[1] not in replanned.plan.path
@@ -381,7 +381,7 @@ class TestPlanning:
         state = ensure_plan(agent_at(scene, (2, 4)))
         old_memo = state.geodesics
         cut = state.plan.path[4]
-        bumped = on_blocked(state, (state.plan.path[3], cut), now=1)
+        bumped = on_blocked(state, (state.plan.path[3], cut))
         assert bumped.geodesics is not old_memo
         replanned = ensure_plan(bumped)
         assert cut not in replanned.plan.path
@@ -394,7 +394,7 @@ class TestPlanning:
         plan, belief = state.plan, state.belief
         assert not plan.crosses_blocked(belief)
         cut = plan.path[4]
-        bumped = on_blocked(state, (plan.path[3], cut), now=1)
+        bumped = on_blocked(state, (plan.path[3], cut))
         assert bumped.belief is not belief
         assert plan.crosses_blocked(bumped.belief)
         assert not plan.crosses_blocked(belief)  # the original is unwritten
@@ -425,7 +425,7 @@ class TestPlanning:
             action = next_action(state, 0.05, 0.05)
             pose, bumped = step_kinematics(scene, state.pose, action)
             if bumped:
-                state = on_blocked(state, (state.cell, state.plan.path[1]), now)
+                state = on_blocked(state, (state.cell, state.plan.path[1]))
             else:
                 state = replace(state, pose=pose)
             geo = state.geodesics
@@ -523,11 +523,11 @@ class TestBookkeeping:
         scene = walled_lab()
         state = ensure_plan(agent_at(scene, (2, 4)))
         edge = ((2, 4), (3, 4))
-        hit = on_blocked(state, edge, now=1)
+        hit = on_blocked(state, edge)
         assert hit.belief[4, 3] == BLOCKED
         assert hit.plan is None
         assert hit.pending_blocked_edges == (edge,)
-        again = on_blocked(hit, edge, now=2)
+        again = on_blocked(hit, edge)
         assert again.pending_blocked_edges == (edge,)
 
     def test_advance_subtask_pops_priority_head(self):

@@ -439,7 +439,7 @@ class TestResultAndErrors:
         for rid in ("FH", "SH"):
             ctx = PolicyContext(rid, "bottle", ())
             states[rid] = make_agent(scene, rid, center_pose((7, 4)), ctx)
-        states["FH"] = on_blocked(states["FH"], ((7, 4), (8, 4)), now=0)
+        states["FH"] = on_blocked(states["FH"], ((7, 4), (8, 4)))
         goals = {"FH": (13, 4), "SH": (2, 4)}
         run = SimpleNamespace(
             cfg=RolloutConfig(),

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import importlib
 import json
 import math
+import pkgutil
 import re
 import typing
 
@@ -12,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import relaynav
 from relaynav.ablation import BlockagePlan
 from relaynav.config import (
     RolloutConfig,
@@ -21,12 +24,28 @@ from relaynav.config import (
     TriggerConfig,
 )
 from relaynav.engine import RolloutResult
-from relaynav.episodes import EpisodeSpec
+from relaynav.episodes import DatasetStats, EpisodeRejection, EpisodeSpec
+from relaynav.gates import (
+    GateReport,
+    RecognizabilityReport,
+    RoomConsistencyReport,
+    VisibilityReport,
+)
 from relaynav.labeling import AdjudicationItem, LabelVote
-from relaynav.manifest import ManifestError, RunManifest
+from relaynav.manifest import RunManifest
 from relaynav.metrics import EpisodeResult, MetricsReport
-from relaynav.serialize import RecordFormatError, canonical_dumps
-from relaynav.world import TURN_DEG, Pose
+from relaynav.replan import DialogueRecord
+from relaynav.serialize import Record, RecordFormatError, canonical_dumps
+from relaynav.world import (
+    PROVENANCES,
+    ROOM_LABELS,
+    TURN_DEG,
+    UNKNOWN_LABEL,
+    Corridor,
+    Pose,
+    Region,
+    SceneObject,
+)
 
 finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
 signed = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
@@ -175,6 +194,60 @@ adjudication_items = st.builds(
     AdjudicationItem, names, names, st.tuples(label_votes, label_votes, label_votes)
 )
 
+dialogue_records = st.builds(
+    DialogueRecord, tick=counts, trigger=names, initiator=names, summary=names, decision=json_dicts
+)
+visibility_reports = st.builds(VisibilityReport, st.booleans(), finite, signed)
+room_consistency_reports = st.builds(RoomConsistencyReport, st.booleans(), names, names)
+recognizability_reports = st.builds(RecognizabilityReport, st.booleans(), finite, finite)
+gate_reports = st.builds(
+    GateReport,
+    visibility=visibility_reports,
+    room_consistency=room_consistency_reports,
+    recognizability=recognizability_reports,
+    passed=st.booleans(),
+)
+episode_rejections = st.builds(
+    EpisodeRejection, scene_id=names, seed=st.integers(0, 2**64 - 1), stop=names, tallies=json_dicts
+)
+dataset_stats = st.builds(
+    DatasetStats,
+    task_count=counts,
+    scene_count=counts,
+    steps_per_robot_mean=finite,
+    steps_per_robot_std=finite,
+    path_per_robot_mean_m=finite,
+    path_per_robot_std_m=finite,
+    combined_path_mean_m=finite,
+    combined_path_std_m=finite,
+)
+cell_sets = st.frozensets(cells, max_size=6)
+labels = st.sampled_from((*ROOM_LABELS, UNKNOWN_LABEL))
+regions = st.builds(
+    Region,
+    region_id=names,
+    cells=cell_sets,
+    room_label=labels,
+    label_provenance=st.sampled_from(PROVENANCES),
+    gt_room_label=labels,
+)
+scene_objects = st.builds(
+    SceneObject,
+    object_id=names,
+    category=names,
+    cell=cells,
+    region_id=names,
+    salience=st.floats(0.0, 1.0),
+    occlusion=st.floats(0.0, 1.0),
+)
+corridors = st.builds(
+    Corridor,
+    corridor_id=names,
+    gate_cells=cell_sets,
+    joins=st.tuples(names, names),
+    blocked=st.booleans(),
+)
+
 RECORDS = {
     Pose: poses,
     RolloutResult: rollout_results,
@@ -190,11 +263,38 @@ RECORDS = {
     RolloutConfig: rollout_configs,
     LabelVote: label_votes,
     AdjudicationItem: adjudication_items,
+    DialogueRecord: dialogue_records,
+    VisibilityReport: visibility_reports,
+    RoomConsistencyReport: room_consistency_reports,
+    RecognizabilityReport: recognizability_reports,
+    GateReport: gate_reports,
+    EpisodeRejection: episode_rejections,
+    DatasetStats: dataset_stats,
+    Region: regions,
+    SceneObject: scene_objects,
+    Corridor: corridors,
 }
 
 
+def _record_classes() -> set[type]:
+    """Every subclass of ``Record`` defined in the package, at any depth."""
+    for module in pkgutil.iter_modules(relaynav.__path__):
+        importlib.import_module(f"relaynav.{module.name}")
+    found, todo = set(), [Record]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub not in found:
+                found.add(sub)
+                todo.append(sub)
+    return {cls for cls in found if cls.__module__.startswith("relaynav.")}
+
+
+def test_every_record_class_has_a_strategy():
+    assert set(RECORDS) == _record_classes()
+
+
 def format_error(cls) -> type[ValueError]:
-    return ManifestError if cls is RunManifest else RecordFormatError
+    return cls.format_error
 
 
 def through_json(record) -> dict:

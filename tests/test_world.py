@@ -585,6 +585,44 @@ class TestSceneSerialization:
         ):
             scene_from_dict(data)
 
+    @pytest.mark.parametrize(
+        "section, key", [("regions", "region_id"), ("objects", "object_id"), ("corridors", "corridor_id")]
+    )
+    def test_duplicate_id_is_named_with_its_section(self, scene, tmp_path, section, key):
+        data = scene_to_dict(scene)
+        data[section].append(copy.deepcopy(data[section][0]))
+        path = tmp_path / "scene.json"
+        write_canonical(path, data)
+        want = f"{path}: {section}: duplicate id {data[section][0][key]!r}"
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(want)}$"):
+            load_scene(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            ("regions", "extra", 1, "Region: unknown field 'extra'"),
+            ("objects", "extra", 1, "SceneObject: unknown field 'extra'"),
+            ("corridors", "extra", 1, "Corridor: unknown field 'extra'"),
+            ("corridors", "joins", ["a", "b", "c"], "Corridor: field 'joins' cannot hold"),
+            ("objects", "salience", "0.5", "SceneObject: field 'salience' cannot hold"),
+        ],
+    )
+    def test_malformed_entry_is_named_with_the_file(
+        self, scene, tmp_path, section, key, value, match
+    ):
+        data = scene_to_dict(scene)
+        data[section][0][key] = value
+        path = tmp_path / "scene.json"
+        write_canonical(path, data)
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(f'{path}: {match}')}"):
+            load_scene(path)
+
+    def test_corridor_without_blocked_flag_is_refused(self, scene):
+        data = scene_to_dict(scene)
+        del data["corridors"][0]["blocked"]
+        with pytest.raises(SceneFormatError, match="Corridor: missing field 'blocked'"):
+            scene_from_dict(data)
+
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
     def test_fuzzed_scene_raises_only_scene_format_error(self, scene, tmp_path_factory, data):
