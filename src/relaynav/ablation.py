@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .config import RolloutConfig
+from .config import EpisodeOverride, RolloutConfig
 from .engine import RolloutResult, run_lockstep
 from .episodes import EpisodeSpec, generate_episode
 from .scenegen import generate_scene
@@ -86,10 +86,9 @@ class BlockageSuite:
     def overrides(self) -> dict:
         """Per-episode settings in the run command's overrides-file format."""
         return {
-            e.episode.episode_id: {
-                "blockages": [[e.plan.tick, e.plan.corridor_id]],
-                "t_max": e.t_max,
-            }
+            e.episode.episode_id: EpisodeOverride(
+                ((e.plan.tick, e.plan.corridor_id),), e.t_max
+            ).to_dict()
             for e in self.entries
         }
 

@@ -15,6 +15,7 @@ import logging
 from dataclasses import dataclass
 from typing import Mapping
 
+from .serialize import Record
 from .world import Cell
 
 logger = logging.getLogger(__name__)
@@ -29,17 +30,14 @@ def partner_of(robot_id: str) -> str:
 
 
 @dataclass(frozen=True)
-class Observation:
+class Observation(Record):
     category: str
     cell: Cell
     score: float
 
-    def to_dict(self) -> dict:
-        return {"category": self.category, "cell": list(self.cell), "score": self.score}
-
 
 @dataclass(frozen=True)
-class SemanticPacket:
+class SemanticPacket(Record):
     robot_id: str
     ts: int
     current_room: str
@@ -54,18 +52,6 @@ class SemanticPacket:
         for obs in self.observations:
             if not 0.0 <= obs.score <= 1.0:
                 raise ValueError("observation scores must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        # wire schema: fixed field set, observations sorted for canonical bytes
-        return {
-            "robot_id": self.robot_id,
-            "ts": self.ts,
-            "current_room": self.current_room,
-            "observations": [o.to_dict() for o in self.observations],
-            "stage": self.stage,
-            "carrying": self.carrying,
-            "stopped": self.stopped,
-        }
 
 
 @dataclass(frozen=True)

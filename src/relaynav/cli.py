@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 # Only what gen-scenes and gen-episodes run is imported here; every other
 # command imports the modules it needs when it runs (see relaynav/__init__.py).
 from .config import (
+    EpisodeOverride,
     RolloutConfig,
     SceneParams,
     SensorConfig,
@@ -396,30 +397,15 @@ def _load_overrides(path: str | Path | None) -> dict:
         raise UsageError(f"overrides file {path} must map episode_id to settings")
     out = {}
     for eid, rec in data.items():
-        where = f"overrides file {path}, episode {eid}"
-        if not isinstance(rec, dict):
-            raise UsageError(f"{where}: settings must be an object, got {rec!r}")
-        unknown = set(rec) - {"blockages", "t_max"}
-        if unknown:
-            raise UsageError(f"{where}: unknown keys {', '.join(sorted(unknown))}")
-        pairs = rec.get("blockages", [])
-        if not isinstance(pairs, list) or not all(
-            isinstance(p, list) and len(p) == 2 and _is_count(p[0]) and isinstance(p[1], str)
-            for p in pairs
-        ):
-            raise UsageError(f"{where}: blockages must be [tick, corridor_id] pairs, got {pairs!r}")
-        t_max = rec.get("t_max")
-        if t_max is not None and not _is_count(t_max):
-            raise UsageError(f"{where}: t_max must be a non-negative integer, got {t_max!r}")
+        try:
+            override = EpisodeOverride.from_dict(rec)
+        except RecordFormatError as exc:
+            raise UsageError(f"overrides file {path}, episode {eid}: {exc}") from None
         # the RolloutConfig fields the record replaces
-        out[eid] = {"blockage_schedule": tuple((t, c) for t, c in pairs)}
-        if t_max is not None:
-            out[eid]["t_max"] = t_max
+        out[eid] = {"blockage_schedule": override.blockages}
+        if override.t_max is not None:
+            out[eid]["t_max"] = override.t_max
     return out
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def rollout_episode(
@@ -583,7 +569,7 @@ def do_compare(dir_a: str | Path, dir_b: str | Path, out_file: str | Path | None
 
 
 def _count(value):
-    if not _is_count(value):
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
         raise ValueError(f"expected a non-negative integer, got {value!r}")
     return value
 

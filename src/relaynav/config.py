@@ -1,7 +1,8 @@
 """Configuration dataclasses for scene generation and rollout.
 
 Each inherits ``serialize.Record``: a manifest records a resolved config as
-its ``to_dict`` and ``replay`` reads it back with ``from_dict``.
+its ``to_dict`` and ``replay`` reads it back with ``from_dict``, and a
+``run --overrides`` file holds one ``EpisodeOverride`` per episode.
 """
 
 from __future__ import annotations
@@ -151,3 +152,16 @@ class RolloutConfig(Record):
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         self.sensor.validate()
         self.trigger.validate()
+
+
+@dataclass(frozen=True)
+class EpisodeOverride(Record):
+    """One episode's ``[tick, corridor_id]`` blockages and tick limit, which
+    replace the run's own."""
+
+    blockages: tuple[tuple[int, str], ...] = ()
+    t_max: int | None = None
+
+    def __post_init__(self) -> None:
+        if any(tick < 0 for tick, _ in self.blockages) or (self.t_max or 0) < 0:
+            raise ValueError("blockage ticks and t_max must be non-negative")

@@ -97,7 +97,7 @@ class RolloutError(ValueError):
 
 
 @dataclass(frozen=True)
-class ItemState:
+class ItemState(Record):
     """Relay item: resting phases carry the cell, carried phases the robot."""
 
     phase: str
@@ -105,20 +105,12 @@ class ItemState:
     carrier: str | None = None
 
     def __post_init__(self) -> None:
-        valid = set(PHASES)
-        if self.phase not in valid:
+        if self.phase not in PHASES:
             raise ValueError(f"unknown item phase {self.phase!r}")
         if self.phase in STATIC_PHASES and (self.cell is None or self.carrier is not None):
             raise ValueError("resting item needs a cell and no carrier")
         if self.phase not in STATIC_PHASES and (self.cell is not None or self.carrier is None):
             raise ValueError("carried item needs a carrier and no cell")
-
-    def to_dict(self) -> dict:
-        return {
-            "phase": self.phase,
-            "cell": list(self.cell) if self.cell is not None else None,
-            "carrier": self.carrier,
-        }
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 from .bus import AnchorEntry, ComposedContext, Observation, partner_of
 from .config import TriggerConfig
-from .serialize import Record
+from .serialize import Payload, Record
 from .tasks import Subtask, rebind_target
 from .world import Cell, FORWARD_M, Geodesics, NEIGHBORS_4
 
@@ -44,22 +44,13 @@ KEEP_ASSIGNMENT = "KeepAssignment"
 SWAP_SUBTASKS = "SwapSubtasks"
 UPDATE_ANCHOR_TARGET = "UpdateAnchorTarget"
 
-Payload = tuple[tuple[str, object], ...]
-
-
 def make_payload(**kwargs) -> Payload:
     """Canonical (sorted, hashable) payload tuple from keyword fields."""
     return tuple(sorted(kwargs.items()))
 
 
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 @dataclass(frozen=True)
-class Event:
+class Event(Record):
     kind: str
     tick: int
     robot_id: str
@@ -71,25 +62,11 @@ class Event:
         if self.tick < 0:
             raise ValueError("event tick must be non-negative")
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "tick": self.tick,
-            "robot_id": self.robot_id,
-            "payload": {k: _jsonable(v) for k, v in self.payload},
-        }
-
 
 @dataclass(frozen=True)
-class ReplanDecision:
+class ReplanDecision(Record):
     kind: str
     payload: Payload = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "payload": {k: _jsonable(v) for k, v in self.payload},
-        }
 
 
 KEEP = ReplanDecision(KEEP_ASSIGNMENT)
@@ -103,7 +80,7 @@ class DialogueRecord(Record):
     trigger: str
     initiator: str
     summary: str
-    decision: dict
+    decision: ReplanDecision
 
 
 @dataclass(frozen=True)
@@ -416,7 +393,7 @@ def decide(
                 if decision.kind == SWAP_SUBTASKS:
                     return ReplanDecision(
                         SWAP_SUBTASKS,
-                        decision.payload + make_payload(initiator=ctx.robot_id),
+                        make_payload(**dict(decision.payload), initiator=ctx.robot_id),
                     )
         elif event.kind == CONFLICT:
             if payload["partner_score"] > payload["local_score"]:
@@ -476,7 +453,7 @@ def rewrite_policy_context(
                         f"{rid} proposes swapping remaining subtasks with {partner}; "
                         "symmetric cost test agrees"
                     ),
-                    decision=decision.to_dict(),
+                    decision=decision,
                 )
             )
     elif decision.kind == UPDATE_ANCHOR_TARGET:
@@ -490,7 +467,7 @@ def rewrite_policy_context(
                     trigger=trigger,
                     initiator=rid,
                     summary=f"{rid} anchors {ctx.target_category} at {list(cell)}",
-                    decision=decision.to_dict(),
+                    decision=decision,
                 )
             )
 

@@ -4,26 +4,24 @@ All persisted artifacts (scenes, episodes, traces, results, manifests) are
 written through these functions so that equal values always produce equal
 bytes, which is what makes byte-level reproducibility checks meaningful.
 
-Records persisted once per episode or run (episodes with their gate
-reports, episode rejections, rollout results, per-episode scores, reports,
-dataset stats, blockage plans, manifests and their poses), the regions,
-objects and corridors of a scene file, the resolved configurations a
-manifest records (scene, rollout, sensor, trigger and transport), the
-adjudication items of ``pending.json`` and the rare dialogue records of a
-trace inherit ``Record``: one codec driven by the dataclass fields and type
-hints writes and reads them all. Only the records written on every tick
-(a trace's per-tick records) keep hand-written ``to_dict`` methods, because
-a reflective encode costs several times more inside the tick loop.
+Every record the package persists inherits ``Record``, from the per-tick
+records of a trace (packets and their observations, events, decisions, the
+relay item) to scene sections, manifests and configurations: one codec
+driven by the dataclass fields and type hints writes and reads them all,
+and no record keeps a hand-written ``to_dict``.
 
-Two things are built once per process and reused. ``from_dict`` reads each
-field through a decoder built once per type hint (``_decoder``), so no
-value is dispatched on its field's hint again. The
+Three things are built once per process and reused. A record class's
+first ``to_dict`` call replaces its ``to_dict`` with a writer generated
+from its hints (``_writer``): one dict display over the fields, nested
+records inline, compiled with ``exec`` the way ``dataclasses`` builds
+``__init__``, so no value is dispatched on its type. ``from_dict`` reads
+each field through a decoder built once per type hint (``_decoder``). The
 compact encoder of ``canonical_dumps`` is one module-level encoder with
 sorted keys, where ``json.dumps`` builds one per call, once per trace line.
-Both are safe to share because they hold no state between calls: the
-decoders are pure functions of the hint, and the compact encoder keeps no
-cycle markers (a cyclic value is handed to ``json``'s own encoder, which
-raises its usual error).
+All are safe to share because they hold no state between calls: writers
+and decoders are pure functions of the class or hint, and the compact
+encoder keeps no cycle markers (a cyclic value is handed to ``json``'s own
+encoder, which raises its usual error).
 """
 
 from __future__ import annotations
@@ -34,14 +32,19 @@ import hashlib
 import json
 import math
 import typing
+from itertools import repeat
 from pathlib import Path
-from types import MappingProxyType
-from typing import Any, Callable, ClassVar, Iterator
+from types import MappingProxyType, NoneType, UnionType
+from typing import Any, Callable, ClassVar, Iterable, Iterator
 
 # field(metadata=ROUNDED) marks a float field written rounded to 6 digits
 ROUNDED = MappingProxyType({"rounded": True})
 
 Decoder = Callable[[Any], Any]
+
+# key/value pairs of an event or decision, written as an object whose
+# nested tuples are lists; make_payload keeps them sorted by key
+Payload = tuple[tuple[str, object], ...]
 
 
 class RecordFormatError(ValueError):
@@ -52,43 +55,49 @@ class Record:
     """Base of frozen dataclasses persisted as canonical JSON.
 
     ``to_dict`` writes every field under its own name: nested records as
-    objects, tuples as lists, frozensets as lists of their sorted items,
-    infinity as ``"inf"`` and fields marked ``ROUNDED`` rounded to 6
-    digits; NaN and negative infinity have no form and raise
-    ``ValueError``. ``from_dict`` reads the same shapes back, an integer
-    into a float field as a float; a missing field takes its default, and a
-    missing field without one, a field the class does not have, a value its
-    type cannot take or one the class's ``__post_init__`` refuses raises
+    objects, tuples as lists, frozensets as lists of their sorted items, a
+    ``Payload`` as an object, infinity as ``"inf"`` and fields marked
+    ``ROUNDED`` rounded to 6 digits; NaN and negative infinity have no form
+    and raise ``ValueError``. ``from_dict`` reads the same shapes back, an
+    integer into a float field as a float; a missing field takes its
+    default, and a missing field without one, a field the class does not
+    have, a value its type cannot take (for a tuple or frozenset, the first
+    item it cannot take) or one the class's ``__post_init__`` refuses raises
     ``format_error`` naming the class (and the field).
     """
 
     format_error: ClassVar[type[ValueError]] = RecordFormatError
 
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        # its own to_dict, which its first call replaces with its writer,
+        # so no class inherits another's writer
+        cls.to_dict = Record.to_dict
+
     def to_dict(self) -> dict:
-        return {
-            name: _encode(getattr(self, name), rounded)
-            for name, _, rounded, _ in _record_fields(type(self))
-        }
+        write = type(self).to_dict = _writer(type(self))
+        return write(self)
 
     @classmethod
     def from_dict(cls, d: Any):
         if not isinstance(d, dict):
             raise cls.format_error(f"{cls.__name__}: expected an object, got {d!r}")
         fields = _record_fields(cls)
-        unknown = set(d).difference(name for name, _, _, _ in fields)
+        unknown = set(d).difference(name for name, _, _ in fields)
         if unknown:
             raise cls.format_error(f"{cls.__name__}: unknown field {min(map(repr, unknown))}")
         kwargs = {}
-        for name, decode, _, required in fields:
+        for name, decode, required in fields:
             if name not in d:
                 if required:
                     raise cls.format_error(f"{cls.__name__}: missing field {name!r}")
                 continue
             try:
                 kwargs[name] = decode(d[name])
-            except (_Mistyped, OverflowError):  # OverflowError: an int past float range
+            except _REFUSED as exc:  # a list names its first refused item, not all of it
+                at, held = exc.args if isinstance(exc, _Mistyped) and exc.args else ("", d[name])
                 raise cls.format_error(
-                    f"{cls.__name__}: field {name!r} cannot hold {d[name]!r}"
+                    f"{cls.__name__}: field {name!r}{at} cannot hold {held!r}"
                 ) from None
             except RecordFormatError as exc:
                 raise cls.format_error(f"{cls.__name__}.{name}: {exc}") from None
@@ -99,47 +108,119 @@ class Record:
 
 
 @functools.cache
-def _record_fields(cls: type) -> tuple[tuple[str, Decoder, bool, bool], ...]:
-    """(name, decoder, rounded, required) for each field of a record class."""
+def _record_fields(cls: type) -> tuple[tuple[str, Decoder, bool], ...]:
+    """(name, decoder, required) for each field of a record class."""
     hints = typing.get_type_hints(cls)
     return tuple(
         (
             f.name,
             _decoder(hints[f.name]),
-            f.metadata.get("rounded", False),
             f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING,
         )
         for f in dataclasses.fields(cls)
     )
 
 
-def _encode(value: Any, rounded: bool) -> Any:
-    if isinstance(value, float):
-        if math.isfinite(value):
-            return round(value, 6) if rounded else value
-        if value == math.inf:
-            return "inf"
-        raise ValueError(f"{value!r} has no canonical JSON form")
-    if isinstance(value, tuple):
-        return [_encode(v, False) for v in value]
-    if isinstance(value, frozenset):
-        return [_encode(v, False) for v in sorted(value)]
-    if isinstance(value, Record):
-        return value.to_dict()
-    return value
+@functools.cache
+def _writer(cls: type) -> Callable[[Any], dict]:
+    """The function writing a ``cls`` record as a dict, built once per class."""
+    env = {"_float": _float, "_lists": _lists}
+    exec(f"def write(r):\n    return {_display(cls, 'r')}", env)
+    return env["write"]
+
+
+def _display(cls: type, value: str, depth: int = 0) -> str:
+    """Python source of one dict display writing ``value``, an expression
+    naming a ``cls`` record: each field by the expression its hint gives."""
+    hints = typing.get_type_hints(cls)
+    return "{%s}" % ", ".join(
+        f"{f.name!r}: "
+        + _write_expr(hints[f.name], f"{value}.{f.name}", f.metadata.get("rounded", False), depth)
+        for f in dataclasses.fields(cls)
+    )
+
+
+def _write_expr(hint: Any, value: str, rounded: bool, depth: int) -> str:
+    """Python source writing ``value``, an expression of type ``hint``."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint in (bool, int, str, dict):
+        return value
+    if hint is float:
+        return f"_float({value}, {rounded})"
+    if hint == Payload:
+        return f"{{k: _lists(v) for k, v in {value}}}"
+    if origin in (typing.Union, UnionType) and args[1:] == (NoneType,):  # X | None
+        return f"None if {value} is None else {_write_expr(args[0], value, rounded, depth)}"
+    if origin in (tuple, frozenset):
+        item = f"_{depth}"
+        exprs = {_write_expr(a, item, False, depth + 1) for a in args if a is not Ellipsis}
+        if len(exprs) != 1:
+            raise TypeError(f"record codec cannot write {hint!r}: its items need different writers")
+        (expr,) = exprs
+        items = value if origin is tuple else f"sorted({value})"
+        if expr == item:
+            return f"list({items})" if origin is tuple else items
+        return f"[{expr} for {item} in {items}]"
+    if isinstance(hint, type) and issubclass(hint, Record):
+        return _display(hint, value, depth)
+    raise TypeError(f"record codec cannot write {hint!r}")
+
+
+def _float(value: float, rounded: bool) -> float | str:
+    if math.isfinite(value):
+        return round(value, 6) if rounded else value
+    if value == math.inf:
+        return "inf"
+    raise ValueError(f"{value!r} has no canonical JSON form")
+
+
+def _lists(value: Any) -> Any:
+    """``value`` with every tuple in it written as a list."""
+    return [_lists(v) for v in value] if isinstance(value, tuple) else value
+
+
+def _tuples(value: Any) -> Any:
+    """``value`` with every list in it read as a tuple."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
 class _Mistyped(Exception):
-    pass
+    """A value its hint cannot take; ``args`` may name a list's refused item."""
+
+
+# OverflowError: an int past float range
+_REFUSED = (_Mistyped, OverflowError)
+
+
+def _refused_item(decoders: Iterable[Decoder], values: list) -> _Mistyped:
+    """The ``_Mistyped`` naming the first of ``values`` its decoder refuses."""
+    for index, (decode, value) in enumerate(zip(decoders, values)):
+        try:
+            decode(value)
+        except _REFUSED:
+            return _Mistyped(f" item {index}", value)
 
 
 @functools.cache
 def _decoder(hint: Any) -> Decoder:
     """The function that reads a JSON value into a field typed ``hint``,
     built once per hint; a value the hint cannot take raises ``_Mistyped``."""
-    if typing.get_origin(hint) is tuple:
-        args = typing.get_args(hint)
-        variadic = len(args) == 2 and args[1] is Ellipsis
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if hint == Payload:
+
+        def decode(value):
+            if not isinstance(value, dict):
+                raise _Mistyped
+            return tuple(sorted((k, _tuples(v)) for k, v in value.items()))
+
+    elif origin in (typing.Union, UnionType) and args[1:] == (NoneType,):  # X | None
+        inner = _decoder(args[0])
+
+        def decode(value):
+            return None if value is None else inner(value)
+
+    elif origin in (tuple, frozenset):
+        variadic = origin is frozenset or args[1:] == (Ellipsis,)
         items = tuple(map(_decoder, args[:1] if variadic else args))
         # one decoder for every item (a cell's two ints, too) maps directly
         each = items[0] if variadic or len(set(items)) == 1 else None
@@ -147,17 +228,12 @@ def _decoder(hint: Any) -> Decoder:
         def decode(value):
             if not isinstance(value, list) or not variadic and len(value) != len(items):
                 raise _Mistyped
-            if each is not None:
-                return tuple(map(each, value))
-            return tuple([item(v) for item, v in zip(items, value)])
-
-    elif typing.get_origin(hint) is frozenset:
-        (item,) = map(_decoder, typing.get_args(hint))
-
-        def decode(value):
-            if not isinstance(value, list):
-                raise _Mistyped
-            return frozenset(map(item, value))
+            try:
+                if each is not None:
+                    return origin(map(each, value))
+                return origin([item(v) for item, v in zip(items, value)])
+            except _REFUSED:
+                raise _refused_item(items if each is None else repeat(each), value) from None
 
     elif isinstance(hint, type) and issubclass(hint, Record):
 
@@ -178,8 +254,7 @@ def _decoder(hint: Any) -> Decoder:
     elif hint in (bool, int, str, dict):
 
         def decode(value):
-            # a bool is an int to isinstance, but not to an int field
-            if isinstance(value, hint) and (hint is bool or not isinstance(value, bool)):
+            if type(value) is hint:  # exactly: a bool is an int to isinstance
                 return value
             raise _Mistyped
 

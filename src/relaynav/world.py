@@ -806,20 +806,34 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
 
 # --- serialization --------------------------------------------------------
 
+@dataclass(frozen=True)
+class SceneMeta(Record):
+    """The ``meta`` section of a scene file."""
+
+    format_error = SceneFormatError
+
+    scene_id: str
+    seed: int
+    resolution: float
+
+
+@dataclass(frozen=True)
+class SceneGrid(Record):
+    """The ``grid`` section of a scene file: its blocked cells in order."""
+
+    format_error = SceneFormatError
+
+    width: int
+    height: int
+    blocked_cells: tuple[Cell, ...]
+
+
 def scene_to_dict(scene: SceneGraph) -> dict:
     ys, xs = np.nonzero(scene.grid.blocked)
-    blocked_cells = sorted((int(x), int(y)) for x, y in zip(xs, ys))
+    blocked_cells = tuple(sorted(zip(xs.tolist(), ys.tolist())))
     return {
-        "meta": {
-            "scene_id": scene.scene_id,
-            "seed": scene.seed,
-            "resolution": FORWARD_M,
-        },
-        "grid": {
-            "width": scene.grid.width,
-            "height": scene.grid.height,
-            "blocked_cells": [list(c) for c in blocked_cells],
-        },
+        "meta": SceneMeta(scene.scene_id, scene.seed, FORWARD_M).to_dict(),
+        "grid": SceneGrid(scene.grid.width, scene.grid.height, blocked_cells).to_dict(),
         "regions": _entries(scene.regions),
         "objects": _entries(scene.objects),
         "corridors": _entries(scene.corridors),
@@ -846,28 +860,26 @@ def _section(data: dict, name: str, cls: type[Record]) -> dict:
 
 def scene_from_dict(data: dict) -> SceneGraph:
     try:
-        meta = data["meta"]
-        if meta["resolution"] != FORWARD_M:
+        meta = SceneMeta.from_dict(data["meta"])
+        if meta.resolution != FORWARD_M:
             raise SceneFormatError(
-                f"resolution {meta['resolution']!r} m; every scene has {FORWARD_M} m cells"
+                f"resolution {meta.resolution!r} m; every scene has {FORWARD_M} m cells"
             )
-        grid_d = data["grid"]
-        width, height = int(grid_d["width"]), int(grid_d["height"])
+        grid = SceneGrid.from_dict(data["grid"])
+        width, height = grid.width, grid.height
         if not (0 < width <= MAX_GRID_SIDE and 0 < height <= MAX_GRID_SIDE):
             raise SceneFormatError(f"grid sides must lie in [1, {MAX_GRID_SIDE}] cells")
         blocked = np.zeros((height, width), dtype=bool)
-        for cx, cy in grid_d["blocked_cells"]:
-            x, y = int(cx), int(cy)
+        for x, y in grid.blocked_cells:
             if not (0 <= x < width and 0 <= y < height):
                 raise SceneFormatError(
-                    f"blocked cell {[cx, cy]} lies outside the {width}x{height} grid"
+                    f"blocked cell {[x, y]} lies outside the {width}x{height} grid"
                 )
             blocked[y, x] = True
-        grid = GridMap(width, height, blocked)
         scene = SceneGraph(
-            scene_id=meta["scene_id"],
-            seed=int(meta["seed"]),
-            grid=grid,
+            scene_id=meta.scene_id,
+            seed=meta.seed,
+            grid=GridMap(width, height, blocked),
             regions=_section(data, "regions", Region),
             objects=_section(data, "objects", SceneObject),
             corridors=_section(data, "corridors", Corridor),

@@ -217,6 +217,7 @@ class TestOverrides:
             {"t_max": 12.5},
             {"t_max": "100"},
             {"t_max": True},
+            {"t_max": -1},
             {"tmax": 100},
             {"blockages": [[3, "nope"]]},
         ],

@@ -420,6 +420,8 @@ class TestDecide:
         decision = decide([block], ctx_for(), self.swap_favoring_inputs(), TriggerConfig())
         assert decision.kind == SWAP_SUBTASKS
         assert dict(decision.payload)["initiator"] == "FH"
+        # a payload is sorted by key, so the decision reads back as it was
+        assert ReplanDecision.from_dict(decision.to_dict()) == decision
 
     def test_stagnation_triggers_swap_too(self):
         stag = Event(STAGNATION, 2, "SH", make_payload(since=0))

@@ -16,14 +16,16 @@ from hypothesis import strategies as st
 
 import relaynav
 from relaynav.ablation import BlockagePlan
+from relaynav.bus import Observation, SemanticPacket
 from relaynav.config import (
+    EpisodeOverride,
     RolloutConfig,
     SceneParams,
     SensorConfig,
     TransportConfig,
     TriggerConfig,
 )
-from relaynav.engine import RolloutResult
+from relaynav.engine import PHASES, STATIC_PHASES, ItemState, RolloutResult
 from relaynav.episodes import DatasetStats, EpisodeRejection, EpisodeSpec
 from relaynav.gates import (
     GateReport,
@@ -34,7 +36,17 @@ from relaynav.gates import (
 from relaynav.labeling import AdjudicationItem, LabelVote
 from relaynav.manifest import RunManifest
 from relaynav.metrics import EpisodeResult, MetricsReport
-from relaynav.replan import DialogueRecord
+from relaynav.replan import (
+    EVENT_KINDS,
+    KEEP,
+    PATH_BLOCKED,
+    SWAP_SUBTASKS,
+    TARGET_DISCOVERED,
+    DialogueRecord,
+    Event,
+    ReplanDecision,
+    make_payload,
+)
 from relaynav.serialize import Record, RecordFormatError, canonical_dumps
 from relaynav.world import (
     PROVENANCES,
@@ -44,6 +56,8 @@ from relaynav.world import (
     Corridor,
     Pose,
     Region,
+    SceneGrid,
+    SceneMeta,
     SceneObject,
 )
 
@@ -194,9 +208,6 @@ adjudication_items = st.builds(
     AdjudicationItem, names, names, st.tuples(label_votes, label_votes, label_votes)
 )
 
-dialogue_records = st.builds(
-    DialogueRecord, tick=counts, trigger=names, initiator=names, summary=names, decision=json_dicts
-)
 visibility_reports = st.builds(VisibilityReport, st.booleans(), finite, signed)
 room_consistency_reports = st.builds(RoomConsistencyReport, st.booleans(), names, names)
 recognizability_reports = st.builds(RecognizabilityReport, st.booleans(), finite, finite)
@@ -248,6 +259,51 @@ corridors = st.builds(
     blocked=st.booleans(),
 )
 
+scene_metas = st.builds(SceneMeta, names, st.integers(0, 2**64 - 1), finite)
+scene_grids = st.builds(SceneGrid, counts, counts, st.lists(cells, max_size=6).map(tuple))
+episode_overrides = st.builds(
+    EpisodeOverride,
+    blockages=st.lists(st.tuples(counts, names), max_size=3).map(tuple),
+    t_max=st.none() | counts,
+)
+
+observations = st.builds(Observation, names, cells, st.floats(0.0, 1.0))
+semantic_packets = st.builds(
+    SemanticPacket,
+    robot_id=names,
+    ts=counts,
+    current_room=names,
+    observations=st.lists(observations, max_size=3).map(tuple),
+    stage=names,
+    carrying=st.booleans(),
+    stopped=st.booleans(),
+)
+# what a payload holds: scalars, cells, edges (pairs of cells); a tuple is
+# written as a list and read back as a tuple
+payload_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | finite | names,
+    lambda inner: st.lists(inner, max_size=3).map(tuple),
+    max_leaves=6,
+)
+payloads = st.dictionaries(names, payload_values, max_size=4).map(lambda d: make_payload(**d))
+events = st.builds(
+    Event, kind=st.sampled_from(sorted(EVENT_KINDS)), tick=counts, robot_id=names, payload=payloads
+)
+replan_decisions = st.builds(ReplanDecision, kind=names, payload=payloads)
+dialogue_records = st.builds(
+    DialogueRecord,
+    tick=counts,
+    trigger=names,
+    initiator=names,
+    summary=names,
+    decision=replan_decisions,
+)
+item_states = st.builds(
+    ItemState, st.sampled_from(sorted(STATIC_PHASES)), cells, st.none()
+) | st.builds(
+    ItemState, st.sampled_from([p for p in PHASES if p not in STATIC_PHASES]), st.none(), names
+)
+
 RECORDS = {
     Pose: poses,
     RolloutResult: rollout_results,
@@ -273,6 +329,14 @@ RECORDS = {
     Region: regions,
     SceneObject: scene_objects,
     Corridor: corridors,
+    SceneMeta: scene_metas,
+    SceneGrid: scene_grids,
+    EpisodeOverride: episode_overrides,
+    Observation: observations,
+    SemanticPacket: semantic_packets,
+    Event: events,
+    ReplanDecision: replan_decisions,
+    ItemState: item_states,
 }
 
 
@@ -336,7 +400,7 @@ def test_missing_field_is_named(cls, data):
 def test_mistyped_field_is_named(cls, data):
     d = through_json(data.draw(RECORDS[cls]))
     name = data.draw(st.sampled_from(sorted(d)))
-    d[name] = 5 if typing.get_type_hints(cls)[name] is str else "five"
+    d[name] = 5 if typing.get_type_hints(cls)[name] in (str, str | None) else "five"
     with pytest.raises(format_error(cls), match=f"{cls.__name__}: field '{name}' cannot hold"):
         cls.from_dict(d)
 
@@ -429,3 +493,95 @@ def test_non_object_is_a_format_error():
     with pytest.raises(RecordFormatError, match="RolloutResult: expected an object"):
         RolloutResult.from_dict(["not", "a", "record"])
 
+
+# the bytes each per-tick record writes into a trace line
+PER_TICK_PINS = [
+    (
+        SemanticPacket(
+            "FH", 7, "Kitchen",
+            (Observation("cup", (3, 4), 0.75), Observation("book", (5, 6), 1.0)),
+            "pickup", False, True,
+        ),
+        {
+            "robot_id": "FH",
+            "ts": 7,
+            "current_room": "Kitchen",
+            "observations": [
+                {"category": "cup", "cell": [3, 4], "score": 0.75},
+                {"category": "book", "cell": [5, 6], "score": 1.0},
+            ],
+            "stage": "pickup",
+            "carrying": False,
+            "stopped": True,
+        },
+    ),
+    (
+        Event(
+            TARGET_DISCOVERED, 5, "SH",
+            make_payload(category="cup", cell=(3, 4), score=0.75, source="self"),
+        ),
+        {
+            "kind": "TargetDiscovered",
+            "tick": 5,
+            "robot_id": "SH",
+            "payload": {"category": "cup", "cell": [3, 4], "score": 0.75, "source": "self"},
+        },
+    ),
+    (
+        Event(PATH_BLOCKED, 12, "FH", make_payload(edge=((1, 2), (1, 3)))),
+        {"kind": "PathBlocked", "tick": 12, "robot_id": "FH", "payload": {"edge": [[1, 2], [1, 3]]}},
+    ),
+    (ItemState("AtPickup", (3, 4)), {"phase": "AtPickup", "cell": [3, 4], "carrier": None}),
+    (ItemState("CarriedBySH", None, "SH"), {"phase": "CarriedBySH", "cell": None, "carrier": "SH"}),
+    (KEEP, {"kind": "KeepAssignment", "payload": {}}),
+    (
+        ReplanDecision(SWAP_SUBTASKS, make_payload(keep_cost="inf", swap_cost=12.5, initiator="FH")),
+        {
+            "kind": "SwapSubtasks",
+            "payload": {"initiator": "FH", "keep_cost": "inf", "swap_cost": 12.5},
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("record, want", PER_TICK_PINS, ids=lambda v: type(v).__name__)
+def test_per_tick_record_writes_its_pinned_bytes(record, want):
+    # compared as canonical JSON, where 1 and 1.0 or true and 1 differ
+    assert canonical_dumps(record.to_dict()) == canonical_dumps(want)
+
+
+def test_subclass_writes_its_own_fields_after_its_base_has_written():
+    @dataclasses.dataclass(frozen=True)
+    class Base(Record):
+        a: int
+
+    @dataclasses.dataclass(frozen=True)
+    class Sub(Base):
+        b: int
+
+    assert Base(1).to_dict() == {"a": 1}
+    assert Sub(1, 2).to_dict() == {"a": 1, "b": 2}
+
+
+def test_tuple_of_items_written_differently_is_refused_when_the_writer_is_built():
+    @dataclasses.dataclass(frozen=True)
+    class Mixed(Record):
+        pair: tuple[int, float]
+
+    with pytest.raises(TypeError, match="items need different writers"):
+        Mixed((1, 2.0)).to_dict()
+
+
+@pytest.mark.parametrize(
+    "cls, name, bad", [(EpisodeSpec, "gt_path_fh", [0.9, 0]), (Region, "cells", [1, "2"])]
+)
+def test_mistyped_item_is_named_by_its_index(scene_episode, cls, name, bad):
+    scene, episode = scene_episode
+    d = through_json(episode if cls is EpisodeSpec else scene.regions[min(scene.regions)])
+    # a long list, so that writing all of it would make a message of kilobytes
+    d[name] = [[x, 1] for x in range(400)] + [bad] + [[0, 0]] * 50
+    with pytest.raises(cls.format_error) as caught:
+        cls.from_dict(d)
+    message = str(caught.value)
+    assert message == f"{cls.__name__}: field {name!r} item 400 cannot hold {bad!r}"
+    assert len(message) < 80

@@ -571,8 +571,33 @@ class TestSceneSerialization:
         data["grid"]["width"] = "x"
         path = tmp_path / "scene.json"
         write_canonical(path, data)
-        with pytest.raises(SceneFormatError, match=rf"^{re.escape(str(path))}: malformed"):
+        want = f"{path}: SceneGrid: field 'width' cannot hold 'x'"
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(want)}$"):
             load_scene(path)
+
+    @pytest.mark.parametrize(
+        "section, key, value, match",
+        [
+            ("meta", "seed", 7.9, "SceneMeta: field 'seed' cannot hold 7.9"),
+            ("meta", "seed", 1e20 + 0.9, "SceneMeta: field 'seed' cannot hold 1e+20"),
+            ("meta", "scene_id", 7, "SceneMeta: field 'scene_id' cannot hold 7"),
+            ("grid", "width", "64", "SceneGrid: field 'width' cannot hold '64'"),
+            (
+                "grid", "blocked_cells", [0.9, 0],
+                "SceneGrid: field 'blocked_cells' item {last} cannot hold [0.9, 0]",
+            ),
+        ],
+    )
+    def test_mistyped_meta_or_grid_value_is_refused(self, scene, section, key, value, match):
+        # each would load with another meaning if coerced: seed 7, width 64, cell (0, 0)
+        data = scene_to_dict(scene)
+        if key == "blocked_cells":
+            data[section][key].append(value)
+        else:
+            data[section][key] = value
+        want = match.format(last=len(data["grid"]["blocked_cells"]) - 1)
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(want)}$"):
+            scene_from_dict(data)
 
     @pytest.mark.parametrize("at", ["left", "right", "top", "bottom"])
     def test_blocked_cell_outside_the_grid_is_named(self, scene, at):
