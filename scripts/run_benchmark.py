@@ -20,6 +20,7 @@ import sys
 from pathlib import Path
 
 from relaynav.cli import main as cli
+from relaynav.config import KNOWLEDGE, MODES
 
 
 def run(args: list[str]) -> None:
@@ -35,11 +36,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--episodes-per-scene", type=int, default=3)
     parser.add_argument("--seed", type=int, default=11)
     parser.add_argument("--jobs", type=int, default=1)
+    parser.add_argument("--mode", choices=MODES, default="lockstep")
     parser.add_argument(
-        "--mode", choices=("lockstep", "distributed"), default="lockstep"
-    )
-    parser.add_argument(
-        "--knowledge", choices=("known", "discover"), default=None,
+        "--knowledge", choices=KNOWLEDGE, default=None,
         help="map knowledge for both runs (default: the run config's)",
     )
     parser.add_argument(

@@ -18,7 +18,7 @@ import statistics
 import sys
 import time
 
-from relaynav.config import RolloutConfig
+from relaynav.config import KNOWLEDGE, POLICIES, RolloutConfig
 from relaynav.engine import run_lockstep
 from relaynav.episodes import EpisodeSpec, generate_episode
 from relaynav.scenegen import generate_scene
@@ -29,8 +29,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--episodes", type=int, default=20)
     parser.add_argument("--seed", type=int, default=3)
-    parser.add_argument("--knowledge", choices=("known", "discover"), default="known")
-    parser.add_argument("--policy", choices=("deconav", "static"), default="deconav")
+    parser.add_argument("--knowledge", choices=KNOWLEDGE, default="known")
+    parser.add_argument("--policy", choices=POLICIES, default="deconav")
     args = parser.parse_args(argv)
 
     cfg = RolloutConfig(knowledge=args.knowledge, policy=args.policy)

@@ -2,11 +2,14 @@
 
 Every artifact-producing subcommand resolves its full configuration up
 front, fans all randomness out from one root seed by stable derivation, and
-writes a manifest holding that resolved config plus content hashes of every
-input and output. ``replay`` re-executes any such manifest and verifies the
-regenerated bytes. Episodes inside a run may execute in parallel workers;
-results and traces are merged in episode_id order, so the output bytes do
-not depend on scheduling.
+writes a manifest holding that resolved config (the command's record in
+``JOBS``) plus content hashes of every input and output. ``replay``
+re-executes any such manifest and verifies the regenerated bytes. Episodes
+inside a run may execute in parallel workers; results and traces are merged
+in episode_id order, so the output bytes do not depend on scheduling. Each
+``run`` flag that sets a config field has the dest ``"<section>.<field>"``
+(``--tau`` sets ``rollout.tau``): ``--help`` shows it, and ``_dispatch``
+reads the section and field from it.
 
 Exit codes: 0 success; 2 usage error; 3 episode generation produced only
 rejections; 4 runtime failure.
@@ -17,7 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -25,6 +28,9 @@ from typing import TYPE_CHECKING
 # Only what gen-scenes and gen-episodes run is imported here; every other
 # command imports the modules it needs when it runs (see relaynav/__init__.py).
 from .config import (
+    KNOWLEDGE,
+    MODES,
+    POLICIES,
     EpisodeOverride,
     RolloutConfig,
     SceneParams,
@@ -50,7 +56,8 @@ from .manifest import (
 from .scenegen import generate_scene
 from .seeds import derive_seed
 from .serialize import (
-    RecordFormatError, canonical_dumps, numbered_jsonl, read_json, write_canonical, write_jsonl
+    Record, RecordFormatError, canonical_dumps, numbered_jsonl, read_json, write_canonical,
+    write_jsonl,
 )
 from .world import SceneGraph, load_scene, save_scene
 
@@ -143,15 +150,6 @@ def resolve_run_config(
     return rollout, transport
 
 
-def run_config_snapshot(
-    rollout: RolloutConfig, transport: TransportConfig | None
-) -> dict:
-    return {
-        "rollout": rollout.to_dict(),
-        "transport": transport.to_dict() if transport is not None else None,
-    }
-
-
 # --- shared artifact helpers ----------------------------------------------
 
 
@@ -178,25 +176,33 @@ def _out_dir(path: str | Path) -> Path:
 # --- gen-scenes -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class GenScenesJob(Record):
+    """The config a gen-scenes manifest records."""
+
+    count: int
+    scene: SceneParams
+
+    def __post_init__(self) -> None:
+        if self.count < 0:
+            raise UsageError(f"field 'count' must be non-negative, got {self.count}")
+
+    def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
+        return do_gen_scenes(self.count, manifest.seed, out_dir, self.scene)
+
+
 def do_gen_scenes(
     count: int, seed: int, out_dir: str | Path, params: SceneParams | None = None
 ) -> RunManifest:
-    if count < 0:
-        raise UsageError("--count must be non-negative")
-    params = params or SceneParams()
+    job = GenScenesJob(count, params or SceneParams())
     out = _out_dir(out_dir)
     outputs: dict[str, Path] = {}
     for i in range(count):
-        scene = generate_scene(derive_seed(seed, "scene", i), params)
+        scene = generate_scene(derive_seed(seed, "scene", i), job.scene)
         path = out / f"{scene.scene_id}.json"
         save_scene(scene, path)
         outputs[path.name] = path
-    manifest = make_manifest(
-        "gen-scenes",
-        seed,
-        {"count": count, "scene": params.to_dict()},
-        output_files=outputs,
-    )
+    manifest = make_manifest("gen-scenes", seed, job.to_dict(), output_files=outputs)
     save_manifest(manifest, out)
     return manifest
 
@@ -214,11 +220,29 @@ def manifest_path_for(out_file: str | Path) -> Path:
     return out.with_name(out.name + ".manifest.json")
 
 
+@dataclass(frozen=True)
+class GenEpisodesJob(Record):
+    """The config a gen-episodes manifest records."""
+
+    per_scene: int
+    scenes_dir: str
+
+    def __post_init__(self) -> None:
+        if self.per_scene < 0:
+            raise UsageError(f"field 'per_scene' must be non-negative, got {self.per_scene}")
+
+    def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
+        out_names = [n for n in manifest.outputs if not n.endswith(".rejects.jsonl")]
+        if len(out_names) != 1:
+            raise RuntimeError("gen-episodes manifest must list one episode file")
+        target = _out_dir(out_dir) / out_names[0]
+        return do_gen_episodes(self.scenes_dir, self.per_scene, manifest.seed, target)[0]
+
+
 def do_gen_episodes(
     scenes_dir: str | Path, per_scene: int, seed: int, out_file: str | Path
 ) -> tuple[RunManifest, int, int]:
-    if per_scene < 0:
-        raise UsageError("--per-scene must be non-negative")
+    job = GenEpisodesJob(per_scene, str(scenes_dir))
     scene_paths = _scene_files(scenes_dir)
     out = Path(out_file)
     out.parent.mkdir(parents=True, exist_ok=True)
@@ -238,7 +262,7 @@ def do_gen_episodes(
     manifest = make_manifest(
         "gen-episodes",
         seed,
-        {"per_scene": per_scene, "scenes_dir": str(scenes_dir)},
+        job.to_dict(),
         inputs={p.name: p for p in scene_paths},
         output_files={out.name: out, rej_path.name: rej_path},
     )
@@ -251,6 +275,20 @@ def do_gen_episodes(
 
 
 # --- adjudication ---------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class AdjudicateExportJob(Record):
+    """The config an adjudicate-export manifest records."""
+
+    scenes_dir: str
+    acc_a: float
+    acc_b: float
+
+    def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
+        return do_adjudicate_export(
+            self.scenes_dir, out_dir, manifest.seed, self.acc_a, self.acc_b
+        )[0]
 
 
 def do_adjudicate_export(
@@ -290,7 +328,7 @@ def do_adjudicate_export(
     manifest = make_manifest(
         "adjudicate-export",
         seed,
-        {"scenes_dir": str(scenes_dir), "acc_a": acc_a, "acc_b": acc_b},
+        AdjudicateExportJob(str(scenes_dir), acc_a, acc_b).to_dict(),
         inputs={p.name: p for p in _scene_files(scenes_dir)},
         output_files=outputs,
     )
@@ -355,6 +393,17 @@ def do_adjudicate_auto(
     return len(filled) - 1
 
 
+@dataclass(frozen=True)
+class AdjudicateImportJob(Record):
+    """The config an adjudicate-import manifest records."""
+
+    pending_dir: str
+    csv: str
+
+    def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
+        return do_adjudicate_import(self.pending_dir, self.csv, out_dir)[0]
+
+
 def do_adjudicate_import(
     pending_dir: str | Path, csv_path: str | Path, out_dir: str | Path
 ) -> tuple[RunManifest, int]:
@@ -372,7 +421,7 @@ def do_adjudicate_import(
     manifest = make_manifest(
         "adjudicate-import",
         0,
-        {"pending_dir": str(pending_dir), "csv": str(csv_path)},
+        AdjudicateImportJob(str(pending_dir), str(csv_path)).to_dict(),
         inputs={Path(csv_path).name: csv_path},
         output_files=outputs,
     )
@@ -432,6 +481,22 @@ def _worker(payload: tuple) -> tuple[str, dict, bytes]:
     return episode.episode_id, result.to_dict(), trace.to_bytes()
 
 
+@dataclass(frozen=True)
+class RunJob(Record):
+    """The config a run manifest records."""
+
+    rollout: RolloutConfig
+    transport: TransportConfig | None
+    episodes: str
+    scenes_dir: str
+    overrides: str | None
+
+    def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
+        return do_run(
+            self.episodes, self.scenes_dir, out_dir, self.rollout, self.transport, self.overrides
+        )
+
+
 def do_run(
     episodes_path: str | Path,
     scenes_dir: str | Path,
@@ -450,25 +515,25 @@ def do_run(
     missing = sorted({ep.scene_id for ep in episodes} - set(scene_paths))
     if missing:
         raise RuntimeError(f"scenes missing from {scenes_dir}: {', '.join(missing)}")
-    # each scene loads once; only those of overridden episodes before the rollouts
-    scene_of = cache(lambda scene_id: load_scene(scene_paths[scene_id]))
-    for ep in episodes:
-        rec = overrides.get(ep.episode_id)
-        if rec is None:
-            continue
-        corridors = scene_of(ep.scene_id).corridors
-        bad = sorted({cid for _, cid in rec["blockage_schedule"] if cid not in corridors})
-        if bad:
-            raise UsageError(
-                f"overrides file {overrides_path}, episode {ep.episode_id}: "
-                f"unknown corridors {', '.join(bad)} in scene {ep.scene_id}"
-            )
-
-    out = _out_dir(out_dir)
     order = sorted(episodes, key=lambda ep: ep.episode_id)
     # each episode's config is resolved here, once, for either rollout path
     runs = [(ep, replace(rollout, **overrides.get(ep.episode_id, {}))) for ep in order]
+    # each scene loads once; only those of overridden episodes before the rollouts
+    scene_of = cache(lambda scene_id: load_scene(scene_paths[scene_id]))
+    for ep, cfg in runs:
+        if ep.episode_id not in overrides:
+            continue
+        where = f"overrides file {overrides_path}, episode {ep.episode_id}"
+        corridors = scene_of(ep.scene_id).corridors
+        bad = sorted({cid for _, cid in cfg.blockage_schedule if cid not in corridors})
+        if bad:
+            raise UsageError(f"{where}: unknown corridors {', '.join(bad)} in scene {ep.scene_id}")
+        try:
+            cfg.validate()  # a blockage at or past t_max would never fire
+        except ValueError as exc:
+            raise UsageError(f"{where}: {exc}") from None
 
+    out = _out_dir(out_dir)
     produced: dict[str, tuple[dict, bytes]] = {}
     if jobs > 1:
         from multiprocessing import Pool
@@ -502,12 +567,10 @@ def do_run(
     manifest = make_manifest(
         "run",
         rollout.seed,
-        {
-            **run_config_snapshot(rollout, transport),
-            "episodes": str(episodes_path),
-            "scenes_dir": str(scenes_dir),
-            "overrides": str(overrides_path) if overrides_path else None,
-        },
+        RunJob(
+            rollout, transport, str(episodes_path), str(scenes_dir),
+            str(overrides_path) if overrides_path else None,
+        ).to_dict(),
         inputs=inputs,
         output_files=outputs,
     )
@@ -568,63 +631,34 @@ def do_compare(dir_a: str | Path, dir_b: str | Path, out_file: str | Path | None
 # --- replay ---------------------------------------------------------------
 
 
-def _count(value):
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ValueError(f"expected a non-negative integer, got {value!r}")
-    return value
-
-
-def _text(value):
-    if not isinstance(value, str):
-        raise ValueError(f"expected a string, got {value!r}")
-    return value
-
-
-def _validated(cls):
-    """``cls.from_dict`` followed by the class's own ``validate``."""
-    def parse(value):
-        config = cls.from_dict(value)
-        config.validate()
-        return config
-    return parse
+# each replayable command's manifest config
+JOBS: dict[str, type] = {
+    "gen-scenes": GenScenesJob,
+    "gen-episodes": GenEpisodesJob,
+    "run": RunJob,
+    "adjudicate-export": AdjudicateExportJob,
+    "adjudicate-import": AdjudicateImportJob,
+}
 
 
 def do_replay(manifest_path: str | Path, out_dir: str | Path) -> RunManifest:
     manifest = load_manifest(manifest_path)
-
-    def cfg(key: str, parse, optional: bool = False):
-        """``parse`` of the config value under ``key``; a missing or refused
-        value raises ManifestError naming the manifest and the key."""
-        if key not in manifest.config:
-            raise ManifestError(f"{manifest_path}: config has no {key!r}")
-        value = manifest.config[key]
-        try:
-            return None if optional and value is None else parse(value)
-        except ValueError as exc:
-            raise ManifestError(f"{manifest_path}: config {key!r}: {exc}") from None
-
-    if manifest.command == "gen-scenes":
-        scene_cfg = cfg("scene", _validated(SceneParams))
-        redone = do_gen_scenes(cfg("count", _count), manifest.seed, out_dir, scene_cfg)
-    elif manifest.command == "gen-episodes":
-        out_names = [n for n in manifest.outputs if not n.endswith(".rejects.jsonl")]
-        if len(out_names) != 1:
-            raise RuntimeError("gen-episodes manifest must list one episode file")
-        target = _out_dir(out_dir) / out_names[0]
-        redone, _, _ = do_gen_episodes(
-            cfg("scenes_dir", _text), cfg("per_scene", _count), manifest.seed, target
-        )
-    elif manifest.command == "run":
-        redone = do_run(
-            cfg("episodes", _text),
-            cfg("scenes_dir", _text),
-            out_dir,
-            cfg("rollout", _validated(RolloutConfig)),
-            cfg("transport", _validated(TransportConfig), optional=True),
-            overrides_path=cfg("overrides", _text, optional=True),
-        )
-    else:
+    job_cls = JOBS.get(manifest.command)
+    if job_cls is None:
         raise RuntimeError(f"manifest command {manifest.command!r} is not replayable")
+    try:
+        job = job_cls.from_dict(manifest.config)
+    except RecordFormatError as exc:  # already names the class and the field
+        raise ManifestError(f"{manifest_path}: config: {exc}") from None
+    for key, value in vars(job).items():
+        try:
+            if hasattr(value, "validate"):
+                value.validate()
+        except ValueError as exc:
+            raise ManifestError(
+                f"{manifest_path}: config: {job_cls.__name__}: field {key!r}: {exc}"
+            ) from None
+    redone = job.rerun(manifest, out_dir)
 
     mismatched = [
         name
@@ -684,20 +718,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--episodes", required=True)
     p.add_argument("--scenes", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--mode", choices=("lockstep", "distributed"), default=None)
-    p.add_argument("--policy", choices=("deconav", "static"), default=None)
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--t-max", type=int, default=None)
-    p.add_argument("--r-succ", type=float, default=None)
-    p.add_argument("--r-int", type=float, default=None)
-    p.add_argument("--knowledge", choices=("known", "discover"), default=None)
-    p.add_argument("--seed", type=int, default=None,
+    p.add_argument("--mode", dest="rollout.mode", choices=MODES)
+    p.add_argument("--policy", dest="rollout.policy", choices=POLICIES)
+    p.add_argument("--tau", dest="rollout.tau", type=int)
+    p.add_argument("--t-max", dest="rollout.t_max", type=int)
+    p.add_argument("--r-succ", dest="rollout.r_succ", type=float)
+    p.add_argument("--r-int", dest="rollout.r_int", type=float)
+    p.add_argument("--knowledge", dest="rollout.knowledge", choices=KNOWLEDGE)
+    p.add_argument("--seed", dest="rollout.seed", type=int,
                    help="labels the run: written as the manifest seed and in every trace "
                         "header; no rollout draws from it")
-    p.add_argument("--latency", type=int, default=None)
-    p.add_argument("--jitter", type=int, default=None)
-    p.add_argument("--drop-prob", type=float, default=None)
-    p.add_argument("--transport-seed", type=int, default=None)
+    p.add_argument("--latency", dest="transport.latency", type=int)
+    p.add_argument("--jitter", dest="transport.jitter", type=int)
+    p.add_argument("--drop-prob", dest="transport.drop_prob", type=float)
+    p.add_argument("--transport-seed", dest="transport.seed", type=int)
     p.add_argument("--overrides", default=None,
                    help="JSON: episode_id -> {blockages: [[tick, corridor]...], t_max}")
     p.add_argument("--config", default=None,
@@ -755,25 +789,12 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "run":
         config_path = args.config or os.environ.get(CONFIG_ENV_VAR)
         file_cfg = load_config_file(config_path) if config_path else {}
-        rollout, transport = resolve_run_config(
-            file_cfg,
-            {
-                "mode": args.mode,
-                "policy": args.policy,
-                "tau": args.tau,
-                "t_max": args.t_max,
-                "r_succ": args.r_succ,
-                "r_int": args.r_int,
-                "knowledge": args.knowledge,
-                "seed": args.seed,
-            },
-            {
-                "latency": args.latency,
-                "jitter": args.jitter,
-                "drop_prob": args.drop_prob,
-                "seed": args.transport_seed,
-            },
-        )
+        flags: dict[str, dict] = {"rollout": {}, "transport": {}}
+        for dest, value in vars(args).items():
+            section, _, name = dest.partition(".")
+            if name:
+                flags[section][name] = value
+        rollout, transport = resolve_run_config(file_cfg, flags["rollout"], flags["transport"])
         if args.jobs < 1:
             raise UsageError("--jobs must be at least 1")
         manifest = do_run(

@@ -19,6 +19,11 @@ from .world import FORWARD_M, MAX_GRID_SIDE
 # and 50 MB at 20 m
 MAX_SENSOR_RANGE_M = 10.0
 
+# the values RolloutConfig.mode, .policy and .knowledge may take
+MODES = ("lockstep", "distributed")
+POLICIES = ("deconav", "static")
+KNOWLEDGE = ("known", "discover")
+
 
 @dataclass(frozen=True)
 class SceneParams(Record):
@@ -125,27 +130,30 @@ class TransportConfig(Record):
 class RolloutConfig(Record):
     """Execution parameters for one episode rollout."""
 
-    mode: str = "lockstep"  # "lockstep" | "distributed"
-    policy: str = "deconav"  # "deconav" | "static"
+    mode: str = "lockstep"
+    policy: str = "deconav"
     t_max: int = 500
     tau: int = 10
     r_succ: float = 1.0
     r_int: float = 0.5
-    knowledge: str = "known"  # "known" | "discover"
+    knowledge: str = "known"
     blockage_schedule: tuple[tuple[int, str], ...] = ()
     seed: int = 0
     sensor: SensorConfig = field(default_factory=SensorConfig)
     trigger: TriggerConfig = field(default_factory=TriggerConfig)
 
     def validate(self) -> None:
-        if self.mode not in ("lockstep", "distributed"):
+        if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}")
-        if self.policy not in ("deconav", "static"):
+        if self.policy not in POLICIES:
             raise ValueError(f"unknown policy {self.policy!r}")
-        if self.knowledge not in ("known", "discover"):
+        if self.knowledge not in KNOWLEDGE:
             raise ValueError(f"unknown knowledge mode {self.knowledge!r}")
         if self.t_max < 0 or self.tau < 0:
             raise ValueError("t_max and tau must be non-negative")
+        late = [tick for tick, _ in self.blockage_schedule if tick >= self.t_max]
+        if late:  # it would never fire, yet the trace header would record it
+            raise ValueError(f"blockage at tick {min(late)} is at or past t_max {self.t_max}")
         for name in ("r_succ", "r_int"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:

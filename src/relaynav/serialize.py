@@ -100,7 +100,7 @@ class Record:
                     f"{cls.__name__}: field {name!r}{at} cannot hold {held!r}"
                 ) from None
             except RecordFormatError as exc:
-                raise cls.format_error(f"{cls.__name__}.{name}: {exc}") from None
+                raise cls.format_error(f"{cls.__name__}: field {name!r}: {exc}") from None
         try:
             return cls(**kwargs)
         except ValueError as exc:  # a value the class's own checks refuse

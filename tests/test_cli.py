@@ -6,6 +6,8 @@ layouts, and manifests are tested exactly as a shell user sees them.
 
 from __future__ import annotations
 
+import argparse
+import dataclasses
 import json
 import os
 import shutil
@@ -20,14 +22,16 @@ from relaynav.cli import (
     EXIT_REJECTED,
     EXIT_RUNTIME,
     EXIT_USAGE,
+    JOBS,
     UsageError,
+    build_parser,
     do_replay,
     load_config_file,
     main,
     manifest_path_for,
     resolve_run_config,
-    run_config_snapshot,
 )
+from relaynav.config import RolloutConfig, TransportConfig
 from relaynav.episodes import EpisodeRejection, load_episodes
 from relaynav.manifest import load_manifest
 from relaynav.serialize import (
@@ -75,6 +79,40 @@ def run_dirs(pipeline):
     assert run_cmd(episodes, scenes, a, "--policy", "deconav") == EXIT_OK
     assert run_cmd(episodes, scenes, b, "--policy", "static") == EXIT_OK
     return a, b
+
+
+@pytest.fixture(scope="module")
+def adjudicated(pipeline):
+    """An adjudication export of the pipeline's scenes (weak classifiers leave
+    items to resolve) and the import of its auto-resolved CSV."""
+    root, scenes, _ = pipeline
+    export, csv, final = root / "adj_export", root / "adj_resolved.csv", root / "adj_final"
+    assert main(
+        ["adjudicate", "export", "--scenes", str(scenes), "--out", str(export),
+         "--acc-a", "0.3", "--acc-b", "0.3"]
+    ) == EXIT_OK
+    assert main(
+        ["adjudicate", "auto", "--pending", str(export), "--truth-scenes", str(scenes),
+         "--out", str(csv)]
+    ) == EXIT_OK
+    assert main(
+        ["adjudicate", "import", "--pending", str(export), "--csv", str(csv),
+         "--out", str(final)]
+    ) == EXIT_OK
+    return export, final
+
+
+@pytest.fixture(scope="module")
+def manifests(pipeline, run_dirs, adjudicated):
+    """command -> the manifest the module's pipeline wrote for it."""
+    _, scenes, episodes = pipeline
+    return {
+        "gen-scenes": scenes / "manifest.json",
+        "gen-episodes": manifest_path_for(episodes),
+        "run": run_dirs[0] / "manifest.json",
+        "adjudicate-export": adjudicated[0] / "manifest.json",
+        "adjudicate-import": adjudicated[1] / "manifest.json",
+    }
 
 
 class TestGeneration:
@@ -198,6 +236,32 @@ class TestOverrides:
         for name in names:
             assert (parallel / name).read_bytes() == (serial / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "tick, t_max, flags",
+        [(40, 40, []), (5000, 40, []), (30, None, ["--t-max", "30"])],
+    )
+    def test_blockage_at_or_past_t_max_is_usage_error(
+        self, pipeline, tmp_path, capsys, tick, t_max, flags
+    ):
+        # it would never fire, yet the trace header would record it
+        _, scenes, episodes = pipeline
+        ep = load_episodes(episodes)[0]
+        corridor = sorted(load_scene(scenes / f"{ep.scene_id}.json").corridors)[0]
+        ov_path = tmp_path / "overrides.json"
+        write_canonical(ov_path, {ep.episode_id: {"blockages": [[tick, corridor]], "t_max": t_max}})
+        out = tmp_path / "out"
+        assert run_cmd(episodes, scenes, out, "--overrides", str(ov_path), *flags) == EXIT_USAGE
+        assert (
+            f"usage error: overrides file {ov_path}, episode {ep.episode_id}: "
+            f"blockage at tick {tick} is at or past t_max {t_max or 30}"
+        ) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rollout_config_refuses_a_blockage_at_or_past_t_max(self):
+        RolloutConfig(t_max=10, blockage_schedule=((9, "c0"),)).validate()
+        with pytest.raises(ValueError, match="blockage at tick 10 is at or past t_max 10"):
+            RolloutConfig(t_max=10, blockage_schedule=((9, "c0"), (10, "c1"))).validate()
+
     def test_unknown_episode_in_overrides_is_usage_error(self, pipeline):
         root, scenes, episodes = pipeline
         ov_path = root / "bad_overrides.json"
@@ -253,6 +317,22 @@ class TestReplay:
             == EXIT_OK
         )
 
+    @pytest.mark.parametrize("command", ["adjudicate-export", "adjudicate-import"])
+    def test_adjudication_replay_verifies_bytes(self, manifests, tmp_path, command):
+        assert main(
+            ["replay", "--manifest", str(manifests[command]), "--out", str(tmp_path / "out")]
+        ) == EXIT_OK
+
+    def test_every_manifest_writing_command_has_a_job(self, manifests):
+        assert set(manifests) == set(JOBS)
+
+    @pytest.mark.parametrize("command", sorted(JOBS))
+    def test_manifest_config_reads_back_as_its_job(self, manifests, command):
+        manifest = load_manifest(manifests[command])
+        assert manifest.command == command
+        job = JOBS[command].from_dict(manifest.config)
+        assert canonical_dumps(job.to_dict()) == canonical_dumps(manifest.config)
+
     def test_tampered_manifest_fails_replay(self, pipeline, run_dirs):
         root, _, _ = pipeline
         run_a, _ = run_dirs
@@ -303,19 +383,18 @@ class TestReplay:
             ("run", "transport", "x"),
             ("run", "transport", {"latency": -1}),
             ("run", "overrides", 5),
+            ("adjudicate-export", "scenes_dir", None),
+            ("adjudicate-export", "acc_a", "x"),
+            ("adjudicate-export", "acc_b", True),
+            ("adjudicate-import", "pending_dir", 7),
+            ("adjudicate-import", "csv", None),
         ],
     )
     def test_malformed_config_value_is_named(
-        self, pipeline, run_dirs, tmp_path, capsys, command, key, value
+        self, manifests, tmp_path, capsys, command, key, value
     ):
         # None deletes the key
-        root, scenes, episodes = pipeline
-        source = {
-            "gen-scenes": scenes / "manifest.json",
-            "gen-episodes": manifest_path_for(episodes),
-            "run": run_dirs[0] / "manifest.json",
-        }[command]
-        doctored = json.loads(source.read_text())
+        doctored = json.loads(manifests[command].read_text())
         if value is None:
             del doctored["config"][key]
         else:
@@ -403,12 +482,10 @@ class TestConfigResolution:
         # must write the same manifest and trace header bytes
         path = tmp_path / "cfg.json"
         write_canonical(path, {"rollout": {"r_succ": 1}})
-        from_file = resolve_run_config(load_config_file(path), {}, {})
-        from_flag = resolve_run_config({}, {"r_succ": 1.0}, {})
-        assert canonical_dumps(run_config_snapshot(*from_file)) == canonical_dumps(
-            run_config_snapshot(*from_flag)
-        )
-        assert '"r_succ":1.0' in canonical_dumps(run_config_snapshot(*from_file))
+        from_file, _ = resolve_run_config(load_config_file(path), {}, {})
+        from_flag, _ = resolve_run_config({}, {"r_succ": 1.0}, {})
+        assert canonical_dumps(from_file.to_dict()) == canonical_dumps(from_flag.to_dict())
+        assert '"r_succ":1.0' in canonical_dumps(from_file.to_dict())
 
     def test_config_env_var_is_read(self, pipeline, monkeypatch, tmp_path):
         root, scenes, episodes = pipeline
@@ -416,6 +493,47 @@ class TestConfigResolution:
         write_canonical(path, {"bogus": {}})
         monkeypatch.setenv("RELAYNAV_CONFIG", str(path))
         assert run_cmd(episodes, scenes, root / "env_run") == EXIT_USAGE
+
+
+class TestRunFlags:
+    @staticmethod
+    def run_parser() -> argparse.ArgumentParser:
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        return sub.choices["run"]
+
+    def test_each_section_dest_names_a_field_of_its_config(self):
+        configs = {"rollout": RolloutConfig, "transport": TransportConfig}
+        dests = [a.dest for a in self.run_parser()._actions if "." in a.dest]
+        assert len(dests) == 12
+        for dest in dests:
+            section, name = dest.split(".")
+            assert name in {f.name for f in dataclasses.fields(configs[section])}, dest
+
+    def test_help_names_each_flag_field_and_choices(self, capsys):
+        assert main(["run", "--help"]) == EXIT_OK
+        out = capsys.readouterr().out
+        for shown in ("--tau ROLLOUT.TAU", "--transport-seed TRANSPORT.SEED",
+                      "--mode {lockstep,distributed}", "--policy {deconav,static}",
+                      "--knowledge {known,discover}"):
+            assert shown in out
+
+    def test_flags_reach_their_config_fields(self, pipeline, tmp_path):
+        _, scenes, episodes = pipeline
+        out = tmp_path / "out"
+        assert run_cmd(
+            episodes, scenes, out, "--mode", "distributed", "--policy", "static",
+            "--tau", "7", "--t-max", "90", "--r-succ", "1.5", "--r-int", "0.25",
+            "--knowledge", "discover", "--latency", "2", "--jitter", "1",
+            "--drop-prob", "0.5", "--transport-seed", "9",
+        ) == EXIT_OK
+        config = load_manifest(out).config
+        assert {k: config["rollout"][k] for k in (
+            "mode", "policy", "tau", "t_max", "r_succ", "r_int", "knowledge", "seed"
+        )} == {
+            "mode": "distributed", "policy": "static", "tau": 7, "t_max": 90,
+            "r_succ": 1.5, "r_int": 0.25, "knowledge": "discover", "seed": 5,
+        }
+        assert config["transport"] == {"latency": 2, "jitter": 1, "drop_prob": 0.5, "seed": 9}
 
 
 class TestExitCodes:

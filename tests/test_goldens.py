@@ -44,13 +44,13 @@ from relaynav.cli import (
     PENDING_NAME,
     REPORT_NAME,
     RESULTS_NAME,
+    RunJob,
     do_adjudicate_auto,
     do_adjudicate_export,
     do_adjudicate_import,
     do_eval,
     do_gen_scenes,
     do_run,
-    run_config_snapshot,
 )
 from relaynav.config import RolloutConfig, SensorConfig, TransportConfig, TriggerConfig
 from relaynav.engine import RolloutResult, run_distributed, run_lockstep
@@ -373,6 +373,13 @@ SNAPSHOT_CONFIGS = {
         TransportConfig(),
     ),
 }
+
+
+def run_config_snapshot(rollout, transport) -> dict:
+    """The "rollout" and "transport" of the config a run manifest records."""
+    config = RunJob(rollout, transport, episodes="", scenes_dir="", overrides=None).to_dict()
+    return {key: config[key] for key in ("rollout", "transport")}
+
 
 # canonical JSON of run_config_snapshot, the "rollout" and "transport" of a
 # run manifest's config

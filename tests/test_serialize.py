@@ -17,6 +17,9 @@ from hypothesis import strategies as st
 import relaynav
 from relaynav.ablation import BlockagePlan
 from relaynav.bus import Observation, SemanticPacket
+from relaynav.cli import (
+    AdjudicateExportJob, AdjudicateImportJob, GenEpisodesJob, GenScenesJob, RunJob
+)
 from relaynav.config import (
     EpisodeOverride,
     RolloutConfig,
@@ -203,6 +206,13 @@ rollout_configs = st.builds(
     sensor=sensor_configs,
     trigger=trigger_configs,
 )
+gen_scenes_jobs = st.builds(GenScenesJob, counts, scene_params)
+gen_episodes_jobs = st.builds(GenEpisodesJob, counts, names)
+run_jobs = st.builds(
+    RunJob, rollout_configs, st.none() | transport_configs, names, names, st.none() | names
+)
+adjudicate_export_jobs = st.builds(AdjudicateExportJob, names, finite, finite)
+adjudicate_import_jobs = st.builds(AdjudicateImportJob, names, names)
 label_votes = st.builds(LabelVote, names, names, finite)
 adjudication_items = st.builds(
     AdjudicationItem, names, names, st.tuples(label_votes, label_votes, label_votes)
@@ -317,6 +327,11 @@ RECORDS = {
     TriggerConfig: trigger_configs,
     TransportConfig: transport_configs,
     RolloutConfig: rollout_configs,
+    GenScenesJob: gen_scenes_jobs,
+    GenEpisodesJob: gen_episodes_jobs,
+    RunJob: run_jobs,
+    AdjudicateExportJob: adjudicate_export_jobs,
+    AdjudicateImportJob: adjudicate_import_jobs,
     LabelVote: label_votes,
     AdjudicationItem: adjudication_items,
     DialogueRecord: dialogue_records,
@@ -463,7 +478,7 @@ def test_nested_record_error_names_the_path(scene_episode):
     spec = through_json(scene_episode[1])
     del spec["pickup_waypoint"]["heading"]
     with pytest.raises(
-        RecordFormatError, match="EpisodeSpec.pickup_waypoint: Pose: missing field 'heading'"
+        RecordFormatError, match="EpisodeSpec: field 'pickup_waypoint': Pose: missing field 'heading'"
     ):
         EpisodeSpec.from_dict(spec)
     spec["pickup_waypoint"] = [1.0, 2.0, 0]
