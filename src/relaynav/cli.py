@@ -4,9 +4,9 @@ Every artifact-producing subcommand resolves its full configuration up
 front, fans all randomness out from one root seed by stable derivation, and
 writes a manifest holding that resolved config (the command's record in
 ``JOBS``) plus content hashes of every input and output. ``replay``
-re-executes any such manifest and verifies the regenerated bytes. Episodes
-inside a run may execute in parallel workers; results and traces are merged
-in episode_id order, so the output bytes do not depend on scheduling. Each
+re-executes any such manifest and verifies the regenerated bytes. The
+scenes of a run may execute in parallel workers; results are written in
+episode_id order, so the output bytes do not depend on scheduling. Each
 ``run`` flag that sets a config field has the dest ``"<section>.<field>"``
 (``--tau`` sets ``rollout.tau``): ``--help`` shows it, and ``_dispatch``
 reads the section and field from it.
@@ -21,7 +21,6 @@ import argparse
 import os
 import sys
 from dataclasses import dataclass, replace
-from functools import cache
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -285,6 +284,13 @@ class AdjudicateExportJob(Record):
     acc_a: float
     acc_b: float
 
+    def __post_init__(self) -> None:
+        for name in ("acc_a", "acc_b"):
+            acc = getattr(self, name)
+            if not 0.0 <= acc <= 1.0:  # NaN fails this too
+                flag = "--" + name.replace("_", "-")
+                raise UsageError(f"field {name!r} ({flag}) must lie in [0, 1], got {acc}")
+
     def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
         return do_adjudicate_export(
             self.scenes_dir, out_dir, manifest.seed, self.acc_a, self.acc_b
@@ -302,6 +308,7 @@ def do_adjudicate_export(
         SeededNoisyClassifier, export_adjudication, run_labeling, scene_truth_lookup
     )
 
+    job = AdjudicateExportJob(str(scenes_dir), acc_a, acc_b)
     scenes = _load_scenes(scenes_dir)
     truth = scene_truth_lookup(scenes)
     client_a = SeededNoisyClassifier("classifier_a", acc_a, derive_seed(seed, "a"), truth)
@@ -328,7 +335,7 @@ def do_adjudicate_export(
     manifest = make_manifest(
         "adjudicate-export",
         seed,
-        AdjudicateExportJob(str(scenes_dir), acc_a, acc_b).to_dict(),
+        job.to_dict(),
         inputs={p.name: p for p in _scene_files(scenes_dir)},
         output_files=outputs,
     )
@@ -475,10 +482,22 @@ def rollout_episode(
     return run_lockstep(scene, episode, rollout)
 
 
-def _worker(payload: tuple) -> tuple[str, dict, bytes]:
-    scene_path, episode, cfg, transport = payload
-    result, trace = rollout_episode(load_scene(scene_path), episode, cfg, transport)
-    return episode.episode_id, result.to_dict(), trace.to_bytes()
+def _trace_path(out: Path, episode_id: str) -> Path:
+    return out / f"trace_{episode_id}.jsonl"
+
+
+def _run_scene(task: tuple) -> list[tuple[str, dict]]:
+    """``(scene_path, [(episode, config), ...], transport, out_dir)`` -> one
+    ``(episode_id, result dict)`` row per episode, each trace written as its rollout ends."""
+    scene_path, runs, transport, out = task
+    scene = load_scene(scene_path)
+    rows = []
+    for ep, cfg in runs:
+        result, trace = rollout_episode(scene, ep, cfg, transport)
+        _trace_path(out, ep.episode_id).write_bytes(trace.to_bytes())
+        rows.append((ep.episode_id, result.to_dict()))
+        del result, trace  # no trace outlives its write
+    return rows
 
 
 @dataclass(frozen=True)
@@ -506,6 +525,15 @@ def do_run(
     overrides_path: str | Path | None = None,
     jobs: int = 1,
 ) -> RunManifest:
+    """Roll out every episode, writing one trace file each, ``results.jsonl``
+    in episode_id order and the manifest.
+
+    A task is one scene's episodes: it loads the scene once and writes each
+    trace as soon as its rollout ends, so a process holds one scene and one
+    trace at a time, and this one keeps only result rows. With ``jobs`` > 1
+    the tasks run in a pool of at most ``jobs`` workers, and never more than
+    there are scenes; otherwise they run here, one after another.
+    """
     episodes = load_episodes(episodes_path)
     overrides = _load_overrides(overrides_path)
     unknown = sorted(set(overrides) - {ep.episode_id for ep in episodes})
@@ -515,52 +543,42 @@ def do_run(
     missing = sorted({ep.scene_id for ep in episodes} - set(scene_paths))
     if missing:
         raise RuntimeError(f"scenes missing from {scenes_dir}: {', '.join(missing)}")
-    order = sorted(episodes, key=lambda ep: ep.episode_id)
-    # each episode's config is resolved here, once, for either rollout path
-    runs = [(ep, replace(rollout, **overrides.get(ep.episode_id, {}))) for ep in order]
-    # each scene loads once; only those of overridden episodes before the rollouts
-    scene_of = cache(lambda scene_id: load_scene(scene_paths[scene_id]))
-    for ep, cfg in runs:
-        if ep.episode_id not in overrides:
-            continue
-        where = f"overrides file {overrides_path}, episode {ep.episode_id}"
-        corridors = scene_of(ep.scene_id).corridors
-        bad = sorted({cid for _, cid in cfg.blockage_schedule if cid not in corridors})
-        if bad:
-            raise UsageError(f"{where}: unknown corridors {', '.join(bad)} in scene {ep.scene_id}")
-        try:
-            cfg.validate()  # a blockage at or past t_max would never fire
-        except ValueError as exc:
-            raise UsageError(f"{where}: {exc}") from None
+    # each episode's config is resolved here, once, and grouped by scene
+    runs_of: dict[str, list[tuple[EpisodeSpec, RolloutConfig]]] = {}
+    for ep in sorted(episodes, key=lambda ep: ep.episode_id):
+        cfg = replace(rollout, **overrides.get(ep.episode_id, {}))
+        runs_of.setdefault(ep.scene_id, []).append((ep, cfg))
+    for sid, runs in runs_of.items():
+        checked = [(ep, cfg) for ep, cfg in runs if ep.episode_id in overrides]
+        corridors = load_scene(scene_paths[sid]).corridors if checked else {}  # scene not kept
+        for ep, cfg in checked:
+            where = f"overrides file {overrides_path}, episode {ep.episode_id}"
+            bad = sorted({cid for _, cid in cfg.blockage_schedule if cid not in corridors})
+            if bad:
+                raise UsageError(f"{where}: unknown corridors {', '.join(bad)} in scene {sid}")
+            try:
+                cfg.validate()  # a blockage at or past t_max would never fire
+            except ValueError as exc:
+                raise UsageError(f"{where}: {exc}") from None
 
     out = _out_dir(out_dir)
-    produced: dict[str, tuple[dict, bytes]] = {}
-    if jobs > 1:
+    tasks = [(scene_paths[sid], runs, transport, out) for sid, runs in runs_of.items()]
+    workers = min(jobs, len(tasks))
+    if workers > 1:
         from multiprocessing import Pool
 
-        payloads = [(str(scene_paths[ep.scene_id]), ep, cfg, transport) for ep, cfg in runs]
-        with Pool(jobs) as pool:
-            for eid, result_dict, trace_bytes in pool.imap_unordered(_worker, payloads):
-                produced[eid] = (result_dict, trace_bytes)
+        with Pool(workers) as pool:
+            results = dict(row for rows in pool.imap_unordered(_run_scene, tasks) for row in rows)
     else:
-        for ep, cfg in runs:
-            result, trace = rollout_episode(scene_of(ep.scene_id), ep, cfg, transport)
-            produced[ep.episode_id] = (result.to_dict(), trace.to_bytes())
+        results = dict(row for task in tasks for row in _run_scene(task))
 
-    outputs: dict[str, Path] = {}
-    results_rows = []
-    for ep in order:
-        result_dict, trace_bytes = produced[ep.episode_id]
-        trace_path = out / f"trace_{ep.episode_id}.jsonl"
-        trace_path.write_bytes(trace_bytes)
-        outputs[trace_path.name] = trace_path
-        results_rows.append(result_dict)
+    outputs = {_trace_path(out, eid).name: _trace_path(out, eid) for eid in results}
     results_path = out / RESULTS_NAME
-    write_jsonl(results_path, results_rows)
+    write_jsonl(results_path, [results[eid] for eid in sorted(results)])
     outputs[RESULTS_NAME] = results_path
 
     inputs = {Path(episodes_path).name: episodes_path}
-    for sid in sorted({ep.scene_id for ep in episodes}):
+    for sid in sorted(runs_of):
         inputs[scene_paths[sid].name] = scene_paths[sid]
     if overrides_path is not None:
         inputs[Path(overrides_path).name] = overrides_path
@@ -736,7 +754,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON: episode_id -> {blockages: [[tick, corridor]...], t_max}")
     p.add_argument("--config", default=None,
                    help=f"JSON config file (or set ${CONFIG_ENV_VAR})")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at most one per scene); a task is one scene's "
+                        "episodes, and each process holds one scene and one trace at a time")
 
     p = sub.add_parser("eval", help="score a run directory")
     p.add_argument("--results", required=True)

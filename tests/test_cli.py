@@ -9,14 +9,18 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
+import multiprocessing
 import os
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
+from relaynav import cli
 from relaynav.cli import (
     EXIT_OK,
     EXIT_REJECTED,
@@ -32,7 +36,7 @@ from relaynav.cli import (
     resolve_run_config,
 )
 from relaynav.config import RolloutConfig, TransportConfig
-from relaynav.episodes import EpisodeRejection, load_episodes
+from relaynav.episodes import EpisodeRejection, load_episodes, save_episodes
 from relaynav.manifest import load_manifest
 from relaynav.serialize import (
     canonical_dumps, numbered_jsonl, read_json, write_canonical, write_jsonl
@@ -115,6 +119,26 @@ def manifests(pipeline, run_dirs, adjudicated):
     }
 
 
+@pytest.fixture(scope="module")
+def uneven(tmp_path_factory):
+    """Three scenes holding 3, 1 and 2 episodes: more scenes than two workers,
+    and scenes of unequal work."""
+    root = tmp_path_factory.mktemp("uneven")
+    scenes, drawn, episodes = root / "scenes", root / "drawn.jsonl", root / "episodes.jsonl"
+    assert main(["gen-scenes", "--count", "3", "--seed", "11", "--out", str(scenes)]) == EXIT_OK
+    assert main(
+        ["gen-episodes", "--scenes", str(scenes), "--per-scene", "4",
+         "--seed", "11", "--out", str(drawn)]
+    ) == EXIT_OK
+    by_scene: dict[str, list] = {}
+    for ep in load_episodes(drawn):
+        by_scene.setdefault(ep.scene_id, []).append(ep)
+    assert len(by_scene) == 3 and min(len(eps) for eps in by_scene.values()) >= 3
+    kept = [ep for eps, n in zip(by_scene.values(), (3, 1, 2)) for ep in eps[:n]]
+    save_episodes(kept, episodes)
+    return scenes, episodes
+
+
 class TestGeneration:
     def test_gen_scenes_layout(self, pipeline):
         _, scenes, _ = pipeline
@@ -170,14 +194,64 @@ class TestRunEvalCompare:
         assert set(delta) == {"sr", "bsr", "isr", "spl", "ne", "n_episodes_a", "n_episodes_b"}
         assert set(delta["sr"]) == {"a", "b", "abs_delta", "rel_delta"}
 
-    def test_parallel_jobs_bytes_identical(self, pipeline, run_dirs):
-        root, scenes, episodes = pipeline
-        run_a, _ = run_dirs
-        par = root / "run_jobs2"
-        assert run_cmd(episodes, scenes, par, "--policy", "deconav", "--jobs", "2") == EXIT_OK
-        assert (par / "results.jsonl").read_bytes() == (run_a / "results.jsonl").read_bytes()
-        for trace in run_a.glob("trace_*.jsonl"):
-            assert (par / trace.name).read_bytes() == trace.read_bytes()
+    def test_parallel_jobs_bytes_identical(self, uneven, tmp_path):
+        # two workers take the three scenes in whatever order they finish
+        scenes, episodes = uneven
+        serial, parallel = tmp_path / "jobs1", tmp_path / "jobs2"
+        assert run_cmd(episodes, scenes, serial) == EXIT_OK
+        assert run_cmd(episodes, scenes, parallel, "--jobs", "2") == EXIT_OK
+        names = sorted(p.name for p in serial.iterdir())
+        assert len(names) == 6 + 2  # a trace per episode, results.jsonl, manifest.json
+        assert names == sorted(p.name for p in parallel.iterdir())
+        for name in names:
+            assert (parallel / name).read_bytes() == (serial / name).read_bytes(), name
+
+    def test_serial_run_holds_one_scene_and_one_trace(self, uneven, tmp_path, monkeypatch):
+        scenes, episodes = uneven
+        out = tmp_path / "run"
+        # SceneGraph is an unhashable dataclass, so live scenes are weak values
+        loaded, alive_scenes, traces, done = [], weakref.WeakValueDictionary(), [], []
+        load_scene, rollout_episode = cli.load_scene, cli.rollout_episode
+
+        def counted_load(path):
+            scene = load_scene(path)
+            loaded.append(scene.scene_id)
+            alive_scenes[len(loaded)] = scene
+            return scene
+
+        def checked_rollout(scene, episode, rollout, transport):
+            assert list(alive_scenes.values()) == [scene]
+            assert [t for t in traces if t() is not None] == []
+            assert [e for e in done if not (out / f"trace_{e}.jsonl").is_file()] == []
+            result, trace = rollout_episode(scene, episode, rollout, transport)
+            traces.append(weakref.ref(trace))
+            done.append(episode.episode_id)
+            return result, trace
+
+        monkeypatch.setattr(cli, "load_scene", counted_load)
+        monkeypatch.setattr(cli, "rollout_episode", checked_rollout)
+        rollout, _ = resolve_run_config({}, {"t_max": 80}, {})
+        cli.do_run(episodes, scenes, out, rollout, None)
+        eps = load_episodes(episodes)
+        assert done == sorted(ep.episode_id for ep in eps)
+        assert loaded == sorted({ep.scene_id for ep in eps})
+
+    @pytest.mark.parametrize("jobs, scenes_run, pool_size", [(8, 3, 3), (4, 1, None)])
+    def test_pool_never_outnumbers_scenes(
+        self, uneven, tmp_path, monkeypatch, jobs, scenes_run, pool_size
+    ):
+        scenes, episodes = uneven
+        eps = load_episodes(episodes)
+        chosen = sorted({ep.scene_id for ep in eps})[:scenes_run]
+        subset = tmp_path / "episodes.jsonl"
+        save_episodes([ep for ep in eps if ep.scene_id in chosen], subset)
+        sizes = []
+        pool = multiprocessing.Pool
+        monkeypatch.setattr(multiprocessing, "Pool", lambda n: sizes.append(n) or pool(n))
+        out = tmp_path / "run"
+        assert run_cmd(subset, scenes, out, "--t-max", "20", "--jobs", str(jobs)) == EXIT_OK
+        assert sizes == ([] if pool_size is None else [pool_size])
+        assert len(jsonl_rows(out / "results.jsonl")) == sum(ep.scene_id in chosen for ep in eps)
 
     def test_distributed_mode_accepts_transport_flags(self, pipeline):
         root, scenes, episodes = pipeline
@@ -386,6 +460,9 @@ class TestReplay:
             ("adjudicate-export", "scenes_dir", None),
             ("adjudicate-export", "acc_a", "x"),
             ("adjudicate-export", "acc_b", True),
+            ("adjudicate-export", "acc_a", 7),
+            ("adjudicate-export", "acc_b", -2),
+            ("adjudicate-export", "acc_a", math.nan),
             ("adjudicate-import", "pending_dir", 7),
             ("adjudicate-import", "csv", None),
         ],
@@ -619,6 +696,22 @@ class TestAdjudication:
         out = root / "adjudication"
         assert main(["adjudicate", "export", "--scenes", str(scenes), "--out", str(out)]) == EXIT_OK
         return out
+
+    @pytest.mark.parametrize(
+        "acc_a, acc_b, named",
+        [("7", "-2", "'acc_a' (--acc-a)"), ("0.5", "-2", "'acc_b' (--acc-b)"),
+         ("nan", "0.5", "'acc_a' (--acc-a)"), ("0.5", "1.0001", "'acc_b' (--acc-b)")],
+    )
+    def test_accuracy_outside_unit_interval_is_usage_error(
+        self, pipeline, tmp_path, capsys, acc_a, acc_b, named
+    ):
+        _, scenes, _ = pipeline
+        out = tmp_path / "export"
+        code = main(["adjudicate", "export", "--scenes", str(scenes), "--out", str(out),
+                     "--acc-a", acc_a, "--acc-b", acc_b])
+        assert code == EXIT_USAGE
+        assert f"field {named} must lie in [0, 1]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_auto_and_import_read_the_export(self, pipeline, export, tmp_path):
         _, scenes, _ = pipeline

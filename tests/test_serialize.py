@@ -211,7 +211,9 @@ gen_episodes_jobs = st.builds(GenEpisodesJob, counts, names)
 run_jobs = st.builds(
     RunJob, rollout_configs, st.none() | transport_configs, names, names, st.none() | names
 )
-adjudicate_export_jobs = st.builds(AdjudicateExportJob, names, finite, finite)
+adjudicate_export_jobs = st.builds(
+    AdjudicateExportJob, names, st.floats(0.0, 1.0), st.floats(0.0, 1.0)
+)
 adjudicate_import_jobs = st.builds(AdjudicateImportJob, names, names)
 label_votes = st.builds(LabelVote, names, names, finite)
 adjudication_items = st.builds(
