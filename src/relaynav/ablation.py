@@ -19,7 +19,7 @@ and per-episode combined path lengths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .config import EpisodeOverride, RolloutConfig
 from .engine import RolloutResult, run_lockstep
@@ -66,7 +66,6 @@ class BlockagePlan(Record):
 class SuiteParams:
     n_episodes: int = 200
     seed: int = 0
-    rollout: RolloutConfig = field(default_factory=RolloutConfig)
 
 
 @dataclass(frozen=True)
@@ -205,7 +204,7 @@ def pick_route_blockage(
 
 def build_blockage_suite(params: SuiteParams) -> BlockageSuite:
     """Deterministically assemble the suite from (seed, params) alone."""
-    base = replace(params.rollout, policy="deconav", blockage_schedule=(), mode="lockstep")
+    base = RolloutConfig()
     want_cuts = round(params.n_episodes * CUT_FRACTION)
     scenes: dict[str, SceneGraph] = {}
     entries: list[SuiteEntry] = []
@@ -257,9 +256,7 @@ def run_suite(suite: BlockageSuite, policy: str) -> dict[str, RolloutResult]:
     """Lockstep rollouts of every entry under one policy, keyed by episode."""
     out: dict[str, RolloutResult] = {}
     for entry in suite.entries:
-        cfg = replace(
-            suite.params.rollout,
-            mode="lockstep",
+        cfg = RolloutConfig(
             policy=policy,
             t_max=entry.t_max,
             blockage_schedule=((entry.plan.tick, entry.plan.corridor_id),),

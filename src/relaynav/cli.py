@@ -32,7 +32,6 @@ from .config import (
     POLICIES,
     EpisodeOverride,
     RolloutConfig,
-    SceneParams,
     SensorConfig,
     TransportConfig,
     TriggerConfig,
@@ -180,24 +179,21 @@ class GenScenesJob(Record):
     """The config a gen-scenes manifest records."""
 
     count: int
-    scene: SceneParams
 
     def __post_init__(self) -> None:
         if self.count < 0:
             raise UsageError(f"field 'count' must be non-negative, got {self.count}")
 
     def rerun(self, manifest: RunManifest, out_dir: str | Path) -> RunManifest:
-        return do_gen_scenes(self.count, manifest.seed, out_dir, self.scene)
+        return do_gen_scenes(self.count, manifest.seed, out_dir)
 
 
-def do_gen_scenes(
-    count: int, seed: int, out_dir: str | Path, params: SceneParams | None = None
-) -> RunManifest:
-    job = GenScenesJob(count, params or SceneParams())
+def do_gen_scenes(count: int, seed: int, out_dir: str | Path) -> RunManifest:
+    job = GenScenesJob(count)
     out = _out_dir(out_dir)
     outputs: dict[str, Path] = {}
     for i in range(count):
-        scene = generate_scene(derive_seed(seed, "scene", i), job.scene)
+        scene = generate_scene(derive_seed(seed, "scene", i))
         path = out / f"{scene.scene_id}.json"
         save_scene(scene, path)
         outputs[path.name] = path

@@ -1,4 +1,4 @@
-"""Configuration dataclasses for scene generation and rollout.
+"""Configuration dataclasses for a rollout and its transport.
 
 Each inherits ``serialize.Record``: a manifest records a resolved config as
 its ``to_dict`` and ``replay`` reads it back with ``from_dict``, and a
@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 from .serialize import Record
-from .world import FORWARD_M, MAX_GRID_SIDE
 
 # world.ray_geometry's shadow table takes window cells x offsets / 8 bytes,
 # both counts about n, the cells within the range: n = 1,256 and 0.2 MB at
@@ -23,55 +22,6 @@ MAX_SENSOR_RANGE_M = 10.0
 MODES = ("lockstep", "distributed")
 POLICIES = ("deconav", "static")
 KNOWLEDGE = ("known", "discover")
-
-
-@dataclass(frozen=True)
-class SceneParams(Record):
-    """Knobs for procedural scene generation."""
-
-    grid_width: int = 64
-    grid_height: int = 64
-    resolution: float = 0.25
-    room_rows: int = 3
-    room_cols: int = 3
-    min_regions: int = 3
-    doorway_width: int = 2
-    required_rooms: tuple[str, ...] = (
-        "Bathroom",
-        "Bedroom",
-        "Kitchen",
-        "LivingRoom",
-        "Office",
-        "Foyer",
-    )
-    filler_rooms: tuple[str, ...] = ("Corridor", "Hallway", "DiningRoom")
-    n_portables: int = 3
-    portable_categories: tuple[str, ...] = ("bottle", "cup", "book", "plant")
-    portable_salience: tuple[float, float] = (0.75, 1.0)
-    portable_occlusion: tuple[float, float] = (0.0, 0.15)
-    signature_salience: tuple[float, float] = (0.7, 0.95)
-    signature_occlusion: tuple[float, float] = (0.0, 0.2)
-    max_attempts: int = 8
-
-    def validate(self) -> None:
-        if not (8 <= self.grid_width <= MAX_GRID_SIDE and 8 <= self.grid_height <= MAX_GRID_SIDE):
-            raise ValueError(f"grid dimensions must be within [8, {MAX_GRID_SIDE}]")
-        if self.resolution != FORWARD_M:
-            raise ValueError(f"resolution must be {FORWARD_M} m, one forward step per cell")
-        rooms = self.room_rows * self.room_cols
-        if rooms < self.min_regions:
-            raise ValueError(
-                f"{rooms} rooms is below minimum region count {self.min_regions}"
-            )
-        if rooms < len(self.required_rooms):
-            raise ValueError("not enough rooms to realize every required room type")
-        if self.doorway_width < 1:
-            raise ValueError("doorway_width must be >= 1")
-        # every room interior needs a few cells across for doors and objects
-        if (self.grid_width - 1) // self.room_cols - 1 < 5:
-            raise ValueError("rooms too narrow for grid width")
-        if (self.grid_height - 1) // self.room_rows - 1 < 5:
-            raise ValueError("rooms too short for grid height")
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,7 @@ from itertools import compress
 import numpy as np
 
 from .gates import GATE_RANGE_M, THETA_REC, GateReport, trigate_check
+from .scenegen import PORTABLE_CATEGORIES
 from .seeds import derive_seed
 from .serialize import Record, RecordFormatError, numbered_jsonl, write_jsonl
 from .tasks import FH_CHAIN, SH_CHAIN
@@ -44,7 +45,6 @@ STOPS = ("pickup", "handoff", "delivery")
 # around each; the three stops lie in three different rooms
 WAYPOINT_ATTEMPTS = 16
 ROOM_ATTEMPTS = 4
-TARGET_CATEGORIES = ("bottle", "cup", "book", "plant")
 HANDOFF_CATEGORIES = ("shelf",)
 
 INSTRUCTION_TEMPLATE = (
@@ -181,7 +181,7 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
     targets = [
         scene.objects[oid]
         for oid in sorted(scene.objects)
-        if scene.objects[oid].category in TARGET_CATEGORIES
+        if scene.objects[oid].category in PORTABLE_CATEGORIES
         and scene.objects[oid].region_id in verified_ids
     ]
     if not targets:
@@ -336,12 +336,20 @@ def save_episodes(episodes: list[EpisodeSpec], path) -> None:
 
 
 def load_episodes(path) -> list[EpisodeSpec]:
-    """Episodes from a JSON-lines file; a malformed line raises
-    RecordFormatError naming the file and the line."""
+    """Episodes from a JSON-lines file; a malformed line, or one repeating an
+    earlier line's episode_id, raises RecordFormatError naming the file and
+    the line."""
+    first_line: dict[str, int] = {}
     episodes = []
     for lineno, data in numbered_jsonl(path):
         try:
-            episodes.append(EpisodeSpec.from_dict(data))
+            episode = EpisodeSpec.from_dict(data)
         except RecordFormatError as exc:
             raise RecordFormatError(f"{path}:{lineno}: {exc}") from None
+        seen = first_line.setdefault(episode.episode_id, lineno)
+        if seen != lineno:
+            raise RecordFormatError(
+                f"{path}:{lineno}: episode_id {episode.episode_id!r} repeats line {seen}"
+            )
+        episodes.append(episode)
     return episodes

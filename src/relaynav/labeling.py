@@ -30,6 +30,8 @@ from .world import (
 )
 
 VOTE_SOURCES = ("rule", "classifier_a", "classifier_b")
+# the rule confidence that resolves a region without a vote: a full signature
+RULE_ACCEPT = 1.0
 
 
 class AdjudicationError(ValueError):
@@ -183,8 +185,6 @@ def run_labeling(
     scene: SceneGraph,
     client_a: PanoramaClassifier,
     client_b: PanoramaClassifier,
-    *,
-    rule_accept: float = 1.0,
 ) -> LabelingResult:
     """Relabel every region through the cascade.
 
@@ -198,7 +198,7 @@ def run_labeling(
         region = scene.regions[rid]
         objs = scene.objects_in_region(rid)
         label, conf = rtsa_rule_classify(region, objs)
-        if label != UNKNOWN_LABEL and conf >= rule_accept:
+        if label != UNKNOWN_LABEL and conf >= RULE_ACCEPT:
             regions[rid] = replace(region, room_label=label, label_provenance=PROVENANCE_RULE)
             continue
         rule_vote = LabelVote("rule", label, conf)

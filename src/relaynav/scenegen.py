@@ -15,7 +15,6 @@ import random
 
 import numpy as np
 
-from .config import SceneParams
 from .seeds import derive_seed
 from .world import (
     Corridor,
@@ -30,26 +29,43 @@ from .world import (
     validate_scene,
 )
 
+# the layout: a square grid of ROOM_ROWS x ROOM_COLS rooms, each wide enough
+# for doors and objects, one doorway between each two adjacent rooms
+GRID_SIDE = 64
+ROOM_ROWS = ROOM_COLS = 3
+DOORWAY_WIDTH = 2
+# room types: every required one is realized, the other rooms are fillers
+REQUIRED_ROOMS = ("Bathroom", "Bedroom", "Kitchen", "LivingRoom", "Office", "Foyer")
+FILLER_ROOMS = ("Corridor", "Hallway", "DiningRoom")
+# relay targets, scattered over the rooms; the categories cycle
+N_PORTABLES = 3
+PORTABLE_CATEGORIES = ("bottle", "cup", "book", "plant")
+# (low, high) uniform draws for each object's salience and occlusion
+PORTABLE_SALIENCE = (0.75, 1.0)
+PORTABLE_OCCLUSION = (0.0, 0.15)
+SIGNATURE_SALIENCE = (0.7, 0.95)
+SIGNATURE_OCCLUSION = (0.0, 0.2)
+# draws tried per seed before generation fails
+MAX_ATTEMPTS = 8
 
-def generate_scene(seed: int, params: SceneParams | None = None) -> SceneGraph:
+
+def generate_scene(seed: int) -> SceneGraph:
     """Build a scene deterministically from ``seed``.
 
     Retries with derived sub-seeds if a draw fails validation; raises
     SceneGenerationError echoing the seed once the retry budget is exhausted.
     """
-    params = params or SceneParams()
-    params.validate()
     last_err: Exception | None = None
-    for attempt in range(params.max_attempts):
+    for attempt in range(MAX_ATTEMPTS):
         rng = random.Random(derive_seed(seed, "scene", attempt))
         try:
-            scene = _build(seed, rng, params)
+            scene = _build(seed, rng)
             validate_scene(scene)
             return scene
         except SceneFormatError as exc:  # reject and retry with a fresh draw
             last_err = exc
     raise SceneGenerationError(
-        f"scene generation failed for seed={seed} after {params.max_attempts} attempts: {last_err}"
+        f"scene generation failed for seed={seed} after {MAX_ATTEMPTS} attempts: {last_err}"
     )
 
 
@@ -65,12 +81,11 @@ def _split_positions(rng: random.Random, extent: int, parts: int) -> list[int]:
     return bounds
 
 
-def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
-    w, h = params.grid_width, params.grid_height
-    blocked = np.zeros((h, w), dtype=bool)
+def _build(seed: int, rng: random.Random) -> SceneGraph:
+    blocked = np.zeros((GRID_SIDE, GRID_SIDE), dtype=bool)
 
-    xb = _split_positions(rng, w, params.room_cols)
-    yb = _split_positions(rng, h, params.room_rows)
+    xb = _split_positions(rng, GRID_SIDE, ROOM_COLS)
+    yb = _split_positions(rng, GRID_SIDE, ROOM_ROWS)
     for x in xb:
         blocked[:, x] = True
     for y in yb:
@@ -78,8 +93,8 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
 
     # room interiors
     rooms: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for r in range(params.room_rows):
-        for c in range(params.room_cols):
+    for r in range(ROOM_ROWS):
+        for c in range(ROOM_COLS):
             cells = [
                 (x, y)
                 for x in range(xb[c] + 1, xb[c + 1])
@@ -93,7 +108,7 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
 
     def carve(cells: list[tuple[int, int]], join: tuple[str, str]) -> None:
         nonlocal door_count
-        width = min(params.doorway_width, len(cells))
+        width = min(DOORWAY_WIDTH, len(cells))
         start = rng.randrange(0, len(cells) - width + 1)
         gate = cells[start : start + width]
         for gx, gy in gate:
@@ -105,13 +120,13 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
     def room_id(r: int, c: int) -> str:
         return f"r{r}{c}"
 
-    for r in range(params.room_rows):
-        for c in range(params.room_cols - 1):
+    for r in range(ROOM_ROWS):
+        for c in range(ROOM_COLS - 1):
             wall_x = xb[c + 1]
             span = [(wall_x, y) for y in range(yb[r] + 2, yb[r + 1] - 1)]
             carve(span, (room_id(r, c), room_id(r, c + 1)))
-    for r in range(params.room_rows - 1):
-        for c in range(params.room_cols):
+    for r in range(ROOM_ROWS - 1):
+        for c in range(ROOM_COLS):
             wall_y = yb[r + 1]
             span = [(x, wall_y) for x in range(xb[c] + 2, xb[c + 1] - 1)]
             carve(span, (room_id(r, c), room_id(r + 1, c)))
@@ -122,10 +137,10 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
     rng.shuffle(order)
     labels: dict[tuple[int, int], str] = {}
     for i, key in enumerate(order):
-        if i < len(params.required_rooms):
-            labels[key] = params.required_rooms[i]
+        if i < len(REQUIRED_ROOMS):
+            labels[key] = REQUIRED_ROOMS[i]
         else:
-            labels[key] = rng.choice(params.filler_rooms)
+            labels[key] = rng.choice(FILLER_ROOMS)
 
     regions: dict[str, Region] = {}
     for key in keys:
@@ -163,15 +178,15 @@ def _build(seed: int, rng: random.Random, params: SceneParams) -> SceneGraph:
     for key in keys:
         rid = room_id(*key)
         for category in ROOM_SIGNATURES.get(labels[key], ()):
-            place(rid, category, params.signature_salience, params.signature_occlusion)
+            place(rid, category, SIGNATURE_SALIENCE, SIGNATURE_OCCLUSION)
 
     region_ids = sorted(regions)
-    for i in range(params.n_portables):
+    for i in range(N_PORTABLES):
         rid = rng.choice(region_ids)
-        category = params.portable_categories[i % len(params.portable_categories)]
-        place(rid, category, params.portable_salience, params.portable_occlusion)
+        category = PORTABLE_CATEGORIES[i % len(PORTABLE_CATEGORIES)]
+        place(rid, category, PORTABLE_SALIENCE, PORTABLE_OCCLUSION)
 
-    grid = GridMap(w, h, blocked)
+    grid = GridMap(GRID_SIDE, GRID_SIDE, blocked)
     return SceneGraph(
         scene_id=f"s{seed:08d}",
         seed=seed,

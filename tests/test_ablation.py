@@ -16,6 +16,7 @@ from relaynav.ablation import (
     pick_route_blockage,
     run_suite,
 )
+from relaynav.config import RolloutConfig
 from relaynav.engine import RolloutResult
 from relaynav.episodes import EpisodeSpec, generate_episode
 from relaynav.scenegen import generate_scene
@@ -94,13 +95,12 @@ class TestPlanSerialization:
 
 class TestSuiteBuild:
     def test_entries_respect_budgets(self, small_suite):
-        params = small_suite.params
         assert len(small_suite.entries) == 2
         for entry in small_suite.entries:
             assert entry.episode.scene_id in small_suite.scenes
             assert entry.plan.tick < entry.unblocked_ticks
             assert entry.t_max == min(
-                params.rollout.t_max, entry.unblocked_ticks + ablation.BUDGET_EXTRA_TICKS
+                RolloutConfig().t_max, entry.unblocked_ticks + ablation.BUDGET_EXTRA_TICKS
             )
 
     def test_build_is_deterministic(self, small_suite):

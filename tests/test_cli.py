@@ -442,7 +442,7 @@ class TestReplay:
             ("gen-scenes", "count", None),
             ("gen-scenes", "count", "x"),
             ("gen-scenes", "count", -1),
-            ("gen-scenes", "scene", None),
+            # a manifest written while gen-scenes recorded its scene layout
             ("gen-scenes", "scene", "x"),
             ("gen-scenes", "scene", {"grid_width": 3}),
             ("gen-episodes", "per_scene", None),
@@ -657,6 +657,30 @@ class TestExitCodes:
         assert run_cmd(bad, scenes, tmp_path / "out") == EXIT_RUNTIME
         err = capsys.readouterr().err
         assert f"{bad}:{len(rows)}: EpisodeSpec: unknown field 'difficulty'" in err
+
+    @pytest.mark.parametrize("command", ["run", "eval", "stats"])
+    def test_repeated_episode_is_refused_by_name(
+        self, pipeline, run_dirs, tmp_path, capsys, command
+    ):
+        _, scenes, episodes = pipeline
+        lines = episodes.read_text().splitlines(keepends=True)
+        bad = tmp_path / "episodes.jsonl"
+        bad.write_text("".join([*lines, lines[0]]))
+        if command == "run":
+            code = run_cmd(bad, scenes, tmp_path / "out", "--t-max", "10")
+        elif command == "eval":
+            copy = tmp_path / "run"
+            shutil.copytree(run_dirs[0], copy)
+            manifest = read_json(copy / "manifest.json")
+            manifest["config"]["episodes"] = str(bad)
+            write_canonical(copy / "manifest.json", manifest, indent=2)
+            code = main(["eval", "--results", str(copy)])
+        else:
+            code = main(["stats", "--episodes", str(bad)])
+        assert code == EXIT_RUNTIME
+        eid = json.loads(lines[0])["episode_id"]
+        assert f"{bad}:{len(lines) + 1}: episode_id {eid!r} repeats line 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_gen_episodes_names_a_scene_of_another_cell_size(self, pipeline, tmp_path, capsys):
         _, scenes, _ = pipeline

@@ -139,9 +139,22 @@ def test_fuzzed_line_raises_only_record_format_error(tmp_path_factory, batch10, 
     try:
         loaded = load_episodes(path)
     except RecordFormatError as exc:
-        assert re.match(re.escape(f"{path}:{at + 1}: "), str(exc))
+        # a valid line with episodes[0]'s id is refused where the id comes second
+        second = 2 if at == 0 and str(exc).endswith(" repeats line 1") else at + 1
+        assert re.match(re.escape(f"{path}:{second}: "), str(exc))
     else:
         assert not malformed and len(loaded) == len(lines)
+
+
+def test_repeated_episode_id_is_refused_by_name(tmp_path, batch10):
+    episodes = [ep for _, ep in batch10[:2]]
+    path = tmp_path / "episodes.jsonl"
+    save_episodes([*episodes, episodes[0]], path)
+    with pytest.raises(RecordFormatError) as exc:
+        load_episodes(path)
+    assert str(exc.value) == (
+        f"{path}:3: episode_id {episodes[0].episode_id!r} repeats line 1"
+    )
 
 
 def test_dataset_stats(batch10):

@@ -416,9 +416,8 @@ def test_run_config_snapshot_matches_pin(name):
     assert canonical_dumps(run_config_snapshot(*SNAPSHOT_CONFIGS[name])) == SNAPSHOT_GOLDENS[name]
 
 
-GEN_SCENES_CONFIG = (
-    '{"count":3,"scene":{"doorway_width":2,"filler_rooms":["Corridor","Hallway","DiningRoom"],"grid_height":64,"grid_width":64,"max_attempts":8,"min_regions":3,"n_portables":3,"portable_categories":["bottle","cup","book","plant"],"portable_occlusion":[0.0,0.15],"portable_salience":[0.75,1.0],"required_rooms":["Bathroom","Bedroom","Kitchen","LivingRoom","Office","Foyer"],"resolution":0.25,"room_cols":3,"room_rows":3,"signature_occlusion":[0.0,0.2],"signature_salience":[0.7,0.95]}}'
-)
+# the one config value gen-scenes takes; the scene layout is scenegen's constants
+GEN_SCENES_CONFIG = '{"count":3}'
 PENDING_SHA256 = "b9badce1493710956fc735fe8984a815e9e455e1d57ebd8907b68eaf18ece024"
 
 
@@ -525,7 +524,7 @@ def swap_runs():
     runs = {}
     for entry in suite.entries:
         cfg = replace(
-            suite.params.rollout,
+            RolloutConfig(),
             policy="deconav",
             t_max=entry.t_max,
             blockage_schedule=((entry.plan.tick, entry.plan.corridor_id),),

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from relaynav import labeling
 from relaynav.labeling import (
     AdjudicationError,
     AdjudicationItem,
@@ -136,12 +137,13 @@ class TestCascade:
         for rid in scene.regions:
             assert result.scene.regions[rid].gt_room_label == scene.regions[rid].gt_room_label
 
-    def test_classifier_outage_defers_instead_of_guessing(self):
+    def test_classifier_outage_defers_instead_of_guessing(self, monkeypatch):
         scene = generate_scene(13)
         truth = scene_truth_lookup([scene])
         b = SeededNoisyClassifier("classifier_b", 0.85, 7, truth)
-        result = run_labeling(scene, FailingClassifier(), b, rule_accept=2.0)
-        # rule_accept=2.0 forces every region past the rule stage
+        # a rule confidence no region reaches forces every region past the rule stage
+        monkeypatch.setattr(labeling, "RULE_ACCEPT", 2.0)
+        result = run_labeling(scene, FailingClassifier(), b)
         assert len(result.items) == len(scene.regions)
         for region in result.scene.regions.values():
             assert region.room_label == UNKNOWN_LABEL
@@ -164,13 +166,18 @@ class AlwaysWrongClassifier:
 
 
 class TestAdjudicationFiles:
+    @pytest.fixture(autouse=True)
+    def no_rule_stage(self, monkeypatch):
+        monkeypatch.setattr(labeling, "RULE_ACCEPT", 2.0)
+
     @staticmethod
     def pending_everywhere(scene, truth):
-        """Force every region to adjudication: rule is outvoted by two wrong
-        but mutually disagreeing classifiers, so no label reaches majority."""
+        """Force every region to adjudication: no region passes the rule stage
+        (``no_rule_stage``), and the rule is outvoted by two wrong but mutually
+        disagreeing classifiers, so no label reaches majority."""
         a = AlwaysWrongClassifier("classifier_a", truth, 1)
         b = AlwaysWrongClassifier("classifier_b", truth, 2)
-        return run_labeling(scene, a, b, rule_accept=2.0)
+        return run_labeling(scene, a, b)
 
     def test_export_import_apply_closure(self, tmp_path):
         scene = generate_scene(13)

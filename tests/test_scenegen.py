@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from relaynav.config import SceneParams
+from relaynav import scenegen
 from relaynav.scenegen import generate_scene
 from relaynav.world import (
     PROVENANCE_GENERATOR,
@@ -34,6 +34,20 @@ def test_structure_and_size():
     assert len(scene.regions) >= 4
     assert len(scene.corridors) >= 3
     assert len(scene.objects) >= len(scene.regions)  # at least one per room
+
+
+@pytest.mark.parametrize("seed", [3, 40])
+def test_layout_constants_realize_the_recipe(seed):
+    # what SceneParams.validate once checked, met by the constants themselves
+    scene = generate_scene(seed)
+    regions = scene.regions.values()
+    assert len(regions) == scenegen.ROOM_ROWS * scenegen.ROOM_COLS
+    assert set(scenegen.REQUIRED_ROOMS) <= {r.room_label for r in regions}
+    for region in regions:
+        xs, ys = zip(*region.cells)
+        assert min(max(xs) - min(xs), max(ys) - min(ys)) + 1 >= 5
+    portables = [o for o in scene.objects.values() if o.category in scenegen.PORTABLE_CATEGORIES]
+    assert len(portables) == scenegen.N_PORTABLES
 
 
 def test_free_space_connected():
@@ -78,10 +92,3 @@ def test_objects_sit_on_free_cells_inside_their_region():
         assert not scene.grid.is_blocked(obj.cell)
         assert obj.cell in scene.regions[obj.region_id].cells
 
-
-def test_non_default_resolution_rejected_by_name():
-    # robots step 0.25 m per forward move, one cell only at this resolution
-    with pytest.raises(ValueError, match="resolution"):
-        SceneParams(resolution=0.5).validate()
-    with pytest.raises(ValueError, match="resolution"):
-        generate_scene(1, SceneParams(resolution=0.5))

@@ -23,7 +23,6 @@ from relaynav.cli import (
 from relaynav.config import (
     EpisodeOverride,
     RolloutConfig,
-    SceneParams,
     SensorConfig,
     TransportConfig,
     TriggerConfig,
@@ -179,13 +178,6 @@ run_manifests = st.builds(
     outputs=st.dictionaries(names, json_dicts, max_size=3),
 )
 
-scene_params = st.builds(
-    SceneParams,
-    grid_width=st.integers(8, 256),
-    resolution=finite,
-    required_rooms=st.lists(names, max_size=6).map(tuple),
-    portable_salience=st.tuples(finite, finite),
-)
 sensor_configs = st.builds(SensorConfig, range_m=finite, fov_deg=finite)
 trigger_configs = st.builds(
     TriggerConfig, theta_rec=finite, n_stag=counts, cooldown=counts, epsilon_hyst=finite
@@ -206,7 +198,7 @@ rollout_configs = st.builds(
     sensor=sensor_configs,
     trigger=trigger_configs,
 )
-gen_scenes_jobs = st.builds(GenScenesJob, counts, scene_params)
+gen_scenes_jobs = st.builds(GenScenesJob, counts)
 gen_episodes_jobs = st.builds(GenEpisodesJob, counts, names)
 run_jobs = st.builds(
     RunJob, rollout_configs, st.none() | transport_configs, names, names, st.none() | names
@@ -324,7 +316,6 @@ RECORDS = {
     EpisodeSpec: episode_specs,
     BlockagePlan: blockage_plans,
     RunManifest: run_manifests,
-    SceneParams: scene_params,
     SensorConfig: sensor_configs,
     TriggerConfig: trigger_configs,
     TransportConfig: transport_configs,
