@@ -3,10 +3,10 @@
 Two robots split a fetch-and-deliver instruction into a relay: the first
 hand (FH) picks the item up and deposits it at a handoff point, the second
 hand (SH) receives it there and carries it to the delivery point.  The
-package provides procedural scene and episode generation, a lockstep and a
-message-passing rollout engine with event-triggered subtask swapping,
-room-label adjudication tooling, and the metric/reporting stack used to
-compare coordination policies.
+package provides procedural scene and episode generation, a rollout engine
+whose robots exchange packets only over a simulated transport, with
+event-triggered subtask swapping, room-label adjudication tooling, and the
+metric/reporting stack used to compare coordination policies.
 
 The API lives in the submodules (``relaynav.world``, ``relaynav.engine``,
 ``relaynav.cli``, ...); import names from there.  This module imports none

@@ -1,4 +1,4 @@
-"""Semantic state bus shared by the two robots.
+"""Semantic state bus, of which each robot keeps a replica (see ``transport``).
 
 The bus holds the latest semantic packet per robot and a per-category
 anchor memory of the best object evidence. It knows nothing of subtask

@@ -466,16 +466,11 @@ def rollout_episode(
     rollout: RolloutConfig,
     transport: TransportConfig | None,
 ) -> tuple[RolloutResult, Trace]:
-    from .engine import run_distributed, run_lockstep
+    from .engine import run_distributed
 
-    if rollout.mode == "distributed":
-        if transport is None:
-            transport = TransportConfig()
-        per_ep = replace(
-            transport, seed=derive_seed(transport.seed, "transport", episode.episode_id)
-        )
-        return run_distributed(scene, episode, rollout, per_ep)
-    return run_lockstep(scene, episode, rollout)
+    transport = transport or TransportConfig()
+    per_ep = replace(transport, seed=derive_seed(transport.seed, "transport", episode.episode_id))
+    return run_distributed(scene, episode, rollout, per_ep)
 
 
 def _trace_path(out: Path, episode_id: str) -> Path:

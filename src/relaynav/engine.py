@@ -1,16 +1,15 @@
-"""Synchronous rollout engine: lockstep and distributed relay execution.
+"""Synchronous rollout engine for the relay.
 
 A rollout is a loop of ticks over one small run state (``_Run``, with a
 mutable ``_Robot`` record per robot). Each tick runs the phases of
 ``TICK_PHASES`` in order: blockage (scheduled closures), sense, publish,
-deliver (due transport packets, distributed mode only), compose, replan (FH
-first; a swap exchanges the robots' live chains), act, commit (both actions
-atomically, :func:`commit_actions`), progress (subtask advances) and record
-(the trace line). The modes differ only in how packets travel: lockstep
-writes to one shared bus, distributed keeps a per-robot replica fed by a
-simulated transport. Chains and dialogue live engine-side and change
-identically in both modes, so a distributed run over a zero-latency,
-zero-loss transport reproduces the lockstep trace byte for byte.
+deliver (due transport packets), compose, replan (FH first; a swap
+exchanges the robots' live chains), act, commit (both actions atomically,
+:func:`commit_actions`), progress (subtask advances) and record (the trace
+line). Packets only travel over a :class:`~relaynav.transport.Transport`,
+which holds each robot's bus replica; there is no central bus. A lockstep
+run is a run over the zero-latency, lossless transport, so a distributed
+run with that transport writes the lockstep trace byte for byte.
 """
 
 from __future__ import annotations
@@ -36,16 +35,13 @@ from .agent import (
 )
 from .bus import (
     AnchorEntry,
-    BusState,
     ComposedContext,
     Observation,
     ROBOTS,
     SemanticPacket,
     compose_context,
     compose_muted,
-    empty_bus,
     partner_of,
-    publish,
 )
 from .config import RolloutConfig, TransportConfig
 from .episodes import EpisodeSpec
@@ -209,7 +205,7 @@ def _resolve_interaction(
 def run_lockstep(
     scene: SceneGraph, episode: EpisodeSpec, cfg: RolloutConfig
 ) -> tuple[RolloutResult, Trace]:
-    return _run(scene, episode, cfg, transport=None)
+    return _run(scene, episode, cfg, Transport(TransportConfig()))
 
 
 def run_distributed(
@@ -218,15 +214,15 @@ def run_distributed(
     cfg: RolloutConfig,
     transport_cfg: TransportConfig,
 ) -> tuple[RolloutResult, Trace]:
-    return _run(scene, episode, cfg, transport=Transport(transport_cfg))
+    return _run(scene, episode, cfg, Transport(transport_cfg))
 
 
 @dataclass
 class _Robot:
     """One robot's run state. ``state`` is the frozen agent state carried
-    from tick to tick; ``bus`` is the robot's replica in distributed mode;
-    ``held`` is the anchor view it composed on its previous tick. The
-    fields below the marker are handed from phase to phase within a tick.
+    from tick to tick; ``held`` is the anchor view it composed on its
+    previous tick. The fields below the marker are handed from phase to
+    phase within a tick.
 
     ``viewed`` holds the scene, pose and belief that the robot's last
     :func:`observe` left, and ``sightings`` what it saw. While the scene
@@ -235,7 +231,6 @@ class _Robot:
 
     state: AgentState
     final_goal: Cell | None
-    bus: BusState | None
     history: list[Event] = field(default_factory=list)
     held: Mapping[str, AnchorEntry] = field(default_factory=dict)
     path_len: float = 0.0
@@ -254,16 +249,15 @@ class _Robot:
 @dataclass
 class _Run:
     """One rollout's state, shared by the tick phases. ``scene`` carries the
-    blockages applied so far; ``shared_bus`` is the lockstep bus and None in
-    distributed mode; ``dialogue`` holds this tick's records; ``ticks``
-    counts the ticks run."""
+    blockages applied so far; ``transport`` carries the packets and holds
+    the robots' bus replicas; ``dialogue`` holds this tick's records;
+    ``ticks`` counts the ticks run."""
 
     scene: SceneGraph
     cfg: RolloutConfig
-    transport: Transport | None
+    transport: Transport
     robots: dict[str, _Robot]
     item: ItemState
-    shared_bus: BusState | None
     trace: Trace
     active_blockages: list[str] = field(default_factory=list)
     dialogue: list[dict] = field(default_factory=list)
@@ -276,7 +270,7 @@ def _start(
     scene: SceneGraph,
     episode: EpisodeSpec,
     cfg: RolloutConfig,
-    transport: Transport | None,
+    transport: Transport,
 ) -> _Run:
     if episode.scene_id != scene.scene_id:
         raise RolloutError(
@@ -300,8 +294,7 @@ def _start(
     fh, sh = states["FH"], states["SH"]
     if np.array_equal(fh.geodesics.passable, sh.geodesics.passable):
         states["SH"] = evolve(sh, geodesics=fh.geodesics)
-    replica = empty_bus() if transport is not None else None
-    robots = {rid: _Robot(states[rid], _final_goal(chains[rid]), replica) for rid in ROBOTS}
+    robots = {rid: _Robot(states[rid], _final_goal(chains[rid])) for rid in ROBOTS}
     header = {"episode_id": episode.episode_id, "scene_id": episode.scene_id}
     for key in ("policy", "knowledge", "t_max", "tau", "r_succ", "r_int", "seed"):
         header[key] = getattr(cfg, key)
@@ -312,7 +305,6 @@ def _start(
         transport=transport,
         robots=robots,
         item=ItemState(AT_PICKUP, target.cell, None),
-        shared_bus=empty_bus() if transport is None else None,
         trace=Trace(header),
     )
 
@@ -354,8 +346,7 @@ def _sense(run: _Run, now: int) -> None:
 
 
 def _publish(run: _Run, now: int) -> None:
-    """FH then SH: onto the shared bus in lockstep; onto the robot's own
-    replica and out over the transport in distributed mode."""
+    """FH then SH: each robot's packet goes out over the transport."""
     for rid, r in run.robots.items():
         st = r.state
         active = st.active_subtask()
@@ -368,26 +359,18 @@ def _publish(run: _Run, now: int) -> None:
             carrying=st.carrying,
             stopped=st.stopped,
         )
-        if run.transport is None:
-            run.shared_bus = publish(run.shared_bus, r.packet)
-        else:
-            r.bus = publish(r.bus, r.packet)
-            run.transport.send(rid, r.packet, now)
+        run.transport.publish(rid, r.packet, now)
 
 
 def _deliver(run: _Run, now: int) -> None:
-    """Distributed mode: packets due this tick reach the partner's replica."""
-    if run.transport is None:
-        return
-    for dv in run.transport.due(now):
-        dest = run.robots[partner_of(dv.sender)]
-        dest.bus = publish(dest.bus, dv.packet)
+    """Packets due this tick reach the partner's replica."""
+    run.transport.deliver(now)
 
 
 def _compose(run: _Run, now: int) -> None:
     cfg = run.cfg
     for rid, r in run.robots.items():
-        bus = r.bus if run.shared_bus is None else run.shared_bus
+        bus = run.transport.replicas[rid]
         if cfg.policy == "static":
             r.composed = compose_muted(bus, rid, now)
         else:
@@ -556,7 +539,7 @@ def _run(
     scene: SceneGraph,
     episode: EpisodeSpec,
     cfg: RolloutConfig,
-    transport: Transport | None,
+    transport: Transport,
 ) -> tuple[RolloutResult, Trace]:
     cfg.validate()
     run = _start(scene, episode, cfg, transport)

@@ -4,8 +4,8 @@ One JSON line per tick between a header and a result line, all serialized
 canonically (sorted keys, fixed separators), so determinism and
 mode-equivalence checks reduce to byte comparisons of trace files. The
 header deliberately omits execution mode and transport settings — those live
-in the run manifest — because a distributed run with a degenerate transport
-must produce the same bytes as the lockstep run.
+in the run manifest — because a lockstep run is a run over the zero-latency,
+lossless transport and must write the same bytes as a distributed run over it.
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ from types import SimpleNamespace
 import pytest
 
 from relaynav import engine
+from relaynav.ablation import SuiteParams, build_blockage_suite
 from relaynav.agent import make_agent, on_blocked
 from relaynav.config import MAX_SENSOR_RANGE_M, RolloutConfig, SensorConfig, TransportConfig
 from relaynav.engine import (
@@ -43,6 +44,7 @@ from relaynav.tasks import (
     build_chains,
     rebind_target,
 )
+from relaynav.transport import Transport
 from relaynav.world import (
     ACTION_FORWARD,
     ACTION_STOP,
@@ -82,6 +84,30 @@ class TestDeterminismAndEquivalence:
                 scene, episode, replace(cfg, mode="distributed"), TransportConfig()
             )
             assert lock.to_bytes() == dist.to_bytes()
+
+    def test_unshared_zero_latency_replicas_match_lockstep(self, batch10):
+        # a zero-latency link shares one replica between the robots, on both
+        # sides of the test above; here one side keeps a replica per robot,
+        # fed over send/due, and must still write the same bytes
+        runs = [
+            (scene, episode, RolloutConfig(policy=policy))
+            for scene, episode in batch10
+            for policy in ("deconav", "static")
+        ]
+        suite = build_blockage_suite(SuiteParams(n_episodes=1, seed=42))
+        entry = suite.entries[0]
+        blocked = RolloutConfig(
+            t_max=entry.t_max, blockage_schedule=((entry.plan.tick, entry.plan.corridor_id),)
+        )
+        runs.append((suite.scenes[entry.episode.scene_id], entry.episode, blocked))
+        for scene, episode, cfg in runs:
+            lock_result, lock = run_lockstep(scene, episode, cfg)
+            transport = Transport(TransportConfig())
+            transport.shared = False
+            _, unshared = engine._run(scene, episode, cfg, transport)
+            assert transport.sent == 2 * lock_result.ticks
+            assert unshared.to_bytes() == lock.to_bytes()
+        assert lock_result.swap_count >= 1  # the blockage entry swaps
 
     def test_discover_mode_also_deterministic(self, batch10):
         scene, episode = batch10[0]
@@ -157,7 +183,7 @@ class TestSameTickRebindAndSwap:
 class TestSwapInputs:
     def test_only_a_resting_undelivered_item_can_be_reassigned(self, scene_episode):
         scene, episode = scene_episode
-        run = engine._start(scene, episode, RolloutConfig(), None)
+        run = engine._start(scene, episode, RolloutConfig(), Transport(TransportConfig()))
         for phase in engine.TICK_PHASES[: engine.TICK_PHASES.index(engine._compose) + 1]:
             phase(run, 0)
         cell = run.item.cell

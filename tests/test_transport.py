@@ -1,4 +1,5 @@
-"""Simulated transport: latency, jitter FIFO clamping, drops, determinism."""
+"""Simulated transport: latency, jitter FIFO clamping, drops, determinism,
+and the bus replicas it keeps for the robots."""
 
 from __future__ import annotations
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaynav.bus import Observation, SemanticPacket
+from relaynav.bus import ROBOTS, Observation, SemanticPacket, empty_bus, partner_of, publish
 from relaynav.config import TransportConfig
 from relaynav.transport import Transport
 
@@ -128,6 +129,63 @@ class TestDrops:
         a = survivors(3)
         assert a == survivors(3)
         assert 0 < len(a) < 40
+
+
+OBSERVATIONS = st.lists(
+    st.builds(
+        Observation,
+        st.sampled_from(["Cup", "Mug", "Vase"]),
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.sampled_from([0.25, 0.5, 1.0]),
+    ),
+    max_size=3,
+).map(tuple)
+
+
+class TestReplicas:
+    """``publish``/``deliver`` leave each robot the replica that
+    ``bus.publish`` over ``send``/``due`` builds per robot; an immediate
+    link's one shared replica included."""
+
+    @pytest.mark.parametrize("lossy", [False, True])
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        ticks=st.lists(st.tuples(st.none() | OBSERVATIONS, st.none() | OBSERVATIONS), max_size=30),
+    )
+    def test_replicas_match_per_robot_buses(self, lossy, data, seed, ticks):
+        cfg = TransportConfig(seed=seed)
+        if lossy:
+            cfg = TransportConfig(
+                data.draw(st.integers(0, 3)),
+                data.draw(st.integers(1, 4)),
+                data.draw(st.sampled_from([0.2, 0.5])),
+                seed,
+            )
+        tr, ref_tr = Transport(cfg), Transport(cfg)
+        assert tr.shared is not lossy
+        ref = dict.fromkeys(ROBOTS, empty_bus())
+
+        def deliver_and_check(now):
+            tr.deliver(now)
+            for dv in ref_tr.due(now):
+                dest = partner_of(dv.sender)
+                ref[dest] = publish(ref[dest], dv.packet)
+            for rid in ROBOTS:
+                got, want = tr.replicas[rid], ref[rid]
+                assert got.packets == want.packets and got.anchors == want.anchors
+
+        for now, observed in enumerate(ticks):
+            for rid, obs in zip(ROBOTS, observed):
+                if obs is not None:
+                    packet = SemanticPacket(rid, now, "Kitchen", obs, "GotoPickup", False, False)
+                    tr.publish(rid, packet, now)
+                    ref[rid] = publish(ref[rid], packet)
+                    ref_tr.send(rid, packet, now)
+            deliver_and_check(now)
+        deliver_and_check(10**9)  # drained
+        assert tr.sent == (ref_tr.sent if lossy else 0)
 
 
 class TestConfig:
