@@ -11,9 +11,10 @@ metric/reporting stack used to compare coordination policies.
 The API lives in the submodules (``relaynav.world``, ``relaynav.engine``,
 ``relaynav.cli``, ...); import names from there.  This module imports none
 of them: every ``relaynav`` subcommand starts a fresh interpreter, and a
-command should pay only for the modules it runs (``gen-scenes`` never loads
-the rollout engine).  A submodule read as an attribute, ``relaynav.engine``,
-is imported on first access.
+command should pay only for the modules it runs: ``gen-scenes`` and
+``gen-episodes`` load neither the rollout engine nor numpy, which only
+sensing and the robots' beliefs use.  A submodule read as an attribute,
+``relaynav.engine``, is imported on first access.
 """
 
 import importlib

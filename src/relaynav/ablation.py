@@ -111,8 +111,9 @@ def pick_route_blockage(
     the most is returned, with the closure scheduled halfway to the gate.
 
     Distances come from one :class:`~relaynav.world.Geodesics` for the open
-    map and one per closed corridor, each query a layer search that stops
-    at its other endpoint.
+    map, whose four distances are taken once, and one per closed corridor,
+    over the open map's free cells with the gate's bits cleared; each query
+    is a layer search that stops at its other endpoint.
     """
     grid = scene.grid
     target_cell = scene.objects[episode.target_object_id].cell
@@ -126,7 +127,12 @@ def pick_route_blockage(
     delivery = episode.delivery_waypoint.cell
     keep_free = {start_fh, start_sh, target_cell, handoff, delivery}
 
-    open_geo = Geodesics(~grid.blocked)
+    # the open-map distances do not depend on the corridor
+    open_geo = grid.geodesics()
+    d_direct = open_geo.meters(start_fh, target_cell)
+    sh_target_open = open_geo.meters(start_sh, target_cell)
+    carry_open = open_geo.meters(target_cell, handoff)
+    fh_handoff_open = open_geo.meters(start_fh, handoff)
     best: tuple[float, BlockagePlan] | None = None
     for cid in sorted(scene.corridors):
         gate = scene.corridors[cid].gate_cells
@@ -137,12 +143,8 @@ def pick_route_blockage(
         )
         if steps_to is None or steps_to < 2:
             continue
-        passable = ~grid.blocked
-        for cx, cy in gate:
-            passable[cy, cx] = False
-        closed = Geodesics(passable)
+        closed = Geodesics(open_geo.free & ~grid.mask(gate), grid.width, grid.height)
         d_post = closed.meters(start_fh, target_cell)
-        d_direct = open_geo.meters(start_fh, target_cell)
         if math.isinf(d_post):
             kind, extra = KIND_CUT, math.inf
         elif d_post >= d_direct + MIN_DETOUR_EXTRA_M:
@@ -166,16 +168,16 @@ def pick_route_blockage(
         # the partner's natural route to the pickup must not run through the
         # closed gate: a blocked-map taker trip much longer than the open-map
         # one means it would discover the closure mid-route and pay for it
-        if sh_target > open_geo.meters(start_sh, target_cell) + CARRY_SLACK_M:
+        if sh_target > sh_target_open + CARRY_SLACK_M:
             continue
         # the carry leg itself must survive the closure: whoever holds the
         # item still has to walk pickup -> handoff, so the gate must not sit
         # on that route either
-        if carry > open_geo.meters(target_cell, handoff) + CARRY_SLACK_M:
+        if carry > carry_open + CARRY_SLACK_M:
             continue
         # FH's post-swap leg to the handoff must dodge the closed gate cheaply
         d_fh_handoff_post = closed.meters(start_fh, handoff)
-        if d_fh_handoff_post > open_geo.meters(start_fh, handoff) + HANDOFF_SLACK_M:
+        if d_fh_handoff_post > fh_handoff_open + HANDOFF_SLACK_M:
             continue
         # post-swap repositioning overhead: FH's trip to the handoff replaces
         # the partner's own (usually shorter) approach, and both robots burn

@@ -147,10 +147,9 @@ def initial_belief(scene: SceneGraph, knowledge: str) -> np.ndarray:
     """Starting occupancy belief: the full map when known a priori, else all
     unknown. Scheduled blockages are never part of prior knowledge."""
     if knowledge == "known":
-        return scene.cell_table().occupancy.reshape(scene.grid.blocked.shape).copy()
+        return scene.cell_table().occupancy.reshape(scene.grid.height, -1).copy()
     if knowledge == "discover":
-        h, w = scene.grid.blocked.shape
-        return np.full((h, w), UNKNOWN, dtype=np.int8)
+        return np.full((scene.grid.height, scene.grid.width), UNKNOWN, dtype=np.int8)
     raise ValueError(f"unknown knowledge mode {knowledge!r}")
 
 
@@ -164,7 +163,7 @@ def make_agent(
     belief = initial_belief(scene, knowledge)
     cell = pose.cell
     belief[cell[1], cell[0]] = FREE
-    geodesics = Geodesics(_passable(belief))
+    geodesics = _geodesics(belief)
     return AgentState(robot_id, pose, belief, geodesics, policy_ctx)
 
 
@@ -221,7 +220,7 @@ def observe(
     belief.ravel()[sensed] = truth
     geodesics = state.geodesics
     if ((was == BLOCKED) != (truth == BLOCKED)).any():
-        geodesics = Geodesics(_passable(belief))
+        geodesics = _geodesics(belief)
     # the own cell is never queued as an edge
     flipped = sensed[1:][(truth[1:] == BLOCKED) & (was[1:] == FREE)].tolist()
     newly_blocked = sorted((cell, (idx % width, idx // width)) for idx in flipped)
@@ -243,8 +242,21 @@ def observe(
 # --- planning -------------------------------------------------------------
 
 
-def _passable(belief: np.ndarray) -> np.ndarray:
-    return belief != BLOCKED
+def pack_mask(mask: np.ndarray) -> int:
+    """A ``(h, w)`` boolean mask as one Python int in
+    :class:`~relaynav.world.GridMap`'s layout: cell ``(x, y)`` is bit
+    ``y * (w + 1) + x``, and bit ``y * (w + 1) + w`` after each row is a
+    guard that is always clear."""
+    h, w = mask.shape
+    rows = np.zeros((h, w + 1), dtype=bool)
+    rows[:, :w] = mask
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+
+
+def _geodesics(belief: np.ndarray) -> Geodesics:
+    """Geodesics over the belief's passable cells (not BLOCKED)."""
+    h, w = belief.shape
+    return Geodesics(pack_mask(belief != BLOCKED), w, h)
 
 
 def _frontier_mask(belief: np.ndarray) -> np.ndarray:
@@ -261,7 +273,10 @@ def _frontier_mask(belief: np.ndarray) -> np.ndarray:
 def _nearest_frontier(belief: np.ndarray, start: Cell) -> Cell | None:
     """Closest known-free cell adjacent to an unknown cell, by BFS over
     known-free cells; ties resolve to the smallest (x, y)."""
-    return Geodesics(belief == FREE).nearest(start, _frontier_mask(belief))
+    h, w = belief.shape
+    return Geodesics(pack_mask(belief == FREE), w, h).nearest(
+        start, pack_mask(_frontier_mask(belief))
+    )
 
 
 def plan_to(state: AgentState, goal: Cell | None) -> Plan:
@@ -389,7 +404,7 @@ def on_blocked(state: AgentState, edge: tuple[Cell, Cell]) -> AgentState:
     return evolve(
         state,
         belief=belief,
-        geodesics=Geodesics(_passable(belief)),
+        geodesics=_geodesics(belief),
         plan=None,
         pending_blocked_edges=state.pending_blocked_edges + (edge,),
     )

@@ -24,8 +24,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only what gen-scenes and gen-episodes run is imported here; every other
-# command imports the modules it needs when it runs (see relaynav/__init__.py).
+# Only what gen-scenes and gen-episodes run is imported here, and none of it
+# loads numpy; every other command imports the modules it needs when it runs
+# (see relaynav/__init__.py).
 from .config import (
     KNOWLEDGE,
     MODES,
@@ -145,6 +146,8 @@ def resolve_run_config(
         )
     elif any(v is not None for v in transport_overrides.values()):
         raise UsageError("transport flags require --mode distributed")
+    elif "transport" in file_cfg:
+        raise UsageError("config section 'transport' requires --mode distributed")
     return rollout, transport
 
 

@@ -66,7 +66,6 @@ from .world import (
     ACTION_STOP,
     Cell,
     FORWARD_M,
-    Geodesics,
     HEADING_VECTORS,
     Pose,
     SceneGraph,
@@ -292,7 +291,7 @@ def _start(
     # the robots start out believing one passability: one memo serves both
     # until either one's belief changes it
     fh, sh = states["FH"], states["SH"]
-    if np.array_equal(fh.geodesics.passable, sh.geodesics.passable):
+    if fh.geodesics.free == sh.geodesics.free:
         states["SH"] = evolve(sh, geodesics=fh.geodesics)
     robots = {rid: _Robot(states[rid], _final_goal(chains[rid])) for rid in ROBOTS}
     header = {"episode_id": episode.episode_id, "scene_id": episode.scene_id}
@@ -557,7 +556,7 @@ def _run(
 def _score_rollout(base_scene: SceneGraph, episode: EpisodeSpec, run: _Run) -> RolloutResult:
     ne = {}
     success = {}
-    geo = Geodesics(~base_scene.grid.blocked)
+    geo = base_scene.grid.geodesics()
     for rid, r in run.robots.items():
         st, goal = r.state, r.final_goal
         if goal is None:

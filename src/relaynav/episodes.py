@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
-from itertools import compress
-
-import numpy as np
 
 from .gates import GATE_RANGE_M, THETA_REC, GateReport, trigate_check
 from .scenegen import PORTABLE_CATEGORIES
@@ -25,7 +23,6 @@ from .tasks import FH_CHAIN, SH_CHAIN
 from .world import (
     Cell,
     FORWARD_M,
-    Geodesics,
     Pose,
     Region,
     SceneGraph,
@@ -99,15 +96,17 @@ def cells_within(region: Region, at: tuple[float, float], reach: float) -> list[
     """The region's cells, in ``sorted_cells`` order, whose centres lie within
     ``reach`` metres of the point ``at``."""
     ax, ay = at
-    xy = region.cell_xy
-    dist = np.hypot((xy[:, 0] + 0.5) * FORWARD_M - ax, (xy[:, 1] + 0.5) * FORWARD_M - ay)
-    inside = dist <= reach
-    # np.hypot and math.hypot may differ in the last ulp; a cell that close to
-    # the edge is decided by math.hypot, as every cell once was
-    for i in np.flatnonzero(np.abs(dist - reach) < 1e-9):
-        cx, cy = center(region.sorted_cells[i])
-        inside[i] = math.hypot(cx - ax, cy - ay) <= reach
-    return list(compress(region.sorted_cells, inside.tolist()))
+    cells = region.sorted_cells
+    # only the columns whose centres lie within reach of ax, plus a cell of
+    # margin, can hold such a cell; sorted_cells holds each column in one run
+    lo = bisect_left(cells, (math.floor((ax - reach) / FORWARD_M) - 1,))
+    hi = bisect_left(cells, (math.ceil((ax + reach) / FORWARD_M) + 1,), lo)
+    # math.hypot decides every cell, the boundary ones included: the sampled
+    # candidates, and so the episodes, depend on its last ulp
+    return [
+        (x, y) for x, y in cells[lo:hi]
+        if math.hypot((x + 0.5) * FORWARD_M - ax, (y + 0.5) * FORWARD_M - ay) <= reach
+    ]
 
 
 def _sample_waypoint(
@@ -229,7 +228,7 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
 
     fh0, sh0, handoff, drop = (p.cell for p in (start_fh, start_sh, handoff_wp, delivery_wp))
     # the four legs share one packed mask
-    geo = Geodesics(~scene.grid.blocked)
+    geo = scene.grid.geodesics()
     leg1, leg2, leg3, leg4 = (
         bfs_shortest_path(geo, a, b)
         for a, b in ((fh0, target.cell), (target.cell, handoff), (sh0, handoff), (handoff, drop))

@@ -307,13 +307,12 @@ def swap_oracle(
     the shared wavefront helper, and the comparison inequalities are restated
     literally, so the two implementations genuinely check each other.
     """
-    blocked = scene.grid.blocked
-    h, w = blocked.shape
+    grid = scene.grid
 
     def dijkstra_steps(a: Cell, b: Cell) -> float:
         if a == b:
             return 0.0
-        if blocked[a[1], a[0]] or blocked[b[1], b[0]]:
+        if grid.is_blocked(a) or grid.is_blocked(b):
             return math.inf
         dist: dict[Cell, float] = {a: 0.0}
         heap: list[tuple[float, Cell]] = [(0.0, a)]
@@ -325,7 +324,7 @@ def swap_oracle(
                 continue
             for dx, dy in NEIGHBORS_4:
                 nxt = (cur[0] + dx, cur[1] + dy)
-                if 0 <= nxt[0] < w and 0 <= nxt[1] < h and not blocked[nxt[1], nxt[0]]:
+                if grid.in_bounds(nxt) and not grid.is_blocked(nxt):
                     nd = d + 1.0
                     if nd < dist.get(nxt, math.inf):
                         dist[nxt] = nd

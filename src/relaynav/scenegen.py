@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import random
 
-import numpy as np
-
 from .seeds import derive_seed
 from .world import (
     Corridor,
@@ -82,14 +80,10 @@ def _split_positions(rng: random.Random, extent: int, parts: int) -> list[int]:
 
 
 def _build(seed: int, rng: random.Random) -> SceneGraph:
-    blocked = np.zeros((GRID_SIDE, GRID_SIDE), dtype=bool)
-
     xb = _split_positions(rng, GRID_SIDE, ROOM_COLS)
     yb = _split_positions(rng, GRID_SIDE, ROOM_ROWS)
-    for x in xb:
-        blocked[:, x] = True
-    for y in yb:
-        blocked[y, :] = True
+    span = range(GRID_SIDE)
+    blocked = {(x, y) for x in xb for y in span} | {(x, y) for y in yb for x in span}
 
     # room interiors
     rooms: dict[tuple[int, int], list[tuple[int, int]]] = {}
@@ -111,8 +105,7 @@ def _build(seed: int, rng: random.Random) -> SceneGraph:
         width = min(DOORWAY_WIDTH, len(cells))
         start = rng.randrange(0, len(cells) - width + 1)
         gate = cells[start : start + width]
-        for gx, gy in gate:
-            blocked[gy, gx] = False
+        blocked.difference_update(gate)
         cid = f"c{door_count:03d}"
         door_count += 1
         corridors[cid] = Corridor(cid, frozenset(gate), join, blocked=False)
@@ -186,11 +179,10 @@ def _build(seed: int, rng: random.Random) -> SceneGraph:
         category = PORTABLE_CATEGORIES[i % len(PORTABLE_CATEGORIES)]
         place(rid, category, PORTABLE_SALIENCE, PORTABLE_OCCLUSION)
 
-    grid = GridMap(GRID_SIDE, GRID_SIDE, blocked)
     return SceneGraph(
         scene_id=f"s{seed:08d}",
         seed=seed,
-        grid=grid,
+        grid=GridMap.of_cells(GRID_SIDE, GRID_SIDE, blocked),
         regions=regions,
         objects=objects,
         corridors=corridors,

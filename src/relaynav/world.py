@@ -2,8 +2,16 @@
 
 Coordinate conventions used throughout the package:
 
-* Cells are ``(cx, cy)`` integer pairs; occupancy arrays are indexed
-  ``blocked[cy, cx]``.
+* Cells are ``(cx, cy)`` integer pairs. A grid's blocked cells are one
+  packed Python int (:class:`GridMap`): cell ``(x, y)`` is bit
+  ``y * (width + 1) + x``, and the bit after each row is a guard that is
+  always clear. Generation, validation, serialization and every geodesic
+  query work on that int, so ``gen-scenes`` and ``gen-episodes`` load no
+  numpy. Sensing (the visibility fields and the cell table) unpacks it
+  once per scene into arrays indexed ``[cy, cx]``
+  (:meth:`GridMap.blocked_array`); it and the field oracle
+  :func:`bfs_distance_field` import numpy inside their functions, on
+  first use.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
 * There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
@@ -20,12 +28,14 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .serialize import Record, read_json, write_canonical
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Cell = tuple[int, int]
 
@@ -83,10 +93,10 @@ NEIGHBORS_4: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 _EPS = 1e-9
 
 # Occupancy codes of a robot's belief; a scene's CellTable holds the true
-# map in the same codes.
-UNKNOWN = np.int8(0)
-FREE = np.int8(1)
-BLOCKED = np.int8(2)
+# map in the same codes, in int8 arrays.
+UNKNOWN = 0
+FREE = 1
+BLOCKED = 2
 
 
 class SceneFormatError(ValueError):
@@ -202,11 +212,6 @@ class Region(Record):
         """The cells in ``(x, y)`` order, sorted once per region."""
         return tuple(sorted(self.cells))
 
-    @functools.cached_property
-    def cell_xy(self) -> np.ndarray:
-        """``sorted_cells`` as an ``(n, 2)`` integer array, built once per region."""
-        return np.array(self.sorted_cells, dtype=np.int64).reshape(-1, 2)
-
 
 @dataclass(frozen=True)
 class SceneObject(Record):
@@ -234,17 +239,76 @@ class Corridor(Record):
     blocked: bool
 
 
+def pack_cells(cells: Iterable[Cell], stride: int) -> int:
+    """The ``cells`` as one packed int, rows ``stride`` bits apart: cell
+    ``(x, y)`` is bit ``y * stride + x``. Each cell must lie in a row,
+    ``0 <= x < stride - 1``, so the guard bits stay clear."""
+    bits = 0
+    for x, y in cells:
+        bits |= 1 << (y * stride + x)
+    return bits
+
+
+@functools.cache
+def _rect(width: int, height: int, stride: int) -> int:
+    """The packed cells ``(x, y)`` with ``0 <= x < width`` and ``0 <= y < height``."""
+    if width <= 0 or height <= 0:
+        return 0
+    row = (1 << width) - 1
+    return sum(row << y * stride for y in range(height))
+
+
 @dataclass
 class GridMap:
+    """A ``width`` x ``height`` grid whose ``blocked`` cells are one packed
+    int, the layout :class:`Geodesics` searches: cell ``(x, y)`` is bit
+    ``y * stride + x`` with ``stride = width + 1``, and the guard bit after
+    each row is always clear. A grid is never changed in place: a blockage
+    makes a new one (:func:`apply_blockage`)."""
+
     width: int
     height: int
-    blocked: np.ndarray  # bool, shape (height, width)
+    blocked: int
+
+    @classmethod
+    def of_cells(cls, width: int, height: int, blocked_cells: Iterable[Cell]) -> GridMap:
+        """The grid whose blocked cells are ``blocked_cells``, all inside it."""
+        return cls(width, height, pack_cells(blocked_cells, width + 1))
+
+    @property
+    def stride(self) -> int:
+        return self.width + 1
+
+    @property
+    def free(self) -> int:
+        """The packed cells that are not blocked."""
+        return _rect(self.width, self.height, self.stride) ^ self.blocked
+
+    def mask(self, cells: Iterable[Cell]) -> int:
+        """The in-grid ``cells`` packed in this grid's layout."""
+        return pack_cells(cells, self.stride)
 
     def in_bounds(self, cell: Cell) -> bool:
         return 0 <= cell[0] < self.width and 0 <= cell[1] < self.height
 
     def is_blocked(self, cell: Cell) -> bool:
-        return bool(self.blocked[cell[1], cell[0]])
+        """Whether the in-grid ``cell`` is blocked."""
+        # the stride inlined: one call per forward step of every rollout tick
+        return bool(self.blocked >> (cell[1] * (self.width + 1) + cell[0]) & 1)
+
+    def geodesics(self) -> Geodesics:
+        """Geodesic queries over the grid's free cells."""
+        return Geodesics(self.free, self.width, self.height)
+
+    def blocked_array(self) -> np.ndarray:
+        """The blocked cells as a ``(height, width)`` bool array indexed
+        ``[cy, cx]``: sensing's view of the grid, unpacked once per use."""
+        import numpy as np
+
+        n = self.height * self.stride
+        packed = np.frombuffer(self.blocked.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+        rows = np.unpackbits(packed, count=n, bitorder="little").reshape(self.height, -1)
+        return rows[:, : self.width].astype(bool)
 
 
 @dataclass(frozen=True)
@@ -298,8 +362,10 @@ class SceneGraph:
     def cell_table(self) -> CellTable:
         """The scene's :class:`CellTable`, built on first use."""
         if self._cell_table is None:
+            import numpy as np
+
             width = self.grid.width
-            occupancy = np.where(self.grid.blocked.ravel(), BLOCKED, FREE)
+            occupancy = np.where(self.grid.blocked_array().ravel(), BLOCKED, FREE).astype(np.int8)
             has_object = np.zeros(occupancy.size, dtype=bool)
             objects_at: dict[int, tuple[SceneObject, ...]] = {}
             for oid in sorted(self.objects):
@@ -316,15 +382,15 @@ class SceneGraph:
 def validate_scene(scene: SceneGraph) -> None:
     """Check structural invariants; raise SceneFormatError on violation.
 
-    The two connectivity checks, each region 4-connected and the free space
-    one component, are flood fills over packed masks (:func:`pack_mask`):
-    :func:`bfs_layers` from the mask's lowest bit until no layer is left,
-    then the union of the layers must equal the mask.
+    Every check reads the grid's packed int (:class:`GridMap`). The two
+    connectivity checks, each region 4-connected and the free space one
+    component, are flood fills over packed masks (:func:`_one_component`).
     """
     grid = scene.grid
-    border_x = np.concatenate([grid.blocked[0, :], grid.blocked[-1, :]])
-    border_y = np.concatenate([grid.blocked[:, 0], grid.blocked[:, -1]])
-    if not (border_x.all() and border_y.all()):
+    w, h, stride = grid.width, grid.height, grid.stride
+    interior = _rect(w - 2, h - 2, stride) << stride + 1
+    border = _rect(w, h, stride) ^ interior
+    if border & grid.blocked != border:
         raise SceneFormatError("border cells must be blocked")
     seen: set[Cell] = set()
     for rid in sorted(scene.regions):
@@ -334,14 +400,13 @@ def validate_scene(scene: SceneGraph) -> None:
         if region.cells & seen:
             raise SceneFormatError(f"region {rid} overlaps another region")
         seen |= region.cells
-        xy = np.array(list(region.cells), dtype=np.intp).reshape(-1, 2)
-        inside = ((xy >= 0) & (xy < (grid.width, grid.height))).all(axis=1)
-        bad = ~inside
-        bad[inside] = grid.blocked[xy[inside, 1], xy[inside, 0]]
-        if bad.any():
-            cell = tuple(xy[bad.argmax()].tolist())
+        xs, ys = zip(*region.cells)
+        inside = min(xs) >= 0 and min(ys) >= 0 and max(xs) < w and max(ys) < h
+        mask = grid.mask(region.cells) if inside else 0
+        if not inside or mask & grid.blocked:
+            cell = next(c for c in region.cells if not grid.in_bounds(c) or grid.is_blocked(c))
             raise SceneFormatError(f"region {rid} contains a blocked cell {cell}")
-        if not _connected_4(region.cells, grid.blocked.shape):
+        if not _one_component(mask, stride):
             raise SceneFormatError(f"region {rid} is not 4-connected")
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
@@ -360,26 +425,18 @@ def validate_scene(scene: SceneGraph) -> None:
                 )
             if cell in seen:
                 raise SceneFormatError(f"corridor {cid} gate cell inside a region")
-    if not _one_component(~grid.blocked):
+    if not _one_component(grid.free, stride):
         raise SceneFormatError("free space is not a single connected component")
 
 
-def _connected_4(cells: frozenset[Cell], shape: tuple[int, int]) -> bool:
-    """True iff the in-bounds ``cells`` of a ``shape`` grid are 4-connected."""
-    mask = np.zeros(shape, dtype=bool)
-    xs, ys = np.array(list(cells), dtype=np.intp).reshape(-1, 2).T
-    mask[ys, xs] = True
-    return _one_component(mask)
-
-
-def _one_component(mask: np.ndarray) -> bool:
-    """True iff the set cells of ``mask`` are one 4-connected component
-    (an empty mask counts as one)."""
-    free = pack_mask(mask)
+def _one_component(bits: int, stride: int) -> bool:
+    """True iff the cells of a packed mask, rows ``stride`` bits apart, are
+    one 4-connected component (an empty mask counts as one): the union of
+    the :func:`bfs_layers` from its lowest bit must be the whole mask."""
     reached = 0
-    for layer in bfs_layers(free, mask.shape[1] + 1, free & -free):
+    for layer in bfs_layers(bits, stride, bits & -bits):
         reached |= layer
-    return reached == free
+    return reached == bits
 
 
 # --- geodesics ------------------------------------------------------------
@@ -393,6 +450,8 @@ def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
     No query in the package reads a whole field (:class:`Geodesics` answers
     them from packed layers); it stays as the tests' field oracle.
     """
+    import numpy as np
+
     h, w = blocked.shape
     sx, sy = start
     if not (0 <= sx < w and 0 <= sy < h) or blocked[sy, sx]:
@@ -419,25 +478,15 @@ def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
     return np.where(inner == -2, -1, inner)
 
 
-def pack_mask(mask: np.ndarray) -> int:
-    """A ``(h, w)`` boolean mask as one Python int, rows ``w + 1`` bits apart:
-    cell ``(x, y)`` is bit ``y * (w + 1) + x``, and bit ``y * (w + 1) + w``
-    after each row is a guard that is always clear."""
-    h, w = mask.shape
-    rows = np.zeros((h, w + 1), dtype=bool)
-    rows[:, :w] = mask
-    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
-
-
 def unpack_cells(bits: int, stride: int) -> list[Cell]:
     """The cells of a mask packed with rows ``stride`` bits apart, in bit
     (row-major) order."""
+    digits = bin(bits)[:1:-1]  # bit i is digit i
     cells = []
-    while bits:
-        low = bits & -bits
-        i = low.bit_length() - 1
+    i = digits.find("1")
+    while i >= 0:
         cells.append((i % stride, i // stride))
-        bits ^= low
+        i = digits.find("1", i + 1)
     return cells
 
 
@@ -448,7 +497,7 @@ def bfs_layers(free: int, stride: int, source: int) -> Iterator[int]:
     steps from it. One layer is the last one shifted a bit each way and a
     row each way, masked to the free cells not reached yet. A shift along a
     row never wraps into the next: it lands on the clear guard bit between
-    them (see :func:`pack_mask`); shifts off the top and bottom rows fall
+    them (see :class:`GridMap`); shifts off the top and bottom rows fall
     off the int or past every free bit. The layers are bitmap frontiers
     (Beamer, Asanović & Patterson, "Direction-Optimizing Breadth-First
     Search", SC 2012) with the whole grid as one word.
@@ -462,32 +511,33 @@ def bfs_layers(free: int, stride: int, source: int) -> Iterator[int]:
 
 
 class Geodesics:
-    """Geodesic queries over one passable mask, packed once.
+    """Geodesic queries over the passable cells ``free`` of a ``width`` x
+    ``height`` grid, packed in :class:`GridMap`'s layout (stride
+    ``width + 1``, a clear guard bit after each row).
 
-    The mask is packed into one Python int (:func:`pack_mask`: stride
-    ``w + 1``, a clear guard bit after each row), and every query is a
-    search over :func:`bfs_layers` that stops at the first layer holding
-    what it looks for, so no query builds a distance field: ``steps`` counts
-    layers from ``a`` until one holds ``b``, ``nearest`` stops at the first
-    layer that meets a target mask, and :func:`bfs_shortest_path` keeps the
-    layers from ``b`` and descends them from ``a``. The mask never sees a
-    later change to the array it came from, so its holder keeps one per
-    occupancy: a robot one per believed passability (shared with its
-    partner from the start until ``observe`` or ``on_blocked`` replaces
-    it), ``generate_episode`` one per call, ``pick_route_blockage`` one per
-    map. Nothing is kept at module level.
+    Every query is a search over :func:`bfs_layers` that stops at the first
+    layer holding what it looks for, so no query builds a distance field:
+    ``steps`` counts layers from ``a`` until one holds ``b``, ``nearest``
+    stops at the first layer that meets a target mask, and
+    :func:`bfs_shortest_path` keeps the layers from ``b`` and descends them
+    from ``a``. A true map's comes from :meth:`GridMap.geodesics`; a
+    robot's belief packs its passable cells (``agent.pack_mask``), and the
+    robot keeps one per believed passability (shared with its partner from
+    the start until ``observe`` or ``on_blocked`` replaces it).
+    ``generate_episode`` makes one per call and ``pick_route_blockage`` one
+    per map. Nothing is kept at module level.
     """
 
-    def __init__(self, passable: np.ndarray):
-        self.passable = passable
-        self.stride = passable.shape[1] + 1
-        self.free = pack_mask(passable)
+    def __init__(self, free: int, width: int, height: int):
+        self.free = free
+        self.width = width
+        self.height = height
+        self.stride = width + 1
 
     def bit(self, cell: Cell) -> int:
         """The packed bit of ``cell``; 0 outside the grid."""
         x, y = cell
-        h, w = self.passable.shape
-        if 0 <= x < w and 0 <= y < h:
+        if 0 <= x < self.width and 0 <= y < self.height:
             return 1 << (y * self.stride + x)
         return 0
 
@@ -516,10 +566,11 @@ class Geodesics:
         steps = self.steps(a, b)
         return math.inf if steps < 0 else float(steps) * FORWARD_M
 
-    def nearest(self, source: Cell, targets: np.ndarray) -> Cell | None:
-        """The cell of the ``targets`` mask fewest steps from ``source``,
-        ties to the smallest ``(x, y)``; None when none is reachable."""
-        goal = pack_mask(targets) & self.free
+    def nearest(self, source: Cell, targets: int) -> Cell | None:
+        """The cell of the packed ``targets`` mask fewest steps from
+        ``source``, ties to the smallest ``(x, y)``; None when none is
+        reachable."""
+        goal = targets & self.free
         if not goal:
             return None
         for layer in bfs_layers(self.free, self.stride, self.bit(source)):
@@ -619,6 +670,8 @@ def ray_geometry(max_range_m: float) -> tuple[np.ndarray, ...]:
     into ``uint64`` words (offset ``i`` is bit ``i % 8`` of byte ``i // 8``
     of the row, so a row unpacks with ``bitorder="little"``).
     """
+    import numpy as np
+
     r = _range_cells(max_range_m)
     side = 2 * r + 1
     offsets: list[Cell] = []
@@ -656,6 +709,8 @@ def flat_geometry(max_range_m: float, width: int) -> tuple[np.ndarray, np.ndarra
     on every side, relative to ``cy * (width + 2 * r) + cx`` for an observer
     at ``(cx, cy)``.
     """
+    import numpy as np
+
     offsets, shadows, _ = ray_geometry(max_range_m)
     r = _range_cells(max_range_m)
     stride = width + 2 * r
@@ -670,6 +725,8 @@ def flat_geometry(max_range_m: float, width: int) -> tuple[np.ndarray, np.ndarra
 def fov_mask(max_range_m: float, heading: float, fov_deg: float) -> np.ndarray:
     """Read-only mask over :func:`ray_geometry`'s offsets inside the field of
     view, memoized per process like the geometry."""
+    import numpy as np
+
     offsets = ray_geometry(max_range_m)[0]
     bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
     mask = np.abs((bearing - heading + 180.0) % 360.0 - 180.0) <= fov_deg / 2.0 + _EPS
@@ -686,7 +743,8 @@ class VisibilityField:
     indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as indices
     into the raveled grid, and the shadowing cells as indices into the
     raveled padded occupancy) and the FOV masks (:func:`fov_mask`). Per
-    scene: the padded occupancy and the mask cached per observer cell. A
+    scene: the padded occupancy, unpacked from the grid's packed int
+    (:meth:`GridMap.blocked_array`), and the mask cached per observer cell. A
     field belongs to one ``SceneGraph``, so a blockage, which makes a new
     scene, starts cold. A miss gathers the occupancy at the shadowing cells
     around the observer and ORs the shadow rows of the blocked ones: an
@@ -695,10 +753,12 @@ class VisibilityField:
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
+        import numpy as np
+
         self.offsets, _, self._masks = ray_geometry(max_range_m)
         self.flat_offsets, self._shadows = flat_geometry(max_range_m, grid.width)
         r = _range_cells(max_range_m)
-        occ = np.pad(grid.blocked, r, mode="constant", constant_values=True)
+        occ = np.pad(grid.blocked_array(), r, mode="constant", constant_values=True)
         self._stride = occ.shape[1]
         self._occ = occ.ravel()
         self._cache: dict[Cell, np.ndarray] = {}
@@ -708,6 +768,8 @@ class VisibilityField:
         cached = self._cache.get(cell)
         if cached is not None:
             return cached
+        import numpy as np  # after the cache: a hit pays nothing for it
+
         blocked = self._occ[cell[1] * self._stride + cell[0] + self._shadows]
         shade = np.bitwise_or.reduce(self._masks.compress(blocked, axis=0), axis=0)
         visible = np.unpackbits(
@@ -790,14 +852,12 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
         raise UnknownCorridorError(corridor_id)
     if cor.blocked:
         return scene
-    occ = scene.grid.blocked.copy()
-    for cx, cy in cor.gate_cells:
-        occ[cy, cx] = True
+    grid = scene.grid
     # the regions are the source's own, so its cell index holds for the copy;
     # the visibility fields and the cell table follow occupancy and start empty
     return replace(
         scene,
-        grid=GridMap(scene.grid.width, scene.grid.height, occ),
+        grid=GridMap(grid.width, grid.height, grid.blocked | grid.mask(cor.gate_cells)),
         corridors={**scene.corridors, corridor_id: replace(cor, blocked=True)},
         _vis_fields={},
         _cell_table=None,
@@ -829,11 +889,11 @@ class SceneGrid(Record):
 
 
 def scene_to_dict(scene: SceneGraph) -> dict:
-    ys, xs = np.nonzero(scene.grid.blocked)
-    blocked_cells = tuple(sorted(zip(xs.tolist(), ys.tolist())))
+    grid = scene.grid
+    blocked_cells = tuple(sorted(unpack_cells(grid.blocked, grid.stride)))
     return {
         "meta": SceneMeta(scene.scene_id, scene.seed, FORWARD_M).to_dict(),
-        "grid": SceneGrid(scene.grid.width, scene.grid.height, blocked_cells).to_dict(),
+        "grid": SceneGrid(grid.width, grid.height, blocked_cells).to_dict(),
         "regions": _entries(scene.regions),
         "objects": _entries(scene.objects),
         "corridors": _entries(scene.corridors),
@@ -869,17 +929,15 @@ def scene_from_dict(data: dict) -> SceneGraph:
         width, height = grid.width, grid.height
         if not (0 < width <= MAX_GRID_SIDE and 0 < height <= MAX_GRID_SIDE):
             raise SceneFormatError(f"grid sides must lie in [1, {MAX_GRID_SIDE}] cells")
-        blocked = np.zeros((height, width), dtype=bool)
         for x, y in grid.blocked_cells:
             if not (0 <= x < width and 0 <= y < height):
                 raise SceneFormatError(
                     f"blocked cell {[x, y]} lies outside the {width}x{height} grid"
                 )
-            blocked[y, x] = True
         scene = SceneGraph(
             scene_id=meta.scene_id,
             seed=meta.seed,
-            grid=GridMap(width, height, blocked),
+            grid=GridMap.of_cells(width, height, grid.blocked_cells),
             regions=_section(data, "regions", Region),
             objects=_section(data, "objects", SceneObject),
             corridors=_section(data, "corridors", Corridor),

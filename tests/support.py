@@ -26,7 +26,20 @@ from relaynav.world import (
 
 def geodesic_distance(scene, a, b):
     """Shortest 4-connected path length in meters; ``inf`` when unreachable."""
-    return Geodesics(~scene.grid.blocked).meters(a, b)
+    return scene.grid.geodesics().meters(a, b)
+
+
+def grid_of(blocked) -> GridMap:
+    """The packed grid of a ``(h, w)`` boolean occupancy array, built cell by
+    cell: every test that starts from an array gets its grid here."""
+    blocked = np.asarray(blocked, dtype=bool)
+    h, w = blocked.shape
+    return GridMap.of_cells(w, h, ((int(x), int(y)) for y, x in np.argwhere(blocked)))
+
+
+def geodesics_of(passable) -> Geodesics:
+    """Geodesics over the set cells of a ``(h, w)`` boolean mask."""
+    return grid_of(~np.asarray(passable, dtype=bool)).geodesics()
 
 _SCENES: dict[int, object] = {}
 
@@ -50,7 +63,7 @@ def random_swap_config(seed: int, n_scenes: int = 4):
     if rng.random() < 0.5 and scene.corridors:
         cid = sorted(scene.corridors)[int(rng.integers(len(scene.corridors)))]
         scene = apply_blockage(scene, cid)
-    free = np.argwhere(~scene.grid.blocked)
+    free = np.argwhere(~scene.grid.blocked_array())
 
     def pick():
         y, x = free[int(rng.integers(len(free)))]
@@ -62,7 +75,7 @@ def random_swap_config(seed: int, n_scenes: int = 4):
         "SH": full["SH"][int(rng.integers(len(full["SH"]))):],
     }
     inputs = SwapInputs(
-        geodesics={r: Geodesics(~scene.grid.blocked) for r in chains},
+        geodesics={r: scene.grid.geodesics() for r in chains},
         positions={"FH": pick(), "SH": pick()},
         chains=chains,
     )
@@ -86,8 +99,7 @@ def lab_scene(blocked, objects=(), scene_id="lab", gates=()):
         oid: SceneObject(oid, cat, cell, "r0", 1.0, 0.0) for oid, cat, cell in objects
     }
     corridors = {"c0": Corridor("c0", frozenset(gates), ("r0", "r0"), blocked=False)} if gates else {}
-    grid = GridMap(w, h, blocked)
-    return SceneGraph(scene_id, 0, grid, {"r0": region}, objs, corridors)
+    return SceneGraph(scene_id, 0, grid_of(blocked), {"r0": region}, objs, corridors)
 
 
 def random_bordered_grid(seed, w, h, wall_p=0.3):

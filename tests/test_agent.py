@@ -41,16 +41,14 @@ from relaynav.world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
-    Geodesics,
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
     fov_mask,
-    pack_mask,
     step_kinematics,
 )
 
-from support import center_pose, lab_scene, random_bordered_grid, walled_lab
+from support import center_pose, geodesics_of, lab_scene, random_bordered_grid, walled_lab
 
 
 def ctx_with(chain):
@@ -114,15 +112,16 @@ def oracle_observe(scene, state, sensor):
     cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
 
     belief = state.belief.copy()
-    here = scene.grid.blocked[cell[1], cell[0]]
+    occ = scene.grid.blocked_array()
+    here = occ[cell[1], cell[0]]
     belief[cell[1], cell[0]] = BLOCKED if here else FREE
-    truth = scene.grid.blocked[cells[:, 1], cells[:, 0]]
+    truth = occ[cells[:, 1], cells[:, 0]]
     belief[cells[:, 1], cells[:, 0]] = np.where(truth, BLOCKED, FREE)
 
     was = state.belief[cells[:, 1], cells[:, 0]]
     geodesics = state.geodesics
     if here != (state.belief[cell[1], cell[0]] == BLOCKED) or (truth != (was == BLOCKED)).any():
-        geodesics = Geodesics(belief != BLOCKED)
+        geodesics = geodesics_of(belief != BLOCKED)
     flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
     newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
 
@@ -155,8 +154,9 @@ class TestBelief:
     def test_known_belief_mirrors_occupancy(self):
         scene = walled_lab()
         belief = initial_belief(scene, "known")
-        assert ((belief == BLOCKED) == scene.grid.blocked).all()
-        assert (belief[~scene.grid.blocked] == FREE).all()
+        occ = scene.grid.blocked_array()
+        assert ((belief == BLOCKED) == occ).all()
+        assert (belief[~occ] == FREE).all()
 
     def test_discover_belief_starts_unknown_except_start(self):
         scene = walled_lab()
@@ -234,7 +234,7 @@ class TestObserve:
 
         # a belief with unknown cells, walls believed free and free cells
         # believed walls; wrong_p 0 leaves it true everywhere
-        truth = np.where(scene.grid.blocked, BLOCKED, FREE).astype(np.int8)
+        truth = np.where(scene.grid.blocked_array(), BLOCKED, FREE).astype(np.int8)
         draw = rng.random(truth.shape)
         belief = np.where(draw < wrong_p, np.where(truth == FREE, BLOCKED, FREE), truth)
         belief = np.where(rng.random(truth.shape) < wrong_p, UNKNOWN, belief).astype(np.int8)
@@ -244,7 +244,7 @@ class TestObserve:
             hidden[int(i)] for i in rng.permutation(len(hidden))[:4]
         )
         state = AgentState(
-            "FH", center_pose(observer, heading), belief, Geodesics(belief != BLOCKED),
+            "FH", center_pose(observer, heading), belief, geodesics_of(belief != BLOCKED),
             ctx_with((Subtask(STOP, None),)),
             plan=Plan(path, path[-1]) if rng.random() < 0.7 else None,
             pending_blocked_edges=(((1, 1), (1, 2)),) if rng.random() < 0.3 else (),
@@ -255,7 +255,7 @@ class TestObserve:
         want, want_sightings = oracle_observe(scene, state, sensor)
         assert got_sightings == want_sightings
         assert np.array_equal(got.belief, want.belief)
-        assert np.array_equal(got.geodesics.passable, want.geodesics.passable)
+        assert got.geodesics.free == want.geodesics.free
         assert (got.geodesics is state.geodesics) == (want.geodesics is state.geodesics)
         assert got.pending_blocked_edges == want.pending_blocked_edges
         assert got.plan == want.plan
@@ -285,7 +285,7 @@ class TestObserve:
         scene, state = self.make()
         state, _ = observe(scene, state, SensorConfig())
         known = state.belief != UNKNOWN
-        assert ((state.belief == BLOCKED) == scene.grid.blocked)[known].all()
+        assert ((state.belief == BLOCKED) == scene.grid.blocked_array())[known].all()
 
     def test_idempotent_from_fixed_pose(self):
         scene, state = self.make()
@@ -316,7 +316,7 @@ class TestObserve:
         open_scene = walled_lab()
         closed_scene = walled_lab(gap=False)
         state = agent_at(open_scene, (3, 4), knowledge="known")
-        path = bfs_shortest_path(Geodesics(~open_scene.grid.blocked), (3, 4), (13, 4))
+        path = bfs_shortest_path(open_scene.grid.geodesics(), (3, 4), (13, 4))
         state = replace(state, plan=Plan(tuple(path), (13, 4)))
         state, _ = observe(closed_scene, state, SensorConfig())
         assert ((3, 4), (8, 4)) in state.pending_blocked_edges
@@ -329,7 +329,7 @@ class TestPlanning:
         scene = walled_lab()
         state = agent_at(scene, (2, 4))
         plan = plan_to(state, (13, 4))
-        want = bfs_shortest_path(Geodesics(~scene.grid.blocked), (2, 4), (13, 4))
+        want = bfs_shortest_path(scene.grid.geodesics(), (2, 4), (13, 4))
         assert plan.path == tuple(want)
         assert plan.goal == (13, 4) and not plan.frontier
         assert (8, 4) in plan.path  # the only way across is the doorway
@@ -385,7 +385,7 @@ class TestPlanning:
         assert bumped.geodesics is not old_memo
         replanned = ensure_plan(bumped)
         assert cut not in replanned.plan.path
-        want = bfs_shortest_path(Geodesics(bumped.belief != BLOCKED), (2, 4), (13, 4))
+        want = bfs_shortest_path(geodesics_of(bumped.belief != BLOCKED), (2, 4), (13, 4))
         assert replanned.plan.path == tuple(want)
 
     def test_plan_clear_in_a_belief_crosses_its_bumped_copy(self):
@@ -429,8 +429,7 @@ class TestPlanning:
             else:
                 state = replace(state, pose=pose)
             geo = state.geodesics
-            assert np.array_equal(geo.passable, state.belief != BLOCKED)
-            assert geo.free == pack_mask(state.belief != BLOCKED)
+            assert geo.free == geodesics_of(state.belief != BLOCKED).free
             cx, cy = state.cell
             for target in ((13, 4), state.plan.goal if state.plan else None):
                 if target is not None:

@@ -43,6 +43,7 @@ from relaynav.serialize import (
 )
 from relaynav.trace import load_trace
 from relaynav.world import load_scene
+from test_goldens import SCENE_GOLDENS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -518,6 +519,13 @@ class TestConfigResolution:
         with pytest.raises(UsageError, match="rollout.blockage_schedule"):
             resolve_run_config({"rollout": {"blockage_schedule": [[5, "c0"]]}}, {}, {})
 
+    @pytest.mark.parametrize("section", [{"latency": 5, "drop_prob": 0.5}, {}])
+    def test_lockstep_transport_section_rejected_by_name(self, section):
+        with pytest.raises(UsageError, match="config section 'transport' requires --mode distributed"):
+            resolve_run_config({"transport": section}, {}, {})
+        _, transport = resolve_run_config({"transport": section}, {"mode": "distributed"}, {})
+        assert transport == TransportConfig(**section)
+
     def test_nested_rollout_sensor_rejected_by_name(self):
         with pytest.raises(UsageError, match="rollout.sensor"):
             resolve_run_config({"rollout": {"sensor": {"range_m": 9}}}, {}, {})
@@ -617,6 +625,15 @@ class TestExitCodes:
     def test_transport_flags_require_distributed(self, pipeline):
         root, scenes, episodes = pipeline
         assert run_cmd(episodes, scenes, root / "y", "--latency", "3") == EXIT_USAGE
+
+    def test_lockstep_transport_section_is_usage_error(self, pipeline, tmp_path, capsys):
+        root, scenes, episodes = pipeline
+        cfg = tmp_path / "cfg.json"
+        write_canonical(cfg, {"transport": {"latency": 5, "drop_prob": 0.5}})
+        out = tmp_path / "out"
+        assert run_cmd(episodes, scenes, out, "--config", str(cfg)) == EXIT_USAGE
+        assert "config section 'transport' requires --mode distributed" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_negative_count_is_usage_error(self, tmp_path):
         assert main(["gen-scenes", "--count", "-1", "--seed", "0", "--out", str(tmp_path)]) == EXIT_USAGE
@@ -846,6 +863,27 @@ loaded["gen-episodes"] = sorted(sys.modules)
 print(json.dumps(loaded))
 """
 
+# gen-scenes and gen-episodes on the three scenes test_goldens.SCENE_GOLDENS
+# pins, in a fresh interpreter: whether numpy was loaded after each command,
+# and the sha256 of every file written
+NUMPY_FREE_GEN = """
+import hashlib, json, sys
+from pathlib import Path
+from relaynav.cli import main
+out = Path(sys.argv[1])
+numpy = {}
+assert main(["gen-scenes", "--count", "3", "--seed", "7", "--out", str(out / "scenes")]) == 0
+numpy["gen-scenes"] = "numpy" in sys.modules
+assert main(["gen-episodes", "--scenes", str(out / "scenes"), "--per-scene", "2",
+             "--seed", "7", "--out", str(out / "episodes.jsonl")]) == 0
+numpy["gen-episodes"] = "numpy" in sys.modules
+files = [out / "episodes.jsonl", *sorted((out / "scenes").glob("s*.json"))]
+digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
+print(json.dumps({"numpy": numpy, "digests": digests}))
+"""
+# the episodes file NUMPY_FREE_GEN writes: 4 episodes, 2 rejections
+NUMPY_FREE_EPISODES_SHA256 = "b9f80782cf66e5687a25898ea8c3ef37b981989333484eb8388ff52cbafc0f4b"
+
 LAZY_PACKAGE = """
 import json, sys
 import relaynav
@@ -876,6 +914,13 @@ class TestColdStart:
         for command in ("gen-scenes", "gen-episodes"):
             assert not set(NOT_LOADED_BY_GEN) & set(loaded[command]), command
         assert "relaynav.episodes" in loaded["gen-episodes"]
+
+    def test_gen_commands_load_no_numpy_and_write_the_pinned_bytes(self, tmp_path):
+        got = fresh_python(NUMPY_FREE_GEN, str(tmp_path))
+        assert got["numpy"] == {"gen-scenes": False, "gen-episodes": False}
+        assert got["digests"] == {
+            "episodes.jsonl": NUMPY_FREE_EPISODES_SHA256, **SCENE_GOLDENS["scenes"]
+        }
 
     def test_package_imports_submodules_on_first_access(self):
         got = fresh_python(LAZY_PACKAGE)

@@ -183,16 +183,18 @@ def test_episode_batch_helper_is_deterministic():
 
 
 def test_cells_within_matches_the_math_hypot_filter(scene):
-    """The vectorised radius filter keeps exactly the cells the scalar one
-    keeps, also at a reach equal to a cell's distance or one ulp either side."""
+    """The column-windowed radius filter keeps exactly the cells a scan of
+    the whole region keeps, from cell centres and from points between them,
+    also at a reach equal to a cell's distance or one ulp either side."""
     for obj in sorted(scene.objects.values(), key=lambda o: o.object_id):
         region = scene.regions[obj.region_id]
-        at = center(obj.cell)
+        cx, cy = center(obj.cell)
+        for at in ((cx, cy), (cx + 0.37, cy - 0.11)):
 
-        def dist(c):
-            return math.hypot((c[0] + 0.5) * FORWARD_M - at[0], (c[1] + 0.5) * FORWARD_M - at[1])
+            def dist(c):
+                return math.hypot((c[0] + 0.5) * FORWARD_M - at[0], (c[1] + 0.5) * FORWARD_M - at[1])
 
-        edge = dist(region.sorted_cells[len(region.sorted_cells) // 2])
-        for reach in (GATE_RANGE_M, 1.0, edge, math.nextafter(edge, 0), math.nextafter(edge, 9)):
-            want = [c for c in region.sorted_cells if dist(c) <= reach]
-            assert cells_within(region, at, reach) == want
+            edge = dist(region.sorted_cells[len(region.sorted_cells) // 2])
+            for reach in (GATE_RANGE_M, 1.0, 0.0, edge, math.nextafter(edge, 0), math.nextafter(edge, 9)):
+                want = [c for c in region.sorted_cells if dist(c) <= reach]
+                assert cells_within(region, at, reach) == want

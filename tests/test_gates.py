@@ -31,7 +31,7 @@ def random_candidates(scene, rng, count):
     """Random (waypoint, target, expected_room) triples, free cells only."""
     import numpy as np
 
-    free = np.argwhere(~scene.grid.blocked)
+    free = np.argwhere(~scene.grid.blocked_array())
     objects = sorted(scene.objects)
     out = []
     for _ in range(count):

@@ -20,10 +20,6 @@ SEARCHED = ("src", "scripts", "perfbench")
 ALLOWED_UNUSED = {
     "load_trace": "reads traces back; the planned trace-summary command is its user",
     "swap_oracle": "the independent oracle that evaluate_swap is checked against in tests",
-    "bfs_distance_field": (
-        "the benchmark's tracer binds it; it moves to tests once the tracer spans "
-        "the geodesics that production runs"
-    ),
 }
 
 

@@ -36,9 +36,8 @@ from relaynav.replan import (
 )
 from relaynav.seeds import derive_seed
 from relaynav.tasks import GOTO_PICKUP, STOP, Subtask, build_chains
-from relaynav.world import Geodesics
 
-from support import random_swap_config
+from support import geodesics_of, grid_of, random_swap_config
 
 
 def ctx_for(robot_id="FH", chain=None, **kw):
@@ -286,7 +285,7 @@ def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at):
         "SH": (Subtask(GOTO_PICKUP, sh_goal), Subtask(STOP, None)),
     }
     return SwapInputs(
-        geodesics={r: Geodesics(passable) for r in chains},
+        geodesics={r: geodesics_of(passable) for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
     )
@@ -295,14 +294,14 @@ def open_lane_inputs(*, fh_goal, sh_goal, fh_at, sh_at):
 def grid_swap_case(rows, fh_at, sh_at, fh_goals, sh_goals):
     """(scene, SwapInputs) on a grid drawn as strings, ``#`` for a wall;
     each goal becomes one goto leg (None stays unbound), then Stop."""
-    blocked = np.array([[c == "#" for c in row] for row in rows], dtype=bool)
-    scene = SimpleNamespace(grid=SimpleNamespace(blocked=blocked))
+    grid = grid_of([[c == "#" for c in row] for row in rows])
+    scene = SimpleNamespace(grid=grid)
     chains = {
         rid: tuple(Subtask(GOTO_PICKUP, g) for g in goals) + (Subtask(STOP, None),)
         for rid, goals in (("FH", fh_goals), ("SH", sh_goals))
     }
     inputs = SwapInputs(
-        geodesics={r: Geodesics(~blocked) for r in chains},
+        geodesics={r: grid.geodesics() for r in chains},
         positions={"FH": fh_at, "SH": sh_at},
         chains=chains,
     )
@@ -370,7 +369,7 @@ class TestEvaluateSwap:
             "SH": (Subtask(GOTO_PICKUP, (0, 2)), Subtask(STOP, None)),
         }
         inputs = SwapInputs(
-            geodesics={r: Geodesics(passable) for r in chains},
+            geodesics={r: geodesics_of(passable) for r in chains},
             positions={"FH": (0, 2), "SH": (20, 2)},
             chains=chains,
             )
@@ -390,7 +389,7 @@ class TestEvaluateSwap:
     def test_requires_exactly_two_robots(self):
         passable = np.ones((5, 5), dtype=bool)
         inputs = SwapInputs(
-            geodesics={"FH": Geodesics(passable)},
+            geodesics={"FH": geodesics_of(passable)},
             positions={"FH": (0, 0)},
             chains={"FH": (Subtask(STOP, None),)},
         )

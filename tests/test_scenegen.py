@@ -52,7 +52,7 @@ def test_layout_constants_realize_the_recipe(seed):
 
 def test_free_space_connected():
     scene = generate_scene(21)
-    free = ~scene.grid.blocked
+    free = ~scene.grid.blocked_array()
     # flood fill from any free cell must cover all free cells
     ys, xs = np.nonzero(free)
     seen = np.zeros_like(free)

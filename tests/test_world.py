@@ -14,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from relaynav.config import SensorConfig
-from relaynav.serialize import write_canonical
+from relaynav.scenegen import generate_scene
+from relaynav.serialize import canonical_dumps, write_canonical
 from relaynav.world import (
     ACTION_FORWARD,
     ACTION_LEFT,
@@ -25,10 +26,9 @@ from relaynav.world import (
     HEADING_VECTORS,
     NEIGHBORS_4,
     TURN_DEG,
-    Geodesics,
+    GridMap,
     Pose,
     SceneFormatError,
-    _connected_4,
     _one_component,
     apply_blockage,
     bfs_distance_field,
@@ -37,7 +37,7 @@ from relaynav.world import (
     flat_geometry,
     line_of_sight,
     load_scene,
-    pack_mask,
+    pack_cells,
     path_length_m,
     ray_geometry,
     save_scene,
@@ -50,8 +50,11 @@ from relaynav.world import (
     wrap_angle,
 )
 
+from relaynav.agent import pack_mask
+
 from support import (
-    JSON_VALUES, center_pose, geodesic_distance, junk_lines, lab_scene, random_bordered_grid
+    JSON_VALUES, center_pose, geodesic_distance, geodesics_of, grid_of, junk_lines, lab_scene,
+    random_bordered_grid,
 )
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
@@ -222,7 +225,7 @@ class TestBfs:
         ya, xa = free[rng.integers(len(free))]
         yb, xb = free[rng.integers(len(free))]
         a, b = (int(xa), int(ya)), (int(xb), int(yb))
-        path = bfs_shortest_path(Geodesics(~blocked), a, b)
+        path = bfs_shortest_path(geodesics_of(~blocked), a, b)
         dist = bfs_distance_field(blocked, a)[b[1], b[0]]
         if dist < 0:
             assert path is None
@@ -243,7 +246,7 @@ class TestBfs:
         passable = ~blocked
         h, w = blocked.shape
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
-        geo = Geodesics(passable)
+        geo = geodesics_of(passable)
         for _ in range(6):
             a, b = data.draw(cell), data.draw(cell)
             want = queue_bfs_path(passable, a, b)
@@ -257,7 +260,7 @@ class TestBfs:
         count, on grids that are not square or whose border cells are free."""
         h, w = blocked.shape
         cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
-        geo = Geodesics(~blocked)
+        geo = geodesics_of(~blocked)
         for _ in range(6):
             a, b = data.draw(cell), data.draw(cell)
             want = bfs_oracle(blocked, a)[b[1], b[0]]
@@ -267,7 +270,7 @@ class TestBfs:
 
     def test_packed_mask_and_queries_match_the_field(self):
         blocked = random_bordered_grid(7, 9, 9, 0.2)
-        geo = Geodesics(~blocked)
+        geo = geodesics_of(~blocked)
         assert geo.stride == 10
         assert unpack_cells(geo.free, geo.stride) == [
             (int(x), int(y)) for y, x in np.argwhere(~blocked)
@@ -287,40 +290,40 @@ class TestBfs:
         # (2, 0) and (0, 1) are neighbours in a row-major index without the
         # guard bit between the rows
         blocked = np.array([[True, True, False], [False, True, True]])
-        geo = Geodesics(~blocked)
+        geo = geodesics_of(~blocked)
         assert geo.steps((2, 0), (0, 1)) == geo.steps((0, 1), (2, 0)) == -1
         assert bfs_shortest_path(geo, (2, 0), (0, 1)) is None
-        assert not _one_component(~blocked)
-        assert not _connected_4(frozenset({(2, 0), (0, 1)}), blocked.shape)
-        assert _connected_4(frozenset({(0, 0), (0, 1), (1, 1)}), blocked.shape)
+        assert not _one_component(geo.free, geo.stride)
+        assert not _one_component(pack_cells({(2, 0), (0, 1)}, 4), 4)
+        assert _one_component(pack_cells({(0, 0), (0, 1), (1, 1)}, 4), 4)
 
     def test_nearest_stops_at_the_first_layer_and_breaks_ties_by_x_then_y(self):
         passable = np.ones((5, 5), dtype=bool)
         targets = np.zeros((5, 5), dtype=bool)
         for x, y in ((4, 2), (2, 4), (0, 2), (2, 0), (4, 4)):
             targets[y, x] = True
-        geo = Geodesics(passable)
+        geo = geodesics_of(passable)
         # four targets two steps from the centre; (0, 2) has the smallest x
-        assert geo.nearest((2, 2), targets) == (0, 2)
+        assert geo.nearest((2, 2), pack_mask(targets)) == (0, 2)
         targets[2, 0] = False
-        assert geo.nearest((2, 2), targets) == (2, 0)
-        assert geo.nearest((2, 2), np.zeros_like(targets)) is None
+        assert geo.nearest((2, 2), pack_mask(targets)) == (2, 0)
+        assert geo.nearest((2, 2), 0) is None
         passable[2, 2] = False  # a blocked source reaches nothing
-        assert Geodesics(passable).nearest((2, 2), targets) is None
+        assert geodesics_of(passable).nearest((2, 2), pack_mask(targets)) is None
 
     @given(open_grids)
     @settings(max_examples=150, deadline=None)
     def test_flood_fills_equal_the_set_flood_fill(self, blocked):
         """The packed connectivity checks agree with a set-based flood fill
         on masks whose cells touch x = 0 and the last column."""
-        free = ~blocked
-        cells = frozenset((int(x), int(y)) for y, x in np.argwhere(free))
+        stride = blocked.shape[1] + 1
+        free = grid_of(blocked).free
+        cells = frozenset((int(x), int(y)) for y, x in np.argwhere(~blocked))
+        assert free == pack_cells(cells, stride)
         if not cells:
-            assert _one_component(free)
+            assert _one_component(free, stride)
             return
-        want = flood_fill_oracle(cells)
-        assert _one_component(free) == want
-        assert _connected_4(cells, free.shape) == want
+        assert _one_component(free, stride) == flood_fill_oracle(cells)
 
     def test_path_length_m(self):
         assert path_length_m([(0, 0), (1, 0), (1, 1)]) == pytest.approx(0.5)
@@ -348,10 +351,11 @@ class TestKinematics:
 
     def test_forward_into_wall_blocks(self, scene):
         grid = scene.grid
-        ys, xs = np.nonzero(grid.blocked)
+        occ = grid.blocked_array()
+        ys, xs = np.nonzero(occ)
         # find a free cell directly left of a blocked cell, then walk right
         for y, x in zip(ys, xs):
-            if x > 0 and not grid.blocked[y, x - 1]:
+            if x > 0 and not occ[y, x - 1]:
                 cx, cy = center((x - 1, y))
                 pose = Pose(cx, cy, 0)
                 after, blocked = step_kinematics(scene, pose, ACTION_FORWARD)
@@ -368,7 +372,7 @@ class TestKinematics:
         # cells, over walks from a grid of start cells in every heading,
         # off-axis drift included
         grid = scene.grid
-        ys, xs = np.nonzero(~grid.blocked)
+        ys, xs = np.nonzero(~grid.blocked_array())
         walk = (ACTION_FORWARD,) * 5 + (ACTION_LEFT, ACTION_FORWARD, ACTION_RIGHT) * 3
         reached = 0
         for x, y in list(zip(xs.tolist(), ys.tolist()))[::25]:
@@ -387,14 +391,14 @@ class TestKinematics:
 class TestVisibility:
     def test_own_cell_always_visible(self, scene):
         grid = scene.grid
-        free = np.argwhere(~grid.blocked)
+        free = np.argwhere(~grid.blocked_array())
         y, x = free[0]
         cx, cy = center((int(x), int(y)))
         assert line_of_sight(scene, Pose(cx, cy, 0), (int(x), int(y)), 5.0, 120.0)
 
     def test_out_of_range_invisible(self, scene):
         grid = scene.grid
-        free = np.argwhere(~grid.blocked)
+        free = np.argwhere(~grid.blocked_array())
         (y0, x0), (y1, x1) = free[0], free[-1]
         cx, cy = center((int(x0), int(y0)))
         far = (int(x1), int(y1))
@@ -405,7 +409,7 @@ class TestVisibility:
     def test_field_agrees_with_ray_check(self, scene):
         vis = scene.visibility(3.0)
         grid = scene.grid
-        free = np.argwhere(~grid.blocked)
+        free = np.argwhere(~grid.blocked_array())
         y, x = free[len(free) // 2]
         observer = (int(x), int(y))
         mask = vis.visible_offsets(observer)
@@ -446,7 +450,7 @@ class TestVisibility:
         range_m = SensorConfig().range_m
         vis = scene.visibility(range_m)
         assert grid.width == 64 and max(np.abs(vis.offsets).max(axis=0)) == 20
-        free = [(int(x), int(y)) for y, x in np.argwhere(~grid.blocked)]
+        free = [(int(x), int(y)) for y, x in np.argwhere(~grid.blocked_array())]
         edge = grid.width - 2
         observers = [
             min(c for c in free if c[0] == 1),
@@ -472,7 +476,7 @@ class TestVisibility:
         assert fields[0]._masks is fields[1]._masks is ray_geometry(3.0)[2]
         assert not np.array_equal(fields[0]._shadows, fields[1]._shadows)
         for scene, vis in zip(scenes, fields):
-            for oy, ox in np.argwhere(~scene.grid.blocked):
+            for oy, ox in np.argwhere(~scene.grid.blocked_array()):
                 observer = (int(ox), int(oy))
                 mask = vis.visible_offsets(observer)
                 pose = center_pose(observer)
@@ -492,6 +496,80 @@ class TestVisibility:
         assert masks.dtype == np.uint64 and masks.shape == (len(shadows), -(-len(offsets) // 64))
 
 
+def array_cells(mask) -> list[tuple[int, int]]:
+    """The set cells of a ``(h, w)`` boolean array, in ``(x, y)`` order."""
+    return sorted((int(x), int(y)) for y, x in np.argwhere(mask))
+
+
+def check_grid_views(grid, blocked) -> None:
+    """Cell by cell, the packed int, ``is_blocked`` and the array sensing
+    unpacks all say what the reference array ``blocked`` says; the guard
+    bits and every bit past the last row are clear; the true map's
+    geodesics pack the same free cells as the belief packer."""
+    h, w = blocked.shape
+    stride = w + 1
+    assert (grid.width, grid.height, grid.stride) == (w, h, stride)
+    view = grid.blocked_array()
+    assert view.shape == (h, w) and view.dtype == bool
+    for y, x in np.ndindex(h, w):
+        bit = bool(grid.blocked >> (y * stride + x) & 1)
+        assert grid.is_blocked((x, y)) == bit == bool(view[y, x]) == bool(blocked[y, x])
+    for y in range(h):
+        assert not grid.blocked >> (y * stride + w) & 1
+    assert grid.blocked >> (h * stride) == 0
+    assert grid.geodesics().free == grid.free == pack_mask(~blocked)
+
+
+def scene_truth(scene) -> np.ndarray:
+    """A generated scene's occupancy from its structure alone: every cell is
+    a wall except the region cells and the gate cells of open corridors."""
+    blocked = np.ones((scene.grid.height, scene.grid.width), dtype=bool)
+    open_gates = (c.gate_cells for c in scene.corridors.values() if not c.blocked)
+    for x, y in frozenset().union(*(r.cells for r in scene.regions.values()), *open_gates):
+        blocked[y, x] = False
+    return blocked
+
+
+class TestPackedGrid:
+    @given(any_grids, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_grids(self, blocked, data):
+        grid = grid_of(blocked)
+        check_grid_views(grid, blocked)
+        free = array_cells(~blocked)
+        gates = data.draw(st.sets(st.sampled_from(free), max_size=4)) if free else set()
+        scene = lab_scene(blocked, gates=gates)
+        # the scene file's grid section holds the blocked cells and reads back
+        section = scene_to_dict(scene)["grid"]
+        cells = [tuple(c) for c in section["blocked_cells"]]
+        assert cells == array_cells(blocked)
+        assert GridMap.of_cells(section["width"], section["height"], cells) == grid
+        if gates:
+            after = apply_blockage(scene, "c0")
+            want = blocked.copy()
+            for x, y in gates:
+                want[y, x] = True
+            check_grid_views(after.grid, want)
+            check_grid_views(scene.grid, blocked)  # the source is untouched
+
+    @given(st.integers(0, 2**32), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_generated_scenes(self, seed, data):
+        scene = generate_scene(seed)
+        cid = data.draw(st.sampled_from(sorted(scene.corridors)))
+        closed = apply_blockage(scene, cid)
+        truth = scene_truth(scene)
+        check_grid_views(scene.grid, truth)
+        check_grid_views(closed.grid, scene_truth(closed))
+        changed = array_cells(scene_truth(closed) != truth)
+        assert changed == sorted(scene.corridors[cid].gate_cells)
+        for s in (scene, closed):
+            text = canonical_dumps(scene_to_dict(s))
+            back = scene_from_dict(json.loads(text))
+            assert back.grid == s.grid
+            assert canonical_dumps(scene_to_dict(back)) == text
+
+
 class TestBlockage:
     def test_apply_changes_only_the_gate_cells(self, scene):
         cid = sorted(scene.corridors)[0]
@@ -501,7 +579,7 @@ class TestBlockage:
         assert {c: v for c, v in blocked.corridors.items() if c != cid} == {
             c: v for c, v in scene.corridors.items() if c != cid
         }
-        changed = np.argwhere(blocked.grid.blocked != scene.grid.blocked)
+        changed = np.argwhere(blocked.grid.blocked_array() != scene.grid.blocked_array())
         assert {(int(x), int(y)) for y, x in changed} == set(scene.corridors[cid].gate_cells)
         for cell in scene.corridors[cid].gate_cells:
             assert blocked.grid.is_blocked(cell)
@@ -528,7 +606,7 @@ class TestBlockage:
         assert apply_blockage(once, cid) is once
 
     def test_blockage_lengthens_or_cuts_paths(self, scene):
-        free = np.argwhere(~scene.grid.blocked)
+        free = np.argwhere(~scene.grid.blocked_array())
         a = (int(free[0][1]), int(free[0][0]))
         b = (int(free[-1][1]), int(free[-1][0]))
         base = geodesic_distance(scene, a, b)
@@ -555,7 +633,7 @@ class TestSceneSerialization:
     def test_dict_roundtrip_preserves_everything(self, scene):
         clone = scene_from_dict(scene_to_dict(scene))
         assert clone.scene_id == scene.scene_id
-        assert np.array_equal(clone.grid.blocked, scene.grid.blocked)
+        assert clone.grid.blocked == scene.grid.blocked
         assert clone.regions == scene.regions
         assert clone.objects == scene.objects
         assert clone.corridors == scene.corridors
