@@ -13,7 +13,7 @@ The API lives in the submodules (``relaynav.world``, ``relaynav.engine``,
 of them: every ``relaynav`` subcommand starts a fresh interpreter, and a
 command should pay only for the modules it runs: ``gen-scenes`` and
 ``gen-episodes`` load neither the rollout engine nor numpy, which only
-sensing and the robots' beliefs use.  A submodule read as an attribute,
+sensing uses.  A submodule read as an attribute,
 ``relaynav.engine``, is imported on first access.
 """
 

@@ -1,8 +1,10 @@
 """Deterministic per-robot navigation policy under partial observability.
 
-Each robot keeps a believed occupancy map (unknown / free / blocked), senses
-cells and objects through the shared visibility field, plans optimistically
-(unknown counts as traversable, falling back to the nearest frontier when no
+Each robot keeps a belief of the map, two packed ints in
+:class:`~relaynav.world.GridMap`'s layout: the cells it knows and the known
+cells it holds blocked; every other cell is unknown. It senses cells and
+objects through the shared visibility field, plans optimistically (unknown
+counts as traversable, falling back to the nearest frontier when no
 believed route exists), and steers with the discrete 15-degree action set.
 All transitions are pure functions of the visible state — the policy holds
 no hidden randomness, which is what makes rollouts replayable.
@@ -25,17 +27,16 @@ from .world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
-    BLOCKED,
-    FREE,
-    UNKNOWN,
     Cell,
     Geodesics,
-    NEIGHBORS_4,
     Pose,
     SceneGraph,
     bfs_shortest_path,
     center,
     fov_mask,
+    pack_cells,
+    packed_rect,
+    unpack_cells,
     wrap_angle,
 )
 
@@ -47,40 +48,27 @@ _EPS = 1e-9
 class Plan:
     """Cell path to the current navigation goal, inclusive of both ends.
 
+    ``cells`` packs the path's cells in :class:`~relaynav.world.GridMap`'s
+    layout, so a check against a belief's blocked cells is one AND.
     ``frontier`` marks exploratory plans whose goal is a frontier cell rather
     than the subtask waypoint itself.
-
-    ``_clear_for`` holds the last belief :meth:`crosses_blocked` found the
-    path clear in, by reference, so that the check gathers the path's cells
-    only for a belief it has not seen. Beliefs are copy-on-write (see
-    :class:`AgentState`): the same object holds the same cells, and any
-    write makes a new object, which the check gathers again.
     """
 
     path: tuple[Cell, ...]
     goal: Cell | None
+    cells: int
     frontier: bool = False
-    _rows_cols: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _index: dict[Cell, int] = field(init=False, repr=False, compare=False)
-    _clear_for: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        xy = np.array(self.path, dtype=np.intp).reshape(-1, 2)
-        object.__setattr__(self, "_rows_cols", (xy[:, 1], xy[:, 0]))
         index: dict[Cell, int] = {}
         for i, cell in enumerate(self.path):
             index.setdefault(cell, i)
         object.__setattr__(self, "_index", index)
-        object.__setattr__(self, "_clear_for", None)
 
-    def crosses_blocked(self, belief: np.ndarray) -> bool:
-        """True iff any cell of the path is believed blocked."""
-        if belief is self._clear_for:
-            return False
-        if (belief[self._rows_cols] == BLOCKED).any():
-            return True
-        object.__setattr__(self, "_clear_for", belief)
-        return False
+    def crosses_blocked(self, blocked: int) -> bool:
+        """True iff any cell of the path is in the packed ``blocked`` mask."""
+        return bool(self.cells & blocked)
 
     def steps_remaining_from(self, cell: Cell) -> int | None:
         """Steps from the first occurrence of ``cell`` to the path's end, or
@@ -93,11 +81,11 @@ class Plan:
 class AgentState:
     """One robot's frozen state, carried from tick to tick.
 
-    The belief is copy-on-write: nothing writes an array once a state holds
-    it, and :func:`observe` and :func:`on_blocked` copy it before they
-    write. A belief object that is still the same one therefore still holds
-    the same cells, which is what lets :meth:`Plan.crosses_blocked` skip a
-    belief it already found clear.
+    The belief is ``known``, the cells the robot has sensed or bumped into,
+    and ``blocked``, the known cells it holds blocked, both packed in
+    :class:`~relaynav.world.GridMap`'s layout; the other cells are unknown.
+    ``geodesics`` runs over the cells not believed blocked, so unknown
+    cells count as traversable.
 
     ``cell`` reads the memo on the pose (:attr:`~relaynav.world.Pose.cell`).
     No memo lives on the state itself: :func:`evolve` copies the instance
@@ -106,8 +94,9 @@ class AgentState:
 
     robot_id: str
     pose: Pose
-    belief: np.ndarray  # int8 grid [cy, cx]: UNKNOWN / FREE / BLOCKED
-    geodesics: Geodesics  # over the belief's passable cells (not BLOCKED)
+    known: int
+    blocked: int
+    geodesics: Geodesics
     policy_ctx: PolicyContext
     carrying: bool = False
     stopped: bool = False
@@ -143,13 +132,15 @@ def evolve(record, **changes):
     return new
 
 
-def initial_belief(scene: SceneGraph, knowledge: str) -> np.ndarray:
-    """Starting occupancy belief: the full map when known a priori, else all
-    unknown. Scheduled blockages are never part of prior knowledge."""
+def initial_belief(scene: SceneGraph, knowledge: str) -> tuple[int, int]:
+    """Starting belief ``(known, blocked)``: the full map when known a
+    priori, else nothing. Scheduled blockages are never part of prior
+    knowledge."""
+    grid = scene.grid
     if knowledge == "known":
-        return scene.cell_table().occupancy.reshape(scene.grid.height, -1).copy()
+        return packed_rect(grid.width, grid.height, grid.stride), grid.blocked
     if knowledge == "discover":
-        return np.full((scene.grid.height, scene.grid.width), UNKNOWN, dtype=np.int8)
+        return 0, 0
     raise ValueError(f"unknown knowledge mode {knowledge!r}")
 
 
@@ -160,11 +151,18 @@ def make_agent(
     policy_ctx: PolicyContext,
     knowledge: str = "known",
 ) -> AgentState:
-    belief = initial_belief(scene, knowledge)
-    cell = pose.cell
-    belief[cell[1], cell[0]] = FREE
-    geodesics = _geodesics(belief)
-    return AgentState(robot_id, pose, belief, geodesics, policy_ctx)
+    """A robot at ``pose`` whose belief holds its own cell known and free."""
+    known, blocked = initial_belief(scene, knowledge)
+    grid = scene.grid
+    here = grid.mask((pose.cell,))
+    blocked &= ~here
+    geodesics = _geodesics(blocked, grid.width, grid.height)
+    return AgentState(robot_id, pose, known | here, blocked, geodesics, policy_ctx)
+
+
+def _geodesics(blocked: int, width: int, height: int) -> Geodesics:
+    """Geodesics over the cells of the grid that ``blocked`` leaves out."""
+    return Geodesics(packed_rect(width, height, width + 1) ^ blocked, width, height)
 
 
 # --- sensing --------------------------------------------------------------
@@ -175,29 +173,33 @@ def observe(
 ) -> tuple[AgentState, tuple[Observation, ...]]:
     """Sense all cells within range, field of view, and line of sight.
 
-    The sensed cells, the robot's own first, are indices into the raveled
-    grid: the field's per-process ``flat_offsets`` under its per-scene
-    visibility mask and the per-process FOV mask (see
-    :class:`~relaynav.world.VisibilityField`); a scene's blocked border keeps
-    them inside the grid. Sensed cells become known in
-    the belief (walls included — occlusion is interior to the ray, so a
-    blocked cell at its end is itself seen); objects on them, looked up in
-    the scene's :class:`~relaynav.world.CellTable`, yield scored
-    observations. When every sensed cell already holds its true code, the
-    same state object is returned: no copy, and the geodesic memo kept.
-    Otherwise the belief is copied and written, the memo replaced only when
-    a cell's passability flips, newly blocked cells queued as edges and a
-    plan through them dropped. Deterministic and, from a fixed pose on a
-    fixed world, idempotent on the belief.
+    The sensed cells, the robot's own first, are bit positions in the
+    grid's packed layout (:class:`~relaynav.world.GridMap`): the field's
+    per-process ``flat_offsets`` under its per-scene visibility mask and the
+    per-process FOV mask (see :class:`~relaynav.world.VisibilityField`); a
+    scene's blocked border keeps them inside the grid. Objects on them,
+    looked up in the scene's :class:`~relaynav.world.CellTable`, yield
+    scored observations. Sensed cells become known in the belief with their
+    true passability (walls included — occlusion is interior to the ray, so
+    a blocked cell at its end is itself seen).
+
+    A belief that already holds the whole true map (known mode before any
+    blockage) returns the same state object, with no mask built. Otherwise
+    the sensed cells are packed into one int and the belief updated with
+    int operations. When that changes nothing, the same state is returned
+    too: no copy, and the geodesic memo kept. Otherwise the memo is
+    replaced only when a cell's passability flips, newly blocked cells are
+    queued as edges and a plan through them dropped. Deterministic and,
+    from a fixed pose on a fixed world, idempotent on the belief.
     """
     vis = scene.visibility(sensor.range_m)
     table = scene.cell_table()
+    grid = scene.grid
     cell = state.cell
     mask = vis.visible_offsets(cell) & fov_mask(
         sensor.range_m, state.pose.heading, sensor.fov_deg
     )
-    width = scene.grid.width
-    here = cell[1] * width + cell[0]
+    here = cell[1] * grid.stride + cell[0]
     sensed = np.concatenate(((here,), vis.flat_offsets[mask] + here))
 
     sightings = []
@@ -211,30 +213,33 @@ def observe(
                     sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
         sightings.sort(key=lambda o: (o.category, o.cell))
 
-    was = state.belief.ravel()[sensed]
-    truth = table.occupancy[sensed]
-    if was.tobytes() == truth.tobytes():  # cheaper than a reduction over ~300 cells
+    known, blocked, truth = state.known, state.blocked, grid.blocked
+    if blocked == truth and known == packed_rect(grid.width, grid.height, grid.stride):
+        return state, tuple(sightings)
+    marks = np.zeros(grid.height * grid.stride, dtype=bool)
+    marks[sensed] = True
+    sensed_bits = int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
+    now_known = known | sensed_bits
+    now_blocked = blocked & ~sensed_bits | truth & sensed_bits
+    if now_known == known and now_blocked == blocked:
         return state, tuple(sightings)
 
-    belief = state.belief.copy()
-    belief.ravel()[sensed] = truth
     geodesics = state.geodesics
-    if ((was == BLOCKED) != (truth == BLOCKED)).any():
-        geodesics = _geodesics(belief)
-    # the own cell is never queued as an edge
-    flipped = sensed[1:][(truth[1:] == BLOCKED) & (was[1:] == FREE)].tolist()
-    newly_blocked = sorted((cell, (idx % width, idx // width)) for idx in flipped)
+    if now_blocked != blocked:
+        geodesics = _geodesics(now_blocked, grid.width, grid.height)
+    # known free before, blocked now; the own cell is never queued as an edge
+    flipped = now_blocked & known & ~blocked & ~(1 << here)
+    newly_blocked = tuple((cell, c) for c in sorted(unpack_cells(flipped, grid.stride)))
     plan = state.plan
-    if newly_blocked and plan is not None:
-        blocked_cells = {e[1] for e in newly_blocked}
-        if any(c in blocked_cells for c in plan.path):
-            plan = None
+    if plan is not None and plan.crosses_blocked(flipped):
+        plan = None
     new_state = evolve(
         state,
-        belief=belief,
+        known=now_known,
+        blocked=now_blocked,
         geodesics=geodesics,
         plan=plan,
-        pending_blocked_edges=state.pending_blocked_edges + tuple(newly_blocked),
+        pending_blocked_edges=state.pending_blocked_edges + newly_blocked,
     )
     return new_state, tuple(sightings)
 
@@ -242,40 +247,27 @@ def observe(
 # --- planning -------------------------------------------------------------
 
 
-def pack_mask(mask: np.ndarray) -> int:
-    """A ``(h, w)`` boolean mask as one Python int in
-    :class:`~relaynav.world.GridMap`'s layout: cell ``(x, y)`` is bit
-    ``y * (w + 1) + x``, and bit ``y * (w + 1) + w`` after each row is a
-    guard that is always clear."""
-    h, w = mask.shape
-    rows = np.zeros((h, w + 1), dtype=bool)
-    rows[:, :w] = mask
-    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+def _frontiers(known: int, blocked: int, width: int, height: int) -> int:
+    """Known-free cells 4-adjacent to at least one unknown cell, packed.
+
+    The unknown cells shifted a bit and a row each way, as
+    :func:`~relaynav.world.bfs_layers` shifts a layer, cover every cell
+    next to one. A shift off the end of a row lands on a guard bit and one
+    off the grid past every cell; no known cell is there.
+    """
+    stride = width + 1
+    unknown = packed_rect(width, height, stride) ^ known
+    near = unknown << 1 | unknown >> 1 | unknown << stride | unknown >> stride
+    return known & ~blocked & near
 
 
-def _geodesics(belief: np.ndarray) -> Geodesics:
-    """Geodesics over the belief's passable cells (not BLOCKED)."""
-    h, w = belief.shape
-    return Geodesics(pack_mask(belief != BLOCKED), w, h)
-
-
-def _frontier_mask(belief: np.ndarray) -> np.ndarray:
-    """Known-free cells 4-adjacent to at least one unknown cell."""
-    unknown = belief == UNKNOWN
-    adj = np.zeros_like(unknown)
-    adj[:, :-1] |= unknown[:, 1:]
-    adj[:, 1:] |= unknown[:, :-1]
-    adj[:-1, :] |= unknown[1:, :]
-    adj[1:, :] |= unknown[:-1, :]
-    return (belief == FREE) & adj
-
-
-def _nearest_frontier(belief: np.ndarray, start: Cell) -> Cell | None:
+def _nearest_frontier(
+    known: int, blocked: int, width: int, height: int, start: Cell
+) -> Cell | None:
     """Closest known-free cell adjacent to an unknown cell, by BFS over
     known-free cells; ties resolve to the smallest (x, y)."""
-    h, w = belief.shape
-    return Geodesics(pack_mask(belief == FREE), w, h).nearest(
-        start, pack_mask(_frontier_mask(belief))
+    return Geodesics(known & ~blocked, width, height).nearest(
+        start, _frontiers(known, blocked, width, height)
     )
 
 
@@ -291,24 +283,18 @@ def plan_to(state: AgentState, goal: Cell | None) -> Plan:
     if goal is not None:
         path = bfs_shortest_path(geo, start, goal)
         if path is not None:
-            return Plan(tuple(path), goal)
-    frontier = _nearest_frontier(state.belief, start)
+            return Plan(tuple(path), goal, pack_cells(path, geo.stride))
+    frontier = _nearest_frontier(state.known, state.blocked, geo.width, geo.height, start)
     if frontier is not None:
         path = bfs_shortest_path(geo, start, frontier)
         if path is not None:
-            return Plan(tuple(path), frontier, frontier=True)
-    return Plan((), None)
+            return Plan(tuple(path), frontier, pack_cells(path, geo.stride), frontier=True)
+    return Plan((), None, 0)
 
 
-def _still_frontier(belief: np.ndarray, cell: Cell) -> bool:
-    if belief[cell[1], cell[0]] != FREE:
-        return False
-    h, w = belief.shape
-    for dx, dy in NEIGHBORS_4:
-        nx, ny = cell[0] + dx, cell[1] + dy
-        if 0 <= nx < w and 0 <= ny < h and belief[ny, nx] == UNKNOWN:
-            return True
-    return False
+def _still_frontier(state: AgentState, cell: Cell) -> bool:
+    geo = state.geodesics
+    return bool(_frontiers(state.known, state.blocked, geo.width, geo.height) & geo.bit(cell))
 
 
 def ensure_plan(state: AgentState) -> AgentState:
@@ -327,18 +313,18 @@ def ensure_plan(state: AgentState) -> AgentState:
         # terminal phase needs no route; next_action stops unconditionally
         if state.plan is not None and not state.plan.path:
             return state
-        return evolve(state, plan=Plan((), None))
+        return evolve(state, plan=Plan((), None, 0))
     goal = active.waypoint
     plan = state.plan
     if (
         plan is not None
         and plan.path
         and plan.steps_remaining_from(state.cell) is not None
-        and not plan.crosses_blocked(state.belief)
+        and not plan.crosses_blocked(state.blocked)
     ):
         if not plan.frontier and plan.goal == goal:
             return state
-        if plan.frontier and _still_frontier(state.belief, plan.goal):
+        if plan.frontier and _still_frontier(state, plan.goal):
             return state
     return evolve(state, plan=plan_to(state, goal))
 
@@ -393,18 +379,19 @@ def next_action(state: AgentState, r_succ: float, r_int: float) -> str:
 
 
 def on_blocked(state: AgentState, edge: tuple[Cell, Cell]) -> AgentState:
-    """Record a bump: mark the far cell believed-blocked, invalidate the
-    plan, and queue the edge for event extraction. Re-hitting a
-    believed-blocked edge queues nothing new."""
-    (ax, ay), (bx, by) = edge
-    if state.belief[by, bx] == BLOCKED:
+    """Record a bump: mark the far cell known and believed-blocked,
+    invalidate the plan, and queue the edge for event extraction. Re-hitting
+    a believed-blocked edge queues nothing new."""
+    geo = state.geodesics
+    bit = geo.bit(edge[1])
+    if state.blocked & bit:
         return evolve(state, plan=None)
-    belief = state.belief.copy()
-    belief[by, bx] = BLOCKED
+    blocked = state.blocked | bit
     return evolve(
         state,
-        belief=belief,
-        geodesics=_geodesics(belief),
+        known=state.known | bit,
+        blocked=blocked,
+        geodesics=_geodesics(blocked, geo.width, geo.height),
         plan=None,
         pending_blocked_edges=state.pending_blocked_edges + (edge,),
     )

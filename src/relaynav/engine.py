@@ -18,8 +18,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-import numpy as np
-
 from .agent import (
     AgentState,
     advance_subtask,
@@ -223,9 +221,9 @@ class _Robot:
     previous tick. The fields below the marker are handed from phase to
     phase within a tick.
 
-    ``viewed`` holds the scene, pose and belief that the robot's last
-    :func:`observe` left, and ``sightings`` what it saw. While the scene
-    and the belief are the same objects and the pose is equal, that view
+    ``viewed`` holds the scene, pose and belief ints that the robot's last
+    :func:`observe` left, and ``sightings`` what it saw. While the scene is
+    the same object and the pose and the belief ints are equal, that view
     is still current (see :func:`_sense`)."""
 
     state: AgentState
@@ -233,7 +231,7 @@ class _Robot:
     history: list[Event] = field(default_factory=list)
     held: Mapping[str, AnchorEntry] = field(default_factory=dict)
     path_len: float = 0.0
-    viewed: tuple[SceneGraph, Pose, np.ndarray] | None = None
+    viewed: tuple[SceneGraph, Pose, int, int] | None = None
     # --- this tick
     sightings: tuple[Observation, ...] = ()
     packet: SemanticPacket | None = None
@@ -324,24 +322,24 @@ def _apply_blockages(run: _Run, now: int) -> None:
 
 
 def _sense(run: _Run, now: int) -> None:
-    """Each robot observes, unless its view is still current: the scene
-    and the belief are the objects its last :func:`observe` left and the
-    pose is equal. ``observe`` would then find every sensed cell at its
-    true code and return the same state and sightings, so both are kept.
-    The rule rests on two invariants: beliefs are copy-on-write (see
-    :class:`~relaynav.agent.AgentState`), and a blockage makes a new
+    """Each robot observes, unless its view is still current: the scene is
+    the object its last :func:`observe` left, and the pose and the belief
+    ints are equal to what it left. ``observe`` would then find every
+    sensed cell at its truth and return the same state and sightings, so
+    both are kept. The rule rests on one invariant: a blockage makes a new
     :class:`~relaynav.world.SceneGraph`."""
     for r in run.robots.values():
         st, seen = r.state, r.viewed
         if (
             seen is not None
             and seen[0] is run.scene
-            and seen[2] is st.belief
             and seen[1] == st.pose
+            and seen[2] == st.known
+            and seen[3] == st.blocked
         ):
             continue
         r.state, r.sightings = observe(run.scene, st, run.cfg.sensor)
-        r.viewed = (run.scene, r.state.pose, r.state.belief)
+        r.viewed = (run.scene, r.state.pose, r.state.known, r.state.blocked)
 
 
 def _publish(run: _Run, now: int) -> None:

@@ -137,9 +137,10 @@ def aggregate(results: list[EpisodeResult]) -> MetricsReport:
 def compare(report_a: MetricsReport, report_b: MetricsReport) -> dict:
     """Per-metric deltas from a (baseline) to b: absolute and relative.
 
-    Relative change is (b − a)/a, sign-inverted for NE so that a positive
-    number always reads as an improvement. A zero baseline makes the ratio
-    meaningless; such fields carry an explicit undefined marker instead.
+    Relative change is (b − a)/a, and (a − b)/a for NE, so that a positive
+    number always reads as an improvement and a tie reads 0.0, never -0.0.
+    A zero baseline makes the ratio meaningless; such fields carry an
+    explicit undefined marker instead.
     """
     out: dict = {"n_episodes_a": report_a.n_episodes, "n_episodes_b": report_b.n_episodes}
     for name in ("sr", "bsr", "isr", "spl", "ne"):
@@ -148,9 +149,7 @@ def compare(report_a: MetricsReport, report_b: MetricsReport) -> dict:
         if a == 0 or not math.isfinite(a) or not math.isfinite(b):
             relative = UNDEFINED
         else:
-            relative = (b - a) / a
-            if name == "ne":
-                relative = -relative
+            relative = (a - b) / a if name == "ne" else (b - a) / a
         out[name] = {
             "a": a if math.isfinite(a) else "inf",
             "b": b if math.isfinite(b) else "inf",

@@ -5,13 +5,13 @@ Coordinate conventions used throughout the package:
 * Cells are ``(cx, cy)`` integer pairs. A grid's blocked cells are one
   packed Python int (:class:`GridMap`): cell ``(x, y)`` is bit
   ``y * (width + 1) + x``, and the bit after each row is a guard that is
-  always clear. Generation, validation, serialization and every geodesic
-  query work on that int, so ``gen-scenes`` and ``gen-episodes`` load no
-  numpy. Sensing (the visibility fields and the cell table) unpacks it
-  once per scene into arrays indexed ``[cy, cx]``
-  (:meth:`GridMap.blocked_array`); it and the field oracle
-  :func:`bfs_distance_field` import numpy inside their functions, on
-  first use.
+  always clear. Generation, validation, serialization, a robot's belief
+  and every geodesic query work in that layout, so ``gen-scenes`` and
+  ``gen-episodes`` load no numpy. Only sensing uses arrays: the visibility
+  fields unpack the int once per scene (:meth:`GridMap.blocked_array`),
+  and the sensed cells and the cell table's object mask are indexed by
+  bit position. Sensing and the field oracle :func:`bfs_distance_field`
+  import numpy inside their functions, on first use.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
 * There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
@@ -91,12 +91,6 @@ PROVENANCES = (
 NEIGHBORS_4: tuple[Cell, ...] = ((1, 0), (-1, 0), (0, 1), (0, -1))
 
 _EPS = 1e-9
-
-# Occupancy codes of a robot's belief; a scene's CellTable holds the true
-# map in the same codes, in int8 arrays.
-UNKNOWN = 0
-FREE = 1
-BLOCKED = 2
 
 
 class SceneFormatError(ValueError):
@@ -250,7 +244,7 @@ def pack_cells(cells: Iterable[Cell], stride: int) -> int:
 
 
 @functools.cache
-def _rect(width: int, height: int, stride: int) -> int:
+def packed_rect(width: int, height: int, stride: int) -> int:
     """The packed cells ``(x, y)`` with ``0 <= x < width`` and ``0 <= y < height``."""
     if width <= 0 or height <= 0:
         return 0
@@ -282,7 +276,7 @@ class GridMap:
     @property
     def free(self) -> int:
         """The packed cells that are not blocked."""
-        return _rect(self.width, self.height, self.stride) ^ self.blocked
+        return packed_rect(self.width, self.height, self.stride) ^ self.blocked
 
     def mask(self, cells: Iterable[Cell]) -> int:
         """The in-grid ``cells`` packed in this grid's layout."""
@@ -313,12 +307,12 @@ class GridMap:
 
 @dataclass(frozen=True)
 class CellTable:
-    """A scene's cells as indices ``cy * width + cx`` into the raveled grid:
-    the true ``occupancy`` in belief codes (FREE or BLOCKED), a
-    ``has_object`` mask, and the objects on each such cell in object-id
-    order (any number may share one). Both arrays are read-only."""
+    """A scene's objects by cell, indexed by the cell's bit position in
+    :class:`GridMap`'s layout (``cy * (width + 1) + cx``), so a sensed index
+    is already a bit: a read-only ``has_object`` mask over the positions,
+    and the objects on each such cell in object-id order (any number may
+    share one)."""
 
-    occupancy: np.ndarray
     has_object: np.ndarray
     objects_at: dict[int, tuple[SceneObject, ...]]
 
@@ -364,18 +358,16 @@ class SceneGraph:
         if self._cell_table is None:
             import numpy as np
 
-            width = self.grid.width
-            occupancy = np.where(self.grid.blocked_array().ravel(), BLOCKED, FREE).astype(np.int8)
-            has_object = np.zeros(occupancy.size, dtype=bool)
+            stride = self.grid.stride
+            has_object = np.zeros(self.grid.height * stride, dtype=bool)
             objects_at: dict[int, tuple[SceneObject, ...]] = {}
             for oid in sorted(self.objects):
                 obj = self.objects[oid]
-                idx = obj.cell[1] * width + obj.cell[0]
+                idx = obj.cell[1] * stride + obj.cell[0]
                 objects_at[idx] = objects_at.get(idx, ()) + (obj,)
                 has_object[idx] = True
-            for arr in (occupancy, has_object):
-                arr.setflags(write=False)
-            self._cell_table = CellTable(occupancy, has_object, objects_at)
+            has_object.setflags(write=False)
+            self._cell_table = CellTable(has_object, objects_at)
         return self._cell_table
 
 
@@ -388,8 +380,8 @@ def validate_scene(scene: SceneGraph) -> None:
     """
     grid = scene.grid
     w, h, stride = grid.width, grid.height, grid.stride
-    interior = _rect(w - 2, h - 2, stride) << stride + 1
-    border = _rect(w, h, stride) ^ interior
+    interior = packed_rect(w - 2, h - 2, stride) << stride + 1
+    border = packed_rect(w, h, stride) ^ interior
     if border & grid.blocked != border:
         raise SceneFormatError("border cells must be blocked")
     seen: set[Cell] = set()
@@ -521,9 +513,10 @@ class Geodesics:
     stops at the first layer that meets a target mask, and
     :func:`bfs_shortest_path` keeps the layers from ``b`` and descends them
     from ``a``. A true map's comes from :meth:`GridMap.geodesics`; a
-    robot's belief packs its passable cells (``agent.pack_mask``), and the
-    robot keeps one per believed passability (shared with its partner from
-    the start until ``observe`` or ``on_blocked`` replaces it).
+    robot's runs over the cells its belief does not hold blocked
+    (``packed_rect ^ blocked``), and the robot keeps one per believed
+    passability (shared with its partner from the start until ``observe``
+    or ``on_blocked`` replaces it).
     ``generate_episode`` makes one per call and ``pick_route_blockage`` one
     per map. Nothing is kept at module level.
     """
@@ -703,18 +696,18 @@ def flat_geometry(max_range_m: float, width: int) -> tuple[np.ndarray, np.ndarra
     """:func:`ray_geometry`'s cells as flat indices for grids ``width``
     cells wide, built once per process.
 
-    Returns read-only ``(cells, shadows)``: each offset's index into the
-    raveled grid, relative to the observer's (``dy * width + dx``), and each
-    shadowing cell's index into the raveled grid padded by the range ``r``
-    on every side, relative to ``cy * (width + 2 * r) + cx`` for an observer
-    at ``(cx, cy)``.
+    Returns read-only ``(cells, shadows)``: each offset's bit position in
+    :class:`GridMap`'s layout, relative to the observer's
+    (``dy * (width + 1) + dx``), and each shadowing cell's index into the
+    raveled grid padded by the range ``r`` on every side, relative to
+    ``cy * (width + 2 * r) + cx`` for an observer at ``(cx, cy)``.
     """
     import numpy as np
 
     offsets, shadows, _ = ray_geometry(max_range_m)
     r = _range_cells(max_range_m)
     stride = width + 2 * r
-    cells = offsets[:, 1].astype(np.intp) * width + offsets[:, 0]
+    cells = offsets[:, 1].astype(np.intp) * (width + 1) + offsets[:, 0]
     padded = (shadows[:, 1].astype(np.intp) + r) * stride + shadows[:, 0] + r
     for arr in (cells, padded):
         arr.setflags(write=False)
@@ -740,16 +733,17 @@ class VisibilityField:
 
     Per process, shared by every field of a range and grid width: the
     offsets and their shadow table (:func:`ray_geometry`), their flat
-    indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as indices
-    into the raveled grid, and the shadowing cells as indices into the
-    raveled padded occupancy) and the FOV masks (:func:`fov_mask`). Per
-    scene: the padded occupancy, unpacked from the grid's packed int
-    (:meth:`GridMap.blocked_array`), and the mask cached per observer cell. A
-    field belongs to one ``SceneGraph``, so a blockage, which makes a new
-    scene, starts cold. A miss gathers the occupancy at the shadowing cells
-    around the observer and ORs the shadow rows of the blocked ones: an
-    offset is visible iff no strictly interior cell of its ray is blocked,
-    as in :func:`line_of_sight`; cells outside the grid count as blocked.
+    indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as bit
+    positions in :class:`GridMap`'s layout, and the shadowing cells as
+    indices into the raveled padded occupancy) and the FOV masks
+    (:func:`fov_mask`). Per scene: the padded occupancy, unpacked from the
+    grid's packed int (:meth:`GridMap.blocked_array`), and the mask cached
+    per observer cell. A field belongs to one ``SceneGraph``, so a
+    blockage, which makes a new scene, starts cold. A miss gathers the
+    occupancy at the shadowing cells around the observer and ORs the shadow
+    rows of the blocked ones: an offset is visible iff no strictly interior
+    cell of its ray is blocked, as in :func:`line_of_sight`; cells outside
+    the grid count as blocked.
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
@@ -853,14 +847,14 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
     if cor.blocked:
         return scene
     grid = scene.grid
-    # the regions are the source's own, so its cell index holds for the copy;
-    # the visibility fields and the cell table follow occupancy and start empty
+    # the regions and objects are the source's own, so its cell index and
+    # cell table hold for the copy; the visibility fields follow occupancy
+    # and start empty
     return replace(
         scene,
         grid=GridMap(grid.width, grid.height, grid.blocked | grid.mask(cor.gate_cells)),
         corridors={**scene.corridors, corridor_id: replace(cor, blocked=True)},
         _vis_fields={},
-        _cell_table=None,
     )
 
 

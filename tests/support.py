@@ -41,6 +41,50 @@ def geodesics_of(passable) -> Geodesics:
     """Geodesics over the set cells of a ``(h, w)`` boolean mask."""
     return grid_of(~np.asarray(passable, dtype=bool)).geodesics()
 
+
+def pack_mask(mask: np.ndarray) -> int:
+    """A ``(h, w)`` boolean mask as one Python int in
+    :class:`~relaynav.world.GridMap`'s layout, packed the numpy way: cell
+    ``(x, y)`` is bit ``y * (w + 1) + x``, and bit ``y * (w + 1) + w`` after
+    each row is a guard that is always clear."""
+    h, w = mask.shape
+    rows = np.zeros((h, w + 1), dtype=bool)
+    rows[:, :w] = mask
+    return int.from_bytes(np.packbits(rows, bitorder="little").tobytes(), "little")
+
+
+# a belief as one int8 array of cell codes, the tests' reference layout
+UNKNOWN = 0
+FREE = 1
+BLOCKED = 2
+
+
+def pack_belief(codes: np.ndarray) -> tuple[int, int]:
+    """An array of belief codes as the packed ``(known, blocked)`` ints an
+    :class:`~relaynav.agent.AgentState` holds."""
+    return pack_mask(codes != UNKNOWN), pack_mask(codes == BLOCKED)
+
+
+def belief_codes(state) -> np.ndarray:
+    """A robot's packed ``(known, blocked)`` belief unpacked into a
+    ``(h, w)`` int8 array of UNKNOWN, FREE and BLOCKED codes."""
+    w, h = state.geodesics.width, state.geodesics.height
+    known = GridMap(w, h, state.known).blocked_array()
+    blocked = GridMap(w, h, state.blocked).blocked_array()
+    return np.where(blocked, BLOCKED, np.where(known, FREE, UNKNOWN)).astype(np.int8)
+
+
+def frontier_mask(codes: np.ndarray) -> np.ndarray:
+    """Known-free cells 4-adjacent to at least one unknown cell, on an
+    array of belief codes."""
+    unknown = codes == UNKNOWN
+    adj = np.zeros_like(unknown)
+    adj[:, :-1] |= unknown[:, 1:]
+    adj[:, 1:] |= unknown[:, :-1]
+    adj[:-1, :] |= unknown[1:, :]
+    adj[1:, :] |= unknown[:-1, :]
+    return (codes == FREE) & adj
+
 _SCENES: dict[int, object] = {}
 
 

@@ -8,16 +8,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from relaynav.agent import (
-    BLOCKED,
-    FREE,
-    UNKNOWN,
     AgentState,
     Plan,
-    _frontier_mask,
+    _frontiers,
     _nearest_frontier,
     advance_subtask,
     drain_signals,
@@ -45,10 +42,15 @@ from relaynav.world import (
     bfs_distance_field,
     bfs_shortest_path,
     fov_mask,
+    pack_cells,
+    packed_rect,
     step_kinematics,
 )
 
-from support import center_pose, geodesics_of, lab_scene, random_bordered_grid, walled_lab
+from support import (
+    BLOCKED, FREE, UNKNOWN, belief_codes, center_pose, frontier_mask, geodesics_of, lab_scene,
+    pack_belief, pack_mask, random_bordered_grid, walled_lab,
+)
 
 
 def ctx_with(chain):
@@ -70,7 +72,7 @@ def field_nearest_frontier(belief, start):
     if belief[start[1], start[0]] != FREE:
         return None
     dist = bfs_distance_field(belief != FREE, start)
-    reach = _frontier_mask(belief) & (dist >= 0)
+    reach = frontier_mask(belief) & (dist >= 0)
     if not reach.any():
         return None
     ys, xs = np.nonzero(reach)
@@ -102,8 +104,9 @@ def set_rule_sightings(scene, state, sensor):
 
 
 def oracle_observe(scene, state, sensor):
-    """Reference sensing: copies the belief and writes every sensed cell as
-    an ``(N, 2)`` cell array, and tests every object of the scene."""
+    """Reference sensing: unpacks the belief into an array of codes, writes
+    every sensed cell as an ``(N, 2)`` cell array and packs the array back,
+    and tests every object of the scene."""
     vis = scene.visibility(sensor.range_m)
     cell = state.cell
     mask = vis.visible_offsets(cell) & fov_mask(
@@ -111,16 +114,17 @@ def oracle_observe(scene, state, sensor):
     )
     cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
 
-    belief = state.belief.copy()
+    codes = belief_codes(state)
+    belief = codes.copy()
     occ = scene.grid.blocked_array()
     here = occ[cell[1], cell[0]]
     belief[cell[1], cell[0]] = BLOCKED if here else FREE
     truth = occ[cells[:, 1], cells[:, 0]]
     belief[cells[:, 1], cells[:, 0]] = np.where(truth, BLOCKED, FREE)
 
-    was = state.belief[cells[:, 1], cells[:, 0]]
+    was = codes[cells[:, 1], cells[:, 0]]
     geodesics = state.geodesics
-    if here != (state.belief[cell[1], cell[0]] == BLOCKED) or (truth != (was == BLOCKED)).any():
+    if here != (codes[cell[1], cell[0]] == BLOCKED) or (truth != (was == BLOCKED)).any():
         geodesics = geodesics_of(belief != BLOCKED)
     flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
     newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
@@ -137,9 +141,11 @@ def oracle_observe(scene, state, sensor):
                 sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
     sightings.sort(key=lambda o: (o.category, o.cell))
 
+    known, blocked = pack_belief(belief)
     new_state = replace(
         state,
-        belief=belief,
+        known=known,
+        blocked=blocked,
         geodesics=geodesics,
         pending_blocked_edges=state.pending_blocked_edges + tuple(newly_blocked),
     )
@@ -153,16 +159,19 @@ def oracle_observe(scene, state, sensor):
 class TestBelief:
     def test_known_belief_mirrors_occupancy(self):
         scene = walled_lab()
-        belief = initial_belief(scene, "known")
+        known, blocked = initial_belief(scene, "known")
         occ = scene.grid.blocked_array()
-        assert ((belief == BLOCKED) == occ).all()
-        assert (belief[~occ] == FREE).all()
+        assert known == pack_mask(np.ones_like(occ))
+        assert blocked == pack_mask(occ)
+        codes = belief_codes(agent_at(scene, (3, 4)))
+        assert ((codes == BLOCKED) == occ).all()
+        assert (codes[~occ] == FREE).all()
 
     def test_discover_belief_starts_unknown_except_start(self):
         scene = walled_lab()
-        state = agent_at(scene, (3, 4), knowledge="discover")
-        assert state.belief[4, 3] == FREE
-        assert (state.belief == UNKNOWN).sum() == state.belief.size - 1
+        codes = belief_codes(agent_at(scene, (3, 4), knowledge="discover"))
+        assert codes[4, 3] == FREE
+        assert (codes == UNKNOWN).sum() == codes.size - 1
 
     def test_invalid_knowledge_mode(self):
         with pytest.raises(ValueError):
@@ -244,9 +253,9 @@ class TestObserve:
             hidden[int(i)] for i in rng.permutation(len(hidden))[:4]
         )
         state = AgentState(
-            "FH", center_pose(observer, heading), belief, geodesics_of(belief != BLOCKED),
-            ctx_with((Subtask(STOP, None),)),
-            plan=Plan(path, path[-1]) if rng.random() < 0.7 else None,
+            "FH", center_pose(observer, heading), *pack_belief(belief),
+            geodesics_of(belief != BLOCKED), ctx_with((Subtask(STOP, None),)),
+            plan=Plan(path, path[-1], pack_cells(path, w + 1)) if rng.random() < 0.7 else None,
             pending_blocked_edges=(((1, 1), (1, 2)),) if rng.random() < 0.3 else (),
         )
         sensor = SensorConfig(range_m=range_m, fov_deg=fov)
@@ -254,13 +263,13 @@ class TestObserve:
         got, got_sightings = observe(scene, state, sensor)
         want, want_sightings = oracle_observe(scene, state, sensor)
         assert got_sightings == want_sightings
-        assert np.array_equal(got.belief, want.belief)
+        assert (got.known, got.blocked) == (want.known, want.blocked)
         assert got.geodesics.free == want.geodesics.free
         assert (got.geodesics is state.geodesics) == (want.geodesics is state.geodesics)
         assert got.pending_blocked_edges == want.pending_blocked_edges
         assert got.plan == want.plan
         # nothing sensed differs exactly when the oracle changed nothing
-        assert (got is state) == np.array_equal(want.belief, state.belief)
+        assert (got is state) == np.array_equal(belief_codes(want), belief)
 
     def make(self, **kw):
         objects = kw.pop("objects", (("o1", "bottle", (6, 4)), ("o2", "tv", (12, 6))))
@@ -271,27 +280,28 @@ class TestObserve:
     def test_senses_ahead_and_walls_but_not_behind(self):
         scene, state = self.make()
         state, _ = observe(scene, state, SensorConfig())
-        assert state.belief[4, 5] == FREE  # open floor ahead
-        assert state.belief[5, 8] == BLOCKED  # wall face is itself visible
-        assert state.belief[4, 1] == UNKNOWN  # behind: outside the 120-degree cone
+        codes = belief_codes(state)
+        assert codes[4, 5] == FREE  # open floor ahead
+        assert codes[5, 8] == BLOCKED  # wall face is itself visible
+        assert codes[4, 1] == UNKNOWN  # behind: outside the 120-degree cone
 
     def test_sees_through_the_doorway_but_not_the_wall(self):
         scene, state = self.make()
-        state, _ = observe(scene, state, SensorConfig())
-        assert state.belief[4, 12] == FREE  # straight ray through the gap at (8, 4)
-        assert state.belief[6, 12] == UNKNOWN  # off-axis ray hits the wall
+        codes = belief_codes(observe(scene, state, SensorConfig())[0])
+        assert codes[4, 12] == FREE  # straight ray through the gap at (8, 4)
+        assert codes[6, 12] == UNKNOWN  # off-axis ray hits the wall
 
     def test_belief_never_contradicts_truth(self):
         scene, state = self.make()
-        state, _ = observe(scene, state, SensorConfig())
-        known = state.belief != UNKNOWN
-        assert ((state.belief == BLOCKED) == scene.grid.blocked_array())[known].all()
+        codes = belief_codes(observe(scene, state, SensorConfig())[0])
+        known = codes != UNKNOWN
+        assert ((codes == BLOCKED) == scene.grid.blocked_array())[known].all()
 
     def test_idempotent_from_fixed_pose(self):
         scene, state = self.make()
         s1, sight1 = observe(scene, state, SensorConfig())
         s2, sight2 = observe(scene, s1, SensorConfig())
-        assert (s1.belief == s2.belief).all()
+        assert (s1.known, s1.blocked) == (s2.known, s2.blocked)
         assert sight1 == sight2
 
     def test_sightings_visible_in_fov_only(self):
@@ -309,7 +319,7 @@ class TestObserve:
         state = on_blocked(agent_at(scene, (7, 4)), ((7, 4), (8, 4)))
         assert state.geodesics.steps((7, 4), (9, 4)) == -1
         state, _ = observe(scene, state, SensorConfig())
-        assert state.belief[4, 8] == FREE
+        assert belief_codes(state)[4, 8] == FREE
         assert state.geodesics.steps((7, 4), (9, 4)) == 2
 
     def test_newly_blocked_edge_on_flipped_cell_and_plan_drop(self):
@@ -317,10 +327,10 @@ class TestObserve:
         closed_scene = walled_lab(gap=False)
         state = agent_at(open_scene, (3, 4), knowledge="known")
         path = bfs_shortest_path(open_scene.grid.geodesics(), (3, 4), (13, 4))
-        state = replace(state, plan=Plan(tuple(path), (13, 4)))
+        state = replace(state, plan=Plan(tuple(path), (13, 4), open_scene.grid.mask(path)))
         state, _ = observe(closed_scene, state, SensorConfig())
         assert ((3, 4), (8, 4)) in state.pending_blocked_edges
-        assert state.belief[4, 8] == BLOCKED
+        assert belief_codes(state)[4, 8] == BLOCKED
         assert state.plan is None  # the flipped cell was on the planned path
 
 
@@ -349,9 +359,10 @@ class TestPlanning:
         plan = plan_to(state, None)
         assert plan.frontier and plan.goal is not None
         gx, gy = plan.goal
-        assert state.belief[gy, gx] == FREE
+        codes = belief_codes(state)
+        assert codes[gy, gx] == FREE
         neighbors = [(gx + 1, gy), (gx - 1, gy), (gx, gy + 1), (gx, gy - 1)]
-        assert any(state.belief[ny, nx] == UNKNOWN for nx, ny in neighbors)
+        assert any(codes[ny, nx] == UNKNOWN for nx, ny in neighbors)
 
     def test_stuck_when_unreachable_and_fully_known(self):
         scene = walled_lab(gap=False)
@@ -385,36 +396,37 @@ class TestPlanning:
         assert bumped.geodesics is not old_memo
         replanned = ensure_plan(bumped)
         assert cut not in replanned.plan.path
-        want = bfs_shortest_path(geodesics_of(bumped.belief != BLOCKED), (2, 4), (13, 4))
+        want = bfs_shortest_path(geodesics_of(belief_codes(bumped) != BLOCKED), (2, 4), (13, 4))
         assert replanned.plan.path == tuple(want)
 
     def test_plan_clear_in_a_belief_crosses_its_bumped_copy(self):
         scene = walled_lab()
         state = ensure_plan(agent_at(scene, (2, 4)))
-        plan, belief = state.plan, state.belief
-        assert not plan.crosses_blocked(belief)
+        plan, blocked = state.plan, state.blocked
+        assert not plan.crosses_blocked(blocked)
         cut = plan.path[4]
         bumped = on_blocked(state, (plan.path[3], cut))
-        assert bumped.belief is not belief
-        assert plan.crosses_blocked(bumped.belief)
-        assert not plan.crosses_blocked(belief)  # the original is unwritten
+        assert bumped.blocked != blocked
+        assert plan.crosses_blocked(bumped.blocked)
+        assert not plan.crosses_blocked(state.blocked)  # the original is unwritten
 
     def test_plan_clear_in_a_belief_crosses_its_observed_copy(self):
         # the plan runs through the doorway; sensing the closed scene writes
-        # the doorway blocked into a copy of the belief
+        # the doorway blocked into the new state's belief
         state = ensure_plan(agent_at(walled_lab(), (3, 4)))
-        plan, belief = state.plan, state.belief
+        plan, blocked = state.plan, state.blocked
         assert (8, 4) in plan.path
-        assert not plan.crosses_blocked(belief)
+        assert not plan.crosses_blocked(blocked)
         sensed, _ = observe(walled_lab(gap=False), state, SensorConfig())
-        assert sensed.belief is not belief and sensed.belief[4, 8] == BLOCKED
-        assert plan.crosses_blocked(sensed.belief)
-        assert not plan.crosses_blocked(belief)
+        assert sensed.blocked != blocked and belief_codes(sensed)[4, 8] == BLOCKED
+        assert plan.crosses_blocked(sensed.blocked)
+        assert not plan.crosses_blocked(state.blocked)
 
     def test_memo_follows_the_current_belief_only(self):
         # a discover-mode walk through the doorway: the belief gains walls on
-        # most ticks; the packed mask must follow every change of
-        # passability, be kept otherwise, and never answer for an older belief
+        # most ticks; the geodesics must run over the cells the current
+        # belief does not hold blocked, be kept while those stay the same,
+        # and never answer for an older belief
         scene = walled_lab()
         state = agent_at(scene, (2, 4), knowledge="discover")
         kept = replaced = 0
@@ -429,11 +441,14 @@ class TestPlanning:
             else:
                 state = replace(state, pose=pose)
             geo = state.geodesics
-            assert geo.free == geodesics_of(state.belief != BLOCKED).free
+            grid = scene.grid
+            assert geo.free == packed_rect(grid.width, grid.height, grid.stride) ^ state.blocked
+            codes = belief_codes(state)
+            assert geo.free == geodesics_of(codes != BLOCKED).free
             cx, cy = state.cell
             for target in ((13, 4), state.plan.goal if state.plan else None):
                 if target is not None:
-                    want = bfs_distance_field(state.belief == BLOCKED, target)[cy, cx]
+                    want = bfs_distance_field(codes == BLOCKED, target)[cy, cx]
                     assert geo.steps(state.cell, target) == want
                     path = bfs_shortest_path(geo, state.cell, target)
                     assert (path is None) == (want < 0)
@@ -462,7 +477,35 @@ class TestPlanning:
             draw < unknown_p, UNKNOWN, np.where(draw < unknown_p + wall_p, BLOCKED, FREE)
         ).astype(np.int8)
         start = data.draw(st.tuples(st.integers(0, w - 1), st.integers(0, h - 1)))
-        assert _nearest_frontier(belief, start) == field_nearest_frontier(belief, start)
+        got = _nearest_frontier(*pack_belief(belief), w, h, start)
+        assert got == field_nearest_frontier(belief, start)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(1, 12),
+        st.integers(1, 12),
+        st.floats(0.0, 0.8),
+        st.floats(0.0, 0.5),
+        st.booleans(),
+    )
+    @example(seed=1, w=1, h=6, unknown_p=0.4, wall_p=0.2, edges_unknown=False)
+    @example(seed=2, w=7, h=1, unknown_p=0.4, wall_p=0.2, edges_unknown=False)
+    @example(seed=3, w=5, h=4, unknown_p=0.0, wall_p=0.0, edges_unknown=True)
+    @settings(max_examples=200, deadline=None)
+    def test_packed_frontiers_equal_the_array_frontiers(
+        self, seed, w, h, unknown_p, wall_p, edges_unknown
+    ):
+        """The shifted unknown mask finds the frontiers the array
+        neighbourhood finds, on grids one cell wide or high and with unknown
+        cells in the first and last columns, where a shift lands on a guard
+        bit."""
+        draw = np.random.default_rng(seed).random((h, w))
+        belief = np.where(
+            draw < unknown_p, UNKNOWN, np.where(draw < unknown_p + wall_p, BLOCKED, FREE)
+        ).astype(np.int8)
+        if edges_unknown:
+            belief[:, 0] = belief[:, -1] = UNKNOWN
+        assert _frontiers(*pack_belief(belief), w, h) == pack_mask(frontier_mask(belief))
 
     def test_ensure_plan_for_terminal_stop(self):
         scene = walled_lab()
@@ -501,7 +544,8 @@ class TestNextAction:
     def test_scans_in_place_on_reached_frontier(self):
         scene = walled_lab()
         state = agent_at(scene, (2, 4), knowledge="discover")
-        state = replace(state, plan=Plan(((2, 4),), (2, 4), frontier=True))
+        plan = Plan(((2, 4),), (2, 4), scene.grid.mask([(2, 4)]), frontier=True)
+        state = replace(state, plan=plan)
         assert next_action(state, 0.05, 0.05) == ACTION_LEFT
 
     def test_stopped_robot_stays_stopped(self):
@@ -523,7 +567,7 @@ class TestBookkeeping:
         state = ensure_plan(agent_at(scene, (2, 4)))
         edge = ((2, 4), (3, 4))
         hit = on_blocked(state, edge)
-        assert hit.belief[4, 3] == BLOCKED
+        assert belief_codes(hit)[4, 3] == BLOCKED
         assert hit.plan is None
         assert hit.pending_blocked_edges == (edge,)
         again = on_blocked(hit, edge)
@@ -576,12 +620,13 @@ class TestEvolve:
             AgentState: {
                 "robot_id": "SH",
                 "pose": other.pose,
-                "belief": other.belief,
+                "known": other.known,
+                "blocked": other.blocked,
                 "geodesics": other.geodesics,
                 "policy_ctx": ctx,
                 "carrying": True,
                 "stopped": True,
-                "plan": Plan(((3, 4),), (3, 4)),
+                "plan": Plan(((3, 4),), (3, 4), scene.grid.mask([(3, 4)])),
                 "best_steps": 4.0,
                 "completed_last_tick": GOTO_PICKUP,
                 "pending_blocked_edges": (((3, 4), (4, 4)),),

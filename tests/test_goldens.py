@@ -14,8 +14,9 @@ writes an infinite NE; the record pins carry ``"inf"`` instead.
 The matrix covers the sensing, planning and replanning paths that every
 rollout takes, plus the transport (latency, jitter and drops), a scheduled
 blockage, which rebuilds the scene and its visibility caches, discover mode
-(the belief, and so the planner's occupancy, changes on most ticks) and the
-static policy (coordination muted).
+(the belief's packed ``known`` and ``blocked`` ints, and so the cells the
+planner searches, change on most ticks) and the static policy
+(coordination muted).
 
 The resolved configurations are pinned as the canonical JSON a manifest
 records for them: each run of the matrix plus a scheduled blockage and

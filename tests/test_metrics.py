@@ -184,6 +184,13 @@ class TestCompare:
         delta = compare(report(ne=5.0), report(ne=4.0))
         assert delta["ne"]["rel_delta"] == pytest.approx(0.2)
 
+    def test_a_tie_reads_positive_zero(self):
+        # a negated zero ratio would write "rel_delta": -0.0 for an NE tie
+        delta = compare(report(), report())
+        for name in ("sr", "bsr", "isr", "spl", "ne"):
+            rel = delta[name]["rel_delta"]
+            assert rel == 0.0 and math.copysign(1, rel) == 1, name
+
     def test_zero_baseline_is_undefined(self):
         delta = compare(report(bsr=0.0), report(bsr=0.3))
         assert delta["bsr"]["rel_delta"] == UNDEFINED

@@ -21,7 +21,6 @@ from relaynav.world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
-    BLOCKED,
     FORWARD_M,
     HEADING_VECTORS,
     NEIGHBORS_4,
@@ -50,11 +49,9 @@ from relaynav.world import (
     wrap_angle,
 )
 
-from relaynav.agent import pack_mask
-
 from support import (
     JSON_VALUES, center_pose, geodesic_distance, geodesics_of, grid_of, junk_lines, lab_scene,
-    random_bordered_grid,
+    pack_mask, random_bordered_grid,
 )
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
@@ -505,7 +502,7 @@ def check_grid_views(grid, blocked) -> None:
     """Cell by cell, the packed int, ``is_blocked`` and the array sensing
     unpacks all say what the reference array ``blocked`` says; the guard
     bits and every bit past the last row are clear; the true map's
-    geodesics pack the same free cells as the belief packer."""
+    geodesics pack the same free cells as the numpy packer."""
     h, w = blocked.shape
     stride = w + 1
     assert (grid.width, grid.height, grid.stride) == (w, h, stride)
@@ -586,6 +583,7 @@ class TestBlockage:
             assert not scene.grid.is_blocked(cell)  # original untouched
 
     def test_copies_keep_the_region_index_and_rebuild_occupancy_caches(self, scene):
+        # the cell table holds only objects, which a blockage leaves in place
         cells = [(x, y) for y in range(scene.grid.height) for x in range(scene.grid.width)]
         regions = [scene.region_of(c) for c in cells]
         labels = [scene.room_label_of(c) for c in cells]
@@ -595,10 +593,11 @@ class TestBlockage:
             assert blocked._region_by_cell is scene._region_by_cell
             assert [blocked.region_of(c) for c in cells] == regions
             assert [blocked.room_label_of(c) for c in cells] == labels
-            assert blocked.cell_table() is not table
+            assert blocked.cell_table() is table
             assert blocked.visibility(5.0) is not scene.visibility(5.0)
+            field_, r = blocked.visibility(5.0), 20  # 5 m is 20 cells of padding
             for cx, cy in scene.corridors[cid].gate_cells:
-                assert blocked.cell_table().occupancy[cy * scene.grid.width + cx] == BLOCKED
+                assert field_._occ[(cy + r) * field_._stride + cx + r]
 
     def test_apply_is_idempotent(self, scene):
         cid = sorted(scene.corridors)[0]
