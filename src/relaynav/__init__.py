@@ -12,8 +12,9 @@ The API lives in the submodules (``relaynav.world``, ``relaynav.engine``,
 ``relaynav.cli``, ...); import names from there.  This module imports none
 of them: every ``relaynav`` subcommand starts a fresh interpreter, and a
 command should pay only for the modules it runs: ``gen-scenes`` and
-``gen-episodes`` load neither the rollout engine nor numpy, which only
-sensing uses.  A submodule read as an attribute,
+``gen-episodes`` load neither the rollout engine nor numpy, and a
+known-map run loads no numpy, which only a robot belief that can change
+(discover mode, or a blockage) uses.  A submodule read as an attribute,
 ``relaynav.engine``, is imported on first access.
 """
 

@@ -2,10 +2,13 @@
 
 Each robot keeps a belief of the map, two packed ints in
 :class:`~relaynav.world.GridMap`'s layout: the cells it knows and the known
-cells it holds blocked; every other cell is unknown. It senses cells and
-objects through the shared visibility field, plans optimistically (unknown
-counts as traversable, falling back to the nearest frontier when no
-believed route exists), and steers with the discrete 15-degree action set.
+cells it holds blocked; every other cell is unknown. It sees objects by
+testing each one's ray against the packed true grid, and senses cells
+through the scene's visibility field only while its belief can change
+(discover mode, or known mode after a blockage): that is the only code
+here that loads numpy. It plans optimistically (unknown counts as
+traversable, falling back to the nearest frontier when no believed route
+exists), and steers with the discrete 15-degree action set.
 All transitions are pure functions of the visible state — the policy holds
 no hidden randomness, which is what makes rollouts replayable.
 """
@@ -14,8 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from .bus import Observation
 from .config import SensorConfig
@@ -33,8 +34,10 @@ from .world import (
     SceneGraph,
     bfs_shortest_path,
     center,
+    fov_bits,
     fov_mask,
     pack_cells,
+    packed_rays,
     packed_rect,
     unpack_cells,
     wrap_angle,
@@ -173,49 +176,64 @@ def observe(
 ) -> tuple[AgentState, tuple[Observation, ...]]:
     """Sense all cells within range, field of view, and line of sight.
 
-    The sensed cells, the robot's own first, are bit positions in the
-    grid's packed layout (:class:`~relaynav.world.GridMap`): the field's
-    per-process ``flat_offsets`` under its per-scene visibility mask and the
-    per-process FOV mask (see :class:`~relaynav.world.VisibilityField`); a
-    scene's blocked border keeps them inside the grid. Objects on them,
-    looked up in the scene's :class:`~relaynav.world.CellTable`, yield
-    scored observations. Sensed cells become known in the belief with their
-    true passability (walls included — occlusion is interior to the ray, so
-    a blocked cell at its end is itself seen).
+    Sightings are per object, in object-id order: an object is seen on the
+    robot's own cell, or when its offset is in range and in the field of
+    view (:func:`~relaynav.world.fov_bits`) and no interior cell of its ray
+    is blocked in the true grid, one shift and AND of the packed int
+    (:func:`~relaynav.world.packed_rays`). Each yields a scored
+    observation; they are sorted by ``(category, cell)``.
 
     A belief that already holds the whole true map (known mode before any
-    blockage) returns the same state object, with no mask built. Otherwise
-    the sensed cells are packed into one int and the belief updated with
-    int operations. When that changes nothing, the same state is returned
-    too: no copy, and the geodesic memo kept. Otherwise the memo is
-    replaced only when a cell's passability flips, newly blocked cells are
-    queued as edges and a plan through them dropped. Deterministic and,
-    from a fixed pose on a fixed world, idempotent on the belief.
+    blockage) returns the same state object: no visibility field is read
+    and numpy is not loaded. Otherwise the sensed cells, the robot's own
+    first, are the field's ``flat_offsets`` under its visibility and FOV
+    masks (see :class:`~relaynav.world.VisibilityField`), bit positions in
+    the grid's packed layout that a scene's blocked border keeps inside the
+    grid. They are packed into one int and become known with their true
+    passability (walls included — occlusion is interior to the ray, so a
+    blocked cell at its end is itself seen). When that changes nothing,
+    the same state is returned: no copy, and the geodesic memo kept.
+    Otherwise the memo is replaced only when a cell's passability flips,
+    newly blocked cells are queued as edges and a plan through them
+    dropped. Deterministic and, from a fixed pose on a fixed world,
+    idempotent on the belief.
     """
-    vis = scene.visibility(sensor.range_m)
-    table = scene.cell_table()
     grid = scene.grid
+    truth = grid.blocked
     cell = state.cell
+    cx, cy = cell
+    here = cy * grid.stride + cx
+    r, window = packed_rays(sensor.range_m, grid.width)
+    side = 2 * r + 1
+    fov = fov_bits(sensor.range_m, state.pose.heading, sensor.fov_deg)
+    sightings = []
+    scorer = None
+    for obj in scene.sorted_objects():
+        ox, oy = obj.cell
+        if ox != cx or oy != cy:
+            dx, dy = ox - cx, oy - cy
+            if not (-r <= dx <= r and -r <= dy <= r):
+                continue
+            ray = window[(dy + r) * side + dx + r]
+            if ray is None or not fov >> ray[0] & 1 or truth >> (here + ray[1]) & ray[2]:
+                continue
+        if scorer is None:
+            scorer = DistanceFalloffScorer(sensor.range_m)
+        score = scorer.score(scene, state.pose, obj)
+        if score > 0.0:
+            sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
+    sightings.sort(key=lambda o: (o.category, o.cell))
+
+    known, blocked = state.known, state.blocked
+    if blocked == truth and known == packed_rect(grid.width, grid.height, grid.stride):
+        return state, tuple(sightings)
+    import numpy as np  # only a belief that can change reads the field
+
+    vis = scene.visibility(sensor.range_m)
     mask = vis.visible_offsets(cell) & fov_mask(
         sensor.range_m, state.pose.heading, sensor.fov_deg
     )
-    here = cell[1] * grid.stride + cell[0]
     sensed = np.concatenate(((here,), vis.flat_offsets[mask] + here))
-
-    sightings = []
-    seen = sensed[table.has_object[sensed]].tolist()
-    if seen:
-        scorer = DistanceFalloffScorer(sensor.range_m)
-        for idx in seen:
-            for obj in table.objects_at[idx]:
-                score = scorer.score(scene, state.pose, obj)
-                if score > 0.0:
-                    sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
-        sightings.sort(key=lambda o: (o.category, o.cell))
-
-    known, blocked, truth = state.known, state.blocked, grid.blocked
-    if blocked == truth and known == packed_rect(grid.width, grid.height, grid.stride):
-        return state, tuple(sightings)
     marks = np.zeros(grid.height * grid.stride, dtype=bool)
     marks[sensed] = True
     sensed_bits = int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")

@@ -5,13 +5,14 @@ Coordinate conventions used throughout the package:
 * Cells are ``(cx, cy)`` integer pairs. A grid's blocked cells are one
   packed Python int (:class:`GridMap`): cell ``(x, y)`` is bit
   ``y * (width + 1) + x``, and the bit after each row is a guard that is
-  always clear. Generation, validation, serialization, a robot's belief
-  and every geodesic query work in that layout, so ``gen-scenes`` and
-  ``gen-episodes`` load no numpy. Only sensing uses arrays: the visibility
-  fields unpack the int once per scene (:meth:`GridMap.blocked_array`),
-  and the sensed cells and the cell table's object mask are indexed by
-  bit position. Sensing and the field oracle :func:`bfs_distance_field`
-  import numpy inside their functions, on first use.
+  always clear. Generation, validation, serialization, a robot's belief,
+  every geodesic query and object sightings (:func:`packed_rays`) work in
+  that layout, so ``gen-scenes``, ``gen-episodes`` and known-map runs load
+  no numpy. Only a belief update uses arrays: the visibility fields unpack
+  the int once per scene (:meth:`GridMap.blocked_array`), and the sensed
+  cells are indexed by bit position. The fields and the field oracle
+  :func:`bfs_distance_field` import numpy inside their functions, on
+  first use.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
 * There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
@@ -305,18 +306,6 @@ class GridMap:
         return rows[:, : self.width].astype(bool)
 
 
-@dataclass(frozen=True)
-class CellTable:
-    """A scene's objects by cell, indexed by the cell's bit position in
-    :class:`GridMap`'s layout (``cy * (width + 1) + cx``), so a sensed index
-    is already a bit: a read-only ``has_object`` mask over the positions,
-    and the objects on each such cell in object-id order (any number may
-    share one)."""
-
-    has_object: np.ndarray
-    objects_at: dict[int, tuple[SceneObject, ...]]
-
-
 @dataclass
 class SceneGraph:
     scene_id: str
@@ -327,7 +316,9 @@ class SceneGraph:
     corridors: dict[str, Corridor]
     _region_by_cell: dict[Cell, str] = field(default_factory=dict, repr=False)
     _vis_fields: dict = field(default_factory=dict, repr=False)
-    _cell_table: CellTable | None = field(default=None, repr=False, compare=False)
+    _sorted_objects: tuple[SceneObject, ...] | None = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self._region_by_cell:
@@ -344,8 +335,7 @@ class SceneGraph:
         return region.room_label if region is not None else UNKNOWN_LABEL
 
     def objects_in_region(self, region_id: str) -> list[SceneObject]:
-        return [self.objects[oid] for oid in sorted(self.objects)
-                if self.objects[oid].region_id == region_id]
+        return [obj for obj in self.sorted_objects() if obj.region_id == region_id]
 
     def visibility(self, max_range_m: float) -> "VisibilityField":
         key = round(max_range_m, 6)
@@ -353,22 +343,11 @@ class SceneGraph:
             self._vis_fields[key] = VisibilityField(self.grid, max_range_m)
         return self._vis_fields[key]
 
-    def cell_table(self) -> CellTable:
-        """The scene's :class:`CellTable`, built on first use."""
-        if self._cell_table is None:
-            import numpy as np
-
-            stride = self.grid.stride
-            has_object = np.zeros(self.grid.height * stride, dtype=bool)
-            objects_at: dict[int, tuple[SceneObject, ...]] = {}
-            for oid in sorted(self.objects):
-                obj = self.objects[oid]
-                idx = obj.cell[1] * stride + obj.cell[0]
-                objects_at[idx] = objects_at.get(idx, ()) + (obj,)
-                has_object[idx] = True
-            has_object.setflags(write=False)
-            self._cell_table = CellTable(has_object, objects_at)
-        return self._cell_table
+    def sorted_objects(self) -> tuple[SceneObject, ...]:
+        """The scene's objects in object-id order, listed on first use."""
+        if self._sorted_objects is None:
+            self._sorted_objects = tuple(self.objects[oid] for oid in sorted(self.objects))
+        return self._sorted_objects
 
 
 def validate_scene(scene: SceneGraph) -> None:
@@ -650,10 +629,27 @@ def _range_cells(max_range_m: float) -> int:
 
 
 @functools.cache
+def _rays(max_range_m: float) -> tuple[tuple[Cell, tuple[Cell, ...]], ...]:
+    """The one enumeration of rays, built once per process and range: each
+    ``(dx, dy)`` offset in range (origin excluded, row-major) with the cells
+    strictly inside its supercover ray from the origin, each cell one tuple
+    shared by every ray through it. An offset's index here is its index in
+    every table derived from it."""
+    r = _range_cells(max_range_m)
+    window: dict[Cell, Cell] = {}
+    return tuple(
+        ((dx, dy), tuple(window.setdefault(c, c) for c in supercover_line((0, 0), (dx, dy))[1:-1]))
+        for dy in range(-r, r + 1)
+        for dx in range(-r, r + 1)
+        if (dx or dy) and math.hypot(dx, dy) * FORWARD_M <= max_range_m + _EPS
+    )
+
+
+@functools.cache
 def ray_geometry(max_range_m: float) -> tuple[np.ndarray, ...]:
-    """The offsets in range and their shadow table, built once per process
-    and range. Offsets count cells of the one fixed size, ``FORWARD_M`` =
-    0.25 m.
+    """The offsets in range and their shadow table, derived from
+    :func:`_rays` once per process and range. Offsets count cells of the
+    one fixed size, ``FORWARD_M`` = 0.25 m.
 
     Returns read-only ``(offsets, shadows, masks)``: the ``(dx, dy)``
     offsets in range (origin excluded, row-major); the ``(dx, dy)`` cells
@@ -665,25 +661,17 @@ def ray_geometry(max_range_m: float) -> tuple[np.ndarray, ...]:
     """
     import numpy as np
 
-    r = _range_cells(max_range_m)
-    side = 2 * r + 1
-    offsets: list[Cell] = []
-    shade: dict[int, int] = {}  # window cell, row-major -> bitmask of offsets
-    for dy in range(-r, r + 1):
-        for dx in range(-r, r + 1):
-            if (dx or dy) and math.hypot(dx, dy) * FORWARD_M <= max_range_m + _EPS:
-                bit = 1 << len(offsets)
-                for x, y in supercover_line((0, 0), (dx, dy))[1:-1]:
-                    key = (y + r) * side + x + r
-                    shade[key] = shade.get(key, 0) | bit
-                offsets.append((dx, dy))
-    window = sorted(shade)
-    n_words = -(-len(offsets) // 64)
-    packed = b"".join(shade[key].to_bytes(8 * n_words, "little") for key in window)
+    rays = _rays(max_range_m)
+    shade: dict[Cell, int] = {}  # window cell -> bitmask of offsets
+    for i, (_, interior) in enumerate(rays):
+        for cell in interior:
+            shade[cell] = shade.get(cell, 0) | 1 << i
+    window = sorted(shade, key=lambda c: (c[1], c[0]))
+    n_words = -(-len(rays) // 64)
+    packed = b"".join(shade[cell].to_bytes(8 * n_words, "little") for cell in window)
     geometry = (
-        np.array(offsets, dtype=np.int32).reshape(-1, 2),
-        np.array([(key % side - r, key // side - r) for key in window], dtype=np.int32)
-        .reshape(-1, 2),
+        np.array([offset for offset, _ in rays], dtype=np.int32).reshape(-1, 2),
+        np.array(window, dtype=np.int32).reshape(-1, 2),
         np.frombuffer(packed, dtype=np.uint64).reshape(len(window), n_words),
     )
     for arr in geometry:
@@ -715,21 +703,64 @@ def flat_geometry(max_range_m: float, width: int) -> tuple[np.ndarray, np.ndarra
 
 
 @functools.cache
+def packed_rays(
+    max_range_m: float, width: int
+) -> tuple[int, tuple[tuple[int, int, int] | None, ...]]:
+    """:func:`_rays` in :class:`GridMap`'s layout for grids ``width`` cells
+    wide, built once per process: the range ``r`` in cells and a window of
+    ``(2r + 1) ** 2`` entries, row-major over ``(dx, dy)`` from ``(-r, -r)``,
+    None out of range. An offset in range has ``(i, lo, interior)``: its
+    index in :func:`_rays`, the bit of its ray's lowest interior cell
+    relative to the observer's (often negative), and the interior cells
+    packed relative to ``lo``. From an observer at bit ``here``, a target
+    cell of the grid is in line of sight iff
+    ``blocked >> (here + lo) & interior == 0``; the ray stays inside the
+    two cells' bounding box, so ``here + lo`` is a bit of the grid.
+    """
+    r = _range_cells(max_range_m)
+    side = 2 * r + 1
+    stride = width + 1
+    window: list[tuple[int, int, int] | None] = [None] * (side * side)
+    for i, ((dx, dy), interior) in enumerate(_rays(max_range_m)):
+        bits = [y * stride + x for x, y in interior]
+        lo = min(bits, default=0)
+        window[(dy + r) * side + dx + r] = (i, lo, sum(1 << (bit - lo) for bit in bits))
+    return r, tuple(window)
+
+
+@functools.cache
+def fov_bits(max_range_m: float, heading: float, fov_deg: float) -> int:
+    """The field of view: bit ``i`` is set iff :func:`_rays`' offset ``i``
+    bears within ``fov_deg / 2`` of ``heading``, its bearing taken from the
+    observer's cell center to the offset cell's. The one FOV rule, memoized
+    per process."""
+    half = fov_deg / 2.0 + _EPS
+    bits = 0
+    for i, ((dx, dy), _) in enumerate(_rays(max_range_m)):
+        bearing = math.degrees(math.atan2(dy, dx)) % 360.0
+        if abs((bearing - heading + 180.0) % 360.0 - 180.0) <= half:
+            bits |= 1 << i
+    return bits
+
+
+@functools.cache
 def fov_mask(max_range_m: float, heading: float, fov_deg: float) -> np.ndarray:
-    """Read-only mask over :func:`ray_geometry`'s offsets inside the field of
-    view, memoized per process like the geometry."""
+    """:func:`fov_bits` as a read-only mask over :func:`ray_geometry`'s
+    offsets, memoized per process like the geometry."""
     import numpy as np
 
-    offsets = ray_geometry(max_range_m)[0]
-    bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
-    mask = np.abs((bearing - heading + 180.0) % 360.0 - 180.0) <= fov_deg / 2.0 + _EPS
+    bits = fov_bits(max_range_m, heading, fov_deg)
+    mask = np.array([bits >> i & 1 for i in range(len(_rays(max_range_m)))], dtype=bool)
     mask.setflags(write=False)
     return mask
 
 
 class VisibilityField:
     """Vectorized per-cell line of sight within a fixed sensing range, over
-    cells of the one fixed size, ``FORWARD_M`` = 0.25 m.
+    cells of the one fixed size, ``FORWARD_M`` = 0.25 m. It serves belief
+    updates only: :func:`~relaynav.agent.observe` reads it to find every
+    sensed cell when a robot's belief can change, and finds sightings from
+    :func:`packed_rays` without it.
 
     Per process, shared by every field of a range and grid width: the
     offsets and their shadow table (:func:`ray_geometry`), their flat
@@ -848,7 +879,7 @@ def apply_blockage(scene: SceneGraph, corridor_id: str) -> SceneGraph:
         return scene
     grid = scene.grid
     # the regions and objects are the source's own, so its cell index and
-    # cell table hold for the copy; the visibility fields follow occupancy
+    # object list hold for the copy; the visibility fields follow occupancy
     # and start empty
     return replace(
         scene,

@@ -41,9 +41,13 @@ from relaynav.world import (
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
+    fov_bits,
     fov_mask,
+    line_of_sight,
     pack_cells,
+    packed_rays,
     packed_rect,
+    ray_geometry,
     step_kinematics,
 )
 
@@ -96,6 +100,21 @@ def set_rule_sightings(scene, state, sensor):
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
         if obj.cell in visible_cells:
+            score = scorer.score(scene, state.pose, obj)
+            if score > 0.0:
+                sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
+    sightings.sort(key=lambda o: (o.category, o.cell))
+    return tuple(sightings)
+
+
+def ray_sightings(scene, state, sensor):
+    """Reference sightings: every object the scalar :func:`line_of_sight`
+    sees from the pose, scored in object-id order."""
+    scorer = DistanceFalloffScorer(sensor.range_m)
+    sightings = []
+    for oid in sorted(scene.objects):
+        obj = scene.objects[oid]
+        if line_of_sight(scene, state.pose, obj.cell, sensor.range_m, sensor.fov_deg):
             score = scorer.score(scene, state.pose, obj)
             if score > 0.0:
                 sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
@@ -203,6 +222,60 @@ class TestObserve:
             state = agent_at(scene, (int(ox), int(oy)), heading)
             _, sightings = observe(scene, state, sensor)
             assert sightings == set_rule_sightings(scene, state, sensor)
+
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 40),
+        st.integers(3, 48),
+        st.sampled_from((0.05, 0.3)),
+        st.sampled_from(range(0, 360, 15)),
+        st.sampled_from((60.0, 90.0, 120.0, 180.0, 360.0)),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_known_sightings_at_the_production_range(self, seed, w, h, wall_p, heading, fov):
+        # grids narrower than the 41-cell window and observers within 20
+        # cells of the top or left edge, where a ray's lowest interior bit
+        # lies before the observer's; objects on walls, three on one cell,
+        # and on observers' own cells
+        blocked = random_bordered_grid(seed, w, h, wall_p)
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked)]
+        near = [c for c in free if c[0] <= 20 or c[1] <= 20]
+        if not near:
+            return
+        rng = np.random.default_rng(seed + 2)
+        shared = near[int(rng.integers(len(near)))]
+        cells = [shared] * 3 + [(int(rng.integers(w)), int(rng.integers(h))) for _ in range(12)]
+        objects = [(f"o{i:02d}", ("cup", "bed", "sink")[i % 3], c) for i, c in enumerate(cells)]
+        scene = lab_scene(blocked, objects)
+        sensor = SensorConfig(fov_deg=fov)
+        assert packed_rays(sensor.range_m, w)[0] == 20
+        observers = sorted({c for c in cells if c in near} | {
+            near[int(i)] for i in rng.integers(len(near), size=min(len(near), 25))
+        })
+        got = {}
+        for observer in observers:
+            state = agent_at(scene, observer, heading)
+            after, got[observer] = observe(scene, state, sensor)
+            assert after is state
+            assert got[observer] == ray_sightings(scene, state, sensor), observer
+        assert scene._vis_fields == {}  # the belief is the truth: no field read
+        assert any(s.cell == shared for s in got[shared])  # the own cell is seen
+        for observer in observers:
+            state = agent_at(scene, observer, heading)
+            assert got[observer] == set_rule_sightings(scene, state, sensor), observer
+
+    @pytest.mark.parametrize("range_m", (0.25, 1.0, 2.6, 5.0, 7.5))
+    def test_fov_bits_equal_the_numpy_bearing_rule(self, range_m):
+        offsets = ray_geometry(range_m)[0]
+        bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
+        for heading in range(0, 360, 15):
+            err = (bearing - heading + 180.0) % 360.0 - 180.0
+            for fov in (60.0, 90.0, 120.0, 180.0, 360.0):
+                want = np.abs(err) <= fov / 2.0 + 1e-9
+                bits = fov_bits(range_m, heading, fov)
+                assert [bool(bits >> i & 1) for i in range(len(offsets))] == want.tolist()
+                assert bits >> len(offsets) == 0
+                assert np.array_equal(fov_mask(range_m, heading, fov), want)
 
     @given(
         st.integers(0, 10_000),

@@ -884,6 +884,17 @@ print(json.dumps({"numpy": numpy, "digests": digests}))
 # the episodes file NUMPY_FREE_GEN writes: 4 episodes, 2 rejections
 NUMPY_FREE_EPISODES_SHA256 = "b9f80782cf66e5687a25898ea8c3ef37b981989333484eb8388ff52cbafc0f4b"
 
+# appended to NUMPY_FREE_GEN: whether numpy was loaded after importing the
+# ablation (and with it the engine) and after a known-map run of its files
+NUMPY_FREE_KNOWN_RUN = """
+import relaynav.ablation
+numpy["import relaynav.ablation"] = "numpy" in sys.modules
+assert main(["run", "--episodes", str(out / "episodes.jsonl"), "--scenes", str(out / "scenes"),
+             "--out", str(out / "run"), "--knowledge", "known"]) == 0
+numpy["run --knowledge known"] = "numpy" in sys.modules
+print(json.dumps({"numpy": numpy, "results": (out / "run" / "results.jsonl").read_text()}))
+"""
+
 LAZY_PACKAGE = """
 import json, sys
 import relaynav
@@ -921,6 +932,13 @@ class TestColdStart:
         assert got["digests"] == {
             "episodes.jsonl": NUMPY_FREE_EPISODES_SHA256, **SCENE_GOLDENS["scenes"]
         }
+
+    def test_known_runs_load_no_numpy(self, tmp_path):
+        # a known map before any blockage is the truth, so observe reads no
+        # visibility field; a discover run may load numpy
+        got = fresh_python(NUMPY_FREE_GEN + NUMPY_FREE_KNOWN_RUN, str(tmp_path))
+        assert not any(got["numpy"].values()), got["numpy"]
+        assert len(got["results"].splitlines()) == 4
 
     def test_package_imports_submodules_on_first_access(self):
         got = fresh_python(LAZY_PACKAGE)

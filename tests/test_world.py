@@ -37,6 +37,7 @@ from relaynav.world import (
     line_of_sight,
     load_scene,
     pack_cells,
+    packed_rays,
     path_length_m,
     ray_geometry,
     save_scene,
@@ -482,6 +483,34 @@ class TestVisibility:
                     if scene.grid.in_bounds(target):
                         assert seen == line_of_sight(scene, pose, target, 3.0, 360.0)
 
+    @given(
+        st.integers(0, 10_000), st.integers(3, 40), st.integers(3, 30),
+        st.sampled_from((1.3, 5.0)), st.sampled_from((0.05, 0.3)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_packed_rays_agree_with_ray_check(self, seed, w, h, range_m, wall_p):
+        # one shift and AND of the packed grid per target, against the scalar
+        # ray; narrow grids put offsets wider than a row in the window
+        blocked = random_bordered_grid(seed, w, h, wall_p)
+        scene = lab_scene(blocked)
+        grid = scene.grid
+        r, window = packed_rays(range_m, w)
+        assert packed_rays(range_m, w)[1] is window
+        side = 2 * r + 1
+        rng = np.random.default_rng(seed)
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked)]
+        for i in rng.permutation(len(free))[:8]:
+            observer = free[int(i)]
+            here = observer[1] * grid.stride + observer[0]
+            pose = center_pose(observer)
+            for ty, tx in np.ndindex(h, w):
+                dx, dy = tx - observer[0], ty - observer[1]
+                if (dx, dy) == (0, 0):
+                    continue
+                ray = window[(dy + r) * side + dx + r] if max(abs(dx), abs(dy)) <= r else None
+                seen = ray is not None and not grid.blocked >> (here + ray[1]) & ray[2]
+                assert seen == line_of_sight(scene, pose, (tx, ty), range_m, 360.0)
+
     def test_shadow_table_is_built_once_and_read_only(self):
         geometry = ray_geometry(5.0)
         assert ray_geometry(5.0) is geometry
@@ -583,17 +612,17 @@ class TestBlockage:
             assert not scene.grid.is_blocked(cell)  # original untouched
 
     def test_copies_keep_the_region_index_and_rebuild_occupancy_caches(self, scene):
-        # the cell table holds only objects, which a blockage leaves in place
+        # a blockage leaves the regions and objects in place, so their indexes hold
         cells = [(x, y) for y in range(scene.grid.height) for x in range(scene.grid.width)]
         regions = [scene.region_of(c) for c in cells]
         labels = [scene.room_label_of(c) for c in cells]
-        table = scene.cell_table()
+        listed = scene.sorted_objects()
         for cid in sorted(scene.corridors):
             blocked = apply_blockage(scene, cid)
             assert blocked._region_by_cell is scene._region_by_cell
             assert [blocked.region_of(c) for c in cells] == regions
             assert [blocked.room_label_of(c) for c in cells] == labels
-            assert blocked.cell_table() is table
+            assert blocked.sorted_objects() is listed
             assert blocked.visibility(5.0) is not scene.visibility(5.0)
             field_, r = blocked.visibility(5.0), 20  # 5 m is 20 cells of padding
             for cx, cy in scene.corridors[cid].gate_cells:
