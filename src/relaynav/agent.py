@@ -3,10 +3,11 @@
 Each robot keeps a belief of the map, two packed ints in
 :class:`~relaynav.world.GridMap`'s layout: the cells it knows and the known
 cells it holds blocked; every other cell is unknown. It sees objects by
-testing each one's ray against the packed true grid, and senses cells
-through the scene's visibility field only while its belief can change
-(discover mode, or known mode after a blockage): that is the only code
-here that loads numpy. It plans optimistically (unknown counts as
+testing each one's ray against the packed true grid. A known-mode belief,
+which holds the whole map, is sensed by the same ray test at the cells
+where it differs from the truth (none before a blockage); a discover-mode
+belief is sensed through the scene's visibility field, the only code here
+that loads numpy. It plans optimistically (unknown counts as
 traversable, falling back to the nearest frontier when no believed route
 exists), and steers with the discrete 15-degree action set.
 All transitions are pure functions of the visible state — the policy holds
@@ -183,26 +184,30 @@ def observe(
     (:func:`~relaynav.world.packed_rays`). Each yields a scored
     observation; they are sorted by ``(category, cell)``.
 
-    A belief that already holds the whole true map (known mode before any
-    blockage) returns the same state object: no visibility field is read
-    and numpy is not loaded. Otherwise the sensed cells, the robot's own
-    first, are the field's ``flat_offsets`` under its visibility and FOV
-    masks (see :class:`~relaynav.world.VisibilityField`), bit positions in
-    the grid's packed layout that a scene's blocked border keeps inside the
-    grid. They are packed into one int and become known with their true
-    passability (walls included — occlusion is interior to the ray, so a
-    blocked cell at its end is itself seen). When that changes nothing,
-    the same state is returned: no copy, and the geodesic memo kept.
-    Otherwise the memo is replaced only when a cell's passability flips,
-    newly blocked cells are queued as edges and a plan through them
+    Sensed cells become known with their true passability (walls included
+    — occlusion is interior to the ray, so a blocked cell at its end is
+    itself seen); the robot's own cell is always sensed. A belief that
+    knows every cell (known mode) can change only where ``blocked``
+    differs from the true grid: before a blockage nowhere, after one at a
+    few gate cells. Only those cells are tested, by the sightings' ray
+    rule, and no visibility field is read nor numpy loaded. A belief with
+    unknown cells (discover mode) senses the field's ``flat_offsets``
+    under its visibility and FOV masks (see
+    :class:`~relaynav.world.VisibilityField`), bit positions in the grid's
+    packed layout that a scene's blocked border keeps inside the grid,
+    packed into one int with the robot's own cell. When sensing changes
+    nothing, the same state is returned: no copy, and the geodesic memo
+    kept. Otherwise the memo is replaced only when a cell's passability
+    flips, newly blocked cells are queued as edges and a plan through them
     dropped. Deterministic and, from a fixed pose on a fixed world,
     idempotent on the belief.
     """
     grid = scene.grid
     truth = grid.blocked
+    stride = grid.stride
     cell = state.cell
     cx, cy = cell
-    here = cy * grid.stride + cx
+    here = cy * stride + cx
     r, window = packed_rays(sensor.range_m, grid.width)
     side = 2 * r + 1
     fov = fov_bits(sensor.range_m, state.pose.heading, sensor.fov_deg)
@@ -225,20 +230,37 @@ def observe(
     sightings.sort(key=lambda o: (o.category, o.cell))
 
     known, blocked = state.known, state.blocked
-    if blocked == truth and known == packed_rect(grid.width, grid.height, grid.stride):
-        return state, tuple(sightings)
-    import numpy as np  # only a belief that can change reads the field
+    if known == packed_rect(grid.width, grid.height, stride):
+        # only a cell held wrong can change: each is tested by the sightings' rule
+        diff = truth ^ blocked
+        if not diff:
+            return state, tuple(sightings)
+        now_known, now_blocked = known, blocked
+        while diff:
+            bit_i = diff.bit_length() - 1
+            bit = 1 << bit_i
+            diff ^= bit
+            if bit_i != here:
+                dx, dy = bit_i % stride - cx, bit_i // stride - cy
+                if not (-r <= dx <= r and -r <= dy <= r):
+                    continue
+                ray = window[(dy + r) * side + dx + r]
+                if ray is None or not fov >> ray[0] & 1 or truth >> (here + ray[1]) & ray[2]:
+                    continue
+            now_blocked ^= bit
+    else:
+        import numpy as np  # only a discover belief reads the field
 
-    vis = scene.visibility(sensor.range_m)
-    mask = vis.visible_offsets(cell) & fov_mask(
-        sensor.range_m, state.pose.heading, sensor.fov_deg
-    )
-    sensed = np.concatenate(((here,), vis.flat_offsets[mask] + here))
-    marks = np.zeros(grid.height * grid.stride, dtype=bool)
-    marks[sensed] = True
-    sensed_bits = int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
-    now_known = known | sensed_bits
-    now_blocked = blocked & ~sensed_bits | truth & sensed_bits
+        vis = scene.visibility(sensor.range_m)
+        mask = vis.visible_offsets(cell) & fov_mask(
+            sensor.range_m, state.pose.heading, sensor.fov_deg
+        )
+        sensed = np.concatenate(((here,), vis.flat_offsets[mask] + here))
+        marks = np.zeros(grid.height * stride, dtype=bool)
+        marks[sensed] = True
+        sensed_bits = int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
+        now_known = known | sensed_bits
+        now_blocked = blocked & ~sensed_bits | truth & sensed_bits
     if now_known == known and now_blocked == blocked:
         return state, tuple(sightings)
 

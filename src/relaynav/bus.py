@@ -5,8 +5,9 @@ anchor memory of the best object evidence. It knows nothing of subtask
 chains or dialogue: the engine owns both. ``publish`` returns a new bus and
 never mutates, so any previously taken reference doubles as an immutable
 snapshot. A composed context shares the bus's ``anchors`` dict rather than
-copying it: a publish builds a new dict, and no code mutates one once it is
-on a bus or in a context, so the context is a snapshot too.
+copying it: a publish whose packet has observations builds a new dict, one
+without keeps the old dict, and no code mutates one once it is on a bus or
+in a context, so the context is a snapshot too.
 """
 
 from __future__ import annotations
@@ -107,7 +108,8 @@ def publish(bus: BusState, packet: SemanticPacket) -> BusState:
     """Store the packet and fold its observations into anchor memory.
 
     A packet older than the stored one for the same robot is dropped with a
-    warning and the bus is returned unchanged.
+    warning and the bus is returned unchanged. A packet without observations
+    leaves the anchors as they are, so the new bus shares the old one's dict.
     """
     prev = bus.packets.get(packet.robot_id)
     if prev is not None and packet.ts < prev.ts:
@@ -120,6 +122,8 @@ def publish(bus: BusState, packet: SemanticPacket) -> BusState:
         return bus
     packets = dict(bus.packets)
     packets[packet.robot_id] = packet
+    if not packet.observations:
+        return BusState(packets, bus.anchors)
     return BusState(packets, merge_anchors(bus.anchors, packet))
 
 

@@ -381,8 +381,9 @@ _KEEP_RECORD = KEEP.to_dict()
 def _replan(run: _Run, now: int) -> None:
     """Event-driven replanning, FH first, so that SH sees FH's rewritten
     chain. A swap exchanges the two robots' live chains and final goals.
-    ``decide`` keeps the assignment when no event is admitted, so only a
-    tick with admitted events pays for it and for the swap inputs."""
+    With no event admitted the decision is ``KEEP`` and the context and
+    dialogue stay as they are, so only a tick with admitted events pays for
+    ``decide``, the swap inputs and the rewrite."""
     cfg = run.cfg
     run.dialogue = []
     for rid, r in run.robots.items():
@@ -398,9 +399,14 @@ def _replan(run: _Run, now: int) -> None:
             room_of=run.scene.room_label_of, held=r.held,
         )
         r.admitted = filter_events(events, r.history, cfg.trigger)
+        r.held = r.composed.anchors
+        if not r.admitted:
+            r.decision = _KEEP_RECORD
+            r.state = st
+            continue
         r.history.extend(r.admitted)
         decision = KEEP
-        if cfg.policy == "deconav" and r.admitted:
+        if cfg.policy == "deconav":
             decision = decide(r.admitted, st.policy_ctx, _swap_inputs(run, r), cfg.trigger)
         r.decision = _KEEP_RECORD if decision is KEEP else decision.to_dict()
 
@@ -422,7 +428,6 @@ def _replan(run: _Run, now: int) -> None:
             r.final_goal, partner.final_goal = partner.final_goal, r.final_goal
             run.swap_count += 1
         run.dialogue.extend(rec.to_dict() for rec in records)
-        r.held = r.composed.anchors
         r.state = st
     run.dialogue_count += len(run.dialogue)
 

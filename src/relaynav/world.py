@@ -7,12 +7,12 @@ Coordinate conventions used throughout the package:
   ``y * (width + 1) + x``, and the bit after each row is a guard that is
   always clear. Generation, validation, serialization, a robot's belief,
   every geodesic query and object sightings (:func:`packed_rays`) work in
-  that layout, so ``gen-scenes``, ``gen-episodes`` and known-map runs load
-  no numpy. Only a belief update uses arrays: the visibility fields unpack
-  the int once per scene (:meth:`GridMap.blocked_array`), and the sensed
-  cells are indexed by bit position. The fields and the field oracle
-  :func:`bfs_distance_field` import numpy inside their functions, on
-  first use.
+  that layout, so ``gen-scenes``, ``gen-episodes`` and known-map runs,
+  blockages included, load no numpy. Only a discover-mode belief update
+  uses arrays: the visibility fields unpack the int once per scene
+  (:meth:`GridMap.blocked_array`), and the sensed cells are indexed by bit
+  position. The fields and the field oracle :func:`bfs_distance_field`
+  import numpy inside their functions, on first use.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
 * There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
@@ -757,9 +757,10 @@ def fov_mask(max_range_m: float, heading: float, fov_deg: float) -> np.ndarray:
 
 class VisibilityField:
     """Vectorized per-cell line of sight within a fixed sensing range, over
-    cells of the one fixed size, ``FORWARD_M`` = 0.25 m. It serves belief
-    updates only: :func:`~relaynav.agent.observe` reads it to find every
-    sensed cell when a robot's belief can change, and finds sightings from
+    cells of the one fixed size, ``FORWARD_M`` = 0.25 m. It serves
+    discover-mode belief updates only: :func:`~relaynav.agent.observe`
+    reads it to find every sensed cell of a belief with unknown cells, and
+    finds sightings, and the cells a known-mode belief holds wrong, from
     :func:`packed_rays` without it.
 
     Per process, shared by every field of a range and grid width: the

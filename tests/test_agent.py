@@ -175,6 +175,23 @@ def oracle_observe(scene, state, sensor):
     return new_state, tuple(sightings)
 
 
+def observe_like_the_oracle(scene, state, sensor):
+    """Check ``observe``'s result against :func:`oracle_observe`'s; returns
+    the visibility fields the scene held before the oracle ran."""
+    got, got_sightings = observe(scene, state, sensor)
+    fields = dict(scene._vis_fields)
+    want, want_sightings = oracle_observe(scene, state, sensor)
+    assert got_sightings == want_sightings
+    assert (got.known, got.blocked) == (want.known, want.blocked)
+    assert got.geodesics.free == want.geodesics.free
+    assert (got.geodesics is state.geodesics) == (want.geodesics is state.geodesics)
+    assert got.pending_blocked_edges == want.pending_blocked_edges
+    assert got.plan == want.plan
+    # nothing sensed differs exactly when the oracle changed nothing
+    assert (got is state) == ((want.known, want.blocked) == (state.known, state.blocked))
+    return fields
+
+
 class TestBelief:
     def test_known_belief_mirrors_occupancy(self):
         scene = walled_lab()
@@ -331,18 +348,63 @@ class TestObserve:
             plan=Plan(path, path[-1], pack_cells(path, w + 1)) if rng.random() < 0.7 else None,
             pending_blocked_edges=(((1, 1), (1, 2)),) if rng.random() < 0.3 else (),
         )
-        sensor = SensorConfig(range_m=range_m, fov_deg=fov)
+        observe_like_the_oracle(scene, state, SensorConfig(range_m=range_m, fov_deg=fov))
 
-        got, got_sightings = observe(scene, state, sensor)
-        want, want_sightings = oracle_observe(scene, state, sensor)
-        assert got_sightings == want_sightings
-        assert (got.known, got.blocked) == (want.known, want.blocked)
-        assert got.geodesics.free == want.geodesics.free
-        assert (got.geodesics is state.geodesics) == (want.geodesics is state.geodesics)
-        assert got.pending_blocked_edges == want.pending_blocked_edges
-        assert got.plan == want.plan
-        # nothing sensed differs exactly when the oracle changed nothing
-        assert (got is state) == np.array_equal(belief_codes(want), belief)
+    @given(
+        st.integers(0, 10_000),
+        st.integers(3, 64),
+        st.integers(3, 64),
+        st.sampled_from((0.05, 0.3)),
+        st.sampled_from(range(0, 360, 15)),
+        st.sampled_from((60.0, 120.0, 360.0)),
+        st.sampled_from(("left", "right", "top", "bottom", "anywhere")),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_full_belief_senses_its_wrong_cells_like_the_oracle(
+        self, seed, w, h, wall_p, heading, fov, edge, on_gate
+    ):
+        # a known-mode belief after a blockage: the whole map known, the
+        # corridor's gates believed open and some free cells believed
+        # walls; gates and wrong cells in range and out of it, in and out
+        # of the FOV, in clear sight and occluded, at the 5 m range
+        rng = np.random.default_rng(seed)
+        blocked = random_bordered_grid(seed, w, h, wall_p)
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked)]
+        if not free:
+            return
+        reach = {"left": min, "right": max, "top": min, "bottom": max, "anywhere": None}[edge]
+        axis = 1 if edge in ("top", "bottom") else 0
+        rim = free if reach is None else [
+            c for c in free if c[axis] == reach(f[axis] for f in free)
+        ]
+        observer = rim[int(rng.integers(len(rim)))]
+        near = [c for c in free if abs(c[0] - observer[0]) <= 20 and abs(c[1] - observer[1]) <= 20]
+
+        def draw(cells, k):
+            return {cells[int(i)] for i in rng.integers(len(cells), size=k)}
+
+        gates = draw(near, 3) | draw(free, 2)
+        if on_gate:
+            gates.add(observer)
+        wrong = (draw(near, 3) | draw(free, 2)) - gates
+        objects = [("o0", "cup", observer)] + [
+            (f"o{i}", ("cup", "bed")[i % 2], c) for i, c in enumerate(sorted(gates), 1)
+        ]
+        scene = apply_blockage(lab_scene(blocked, objects, gates=gates), "c0")
+        believed = blocked.copy()
+        for x, y in wrong:
+            believed[y, x] = True
+        path = tuple(sorted(gates | wrong))
+        state = AgentState(
+            "FH", center_pose(observer, heading), pack_mask(np.ones_like(blocked)),
+            pack_mask(believed), geodesics_of(~believed), ctx_with((Subtask(STOP, None),)),
+            plan=Plan(path, path[-1], pack_cells(path, w + 1)) if rng.random() < 0.7 else None,
+        )
+        sensor = SensorConfig(fov_deg=fov)
+        assert packed_rays(sensor.range_m, w)[0] == 20
+        # a full belief reads no visibility field
+        assert observe_like_the_oracle(scene, state, sensor) == {}
 
     def make(self, **kw):
         objects = kw.pop("objects", (("o1", "bottle", (6, 4)), ("o2", "tv", (12, 6))))

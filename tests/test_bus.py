@@ -137,6 +137,19 @@ def test_publish_leaves_an_earlier_context_unchanged():
     assert ctx.anchors == anchors
 
 
+def test_publish_shares_the_anchors_only_without_observations():
+    seen = (Observation("bottle", (3, 4), 0.8),)
+    bus = publish(empty_bus(), packet("FH", ts=2, obs=seen))
+    quiet = publish(bus, packet("SH", ts=3))
+    assert quiet.anchors is bus.anchors
+    assert quiet.packets["SH"].ts == 3 and quiet.packets is not bus.packets
+    # a repeated sighting builds a new dict: the merge refreshes its ts,
+    # which breaks a tie with a partner's equal score in the same tick
+    again = publish(quiet, packet("FH", ts=4, obs=seen))
+    assert again.anchors is not quiet.anchors
+    assert again.anchors["bottle"].ts == 4 and quiet.anchors["bottle"].ts == 2
+
+
 def test_packet_validation():
     with pytest.raises(ValueError):
         packet(ts=-1)

@@ -895,6 +895,35 @@ numpy["run --knowledge known"] = "numpy" in sys.modules
 print(json.dumps({"numpy": numpy, "results": (out / "run" / "results.jsonl").read_text()}))
 """
 
+# a one-entry blockage suite, built and written as scripts/run_ablation.py
+# --out writes it, then run in known mode under both policies; whether numpy
+# was loaded after each step, and how many traces hold a PathBlocked event
+NUMPY_FREE_BLOCKAGE_RUN = """
+import json, sys
+from pathlib import Path
+from relaynav.ablation import SuiteParams, build_blockage_suite
+from relaynav.cli import main
+from relaynav.episodes import save_episodes
+from relaynav.serialize import write_canonical
+from relaynav.world import save_scene
+out = Path(sys.argv[1])
+suite = build_blockage_suite(SuiteParams(n_episodes=1, seed=0))
+(out / "scenes").mkdir(parents=True)
+for scene_id, scene in suite.scenes.items():
+    save_scene(scene, out / "scenes" / f"{scene_id}.json")
+save_episodes([e.episode for e in suite.entries], out / "episodes.jsonl")
+write_canonical(out / "overrides.json", suite.overrides())
+numpy = {"build_blockage_suite": "numpy" in sys.modules}
+blocked = {}
+for policy in ("deconav", "static"):
+    assert main(["run", "--episodes", str(out / "episodes.jsonl"), "--scenes", str(out / "scenes"),
+                 "--out", str(out / policy), "--knowledge", "known", "--policy", policy,
+                 "--overrides", str(out / "overrides.json")]) == 0
+    numpy["run --policy " + policy] = "numpy" in sys.modules
+    blocked[policy] = sum("PathBlocked" in t.read_text() for t in (out / policy).glob("trace_*.jsonl"))
+print(json.dumps({"numpy": numpy, "blocked": blocked}))
+"""
+
 LAZY_PACKAGE = """
 import json, sys
 import relaynav
@@ -939,6 +968,13 @@ class TestColdStart:
         got = fresh_python(NUMPY_FREE_GEN + NUMPY_FREE_KNOWN_RUN, str(tmp_path))
         assert not any(got["numpy"].values()), got["numpy"]
         assert len(got["results"].splitlines()) == 4
+
+    def test_known_blockage_runs_load_no_numpy(self, tmp_path):
+        # after the blockage a known belief differs from the truth at the
+        # gate cells, and observe senses just those, without the field
+        got = fresh_python(NUMPY_FREE_BLOCKAGE_RUN, str(tmp_path))
+        assert not any(got["numpy"].values()), got["numpy"]
+        assert got["blocked"] == {"deconav": 1, "static": 1}
 
     def test_package_imports_submodules_on_first_access(self):
         got = fresh_python(LAZY_PACKAGE)
