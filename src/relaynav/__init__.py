@@ -12,10 +12,9 @@ The API lives in the submodules (``relaynav.world``, ``relaynav.engine``,
 ``relaynav.cli``, ...); import names from there.  This module imports none
 of them: every ``relaynav`` subcommand starts a fresh interpreter, and a
 command should pay only for the modules it runs: ``gen-scenes`` and
-``gen-episodes`` load neither the rollout engine nor numpy, and a
-known-map run loads no numpy, blockages included: only a discover-mode
-belief, sensed through the visibility field, uses it.  A submodule read
-as an attribute, ``relaynav.engine``, is imported on first access.
+``gen-episodes`` load no rollout engine, and no command loads numpy.  A
+submodule read as an attribute, ``relaynav.engine``, is imported on
+first access.
 """
 
 import importlib

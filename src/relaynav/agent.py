@@ -6,8 +6,8 @@ cells it holds blocked; every other cell is unknown. It sees objects by
 testing each one's ray against the packed true grid. A known-mode belief,
 which holds the whole map, is sensed by the same ray test at the cells
 where it differs from the truth (none before a blockage); a discover-mode
-belief is sensed through the scene's visibility field, the only code here
-that loads numpy. It plans optimistically (unknown counts as
+belief is sensed through the scene's visibility field, whose sensed cells
+are one packed int too. It plans optimistically (unknown counts as
 traversable, falling back to the nearest frontier when no believed route
 exists), and steers with the discrete 15-degree action set.
 All transitions are pure functions of the visible state — the policy holds
@@ -36,7 +36,6 @@ from .world import (
     bfs_shortest_path,
     center,
     fov_bits,
-    fov_mask,
     pack_cells,
     packed_rays,
     packed_rect,
@@ -190,12 +189,10 @@ def observe(
     knows every cell (known mode) can change only where ``blocked``
     differs from the true grid: before a blockage nowhere, after one at a
     few gate cells. Only those cells are tested, by the sightings' ray
-    rule, and no visibility field is read nor numpy loaded. A belief with
-    unknown cells (discover mode) senses the field's ``flat_offsets``
-    under its visibility and FOV masks (see
-    :class:`~relaynav.world.VisibilityField`), bit positions in the grid's
-    packed layout that a scene's blocked border keeps inside the grid,
-    packed into one int with the robot's own cell. When sensing changes
+    rule, and no visibility field is read. A belief with unknown cells
+    (discover mode) senses the visibility field's cells in the FOV, one
+    packed int with the robot's own cell
+    (:meth:`~relaynav.world.VisibilityField.sensed`). When sensing changes
     nothing, the same state is returned: no copy, and the geodesic memo
     kept. Otherwise the memo is replaced only when a cell's passability
     flips, newly blocked cells are queued as edges and a plan through them
@@ -249,18 +246,9 @@ def observe(
                     continue
             now_blocked ^= bit
     else:
-        import numpy as np  # only a discover belief reads the field
-
-        vis = scene.visibility(sensor.range_m)
-        mask = vis.visible_offsets(cell) & fov_mask(
-            sensor.range_m, state.pose.heading, sensor.fov_deg
-        )
-        sensed = np.concatenate(((here,), vis.flat_offsets[mask] + here))
-        marks = np.zeros(grid.height * stride, dtype=bool)
-        marks[sensed] = True
-        sensed_bits = int.from_bytes(np.packbits(marks, bitorder="little").tobytes(), "little")
-        now_known = known | sensed_bits
-        now_blocked = blocked & ~sensed_bits | truth & sensed_bits
+        sensed = scene.visibility(sensor.range_m).sensed(cell, state.pose.heading, sensor.fov_deg)
+        now_known = known | sensed
+        now_blocked = blocked & ~sensed | truth & sensed
     if now_known == known and now_blocked == blocked:
         return state, tuple(sightings)
 

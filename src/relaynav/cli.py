@@ -24,9 +24,9 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-# Only what gen-scenes and gen-episodes run is imported here, and none of it
-# loads numpy; every other command imports the modules it needs when it runs
-# (see relaynav/__init__.py).
+# Only what gen-scenes and gen-episodes run is imported here; every other
+# command imports the modules it needs when it runs (see relaynav/__init__.py).
+# No command loads numpy.
 from .config import (
     KNOWLEDGE,
     MODES,

@@ -12,10 +12,10 @@ from dataclasses import dataclass, field
 
 from .serialize import Record
 
-# world.ray_geometry's shadow table takes window cells x offsets / 8 bytes,
-# both counts about n, the cells within the range: n = 1,256 and 0.2 MB at
-# 5 m (the paper's sensor), n = 5,024 and 3.2 MB at 10 m, but n = 20,080
-# and 50 MB at 20 m
+# world's shadow tables hold one window-sized int per shadow-casting cell,
+# so they grow about as the square of the cells within the range: 0.3 MB
+# built in about 5 ms at 5 m (the paper's sensor), 2.5 MB in about 45 ms at
+# 10 m, but 38 MB in about 0.9 s at 20 m (Python 3.11, one Xeon core)
 MAX_SENSOR_RANGE_M = 10.0
 
 # the values RolloutConfig.mode, .policy and .knowledge may take

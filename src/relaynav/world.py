@@ -6,13 +6,10 @@ Coordinate conventions used throughout the package:
   packed Python int (:class:`GridMap`): cell ``(x, y)`` is bit
   ``y * (width + 1) + x``, and the bit after each row is a guard that is
   always clear. Generation, validation, serialization, a robot's belief,
-  every geodesic query and object sightings (:func:`packed_rays`) work in
-  that layout, so ``gen-scenes``, ``gen-episodes`` and known-map runs,
-  blockages included, load no numpy. Only a discover-mode belief update
-  uses arrays: the visibility fields unpack the int once per scene
-  (:meth:`GridMap.blocked_array`), and the sensed cells are indexed by bit
-  position. The fields and the field oracle :func:`bfs_distance_field`
-  import numpy inside their functions, on first use.
+  every geodesic query, object sightings (:func:`packed_rays`) and a
+  discover-mode belief's sensed cells (:class:`VisibilityField`) work on
+  packed ints, so no rollout loads numpy. Only the tests' field oracle
+  :func:`bfs_distance_field` imports it, inside the function.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
 * There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
@@ -31,12 +28,8 @@ import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
-from typing import TYPE_CHECKING
 
 from .serialize import Record, read_json, write_canonical
-
-if TYPE_CHECKING:
-    import numpy as np
 
 Cell = tuple[int, int]
 
@@ -295,16 +288,6 @@ class GridMap:
         """Geodesic queries over the grid's free cells."""
         return Geodesics(self.free, self.width, self.height)
 
-    def blocked_array(self) -> np.ndarray:
-        """The blocked cells as a ``(height, width)`` bool array indexed
-        ``[cy, cx]``: sensing's view of the grid, unpacked once per use."""
-        import numpy as np
-
-        n = self.height * self.stride
-        packed = np.frombuffer(self.blocked.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
-        rows = np.unpackbits(packed, count=n, bitorder="little").reshape(self.height, -1)
-        return rows[:, : self.width].astype(bool)
-
 
 @dataclass
 class SceneGraph:
@@ -412,8 +395,9 @@ def _one_component(bits: int, stride: int) -> bool:
 
 # --- geodesics ------------------------------------------------------------
 
-def bfs_distance_field(blocked: np.ndarray, start: Cell) -> np.ndarray:
-    """4-connected BFS step counts from ``start``; -1 marks unreachable.
+def bfs_distance_field(blocked, start: Cell):
+    """4-connected BFS step counts from ``start`` over a ``(h, w)`` bool
+    array of blocked cells, as an int32 array; -1 marks unreachable.
 
     Each layer is a set of flat indices into the grid padded with a blocked
     ring; the next keeps the unreached (-1, blocked is -2) neighbours, each
@@ -646,63 +630,6 @@ def _rays(max_range_m: float) -> tuple[tuple[Cell, tuple[Cell, ...]], ...]:
 
 
 @functools.cache
-def ray_geometry(max_range_m: float) -> tuple[np.ndarray, ...]:
-    """The offsets in range and their shadow table, derived from
-    :func:`_rays` once per process and range. Offsets count cells of the
-    one fixed size, ``FORWARD_M`` = 0.25 m.
-
-    Returns read-only ``(offsets, shadows, masks)``: the ``(dx, dy)``
-    offsets in range (origin excluded, row-major); the ``(dx, dy)`` cells
-    of the sensing window that lie strictly inside the supercover ray of
-    at least one offset, in row-major order; and one row of ``masks`` per
-    such cell, the offsets whose ray interior holds it as a bitmask packed
-    into ``uint64`` words (offset ``i`` is bit ``i % 8`` of byte ``i // 8``
-    of the row, so a row unpacks with ``bitorder="little"``).
-    """
-    import numpy as np
-
-    rays = _rays(max_range_m)
-    shade: dict[Cell, int] = {}  # window cell -> bitmask of offsets
-    for i, (_, interior) in enumerate(rays):
-        for cell in interior:
-            shade[cell] = shade.get(cell, 0) | 1 << i
-    window = sorted(shade, key=lambda c: (c[1], c[0]))
-    n_words = -(-len(rays) // 64)
-    packed = b"".join(shade[cell].to_bytes(8 * n_words, "little") for cell in window)
-    geometry = (
-        np.array([offset for offset, _ in rays], dtype=np.int32).reshape(-1, 2),
-        np.array(window, dtype=np.int32).reshape(-1, 2),
-        np.frombuffer(packed, dtype=np.uint64).reshape(len(window), n_words),
-    )
-    for arr in geometry:
-        arr.setflags(write=False)
-    return geometry
-
-
-@functools.cache
-def flat_geometry(max_range_m: float, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`ray_geometry`'s cells as flat indices for grids ``width``
-    cells wide, built once per process.
-
-    Returns read-only ``(cells, shadows)``: each offset's bit position in
-    :class:`GridMap`'s layout, relative to the observer's
-    (``dy * (width + 1) + dx``), and each shadowing cell's index into the
-    raveled grid padded by the range ``r`` on every side, relative to
-    ``cy * (width + 2 * r) + cx`` for an observer at ``(cx, cy)``.
-    """
-    import numpy as np
-
-    offsets, shadows, _ = ray_geometry(max_range_m)
-    r = _range_cells(max_range_m)
-    stride = width + 2 * r
-    cells = offsets[:, 1].astype(np.intp) * (width + 1) + offsets[:, 0]
-    padded = (shadows[:, 1].astype(np.intp) + r) * stride + shadows[:, 0] + r
-    for arr in (cells, padded):
-        arr.setflags(write=False)
-    return cells, padded
-
-
-@functools.cache
 def packed_rays(
     max_range_m: float, width: int
 ) -> tuple[int, tuple[tuple[int, int, int] | None, ...]]:
@@ -743,67 +670,124 @@ def fov_bits(max_range_m: float, heading: float, fov_deg: float) -> int:
     return bits
 
 
-@functools.cache
-def fov_mask(max_range_m: float, heading: float, fov_deg: float) -> np.ndarray:
-    """:func:`fov_bits` as a read-only mask over :func:`ray_geometry`'s
-    offsets, memoized per process like the geometry."""
-    import numpy as np
+def _shift(bits: int, by: int) -> int:
+    """``bits`` moved ``by`` places up, or ``-by`` places down."""
+    return bits << by if by >= 0 else bits >> -by
 
-    bits = fov_bits(max_range_m, heading, fov_deg)
-    mask = np.array([bits >> i & 1 for i in range(len(_rays(max_range_m)))], dtype=bool)
-    mask.setflags(write=False)
-    return mask
+
+def _restride(bits: int, width: int, src: int, dst: int) -> int:
+    """A mask of rows ``width`` cells wide packed ``src`` bits apart,
+    re-packed ``dst`` bits apart; the identity when the strides agree."""
+    if src == dst:
+        return bits
+    row = (1 << width) - 1
+    out = y = 0
+    while bits:
+        out |= (bits & row) << y * dst
+        bits >>= src
+        y += 1
+    return out
+
+
+@functools.cache
+def _shadow_tables(max_range_m: float, stride: int) -> tuple[int, int, tuple[int, ...]]:
+    """:func:`_rays` as packed ints over the sensing window, built once per
+    process, range and stride: offset ``(dx, dy)`` is window bit
+    ``(dy + r) * stride + dx + r``, so the observer is bit ``r * stride + r``
+    and the window is a grid packed ``stride`` bits a row, which must be
+    wider than its ``2r + 1`` columns.
+
+    Returns ``(in_range, casters, shadows)``: the offsets in range, the
+    window cells strictly inside the ray of some offset, and for each window
+    bit the offsets whose ray interior holds that cell (0 for a cell that
+    casts no shadow)."""
+    r = _range_cells(max_range_m)
+    shade: dict[int, int] = {}
+    in_range = 0
+    for (dx, dy), interior in _rays(max_range_m):
+        bit = 1 << (dy + r) * stride + dx + r
+        in_range |= bit
+        for ex, ey in interior:
+            i = (ey + r) * stride + ex + r
+            shade[i] = shade.get(i, 0) | bit
+    shadows = tuple(shade.get(i, 0) for i in range((2 * r + 1) * stride))
+    return in_range, sum(1 << i for i in shade), shadows
+
+
+@functools.cache
+def _fov_window(max_range_m: float, stride: int, heading: float, fov_deg: float) -> int:
+    """:func:`fov_bits` over :func:`_shadow_tables`' window."""
+    r = _range_cells(max_range_m)
+    fov = fov_bits(max_range_m, heading, fov_deg)
+    return sum(
+        1 << (dy + r) * stride + dx + r
+        for i, ((dx, dy), _) in enumerate(_rays(max_range_m))
+        if fov >> i & 1
+    )
 
 
 class VisibilityField:
-    """Vectorized per-cell line of sight within a fixed sensing range, over
-    cells of the one fixed size, ``FORWARD_M`` = 0.25 m. It serves
-    discover-mode belief updates only: :func:`~relaynav.agent.observe`
-    reads it to find every sensed cell of a belief with unknown cells, and
-    finds sightings, and the cells a known-mode belief holds wrong, from
-    :func:`packed_rays` without it.
+    """Per-cell line of sight within a fixed sensing range, on packed ints.
+    :func:`~relaynav.agent.observe` reads :meth:`sensed` for the cells a
+    discover-mode belief senses; sightings, and the cells a known-mode
+    belief holds wrong, come from :func:`packed_rays` without it.
 
-    Per process, shared by every field of a range and grid width: the
-    offsets and their shadow table (:func:`ray_geometry`), their flat
-    indices (:func:`flat_geometry`: ``flat_offsets``, the offsets as bit
-    positions in :class:`GridMap`'s layout, and the shadowing cells as
-    indices into the raveled padded occupancy) and the FOV masks
-    (:func:`fov_mask`). Per scene: the padded occupancy, unpacked from the
-    grid's packed int (:meth:`GridMap.blocked_array`), and the mask cached
-    per observer cell. A field belongs to one ``SceneGraph``, so a
-    blockage, which makes a new scene, starts cold. A miss gathers the
-    occupancy at the shadowing cells around the observer and ORs the shadow
-    rows of the blocked ones: an offset is visible iff no strictly interior
-    cell of its ray is blocked, as in :func:`line_of_sight`; cells outside
-    the grid count as blocked.
+    The field packs the grid's rows ``stride`` bits apart: the grid's own
+    stride when it is wider than the ``2r + 1`` window columns (64-wide
+    scenes at the paper's 5 m), else ``2r + 2``, so that the window never
+    wraps a row. The shadow tables and FOV masks are shared per process
+    (:func:`_shadow_tables`, :func:`_fov_window`); the re-packed grid and
+    the visible window per observer cell are the field's own. A field
+    belongs to one ``SceneGraph``, so a blockage, which makes a new scene,
+    starts cold.
     """
 
     def __init__(self, grid: GridMap, max_range_m: float):
-        import numpy as np
+        self.range_m = max_range_m
+        self.range_cells = r = _range_cells(max_range_m)
+        self.width, self.height = grid.width, grid.height
+        self.stride = max(grid.stride, 2 * r + 2)
+        self._in_range, self._casters, self._shadows = _shadow_tables(max_range_m, self.stride)
+        self._blocked = _restride(grid.blocked, grid.width, grid.stride, self.stride)
+        self._cache: dict[Cell, int] = {}
 
-        self.offsets, _, self._masks = ray_geometry(max_range_m)
-        self.flat_offsets, self._shadows = flat_geometry(max_range_m, grid.width)
-        r = _range_cells(max_range_m)
-        occ = np.pad(grid.blocked_array(), r, mode="constant", constant_values=True)
-        self._stride = occ.shape[1]
-        self._occ = occ.ravel()
-        self._cache: dict[Cell, np.ndarray] = {}
-
-    def visible_offsets(self, cell: Cell) -> np.ndarray:
-        """Read-only boolean mask over ``self.offsets`` visible from ``cell`` (360 deg)."""
+    def visible_offsets(self, cell: Cell) -> int:
+        """The window bits (see :func:`_shadow_tables`) of the offsets
+        visible from ``cell`` over 360 deg whose cell lies in the grid. A
+        miss lines the observer's window up with the tables, ORs the
+        shadows of the blocked casters and complements within range: an
+        offset is visible iff no strictly interior cell of its ray is
+        blocked, as in :func:`line_of_sight`."""
         cached = self._cache.get(cell)
         if cached is not None:
             return cached
-        import numpy as np  # after the cache: a hit pays nothing for it
-
-        blocked = self._occ[cell[1] * self._stride + cell[0] + self._shadows]
-        shade = np.bitwise_or.reduce(self._masks.compress(blocked, axis=0), axis=0)
-        visible = np.unpackbits(
-            shade.view(np.uint8), count=len(self.offsets), bitorder="little"
-        ) == 0
-        visible.setflags(write=False)
+        cx, cy = cell
+        r, stride = self.range_cells, self.stride
+        hit = _shift(self._blocked, (r - cy) * stride + r - cx) & self._casters
+        shadows = self._shadows
+        shade = 0
+        digits = bin(hit)[:1:-1]  # bit i is digit i
+        i = digits.find("1")
+        while i >= 0:
+            shade |= shadows[i]
+            i = digits.find("1", i + 1)
+        # the window columns and rows that hold grid cells
+        lo, hi = max(0, r - cx), min(2 * r, r - cx + self.width - 1)
+        cols = ((1 << (hi - lo + 1)) - 1 << lo) * packed_rect(1, 2 * r + 1, stride)
+        rows = (1 << (r - cy + self.height) * stride) - (1 << max(0, r - cy) * stride)
+        visible = self._in_range & ~shade & cols & rows
         self._cache[cell] = visible
         return visible
+
+    def sensed(self, cell: Cell, heading: float, fov_deg: float) -> int:
+        """The cells seen from ``cell`` facing ``heading`` within the field
+        of view, ``cell`` itself included, packed in the grid's layout."""
+        cx, cy = cell
+        r, grid_stride = self.range_cells, self.width + 1
+        seen = self.visible_offsets(cell) & _fov_window(self.range_m, self.stride, heading, fov_deg)
+        # window column c is grid column c - r + cx; then row k is grid row k - r + cy
+        seen = _restride(_shift(seen, cx - r), self.width, self.stride, grid_stride)
+        return _shift(seen, (cy - r) * grid_stride) | 1 << cy * grid_stride + cx
 
 
 def bearing_deg(from_xy: tuple[float, float], to_xy: tuple[float, float]) -> float:

@@ -37,6 +37,15 @@ def grid_of(blocked) -> GridMap:
     return GridMap.of_cells(w, h, ((int(x), int(y)) for y, x in np.argwhere(blocked)))
 
 
+def blocked_array(grid: GridMap) -> np.ndarray:
+    """The grid's blocked cells as a ``(height, width)`` bool array indexed
+    ``[cy, cx]``, unpacked from the packed int."""
+    n = grid.height * grid.stride
+    packed = np.frombuffer(grid.blocked.to_bytes(-(-n // 8), "little"), dtype=np.uint8)
+    rows = np.unpackbits(packed, count=n, bitorder="little").reshape(grid.height, -1)
+    return rows[:, : grid.width].astype(bool)
+
+
 def geodesics_of(passable) -> Geodesics:
     """Geodesics over the set cells of a ``(h, w)`` boolean mask."""
     return grid_of(~np.asarray(passable, dtype=bool)).geodesics()
@@ -69,8 +78,8 @@ def belief_codes(state) -> np.ndarray:
     """A robot's packed ``(known, blocked)`` belief unpacked into a
     ``(h, w)`` int8 array of UNKNOWN, FREE and BLOCKED codes."""
     w, h = state.geodesics.width, state.geodesics.height
-    known = GridMap(w, h, state.known).blocked_array()
-    blocked = GridMap(w, h, state.blocked).blocked_array()
+    known = blocked_array(GridMap(w, h, state.known))
+    blocked = blocked_array(GridMap(w, h, state.blocked))
     return np.where(blocked, BLOCKED, np.where(known, FREE, UNKNOWN)).astype(np.int8)
 
 
@@ -107,7 +116,7 @@ def random_swap_config(seed: int, n_scenes: int = 4):
     if rng.random() < 0.5 and scene.corridors:
         cid = sorted(scene.corridors)[int(rng.integers(len(scene.corridors)))]
         scene = apply_blockage(scene, cid)
-    free = np.argwhere(~scene.grid.blocked_array())
+    free = np.argwhere(~blocked_array(scene.grid))
 
     def pick():
         y, x = free[int(rng.integers(len(free)))]

@@ -38,22 +38,23 @@ from relaynav.world import (
     ACTION_LEFT,
     ACTION_RIGHT,
     ACTION_STOP,
+    _fov_window,
+    _range_cells,
+    _rays,
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
     fov_bits,
-    fov_mask,
     line_of_sight,
     pack_cells,
     packed_rays,
     packed_rect,
-    ray_geometry,
     step_kinematics,
 )
 
 from support import (
-    BLOCKED, FREE, UNKNOWN, belief_codes, center_pose, frontier_mask, geodesics_of, lab_scene,
-    pack_belief, pack_mask, random_bordered_grid, walled_lab,
+    BLOCKED, FREE, UNKNOWN, belief_codes, blocked_array, center_pose, frontier_mask, geodesics_of,
+    lab_scene, pack_belief, pack_mask, random_bordered_grid, walled_lab,
 )
 
 
@@ -84,15 +85,23 @@ def field_nearest_frontier(belief, start):
     return (int(xs[order]), int(ys[order]))
 
 
+def visible_offsets(scene, state, sensor) -> list[tuple[int, int]]:
+    """The ``(dx, dy)`` offsets the scene's visibility field reports
+    visible from the robot's cell over 360 deg, unpacked from its window."""
+    vis = scene.visibility(sensor.range_m)
+    r, stride = vis.range_cells, vis.stride
+    bits = vis.visible_offsets(state.cell)
+    return [(i % stride - r, i // stride - r) for i in range(bits.bit_length()) if bits >> i & 1]
+
+
 def set_rule_sightings(scene, state, sensor):
     """Reference sightings: gather every sensed cell into a set, then test
     each object's cell for membership."""
-    vis = scene.visibility(sensor.range_m)
     cell = state.cell
-    offsets = vis.offsets
+    offsets = np.array(visible_offsets(scene, state, sensor), dtype=np.int64).reshape(-1, 2)
     bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
     err = (bearing - state.pose.heading + 180.0) % 360.0 - 180.0
-    mask = vis.visible_offsets(cell) & (np.abs(err) <= sensor.fov_deg / 2.0 + 1e-9)
+    mask = np.abs(err) <= sensor.fov_deg / 2.0 + 1e-9
     visible_cells = {(int(x), int(y)) for x, y in offsets[mask] + np.array(cell)}
     visible_cells.add(cell)
     scorer = DistanceFalloffScorer(sensor.range_m)
@@ -125,17 +134,17 @@ def ray_sightings(scene, state, sensor):
 def oracle_observe(scene, state, sensor):
     """Reference sensing: unpacks the belief into an array of codes, writes
     every sensed cell as an ``(N, 2)`` cell array and packs the array back,
-    and tests every object of the scene."""
-    vis = scene.visibility(sensor.range_m)
+    and tests every object of the scene. The sensed cells are the field's
+    visible offsets whose :func:`fov_bits` bit is set."""
     cell = state.cell
-    mask = vis.visible_offsets(cell) & fov_mask(
-        sensor.range_m, state.pose.heading, sensor.fov_deg
-    )
-    cells = vis.offsets[mask] + np.array(cell, dtype=np.int32)
+    fov = fov_bits(sensor.range_m, state.pose.heading, sensor.fov_deg)
+    index = {offset: i for i, (offset, _) in enumerate(_rays(sensor.range_m))}
+    seen = [o for o in visible_offsets(scene, state, sensor) if fov >> index[o] & 1]
+    cells = np.array(seen, dtype=np.int32).reshape(-1, 2) + np.array(cell, dtype=np.int32)
 
     codes = belief_codes(state)
     belief = codes.copy()
-    occ = scene.grid.blocked_array()
+    occ = blocked_array(scene.grid)
     here = occ[cell[1], cell[0]]
     belief[cell[1], cell[0]] = BLOCKED if here else FREE
     truth = occ[cells[:, 1], cells[:, 0]]
@@ -148,13 +157,11 @@ def oracle_observe(scene, state, sensor):
     flipped = truth & (was != BLOCKED) & (was != UNKNOWN)
     newly_blocked = sorted((cell, (int(bx), int(by))) for bx, by in cells[flipped])
 
-    rows = {(int(dx), int(dy)): i for i, (dx, dy) in enumerate(vis.offsets)}
     scorer = DistanceFalloffScorer(sensor.range_m)
     sightings = []
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
-        row = rows.get((obj.cell[0] - cell[0], obj.cell[1] - cell[1]))
-        if obj.cell == cell or (row is not None and mask[row]):
+        if obj.cell == cell or (obj.cell[0] - cell[0], obj.cell[1] - cell[1]) in seen:
             score = scorer.score(scene, state.pose, obj)
             if score > 0.0:
                 sightings.append(Observation(obj.category, obj.cell, round(score, 6)))
@@ -196,7 +203,7 @@ class TestBelief:
     def test_known_belief_mirrors_occupancy(self):
         scene = walled_lab()
         known, blocked = initial_belief(scene, "known")
-        occ = scene.grid.blocked_array()
+        occ = blocked_array(scene.grid)
         assert known == pack_mask(np.ones_like(occ))
         assert blocked == pack_mask(occ)
         codes = belief_codes(agent_at(scene, (3, 4)))
@@ -283,8 +290,12 @@ class TestObserve:
 
     @pytest.mark.parametrize("range_m", (0.25, 1.0, 2.6, 5.0, 7.5))
     def test_fov_bits_equal_the_numpy_bearing_rule(self, range_m):
-        offsets = ray_geometry(range_m)[0]
+        # the FOV bits over _rays' offsets, and the FOV mask over the
+        # field's window that is derived from them
+        offsets = np.array([offset for offset, _ in _rays(range_m)])
         bearing = np.degrees(np.arctan2(offsets[:, 1], offsets[:, 0])) % 360.0
+        r = _range_cells(range_m)
+        stride = 2 * r + 2
         for heading in range(0, 360, 15):
             err = (bearing - heading + 180.0) % 360.0 - 180.0
             for fov in (60.0, 90.0, 120.0, 180.0, 360.0):
@@ -292,7 +303,8 @@ class TestObserve:
                 bits = fov_bits(range_m, heading, fov)
                 assert [bool(bits >> i & 1) for i in range(len(offsets))] == want.tolist()
                 assert bits >> len(offsets) == 0
-                assert np.array_equal(fov_mask(range_m, heading, fov), want)
+                window = sum(1 << (dy + r) * stride + dx + r for dx, dy in offsets[want].tolist())
+                assert _fov_window(range_m, stride, heading, fov) == window
 
     @given(
         st.integers(0, 10_000),
@@ -333,7 +345,7 @@ class TestObserve:
 
         # a belief with unknown cells, walls believed free and free cells
         # believed walls; wrong_p 0 leaves it true everywhere
-        truth = np.where(scene.grid.blocked_array(), BLOCKED, FREE).astype(np.int8)
+        truth = np.where(blocked_array(scene.grid), BLOCKED, FREE).astype(np.int8)
         draw = rng.random(truth.shape)
         belief = np.where(draw < wrong_p, np.where(truth == FREE, BLOCKED, FREE), truth)
         belief = np.where(rng.random(truth.shape) < wrong_p, UNKNOWN, belief).astype(np.int8)
@@ -430,7 +442,7 @@ class TestObserve:
         scene, state = self.make()
         codes = belief_codes(observe(scene, state, SensorConfig())[0])
         known = codes != UNKNOWN
-        assert ((codes == BLOCKED) == scene.grid.blocked_array())[known].all()
+        assert ((codes == BLOCKED) == blocked_array(scene.grid))[known].all()
 
     def test_idempotent_from_fixed_pose(self):
         scene, state = self.make()

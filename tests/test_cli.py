@@ -7,6 +7,7 @@ layouts, and manifests are tested exactly as a shell user sees them.
 from __future__ import annotations
 
 import argparse
+import ast
 import dataclasses
 import json
 import math
@@ -895,6 +896,17 @@ numpy["run --knowledge known"] = "numpy" in sys.modules
 print(json.dumps({"numpy": numpy, "results": (out / "run" / "results.jsonl").read_text()}))
 """
 
+# appended to NUMPY_FREE_GEN: whether numpy was loaded after a discover-mode
+# run of its files, where every tick senses through the visibility field
+NUMPY_FREE_DISCOVER_RUN = """
+assert main(["run", "--episodes", str(out / "episodes.jsonl"), "--scenes", str(out / "scenes"),
+             "--out", str(out / "run"), "--knowledge", "discover", "--t-max", "200"]) == 0
+numpy["run --knowledge discover"] = "numpy" in sys.modules
+traces = sorted((out / "run").glob("trace_*.jsonl"))
+print(json.dumps({"numpy": numpy, "results": (out / "run" / "results.jsonl").read_text(),
+                  "traces": len(traces)}))
+"""
+
 # a one-entry blockage suite, built and written as scripts/run_ablation.py
 # --out writes it, then run in known mode under both policies; whether numpy
 # was loaded after each step, and how many traces hold a PathBlocked event
@@ -938,6 +950,19 @@ print(json.dumps({"bare": bare, "ablation": ablation, "nope": nope}))
 """
 
 
+def _imports(node: ast.AST, scope: str | None = None):
+    """``(function, node)`` for each import statement under ``node``: the
+    name of the outermost function holding it, None at module level (an
+    ``if TYPE_CHECKING:`` block included)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.Import, ast.ImportFrom)):
+            yield scope, child
+        elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _imports(child, scope or child.name)
+        else:
+            yield from _imports(child, scope)
+
+
 def fresh_python(code: str, *args: str) -> dict:
     """The JSON a fresh interpreter prints after running ``code`` on ``src``."""
     env = {**os.environ, "PYTHONPATH": str(SRC)}
@@ -964,7 +989,7 @@ class TestColdStart:
 
     def test_known_runs_load_no_numpy(self, tmp_path):
         # a known map before any blockage is the truth, so observe reads no
-        # visibility field; a discover run may load numpy
+        # visibility field
         got = fresh_python(NUMPY_FREE_GEN + NUMPY_FREE_KNOWN_RUN, str(tmp_path))
         assert not any(got["numpy"].values()), got["numpy"]
         assert len(got["results"].splitlines()) == 4
@@ -975,6 +1000,23 @@ class TestColdStart:
         got = fresh_python(NUMPY_FREE_BLOCKAGE_RUN, str(tmp_path))
         assert not any(got["numpy"].values()), got["numpy"]
         assert got["blocked"] == {"deconav": 1, "static": 1}
+
+    def test_discover_runs_load_no_numpy(self, tmp_path):
+        # a belief with unknown cells senses through the visibility field,
+        # whose tables and sensed cells are packed ints
+        got = fresh_python(NUMPY_FREE_GEN + NUMPY_FREE_DISCOVER_RUN, str(tmp_path))
+        assert not any(got["numpy"].values()), got["numpy"]
+        assert len(got["results"].splitlines()) == got["traces"] == 4
+
+    def test_no_module_imports_numpy_at_module_level(self):
+        # the tests' field oracle is the one function that imports it
+        importers = set()
+        for path in sorted((SRC / "relaynav").glob("*.py")):
+            for scope, node in _imports(ast.parse(path.read_text(encoding="utf-8"))):
+                names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
+                if any(name and name.split(".")[0] == "numpy" for name in names):
+                    importers.add((path.stem, scope))
+        assert importers == {("world", "bfs_distance_field")}
 
     def test_package_imports_submodules_on_first_access(self):
         got = fresh_python(LAZY_PACKAGE)

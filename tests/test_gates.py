@@ -18,6 +18,8 @@ from relaynav.gates import (
 )
 from relaynav.world import ROOM_LABELS, Pose, center
 
+from support import blocked_array
+
 
 class ConstantScorer:
     def __init__(self, value: float):
@@ -31,7 +33,7 @@ def random_candidates(scene, rng, count):
     """Random (waypoint, target, expected_room) triples, free cells only."""
     import numpy as np
 
-    free = np.argwhere(~scene.grid.blocked_array())
+    free = np.argwhere(~blocked_array(scene.grid))
     objects = sorted(scene.objects)
     out = []
     for _ in range(count):

@@ -14,6 +14,8 @@ from relaynav.world import (
     validate_scene,
 )
 
+from support import blocked_array
+
 
 def test_same_seed_same_scene_bytes():
     a = scene_to_dict(generate_scene(17))
@@ -52,7 +54,7 @@ def test_layout_constants_realize_the_recipe(seed):
 
 def test_free_space_connected():
     scene = generate_scene(21)
-    free = ~scene.grid.blocked_array()
+    free = ~blocked_array(scene.grid)
     # flood fill from any free cell must cover all free cells
     ys, xs = np.nonzero(free)
     seen = np.zeros_like(free)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from relaynav.config import SensorConfig
+from relaynav.config import MAX_SENSOR_RANGE_M, SensorConfig
 from relaynav.scenegen import generate_scene
 from relaynav.serialize import canonical_dumps, write_canonical
 from relaynav.world import (
@@ -29,17 +29,19 @@ from relaynav.world import (
     Pose,
     SceneFormatError,
     _one_component,
+    _range_cells,
+    _rays,
+    _shadow_tables,
     apply_blockage,
     bfs_distance_field,
     bfs_shortest_path,
     center,
-    flat_geometry,
+    fov_bits,
     line_of_sight,
     load_scene,
     pack_cells,
     packed_rays,
     path_length_m,
-    ray_geometry,
     save_scene,
     scene_from_dict,
     scene_to_dict,
@@ -51,8 +53,8 @@ from relaynav.world import (
 )
 
 from support import (
-    JSON_VALUES, center_pose, geodesic_distance, geodesics_of, grid_of, junk_lines, lab_scene,
-    pack_mask, random_bordered_grid,
+    JSON_VALUES, blocked_array, center_pose, geodesic_distance, geodesics_of, grid_of, junk_lines,
+    lab_scene, pack_mask, random_bordered_grid,
 )
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
@@ -349,7 +351,7 @@ class TestKinematics:
 
     def test_forward_into_wall_blocks(self, scene):
         grid = scene.grid
-        occ = grid.blocked_array()
+        occ = blocked_array(grid)
         ys, xs = np.nonzero(occ)
         # find a free cell directly left of a blocked cell, then walk right
         for y, x in zip(ys, xs):
@@ -370,7 +372,7 @@ class TestKinematics:
         # cells, over walks from a grid of start cells in every heading,
         # off-axis drift included
         grid = scene.grid
-        ys, xs = np.nonzero(~grid.blocked_array())
+        ys, xs = np.nonzero(~blocked_array(grid))
         walk = (ACTION_FORWARD,) * 5 + (ACTION_LEFT, ACTION_FORWARD, ACTION_RIGHT) * 3
         reached = 0
         for x, y in list(zip(xs.tolist(), ys.tolist()))[::25]:
@@ -389,14 +391,14 @@ class TestKinematics:
 class TestVisibility:
     def test_own_cell_always_visible(self, scene):
         grid = scene.grid
-        free = np.argwhere(~grid.blocked_array())
+        free = np.argwhere(~blocked_array(grid))
         y, x = free[0]
         cx, cy = center((int(x), int(y)))
         assert line_of_sight(scene, Pose(cx, cy, 0), (int(x), int(y)), 5.0, 120.0)
 
     def test_out_of_range_invisible(self, scene):
         grid = scene.grid
-        free = np.argwhere(~grid.blocked_array())
+        free = np.argwhere(~blocked_array(grid))
         (y0, x0), (y1, x1) = free[0], free[-1]
         cx, cy = center((int(x0), int(y0)))
         far = (int(x1), int(y1))
@@ -407,18 +409,16 @@ class TestVisibility:
     def test_field_agrees_with_ray_check(self, scene):
         vis = scene.visibility(3.0)
         grid = scene.grid
-        free = np.argwhere(~grid.blocked_array())
+        free = np.argwhere(~blocked_array(grid))
         y, x = free[len(free) // 2]
         observer = (int(x), int(y))
-        mask = vis.visible_offsets(observer)
-        cx, cy = center(observer)
-        pose = Pose(cx, cy, 0)
-        for i in range(0, len(vis.offsets), 7):
-            dx, dy = vis.offsets[i]
-            target = (observer[0] + int(dx), observer[1] + int(dy))
-            if not grid.in_bounds(target):
+        seen = field_offsets(vis, vis.visible_offsets(observer))
+        pose = center_pose(observer)
+        for i, ((dx, dy), _) in enumerate(_rays(3.0)):
+            target = (observer[0] + dx, observer[1] + dy)
+            if i % 7 or not grid.in_bounds(target):
                 continue
-            assert bool(mask[i]) == line_of_sight(scene, pose, target, 3.0, 360.0)
+            assert ((dx, dy) in seen) == line_of_sight(scene, pose, target, 3.0, 360.0)
 
     @given(st.integers(0, 10_000), st.integers(3, 9), st.integers(3, 9), st.floats(0.25, 3.0))
     @settings(max_examples=40, deadline=None)
@@ -427,28 +427,46 @@ class TestVisibility:
         blocked = random_bordered_grid(seed, w, h)
         scene = lab_scene(blocked)
         vis = scene.visibility(range_m)
-        rows = {(int(dx), int(dy)): i for i, (dx, dy) in enumerate(vis.offsets)}
         for oy, ox in np.argwhere(~blocked):
             observer = (int(ox), int(oy))
-            mask = vis.visible_offsets(observer)
-            pose = center_pose(observer)
-            for ty, tx in np.ndindex(h, w):
-                dx, dy = tx - observer[0], ty - observer[1]
-                if dx == 0 and dy == 0:
-                    continue
-                seen = line_of_sight(scene, pose, (tx, ty), range_m, 360.0)
-                row = rows.get((dx, dy))
-                if row is None:
-                    assert not seen  # out of range
-                else:
-                    assert bool(mask[row]) == seen
+            check_field(scene, vis, observer, range_m)
 
-    def test_every_offset_at_the_default_range_from_border_observers(self, scene):
-        grid = scene.grid
-        range_m = SensorConfig().range_m
+    @given(
+        st.integers(0, 10_000), st.integers(1, 40), st.integers(1, 30),
+        st.sampled_from((1.3, 5.0, 10.0)), st.sampled_from((0.0, 0.1, 0.4)), st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_narrow_grids_and_observers_on_every_edge(self, seed, w, h, range_m, wall_p, border):
+        # grids narrower than the 2r + 1 window columns re-pack at a wider
+        # stride; without a blocked border, observers sit on the outermost
+        # rows and columns, and targets off the grid must not alias onto it
+        rng = np.random.default_rng(seed)
+        blocked = rng.random((h, w)) < wall_p
+        if border and min(w, h) >= 3:
+            blocked = random_bordered_grid(seed, w, h, wall_p)
+        scene = lab_scene(blocked)
         vis = scene.visibility(range_m)
-        assert grid.width == 64 and max(np.abs(vis.offsets).max(axis=0)) == 20
-        free = [(int(x), int(y)) for y, x in np.argwhere(~grid.blocked_array())]
+        r = vis.range_cells
+        assert vis.stride == max(w + 1, 2 * r + 2)
+        edges = (
+            [(0, y) for y in range(h)], [(w - 1, y) for y in range(h)],
+            [(x, 0) for x in range(w)], [(x, h - 1) for x in range(w)],
+        )
+        observers = {(0, 0), (w - 1, 0), (0, h - 1), (w - 1, h - 1)}
+        for edge in edges:
+            observers |= {edge[int(i)] for i in rng.integers(len(edge), size=2)}
+        observers.add((int(rng.integers(w)), int(rng.integers(h))))
+        for observer in sorted(observers):
+            check_field(scene, vis, observer, range_m)
+
+    def test_generated_scenes_at_the_maximum_range(self):
+        # 64-wide scenes at 10 m (r = 40): the grid's stride 65 is narrower
+        # than the 81-column window, so the field packs its rows 82 apart
+        scene = generate_scene(3)
+        grid = scene.grid
+        vis = scene.visibility(MAX_SENSOR_RANGE_M)
+        assert grid.width == 64 and vis.range_cells == 40 and vis.stride == 82
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked_array(grid))]
         edge = grid.width - 2
         observers = [
             min(c for c in free if c[0] == 1),
@@ -458,30 +476,79 @@ class TestVisibility:
             free[len(free) // 2],
         ]
         for observer in observers:
-            mask = vis.visible_offsets(observer)
-            pose = center_pose(observer)
-            for (dx, dy), seen in zip(vis.offsets.tolist(), mask.tolist()):
-                target = (observer[0] + dx, observer[1] + dy)
-                if grid.in_bounds(target):
-                    assert seen == line_of_sight(scene, pose, target, range_m, 360.0)
-                else:
-                    assert not seen  # its ray crosses the walled border
+            check_field(scene, vis, observer, MAX_SENSOR_RANGE_M)
 
-    def test_grid_widths_share_one_shadow_table(self):
-        scenes = [lab_scene(random_bordered_grid(3, 23, 17)),
-                  lab_scene(random_bordered_grid(4, 31, 12))]
-        fields = [scene.visibility(3.0) for scene in scenes]
-        assert fields[0]._masks is fields[1]._masks is ray_geometry(3.0)[2]
-        assert not np.array_equal(fields[0]._shadows, fields[1]._shadows)
-        for scene, vis in zip(scenes, fields):
-            for oy, ox in np.argwhere(~scene.grid.blocked_array()):
-                observer = (int(ox), int(oy))
-                mask = vis.visible_offsets(observer)
-                pose = center_pose(observer)
-                for (dx, dy), seen in zip(vis.offsets.tolist(), mask.tolist()):
-                    target = (observer[0] + dx, observer[1] + dy)
-                    if scene.grid.in_bounds(target):
-                        assert seen == line_of_sight(scene, pose, target, 3.0, 360.0)
+    def test_every_offset_at_the_default_range_from_border_observers(self, scene):
+        grid = scene.grid
+        range_m = SensorConfig().range_m
+        vis = scene.visibility(range_m)
+        # 64 wide at 5 m: the field keeps the grid's own layout, unchanged
+        assert grid.width == 64 and vis.range_cells == 20 and vis.stride == grid.stride
+        assert vis._blocked is grid.blocked
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked_array(grid))]
+        edge = grid.width - 2
+        observers = [
+            min(c for c in free if c[0] == 1),
+            max(c for c in free if c[0] == edge),
+            min(c for c in free if c[1] == 1),
+            max(c for c in free if c[1] == edge),
+            free[len(free) // 2],
+        ]
+        for observer in observers:
+            check_field(scene, vis, observer, range_m)
+
+    @given(
+        st.integers(0, 10_000), st.integers(3, 40), st.integers(3, 30),
+        st.sampled_from((1.3, 5.0)), st.sampled_from((0.05, 0.3)),
+        st.sampled_from(range(0, 360, 15)), st.sampled_from((60.0, 120.0, 360.0)),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_sensed_cells_are_the_packed_rays_in_the_fov(
+        self, seed, w, h, range_m, wall_p, heading, fov
+    ):
+        # the field's shadow tables and the per-target packed rays are two
+        # forms of the one _rays enumeration: the cells the field senses are
+        # the targets whose packed ray is clear and whose offset is in the FOV
+        blocked = random_bordered_grid(seed, w, h, wall_p)
+        scene = lab_scene(blocked)
+        grid = scene.grid
+        vis = scene.visibility(range_m)
+        r, window = packed_rays(range_m, w)
+        side = 2 * r + 1
+        in_fov = fov_bits(range_m, heading, fov)
+        rng = np.random.default_rng(seed)
+        free = [(int(x), int(y)) for y, x in np.argwhere(~blocked)]
+        for i in rng.permutation(len(free))[:8]:
+            cx, cy = free[int(i)]
+            here = cy * grid.stride + cx
+            want = 1 << here
+            for ty, tx in np.ndindex(h, w):
+                dx, dy = tx - cx, ty - cy
+                ray = window[(dy + r) * side + dx + r] if max(abs(dx), abs(dy)) <= r else None
+                if ray is not None and in_fov >> ray[0] & 1 and not grid.blocked >> (here + ray[1]) & ray[2]:
+                    want |= 1 << ty * grid.stride + tx
+            assert vis.sensed((cx, cy), heading, fov) == want
+
+    @pytest.mark.parametrize("range_m", (1.3, 5.0))
+    def test_shadow_tables_hold_each_packed_ray(self, range_m):
+        # at a stride as wide as the grid's, offset o is in caster e's
+        # shadow iff e is strictly inside o's ray, as packed_rays packs it
+        width = 2 * _range_cells(range_m) + 1
+        stride = width + 1
+        r, window = packed_rays(range_m, width)
+        in_range, casters, shadows = _shadow_tables(range_m, stride)
+        origin = r * stride + r
+        holds: dict[int, set[int]] = {}
+        for e in unpack_bits(casters):
+            for o in unpack_bits(shadows[e]):
+                holds.setdefault(o, set()).add(e - origin)
+        assert set(unpack_bits(in_range)) == {
+            (dy + r) * stride + dx + r for (dx, dy), _ in _rays(range_m)
+        }
+        for (dx, dy), _ in _rays(range_m):
+            _, lo, interior = window[(dy + r) * (2 * r + 1) + dx + r]
+            want = {lo + b for b in unpack_bits(interior)}
+            assert holds.get((dy + r) * stride + dx + r, set()) == want, (dx, dy)
 
     @given(
         st.integers(0, 10_000), st.integers(3, 40), st.integers(3, 30),
@@ -511,15 +578,50 @@ class TestVisibility:
                 seen = ray is not None and not grid.blocked >> (here + ray[1]) & ray[2]
                 assert seen == line_of_sight(scene, pose, (tx, ty), range_m, 360.0)
 
-    def test_shadow_table_is_built_once_and_read_only(self):
-        geometry = ray_geometry(5.0)
-        assert ray_geometry(5.0) is geometry
-        assert flat_geometry(5.0, 64) is flat_geometry(5.0, 64)
-        for arr in geometry + flat_geometry(5.0, 64):
-            with pytest.raises(ValueError):
-                arr[0] = 0
-        offsets, shadows, masks = geometry
-        assert masks.dtype == np.uint64 and masks.shape == (len(shadows), -(-len(offsets) // 64))
+    def test_tables_are_built_once_per_range_and_stride(self):
+        tables = _shadow_tables(5.0, 65)
+        assert _shadow_tables(5.0, 65) is tables
+        assert isinstance(tables[2], tuple)  # shared by every field: immutable
+        scenes = [lab_scene(random_bordered_grid(3, 23, 17)),
+                  lab_scene(random_bordered_grid(4, 23, 12)),
+                  lab_scene(random_bordered_grid(5, 31, 12))]
+        fields = [scene.visibility(3.0) for scene in scenes]
+        assert [vis.stride for vis in fields] == [26, 26, 32]  # r = 12
+        assert fields[0]._shadows is fields[1]._shadows is not fields[2]._shadows
+        for scene, vis in zip(scenes, fields):
+            for oy, ox in np.argwhere(~blocked_array(scene.grid))[::3]:
+                check_field(scene, vis, (int(ox), int(oy)), 3.0)
+
+
+def unpack_bits(bits: int) -> list[int]:
+    """The positions of the set bits of ``bits``, lowest first."""
+    return [i for i, digit in enumerate(bin(bits)[:1:-1]) if digit == "1"]
+
+
+def field_offsets(vis, bits: int) -> set[tuple[int, int]]:
+    """The ``(dx, dy)`` offsets of a field's window bits."""
+    r, stride = vis.range_cells, vis.stride
+    return {(i % stride - r, i // stride - r) for i in unpack_bits(bits)}
+
+
+def check_field(scene, vis, observer, range_m) -> None:
+    """The field's visible offsets from ``observer``, and the cells it
+    senses with a 360 deg field of view, against the scalar
+    :func:`line_of_sight` for every target in the grid and in the window."""
+    grid = scene.grid
+    pose = center_pose(observer)
+    seen = field_offsets(vis, vis.visible_offsets(observer))
+    want = set()
+    r = vis.range_cells
+    for dy in range(-r, r + 1):
+        for dx in range(-r, r + 1):
+            target = (observer[0] + dx, observer[1] + dy)
+            if (dx or dy) and grid.in_bounds(target):
+                if line_of_sight(scene, pose, target, range_m, 360.0):
+                    want.add((dx, dy))
+    assert seen == want, observer
+    cells = {(observer[0] + dx, observer[1] + dy) for dx, dy in want} | {observer}
+    assert vis.sensed(observer, 0, 360.0) == grid.mask(cells), observer
 
 
 def array_cells(mask) -> list[tuple[int, int]]:
@@ -528,14 +630,14 @@ def array_cells(mask) -> list[tuple[int, int]]:
 
 
 def check_grid_views(grid, blocked) -> None:
-    """Cell by cell, the packed int, ``is_blocked`` and the array sensing
-    unpacks all say what the reference array ``blocked`` says; the guard
+    """Cell by cell, the packed int, ``is_blocked`` and the array the tests
+    unpack all say what the reference array ``blocked`` says; the guard
     bits and every bit past the last row are clear; the true map's
     geodesics pack the same free cells as the numpy packer."""
     h, w = blocked.shape
     stride = w + 1
     assert (grid.width, grid.height, grid.stride) == (w, h, stride)
-    view = grid.blocked_array()
+    view = blocked_array(grid)
     assert view.shape == (h, w) and view.dtype == bool
     for y, x in np.ndindex(h, w):
         bit = bool(grid.blocked >> (y * stride + x) & 1)
@@ -605,7 +707,7 @@ class TestBlockage:
         assert {c: v for c, v in blocked.corridors.items() if c != cid} == {
             c: v for c, v in scene.corridors.items() if c != cid
         }
-        changed = np.argwhere(blocked.grid.blocked_array() != scene.grid.blocked_array())
+        changed = np.argwhere(blocked_array(blocked.grid) != blocked_array(scene.grid))
         assert {(int(x), int(y)) for y, x in changed} == set(scene.corridors[cid].gate_cells)
         for cell in scene.corridors[cid].gate_cells:
             assert blocked.grid.is_blocked(cell)
@@ -624,9 +726,9 @@ class TestBlockage:
             assert [blocked.room_label_of(c) for c in cells] == labels
             assert blocked.sorted_objects() is listed
             assert blocked.visibility(5.0) is not scene.visibility(5.0)
-            field_, r = blocked.visibility(5.0), 20  # 5 m is 20 cells of padding
+            field_ = blocked.visibility(5.0)
             for cx, cy in scene.corridors[cid].gate_cells:
-                assert field_._occ[(cy + r) * field_._stride + cx + r]
+                assert field_._blocked >> (cy * field_.stride + cx) & 1
 
     def test_apply_is_idempotent(self, scene):
         cid = sorted(scene.corridors)[0]
@@ -634,7 +736,7 @@ class TestBlockage:
         assert apply_blockage(once, cid) is once
 
     def test_blockage_lengthens_or_cuts_paths(self, scene):
-        free = np.argwhere(~scene.grid.blocked_array())
+        free = np.argwhere(~blocked_array(scene.grid))
         a = (int(free[0][1]), int(free[0][0]))
         b = (int(free[-1][1]), int(free[-1][0]))
         base = geodesic_distance(scene, a, b)
