@@ -2,10 +2,10 @@
 """Wall-time sanity check: per-episode rollout latency on 64x64 scenes.
 
 Rolls each of a batch of seeded episodes out once, each on its own scene
-(so its visibility cache starts cold), and prints per-episode wall time and
-ticks/s, then the mean, the maximum and the overall ticks/s. The engine's
-budget is one second per episode; the exit status is 1 when an episode
-exceeds it.
+(with ``--knowledge discover``, so its visibility cache starts cold; a known
+map builds none), and prints per-episode wall time and ticks/s, then the
+mean, the maximum and the overall ticks/s. The engine's budget is one
+second per episode; the exit status is 1 when an episode exceeds it.
 
 Example:
     python scripts/time_rollouts.py --episodes 20 --seed 3 --knowledge discover

@@ -193,10 +193,10 @@ def observe(
     (discover mode) senses the visibility field's cells in the FOV, one
     packed int with the robot's own cell
     (:meth:`~relaynav.world.VisibilityField.sensed`). When sensing changes
-    nothing, the same state is returned: no copy, and the geodesic memo
-    kept. Otherwise the memo is replaced only when a cell's passability
-    flips, newly blocked cells are queued as edges and a plan through them
-    dropped. Deterministic and, from a fixed pose on a fixed world,
+    nothing, the same state is returned: no copy. Otherwise the
+    :class:`~relaynav.world.Geodesics` is replaced only when a cell's
+    passability flips, newly blocked cells are queued as edges and a plan
+    through them dropped. Deterministic and, from a fixed pose on a fixed world,
     idempotent on the belief.
     """
     grid = scene.grid

@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -168,6 +169,16 @@ def _load_scenes(scenes_dir: str | Path) -> list[SceneGraph]:
     return [load_scene(p) for p in _scene_files(scenes_dir)]
 
 
+def _save_scenes(scenes: Iterable[SceneGraph], out: Path) -> dict[str, Path]:
+    """Write each scene to ``out/<scene_id>.json``; returns the files by name."""
+    outputs: dict[str, Path] = {}
+    for scene in scenes:
+        path = out / f"{scene.scene_id}.json"
+        save_scene(scene, path)
+        outputs[path.name] = path
+    return outputs
+
+
 def _out_dir(path: str | Path) -> Path:
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
@@ -194,12 +205,8 @@ class GenScenesJob(Record):
 def do_gen_scenes(count: int, seed: int, out_dir: str | Path) -> RunManifest:
     job = GenScenesJob(count)
     out = _out_dir(out_dir)
-    outputs: dict[str, Path] = {}
-    for i in range(count):
-        scene = generate_scene(derive_seed(seed, "scene", i))
-        path = out / f"{scene.scene_id}.json"
-        save_scene(scene, path)
-        outputs[path.name] = path
+    scenes = (generate_scene(derive_seed(seed, "scene", i)) for i in range(count))
+    outputs = _save_scenes(scenes, out)
     manifest = make_manifest("gen-scenes", seed, job.to_dict(), output_files=outputs)
     save_manifest(manifest, out)
     return manifest
@@ -313,14 +320,9 @@ def do_adjudicate_export(
     client_a = SeededNoisyClassifier("classifier_a", acc_a, derive_seed(seed, "a"), truth)
     client_b = SeededNoisyClassifier("classifier_b", acc_b, derive_seed(seed, "b"), truth)
     out = _out_dir(out_dir)
-    outputs: dict[str, Path] = {}
-    pending: list[AdjudicationItem] = []
-    for scene in scenes:
-        labeled = run_labeling(scene, client_a, client_b)
-        path = out / f"{labeled.scene.scene_id}.json"
-        save_scene(labeled.scene, path)
-        outputs[path.name] = path
-        pending.extend(labeled.items)
+    labeled = [run_labeling(scene, client_a, client_b) for scene in scenes]
+    outputs = _save_scenes((result.scene for result in labeled), out)
+    pending = [item for result in labeled for item in result.items]
     csv_path = out / ADJUDICATION_CSV
     export_adjudication(pending, csv_path)
     pending_path = out / PENDING_NAME
@@ -360,43 +362,23 @@ def _load_pending(pending_dir: str | Path) -> list[AdjudicationItem]:
 def do_adjudicate_auto(
     pending_dir: str | Path, truth_scenes_dir: str | Path, out_csv: str | Path
 ) -> int:
-    """Resolve every pending item from generator ground truth (oracle annotator)."""
-    import csv as _csv
-
-    from .labeling import scene_truth_lookup
+    """Resolve every pending item from generator ground truth (oracle
+    annotator). Reads only ``pending.json``, not the exported CSV, and writes
+    the export's rows with each resolved_label filled in."""
+    from .labeling import export_adjudication, scene_truth_lookup
 
     pending = _load_pending(pending_dir)
     truth = scene_truth_lookup(_load_scenes(truth_scenes_dir))
-    src = Path(pending_dir) / ADJUDICATION_CSV
-    if not src.exists():
-        raise UsageError(f"{src} not found; run adjudicate export first")
-    with open(src, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        filled = [next(reader, None)]
-        if filled[0] is None:
-            raise UsageError(f"{src} is empty; it needs the header row adjudicate export wrote")
-        resolved_ids = set()
-        for row in reader:
-            if len(row) < 2:
-                raise UsageError(
-                    f"{src}:{reader.line_num}: a row needs a scene_id and a region_id, got {row!r}"
-                )
-            try:
-                label = truth(row[0], row[1])
-            except KeyError:
-                raise UsageError(
-                    f"{src}:{reader.line_num}: no truth scene has region {(row[0], row[1])!r}"
-                ) from None
-            resolved_ids.add((row[0], row[1]))
-            filled.append(row[:-1] + [label])
-    missing = [i for i in pending if (i.scene_id, i.region_id) not in resolved_ids]
-    if missing:
-        raise RuntimeError(f"{len(missing)} pending items absent from {src}")
+    try:
+        resolved = {(i.scene_id, i.region_id): truth(i.scene_id, i.region_id) for i in pending}
+    except KeyError as exc:  # the lookup's key: (scene_id, region_id)
+        raise UsageError(
+            f"{Path(pending_dir) / PENDING_NAME}: no truth scene has region {exc.args[0]!r}"
+        ) from None
     out = Path(out_csv)
     out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        _csv.writer(fh).writerows(filled)
-    return len(filled) - 1
+    export_adjudication(pending, out, resolved)
+    return len(pending)
 
 
 @dataclass(frozen=True)
@@ -418,12 +400,8 @@ def do_adjudicate_import(
     pending = _load_pending(pending_dir)
     resolutions = import_adjudication(csv_path, pending)
     out = _out_dir(out_dir)
-    outputs: dict[str, Path] = {}
-    for scene in _load_scenes(pending_dir):
-        final = apply_adjudication(scene, resolutions)
-        path = out / f"{final.scene_id}.json"
-        save_scene(final, path)
-        outputs[path.name] = path
+    scenes = (apply_adjudication(scene, resolutions) for scene in _load_scenes(pending_dir))
+    outputs = _save_scenes(scenes, out)
     manifest = make_manifest(
         "adjudicate-import",
         0,
@@ -715,7 +693,9 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("--seed", type=int, default=0)
     pe.add_argument("--acc-a", type=float, default=0.9)
     pe.add_argument("--acc-b", type=float, default=0.85)
-    pa = adj.add_parser("auto", help="fill resolutions from generator truth")
+    pa = adj.add_parser(
+        "auto", help="fill resolutions from generator truth; reads only pending.json"
+    )
     pa.add_argument("--pending", required=True)
     pa.add_argument("--truth-scenes", required=True)
     pa.add_argument("--out", required=True)

@@ -282,16 +282,11 @@ def _start(
         target.cell, handoff, delivery, known_waypoints=(cfg.knowledge == "known")
     )
     starts = {"FH": episode.start_pose_fh, "SH": episode.start_pose_sh}
-    states: dict[str, AgentState] = {}
+    robots: dict[str, _Robot] = {}
     for rid in ROBOTS:
         pctx = PolicyContext(rid, target.category, chains[rid])
-        states[rid] = make_agent(scene, rid, starts[rid], pctx, cfg.knowledge)
-    # the robots start out believing one passability: one memo serves both
-    # until either one's belief changes it
-    fh, sh = states["FH"], states["SH"]
-    if fh.geodesics.free == sh.geodesics.free:
-        states["SH"] = evolve(sh, geodesics=fh.geodesics)
-    robots = {rid: _Robot(states[rid], _final_goal(chains[rid])) for rid in ROBOTS}
+        state = make_agent(scene, rid, starts[rid], pctx, cfg.knowledge)
+        robots[rid] = _Robot(state, _final_goal(chains[rid]))
     header = {"episode_id": episode.episode_id, "scene_id": episode.scene_id}
     for key in ("policy", "knowledge", "t_max", "tau", "r_succ", "r_int", "seed"):
         header[key] = getattr(cfg, key)

@@ -203,36 +203,23 @@ def run_labeling(
             continue
         rule_vote = LabelVote("rule", label, conf)
         try:
-            vote_a = classify_region(client_a, scene, region)
-            vote_b = classify_region(client_b, scene, region)
+            votes = [
+                rule_vote,
+                classify_region(client_a, scene, region),
+                classify_region(client_b, scene, region),
+            ]
         except ClassifierUnavailable:
-            regions[rid] = replace(
-                region, room_label=UNKNOWN_LABEL, label_provenance=PROVENANCE_VOTE
-            )
-            items.append(
-                AdjudicationItem(
-                    scene_id=scene.scene_id,
-                    region_id=rid,
-                    votes=(
-                        rule_vote,
-                        LabelVote("classifier_a", UNKNOWN_LABEL, 0.0),
-                        LabelVote("classifier_b", UNKNOWN_LABEL, 0.0),
-                    ),
-                )
-            )
-            continue
-        outcome = rtsa_vote(
-            [rule_vote, vote_a, vote_b], scene_id=scene.scene_id, region_id=rid
-        )
+            # only the rule vote counts, and one vote makes no majority
+            votes = [
+                rule_vote,
+                LabelVote("classifier_a", UNKNOWN_LABEL, 0.0),
+                LabelVote("classifier_b", UNKNOWN_LABEL, 0.0),
+            ]
+        outcome = rtsa_vote(votes, scene_id=scene.scene_id, region_id=rid)
         if isinstance(outcome, AdjudicationItem):
-            regions[rid] = replace(
-                region, room_label=UNKNOWN_LABEL, label_provenance=PROVENANCE_VOTE
-            )
             items.append(outcome)
-        else:
-            regions[rid] = replace(
-                region, room_label=outcome, label_provenance=PROVENANCE_VOTE
-            )
+            outcome = UNKNOWN_LABEL
+        regions[rid] = replace(region, room_label=outcome, label_provenance=PROVENANCE_VOTE)
     # the same grid and cells: the copy keeps the source's cell index and caches
     return LabelingResult(scene=replace(scene, regions=regions), items=items)
 
@@ -249,8 +236,15 @@ ADJUDICATION_COLUMNS = (
 )
 
 
-def export_adjudication(items: list[AdjudicationItem], path: str | Path) -> None:
-    """Write unresolved items to CSV with an empty resolved_label column."""
+def export_adjudication(
+    items: list[AdjudicationItem],
+    path: str | Path,
+    resolved: Mapping[tuple[str, str], str] | None = None,
+) -> None:
+    """Write unresolved items to CSV in (scene_id, region_id) order. The
+    resolved_label column holds ``resolved[(scene_id, region_id)]``, and is
+    empty for a region ``resolved`` lacks or when it is not given."""
+    resolved = resolved or {}
     rows = sorted(items, key=lambda i: (i.scene_id, i.region_id))
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -263,7 +257,7 @@ def export_adjudication(items: list[AdjudicationItem], path: str | Path) -> None
                     item.vote_by_source("rule").label,
                     item.vote_by_source("classifier_a").label,
                     item.vote_by_source("classifier_b").label,
-                    "",
+                    resolved.get((item.scene_id, item.region_id), ""),
                 ]
             )
 
@@ -279,22 +273,29 @@ def import_adjudication(
         if reader.fieldnames is None or tuple(reader.fieldnames) != ADJUDICATION_COLUMNS:
             raise AdjudicationError(f"bad adjudication header in {path}")
         for row in reader:
+            if None in row or None in row.values():  # more or fewer fields than the header
+                raise AdjudicationError(
+                    f"{path}:{reader.line_num}: a row needs "
+                    f"{len(ADJUDICATION_COLUMNS)} fields, got {list(row.values())!r}"
+                )
             key = (row["scene_id"], row["region_id"])
-            label = (row["resolved_label"] or "").strip()
+            label = row["resolved_label"].strip()
             if not label:
                 continue
             if label not in ROOM_LABELS:
                 raise AdjudicationError(
-                    f"resolved_label {label!r} for region {key[1]} is not a room label"
+                    f"resolved_label {label!r} for region {key!r} is not a room label"
                 )
             resolutions[key] = label
     missing = sorted(
-        item.region_id
+        (item.scene_id, item.region_id)
         for item in pending
         if (item.scene_id, item.region_id) not in resolutions
     )
     if missing:
-        raise AdjudicationError(f"unresolved regions in {path}: {', '.join(missing)}")
+        raise AdjudicationError(
+            f"unresolved regions in {path}: {', '.join(map(repr, missing))}"
+        )
     return resolutions
 
 

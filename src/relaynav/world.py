@@ -478,8 +478,8 @@ class Geodesics:
     from ``a``. A true map's comes from :meth:`GridMap.geodesics`; a
     robot's runs over the cells its belief does not hold blocked
     (``packed_rect ^ blocked``), and the robot keeps one per believed
-    passability (shared with its partner from the start until ``observe``
-    or ``on_blocked`` replaces it).
+    passability (``observe`` or ``on_blocked`` replaces it when that
+    changes). It keeps no memo: only the packed ``free`` and the grid size.
     ``generate_episode`` makes one per call and ``pick_route_blockage`` one
     per map. Nothing is kept at module level.
     """

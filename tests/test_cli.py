@@ -734,10 +734,22 @@ class TestExitCodes:
 class TestAdjudication:
     @pytest.fixture(scope="class")
     def export(self, pipeline):
+        """An export that leaves items to adjudicate: the default accuracies
+        resolve every region of these scenes."""
         root, scenes, _ = pipeline
         out = root / "adjudication"
-        assert main(["adjudicate", "export", "--scenes", str(scenes), "--out", str(out)]) == EXIT_OK
+        assert main(
+            ["adjudicate", "export", "--scenes", str(scenes), "--out", str(out),
+             "--acc-a", "0.3", "--acc-b", "0.3"]
+        ) == EXIT_OK
         return out
+
+    @staticmethod
+    def auto(pending, scenes, csv):
+        return main(
+            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
+             "--out", str(csv)]
+        )
 
     @pytest.mark.parametrize(
         "acc_a, acc_b, named",
@@ -755,13 +767,12 @@ class TestAdjudication:
         assert f"field {named} must lie in [0, 1]" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_auto_and_import_read_the_export(self, pipeline, export, tmp_path):
+    def test_auto_and_import_read_the_export(self, pipeline, export, tmp_path, capsys):
         _, scenes, _ = pipeline
         csv = tmp_path / "resolved.csv"
-        assert main(
-            ["adjudicate", "auto", "--pending", str(export), "--truth-scenes", str(scenes),
-             "--out", str(csv)]
-        ) == EXIT_OK
+        assert self.auto(export, scenes, csv) == EXIT_OK
+        n = int(capsys.readouterr().out.split()[1])  # "auto-resolved <n> items into ..."
+        assert n > 0
         final = tmp_path / "final"
         assert main(
             ["adjudicate", "import", "--pending", str(export), "--csv", str(csv),
@@ -769,32 +780,31 @@ class TestAdjudication:
         ) == EXIT_OK
         assert load_manifest(final).command == "adjudicate-import"
 
-    def test_auto_names_an_empty_csv(self, pipeline, export, tmp_path, capsys):
+    def test_auto_fills_only_the_resolved_label_column(self, pipeline, export, tmp_path):
         _, scenes, _ = pipeline
-        pending = tmp_path / "pending"
-        shutil.copytree(export, pending)
-        (pending / "adjudication.csv").write_text("", encoding="utf-8")
-        code = main(
-            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
-             "--out", str(tmp_path / "resolved.csv")]
-        )
-        assert code == EXIT_USAGE
-        assert f"{pending / 'adjudication.csv'} is empty" in capsys.readouterr().err
+        csv = tmp_path / "resolved.csv"
+        assert self.auto(export, scenes, csv) == EXIT_OK
+        exported = (export / "adjudication.csv").read_bytes().split(b"\r\n")
+        resolved = csv.read_bytes().split(b"\r\n")
+        assert len(resolved) == len(exported) > 2  # a header, rows, and the final newline
+        assert resolved[0] == exported[0] and resolved[-1] == exported[-1] == b""
+        truth = {(s.scene_id, rid): r.gt_room_label
+                 for s in map(load_scene, sorted(scenes.glob("s*.json")))
+                 for rid, r in s.regions.items()}
+        for before, after in zip(exported[1:-1], resolved[1:-1]):
+            before, after = before.split(b","), after.split(b",")
+            assert after[:-1] == before[:-1] and before[-1] == b""
+            key = (after[0].decode(), after[1].decode())
+            assert after[-1].decode() == truth[key]
 
-    @pytest.mark.parametrize("row", ["s1", "", "  "])
-    def test_auto_names_a_short_row(self, pipeline, export, tmp_path, capsys, row):
+    def test_auto_reads_no_csv(self, pipeline, export, tmp_path):
         _, scenes, _ = pipeline
         pending = tmp_path / "pending"
         shutil.copytree(export, pending)
-        csv = pending / "adjudication.csv"
-        header = csv.read_text(encoding="utf-8").splitlines()[0]
-        csv.write_text(f"{header}\r\n{row}\r\n", encoding="utf-8")
-        code = main(
-            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
-             "--out", str(tmp_path / "resolved.csv")]
-        )
-        assert code == EXIT_USAGE
-        assert f"{csv}:2: " in capsys.readouterr().err
+        (pending / "adjudication.csv").unlink()
+        assert self.auto(pending, scenes, tmp_path / "a.csv") == EXIT_OK
+        assert self.auto(export, scenes, tmp_path / "b.csv") == EXIT_OK
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
     def test_auto_names_a_region_the_truth_scenes_lack(
         self, pipeline, export, tmp_path, capsys
@@ -802,19 +812,54 @@ class TestAdjudication:
         _, scenes, _ = pipeline
         pending = tmp_path / "pending"
         shutil.copytree(export, pending)
-        csv = pending / "adjudication.csv"
-        lines = csv.read_text(encoding="utf-8").splitlines()
-        columns = len(lines[0].split(","))
-        lines.append(",".join(["nosuchscene", "r9"] + [""] * (columns - 2)))
-        csv.write_text("\r\n".join(lines) + "\r\n", encoding="utf-8")
-        code = main(
-            ["adjudicate", "auto", "--pending", str(pending), "--truth-scenes", str(scenes),
-             "--out", str(tmp_path / "resolved.csv")]
-        )
-        assert code == EXIT_USAGE
+        items = read_json(pending / "pending.json")
+        items.append({**items[0], "scene_id": "nosuchscene", "region_id": "r9"})
+        write_canonical(pending / "pending.json", items, indent=2)
+        assert self.auto(pending, scenes, tmp_path / "resolved.csv") == EXIT_USAGE
         err = capsys.readouterr().err
-        assert f"{csv}:{len(lines)}: " in err
+        assert f"{pending / 'pending.json'}: " in err
         assert "('nosuchscene', 'r9')" in err
+
+    @staticmethod
+    def import_(pending, csv, out):
+        return main(
+            ["adjudicate", "import", "--pending", str(pending), "--csv", str(csv),
+             "--out", str(out)]
+        )
+
+    def test_import_names_an_empty_csv(self, export, tmp_path, capsys):
+        csv = tmp_path / "resolved.csv"
+        csv.write_text("", encoding="utf-8")
+        assert self.import_(export, csv, tmp_path / "final") == EXIT_RUNTIME
+        assert f"bad adjudication header in {csv}" in capsys.readouterr().err
+        assert not (tmp_path / "final").exists()
+
+    @pytest.mark.parametrize("row", ["s1", "  ", "s1,r1,,,,Kitchen,Kitchen"])
+    def test_import_names_a_row_of_the_wrong_width(self, pipeline, export, tmp_path, capsys, row):
+        """A row with more or fewer fields than the header is refused by line,
+        even when every pending item is resolved elsewhere in the file."""
+        _, scenes, _ = pipeline
+        csv = tmp_path / "resolved.csv"
+        assert self.auto(export, scenes, csv) == EXIT_OK
+        lines = csv.read_text(encoding="utf-8").splitlines()
+        csv.write_text("\r\n".join(lines + [row]) + "\r\n", encoding="utf-8")
+        capsys.readouterr()
+        assert self.import_(export, csv, tmp_path / "final") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"{csv}:{len(lines) + 1}: a row needs 6 fields" in err
+        assert not (tmp_path / "final").exists()
+
+    def test_import_names_each_unresolved_region_with_its_scene(self, export, tmp_path, capsys):
+        """Region ids repeat across scenes, so an unfilled row is named by
+        its (scene_id, region_id) pair."""
+        csv = export / "adjudication.csv"  # as exported: no resolved_label filled in
+        assert self.import_(export, csv, tmp_path / "final") == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert f"unresolved regions in {csv}: " in err
+        items = read_json(export / "pending.json")
+        assert items
+        for item in items:
+            assert repr((item["scene_id"], item["region_id"])) in err
 
     @pytest.mark.parametrize(
         "text",

@@ -147,6 +147,16 @@ class TestCascade:
         assert len(result.items) == len(scene.regions)
         for region in result.scene.regions.values():
             assert region.room_label == UNKNOWN_LABEL
+            assert region.label_provenance == PROVENANCE_VOTE
+        # the rule's own vote, then both classifiers as Unknown at 0.0
+        for item, rid in zip(result.items, sorted(scene.regions)):
+            rule = rtsa_rule_classify(scene.regions[rid], scene.objects_in_region(rid))
+            assert (item.scene_id, item.region_id) == (scene.scene_id, rid)
+            assert item.votes == (
+                LabelVote("rule", *rule),
+                LabelVote("classifier_a", UNKNOWN_LABEL, 0.0),
+                LabelVote("classifier_b", UNKNOWN_LABEL, 0.0),
+            )
 
 
 class AlwaysWrongClassifier:
