@@ -24,9 +24,9 @@ from relaynav.ablation import (
     build_blockage_suite,
     run_suite,
 )
+from relaynav.cli import save_scenes
 from relaynav.episodes import save_episodes
 from relaynav.serialize import write_canonical, write_jsonl
-from relaynav.world import save_scene
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,8 +70,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.out is not None:
         out = args.out
         (out / "scenes").mkdir(parents=True, exist_ok=True)
-        for scene_id, scene in sorted(suite.scenes.items()):
-            save_scene(scene, out / "scenes" / f"{scene_id}.json")
+        save_scenes(suite.scenes.values(), out / "scenes")
         save_episodes([e.episode for e in suite.entries], out / "episodes.jsonl")
         write_canonical(out / "overrides.json", suite.overrides(), indent=2)
         write_canonical(

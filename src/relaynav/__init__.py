@@ -12,9 +12,10 @@ The API lives in the submodules (``relaynav.world``, ``relaynav.engine``,
 ``relaynav.cli``, ...); import names from there.  This module imports none
 of them: every ``relaynav`` subcommand starts a fresh interpreter, and a
 command should pay only for the modules it runs: ``gen-scenes`` and
-``gen-episodes`` load no rollout engine, and no command loads numpy.  A
-submodule read as an attribute, ``relaynav.engine``, is imported on
-first access.
+``gen-episodes`` load no rollout engine.  The package is plain Python and
+depends on nothing outside the standard library; numpy is a test
+dependency only.  A submodule read as an attribute, ``relaynav.engine``, is
+imported on first access.
 """
 
 import importlib

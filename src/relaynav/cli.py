@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 # Only what gen-scenes and gen-episodes run is imported here; every other
 # command imports the modules it needs when it runs (see relaynav/__init__.py).
-# No command loads numpy.
+# The package imports nothing outside the standard library, numpy included.
 from .config import (
     KNOWLEDGE,
     MODES,
@@ -169,7 +169,7 @@ def _load_scenes(scenes_dir: str | Path) -> list[SceneGraph]:
     return [load_scene(p) for p in _scene_files(scenes_dir)]
 
 
-def _save_scenes(scenes: Iterable[SceneGraph], out: Path) -> dict[str, Path]:
+def save_scenes(scenes: Iterable[SceneGraph], out: Path) -> dict[str, Path]:
     """Write each scene to ``out/<scene_id>.json``; returns the files by name."""
     outputs: dict[str, Path] = {}
     for scene in scenes:
@@ -206,7 +206,7 @@ def do_gen_scenes(count: int, seed: int, out_dir: str | Path) -> RunManifest:
     job = GenScenesJob(count)
     out = _out_dir(out_dir)
     scenes = (generate_scene(derive_seed(seed, "scene", i)) for i in range(count))
-    outputs = _save_scenes(scenes, out)
+    outputs = save_scenes(scenes, out)
     manifest = make_manifest("gen-scenes", seed, job.to_dict(), output_files=outputs)
     save_manifest(manifest, out)
     return manifest
@@ -321,7 +321,7 @@ def do_adjudicate_export(
     client_b = SeededNoisyClassifier("classifier_b", acc_b, derive_seed(seed, "b"), truth)
     out = _out_dir(out_dir)
     labeled = [run_labeling(scene, client_a, client_b) for scene in scenes]
-    outputs = _save_scenes((result.scene for result in labeled), out)
+    outputs = save_scenes((result.scene for result in labeled), out)
     pending = [item for result in labeled for item in result.items]
     csv_path = out / ADJUDICATION_CSV
     export_adjudication(pending, csv_path)
@@ -401,7 +401,7 @@ def do_adjudicate_import(
     resolutions = import_adjudication(csv_path, pending)
     out = _out_dir(out_dir)
     scenes = (apply_adjudication(scene, resolutions) for scene in _load_scenes(pending_dir))
-    outputs = _save_scenes(scenes, out)
+    outputs = save_scenes(scenes, out)
     manifest = make_manifest(
         "adjudicate-import",
         0,

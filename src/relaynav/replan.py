@@ -10,7 +10,6 @@ for verification and is implemented independently on purpose.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, Mapping
@@ -19,7 +18,7 @@ from .bus import AnchorEntry, ComposedContext, Observation, partner_of
 from .config import TriggerConfig
 from .serialize import Payload, Record
 from .tasks import Subtask, rebind_target
-from .world import Cell, FORWARD_M, Geodesics, NEIGHBORS_4
+from .world import Cell, FORWARD_M, Geodesics, bfs_distance_field
 
 STAGE_COMPLETE = "StageComplete"
 TARGET_DISCOVERED = "TargetDiscovered"
@@ -303,33 +302,21 @@ def swap_oracle(
     """Ground-truth reassignment decision by exhaustive evaluation.
 
     Same decision rule as :func:`evaluate_swap` but re-derived from scratch:
-    distances come from a Dijkstra over the true occupancy grid rather than
-    the shared wavefront helper, and the comparison inequalities are restated
-    literally, so the two implementations genuinely check each other.
+    each leg is read from a queue-BFS distance field
+    (:func:`~relaynav.world.bfs_distance_field`) over the true occupancy
+    grid, one field per source cell, rather than from packed-layer
+    geodesics, and the comparison inequalities are restated literally, so
+    the two implementations genuinely check each other.
     """
     grid = scene.grid
+    blocked = [[grid.is_blocked((x, y)) for x in range(grid.width)] for y in range(grid.height)]
+    fields: dict[Cell, list[list[int]]] = {}
 
-    def dijkstra_steps(a: Cell, b: Cell) -> float:
-        if a == b:
-            return 0.0
-        if grid.is_blocked(a) or grid.is_blocked(b):
-            return math.inf
-        dist: dict[Cell, float] = {a: 0.0}
-        heap: list[tuple[float, Cell]] = [(0.0, a)]
-        while heap:
-            d, cur = heapq.heappop(heap)
-            if cur == b:
-                return d
-            if d > dist.get(cur, math.inf):
-                continue
-            for dx, dy in NEIGHBORS_4:
-                nxt = (cur[0] + dx, cur[1] + dy)
-                if grid.in_bounds(nxt) and not grid.is_blocked(nxt):
-                    nd = d + 1.0
-                    if nd < dist.get(nxt, math.inf):
-                        dist[nxt] = nd
-                        heapq.heappush(heap, (nd, nxt))
-        return math.inf
+    def leg_steps(a: Cell, b: Cell) -> float:
+        if a not in fields:
+            fields[a] = bfs_distance_field(blocked, a)
+        steps = fields[a][b[1]][b[0]]
+        return math.inf if steps < 0 else steps
 
     def assignment_cost(robot: str, chain: tuple[Subtask, ...]) -> float:
         cur = positions[robot]
@@ -337,7 +324,7 @@ def swap_oracle(
         for st in chain:
             if st.waypoint is None or st.waypoint == cur:
                 continue
-            leg = dijkstra_steps(cur, st.waypoint)
+            leg = leg_steps(cur, st.waypoint)
             if math.isinf(leg):
                 return math.inf
             steps += leg

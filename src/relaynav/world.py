@@ -8,8 +8,9 @@ Coordinate conventions used throughout the package:
   always clear. Generation, validation, serialization, a robot's belief,
   every geodesic query, object sightings (:func:`packed_rays`) and a
   discover-mode belief's sensed cells (:class:`VisibilityField`) work on
-  packed ints, so no rollout loads numpy. Only the tests' field oracle
-  :func:`bfs_distance_field` imports it, inside the function.
+  packed ints, so no module of the package imports numpy. The one
+  unpacked geodesic is :func:`bfs_distance_field`, a plain queue BFS kept
+  as the independent reference.
 * Poses are continuous ``(x, y)`` in meters plus a heading in degrees that is
   always a multiple of 15 in ``[0, 360)``; heading 0 points along +x.
 * There is one cell size, ``FORWARD_M`` = 0.25 m: every scene and rollout
@@ -395,42 +396,32 @@ def _one_component(bits: int, stride: int) -> bool:
 
 # --- geodesics ------------------------------------------------------------
 
-def bfs_distance_field(blocked, start: Cell):
-    """4-connected BFS step counts from ``start`` over a ``(h, w)`` bool
-    array of blocked cells, as an int32 array; -1 marks unreachable.
+def bfs_distance_field(blocked, start: Cell) -> list[list[int]]:
+    """4-connected BFS step counts from ``start`` over ``(h, w)`` rows of
+    blocked flags indexed ``[y][x]`` (nested lists or an array), as rows of
+    ints; -1 marks blocked and unreachable cells, and every cell when the
+    start is blocked or off the grid.
 
-    Each layer is a set of flat indices into the grid padded with a blocked
-    ring; the next keeps the unreached (-1, blocked is -2) neighbours, each
-    once: stamped with its position, only its last copy keeps the stamp.
-    No query in the package reads a whole field (:class:`Geodesics` answers
-    them from packed layers); it stays as the tests' field oracle.
+    A plain queue BFS. No query in the package reads a whole field
+    (:class:`Geodesics` answers them from packed layers); it stays the
+    independent reference that the tests and ``replan.swap_oracle`` read.
     """
-    import numpy as np
-
-    h, w = blocked.shape
+    h = len(blocked)
+    w = len(blocked[0]) if h else 0
+    dist = [[-1] * w for _ in range(h)]
     sx, sy = start
-    if not (0 <= sx < w and 0 <= sy < h) or blocked[sy, sx]:
-        return np.full((h, w), -1, dtype=np.int32)
-    stride = w + 2
-    padded = np.full((h + 2, stride), -2, dtype=np.int32)
-    padded[1:-1, 1:-1][~blocked] = -1
-    dist = padded.ravel()
-    stamp = np.zeros(dist.size, dtype=np.intp)
-    order = np.arange(4 * dist.size, dtype=np.intp)
-    steps = np.array([1, -1, stride, -stride], dtype=np.intp)
-    frontier = np.array([(sy + 1) * stride + sx + 1], dtype=np.intp)
-    dist[frontier] = 0
-    d = 0
-    while frontier.size:
-        d += 1
-        nxt = (frontier[:, None] + steps).ravel()
-        nxt = nxt[dist[nxt] == -1]
-        k = order[: nxt.size]
-        stamp[nxt] = k
-        frontier = nxt[stamp[nxt] == k]
-        dist[frontier] = d
-    inner = padded[1:-1, 1:-1]
-    return np.where(inner == -2, -1, inner)
+    if not (0 <= sx < w and 0 <= sy < h) or blocked[sy][sx]:
+        return dist
+    dist[sy][sx] = 0
+    queue = [start]
+    for x, y in queue:  # the queue grows while it is read
+        d = dist[y][x] + 1
+        for dx, dy in NEIGHBORS_4:
+            nx, ny = x + dx, y + dy
+            if 0 <= nx < w and 0 <= ny < h and dist[ny][nx] < 0 and not blocked[ny][nx]:
+                dist[ny][nx] = d
+                queue.append((nx, ny))
+    return dist
 
 
 def unpack_cells(bits: int, stride: int) -> list[Cell]:

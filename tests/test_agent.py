@@ -76,7 +76,7 @@ def field_nearest_frontier(belief, start):
     then the reachable frontier cell of least (distance, x, y)."""
     if belief[start[1], start[0]] != FREE:
         return None
-    dist = bfs_distance_field(belief != FREE, start)
+    dist = np.asarray(bfs_distance_field(belief != FREE, start))
     reach = frontier_mask(belief) & (dist >= 0)
     if not reach.any():
         return None
@@ -595,7 +595,7 @@ class TestPlanning:
             cx, cy = state.cell
             for target in ((13, 4), state.plan.goal if state.plan else None):
                 if target is not None:
-                    want = bfs_distance_field(codes == BLOCKED, target)[cy, cx]
+                    want = bfs_distance_field(codes == BLOCKED, target)[cy][cx]
                     assert geo.steps(state.cell, target) == want
                     path = bfs_shortest_path(geo, state.cell, target)
                     assert (path is None) == (want < 0)

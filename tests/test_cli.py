@@ -47,6 +47,7 @@ from relaynav.world import load_scene
 from test_goldens import SCENE_GOLDENS
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+SCRIPTS = SRC.parent / "scripts"
 
 
 def jsonl_rows(path):
@@ -909,77 +910,62 @@ loaded["gen-episodes"] = sorted(sys.modules)
 print(json.dumps(loaded))
 """
 
-# gen-scenes and gen-episodes on the three scenes test_goldens.SCENE_GOLDENS
-# pins, in a fresh interpreter: whether numpy was loaded after each command,
-# and the sha256 of every file written
-NUMPY_FREE_GEN = """
-import hashlib, json, sys
+# the pipeline in a fresh interpreter where ``import numpy`` raises: gen-scenes
+# and gen-episodes on the three scenes test_goldens.SCENE_GOLDENS pins (the
+# sha256 of every file written), stats, a known lockstep run, a discover run
+# distributed over a lossy link, the blockage suite scripts/run_ablation.py
+# --out writes run with its overrides under both policies, eval, compare,
+# adjudicate export/auto/import and the replay of a run manifest
+NUMPY_BLOCKED_PIPELINE = """
+import sys
+sys.modules["numpy"] = None  # any import of numpy now raises ImportError
+import hashlib, json, runpy
 from pathlib import Path
 from relaynav.cli import main
-out = Path(sys.argv[1])
-numpy = {}
-assert main(["gen-scenes", "--count", "3", "--seed", "7", "--out", str(out / "scenes")]) == 0
-numpy["gen-scenes"] = "numpy" in sys.modules
-assert main(["gen-episodes", "--scenes", str(out / "scenes"), "--per-scene", "2",
-             "--seed", "7", "--out", str(out / "episodes.jsonl")]) == 0
-numpy["gen-episodes"] = "numpy" in sys.modules
+out, ablation_script = Path(sys.argv[1]), sys.argv[2]
+scenes, episodes = str(out / "scenes"), str(out / "episodes.jsonl")
+assert main(["gen-scenes", "--count", "3", "--seed", "7", "--out", scenes]) == 0
+assert main(["gen-episodes", "--scenes", scenes, "--per-scene", "2", "--seed", "7",
+             "--out", episodes]) == 0
 files = [out / "episodes.jsonl", *sorted((out / "scenes").glob("s*.json"))]
 digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in files}
-print(json.dumps({"numpy": numpy, "digests": digests}))
-"""
-# the episodes file NUMPY_FREE_GEN writes: 4 episodes, 2 rejections
-NUMPY_FREE_EPISODES_SHA256 = "b9f80782cf66e5687a25898ea8c3ef37b981989333484eb8388ff52cbafc0f4b"
-
-# appended to NUMPY_FREE_GEN: whether numpy was loaded after importing the
-# ablation (and with it the engine) and after a known-map run of its files
-NUMPY_FREE_KNOWN_RUN = """
-import relaynav.ablation
-numpy["import relaynav.ablation"] = "numpy" in sys.modules
-assert main(["run", "--episodes", str(out / "episodes.jsonl"), "--scenes", str(out / "scenes"),
-             "--out", str(out / "run"), "--knowledge", "known"]) == 0
-numpy["run --knowledge known"] = "numpy" in sys.modules
-print(json.dumps({"numpy": numpy, "results": (out / "run" / "results.jsonl").read_text()}))
-"""
-
-# appended to NUMPY_FREE_GEN: whether numpy was loaded after a discover-mode
-# run of its files, where every tick senses through the visibility field
-NUMPY_FREE_DISCOVER_RUN = """
-assert main(["run", "--episodes", str(out / "episodes.jsonl"), "--scenes", str(out / "scenes"),
-             "--out", str(out / "run"), "--knowledge", "discover", "--t-max", "200"]) == 0
-numpy["run --knowledge discover"] = "numpy" in sys.modules
-traces = sorted((out / "run").glob("trace_*.jsonl"))
-print(json.dumps({"numpy": numpy, "results": (out / "run" / "results.jsonl").read_text(),
-                  "traces": len(traces)}))
-"""
-
-# a one-entry blockage suite, built and written as scripts/run_ablation.py
-# --out writes it, then run in known mode under both policies; whether numpy
-# was loaded after each step, and how many traces hold a PathBlocked event
-NUMPY_FREE_BLOCKAGE_RUN = """
-import json, sys
-from pathlib import Path
-from relaynav.ablation import SuiteParams, build_blockage_suite
-from relaynav.cli import main
-from relaynav.episodes import save_episodes
-from relaynav.serialize import write_canonical
-from relaynav.world import save_scene
-out = Path(sys.argv[1])
-suite = build_blockage_suite(SuiteParams(n_episodes=1, seed=0))
-(out / "scenes").mkdir(parents=True)
-for scene_id, scene in suite.scenes.items():
-    save_scene(scene, out / "scenes" / f"{scene_id}.json")
-save_episodes([e.episode for e in suite.entries], out / "episodes.jsonl")
-write_canonical(out / "overrides.json", suite.overrides())
-numpy = {"build_blockage_suite": "numpy" in sys.modules}
-blocked = {}
+assert main(["stats", "--episodes", episodes]) == 0
+assert main(["run", "--episodes", episodes, "--scenes", scenes, "--out", str(out / "known"),
+             "--knowledge", "known"]) == 0
+assert main(["run", "--episodes", episodes, "--scenes", scenes, "--out", str(out / "discover"),
+             "--knowledge", "discover", "--t-max", "200", "--mode", "distributed",
+             "--latency", "1", "--jitter", "1", "--drop-prob", "0.2"]) == 0
+abl = out / "abl"
+assert runpy.run_path(ablation_script)["main"](["--episodes", "1", "--seed", "0", "--out", str(abl)]) in (0, 1)
+blocked, same = {}, {}
 for policy in ("deconav", "static"):
-    assert main(["run", "--episodes", str(out / "episodes.jsonl"), "--scenes", str(out / "scenes"),
+    assert main(["run", "--episodes", str(abl / "episodes.jsonl"), "--scenes", str(abl / "scenes"),
                  "--out", str(out / policy), "--knowledge", "known", "--policy", policy,
-                 "--overrides", str(out / "overrides.json")]) == 0
-    numpy["run --policy " + policy] = "numpy" in sys.modules
+                 "--overrides", str(abl / "overrides.json")]) == 0
+    assert main(["eval", "--results", str(out / policy)]) == 0
     blocked[policy] = sum("PathBlocked" in t.read_text() for t in (out / policy).glob("trace_*.jsonl"))
-print(json.dumps({"numpy": numpy, "blocked": blocked}))
+    same[policy] = (out / policy / "results.jsonl").read_bytes() == (abl / f"results_{policy}.jsonl").read_bytes()
+assert main(["compare", "--a", str(out / "static"), "--b", str(out / "deconav")]) == 0
+export = str(out / "export")
+assert main(["adjudicate", "export", "--scenes", scenes, "--out", export,
+             "--acc-a", "0.3", "--acc-b", "0.3"]) == 0
+assert main(["adjudicate", "auto", "--pending", export, "--truth-scenes", scenes,
+             "--out", str(out / "resolved.csv")]) == 0
+assert main(["adjudicate", "import", "--pending", export, "--csv", str(out / "resolved.csv"),
+             "--out", str(out / "final")]) == 0
+assert main(["replay", "--manifest", str(out / "known" / "manifest.json"), "--out", str(out / "replay")]) == 0
+print(json.dumps({
+    "digests": digests,
+    "results": {run: len((out / run / "results.jsonl").read_text().splitlines())
+                for run in ("known", "discover")},
+    "traces": len(list((out / "discover").glob("trace_*.jsonl"))),
+    "blocked": blocked,
+    "same_as_suite": same,
+    "numpy_still_blocked": sys.modules["numpy"] is None,
+}))
 """
+# the episodes file NUMPY_BLOCKED_PIPELINE writes: 4 episodes, 2 rejections
+PIPELINE_EPISODES_SHA256 = "b9f80782cf66e5687a25898ea8c3ef37b981989333484eb8388ff52cbafc0f4b"
 
 LAZY_PACKAGE = """
 import json, sys
@@ -1025,43 +1011,27 @@ class TestColdStart:
             assert not set(NOT_LOADED_BY_GEN) & set(loaded[command]), command
         assert "relaynav.episodes" in loaded["gen-episodes"]
 
-    def test_gen_commands_load_no_numpy_and_write_the_pinned_bytes(self, tmp_path):
-        got = fresh_python(NUMPY_FREE_GEN, str(tmp_path))
-        assert got["numpy"] == {"gen-scenes": False, "gen-episodes": False}
+    def test_pipeline_runs_with_numpy_blocked(self, tmp_path):
+        got = fresh_python(NUMPY_BLOCKED_PIPELINE, str(tmp_path), str(SCRIPTS / "run_ablation.py"))
+        assert got["numpy_still_blocked"]
         assert got["digests"] == {
-            "episodes.jsonl": NUMPY_FREE_EPISODES_SHA256, **SCENE_GOLDENS["scenes"]
+            "episodes.jsonl": PIPELINE_EPISODES_SHA256, **SCENE_GOLDENS["scenes"]
         }
-
-    def test_known_runs_load_no_numpy(self, tmp_path):
-        # a known map before any blockage is the truth, so observe reads no
-        # visibility field
-        got = fresh_python(NUMPY_FREE_GEN + NUMPY_FREE_KNOWN_RUN, str(tmp_path))
-        assert not any(got["numpy"].values()), got["numpy"]
-        assert len(got["results"].splitlines()) == 4
-
-    def test_known_blockage_runs_load_no_numpy(self, tmp_path):
+        assert got["results"] == {"known": 4, "discover": 4}
+        assert got["traces"] == 4
         # after the blockage a known belief differs from the truth at the
-        # gate cells, and observe senses just those, without the field
-        got = fresh_python(NUMPY_FREE_BLOCKAGE_RUN, str(tmp_path))
-        assert not any(got["numpy"].values()), got["numpy"]
+        # gate cells, and observe senses just those
         assert got["blocked"] == {"deconav": 1, "static": 1}
-
-    def test_discover_runs_load_no_numpy(self, tmp_path):
-        # a belief with unknown cells senses through the visibility field,
-        # whose tables and sensed cells are packed ints
-        got = fresh_python(NUMPY_FREE_GEN + NUMPY_FREE_DISCOVER_RUN, str(tmp_path))
-        assert not any(got["numpy"].values()), got["numpy"]
-        assert len(got["results"].splitlines()) == got["traces"] == 4
+        assert got["same_as_suite"] == {"deconav": True, "static": True}
 
     def test_no_module_imports_numpy_at_module_level(self):
-        # the tests' field oracle is the one function that imports it
         importers = set()
         for path in sorted((SRC / "relaynav").glob("*.py")):
             for scope, node in _imports(ast.parse(path.read_text(encoding="utf-8"))):
                 names = [a.name for a in node.names] if isinstance(node, ast.Import) else [node.module]
                 if any(name and name.split(".")[0] == "numpy" for name in names):
                     importers.add((path.stem, scope))
-        assert importers == {("world", "bfs_distance_field")}
+        assert importers == set()
 
     def test_package_imports_submodules_on_first_access(self):
         got = fresh_python(LAZY_PACKAGE)

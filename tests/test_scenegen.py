@@ -10,6 +10,8 @@ from relaynav.scenegen import generate_scene
 from relaynav.world import (
     PROVENANCE_GENERATOR,
     ROOM_LABELS,
+    SceneFormatError,
+    SceneGenerationError,
     scene_to_dict,
     validate_scene,
 )
@@ -94,3 +96,12 @@ def test_objects_sit_on_free_cells_inside_their_region():
         assert not scene.grid.is_blocked(obj.cell)
         assert obj.cell in scene.regions[obj.region_id].cells
 
+
+
+def test_a_draw_that_fails_validation_names_the_seed(monkeypatch):
+    def reject(scene):
+        raise SceneFormatError("free space is not a single connected component")
+
+    monkeypatch.setattr(scenegen, "validate_scene", reject)
+    with pytest.raises(SceneGenerationError, match=r"seed=41\b.*connected component"):
+        generate_scene(41)

@@ -34,6 +34,7 @@ from relaynav.world import (
     _shadow_tables,
     apply_blockage,
     bfs_distance_field,
+    bfs_layers,
     bfs_shortest_path,
     center,
     fov_bits,
@@ -58,24 +59,6 @@ from support import (
 )
 
 cells = st.tuples(st.integers(-12, 12), st.integers(-12, 12))
-
-
-def bfs_oracle(blocked: np.ndarray, start: tuple[int, int]) -> np.ndarray:
-    """Plain queue BFS, 4-connected, -1 for unreachable."""
-    h, w = blocked.shape
-    dist = np.full((h, w), -1, dtype=int)
-    if blocked[start[1], start[0]]:
-        return dist
-    dist[start[1], start[0]] = 0
-    queue = [start]
-    while queue:
-        x, y = queue.pop(0)
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            nx, ny = x + dx, y + dy
-            if 0 <= nx < w and 0 <= ny < h and not blocked[ny, nx] and dist[ny, nx] < 0:
-                dist[ny, nx] = dist[y, x] + 1
-                queue.append((nx, ny))
-    return dist
 
 
 def queue_bfs_path(passable: np.ndarray, a, b):
@@ -195,24 +178,26 @@ class TestSupercover:
 
 
 class TestBfs:
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_matches_oracle_on_random_grids(self, seed):
-        rng = np.random.default_rng(seed)
-        blocked = rng.random((9, 9)) < 0.35
-        free = np.argwhere(~blocked)
-        if len(free) == 0:
-            return
-        y, x = free[rng.integers(len(free))]
-        got = bfs_distance_field(blocked, (int(x), int(y)))
-        want = bfs_oracle(blocked, (int(x), int(y)))
-        assert np.array_equal(got, want)
-
     def test_start_blocked_is_all_unreachable(self):
         blocked = np.zeros((4, 4), dtype=bool)
         blocked[1, 1] = True
-        dist = bfs_distance_field(blocked, (1, 1))
-        assert (dist < 0).all()
+        assert (np.asarray(bfs_distance_field(blocked, (1, 1))) < 0).all()
+        for start in ((-1, 0), (4, 0), (0, 4)):
+            assert bfs_distance_field(blocked, start) == [[-1] * 4] * 4
+
+    def test_field_on_nested_lists(self):
+        rows = [
+            [False, False, False],
+            [True, True, False],
+            [False, False, False],
+            [False, True, True],
+        ]
+        assert bfs_distance_field(rows, (0, 0)) == [
+            [0, 1, 2],
+            [-1, -1, 3],
+            [6, 5, 4],
+            [7, -1, -1],
+        ]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -226,7 +211,7 @@ class TestBfs:
         yb, xb = free[rng.integers(len(free))]
         a, b = (int(xa), int(ya)), (int(xb), int(yb))
         path = bfs_shortest_path(geodesics_of(~blocked), a, b)
-        dist = bfs_distance_field(blocked, a)[b[1], b[0]]
+        dist = bfs_distance_field(blocked, a)[b[1]][b[0]]
         if dist < 0:
             assert path is None
         else:
@@ -263,8 +248,8 @@ class TestBfs:
         geo = geodesics_of(~blocked)
         for _ in range(6):
             a, b = data.draw(cell), data.draw(cell)
-            want = bfs_oracle(blocked, a)[b[1], b[0]]
-            assert geo.steps(a, b) == bfs_distance_field(blocked, a)[b[1], b[0]] == want
+            want = bfs_distance_field(blocked, a)[b[1]][b[0]]
+            assert geo.steps(a, b) == want
             assert geo.steps(b, a) == want
             assert geo.steps(a, a) == (-1 if blocked[a[1], a[0]] else 0)
 
@@ -279,12 +264,41 @@ class TestBfs:
         field_ = bfs_distance_field(blocked, (4, 4))
         for y, x in np.ndindex(*blocked.shape):
             assert bool(geo.bit((x, y)) & geo.free) == (not blocked[y, x])
-            assert geo.steps((x, y), (4, 4)) == field_[y, x]
+            assert geo.steps((x, y), (4, 4)) == field_[y][x]
             path = bfs_shortest_path(geo, (x, y), (4, 4))
-            assert (path is None) == (field_[y, x] < 0)
+            assert (path is None) == (field_[y][x] < 0)
             if path is not None:
-                assert [field_[cy, cx] for cx, cy in path] == list(range(field_[y, x], -1, -1))
+                assert [field_[cy][cx] for cx, cy in path] == list(range(field_[y][x], -1, -1))
         assert geo.bit((-1, 0)) == geo.bit((9, 0)) == geo.bit((0, 9)) == 0
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_field_matches_layers_and_steps_on_generated_scenes(self, seed):
+        """On 64 x 64 generated scenes, before and after a corridor closes:
+        layer ``d`` of :func:`bfs_layers` from a source is exactly the set
+        of cells whose field value is ``d``, and ``steps`` reads the field
+        at sampled targets, walls included."""
+        scene = generate_scene(seed)
+        rng = np.random.default_rng(seed)
+        closed = apply_blockage(scene, sorted(scene.corridors)[int(rng.integers(len(scene.corridors)))])
+        for grid in (scene.grid, closed.grid):
+            assert (grid.width, grid.height) == (64, 64)
+            blocked = blocked_array(grid)
+            geo = grid.geodesics()
+            free = np.argwhere(~blocked)
+            for y, x in free[rng.choice(len(free), 3, replace=False)]:
+                source = (int(x), int(y))
+                field_ = bfs_distance_field(blocked, source)
+                by_value: dict[int, list] = {}
+                for cy, row in enumerate(field_):
+                    for cx, d in enumerate(row):
+                        if d >= 0:
+                            by_value.setdefault(d, []).append((cx, cy))
+                layers = bfs_layers(geo.free, geo.stride, geo.bit(source))
+                assert [unpack_cells(layer, geo.stride) for layer in layers] == [
+                    by_value[d] for d in range(len(by_value))
+                ]
+                for tx, ty in rng.integers(64, size=(20, 2)):
+                    assert geo.steps(source, (int(tx), int(ty))) == field_[ty][tx]
 
     def test_row_ends_do_not_wrap_into_the_next_row(self):
         # (2, 0) and (0, 1) are neighbours in a row-major index without the
