@@ -12,7 +12,8 @@ episode_id order, so the output bytes do not depend on scheduling. Each
 reads the section and field from it.
 
 Exit codes: 0 success; 2 usage error; 3 episode generation produced only
-rejections; 4 runtime failure.
+rejections; 4 runtime failure, reported in one line, with the traceback
+printed before it when ``RELAYNAV_DEBUG=1`` is set.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import traceback
 from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -72,6 +74,7 @@ EXIT_REJECTED = 3
 EXIT_RUNTIME = 4
 
 CONFIG_ENV_VAR = "RELAYNAV_CONFIG"
+DEBUG_ENV_VAR = "RELAYNAV_DEBUG"
 RESULTS_NAME = "results.jsonl"
 REPORT_NAME = "report.json"
 EPISODE_RESULTS_NAME = "episode_results.jsonl"
@@ -843,6 +846,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no episodes generated: {exc}", file=sys.stderr)
         return EXIT_REJECTED
     except Exception as exc:  # pragma: no cover - defensive catch-all
+        if os.environ.get(DEBUG_ENV_VAR) == "1":
+            traceback.print_exc()
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

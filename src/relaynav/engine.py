@@ -5,8 +5,9 @@ mutable ``_Robot`` record per robot). Each tick runs the phases of
 ``TICK_PHASES`` in order: blockage (scheduled closures), sense, publish,
 deliver (due transport packets), compose, replan (FH first; a swap
 exchanges the robots' live chains), act, commit (both actions atomically,
-:func:`commit_actions`), progress (subtask advances) and record (the trace
-line). Packets only travel over a :class:`~relaynav.transport.Transport`,
+:func:`commit_actions`), progress (subtask advances) and record (the
+tick's trace row, which becomes a line only when the trace is written).
+Packets only travel over a :class:`~relaynav.transport.Transport`,
 which holds each robot's bus replica; there is no central bus. A lockstep
 run is a run over the zero-latency, lossless transport, so a distributed
 run with that transport writes the lockstep trace byte for byte.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
 
 from .agent import (
@@ -45,9 +47,11 @@ from .config import RolloutConfig, TransportConfig
 from .episodes import EpisodeSpec
 from .replan import (
     AgentSignals,
+    DialogueRecord,
     Event,
     KEEP,
     PolicyContext,
+    ReplanDecision,
     SWAP_SUBTASKS,
     SwapInputs,
     decide,
@@ -55,7 +59,7 @@ from .replan import (
     filter_events,
     rewrite_policy_context,
 )
-from .serialize import ROUNDED, Record
+from .serialize import ROUNDED, Record, canonical_dumps
 from .tasks import STOP, Subtask, build_chains
 from .trace import Trace
 from .transport import Transport
@@ -237,7 +241,7 @@ class _Robot:
     packet: SemanticPacket | None = None
     composed: ComposedContext | None = None
     admitted: list[Event] = field(default_factory=list)
-    decision: dict | None = None
+    decision: ReplanDecision = KEEP
     action: str = ACTION_STOP
     blocked: bool = False
     attempt: dict | None = None
@@ -257,7 +261,7 @@ class _Run:
     item: ItemState
     trace: Trace
     active_blockages: list[str] = field(default_factory=list)
-    dialogue: list[dict] = field(default_factory=list)
+    dialogue: list[DialogueRecord] = field(default_factory=list)
     ticks: int = 0
     swap_count: int = 0
     dialogue_count: int = 0
@@ -297,7 +301,7 @@ def _start(
         transport=transport,
         robots=robots,
         item=ItemState(AT_PICKUP, target.cell, None),
-        trace=Trace(header),
+        trace=Trace(header, tick_line=_tick_line),
     )
 
 
@@ -369,10 +373,6 @@ def _compose(run: _Run, now: int) -> None:
             r.composed = compose_context(bus, rid, now, cfg.tau)
 
 
-# trace records are only serialized, never mutated, so every KEEP shares one
-_KEEP_RECORD = KEEP.to_dict()
-
-
 def _replan(run: _Run, now: int) -> None:
     """Event-driven replanning, FH first, so that SH sees FH's rewritten
     chain. A swap exchanges the two robots' live chains and final goals.
@@ -396,14 +396,14 @@ def _replan(run: _Run, now: int) -> None:
         r.admitted = filter_events(events, r.history, cfg.trigger)
         r.held = r.composed.anchors
         if not r.admitted:
-            r.decision = _KEEP_RECORD
+            r.decision = KEEP
             r.state = st
             continue
         r.history.extend(r.admitted)
         decision = KEEP
         if cfg.policy == "deconav":
             decision = decide(r.admitted, st.policy_ctx, _swap_inputs(run, r), cfg.trigger)
-        r.decision = _KEEP_RECORD if decision is KEEP else decision.to_dict()
+        r.decision = decision
 
         mine = st.policy_ctx
         new_pctx, records = rewrite_policy_context(
@@ -422,7 +422,7 @@ def _replan(run: _Run, now: int) -> None:
             )
             r.final_goal, partner.final_goal = partner.final_goal, r.final_goal
             run.swap_count += 1
-        run.dialogue.extend(rec.to_dict() for rec in records)
+        run.dialogue.extend(records)
         r.state = st
     run.dialogue_count += len(run.dialogue)
 
@@ -499,30 +499,83 @@ def _progress(run: _Run, now: int) -> None:
 
 
 def _record(run: _Run, now: int) -> None:
-    run.trace.append(
-        {
-            "tick": now,
-            "robots": {
-                rid: {
-                    "pose": [r.state.pose.x, r.state.pose.y, r.state.pose.heading],
-                    "action": r.action,
-                    "blocked": r.blocked,
-                    "packet": r.packet.to_dict(),
-                    "partner_ts": (
-                        r.composed.partner_state.ts
-                        if r.composed.partner_state is not None
-                        else None
-                    ),
-                    "admitted": [e.to_dict() for e in r.admitted],
-                    "decision": r.decision,
-                    "interaction": r.attempt,
-                }
-                for rid, r in run.robots.items()
-            },
-            "dialogue": run.dialogue,
-            "item": run.item.to_dict(),
-            "blocked_corridors": sorted(run.active_blockages),
-        }
+    """Append the tick's row to the trace: one flat tuple of references to
+    values the tick made, for :func:`_tick_line` to write only when the
+    trace is written (``run_suite`` never writes its traces). The row rests
+    on one invariant: nothing it references is mutated after its tick.
+    Poses, packets, decisions, dialogue records and the item are frozen,
+    and the admitted, attempt and dialogue containers are made anew each
+    tick and never touched after it."""
+    fh, sh = run.robots["FH"], run.robots["SH"]
+    run.trace.append((
+        now,
+        fh.state.pose, fh.action, fh.blocked, fh.packet, _partner_ts(fh),
+        fh.admitted, fh.decision, fh.attempt,
+        sh.state.pose, sh.action, sh.blocked, sh.packet, _partner_ts(sh),
+        sh.admitted, sh.decision, sh.attempt,
+        run.dialogue, run.item, sorted(run.active_blockages),
+    ))
+
+
+def _partner_ts(r: _Robot) -> int | None:
+    partner = r.composed.partner_state
+    return None if partner is None else partner.ts
+
+
+# --- the trace line of a tick row ------------------------------------------
+# One fixed template per part, so a line is the bytes canonical_dumps writes
+# for the tick's record: keys in sorted order, strings through json's own C
+# quoting, ints and floats by repr (as json's C encoder writes them), bools
+# and None from a table. Parts whose shape varies go through canonical_dumps.
+
+_JSON_CONST = {True: "true", False: "false", None: "null"}
+_KEEP_TEXT = canonical_dumps(KEEP.to_dict())
+
+
+def _packet_text(p: SemanticPacket) -> str:
+    observations = ",".join(
+        f'{{"category":{_quote(o.category)},"cell":[{o.cell[0]!r},{o.cell[1]!r}],'
+        f'"score":{o.score!r}}}'
+        for o in p.observations
+    )
+    return (
+        f'{{"carrying":{_JSON_CONST[p.carrying]},"current_room":{_quote(p.current_room)},'
+        f'"observations":[{observations}],"robot_id":{_quote(p.robot_id)},'
+        f'"stage":{_quote(p.stage)},"stopped":{_JSON_CONST[p.stopped]},"ts":{p.ts!r}}}'
+    )
+
+
+def _robot_text(
+    pose: Pose,
+    action: str,
+    blocked: bool,
+    packet: SemanticPacket,
+    partner_ts: int | None,
+    admitted: list[Event],
+    decision: ReplanDecision,
+    attempt: dict | None,
+) -> str:
+    return (
+        f'{{"action":{_quote(action)},'
+        f'"admitted":{canonical_dumps([e.to_dict() for e in admitted]) if admitted else "[]"},'
+        f'"blocked":{_JSON_CONST[blocked]},'
+        f'"decision":{_KEEP_TEXT if decision is KEEP else canonical_dumps(decision.to_dict())},'
+        f'"interaction":{"null" if attempt is None else canonical_dumps(attempt)},'
+        f'"packet":{_packet_text(packet)},'
+        f'"partner_ts":{"null" if partner_ts is None else repr(partner_ts)},'
+        f'"pose":[{pose.x!r},{pose.y!r},{pose.heading!r}]}}'
+    )
+
+
+def _tick_line(row: tuple) -> str:
+    """The trace line of a row :func:`_record` appended."""
+    dialogue, item, corridors = row[17:]
+    return (
+        f'{{"blocked_corridors":{canonical_dumps(corridors) if corridors else "[]"},'
+        f'"dialogue":{canonical_dumps([d.to_dict() for d in dialogue]) if dialogue else "[]"},'
+        f'"item":{canonical_dumps(item.to_dict())},"kind":"tick",'
+        f'"robots":{{"FH":{_robot_text(*row[1:9])},"SH":{_robot_text(*row[9:17])}}},'
+        f'"tick":{row[0]!r}}}'
     )
 
 

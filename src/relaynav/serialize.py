@@ -8,7 +8,9 @@ Every record the package persists inherits ``Record``, from the per-tick
 records of a trace (packets and their observations, events, decisions, the
 relay item) to scene sections, manifests and configurations: one codec
 driven by the dataclass fields and type hints writes and reads them all,
-and no record keeps a hand-written ``to_dict``.
+and no record keeps a hand-written ``to_dict``. The one exception is the
+fixed-shape part of a trace's tick line (pose, packet, flags), which the
+engine writes from text templates that the tests check against this codec.
 
 Three things are built once per process and reused. A record class's
 first ``to_dict`` call replaces its ``to_dict`` with a writer generated
@@ -17,7 +19,9 @@ records inline, compiled with ``exec`` the way ``dataclasses`` builds
 ``__init__``, so no value is dispatched on its type. ``from_dict`` reads
 each field through a decoder built once per type hint (``_decoder``). The
 compact encoder of ``canonical_dumps`` is one module-level encoder with
-sorted keys, where ``json.dumps`` builds one per call, once per trace line.
+sorted keys, where ``json.dumps`` builds one per call; it runs once per
+header, result and artifact line, and for each variable-shape part of a
+tick line (events, decisions, dialogue, the item).
 All are safe to share because they hold no state between calls: writers
 and decoders are pure functions of the class or hint, and the compact
 encoder keeps no cycle markers (a cyclic value is handed to ``json``'s own
@@ -263,7 +267,7 @@ def _decoder(hint: Any) -> Decoder:
     return decode
 
 
-# json.dumps builds both encoders on every call, once per trace line
+# json.dumps builds both encoders on every call
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 if json.encoder.c_make_encoder is not None:
     # the arguments JSONEncoder.iterencode passes, but no markers dict: a

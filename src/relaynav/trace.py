@@ -6,27 +6,43 @@ mode-equivalence checks reduce to byte comparisons of trace files. The
 header deliberately omits execution mode and transport settings — those live
 in the run manifest — because a lockstep run is a run over the zero-latency,
 lossless transport and must write the same bytes as a distributed run over it.
+
+A trace keeps each tick as a record and its ``tick_line`` writes the
+record's line when the trace is written. A trace read back by
+:func:`load_trace` holds each tick's dict and writes it with
+``canonical_dumps``. The engine records each tick as one flat tuple of
+references to the values the tick made and writes it with its own text
+writer, so a rollout whose trace is never written pays for no text. That
+rests on one invariant: nothing a record references is mutated after its
+tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Callable
 
 from .serialize import canonical_dumps, numbered_jsonl
+
+
+def _dict_tick_line(record: dict) -> str:
+    """The trace line of a tick record held as a dict."""
+    return canonical_dumps({"kind": "tick", **record})
 
 
 @dataclass
 class Trace:
     header: dict
-    records: list[dict] = field(default_factory=list)
+    records: list = field(default_factory=list)
     result: dict | None = None
+    tick_line: Callable[[Any], str] = _dict_tick_line
 
-    def append(self, record: dict) -> None:
+    def append(self, record: Any) -> None:
         self.records.append(record)
 
     def lines(self) -> list[str]:
         out = [canonical_dumps({"kind": "header", **self.header})]
-        out.extend(canonical_dumps({"kind": "tick", **r}) for r in self.records)
+        out.extend(map(self.tick_line, self.records))
         if self.result is not None:
             out.append(canonical_dumps({"kind": "result", **self.result}))
         return out
@@ -40,8 +56,8 @@ class TraceFormatError(ValueError):
 
 
 def load_trace(path) -> Trace:
-    """Read a trace back; a malformed line raises TraceFormatError naming
-    the file and the line."""
+    """Read a trace back; a malformed line, or any line after the result
+    line, raises TraceFormatError naming the file and the line."""
     header = None
     records: list[dict] = []
     result = None
@@ -50,6 +66,8 @@ def load_trace(path) -> Trace:
         if not isinstance(row, dict):
             raise TraceFormatError(f"{where}: expected an object, got {row!r}")
         kind = row.pop("kind", None)
+        if result is not None:
+            raise TraceFormatError(f"{where}: line after the result line")
         if kind == "header":
             if header is not None:
                 raise TraceFormatError(f"{where}: duplicate trace header")

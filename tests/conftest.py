@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from relaynav.ablation import SuiteParams, build_blockage_suite
+from relaynav.config import RolloutConfig
 from relaynav.episodes import EpisodeSpec, generate_episode
 from relaynav.scenegen import generate_scene
 from relaynav.seeds import derive_seed
@@ -37,3 +39,15 @@ def scene_episode():
 @pytest.fixture(scope="session")
 def batch10():
     return episode_batch(10, seed=3)
+
+
+@pytest.fixture(scope="session")
+def blockage_run():
+    """(scene, episode, config) of a one-entry blockage suite: the corridor
+    closes at the entry's tick, and deconav swaps."""
+    suite = build_blockage_suite(SuiteParams(n_episodes=1, seed=42))
+    entry = suite.entries[0]
+    cfg = RolloutConfig(
+        t_max=entry.t_max, blockage_schedule=((entry.plan.tick, entry.plan.corridor_id),)
+    )
+    return suite.scenes[entry.episode.scene_id], entry.episode, cfg

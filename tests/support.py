@@ -24,6 +24,39 @@ from relaynav.world import (
 )
 
 
+def tick_records(trace) -> list[dict]:
+    """The tick lines of a trace as written, each parsed back into a dict:
+    how tests read what a rollout recorded."""
+    return [r for r in map(json.loads, trace.lines()) if r["kind"] == "tick"]
+
+
+def plain_tick_record(row: tuple) -> dict:
+    """The record a row of :func:`relaynav.engine._record` stands for, built
+    the plain way, as a dict display of each value's ``to_dict``: the path
+    the engine's text writer is checked against."""
+    now, dialogue, item, corridors = row[0], *row[17:]
+
+    def robot(pose, action, blocked, packet, partner_ts, admitted, decision, attempt):
+        return {
+            "pose": [pose.x, pose.y, pose.heading],
+            "action": action,
+            "blocked": blocked,
+            "packet": packet.to_dict(),
+            "partner_ts": partner_ts,
+            "admitted": [e.to_dict() for e in admitted],
+            "decision": decision.to_dict(),
+            "interaction": attempt,
+        }
+
+    return {
+        "tick": now,
+        "robots": {"FH": robot(*row[1:9]), "SH": robot(*row[9:17])},
+        "dialogue": [d.to_dict() for d in dialogue],
+        "item": item.to_dict(),
+        "blocked_corridors": corridors,
+    }
+
+
 def geodesic_distance(scene, a, b):
     """Shortest 4-connected path length in meters; ``inf`` when unreachable."""
     return scene.grid.geodesics().meters(a, b)

@@ -23,6 +23,7 @@ import pytest
 
 from relaynav import cli
 from relaynav.cli import (
+    DEBUG_ENV_VAR,
     EXIT_OK,
     EXIT_REJECTED,
     EXIT_RUNTIME,
@@ -646,6 +647,17 @@ class TestExitCodes:
 
     def test_eval_without_manifest_is_runtime_error(self, tmp_path):
         assert main(["eval", "--results", str(tmp_path)]) == EXIT_RUNTIME
+
+    @pytest.mark.parametrize("debug", [None, "1"])
+    def test_debug_switch_prints_the_traceback_first(self, tmp_path, capsys, monkeypatch, debug):
+        if debug is None:
+            monkeypatch.delenv(DEBUG_ENV_VAR, raising=False)
+        else:
+            monkeypatch.setenv(DEBUG_ENV_VAR, debug)
+        assert main(["eval", "--results", str(tmp_path)]) == EXIT_RUNTIME
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith("error: ")
+        assert ("Traceback (most recent call last):" in err) == (debug == "1")
 
     def test_eval_names_a_missing_result_field(self, run_dirs, tmp_path, capsys):
         copy = tmp_path / "run"

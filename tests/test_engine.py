@@ -2,15 +2,18 @@
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaynav import engine
-from relaynav.ablation import SuiteParams, build_blockage_suite
 from relaynav.agent import make_agent, on_blocked
+from relaynav.bus import Observation, SemanticPacket
 from relaynav.config import MAX_SENSOR_RANGE_M, RolloutConfig, SensorConfig, TransportConfig
 from relaynav.engine import (
     AT_HANDOFF,
@@ -25,9 +28,12 @@ from relaynav.engine import (
     run_lockstep,
 )
 from relaynav.replan import (
+    KEEP,
+    PATH_BLOCKED,
     STAGNATION,
     SWAP_SUBTASKS,
     UPDATE_ANCHOR_TARGET,
+    DialogueRecord,
     Event,
     PolicyContext,
     ReplanDecision,
@@ -45,23 +51,25 @@ from relaynav.tasks import (
     rebind_target,
 )
 from relaynav.transport import Transport
+from relaynav.serialize import canonical_dumps
 from relaynav.world import (
     ACTION_FORWARD,
     ACTION_STOP,
     FORWARD_M,
+    Pose,
     SceneFormatError,
     scene_from_dict,
     scene_to_dict,
 )
 
-from support import center_pose, walled_lab
+from support import center_pose, plain_tick_record, tick_records, walled_lab
 
 PHASE_ORDER = (AT_PICKUP, "CarriedByFH", AT_HANDOFF, "CarriedBySH", DELIVERED)
 
 
 def phases_of(trace):
     seen = []
-    for rec in trace.records:
+    for rec in tick_records(trace):
         phase = rec["item"]["phase"]
         if not seen or seen[-1] != phase:
             seen.append(phase)
@@ -85,7 +93,7 @@ class TestDeterminismAndEquivalence:
             )
             assert lock.to_bytes() == dist.to_bytes()
 
-    def test_unshared_zero_latency_replicas_match_lockstep(self, batch10):
+    def test_unshared_zero_latency_replicas_match_lockstep(self, batch10, blockage_run):
         # a zero-latency link shares one replica between the robots, on both
         # sides of the test above; here one side keeps a replica per robot,
         # fed over send/due, and must still write the same bytes
@@ -94,12 +102,7 @@ class TestDeterminismAndEquivalence:
             for scene, episode in batch10
             for policy in ("deconav", "static")
         ]
-        suite = build_blockage_suite(SuiteParams(n_episodes=1, seed=42))
-        entry = suite.entries[0]
-        blocked = RolloutConfig(
-            t_max=entry.t_max, blockage_schedule=((entry.plan.tick, entry.plan.corridor_id),)
-        )
-        runs.append((suite.scenes[entry.episode.scene_id], entry.episode, blocked))
+        runs.append(blockage_run)
         for scene, episode, cfg in runs:
             lock_result, lock = run_lockstep(scene, episode, cfg)
             transport = Transport(TransportConfig())
@@ -209,7 +212,7 @@ class TestRelayCompletion:
                 assert result.ticks < RolloutConfig().t_max
                 assert result.subtasks_done_fh == 5 and result.subtasks_done_sh == 5
                 assert result.subtasks_remaining_fh == 0 == result.subtasks_remaining_sh
-                assert trace.records[-1]["item"]["phase"] == DELIVERED
+                assert tick_records(trace)[-1]["item"]["phase"] == DELIVERED
         assert wins == len(batch10)
 
     def test_item_phases_follow_relay_order(self, batch10):
@@ -227,7 +230,7 @@ class TestRelayCompletion:
         for rid, length in (("FH", result.path_len_fh_m), ("SH", result.path_len_sh_m)):
             steps = sum(
                 1
-                for rec in trace.records
+                for rec in tick_records(trace)
                 if rec["robots"][rid]["action"] == "move_forward"
                 and not rec["robots"][rid]["blocked"]
             )
@@ -236,7 +239,7 @@ class TestRelayCompletion:
     def test_lockstep_partner_context_is_same_tick(self, batch10):
         scene, episode = batch10[0]
         _, trace = run_lockstep(scene, episode, RolloutConfig())
-        for rec in trace.records:
+        for rec in tick_records(trace):
             for rid in ("FH", "SH"):
                 assert rec["robots"][rid]["partner_ts"] == rec["tick"]
 
@@ -262,7 +265,7 @@ class TestStaticPolicy:
         for scene, episode in batch10[:2]:
             result, trace = run_lockstep(scene, episode, RolloutConfig(policy="static"))
             assert result.swap_count == 0 and result.dialogue_count == 0
-            for rec in trace.records:
+            for rec in tick_records(trace):
                 for rid in ("FH", "SH"):
                     assert rec["robots"][rid]["partner_ts"] is None
                     assert rec["robots"][rid]["decision"]["kind"] == "KeepAssignment"
@@ -276,8 +279,9 @@ class TestLatency:
         cfg = RolloutConfig(mode="distributed")
         transport = TransportConfig(latency=2 * cfg.tau)
         result, trace = run_distributed(scene, episode, cfg, transport)
-        assert trace.records
-        for rec in trace.records:
+        recs = tick_records(trace)
+        assert recs
+        for rec in recs:
             for rid in ("FH", "SH"):
                 assert rec["robots"][rid]["partner_ts"] is None
         assert result.success_fh  # local chain still runs to completion
@@ -289,7 +293,7 @@ class TestBlockageSchedule:
         cid = sorted(scene.corridors)[0]
         cfg = RolloutConfig(t_max=12, blockage_schedule=((5, cid),))
         _, trace = run_lockstep(scene, episode, cfg)
-        for rec in trace.records:
+        for rec in tick_records(trace):
             expect = [cid] if rec["tick"] >= 5 else []
             assert rec["blocked_corridors"] == expect
         assert not scene.corridors[cid].blocked
@@ -341,7 +345,7 @@ class TestViewReuse:
         _, trace = run_lockstep(scene, episode, cfg)
         bumped = [
             (rec["tick"], rid)
-            for rec in trace.records
+            for rec in tick_records(trace)
             for rid, row in rec["robots"].items()
             if row["blocked"]
         ]
@@ -512,3 +516,111 @@ class TestResultAndErrors:
             "episode_id", "scene_id", "policy", "knowledge", "t_max", "tau",
             "r_succ", "r_int", "seed", "blockage_schedule",
         }
+
+
+def assert_written_plainly(row: tuple, line: str) -> None:
+    """``line``, the engine's text for ``row``, is canonical JSON of the
+    record the plain path builds."""
+    assert line == canonical_dumps(json.loads(line))
+    plain = {"kind": "tick", **plain_tick_record(row)}
+    assert json.loads(line) == plain
+    assert line == canonical_dumps(plain)
+
+
+def written_row(**changed) -> tuple:
+    """A tick row as ``engine._record`` lays it out, with FH's values (or
+    the tick's, by their names) replaced by ``changed``."""
+    packet = SemanticPacket(
+        "FH", 7, "Kitchen", (Observation("mug", (3, 4), 0.75),), "PickUp", False, False
+    )
+    fh = {
+        "pose": Pose(1.125, 2.875, 90), "action": ACTION_FORWARD, "blocked": False,
+        "packet": packet, "partner_ts": 7, "admitted": [], "decision": KEEP, "attempt": None,
+    }
+    tick = {"dialogue": [], "item": ItemState(AT_PICKUP, (3, 4)), "corridors": []}
+    for name, value in changed.items():
+        (fh if name in fh else tick)[name] = value
+    sh_packet = replace(packet, robot_id="SH")
+    sh = (Pose(0.125, 0.125, 0), ACTION_STOP, True, sh_packet, None, [], KEEP, None)
+    return (7, *fh.values(), *sh, *tick.values())
+
+
+SWAP = ReplanDecision(SWAP_SUBTASKS, make_payload(keep_cost=2.5, swap_cost=1.0, initiator="SH"))
+
+
+class TestTickLine:
+    """Each tick line is written from the tick's row by fixed templates;
+    it must be the bytes ``canonical_dumps`` writes for the plain record."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(
+        index=st.integers(0, 9),
+        knowledge=st.sampled_from(["known", "discover"]),
+        policy=st.sampled_from(["deconav", "static"]),
+        lossy=st.booleans(),
+        closures=st.lists(st.tuples(st.integers(0, 40), st.integers(0, 99)), max_size=2),
+    )
+    def test_drawn_rollouts(self, batch10, index, knowledge, policy, lossy, closures):
+        scene, episode = batch10[index]
+        corridors = sorted(scene.corridors)
+        schedule = tuple((tick, corridors[k % len(corridors)]) for tick, k in closures)
+        cfg = RolloutConfig(
+            knowledge=knowledge, policy=policy, t_max=150, blockage_schedule=schedule
+        )
+        if lossy:
+            link = TransportConfig(latency=2, jitter=1, drop_prob=0.2, seed=index)
+            _, trace = run_distributed(scene, episode, cfg, link)
+        else:
+            _, trace = run_lockstep(scene, episode, cfg)
+        for row, line in zip(trace.records, trace.lines()[1:-1], strict=True):
+            assert_written_plainly(row, line)
+
+    def test_a_swap_with_dialogue_and_a_closed_corridor(self, blockage_run):
+        result, trace = run_lockstep(*blockage_run)
+        assert result.swap_count >= 1 and result.dialogue_count >= 1
+        rows = trace.records
+        assert any(row[-3] for row in rows)  # dialogue
+        assert any(row[-1] for row in rows)  # closed corridors
+        for row, line in zip(rows, trace.lines()[1:-1], strict=True):
+            assert_written_plainly(row, line)
+
+    @pytest.mark.parametrize(
+        "changed",
+        [
+            pytest.param({}, id="plain"),
+            pytest.param(
+                {"packet": SemanticPacket(
+                    "FH", 7, "Küche \"2\" \\ nord", (Observation("tasse ☕\n", (0, 1), 1.0),),
+                    "Receive", True, True,
+                )},
+                id="non-ascii-quote-backslash",
+            ),
+            pytest.param({"partner_ts": None}, id="stale-partner"),
+            pytest.param(
+                {"admitted": [
+                    Event(STAGNATION, 3, "FH", make_payload(since=0)),
+                    Event(PATH_BLOCKED, 7, "FH", make_payload(edge=((1, 2), (1, 3)), note="a\"b")),
+                ]},
+                id="nested-tuple-payloads",
+            ),
+            pytest.param(
+                {
+                    "decision": SWAP,
+                    "dialogue": [DialogueRecord(7, STAGNATION, "FH", "swap «FH»", SWAP)],
+                },
+                id="swap-with-dialogue",
+            ),
+            pytest.param({"corridors": ["c001", "c004"]}, id="two-closed-corridors"),
+            pytest.param(
+                {
+                    "attempt": {"kind": PICK_UP, "ok": True},
+                    "item": ItemState("CarriedByFH", None, "FH"),
+                },
+                id="interaction-and-carried-item",
+            ),
+            pytest.param({"pose": Pose(-0.0, 1e-07, 270), "blocked": True}, id="float-forms"),
+        ],
+    )
+    def test_constructed_rows(self, changed):
+        row = written_row(**changed)
+        assert_written_plainly(row, engine._tick_line(row))

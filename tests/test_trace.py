@@ -76,6 +76,17 @@ class TestFormatErrors:
         with pytest.raises(TraceFormatError):
             load_trace(path)
 
+    @pytest.mark.parametrize("late", ["result", "tick", "header"])
+    def test_line_after_the_result_rejected(self, tmp_path, late):
+        # a second result would replace the first, a tick would extend a
+        # finished rollout: either way the file is not one rollout's trace
+        lines = sample_trace().lines()
+        lines.append(json.dumps({"kind": late, "ticks": 3} if late == "result" else {"kind": late}))
+        path = tmp_path / "bad.trace.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(TraceFormatError, match=re.escape(f"{path}:5: ")):
+            load_trace(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.trace.jsonl"
         path.write_text(json.dumps({"kind": "prophecy"}) + "\n")
