@@ -15,6 +15,7 @@ run with that transport writes the lockstep trace byte for byte.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii as _quote
@@ -108,6 +109,12 @@ class ItemState(Record):
             raise ValueError("resting item needs a cell and no carrier")
         if self.phase not in STATIC_PHASES and (self.cell is not None or self.carrier is None):
             raise ValueError("carried item needs a carrier and no cell")
+
+    @functools.cached_property
+    def text(self) -> str:
+        """The item as its trace lines write it, made once per item object:
+        the engine keeps one item until an interaction replaces it."""
+        return canonical_dumps(self.to_dict())
 
 
 @dataclass(frozen=True)
@@ -526,7 +533,8 @@ def _partner_ts(r: _Robot) -> int | None:
 # One fixed template per part, so a line is the bytes canonical_dumps writes
 # for the tick's record: keys in sorted order, strings through json's own C
 # quoting, ints and floats by repr (as json's C encoder writes them), bools
-# and None from a table. Parts whose shape varies go through canonical_dumps.
+# and None from a table. Parts whose shape varies go through canonical_dumps,
+# the item once per item object (ItemState.text).
 
 _JSON_CONST = {True: "true", False: "false", None: "null"}
 _KEEP_TEXT = canonical_dumps(KEEP.to_dict())
@@ -573,7 +581,7 @@ def _tick_line(row: tuple) -> str:
     return (
         f'{{"blocked_corridors":{canonical_dumps(corridors) if corridors else "[]"},'
         f'"dialogue":{canonical_dumps([d.to_dict() for d in dialogue]) if dialogue else "[]"},'
-        f'"item":{canonical_dumps(item.to_dict())},"kind":"tick",'
+        f'"item":{item.text},"kind":"tick",'
         f'"robots":{{"FH":{_robot_text(*row[1:9])},"SH":{_robot_text(*row[9:17])}}},'
         f'"tick":{row[0]!r}}}'
     )

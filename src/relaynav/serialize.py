@@ -17,15 +17,26 @@ first ``to_dict`` call replaces its ``to_dict`` with a writer generated
 from its hints (``_writer``): one dict display over the fields, nested
 records inline, compiled with ``exec`` the way ``dataclasses`` builds
 ``__init__``, so no value is dispatched on its type. ``from_dict`` reads
-each field through a decoder built once per type hint (``_decoder``). The
-compact encoder of ``canonical_dumps`` is one module-level encoder with
-sorted keys, where ``json.dumps`` builds one per call; it runs once per
-header, result and artifact line, and for each variable-shape part of a
-tick line (events, decisions, dialogue, the item).
+each field through a decoder built once per type hint (``_decoder``); a
+tuple or frozenset of cells is checked over all its items at once and read
+item by item only when the check fails, to name the first item refused.
+The compact encoder of ``canonical_dumps`` is one module-level encoder
+with sorted keys, where ``json.dumps`` builds one per call; it runs once
+per header, result and artifact line, and for each variable-shape part of
+a tick line (events, decisions, dialogue, the item).
 All are safe to share because they hold no state between calls: writers
 and decoders are pure functions of the class or hint, and the compact
 encoder keeps no cycle markers (a cyclic value is handed to ``json``'s own
 encoder, which raises its usual error).
+
+Indented files (scenes, manifests, reports, ``pending.json``, ``stats``)
+are written by ``_indented``, which writes the bytes of ``json.dumps(obj,
+sort_keys=True, indent=...)`` (the tests' oracle) without its per-value
+Python encoder: strings through json's C quoting, other scalars through
+the compact encoder (a scalar's text is the same in both forms), and a
+list of int pairs, such as a scene's cells, from one template per pair
+filled in a single ``%`` formatting call. A value it cannot write is
+handed to the compact encoder, which raises what ``json.dumps`` raises.
 """
 
 from __future__ import annotations
@@ -36,7 +47,7 @@ import hashlib
 import json
 import math
 import typing
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 from types import MappingProxyType, NoneType, UnionType
 from typing import Any, Callable, ClassVar, Iterable, Iterator
@@ -228,10 +239,14 @@ def _decoder(hint: Any) -> Decoder:
         items = tuple(map(_decoder, args[:1] if variadic else args))
         # one decoder for every item (a cell's two ints, too) maps directly
         each = items[0] if variadic or len(set(items)) == 1 else None
+        # cells are checked in bulk; only a list that fails goes item by item
+        cells = variadic and args[0] == tuple[int, int]
 
         def decode(value):
             if not isinstance(value, list) or not variadic and len(value) != len(items):
                 raise _Mistyped
+            if cells and _int_pairs(value, {list}) is not None:
+                return origin(map(tuple, value))
             try:
                 if each is not None:
                     return origin(map(each, value))
@@ -267,6 +282,7 @@ def _decoder(hint: Any) -> Decoder:
     return decode
 
 
+_quote = json.encoder.encode_basestring_ascii
 # json.dumps builds both encoders on every call
 _COMPACT = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
 if json.encoder.c_make_encoder is not None:
@@ -274,17 +290,60 @@ if json.encoder.c_make_encoder is not None:
     # cyclic value overflows the recursion limit instead and is handed to
     # _COMPACT, which raises json's own error
     _compact_chunks = json.encoder.c_make_encoder(
-        None, _COMPACT.default, json.encoder.encode_basestring_ascii, None,
+        None, _COMPACT.default, _quote, None,
         ":", ",", True, False, True,
     )
 else:
     _compact_chunks = None
 
 
+def _int_pairs(value: list | tuple, kinds: set[type]) -> tuple[int, ...] | None:
+    """The coordinates of ``value`` in order when it is a sequence of pairs
+    of ``int``s (exactly: no bools), each pair of a type in ``kinds``;
+    None otherwise. Every check runs over all items at once."""
+    if set(map(type, value)) <= kinds and set(map(len, value)) <= {2}:
+        flat = tuple(chain.from_iterable(value))
+        if set(map(type, flat)) <= {int}:
+            return flat
+    return None
+
+
+def _indented(o: Any, step: str, nl: str) -> str:
+    """``o`` as ``json.dumps(o, sort_keys=True, indent=...)`` writes it,
+    ``step`` being one level of indent and ``nl`` the newline and indent of
+    the line ``o`` starts on."""
+    if isinstance(o, str):
+        return _quote(o)
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        inner = nl + step
+        flat = _int_pairs(o, {list, tuple})
+        if flat is not None:  # cells: one template per pair, filled in one call
+            deeper = inner + step
+            pair = f"[{deeper}%d,{deeper}%d{inner}]"
+            return f"[{inner}{(',' + inner).join([pair] * len(o)) % flat}{nl}]"
+        return f"[{inner}{(',' + inner).join([_indented(v, step, inner) for v in o])}{nl}]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        inner = nl + step
+        members = (',' + inner).join([
+            f"{_quote(k if isinstance(k, str) else canonical_dumps(k))}: {_indented(v, step, inner)}"
+            for k, v in sorted(o.items())
+        ])
+        return f"{{{inner}{members}{nl}}}"
+    return canonical_dumps(o)  # a scalar: its text is the same compact or indented
+
+
 def canonical_dumps(obj: Any, *, indent: int | None = None) -> str:
     """``obj`` as JSON with sorted keys: compact, or indented by ``indent``."""
     if indent is not None:
-        return json.dumps(obj, sort_keys=True, indent=indent)
+        try:
+            return _indented(obj, " " * indent, "\n")
+        except (RecursionError, TypeError, ValueError):
+            _COMPACT.encode(obj)  # raises what json.dumps raises for the value
+            raise
     if _compact_chunks is not None:
         try:
             return "".join(_compact_chunks(obj, 0))

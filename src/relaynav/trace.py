@@ -56,8 +56,9 @@ class TraceFormatError(ValueError):
 
 
 def load_trace(path) -> Trace:
-    """Read a trace back; a malformed line, or any line after the result
-    line, raises TraceFormatError naming the file and the line."""
+    """Read a trace back; a malformed line, a tick or result line before
+    the header line, or any line after the result line, raises
+    TraceFormatError naming the file and the line."""
     header = None
     records: list[dict] = []
     result = None
@@ -72,12 +73,14 @@ def load_trace(path) -> Trace:
             if header is not None:
                 raise TraceFormatError(f"{where}: duplicate trace header")
             header = row
+        elif kind not in ("tick", "result"):
+            raise TraceFormatError(f"{where}: unknown trace line kind {kind!r}")
+        elif header is None:
+            raise TraceFormatError(f"{where}: {kind} line before the header line")
         elif kind == "tick":
             records.append(row)
-        elif kind == "result":
-            result = row
         else:
-            raise TraceFormatError(f"{where}: unknown trace line kind {kind!r}")
+            result = row
     if header is None:
         raise TraceFormatError(f"{path}: trace missing header line")
     return Trace(header=header, records=records, result=result)

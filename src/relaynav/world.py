@@ -29,6 +29,7 @@ import functools
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
+from operator import itemgetter
 
 from .serialize import Record, read_json, write_canonical
 
@@ -307,8 +308,7 @@ class SceneGraph:
     def __post_init__(self) -> None:
         if not self._region_by_cell:
             for rid in sorted(self.regions):
-                for cell in self.regions[rid].cells:
-                    self._region_by_cell[cell] = rid
+                self._region_by_cell.update(dict.fromkeys(self.regions[rid].cells, rid))
 
     def region_of(self, cell: Cell) -> Region | None:
         rid = self._region_by_cell.get(cell)
@@ -337,9 +337,13 @@ class SceneGraph:
 def validate_scene(scene: SceneGraph) -> None:
     """Check structural invariants; raise SceneFormatError on violation.
 
-    Every check reads the grid's packed int (:class:`GridMap`). The two
-    connectivity checks, each region 4-connected and the free space one
-    component, are flood fills over packed masks (:func:`_one_component`).
+    Every check reads packed ints (:class:`GridMap`): each region's cells
+    are packed once (:func:`_region_mask`), and bounds, overlap with the
+    regions before it, blocked cells and 4-connectivity are tested on that
+    mask; the free space must be one component too. The connectivity
+    checks are flood fills over packed masks (:func:`_one_component`). A
+    region that fails is looked at again cell by cell (:func:`_region_error`)
+    to name the failure.
     """
     grid = scene.grid
     w, h, stride = grid.width, grid.height, grid.stride
@@ -347,22 +351,17 @@ def validate_scene(scene: SceneGraph) -> None:
     border = packed_rect(w, h, stride) ^ interior
     if border & grid.blocked != border:
         raise SceneFormatError("border cells must be blocked")
-    seen: set[Cell] = set()
+    seen = 0
     for rid in sorted(scene.regions):
-        region = scene.regions[rid]
-        if not region.cells:
+        cells = scene.regions[rid].cells
+        if not cells:
             raise SceneFormatError(f"region {rid} is empty")
-        if region.cells & seen:
-            raise SceneFormatError(f"region {rid} overlaps another region")
-        seen |= region.cells
-        xs, ys = zip(*region.cells)
-        inside = min(xs) >= 0 and min(ys) >= 0 and max(xs) < w and max(ys) < h
-        mask = grid.mask(region.cells) if inside else 0
-        if not inside or mask & grid.blocked:
-            cell = next(c for c in region.cells if not grid.in_bounds(c) or grid.is_blocked(c))
-            raise SceneFormatError(f"region {rid} contains a blocked cell {cell}")
+        mask = _region_mask(cells, grid)
+        if mask is None or mask & (seen | grid.blocked):
+            raise _region_error(scene, rid)
         if not _one_component(mask, stride):
             raise SceneFormatError(f"region {rid} is not 4-connected")
+        seen |= mask
     for oid in sorted(scene.objects):
         obj = scene.objects[oid]
         if obj.region_id not in scene.regions:
@@ -378,16 +377,47 @@ def validate_scene(scene: SceneGraph) -> None:
                 raise SceneFormatError(
                     f"corridor {cid} blocked flag disagrees with occupancy"
                 )
-            if cell in seen:
+            if seen >> cell[1] * stride + cell[0] & 1:
                 raise SceneFormatError(f"corridor {cid} gate cell inside a region")
     if not _one_component(grid.free, stride):
         raise SceneFormatError("free space is not a single connected component")
 
 
+def _region_mask(cells: frozenset[Cell], grid: GridMap) -> int | None:
+    """The region ``cells`` packed in ``grid``'s layout, or None if one lies
+    outside it. Cells that are every pair of their columns and rows (a
+    room's box) are packed a row at a time, other cells one at a time."""
+    xs = set(map(itemgetter(0), cells))
+    ys = set(map(itemgetter(1), cells))
+    if min(xs) < 0 or min(ys) < 0 or max(xs) >= grid.width or max(ys) >= grid.height:
+        return None
+    if len(xs) * len(ys) != len(cells):
+        return grid.mask(cells)
+    row = sum(1 << x for x in xs)
+    return sum(row << y * grid.stride for y in ys)
+
+
+def _region_error(scene: SceneGraph, rid: str) -> SceneFormatError:
+    """Why region ``rid`` fails where the regions before it passed: it
+    overlaps one of them, or holds a blocked or out-of-grid cell."""
+    cells, grid = scene.regions[rid].cells, scene.grid
+    if any(cells & scene.regions[other].cells for other in scene.regions if other < rid):
+        return SceneFormatError(f"region {rid} overlaps another region")
+    cell = next(c for c in cells if not grid.in_bounds(c) or grid.is_blocked(c))
+    return SceneFormatError(f"region {rid} contains a blocked cell {cell}")
+
+
 def _one_component(bits: int, stride: int) -> bool:
     """True iff the cells of a packed mask, rows ``stride`` bits apart, are
-    one 4-connected component (an empty mask counts as one): the union of
-    the :func:`bfs_layers` from its lowest bit must be the whole mask."""
+    one 4-connected component (an empty mask counts as one). A mask that
+    fills the rectangle from its first to its last cell, such as a room's
+    box, is one; for any other the union of the :func:`bfs_layers` from
+    its lowest bit must be the whole mask."""
+    y0, x0 = divmod((bits & -bits).bit_length() - 1, stride)
+    y1, x1 = divmod(bits.bit_length() - 1, stride)
+    row = (1 << x1 + 1) - (1 << x0)  # columns x0 to x1; not positive if x1 < x0
+    if bits and bits == sum(row << y * stride for y in range(y0, y1 + 1)):
+        return True
     reached = 0
     for layer in bfs_layers(bits, stride, bits & -bits):
         reached |= layer
@@ -953,11 +983,19 @@ def scene_from_dict(data: dict) -> SceneGraph:
 
 
 def save_scene(scene: SceneGraph, path) -> None:
+    """Write ``scene`` as indented canonical JSON (``canonical_dumps``
+    with ``indent=2``): the bytes of ``json.dumps(scene_to_dict(scene),
+    sort_keys=True, indent=2)`` plus a newline, its cells written from one
+    template per cell."""
     write_canonical(path, scene_to_dict(scene), indent=2)
 
 
 def load_scene(path) -> SceneGraph:
-    """The scene in ``path``; a malformed file raises SceneFormatError naming it."""
+    """The scene in ``path``; a malformed file raises SceneFormatError naming it.
+
+    The cell lists are decoded in bulk (the record codec checks all items
+    at once and names the first refused one only when the check fails),
+    and :func:`validate_scene` packs each region once."""
     data = read_json(path, SceneFormatError)
     try:
         return scene_from_dict(data)

@@ -439,14 +439,46 @@ def test_canonical_dumps_equals_json_dumps(value):
     assert canonical_dumps(value) == want
 
 
-def test_canonical_dumps_raises_what_json_dumps_raises():
+# what the indented writer treats apart: lists of int pairs (lists or
+# tuples), near misses of them, every float form and escape-needing text
+_int_pair = st.lists(st.integers(), min_size=2, max_size=2) | st.tuples(st.integers(), st.integers())
+_near_pair = st.sampled_from([[1, True], [1.0, 2], [1, 2, 3], [1], [], "a", [1, None], (2, 1.5)])
+_pair_lists = st.lists(_int_pair, min_size=1, max_size=6)
+_odd_text = st.sampled_from(["", "é", "☕ \U0001f600", 'a"b\\c', "\n\t\x00\x7f", "\ud800"])
+indented_trees = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats()
+    | st.sampled_from([-0.0, math.inf, -math.inf, math.nan]) | st.text() | _odd_text,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6) | _odd_text, inner, max_size=4)
+    # keys json converts to text; one kind per object, so that they sort
+    | st.dictionaries(st.integers() | st.booleans(), inner, max_size=3)
+    | st.dictionaries(st.floats(), inner, max_size=3)
+    | st.dictionaries(st.none(), inner, max_size=1)
+    | _pair_lists
+    | st.tuples(_pair_lists, _near_pair, st.integers(0, 6)).map(
+        lambda t: t[0][: t[2]] + [t[1]] + t[0][t[2]:]
+    ),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(indented_trees, st.sampled_from([0, 1, 2, 4]))
+def test_indented_canonical_dumps_equals_json_dumps(value, indent):
+    want = json.dumps(value, sort_keys=True, indent=indent)
+    assert canonical_dumps(value, indent=indent) == want
+
+
+@pytest.mark.parametrize("indent", [None, 2])
+def test_canonical_dumps_raises_what_json_dumps_raises(indent):
     cyclic: list = []
     cyclic.append(cyclic)
-    for value in (cyclic, {"a": object()}, {1: 2, "a": 3}):
+    separators = (",", ":") if indent is None else None
+    for value in (cyclic, {"a": object()}, {1: 2, "a": 3}, [[1, object()]]):
         with pytest.raises(Exception) as want:
-            json.dumps(value, sort_keys=True, separators=(",", ":"))
+            json.dumps(value, sort_keys=True, separators=separators, indent=indent)
         with pytest.raises(type(want.value), match=re.escape(str(want.value))):
-            canonical_dumps(value)
+            canonical_dumps(value, indent=indent)
 
 
 def test_int_in_float_field_reads_as_float():

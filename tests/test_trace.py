@@ -87,6 +87,16 @@ class TestFormatErrors:
         with pytest.raises(TraceFormatError, match=re.escape(f"{path}:5: ")):
             load_trace(path)
 
+    @pytest.mark.parametrize("early", ["tick", "result"])
+    def test_line_before_the_header_rejected(self, tmp_path, early):
+        # accepted, the file would be written back with the header moved first
+        path = tmp_path / "bad.trace.jsonl"
+        header = json.dumps({"kind": "header", "episode_id": "x"})
+        path.write_text(json.dumps({"kind": early, "tick": 0}) + "\n" + header + "\n")
+        want = f"{path}:1: {early} line before the header line"
+        with pytest.raises(TraceFormatError, match=f"^{re.escape(want)}$"):
+            load_trace(path)
+
     def test_unknown_kind_rejected(self, tmp_path):
         path = tmp_path / "bad.trace.jsonl"
         path.write_text(json.dumps({"kind": "prophecy"}) + "\n")

@@ -339,6 +339,23 @@ class TestBfs:
             return
         assert _one_component(free, stride) == flood_fill_oracle(cells)
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_box_masks_and_their_neighbours_agree_with_the_set_flood_fill(self, data):
+        # a full rectangle is one component without a fill; one cell less or
+        # one more (anywhere, so also beside or away from it) takes the fill
+        w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        x0, y0 = data.draw(st.integers(0, w - 1)), data.draw(st.integers(0, h - 1))
+        x1, y1 = data.draw(st.integers(x0, w - 1)), data.draw(st.integers(y0, h - 1))
+        cells = {(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)}
+        any_cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        if data.draw(st.booleans()):
+            cells.discard(data.draw(st.sampled_from(sorted(cells))))
+        if data.draw(st.booleans()):
+            cells.add(data.draw(any_cell))
+        want = flood_fill_oracle(frozenset(cells)) if cells else True
+        assert _one_component(pack_cells(cells, w + 1), w + 1) == want
+
     def test_path_length_m(self):
         assert path_length_m([(0, 0), (1, 0), (1, 1)]) == pytest.approx(0.5)
         assert path_length_m([(3, 3)]) == 0.0
@@ -788,6 +805,35 @@ class TestSceneSerialization:
         save_scene(load_scene(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_scene_file_is_the_indented_json_of_its_dict(self, seed, tmp_path):
+        # the bytes json.dumps writes, as scene files were written before the
+        # template writer, for plain scenes and for each with a corridor closed
+        scene = generate_scene(seed)
+        for version in (scene, apply_blockage(scene, min(scene.corridors))):
+            path = tmp_path / "scene.json"
+            save_scene(version, path)
+            want = json.dumps(scene_to_dict(version), sort_keys=True, indent=2) + "\n"
+            assert path.read_text(encoding="utf-8") == want
+
+    @pytest.mark.parametrize(
+        "cls, field", [("SceneGrid", "blocked_cells"), ("Region", "cells"), ("Corridor", "gate_cells")]
+    )
+    @pytest.mark.parametrize(
+        "bad, held",
+        [([1, True], "[1, True]"), ([1.5, 2], "[1.5, 2]"), ([1], "[1]"), ("ab", "'ab'"), (None, "None")],
+    )
+    def test_bad_cell_is_named_by_its_index(self, scene, tmp_path, cls, field, bad, held):
+        # a cell list is checked in bulk; one that fails names its first bad item
+        data = scene_to_dict(scene)
+        section = {"SceneGrid": data["grid"], "Region": data["regions"][0], "Corridor": data["corridors"][0]}
+        section[cls][field].insert(1, bad)
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        want = f"{path}: {cls}: field '{field}' item 1 cannot hold {held}"
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(want)}$"):
+            load_scene(path)
+
     def test_mistyped_grid_side_is_named_with_the_file(self, scene, tmp_path):
         data = scene_to_dict(scene)
         data["grid"]["width"] = "x"
@@ -896,6 +942,30 @@ class TestSceneSerialization:
 
     def test_validate_accepts_generated_scene(self, scene):
         validate_scene(scene)
+
+    @pytest.mark.parametrize("case", ["empty", "overlap", "gate-in-region"])
+    def test_validate_names_the_region_or_corridor_at_fault(self, scene, case):
+        # regions are checked on packed masks; each failure keeps its message
+        first, second = sorted(scene.regions)[:2]
+        cid = min(scene.corridors)
+        gate = min(scene.corridors[cid].gate_cells)
+        home = scene.corridors[cid].joins[0]
+        rid, cells, want = {
+            "empty": (first, frozenset(), f"region {first} is empty"),
+            "overlap": (
+                second,
+                scene.regions[second].cells | {min(scene.regions[first].cells)},
+                f"region {second} overlaps another region",
+            ),
+            "gate-in-region": (
+                home,
+                scene.regions[home].cells | {gate},
+                f"corridor {cid} gate cell inside a region",
+            ),
+        }[case]
+        regions = {**scene.regions, rid: replace(scene.regions[rid], cells=cells)}
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(want)}$"):
+            validate_scene(replace(scene, regions=regions))
 
     def test_validate_names_blocked_split_and_disconnected_cells(self):
         blocked = np.ones((5, 7), dtype=bool)
