@@ -93,12 +93,12 @@ def quantize_heading(deg: float) -> int:
 
 
 def cells_within(region: Region, at: tuple[float, float], reach: float) -> list[Cell]:
-    """The region's cells, in ``sorted_cells`` order, whose centres lie within
+    """The region's cells, in ``(x, y)`` order, whose centres lie within
     ``reach`` metres of the point ``at``."""
     ax, ay = at
-    cells = region.sorted_cells
+    cells = region.cells
     # only the columns whose centres lie within reach of ax, plus a cell of
-    # margin, can hold such a cell; sorted_cells holds each column in one run
+    # margin, can hold such a cell; the sorted cells hold each column in one run
     lo = bisect_left(cells, (math.floor((ax - reach) / FORWARD_M) - 1,))
     hi = bisect_left(cells, (math.ceil((ax + reach) / FORWARD_M) + 1,), lo)
     # math.hypot decides every cell, the boundary ones included: the sampled
@@ -284,7 +284,7 @@ def _tally_dict(tallies: dict[str, Counter]) -> dict:
 def _sample_start(scene: SceneGraph, rng: random.Random) -> Pose:
     region_ids = sorted(scene.regions)
     rid = rng.choice(region_ids)
-    cell = rng.choice(scene.regions[rid].sorted_cells)
+    cell = rng.choice(scene.regions[rid].cells)
     cx, cy = center(cell)
     return Pose(cx, cy, rng.randrange(0, 360, TURN_DEG))
 

@@ -134,7 +134,7 @@ def _build(seed: int, rng: random.Random) -> SceneGraph:
         label = labels[key]
         regions[rid] = Region(
             region_id=rid,
-            cells=frozenset(rooms[key]),
+            cells=rooms[key],
             room_label=label,
             label_provenance=PROVENANCE_GENERATOR,
             gt_room_label=label,
@@ -147,7 +147,7 @@ def _build(seed: int, rng: random.Random) -> SceneGraph:
 
     def place(rid: str, category: str, salience_rng, occlusion_rng) -> None:
         nonlocal obj_count
-        free = [c for c in regions[rid].sorted_cells if c not in used[rid]]
+        free = [c for c in regions[rid].cells if c not in used[rid]]
         cell = rng.choice(free)
         used[rid].add(cell)
         oid = f"o{obj_count:03d}"

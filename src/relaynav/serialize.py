@@ -37,6 +37,10 @@ the compact encoder (a scalar's text is the same in both forms), and a
 list of int pairs, such as a scene's cells, from one template per pair
 filled in a single ``%`` formatting call. A value it cannot write is
 handed to the compact encoder, which raises what ``json.dumps`` raises.
+A record's tuple is written in the order it holds, and only a frozenset
+is sorted on write: a scene's region cells, a tuple that ``world.Region``
+keeps sorted, go out without a sort, and its corridors' gate cells are
+sorted.
 """
 
 from __future__ import annotations

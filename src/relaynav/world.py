@@ -27,6 +27,8 @@ from __future__ import annotations
 
 import functools
 import math
+from array import array
+from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
 from operator import itemgetter
@@ -183,10 +185,14 @@ class Pose(Record):
 
 @dataclass(frozen=True)
 class Region(Record):
+    """A labelled room. ``cells`` holds each cell once, in ``(x, y)`` order,
+    however they were given (a hand-edited file, a caller's set), so a
+    column is one run of the tuple and the writer writes them as held."""
+
     format_error = SceneFormatError
 
     region_id: str
-    cells: frozenset[Cell]
+    cells: tuple[Cell, ...]
     room_label: str
     label_provenance: str
     gt_room_label: str
@@ -196,11 +202,7 @@ class Region(Record):
             raise SceneFormatError(f"unknown room label {self.room_label!r}")
         if self.label_provenance not in PROVENANCES:
             raise SceneFormatError(f"unknown provenance {self.label_provenance!r}")
-
-    @functools.cached_property
-    def sorted_cells(self) -> tuple[Cell, ...]:
-        """The cells in ``(x, y)`` order, sorted once per region."""
-        return tuple(sorted(self.cells))
+        object.__setattr__(self, "cells", tuple(dict.fromkeys(sorted(self.cells))))
 
 
 @dataclass(frozen=True)
@@ -293,26 +295,50 @@ class GridMap:
 
 @dataclass
 class SceneGraph:
+    """A scene: its grid, regions, objects and corridors.
+
+    :meth:`region_of` reads a region index built once per scene: ``bytes``
+    with one entry per grid cell, row-major (cell ``(x, y)`` is entry
+    ``y * width + x``), holding ``i`` for a cell of the ``i``-th of the
+    sorted region ids (``_region_ids``) and 0 for none. Overlapping regions
+    (which :func:`validate_scene` refuses) leave the last id; off-grid
+    cells are left out. Over 255 regions the index is an ``array`` of
+    unsigned longs. A copy made with ``replace`` (a blockage, relabelled
+    regions) shares the index, since it keeps the region ids and cells.
+    """
+
     scene_id: str
     seed: int
     grid: GridMap
     regions: dict[str, Region]
     objects: dict[str, SceneObject]
     corridors: dict[str, Corridor]
-    _region_by_cell: dict[Cell, str] = field(default_factory=dict, repr=False)
+    _region_index: bytes | array = field(default=b"", repr=False)
+    _region_ids: tuple[str, ...] = field(default=(), repr=False)
     _vis_fields: dict = field(default_factory=dict, repr=False)
     _sorted_objects: tuple[SceneObject, ...] | None = field(
         default=None, repr=False, compare=False
     )
 
     def __post_init__(self) -> None:
-        if not self._region_by_cell:
-            for rid in sorted(self.regions):
-                self._region_by_cell.update(dict.fromkeys(self.regions[rid].cells, rid))
+        if not self._region_index:
+            w, h = self.grid.width, self.grid.height
+            self._region_ids = ids = tuple(sorted(self.regions))
+            index = bytearray(w * h) if len(ids) < 256 else array("L", [0]) * (w * h)
+            for i, rid in enumerate(ids, 1):
+                for x, y in self.regions[rid].cells:
+                    if 0 <= x < w and 0 <= y < h:
+                        index[y * w + x] = i
+            self._region_index = bytes(index) if len(ids) < 256 else index
 
     def region_of(self, cell: Cell) -> Region | None:
-        rid = self._region_by_cell.get(cell)
-        return self.regions[rid] if rid is not None else None
+        x, y = cell
+        w = self.grid.width
+        if 0 <= x < w and 0 <= y < self.grid.height:
+            i = self._region_index[y * w + x]
+            if i:
+                return self.regions[self._region_ids[i - 1]]
+        return None
 
     def room_label_of(self, cell: Cell) -> str:
         region = self.region_of(cell)
@@ -343,7 +369,8 @@ def validate_scene(scene: SceneGraph) -> None:
     mask; the free space must be one component too. The connectivity
     checks are flood fills over packed masks (:func:`_one_component`). A
     region that fails is looked at again cell by cell (:func:`_region_error`)
-    to name the failure.
+    to name the failure. An object's cell is looked up in its region's
+    sorted cells by bisection.
     """
     grid = scene.grid
     w, h, stride = grid.width, grid.height, grid.stride
@@ -366,7 +393,9 @@ def validate_scene(scene: SceneGraph) -> None:
         obj = scene.objects[oid]
         if obj.region_id not in scene.regions:
             raise SceneFormatError(f"object {oid} references unknown region")
-        if obj.cell not in scene.regions[obj.region_id].cells:
+        cells = scene.regions[obj.region_id].cells
+        at = bisect_left(cells, obj.cell)
+        if cells[at:at + 1] != (obj.cell,):
             raise SceneFormatError(f"object {oid} lies outside its region")
     for cid in sorted(scene.corridors):
         cor = scene.corridors[cid]
@@ -383,7 +412,7 @@ def validate_scene(scene: SceneGraph) -> None:
         raise SceneFormatError("free space is not a single connected component")
 
 
-def _region_mask(cells: frozenset[Cell], grid: GridMap) -> int | None:
+def _region_mask(cells: tuple[Cell, ...], grid: GridMap) -> int | None:
     """The region ``cells`` packed in ``grid``'s layout, or None if one lies
     outside it. Cells that are every pair of their columns and rows (a
     room's box) are packed a row at a time, other cells one at a time."""
@@ -399,9 +428,11 @@ def _region_mask(cells: frozenset[Cell], grid: GridMap) -> int | None:
 
 def _region_error(scene: SceneGraph, rid: str) -> SceneFormatError:
     """Why region ``rid`` fails where the regions before it passed: it
-    overlaps one of them, or holds a blocked or out-of-grid cell."""
-    cells, grid = scene.regions[rid].cells, scene.grid
-    if any(cells & scene.regions[other].cells for other in scene.regions if other < rid):
+    overlaps one of them, or holds a blocked or out-of-grid cell: the first
+    such cell in the order of a ``frozenset`` of its cells."""
+    cells, grid = frozenset(scene.regions[rid].cells), scene.grid
+    earlier = (scene.regions[other].cells for other in scene.regions if other < rid)
+    if any(not cells.isdisjoint(other) for other in earlier):
         return SceneFormatError(f"region {rid} overlaps another region")
     cell = next(c for c in cells if not grid.in_bounds(c) or grid.is_blocked(c))
     return SceneFormatError(f"region {rid} contains a blocked cell {cell}")
@@ -995,7 +1026,9 @@ def load_scene(path) -> SceneGraph:
 
     The cell lists are decoded in bulk (the record codec checks all items
     at once and names the first refused one only when the check fails),
-    and :func:`validate_scene` packs each region once."""
+    and :func:`validate_scene` packs each region once. A region's cells
+    may come in any order and repeat: the scene holds them sorted and once
+    (:class:`Region`), as :func:`save_scene` writes them."""
     data = read_json(path, SceneFormatError)
     try:
         return scene_from_dict(data)

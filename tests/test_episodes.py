@@ -194,7 +194,7 @@ def test_cells_within_matches_the_math_hypot_filter(scene):
             def dist(c):
                 return math.hypot((c[0] + 0.5) * FORWARD_M - at[0], (c[1] + 0.5) * FORWARD_M - at[1])
 
-            edge = dist(region.sorted_cells[len(region.sorted_cells) // 2])
+            edge = dist(region.cells[len(region.cells) // 2])
             for reach in (GATE_RANGE_M, 1.0, 0.0, edge, math.nextafter(edge, 0), math.nextafter(edge, 9)):
-                want = [c for c in region.sorted_cells if dist(c) <= reach]
+                want = [c for c in region.cells if dist(c) <= reach]
                 assert cells_within(region, at, reach) == want

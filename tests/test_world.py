@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import copy
+import gc
 import json
 import math
+import random
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +16,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from relaynav import labeling
 from relaynav.config import MAX_SENSOR_RANGE_M, SensorConfig
+from relaynav.labeling import (
+    SeededNoisyClassifier,
+    apply_adjudication,
+    export_adjudication,
+    import_adjudication,
+    run_labeling,
+    scene_truth_lookup,
+)
 from relaynav.scenegen import generate_scene
 from relaynav.serialize import canonical_dumps, write_canonical
 from relaynav.world import (
@@ -24,10 +36,14 @@ from relaynav.world import (
     FORWARD_M,
     HEADING_VECTORS,
     NEIGHBORS_4,
+    PROVENANCE_GENERATOR,
     TURN_DEG,
+    UNKNOWN_LABEL,
     GridMap,
     Pose,
+    Region,
     SceneFormatError,
+    SceneGraph,
     _one_component,
     _range_cells,
     _rays,
@@ -752,7 +768,7 @@ class TestBlockage:
         listed = scene.sorted_objects()
         for cid in sorted(scene.corridors):
             blocked = apply_blockage(scene, cid)
-            assert blocked._region_by_cell is scene._region_by_cell
+            assert blocked._region_index is scene._region_index
             assert [blocked.region_of(c) for c in cells] == regions
             assert [blocked.room_label_of(c) for c in cells] == labels
             assert blocked.sorted_objects() is listed
@@ -774,6 +790,125 @@ class TestBlockage:
         for cid in sorted(scene.corridors):
             after = geodesic_distance(apply_blockage(scene, cid), a, b)
             assert after >= base - 1e-9
+
+
+def check_region_index(scene, probes=()):
+    """``region_of`` and ``room_label_of`` on every grid cell and on
+    ``probes`` give the region the last id holding the cell names, as a
+    dict from each region's cells in id order would, and no region off the
+    grid (where only a scene ``validate_scene`` refuses has region cells)."""
+    by_cell = {}
+    for rid in sorted(scene.regions):
+        by_cell.update(dict.fromkeys(scene.regions[rid].cells, rid))
+    w, h = scene.grid.width, scene.grid.height
+    for cell in [(x, y) for y in range(h) for x in range(w)] + list(probes):
+        rid = by_cell.get(cell) if scene.grid.in_bounds(cell) else None
+        want = None if rid is None else scene.regions[rid]
+        assert scene.region_of(cell) is want, cell
+        assert scene.room_label_of(cell) == (UNKNOWN_LABEL if want is None else want.room_label)
+
+
+def adjudicated(scene, tmp_path, monkeypatch):
+    """``scene`` relabelled through the adjudication file workflow: with no
+    rule stage, every region the two classifiers leave pending is resolved
+    to a label other than its true one, exported, imported and applied."""
+    monkeypatch.setattr(labeling, "RULE_ACCEPT", 2.0)
+    truth = scene_truth_lookup([scene])
+    result = run_labeling(
+        scene,
+        SeededNoisyClassifier("classifier_a", 0.3, 1, truth),
+        SeededNoisyClassifier("classifier_b", 0.3, 2, truth),
+    )
+    resolved = {
+        (i.scene_id, i.region_id): "Office" if truth(i.scene_id, i.region_id) != "Office" else "Foyer"
+        for i in result.items
+    }
+    path = tmp_path / "adjudication.csv"
+    export_adjudication(result.items, path, resolved)
+    return apply_adjudication(result.scene, import_adjudication(path, result.items))
+
+
+def lab_region(rid, cells):
+    return Region(rid, cells, UNKNOWN_LABEL, PROVENANCE_GENERATOR, "Kitchen")
+
+
+class TestRegionIndex:
+    # off the grid on every side, negative ones included: a negative index
+    # must not wrap round to the far end of the table
+    PROBES = [(-1, 0), (0, -1), (-1, -1), (-64, 5), (5, -64), (-1, 63), (63, -1),
+              (64, 0), (0, 64), (64, 64), (65, 5), (5, 65), (200, 7), (7, 200), (-3, 70)]
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_generated_loaded_adjudicated_and_blocked_scenes(self, seed, tmp_path, monkeypatch):
+        scene = generate_scene(seed)
+        save_scene(scene, tmp_path / "scene.json")
+        loaded = load_scene(tmp_path / "scene.json")
+        relabelled = adjudicated(loaded, tmp_path, monkeypatch)
+        assert relabelled._region_index is loaded._region_index
+        assert any(
+            relabelled.regions[rid].room_label != loaded.regions[rid].room_label for rid in loaded.regions
+        )
+        blocked = [apply_blockage(s, cid) for s in (scene, relabelled) for cid in sorted(s.corridors)]
+        for version in (scene, loaded, relabelled, *blocked):
+            check_region_index(version, self.PROBES)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_any_regions_on_any_grid(self, data):
+        # rectangles and loose cells, overlapping, partly off the grid or
+        # empty, under ids whose sorted order is not the order they were drawn in
+        w, h = data.draw(st.integers(1, 9)), data.draw(st.integers(1, 9))
+        xs, ys = st.integers(-2, w + 1), st.integers(-2, h + 1)
+        ids = data.draw(st.lists(st.text("ab", min_size=1, max_size=3), max_size=6, unique=True))
+        regions = {}
+        for rid in ids:
+            if data.draw(st.booleans()):
+                x0, x1 = sorted(data.draw(st.tuples(xs, xs)))
+                y0, y1 = sorted(data.draw(st.tuples(ys, ys)))
+                cells = [(x, y) for x in range(x0, x1 + 1) for y in range(y0, y1 + 1)]
+            else:
+                cells = data.draw(st.lists(st.tuples(xs, ys), max_size=12))
+            regions[rid] = lab_region(rid, cells)
+        scene = SceneGraph("lab", 0, GridMap(w, h, 0), regions, {}, {})
+        probes = [(x, y) for x in range(-3, w + 3) for y in range(-3, h + 3)]
+        check_region_index(scene, probes)
+
+    def test_more_regions_than_a_byte_can_number(self):
+        # 300 one-cell regions, then a rectangle over some of them that sorts last
+        regions = {f"r{i:03d}": lab_region(f"r{i:03d}", [(i % 20, i // 20)]) for i in range(300)}
+        regions["s"] = lab_region("s", [(x, y) for x in range(3, 9) for y in range(12, 18)])
+        scene = SceneGraph("lab", 0, GridMap(20, 20, 0), regions, {}, {})
+        check_region_index(scene, [(-1, 0), (0, -1), (20, 0), (0, 20)])
+        assert scene.region_of((19, 14)).region_id == "r299"
+        assert scene.region_of((4, 13)).region_id == "s"
+
+
+class TestSceneMemory:
+    @staticmethod
+    def retained_kb(make) -> float:
+        """KB that stay allocated while the object ``make`` returns lives."""
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = make()
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        del kept
+        return grown / 1024
+
+    def test_a_scene_holds_its_region_cells_once(self, tmp_path):
+        # a 64x64 scene keeps each region's cells in one sorted tuple and a
+        # byte per grid cell for its region index: about 250 KB; a second
+        # copy of the cells (a frozenset beside the tuple, or a cell ->
+        # region dict) takes it past the bound
+        path = tmp_path / "scene.json"
+        save_scene(generate_scene(3), path)
+        load_scene(path)  # the codec's writers and decoders are built once per process
+        assert self.retained_kb(lambda: generate_scene(4)) < 320
+        assert self.retained_kb(lambda: load_scene(path)) < 320
 
 
 def _value_paths(value, prefix=()):
@@ -832,6 +967,69 @@ class TestSceneSerialization:
         path.write_text(json.dumps(data), encoding="utf-8")
         want = f"{path}: {cls}: field '{field}' item 1 cannot hold {held}"
         with pytest.raises(SceneFormatError, match=rf"^{re.escape(want)}$"):
+            load_scene(path)
+
+    def test_shuffled_and_repeated_region_cells_load_as_the_canonical_scene(self, scene, tmp_path):
+        # a region holds its cells sorted and once, whatever order the file gives
+        canonical = tmp_path / "canonical.json"
+        save_scene(scene, canonical)
+        data = json.loads(canonical.read_text(encoding="utf-8"))
+        rng = random.Random(7)
+        for entry in data["regions"]:
+            entry["cells"] += rng.sample(entry["cells"], 5)
+            rng.shuffle(entry["cells"])
+        shuffled = tmp_path / "shuffled.json"
+        shuffled.write_text(json.dumps(data), encoding="utf-8")
+        loaded = load_scene(shuffled)
+        assert loaded == load_scene(canonical)
+        assert all(r.cells == tuple(sorted(set(r.cells))) for r in loaded.regions.values())
+        resaved = tmp_path / "resaved.json"
+        save_scene(loaded, resaved)
+        assert resaved.read_bytes() == canonical.read_bytes()
+
+    @pytest.mark.parametrize(
+        "case, want",
+        [
+            ("off-grid", "region r00 contains a blocked cell (-1, 3)"),
+            ("wall", "region r00 contains a blocked cell (0, 0)"),
+            ("two-bad", "region r00 contains a blocked cell (0, 0)"),
+            ("overlap", "region r01 overlaps another region"),
+            ("empty", "region r01 is empty"),
+            ("object-outside", "object o000 lies outside its region"),
+            ("mistyped", "Region: field 'cells' item 3 cannot hold [1, True]"),
+        ],
+    )
+    def test_malformed_region_cells_keep_their_messages(self, scene, tmp_path, case, want):
+        # region cells shuffled and repeated must not change which region,
+        # object or cell a message names; the two-bad case keeps the
+        # writer's order, and of its three bad cells names the first in the
+        # order of a frozenset of the region's cells
+        data = scene_to_dict(scene)
+        first, second = data["regions"][:2]
+        rng = random.Random(3)
+        if case != "two-bad":
+            for entry in (first, second):
+                entry["cells"] += entry["cells"][:4]
+                rng.shuffle(entry["cells"])
+        if case == "off-grid":
+            first["cells"].insert(2, [-1, 3])
+        elif case == "wall":
+            first["cells"].insert(2, [0, 0])
+        elif case == "two-bad":
+            first["cells"] = [[-1, 3], [0, 0]] + first["cells"] + [[70, 2]]
+        elif case == "overlap":
+            second["cells"].insert(5, first["cells"][9])
+        elif case == "empty":
+            second["cells"] = []
+        elif case == "object-outside":
+            obj = next(o for o in data["objects"] if o["object_id"] == "o000")
+            other = next(r for r in data["regions"] if r["region_id"] != obj["region_id"])
+            obj["cell"] = other["cells"][0]
+        else:
+            first["cells"].insert(3, [1, True])
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        with pytest.raises(SceneFormatError, match=rf"^{re.escape(f'{path}: {want}')}$"):
             load_scene(path)
 
     def test_mistyped_grid_side_is_named_with_the_file(self, scene, tmp_path):
@@ -954,12 +1152,12 @@ class TestSceneSerialization:
             "empty": (first, frozenset(), f"region {first} is empty"),
             "overlap": (
                 second,
-                scene.regions[second].cells | {min(scene.regions[first].cells)},
+                frozenset(scene.regions[second].cells) | {min(scene.regions[first].cells)},
                 f"region {second} overlaps another region",
             ),
             "gate-in-region": (
                 home,
-                scene.regions[home].cells | {gate},
+                frozenset(scene.regions[home].cells) | {gate},
                 f"corridor {cid} gate cell inside a region",
             ),
         }[case]
