@@ -12,14 +12,11 @@ in a context, so the context is a snapshot too.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from typing import Mapping
 
 from .serialize import Record
 from .world import Cell
-
-logger = logging.getLogger(__name__)
 
 ROBOTS = ("FH", "SH")
 
@@ -65,7 +62,6 @@ class AnchorEntry:
 
 @dataclass(frozen=True)
 class ComposedContext:
-    self_state: SemanticPacket
     partner_state: SemanticPacket | None
     anchors: Mapping[str, AnchorEntry]
 
@@ -105,21 +101,13 @@ def merge_anchors(
 
 
 def publish(bus: BusState, packet: SemanticPacket) -> BusState:
-    """Store the packet and fold its observations into anchor memory.
-
-    A packet older than the stored one for the same robot is dropped with a
-    warning and the bus is returned unchanged. A packet without observations
-    leaves the anchors as they are, so the new bus shares the old one's dict.
+    """Store the packet as its robot's latest and fold its observations into
+    anchor memory. A replica gets each robot's packets in send order (its
+    own as it publishes them, the partner's over the FIFO transport), so
+    the stored packet is never newer than the one replacing it. A packet
+    without observations leaves the anchors as they are, so the new bus
+    shares the old one's dict.
     """
-    prev = bus.packets.get(packet.robot_id)
-    if prev is not None and packet.ts < prev.ts:
-        logger.warning(
-            "dropping out-of-order packet from %s (ts=%d < stored %d)",
-            packet.robot_id,
-            packet.ts,
-            prev.ts,
-        )
-        return bus
     packets = dict(bus.packets)
     packets[packet.robot_id] = packet
     if not packet.observations:
@@ -132,27 +120,15 @@ def compose_context(bus: BusState, self_id: str, now: int, tau: int) -> Composed
     its age ``now - ts`` is at most ``tau`` (boundary inclusive)."""
     if tau < 0:
         raise ValueError("tau must be non-negative")
-    self_packet = bus.packets.get(self_id)
-    if self_packet is None:
-        raise ValueError(f"no packet published for {self_id}")
     partner = bus.packets.get(partner_of(self_id))
     fresh = partner is not None and (now - partner.ts) <= tau
-    return ComposedContext(
-        self_state=self_packet,
-        partner_state=partner if fresh else None,
-        anchors=bus.anchors,
-    )
+    return ComposedContext(partner_state=partner if fresh else None, anchors=bus.anchors)
 
 
-def compose_muted(bus: BusState, self_id: str, now: int) -> ComposedContext:
+def compose_muted(bus: BusState, self_id: str) -> ComposedContext:
     """Context with the partner withheld and partner-sourced anchors dropped;
     used by the no-coordination baseline policy."""
-    self_packet = bus.packets.get(self_id)
-    if self_packet is None:
-        raise ValueError(f"no packet published for {self_id}")
     return ComposedContext(
-        self_state=self_packet,
         partner_state=None,
         anchors={k: v for k, v in bus.anchors.items() if v.source == self_id},
     )
-

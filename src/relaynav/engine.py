@@ -375,21 +375,22 @@ def _compose(run: _Run, now: int) -> None:
     for rid, r in run.robots.items():
         bus = run.transport.replicas[rid]
         if cfg.policy == "static":
-            r.composed = compose_muted(bus, rid, now)
+            r.composed = compose_muted(bus, rid)
         else:
             r.composed = compose_context(bus, rid, now, cfg.tau)
 
 
 def _replan(run: _Run, now: int) -> None:
     """Event-driven replanning, FH first, so that SH sees FH's rewritten
-    chain. A swap exchanges the two robots' live chains and final goals.
-    With no event admitted the decision is ``KEEP`` and the context and
-    dialogue stay as they are, so only a tick with admitted events pays for
-    ``decide``, the swap inputs and the rewrite."""
+    chain. A swap is applied here whole: it exchanges the two robots' live
+    chains and final goals, drops both plans and counts once. The swap rule
+    never picks a swap of equal chains, so a swap always changes both
+    robots' chains. With no event admitted the decision is ``KEEP`` and the
+    context and dialogue stay as they are, so only a tick with admitted
+    events pays for ``decide``, the swap inputs and the rewrite."""
     cfg = run.cfg
     run.dialogue = []
     for rid, r in run.robots.items():
-        partner = run.robots[partner_of(rid)]
         st, completed, edges = drain_signals(r.state)
         signals = AgentSignals(
             sightings=r.sightings,
@@ -412,23 +413,26 @@ def _replan(run: _Run, now: int) -> None:
             decision = decide(r.admitted, st.policy_ctx, _swap_inputs(run, r), cfg.trigger)
         r.decision = decision
 
-        mine = st.policy_ctx
-        new_pctx, records = rewrite_policy_context(
-            mine, r.admitted, decision, partner.state.policy_ctx.chain
-        )
-        if new_pctx is not mine:
-            st = evolve(st, policy_ctx=new_pctx)
-        if decision.kind == SWAP_SUBTASKS and new_pctx.chain != mine.chain:
-            st = evolve(st, plan=None, best_steps=math.inf)
+        pctx, records = rewrite_policy_context(st.policy_ctx, r.admitted, decision)
+        if decision.kind == SWAP_SUBTASKS:
+            partner = run.robots[partner_of(rid)]
             ost = partner.state
+            st = evolve(
+                st,
+                policy_ctx=evolve(pctx, chain=ost.policy_ctx.chain),
+                plan=None,
+                best_steps=math.inf,
+            )
             partner.state = evolve(
                 ost,
-                policy_ctx=evolve(ost.policy_ctx, chain=mine.chain),
+                policy_ctx=evolve(ost.policy_ctx, chain=pctx.chain),
                 plan=None,
                 best_steps=math.inf,
             )
             r.final_goal, partner.final_goal = partner.final_goal, r.final_goal
             run.swap_count += 1
+        elif pctx is not st.policy_ctx:
+            st = evolve(st, policy_ctx=pctx)
         run.dialogue.extend(records)
         r.state = st
     run.dialogue_count += len(run.dialogue)

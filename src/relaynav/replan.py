@@ -404,48 +404,38 @@ def decide(
 
 
 def rewrite_policy_context(
-    ctx: PolicyContext,
-    admitted: list[Event],
-    decision: ReplanDecision,
-    partner_chain: tuple[Subtask, ...],
+    ctx: PolicyContext, admitted: list[Event], decision: ReplanDecision
 ) -> tuple[PolicyContext, list[DialogueRecord]]:
-    """Apply a decision to one robot's context.
+    """Apply a decision to one robot's context, given the events it admitted
+    this tick (at least one).
 
-    A swap adopts ``partner_chain``, the partner's chain as it stands when
-    this robot replans; the caller hands this robot's old chain to the
-    partner. An anchor update rebinds the pickup legs. Returns the rewritten
-    context and this robot's dialogue records: one for a swap it initiated,
+    An anchor update rebinds the pickup legs. A swap leaves the chain to the
+    caller, which exchanges both robots' chains. Returns the rewritten
+    context and this robot's dialogue records: one for a swap it proposes,
     one for a rebind that changed its context.
     """
-    if not admitted:
-        return ctx, []
     rid = ctx.robot_id
-    partner = partner_of(rid)
     trigger = admitted[0].kind
     tick = admitted[0].tick
     records: list[DialogueRecord] = []
     new_ctx = ctx
-    payload = dict(decision.payload)
 
     if decision.kind == SWAP_SUBTASKS:
-        new_ctx = replace(new_ctx, chain=partner_chain)
-        if payload.get("initiator", rid) == rid:
-            records.append(
-                DialogueRecord(
-                    tick=tick,
-                    trigger=trigger,
-                    initiator=rid,
-                    summary=(
-                        f"{rid} proposes swapping remaining subtasks with {partner}; "
-                        "symmetric cost test agrees"
-                    ),
-                    decision=decision,
-                )
+        records.append(
+            DialogueRecord(
+                tick=tick,
+                trigger=trigger,
+                initiator=rid,
+                summary=(
+                    f"{rid} proposes swapping remaining subtasks with {partner_of(rid)}; "
+                    "symmetric cost test agrees"
+                ),
+                decision=decision,
             )
+        )
     elif decision.kind == UPDATE_ANCHOR_TARGET:
-        cell = tuple(payload["cell"])
-        rebound = rebind_target(ctx.chain, cell)
-        new_ctx = replace(new_ctx, chain=rebound)
+        cell = tuple(dict(decision.payload)["cell"])
+        new_ctx = replace(ctx, chain=rebind_target(ctx.chain, cell))
         if new_ctx != ctx:
             records.append(
                 DialogueRecord(

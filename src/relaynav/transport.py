@@ -1,13 +1,15 @@
 """Simulated message transport between the two robots.
 
 The transport holds each robot's bus replica: ``publish`` puts a packet on
-the sender's replica and sends it, ``deliver`` puts the packets that are
-due on the partner's. Packets arrive ``latency`` ticks after they leave,
-plus a seeded jitter draw, unless a seeded drop draw discards them.
-Delivery per sender is FIFO even under jitter: a draw that would overtake
-an earlier packet is clamped to its scheduled tick. Both draws come from a
-per-sender generator derived from the transport seed, so delivery patterns
-are a pure function of configuration and never of scheduling.
+the sender's replica and sends it, ``deliver`` puts each packet that is due
+on the replica of its sender's partner. Packets arrive ``latency`` ticks
+after they leave, plus a seeded jitter draw, unless a seeded drop draw
+discards them. Delivery per sender is FIFO even under jitter: a draw that
+would overtake an earlier packet is clamped to its scheduled tick, so a
+replica gets each sender's packets in the order they were sent. Both draws
+come from a per-sender generator derived from the transport seed, so
+delivery patterns are a pure function of configuration and never of
+scheduling.
 
 A link without latency, jitter or drops delivers each packet in the tick it
 was sent, so the robots share one replica and nothing is sent. That is
@@ -19,23 +21,15 @@ packets and anchors, and anchors are only read by key.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 
 from .bus import ROBOTS, BusState, SemanticPacket, empty_bus, partner_of, publish
 from .config import TransportConfig
 from .seeds import make_rng
 
 
-@dataclass(frozen=True)
-class Delivery:
-    deliver_at: int
-    sender: str
-    seq: int
-    packet: SemanticPacket
-
-
 class Transport:
     def __init__(self, cfg: TransportConfig) -> None:
+        cfg.validate()
         self.cfg = cfg
         self.sent = self.dropped = 0
         self.shared = cfg.latency == 0 and cfg.jitter == 0 and cfg.drop_prob == 0
@@ -58,9 +52,9 @@ class Transport:
         """Put every packet due by ``now`` on its receiver's replica."""
         if not self._heap:
             return
-        for dv in self.due(now):
-            dest = partner_of(dv.sender)
-            self.replicas[dest] = publish(self.replicas[dest], dv.packet)
+        for packet in self.due(now):
+            dest = partner_of(packet.robot_id)
+            self.replicas[dest] = publish(self.replicas[dest], packet)
 
     def send(self, sender: str, packet: SemanticPacket, now: int) -> None:
         """Schedule (or drop) one packet. Both random draws always happen so
@@ -78,11 +72,10 @@ class Transport:
         self._seq[sender] = seq + 1
         heapq.heappush(self._heap, (deliver_at, sender, seq, packet))
 
-    def due(self, now: int) -> list[Delivery]:
+    def due(self, now: int) -> list[SemanticPacket]:
         """Pop every packet whose delivery tick has arrived, ordered by
         (tick, sender, sequence)."""
-        out: list[Delivery] = []
+        out: list[SemanticPacket] = []
         while self._heap and self._heap[0][0] <= now:
-            deliver_at, sender, seq, packet = heapq.heappop(self._heap)
-            out.append(Delivery(deliver_at, sender, seq, packet))
+            out.append(heapq.heappop(self._heap)[3])
         return out

@@ -45,7 +45,6 @@ def test_publish_is_pure_and_keeps_latest_per_robot():
 def test_compose_fresh_partner_within_tau():
     bus = publish(publish(empty_bus(), packet("FH", ts=10)), packet("SH", ts=8))
     ctx = compose_context(bus, "FH", now=10, tau=2)
-    assert ctx.self_state.robot_id == "FH"
     assert ctx.partner_state is not None and ctx.partner_state.robot_id == "SH"
 
 
@@ -61,17 +60,12 @@ def test_compose_boundary_is_inclusive():
     assert compose_context(bus, "FH", now=11, tau=2).partner_state is None
 
 
-def test_compose_requires_own_packet():
-    bus = publish(empty_bus(), packet("SH", ts=5))
-    with pytest.raises(ValueError):
-        compose_context(bus, "FH", now=5, tau=2)
-
-
 def test_compose_muted_never_exposes_partner():
-    bus = publish(publish(empty_bus(), packet("FH", ts=10)), packet("SH", ts=10))
-    ctx = compose_muted(bus, "FH", now=10)
+    own, theirs = Observation("bottle", (1, 1), 0.5), Observation("cup", (6, 6), 0.9)
+    bus = publish(publish(empty_bus(), packet("FH", 10, [own])), packet("SH", 10, [theirs]))
+    ctx = compose_muted(bus, "FH")
     assert ctx.partner_state is None
-    assert ctx.self_state.robot_id == "FH"
+    assert set(ctx.anchors) == {"bottle"} and ctx.anchors["bottle"].source == "FH"
 
 
 class TestAnchorMerge:

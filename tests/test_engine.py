@@ -499,6 +499,18 @@ class TestResultAndErrors:
             run_lockstep(scene, episode, RolloutConfig(tau=-1))
 
     @pytest.mark.parametrize(
+        "link, message",
+        [
+            (TransportConfig(drop_prob=1.5), "drop_prob must lie in"),
+            (TransportConfig(latency=-4), "latency and jitter must be non-negative"),
+        ],
+    )
+    def test_invalid_transport_config_rejected(self, batch10, link, message):
+        scene, episode = batch10[0]
+        with pytest.raises(ValueError, match=message):
+            run_distributed(scene, episode, RolloutConfig(t_max=50), link)
+
+    @pytest.mark.parametrize(
         "range_m, fov_deg", [(0.1, 120.0), (5.0, 1e-3), (MAX_SENSOR_RANGE_M, 360.0)]
     )
     def test_extreme_valid_sensors_run(self, batch10, range_m, fov_deg):

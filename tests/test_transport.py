@@ -16,53 +16,54 @@ def pkt(sender: str, ts: int) -> SemanticPacket:
     return SemanticPacket(sender, ts, "Kitchen", (), "GotoPickup", False, False)
 
 
+def arrivals(cfg: TransportConfig, senders, until: int):
+    """Send ``senders[now]``'s packets at each tick ``now`` and poll ``due``
+    every tick up to ``until``, as the engine does. Returns the transport
+    and the (poll tick, packet) pairs, so a packet's poll tick is the tick
+    it was due."""
+    tr = Transport(cfg)
+    got = []
+    for now in range(until + 1):
+        for rid in senders[now] if now < len(senders) else ():
+            tr.send(rid, pkt(rid, now), now)
+        got.extend((now, p) for p in tr.due(now))
+    return tr, got
+
+
 class TestLatency:
     def test_zero_latency_same_tick_delivery(self):
         tr = Transport(TransportConfig())
         tr.send("FH", pkt("FH", 3), now=3)
-        out = tr.due(3)
-        assert [d.packet.ts for d in out] == [3]
+        assert [p.ts for p in tr.due(3)] == [3]
 
     def test_fixed_latency_delays_delivery(self):
         tr = Transport(TransportConfig(latency=4))
         tr.send("FH", pkt("FH", 10), now=10)
         assert tr.due(13) == []
-        out = tr.due(14)
-        assert len(out) == 1 and out[0].deliver_at == 14
+        assert [p.ts for p in tr.due(14)] == [10]
 
     def test_due_is_cumulative_and_ordered(self):
         tr = Transport(TransportConfig(latency=2))
         for t in range(5):
             tr.send("FH", pkt("FH", t), now=t)
             tr.send("SH", pkt("SH", t), now=t)
-        out = tr.due(10)
-        # (deliver_at, sender, seq) ordering: tick-majority, FH before SH
-        keys = [(d.deliver_at, d.sender, d.seq) for d in out]
-        assert keys == sorted(keys)
-        assert [d.sender for d in out[:2]] == ["FH", "SH"]
+        # (tick, sender, sequence) ordering: tick-majority, FH before SH
+        out = [(p.robot_id, p.ts) for p in tr.due(10)]
+        assert out == [(rid, t) for t in range(5) for rid in ("FH", "SH")]
 
 
 class TestJitterAndFifo:
     def test_jitter_never_reorders_a_sender(self):
-        tr = Transport(TransportConfig(latency=1, jitter=5, seed=9))
-        for t in range(50):
-            tr.send("FH", pkt("FH", t), now=t)
-        out = tr.due(200)
-        assert len(out) == 50
-        seqs = [d.seq for d in out if d.sender == "FH"]
-        assert seqs == sorted(seqs)
-        ts = [d.packet.ts for d in out]
-        assert ts == sorted(ts)
-        ats = [d.deliver_at for d in out]
-        assert ats == sorted(ats)
-        assert any(at > t + 1 for at, t in zip(ats, range(50)))  # jitter engaged
+        _, got = arrivals(TransportConfig(latency=1, jitter=5, seed=9), [("FH",)] * 50, 200)
+        assert [p.ts for _, p in got] == list(range(50))
+        assert all(p.ts + 1 <= at <= p.ts + 6 for at, p in got)
+        assert any(at > p.ts + 1 for at, p in got)  # jitter engaged
 
     def test_jitter_draws_are_seeded(self):
         def schedule(seed):
-            tr = Transport(TransportConfig(latency=1, jitter=5, seed=seed))
-            for t in range(20):
-                tr.send("FH", pkt("FH", t), now=t)
-            return [(d.deliver_at, d.seq) for d in tr.due(100)]
+            cfg = TransportConfig(latency=1, jitter=5, seed=seed)
+            _, got = arrivals(cfg, [("FH",)] * 20, 100)
+            return [(at, p.ts) for at, p in got]
 
         assert schedule(9) == schedule(9)
         assert schedule(9) != schedule(10)
@@ -78,30 +79,35 @@ class TestJitterAndFifo:
     )
     def test_polled_delivery_keeps_per_sender_fifo(self, latency, jitter, drop_prob, seed, senders):
         # polled every tick, as the engine does; then drained
-        tr = Transport(TransportConfig(latency, jitter, drop_prob, seed))
-        sent_at: dict[tuple[str, int], int] = {}
-        got = []
-        for now, who in enumerate(senders):
-            for rid in who:
-                tr.send(rid, pkt(rid, now), now)
-                sent_at[rid, now] = now
-            batch = tr.due(now)
-            assert [(d.deliver_at, d.sender, d.seq) for d in batch] == sorted(
-                (d.deliver_at, d.sender, d.seq) for d in batch
-            )
-            assert all(d.deliver_at == now for d in batch)
-            got.extend(batch)
-        got.extend(tr.due(len(senders) + latency + jitter))
+        cfg = TransportConfig(latency, jitter, drop_prob, seed)
+        until = len(senders) + latency + jitter
+        tr, got = arrivals(cfg, senders, until)
         assert tr.due(10**9) == []
-        assert len(got) + tr.dropped == tr.sent == len(sent_at)
-        for rid in ("FH", "SH"):
-            mine = [d for d in got if d.sender == rid]
-            assert [d.seq for d in mine] == list(range(len(mine)))
-            ts = [d.packet.ts for d in mine]
+        assert len(got) + tr.dropped == tr.sent == sum(map(len, senders))
+        for at in {at for at, _ in got}:
+            batch = [(p.robot_id, p.ts) for t, p in got if t == at]
+            assert batch == sorted(batch)
+        for rid in ROBOTS:
+            mine = [(at, p.ts) for at, p in got if p.robot_id == rid]
+            ts = [t for _, t in mine]
             assert ts == sorted(set(ts))
-            for d in mine:
-                sent = sent_at[rid, d.packet.ts]
-                assert sent + latency <= d.deliver_at <= sent + latency + jitter
+            assert all(t + latency <= at <= t + latency + jitter for at, t in mine)
+
+        # the same link polled through ``deliver``: each replica gets its
+        # partner's packets in send order, so the stored one never goes back
+        link = Transport(cfg)
+        stored = dict.fromkeys(ROBOTS, -1)
+        for now in range(until + 1):
+            for rid in senders[now] if now < len(senders) else ():
+                link.publish(rid, pkt(rid, now), now)
+            link.deliver(now)
+            for rid in ROBOTS:
+                packet = link.replicas[partner_of(rid)].packets.get(rid)
+                ts = -1 if packet is None else packet.ts
+                assert ts >= stored[rid]
+                stored[rid] = ts
+        for rid in ROBOTS:
+            assert stored[rid] == max((p.ts for _, p in got if p.robot_id == rid), default=-1)
 
 
 class TestDrops:
@@ -124,7 +130,7 @@ class TestDrops:
             tr = Transport(TransportConfig(drop_prob=0.5, seed=seed))
             for t in range(40):
                 tr.send("FH", pkt("FH", t), now=t)
-            return [d.packet.ts for d in tr.due(100)]
+            return [p.ts for p in tr.due(100)]
 
         a = survivors(3)
         assert a == survivors(3)
@@ -169,9 +175,9 @@ class TestReplicas:
 
         def deliver_and_check(now):
             tr.deliver(now)
-            for dv in ref_tr.due(now):
-                dest = partner_of(dv.sender)
-                ref[dest] = publish(ref[dest], dv.packet)
+            for packet in ref_tr.due(now):
+                dest = partner_of(packet.robot_id)
+                ref[dest] = publish(ref[dest], packet)
             for rid in ROBOTS:
                 got, want = tr.replicas[rid], ref[rid]
                 assert got.packets == want.packets and got.anchors == want.anchors
