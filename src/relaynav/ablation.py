@@ -111,9 +111,16 @@ def pick_route_blockage(
     the most is returned, with the closure scheduled halfway to the gate.
 
     Distances come from one :class:`~relaynav.world.Geodesics` for the open
-    map, whose four distances are taken once, and one per closed corridor,
-    over the open map's free cells with the gate's bits cleared; each query
-    is a layer search that stops at its other endpoint.
+    map and one per closed corridor, over the open map's free cells with the
+    gate's bits cleared; each query is a layer search that stops once it has
+    reached its other endpoints. Three open-map distances (FH start, SH start
+    and handoff to the target) come from one search rooted at the target,
+    since 4-connected steps are symmetric. Closing a gate only removes free
+    cells, so no closed map brings the partner closer to the pickup than the
+    open map does: when the open-map partner already fails the taker test,
+    every corridor would, and None is returned before any closed-map search.
+    FH's open-map distance to the handoff is taken only when a corridor
+    first reaches the test that reads it.
     """
     grid = scene.grid
     target_cell = scene.objects[episode.target_object_id].cell
@@ -129,10 +136,12 @@ def pick_route_blockage(
 
     # the open-map distances do not depend on the corridor
     open_geo = grid.geodesics()
-    d_direct = open_geo.meters(start_fh, target_cell)
-    sh_target_open = open_geo.meters(start_sh, target_cell)
-    carry_open = open_geo.meters(target_cell, handoff)
-    fh_handoff_open = open_geo.meters(start_fh, handoff)
+    d_direct, sh_target_open, carry_open = open_geo.meters_from(
+        target_cell, start_fh, start_sh, handoff
+    )
+    if sh_target_open > d_direct + TAKER_SLACK_M:
+        return None
+    fh_handoff_open = None
     best: tuple[float, BlockagePlan] | None = None
     for cid in sorted(scene.corridors):
         gate = scene.corridors[cid].gate_cells
@@ -177,6 +186,8 @@ def pick_route_blockage(
             continue
         # FH's post-swap leg to the handoff must dodge the closed gate cheaply
         d_fh_handoff_post = closed.meters(start_fh, handoff)
+        if fh_handoff_open is None:
+            fh_handoff_open = open_geo.meters(start_fh, handoff)
         if d_fh_handoff_post > fh_handoff_open + HANDOFF_SLACK_M:
             continue
         # post-swap repositioning overhead: FH's trip to the handoff replaces

@@ -31,6 +31,7 @@ from .world import (
     UNKNOWN_LABEL,
     bfs_shortest_path,
     center,
+    descend,
     path_length_m,
 )
 
@@ -227,12 +228,12 @@ def generate_episode(scene: SceneGraph, seed: int) -> EpisodeSpec | EpisodeRejec
     start_sh = _sample_start(scene, rng)
 
     fh0, sh0, handoff, drop = (p.cell for p in (start_fh, start_sh, handoff_wp, delivery_wp))
-    # the four legs share one packed mask
+    # the four legs share one packed mask, and the two into the handoff
+    # (from the target and from SH's start) one search from it
     geo = scene.grid.geodesics()
-    leg1, leg2, leg3, leg4 = (
-        bfs_shortest_path(geo, a, b)
-        for a, b in ((fh0, target.cell), (target.cell, handoff), (sh0, handoff), (handoff, drop))
-    )
+    leg1, leg4 = (bfs_shortest_path(geo, a, b) for a, b in ((fh0, target.cell), (handoff, drop)))
+    from_handoff = geo.layers(handoff, target.cell, sh0)
+    leg2, leg3 = (descend(geo, from_handoff, a) for a in (target.cell, sh0))
     if any(leg is None for leg in (leg1, leg2, leg3, leg4)):
         return EpisodeRejection(scene.scene_id, seed, "routing", _tally_dict(tallies))
     gt_fh = tuple(leg1) + tuple(leg2[1:])

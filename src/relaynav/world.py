@@ -31,7 +31,7 @@ from array import array
 from bisect import bisect_left
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields, replace
-from operator import itemgetter
+from operator import ge, itemgetter
 
 from .serialize import Record, read_json, write_canonical
 
@@ -187,7 +187,9 @@ class Pose(Record):
 class Region(Record):
     """A labelled room. ``cells`` holds each cell once, in ``(x, y)`` order,
     however they were given (a hand-edited file, a caller's set), so a
-    column is one run of the tuple and the writer writes them as held."""
+    column is one run of the tuple and the writer writes them as held.
+    Cells given strictly increasing (a relabelled copy, a file as the
+    writer writes it) are kept as given; only others are sorted."""
 
     format_error = SceneFormatError
 
@@ -202,7 +204,10 @@ class Region(Record):
             raise SceneFormatError(f"unknown room label {self.room_label!r}")
         if self.label_provenance not in PROVENANCES:
             raise SceneFormatError(f"unknown provenance {self.label_provenance!r}")
-        object.__setattr__(self, "cells", tuple(dict.fromkeys(sorted(self.cells))))
+        cells = tuple(self.cells)
+        if any(map(ge, cells, cells[1:])):
+            cells = tuple(dict.fromkeys(sorted(cells)))
+        object.__setattr__(self, "cells", cells)
 
 
 @dataclass(frozen=True)
@@ -300,11 +305,13 @@ class SceneGraph:
     :meth:`region_of` reads a region index built once per scene: ``bytes``
     with one entry per grid cell, row-major (cell ``(x, y)`` is entry
     ``y * width + x``), holding ``i`` for a cell of the ``i``-th of the
-    sorted region ids (``_region_ids``) and 0 for none. Overlapping regions
-    (which :func:`validate_scene` refuses) leave the last id; off-grid
-    cells are left out. Over 255 regions the index is an ``array`` of
-    unsigned longs. A copy made with ``replace`` (a blockage, relabelled
-    regions) shares the index, since it keeps the region ids and cells.
+    sorted region ids (``_region_ids``) and 0 for none. A region that is a
+    box (:func:`_box`) is written one row slice at a time, any other cell
+    by cell. Overlapping regions (which :func:`validate_scene` refuses)
+    leave the last id; off-grid cells are left out. Over 255 regions the
+    index is an ``array`` of unsigned longs. A copy made with ``replace``
+    (a blockage, relabelled regions) shares the index, since it keeps the
+    region ids and cells.
     """
 
     scene_id: str
@@ -324,12 +331,23 @@ class SceneGraph:
         if not self._region_index:
             w, h = self.grid.width, self.grid.height
             self._region_ids = ids = tuple(sorted(self.regions))
-            index = bytearray(w * h) if len(ids) < 256 else array("L", [0]) * (w * h)
+            small = len(ids) < 256
+            index = bytearray(w * h) if small else array("L", [0]) * (w * h)
             for i, rid in enumerate(ids, 1):
-                for x, y in self.regions[rid].cells:
-                    if 0 <= x < w and 0 <= y < h:
-                        index[y * w + x] = i
-            self._region_index = bytes(index) if len(ids) < 256 else index
+                cells = self.regions[rid].cells
+                box = _box(cells)
+                if box is None:
+                    for x, y in cells:
+                        if 0 <= x < w and 0 <= y < h:
+                            index[y * w + x] = i
+                    continue
+                x0, y0, x1, y1 = box
+                x0, x1 = max(x0, 0), min(x1, w - 1)
+                # empty when the box lies off the grid
+                run = (bytes((i,)) if small else array("L", [i])) * (x1 - x0 + 1)
+                for y in range(max(y0, 0), min(y1, h - 1) + 1):
+                    index[y * w + x0:y * w + x0 + len(run)] = run
+            self._region_index = bytes(index) if small else index
 
     def region_of(self, cell: Cell) -> Region | None:
         x, y = cell
@@ -412,18 +430,40 @@ def validate_scene(scene: SceneGraph) -> None:
         raise SceneFormatError("free space is not a single connected component")
 
 
-def _region_mask(cells: tuple[Cell, ...], grid: GridMap) -> int | None:
-    """The region ``cells`` packed in ``grid``'s layout, or None if one lies
-    outside it. Cells that are every pair of their columns and rows (a
-    room's box) are packed a row at a time, other cells one at a time."""
-    xs = set(map(itemgetter(0), cells))
-    ys = set(map(itemgetter(1), cells))
-    if min(xs) < 0 or min(ys) < 0 or max(xs) >= grid.width or max(ys) >= grid.height:
+def _box(cells: tuple[Cell, ...]) -> tuple[int, int, int, int] | None:
+    """``(x0, y0, x1, y1)`` when a region's sorted, distinct ``cells`` are
+    every cell with ``x0 <= x <= x1`` and ``y0 <= y <= y1`` (a room's box),
+    else None. The first and last cells give the corners; then each column
+    is ``y1 - y0 + 1`` cells of the tuple, and it is the whole column iff
+    its first and last cells are ``(x, y0)`` and ``(x, y1)``."""
+    if not cells:
         return None
-    if len(xs) * len(ys) != len(cells):
+    (x0, y0), (x1, y1) = cells[0], cells[-1]
+    n = y1 - y0 + 1
+    if n <= 0 or len(cells) != (x1 - x0 + 1) * n:
+        return None
+    for i, x in zip(range(0, len(cells), n), range(x0, x1 + 1)):
+        if cells[i] != (x, y0) or cells[i + n - 1] != (x, y1):
+            return None
+    return x0, y0, x1, y1
+
+
+def _region_mask(cells: tuple[Cell, ...], grid: GridMap) -> int | None:
+    """The region's sorted ``cells`` packed in ``grid``'s layout, or None if
+    one lies outside it. A box (:func:`_box`) is packed a row at a time,
+    other cells one at a time."""
+    box = _box(cells)
+    if box is None:
+        ys = list(map(itemgetter(1), cells))
+        x0, y0, x1, y1 = cells[0][0], min(ys), cells[-1][0], max(ys)
+    else:
+        x0, y0, x1, y1 = box
+    if x0 < 0 or y0 < 0 or x1 >= grid.width or y1 >= grid.height:
+        return None
+    if box is None:
         return grid.mask(cells)
-    row = sum(1 << x for x in xs)
-    return sum(row << y * grid.stride for y in ys)
+    row = (1 << x1 + 1) - (1 << x0)
+    return sum(row << y * grid.stride for y in range(y0, y1 + 1))
 
 
 def _region_error(scene: SceneGraph, rid: str) -> SceneFormatError:
@@ -522,18 +562,20 @@ class Geodesics:
     ``height`` grid, packed in :class:`GridMap`'s layout (stride
     ``width + 1``, a clear guard bit after each row).
 
-    Every query is a search over :func:`bfs_layers` that stops at the first
-    layer holding what it looks for, so no query builds a distance field:
-    ``steps`` counts layers from ``a`` until one holds ``b``, ``nearest``
-    stops at the first layer that meets a target mask, and
-    :func:`bfs_shortest_path` keeps the layers from ``b`` and descends them
-    from ``a``. A true map's comes from :meth:`GridMap.geodesics`; a
-    robot's runs over the cells its belief does not hold blocked
-    (``packed_rect ^ blocked``), and the robot keeps one per believed
-    passability (``observe`` or ``on_blocked`` replaces it when that
-    changes). It keeps no memo: only the packed ``free`` and the grid size.
-    ``generate_episode`` makes one per call and ``pick_route_blockage`` one
-    per map. Nothing is kept at module level.
+    No query builds a distance field. ``nearest`` stops at the first layer
+    of :func:`bfs_layers` that meets a target mask; every other query reads
+    :meth:`layers`, a search stopped at the first layer by which every
+    wanted target has been reached: ``steps`` and ``meters_from`` read a
+    target's step count as the index of the layer holding it, and
+    :func:`descend` walks a shortest path down the layers. Since
+    4-connected steps are symmetric, one search rooted at a shared
+    endpoint answers every distance or path to it. A true map's comes from
+    :meth:`GridMap.geodesics`; a robot's runs over the cells its belief
+    does not hold blocked (``packed_rect ^ blocked``), and the robot keeps
+    one per believed passability (``observe`` or ``on_blocked`` replaces it
+    when that changes). It keeps no memo: only the packed ``free`` and the
+    grid size. ``generate_episode`` makes one per call and
+    ``pick_route_blockage`` one per map. Nothing is kept at module level.
     """
 
     def __init__(self, free: int, width: int, height: int):
@@ -549,30 +591,45 @@ class Geodesics:
             return 1 << (y * self.stride + x)
         return 0
 
-    def layers(self, source: Cell, target: Cell) -> list[int] | None:
-        """The BFS layers from ``source`` up to the first that holds
-        ``target``; None when ``target`` is blocked or unreachable."""
-        goal = self.bit(target) & self.free
-        if not goal:
-            return None
+    def layers(self, source: Cell, *targets: Cell) -> list[int]:
+        """The BFS layers from ``source`` up to the first by which every
+        free target has been reached. A blocked or off-grid target is never
+        reached and does not hold the search, so with no free target there
+        are no layers; a free one cut off from ``source`` runs the search
+        to its end. A target is reached iff a layer holds it
+        (:func:`_depth`)."""
+        goal = 0
+        for target in targets:
+            goal |= self.bit(target)
+        goal &= self.free
         layers = []
-        for layer in bfs_layers(self.free, self.stride, self.bit(source)):
-            layers.append(layer)
-            if layer & goal:
-                return layers
-        return None
+        if goal:
+            for layer in bfs_layers(self.free, self.stride, self.bit(source)):
+                layers.append(layer)
+                if layer & goal:
+                    goal &= ~layer
+                    if not goal:
+                        break
+        return layers
 
     def steps(self, a: Cell, b: Cell) -> int:
         """4-connected step count from ``a`` to ``b``; -1 when unreachable."""
-        layers = self.layers(a, b)
-        return -1 if layers is None else len(layers) - 1
+        return _depth(self.layers(a, b), self.bit(b))
+
+    def meters_from(self, source: Cell, *targets: Cell) -> list[float]:
+        """The geodesic length in meters from ``source`` to each target, from
+        one search: 0 for a target equal to ``source``, ``inf`` for one it
+        does not reach."""
+        layers = self.layers(source, *targets)
+        steps = [_depth(layers, self.bit(target)) for target in targets]
+        return [
+            0.0 if target == source else math.inf if n < 0 else n * FORWARD_M
+            for target, n in zip(targets, steps)
+        ]
 
     def meters(self, a: Cell, b: Cell) -> float:
         """Geodesic length in meters; 0 when ``a == b``, ``inf`` when unreachable."""
-        if a == b:
-            return 0.0
-        steps = self.steps(a, b)
-        return math.inf if steps < 0 else float(steps) * FORWARD_M
+        return self.meters_from(a, b)[0]
 
     def nearest(self, source: Cell, targets: int) -> Cell | None:
         """The cell of the packed ``targets`` mask fewest steps from
@@ -588,30 +645,48 @@ class Geodesics:
         return None
 
 
+def _depth(layers: list[int], bit: int) -> int:
+    """The index of the layer holding ``bit``, -1 when none does. The
+    layers are scanned from the last, which holds the farthest target."""
+    for d in range(len(layers) - 1, -1, -1):
+        if layers[d] & bit:
+            return d
+    return -1
+
+
 def bfs_shortest_path(geodesics: Geodesics, a: Cell, b: Cell) -> list[Cell] | None:
     """Lexicographically smallest shortest path from ``a`` to ``b`` (step
-    directions ranked in ``NEIGHBORS_4`` order); ``None`` if unreachable.
+    directions ranked in ``NEIGHBORS_4`` order); ``None`` if unreachable:
+    :func:`descend` from ``a`` over the layers of a search from ``b``."""
+    return descend(geodesics, geodesics.layers(b, a), a)
+
+
+def descend(geodesics: Geodesics, layers: list[int], a: Cell) -> list[Cell] | None:
+    """The lexicographically smallest shortest path from ``a`` to the source
+    of ``layers``, a :meth:`Geodesics.layers` search (step directions
+    ranked in ``NEIGHBORS_4`` order); ``None`` if no layer holds ``a``.
 
     A queue BFS from ``a`` expanding in ``NEIGHBORS_4`` order dequeues each
     layer in the order of its cells' tree-path direction strings, so each
     parent is the predecessor with the smallest tree path and the parent
-    chain to ``b`` is this path. Greedy descent towards ``b`` finds it too:
-    from ``a``, step to the first neighbour in ``NEIGHBORS_4`` order one
-    step closer. Layer ``d`` of the packed BFS from ``b`` is exactly the set
-    of cells ``d`` steps from ``b``, so the search keeps its layers up to
-    the one holding ``a`` and the descent tests each neighbour's bit in the
-    next lower layer. On the packed layout the ``NEIGHBORS_4`` steps are bit
-    offsets ``+1, -1, +stride, -stride``; a row step lands on a guard bit,
-    never in a layer, where it would leave the grid.
+    chain to the source is this path. Greedy descent towards the source
+    finds it too: from ``a``, step to the first neighbour in
+    ``NEIGHBORS_4`` order one step closer. Layer ``d`` of the packed BFS is
+    exactly the set of cells ``d`` steps from the source, so the descent
+    tests each neighbour's bit in the next lower layer. On the packed
+    layout the ``NEIGHBORS_4`` steps are bit offsets ``+1, -1, +stride,
+    -stride``; a row step lands on a guard bit, never in a layer, where it
+    would leave the grid. One search from a shared endpoint serves every
+    path into it.
     """
-    layers = geodesics.layers(b, a)
-    if layers is None:
+    depth = _depth(layers, geodesics.bit(a))
+    if depth < 0:
         return None
     stride = geodesics.stride
     offsets = [dx + dy * stride for dx, dy in NEIGHBORS_4]
     i = a[1] * stride + a[0]
     path = [a]
-    for layer in reversed(layers[:-1]):
+    for layer in reversed(layers[:depth]):
         for off in offsets:
             if i + off >= 0 and layer >> (i + off) & 1:
                 i += off

@@ -1,16 +1,29 @@
-"""Scenario builders shared by the replanning, agent, and acceptance tests."""
+"""Scenario builders and reference implementations shared by the tests."""
 
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 from hypothesis import strategies as st
 
+from relaynav.ablation import (
+    CARRY_SLACK_M,
+    HANDOFF_SLACK_M,
+    KIND_CUT,
+    KIND_DETOUR,
+    MIN_DETOUR_EXTRA_M,
+    REPOSITION_SLACK_M,
+    TAKER_SLACK_M,
+    BlockagePlan,
+)
+from relaynav.episodes import EpisodeSpec
 from relaynav.replan import SwapInputs
 from relaynav.scenegen import generate_scene
 from relaynav.tasks import build_chains
 from relaynav.world import (
+    FORWARD_M,
     PROVENANCE_GENERATOR,
     Corridor,
     Geodesics,
@@ -245,3 +258,120 @@ def junk_lines(valid: dict):
             lambda drop: (json.dumps({k: v for k, v in valid.items() if k not in drop}), False)
         ),
     )
+
+
+def plain_pick_route_blockage(
+    scene: SceneGraph,
+    episode: EpisodeSpec,
+) -> BlockagePlan | None:
+    """The picker as it was before its open-map distances came from one
+    search with an early exit: six open-map searches before any corridor
+    is looked at. :func:`relaynav.ablation.pick_route_blockage` must
+    return what this returns.
+
+    Choose a corridor on the FH robot's pickup leg worth closing.
+
+    Requirements, all on true maps: the gate sits strictly between the FH
+    start and the target along the ground-truth path; after closing it the
+    partner can still run the entire relay (pickup, handoff, and delivery
+    all mutually reachable from its side); either the FH detour to the
+    pickup lengthens by ``MIN_DETOUR_EXTRA_M`` or the pickup becomes
+    outright unreachable for FH; the partner stays a competitive taker for
+    the pickup even after drifting for ``tick`` steps (its start-based
+    distance plus the worst-case drift must undercut the FH detour); and
+    FH's own access to the handoff is essentially unharmed, so the swapped
+    assignment stays cheap. Among qualifying corridors the one costing FH
+    the most is returned, with the closure scheduled halfway to the gate.
+
+    Distances come from one :class:`~relaynav.world.Geodesics` for the open
+    map, whose four distances are taken once, and one per closed corridor,
+    over the open map's free cells with the gate's bits cleared; each query
+    is a layer search that stops at its other endpoint.
+    """
+    grid = scene.grid
+    target_cell = scene.objects[episode.target_object_id].cell
+    path = list(episode.gt_path_fh)
+    if target_cell not in path:
+        return None
+    prefix = path[: path.index(target_cell) + 1]
+    start_fh = prefix[0]
+    start_sh = episode.start_pose_sh.cell
+    handoff = episode.handoff_waypoint.cell
+    delivery = episode.delivery_waypoint.cell
+    keep_free = {start_fh, start_sh, target_cell, handoff, delivery}
+
+    # the open-map distances do not depend on the corridor
+    open_geo = grid.geodesics()
+    d_direct = open_geo.meters(start_fh, target_cell)
+    sh_target_open = open_geo.meters(start_sh, target_cell)
+    carry_open = open_geo.meters(target_cell, handoff)
+    fh_handoff_open = open_geo.meters(start_fh, handoff)
+    best: tuple[float, BlockagePlan] | None = None
+    for cid in sorted(scene.corridors):
+        gate = scene.corridors[cid].gate_cells
+        if gate & keep_free:
+            continue
+        steps_to = next(
+            (i for i, cell in enumerate(prefix) if cell in gate), None
+        )
+        if steps_to is None or steps_to < 2:
+            continue
+        closed = Geodesics(open_geo.free & ~grid.mask(gate), grid.width, grid.height)
+        d_post = closed.meters(start_fh, target_cell)
+        if math.isinf(d_post):
+            kind, extra = KIND_CUT, math.inf
+        elif d_post >= d_direct + MIN_DETOUR_EXTRA_M:
+            kind, extra = KIND_DETOUR, d_post - d_direct
+        else:
+            continue
+        sh_target = closed.meters(start_sh, target_cell)
+        carry = closed.meters(target_cell, handoff)
+        onward = closed.meters(delivery, handoff)
+        sh_handoff = closed.meters(start_sh, handoff)
+        if not all(math.isfinite(d) for d in (sh_target, carry, onward, sh_handoff)):
+            continue
+        tick = max(1, steps_to // 2)
+        # the partner must stay the cheaper taker for the pickup even after
+        # walking away from its start for up to `tick` steps
+        drift = tick * FORWARD_M
+        if sh_target + drift + FORWARD_M > d_post:
+            continue
+        if sh_target > d_direct + TAKER_SLACK_M:
+            continue
+        # the partner's natural route to the pickup must not run through the
+        # closed gate: a blocked-map taker trip much longer than the open-map
+        # one means it would discover the closure mid-route and pay for it
+        if sh_target > sh_target_open + CARRY_SLACK_M:
+            continue
+        # the carry leg itself must survive the closure: whoever holds the
+        # item still has to walk pickup -> handoff, so the gate must not sit
+        # on that route either
+        if carry > carry_open + CARRY_SLACK_M:
+            continue
+        # FH's post-swap leg to the handoff must dodge the closed gate cheaply
+        d_fh_handoff_post = closed.meters(start_fh, handoff)
+        if d_fh_handoff_post > fh_handoff_open + HANDOFF_SLACK_M:
+            continue
+        # post-swap repositioning overhead: FH's trip to the handoff replaces
+        # the partner's own (usually shorter) approach, and both robots burn
+        # up to `tick` cells walking the wrong way before the closure fires;
+        # that combined overhead must stay well under the detour savings or
+        # the realized-path comparison degenerates into a coin flip
+        reposition = d_fh_handoff_post - sh_handoff + 4.0 * drift
+        if reposition > REPOSITION_SLACK_M:
+            continue
+        # worst-case post-swap critical path: FH repositions to the handoff
+        # while the partner backtracks its drift, fetches the item, and
+        # carries it in; then the item travels on to the delivery point
+        critical = (
+            max(
+                d_fh_handoff_post,
+                2.0 * drift + sh_target + carry,
+            )
+            + onward
+        )
+        score = extra if math.isfinite(extra) else 1e9
+        plan = BlockagePlan(cid, tick, kind, extra, critical)
+        if best is None or score > best[0]:
+            best = (score, plan)
+    return best[1] if best else None

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
+
 import pytest
 
 from relaynav import ablation
@@ -21,9 +23,9 @@ from relaynav.engine import RolloutResult
 from relaynav.episodes import EpisodeSpec, generate_episode
 from relaynav.scenegen import generate_scene
 from relaynav.seeds import derive_seed
-from relaynav.world import apply_blockage
+from relaynav.world import NEIGHBORS_4, GridMap, apply_blockage
 
-from support import geodesic_distance
+from support import geodesic_distance, plain_pick_route_blockage
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,71 @@ class TestPicker:
         monkeypatch.setattr(ablation, "MIN_DETOUR_EXTRA_M", 1e6)
         again = pick_route_blockage(scene, episode)
         assert again is None or again.kind == KIND_CUT
+
+
+class _CountingGeodesics(ablation.Geodesics):
+    """The picker's closed maps, counted as the picker builds them."""
+
+    built = 0
+
+    def __init__(self, *args):
+        type(self).built += 1
+        super().__init__(*args)
+
+
+@pytest.fixture(scope="module")
+def drawn_candidates():
+    """Every (scene, episode) the suite build would hand the picker from its
+    first 25 scene draws at seeds 0 and 1."""
+    out = []
+    for seed in (0, 1):
+        for draw in range(25):
+            scene = generate_scene(derive_seed(seed, "suite-scene", draw))
+            for k in range(ablation.PER_SCENE):
+                drawn = generate_episode(scene, derive_seed(seed, "suite-episode", draw, k))
+                if isinstance(drawn, EpisodeSpec):
+                    out.append((scene, drawn))
+    return out
+
+
+class TestPickerEqualsPlainPicker:
+    """The picker takes its open-map distances from one search and returns
+    early when the open-map partner fails the taker test; the plain picker
+    searches six times before it looks at a corridor. Both must agree."""
+
+    def test_equal_plans_on_drawn_candidates(self, drawn_candidates, monkeypatch):
+        monkeypatch.setattr(ablation, "Geodesics", _CountingGeodesics)
+        early = looped = accepted = 0
+        for scene, episode in drawn_candidates:
+            _CountingGeodesics.built = 0
+            plan = pick_route_blockage(scene, episode)
+            assert plan == plain_pick_route_blockage(scene, episode), episode.episode_id
+            target = scene.objects[episode.target_object_id].cell
+            d_direct = geodesic_distance(scene, episode.start_pose_fh.cell, target)
+            sh_open = geodesic_distance(scene, episode.start_pose_sh.cell, target)
+            if sh_open > d_direct + ablation.TAKER_SLACK_M:
+                # the early exit: no closed map is searched
+                early += 1
+                assert plan is None and _CountingGeodesics.built == 0
+            elif _CountingGeodesics.built:
+                looped += 1
+            accepted += plan is not None
+        assert len(drawn_candidates) >= 300
+        assert early and looped and accepted, (early, looped, accepted)
+
+    def test_walled_off_partner_start_yields_no_plan(self, qualifying_pair):
+        scene, episode, plan = qualifying_pair
+        assert plan is not None
+        x, y = episode.start_pose_sh.cell
+        grid = scene.grid
+        walls = grid.mask((x + dx, y + dy) for dx, dy in NEIGHBORS_4)
+        walled = replace(
+            scene, grid=GridMap(grid.width, grid.height, grid.blocked | walls), _vis_fields={}
+        )
+        target = scene.objects[episode.target_object_id].cell
+        assert math.isinf(geodesic_distance(walled, (x, y), target))
+        assert pick_route_blockage(walled, episode) is None
+        assert plain_pick_route_blockage(walled, episode) is None
 
 
 class TestPlanSerialization:

@@ -26,7 +26,7 @@ from relaynav.tasks import FH_CHAIN, SH_CHAIN
 from relaynav.gates import GATE_RANGE_M, trigate_check
 
 from relaynav.serialize import RecordFormatError
-from relaynav.world import FORWARD_M, center
+from relaynav.world import FORWARD_M, bfs_shortest_path, center
 
 from conftest import episode_batch
 from support import geodesic_distance, junk_lines
@@ -155,6 +155,22 @@ def test_repeated_episode_id_is_refused_by_name(tmp_path, batch10):
     assert str(exc.value) == (
         f"{path}:3: episode_id {episodes[0].episode_id!r} repeats line 1"
     )
+
+
+def test_legs_from_one_handoff_search_equal_separate_paths(batch10):
+    # legs 2 and 3 descend one search rooted at the handoff; each must be
+    # the path a search of its own finds
+    for scene, episode in batch10:
+        geo = scene.grid.geodesics()
+        target = scene.objects[episode.target_object_id].cell
+        fh0, sh0 = episode.start_pose_fh.cell, episode.start_pose_sh.cell
+        handoff, drop = episode.handoff_waypoint.cell, episode.delivery_waypoint.cell
+        leg1, leg2, leg3, leg4 = (
+            bfs_shortest_path(geo, a, b)
+            for a, b in ((fh0, target), (target, handoff), (sh0, handoff), (handoff, drop))
+        )
+        assert episode.gt_path_fh == tuple(leg1) + tuple(leg2[1:])
+        assert episode.gt_path_sh == tuple(leg3) + tuple(leg4[1:])
 
 
 def test_dataset_stats(batch10):

@@ -8,8 +8,10 @@ Besides the ``do_run`` traces and results, the cold outputs are pinned too:
 the episodes file, the ``do_eval`` report and per-episode scores of three
 runs, and the canonical JSON of every persisted record type built from fixed
 values. A small blockage suite pins the subtask-swap path, which none of the
-``do_run`` episodes takes. Generated episodes always end at a reachable waypoint, so no run
-writes an infinite NE; the record pins carry ``"inf"`` instead.
+``do_run`` episodes takes; another pins the suite build itself (each entry's
+episode, plan, budget and unblocked run length), which no trace writes.
+Generated episodes always end at a reachable waypoint, so no run writes an
+infinite NE; the record pins carry ``"inf"`` instead.
 
 The matrix covers the sensing, planning and replanning paths that every
 rollout takes, plus the transport (latency, jitter and drops), a scheduled
@@ -486,6 +488,26 @@ def test_blocked_scene_file_matches_pinned_digest(scene_stages, tmp_path):
     path = tmp_path / "blocked.json"
     save_scene(apply_blockage(scene, min(scene.corridors)), path)
     assert sha256_file(path) == BLOCKED_SCENE_SHA256
+
+
+# The canonical JSON of a 4-entry suite's entries, one list of episode,
+# plan (with the detour_extra_m and swap_critical_m no trace writes), t_max
+# and unblocked_ticks per entry.
+SUITE_PARAMS = SuiteParams(n_episodes=4, seed=0)
+SUITE_SHA256 = "2e401a26b4df0f2dfd0aaec5ad4027b7f1a7ea3ae84444886197163117d63b2e"
+
+
+def test_suite_entries_match_pinned_digest():
+    entries = [
+        {
+            "episode": e.episode.to_dict(),
+            "plan": e.plan.to_dict(),
+            "t_max": e.t_max,
+            "unblocked_ticks": e.unblocked_ticks,
+        }
+        for e in build_blockage_suite(SUITE_PARAMS).entries
+    ]
+    assert hashlib.sha256(canonical_dumps(entries).encode()).hexdigest() == SUITE_SHA256
 
 
 # Both entries of this suite swap once under the blockage, with one dialogue

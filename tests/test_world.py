@@ -45,6 +45,7 @@ from relaynav.world import (
     SceneFormatError,
     SceneGraph,
     _one_component,
+    _region_mask,
     _range_cells,
     _rays,
     _shadow_tables,
@@ -53,6 +54,7 @@ from relaynav.world import (
     bfs_layers,
     bfs_shortest_path,
     center,
+    descend,
     fov_bits,
     line_of_sight,
     load_scene,
@@ -268,6 +270,57 @@ class TestBfs:
             assert geo.steps(a, b) == want
             assert geo.steps(b, a) == want
             assert geo.steps(a, a) == (-1 if blocked[a[1], a[0]] else 0)
+
+    @given(any_grids, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_multi_target_layers_hold_each_target_at_its_field_value(self, blocked, data):
+        """``layers(source, *targets)`` holds each target in the layer its
+        field value names (none for a blocked or unreachable one),
+        ``meters_from`` reads them as ``meters`` does one at a time, and the
+        search stops at the first layer by which every free target has been
+        reached: it runs to its end when a free target is unreachable and
+        holds no layer when no target is free."""
+        h, w = blocked.shape
+        cell = st.tuples(st.integers(0, w - 1), st.integers(0, h - 1))
+        geo = geodesics_of(~blocked)
+        source = data.draw(cell)
+        targets = data.draw(st.lists(cell | st.just(source), min_size=1, max_size=4))
+        field_ = bfs_distance_field(blocked, source)
+        want = [field_[y][x] for x, y in targets]
+        layers = geo.layers(source, *targets)
+        got = [
+            next((d for d, layer in enumerate(layers) if layer & geo.bit(t)), -1) for t in targets
+        ]
+        assert got == want
+        assert geo.meters_from(source, *targets) == [geo.meters(source, t) for t in targets]
+        full = list(bfs_layers(geo.free, geo.stride, geo.bit(source)))
+        free_steps = [d for (x, y), d in zip(targets, want) if not blocked[y, x]]
+        if not free_steps:
+            assert layers == []
+        elif min(free_steps) < 0:
+            assert layers == full
+        else:
+            assert layers == full[: max(free_steps) + 1]
+
+    def test_multi_target_layers_with_blocked_unreachable_and_source_targets(self):
+        # a 3 x 2 room (x 1-3, y 1-2) and a cut-off 1 x 2 one (x 5, y 1-2)
+        blocked = np.ones((4, 7), dtype=bool)
+        blocked[1:3, 1:4] = False
+        blocked[1:3, 5] = False
+        geo = geodesics_of(~blocked)
+        source, near, wall, cut_off = (1, 1), (2, 1), (0, 0), (5, 1)
+        assert len(geo.layers(source, near, wall)) == 2
+        assert len(geo.layers(source, near, cut_off)) == 4  # the whole room
+        assert len(geo.layers(source, source)) == 1
+        assert geo.layers(source, wall) == geo.layers(wall, near) == []
+        assert geo.meters_from(source, near, wall, cut_off, source, (3, 2)) == [
+            FORWARD_M, math.inf, math.inf, 0.0, 3 * FORWARD_M
+        ]
+        assert geo.meters_from(wall, wall, near) == [0.0, math.inf]
+        shared = geo.layers(source, (3, 2), near)
+        assert [descend(geo, shared, a) for a in ((3, 2), near, cut_off, wall)] == [
+            bfs_shortest_path(geo, a, source) for a in ((3, 2), near, cut_off, wall)
+        ]
 
     def test_packed_mask_and_queries_match_the_field(self):
         blocked = random_bordered_grid(7, 9, 9, 0.2)
@@ -872,6 +925,20 @@ class TestRegionIndex:
         scene = SceneGraph("lab", 0, GridMap(w, h, 0), regions, {}, {})
         probes = [(x, y) for x in range(-3, w + 3) for y in range(-3, h + 3)]
         check_region_index(scene, probes)
+
+    def test_a_shape_with_a_box_s_corners_and_cell_count_is_not_a_box(self):
+        # column 0 runs y 0-3 and column 1 y 1-2: six cells from (0, 0) to
+        # (1, 2), as many as that box holds, though (1, 0) is not one of them
+        cells = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2)]
+        scene = SceneGraph("lab", 0, GridMap(4, 5, 0), {"a": lab_region("a", cells)}, {}, {})
+        check_region_index(scene)
+        assert _region_mask(scene.regions["a"].cells, scene.grid) == scene.grid.mask(cells)
+
+    def test_cells_given_in_order_are_kept_and_others_made_canonical(self):
+        given = ((1, 1), (1, 2), (2, 0))
+        assert lab_region("a", given).cells is given
+        assert lab_region("a", [(2, 0), (1, 2), (1, 1)]).cells == given
+        assert lab_region("a", ((1, 1), (1, 1), (1, 2), (2, 0))).cells == given
 
     def test_more_regions_than_a_byte_can_number(self):
         # 300 one-cell regions, then a rectangle over some of them that sorts last
